@@ -1,5 +1,5 @@
 .PHONY: all build test fmt doc lint-loops lint-globals ci bench chaos-smoke \
-	bench-guard replay-smoke vfs-smoke cluster-smoke gray-smoke
+	bench-guard
 
 all: build
 
@@ -75,88 +75,21 @@ lint-globals:
 bench:
 	dune exec bench/main.exe
 
-# A small seeded chaos campaign plus the oracle selftest (~2s): every
-# fault kind gets explored, every oracle must stay green, and the
-# planted violation must be caught.  Exit 1 on any oracle violation,
-# 2 if the selftest fails.  --domains 0 shards the campaign across
-# every available core (auto-detected, so a single-core CI host runs
-# it sequentially at unchanged cost); the merged report is
-# byte-identical at any width.
+# A small seeded chaos campaign over every registered scenario plus
+# the oracle selftest (under a second): every fault kind gets
+# explored, every oracle must stay green, and the planted violation
+# must be caught.  Exit 1 on any oracle violation, 2 if the selftest
+# fails.  --domains 0 shards the campaign across every available core
+# (auto-detected, so a single-core CI host runs it sequentially at
+# unchanged cost); the merged report is byte-identical at any width.
+# The replay goldens run under `dune runtest` (test/golden/dune).
 chaos-smoke:
 	dune exec bin/chorus_sim.exe -- chaos --disk-runs 30 --kv-runs 6 \
-		--selftest --domains 0
-
-# Cluster hot-path gate: E24 end-to-end (open-loop Zipf load through
-# client pipelining, group-commit batching and leader leases) plus a
-# lease-focused chaos campaign — leader kills and partition-ish fabric
-# windows with the linearizability oracle vetoing stale leased reads.
-cluster-smoke:
-	@dune exec bin/chorus_sim.exe -- run e24 > _build/cluster_smoke.txt \
-		|| { cat _build/cluster_smoke.txt; exit 1; }; \
-	echo "cluster-smoke: e24 OK"; \
-	dune exec bin/chorus_sim.exe -- chaos --disk-runs 0 --kv-runs 0 \
-		--lease-runs 8 --seed 11
-
-# Gray-failure gate: a short gray chaos campaign (per-link delay and
-# asymmetric partition windows against breaker/deadline clients; the
-# fail-fast liveness oracle runs beside linearizability and both must
-# stay green) plus a pinned mid-window gray replay snapshot diffed
-# byte-for-byte against the checked-in golden (regenerate with the
-# second command below if a format change is intentional).
-GRAY_SCHED := seed=11 link-delay(0>1,p=0.65,200000cy)@1150000+600000 partition(2>0)@1300000+400000
-gray-smoke:
-	@dune exec bin/chorus_sim.exe -- chaos --disk-runs 0 --kv-runs 0 \
-		--gray-runs 12 --seed 11; \
-	dune exec bin/chorus_sim.exe -- replay --scenario gray \
-		--schedule '$(GRAY_SCHED)' --at 1500000 > _build/gray_smoke.txt; \
-	if ! diff -u test/golden/replay_gray_t1500000.txt _build/gray_smoke.txt; then \
-		echo "gray-smoke: snapshot drifted from the golden (diff above)"; \
-		exit 1; \
-	fi; \
-	echo "gray-smoke: OK"
+		--projfs-runs 10 --lease-runs 8 --gray-runs 12 --selftest --domains 0
 
 # Compare the committed BENCH_*.json baselines against a fresh
 # regeneration of their deterministic fields.
 bench-guard:
 	scripts/bench_guard
 
-# Time-travel replay determinism gate: replay a pinned chaos schedule
-# (a known kill-point reproducer) to a fixed virtual time and require
-# the snapshot to match the checked-in golden byte-for-byte, then diff
-# the schedule against its one-fault-dropped neighbour and require a
-# first-divergence report.  Catches both nondeterminism regressions
-# and accidental snapshot format drift (regenerate the golden with the
-# first command below if the drift is intentional).
-REPLAY_SCHED := seed=69 kill-point(chaos.store)@386220+78492 kill-point(chaos.store)@319877+182563
-replay-smoke:
-	@dune exec bin/chorus_sim.exe -- replay --scenario disk \
-		--schedule '$(REPLAY_SCHED)' --at 300000 > _build/replay_smoke.txt; \
-	if ! diff -u test/golden/replay_disk_t300000.txt _build/replay_smoke.txt; then \
-		echo "replay-smoke: snapshot drifted from the golden (diff above)"; \
-		exit 1; \
-	fi; \
-	dune exec bin/chorus_sim.exe -- replay --scenario disk \
-		--schedule '$(REPLAY_SCHED)' --at 450000 --diff --drop 1 \
-		| grep -q 'first diverging trace event' \
-		|| { echo "replay-smoke: --diff reported no divergence"; exit 1; }; \
-	echo "replay-smoke: OK"
-
-# Projected-FS gate: a small provider-kill chaos campaign (the
-# placeholder-invariant, recovery and quiescence oracles must all stay
-# green) plus a pinned mid-kill replay snapshot diffed byte-for-byte
-# against the checked-in golden (regenerate with the second command
-# below if a format change is intentional).
-PROJFS_SCHED := seed=100 kill-provider@445828+264255 loss(p=0.10)@890934+434520 loss(p=0.40)@992553+494499
-vfs-smoke:
-	@dune exec bin/chorus_sim.exe -- chaos --disk-runs 0 --kv-runs 0 \
-		--projfs-runs 10 --seed 7; \
-	dune exec bin/chorus_sim.exe -- replay --scenario projfs \
-		--schedule '$(PROJFS_SCHED)' --at 500000 > _build/vfs_smoke.txt; \
-	if ! diff -u test/golden/replay_projfs_t500000.txt _build/vfs_smoke.txt; then \
-		echo "vfs-smoke: snapshot drifted from the golden (diff above)"; \
-		exit 1; \
-	fi; \
-	echo "vfs-smoke: OK"
-
-ci: build test fmt doc lint-loops lint-globals chaos-smoke replay-smoke \
-	vfs-smoke cluster-smoke gray-smoke
+ci: build test fmt doc lint-loops lint-globals chaos-smoke bench-guard

@@ -16,13 +16,50 @@
    so a driver can check both host-side overhead and that metrics /
    tracing never perturb virtual time.
 
-   Usage: main.exe [--tables-only | --bechamel-only] *)
+   Usage: main.exe [--tables-only | --bechamel-only | --<name>-only],
+   where --<name>-only writes just BENCH_<name>.json. *)
 
 module Experiments = Chorus_experiments.Experiments
 module Machine = Chorus_machine.Machine
 module Runtime = Chorus.Runtime
 module Fiber = Chorus.Fiber
 module Chan = Chorus.Chan
+
+(* section header on stdout *)
+let banner title =
+  print_endline "\n=====================================================";
+  print_endline (" " ^ title);
+  print_endline "=====================================================\n"
+
+(* a BENCH file's opening: its schema and the seed every number in it
+   derives from *)
+let json_doc schema ~seed =
+  let b = Buffer.create 2048 in
+  Printf.bprintf b "{\n  \"schema\": \"chorus-bench-%s\",\n  \"seed\": %d,\n"
+    schema seed;
+  b
+
+(* write a finished JSON buffer and say so *)
+let save file b =
+  Out_channel.with_open_text file (fun oc -> Buffer.output_buffer oc b);
+  Printf.printf "\nwrote %s\n" file
+
+(* a campaign report's simulator-side fields, client_ops through
+   campaign_digest, one per line [indent] deep; the caller ends the
+   digest line *)
+let add_campaign b ~indent (r : Chorus_chaos.Chaos.report) =
+  Printf.bprintf b "%s\"client_ops\": %d,\n" indent r.total_ops;
+  Printf.bprintf b "%s\"faults_injected\": %d,\n" indent r.faults_injected;
+  Printf.bprintf b "%s\"faults_explored\": {" indent;
+  List.iteri
+    (fun i (kind, n) ->
+      if i > 0 then Buffer.add_char b ',';
+      Printf.bprintf b "\n%s  \"%s\": %d" indent kind n)
+    r.kinds;
+  Printf.bprintf b "\n%s},\n" indent;
+  Printf.bprintf b "%s\"oracle_violations\": %d,\n" indent
+    (List.length r.violations);
+  Printf.bprintf b "%s\"campaign_digest\": \"%s\"" indent r.campaign_digest
 
 (* ------------------------------------------------------------------ *)
 (* Part 1: experiment tables                                           *)
@@ -154,9 +191,7 @@ let bench_sleep_timers =
 let run_bechamel () =
   let open Bechamel in
   let open Toolkit in
-  print_endline "\n=====================================================";
-  print_endline " Bechamel: host-side cost of the simulator primitives";
-  print_endline "=====================================================\n";
+  banner "Bechamel: host-side cost of the simulator primitives";
   let tests =
     Test.make_grouped ~name:"chorus"
       [ bench_spawn; bench_rendezvous; bench_buffered; bench_choice;
@@ -247,10 +282,7 @@ let write_json file bech_rows =
         (Printf.sprintf "\n    \"%s\": %d" (json_escape name) cycles))
     (fixed_scenarios ());
   Buffer.add_string b "\n  }\n}\n";
-  let oc = open_out file in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Printf.printf "\nwrote %s\n" file
+  save file b
 
 (* ------------------------------------------------------------------ *)
 (* Part 4: cluster macro-benchmark                                     *)
@@ -263,9 +295,7 @@ let write_json file bech_rows =
 let write_cluster_json file =
   let module E20 = Chorus_experiments.E20_cluster in
   let module E24 = Chorus_experiments.E24_hotpath in
-  print_endline "\n=====================================================";
-  print_endline " Cluster: throughput and failover window (virtual)";
-  print_endline "=====================================================\n";
+  banner "Cluster: throughput and failover window (virtual)";
   let rows =
     List.map
       (fun nnodes ->
@@ -316,9 +346,7 @@ let write_cluster_json file =
           [ false; true ])
       [ 1; 3; 5 ]
   in
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "{\n  \"schema\": \"chorus-bench-cluster-v2\",\n";
-  Buffer.add_string b "  \"seed\": 42,\n";
+  let b = json_doc "cluster-v2" ~seed:42 in
   Buffer.add_string b "  \"replica_groups\": [";
   List.iteri
     (fun i (n, window, per_put, acked, ops) ->
@@ -357,10 +385,7 @@ let write_cluster_json file =
   Buffer.add_string b ",\n";
   add_points "write_path_saturation" writes;
   Buffer.add_string b "\n}\n";
-  let oc = open_out file in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Printf.printf "\nwrote %s\n" file
+  save file b
 
 (* ------------------------------------------------------------------ *)
 (* Part 5: service-plane overload macro-benchmark                      *)
@@ -370,9 +395,7 @@ let write_cluster_json file =
    driver. *)
 let write_overload_json file =
   let module E21 = Chorus_experiments.E21_overload in
-  print_endline "\n=====================================================";
-  print_endline " Service plane: overload policies (virtual)";
-  print_endline "=====================================================\n";
+  banner "Service plane: overload policies (virtual)";
   let rows =
     List.concat_map
       (fun policy ->
@@ -388,9 +411,7 @@ let write_overload_json file =
           [ 50; 100; 200 ])
       [ `Block; `Reject; `Shed_oldest ]
   in
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n  \"schema\": \"chorus-bench-overload-v1\",\n";
-  Buffer.add_string b "  \"seed\": 42,\n";
+  let b = json_doc "overload-v1" ~seed:42 in
   Buffer.add_string b "  \"postures\": [";
   List.iteri
     (fun i (s : Chorus_experiments.E21_overload.sample) ->
@@ -405,10 +426,7 @@ let write_overload_json file =
            s.shed s.hwm s.p50 s.p99 s.goodput))
     rows;
   Buffer.add_string b "\n  ]\n}\n";
-  let oc = open_out file in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Printf.printf "\nwrote %s\n" file
+  save file b
 
 (* ------------------------------------------------------------------ *)
 (* Part 6: chaos campaign                                              *)
@@ -427,19 +445,18 @@ let write_overload_json file =
    before exact comparison. *)
 let write_chaos_json ?(domains = 1) file =
   let module Chaos = Chorus_chaos.Chaos in
-  print_endline "\n=====================================================";
-  print_endline " Chaos: fault-space campaign with oracles";
-  print_endline "=====================================================\n";
+  banner "Chaos: fault-space campaign with oracles";
   let disk_runs = 160 and kv_runs = 48 and seed = 42 in
   let t0 = Unix.gettimeofday () in
-  let r = Chaos.campaign ~disk_runs ~kv_runs ~seed () in
+  let runs = [ (Chaos.Disk, disk_runs); (Chaos.Kv, kv_runs) ] in
+  let r = Chaos.campaign ~seed runs in
   let dt1 = Unix.gettimeofday () -. t0 in
   let rps1 = float_of_int r.Chaos.runs /. dt1 in
   let rps_n =
     if domains <= 1 then rps1
     else begin
       let t0 = Unix.gettimeofday () in
-      let rn = Chaos.campaign ~disk_runs ~kv_runs ~domains ~seed () in
+      let rn = Chaos.campaign ~domains ~seed runs in
       let dtn = Unix.gettimeofday () -. t0 in
       if not (String.equal rn.Chaos.campaign_digest r.Chaos.campaign_digest)
       then begin
@@ -460,30 +477,13 @@ let write_chaos_json ?(domains = 1) file =
     rps1 rps_n domains;
   Printf.printf "selftest: caught %b, shrunk to %d faults, replay %b\n"
     st.Chaos.caught st.Chaos.minimal_faults st.Chaos.st_replay_identical;
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n  \"schema\": \"chorus-bench-chaos-v1\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n" seed);
+  let b = json_doc "chaos-v1" ~seed in
   Buffer.add_string b
     (Printf.sprintf "  \"disk_runs\": %d,\n  \"kv_runs\": %d,\n" disk_runs
        kv_runs);
   Buffer.add_string b (Printf.sprintf "  \"runs\": %d,\n" r.Chaos.runs);
-  Buffer.add_string b
-    (Printf.sprintf "  \"client_ops\": %d,\n" r.Chaos.total_ops);
-  Buffer.add_string b
-    (Printf.sprintf "  \"faults_injected\": %d,\n" r.Chaos.faults_injected);
-  Buffer.add_string b "  \"faults_explored\": {";
-  List.iteri
-    (fun i (kind, n) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\n    \"%s\": %d" kind n))
-    r.Chaos.kinds;
-  Buffer.add_string b "\n  },\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"oracle_violations\": %d,\n"
-       (List.length r.Chaos.violations));
-  Buffer.add_string b
-    (Printf.sprintf "  \"campaign_digest\": \"%s\",\n"
-       r.Chaos.campaign_digest);
+  add_campaign b ~indent:"  " r;
+  Buffer.add_string b ",\n";
   Buffer.add_string b
     (Printf.sprintf "  \"runs_per_host_sec\": %.1f,\n" rps1);
   Buffer.add_string b (Printf.sprintf "  \"host_domains\": %d,\n" domains);
@@ -499,10 +499,7 @@ let write_chaos_json ?(domains = 1) file =
         \"replay_identical\": %b }\n"
        st.Chaos.caught st.Chaos.minimal_faults st.Chaos.st_replay_identical);
   Buffer.add_string b "}\n";
-  let oc = open_out file in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Printf.printf "\nwrote %s\n" file
+  save file b
 
 (* ------------------------------------------------------------------ *)
 (* Part 7: projected filesystem                                        *)
@@ -516,9 +513,7 @@ let write_chaos_json ?(domains = 1) file =
 let write_vfs_json file =
   let module E23 = Chorus_experiments.E23_projfs in
   let module Chaos = Chorus_chaos.Chaos in
-  print_endline "\n=====================================================";
-  print_endline " Projected FS: hydration, name cache, storms (virtual)";
-  print_endline "=====================================================\n";
+  banner "Projected FS: hydration, name cache, storms (virtual)";
   let o = E23.measure_open ~quick:true ~seed:42 in
   Printf.printf
     "open: %d files  cold p50 %d p99 %d  warm p50 %d p99 %d  hydrations %d\n"
@@ -537,14 +532,12 @@ let write_vfs_json file =
       [ `Block; `Reject; `Shed_oldest ]
   in
   let projfs_runs = 12 and seed = 42 in
-  let r = Chaos.campaign ~disk_runs:0 ~kv_runs:0 ~projfs_runs ~seed () in
+  let r = Chaos.campaign ~seed [ (Chaos.Projfs, projfs_runs) ] in
   Printf.printf
     "chaos: %d provider-kill runs  ops %d  injected %d  violations %d\n"
     r.Chaos.runs r.Chaos.total_ops r.Chaos.faults_injected
     (List.length r.Chaos.violations);
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n  \"schema\": \"chorus-bench-vfs-v1\",\n";
-  Buffer.add_string b "  \"seed\": 42,\n";
+  let b = json_doc "vfs-v1" ~seed:42 in
   Buffer.add_string b
     (Printf.sprintf
        "  \"open\": { \"files\": %d, \"cold_p50_cycles\": %d, \
@@ -576,10 +569,7 @@ let write_vfs_json file =
        projfs_runs r.Chaos.runs r.Chaos.total_ops r.Chaos.faults_injected
        (List.length r.Chaos.violations));
   Buffer.add_string b "}\n";
-  let oc = open_out file in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Printf.printf "\nwrote %s\n" file
+  save file b
 
 (* ------------------------------------------------------------------ *)
 (* Part 8: gray failure                                                *)
@@ -592,9 +582,7 @@ let write_vfs_json file =
 let write_gray_json file =
   let module E25 = Chorus_experiments.E25_gray in
   let module Chaos = Chorus_chaos.Chaos in
-  print_endline "\n=====================================================";
-  print_endline " Gray failure: breakers, deadlines, liveness oracle";
-  print_endline "=====================================================\n";
+  banner "Gray failure: breakers, deadlines, liveness oracle";
   let points =
     List.concat_map
       (fun gray ->
@@ -617,9 +605,7 @@ let write_gray_json file =
   in
   let gray_runs = 50 and seed = 42 in
   let t0 = Unix.gettimeofday () in
-  let r =
-    Chaos.campaign ~disk_runs:0 ~kv_runs:0 ~gray_runs ~seed ()
-  in
+  let r = Chaos.campaign ~seed [ (Chaos.Gray, gray_runs) ] in
   let dt = Unix.gettimeofday () -. t0 in
   Printf.printf
     "\nchaos: %d gray runs  ops %d  injected %d  violations %d  \
@@ -634,9 +620,7 @@ let write_gray_json file =
     Printf.eprintf "FATAL: gray campaign must pass every oracle\n";
     exit 1
   end;
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "{\n  \"schema\": \"chorus-bench-gray-v1\",\n";
-  Buffer.add_string b "  \"seed\": 42,\n";
+  let b = json_doc "gray-v1" ~seed:42 in
   Buffer.add_string b "  \"postures\": [";
   List.iteri
     (fun i (p : E25.point) ->
@@ -656,28 +640,9 @@ let write_gray_json file =
   Buffer.add_string b "  \"chaos\": {\n";
   Buffer.add_string b
     (Printf.sprintf "    \"gray_runs\": %d,\n" gray_runs);
-  Buffer.add_string b
-    (Printf.sprintf "    \"client_ops\": %d,\n" r.Chaos.total_ops);
-  Buffer.add_string b
-    (Printf.sprintf "    \"faults_injected\": %d,\n" r.Chaos.faults_injected);
-  Buffer.add_string b "    \"faults_explored\": {";
-  List.iteri
-    (fun i (kind, n) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\n      \"%s\": %d" kind n))
-    r.Chaos.kinds;
-  Buffer.add_string b "\n    },\n";
-  Buffer.add_string b
-    (Printf.sprintf "    \"oracle_violations\": %d,\n"
-       (List.length r.Chaos.violations));
-  Buffer.add_string b
-    (Printf.sprintf "    \"campaign_digest\": \"%s\"\n"
-       r.Chaos.campaign_digest);
-  Buffer.add_string b "  }\n}\n";
-  let oc = open_out file in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Printf.printf "\nwrote %s\n" file
+  add_campaign b ~indent:"    " r;
+  Buffer.add_string b "\n  }\n}\n";
+  save file b
 
 let () =
   let args = Array.to_list Sys.argv in
@@ -698,25 +663,27 @@ let () =
     | 0 -> Chorus_par.Pool.recommended ()
     | n -> n
   in
-  if List.mem "--overload-only" args then
-    write_overload_json "BENCH_overload.json"
-  else if List.mem "--chaos-only" args then
-    write_chaos_json ~domains "BENCH_chaos.json"
-  else if List.mem "--vfs-only" args then write_vfs_json "BENCH_vfs.json"
-  else if List.mem "--gray-only" args then write_gray_json "BENCH_gray.json"
-  else if List.mem "--cluster-only" args then
-    write_cluster_json "BENCH_cluster.json"
-  else begin
+  (* one writer per BENCH_<name>.json, selected by --<name>-only *)
+  let writers =
+    [ ("cluster", write_cluster_json);
+      ("overload", write_overload_json);
+      ("chaos", write_chaos_json ~domains);
+      ("vfs", write_vfs_json);
+      ("gray", write_gray_json) ]
+  in
+  let write (name, writer) = writer ("BENCH_" ^ name ^ ".json") in
+  match
+    List.find_opt
+      (fun (name, _) -> List.mem ("--" ^ name ^ "-only") args)
+      writers
+  with
+  | Some w -> write w
+  | None ->
     let tables = not (List.mem "--bechamel-only" args) in
     let bech = not (List.mem "--tables-only" args) in
     if tables then run_tables ();
     if bech then begin
       let rows = run_bechamel () in
       write_json "BENCH_obs.json" rows;
-      write_cluster_json "BENCH_cluster.json";
-      write_overload_json "BENCH_overload.json";
-      write_chaos_json ~domains "BENCH_chaos.json";
-      write_vfs_json "BENCH_vfs.json";
-      write_gray_json "BENCH_gray.json"
+      List.iter write writers
     end
-  end

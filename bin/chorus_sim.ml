@@ -125,6 +125,23 @@ let json_arg =
   let doc = "Emit one JSON object instead of tables (jq-composable)." in
   Arg.(value & flag & info [ "json" ] ~doc)
 
+let ring_arg =
+  Arg.(
+    value & opt int 200_000
+    & info [ "ring" ]
+        ~doc:
+          "Trace ring capacity: most recent records kept per run; the \
+           count of dropped older records is always reported.")
+
+let chrome_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "chrome-trace" ] ~docv:"FILE"
+        ~doc:
+          "Also export the trace as Chrome trace-event JSON (open in \
+           about://tracing or ui.perfetto.dev).")
+
 let value_of_record (r : Chorus.Trace.record) =
   let module Trace = Chorus.Trace in
   let open Chorus.Inspect in
@@ -165,23 +182,6 @@ let trace_cmd =
   in
   let limit_arg =
     Arg.(value & opt int 80 & info [ "limit" ] ~doc:"Max records to print.")
-  in
-  let ring_arg =
-    Arg.(
-      value & opt int 200_000
-      & info [ "ring" ]
-          ~doc:
-            "Trace ring capacity: most recent records kept; the count of \
-             dropped older records is always reported.")
-  in
-  let chrome_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "chrome-trace" ] ~docv:"FILE"
-          ~doc:
-            "Also export the full trace as Chrome trace-event JSON \
-             (open in about://tracing or ui.perfetto.dev).")
   in
   let go limit capacity json chrome =
     let module Machine = Chorus_machine.Machine in
@@ -263,21 +263,6 @@ let profile_cmd =
     let doc = Printf.sprintf "Experiment id (%s)." ids_range in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc)
   in
-  let ring_arg =
-    Arg.(
-      value & opt int 200_000
-      & info [ "ring" ]
-          ~doc:"Trace ring capacity: most recent records kept per run.")
-  in
-  let chrome_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "chrome-trace" ] ~docv:"FILE"
-          ~doc:
-            "Also export the profiled run's trace as Chrome trace-event \
-             JSON.")
-  in
   let pct cycles total =
     if total <= 0 then "-"
     else Printf.sprintf "%.1f%%" (100. *. float cycles /. float total)
@@ -310,18 +295,19 @@ let profile_cmd =
       Runtime.set_default_trace None;
       Metrics.uninstall ();
       let snap = Metrics.snapshot reg in
+      (* the longest run's trace: (records, record count, ring drops) *)
+      let best =
+        List.fold_left
+          (fun acc (get, dropped) ->
+            let records = get () in
+            let n = List.length records in
+            match acc with
+            | Some (_, bn, _) when bn >= n -> acc
+            | _ -> Some (records, n, dropped ()))
+          None !rings
+      in
       if json then begin
         let open Chorus.Inspect in
-        let best =
-          List.fold_left
-            (fun acc (get, dropped) ->
-              let records = get () in
-              let n = List.length records in
-              match acc with
-              | Some (_, bn, _) when bn >= n -> acc
-              | _ -> Some (records, n, dropped ()))
-            None !rings
-        in
         let fibers, messages, dropped, nrecords =
           match best with
           | None -> ([], 0, 0, 0)
@@ -387,16 +373,6 @@ let profile_cmd =
         snap;
       Tablefmt.print lat;
       Tablefmt.print other;
-      let best =
-        List.fold_left
-          (fun acc (get, dropped) ->
-            let records = get () in
-            let n = List.length records in
-            match acc with
-            | Some (_, bn, _) when bn >= n -> acc
-            | _ -> Some (records, n, dropped ()))
-          None !rings
-      in
       (match best with
       | None -> Printf.printf "(no run produced trace records)\n"
       | Some (records, n, dropped) ->
@@ -620,42 +596,22 @@ let chaos_cmd =
   in
   let module Chaos = Chorus_chaos.Chaos in
   let module Schedule = Chorus_chaos.Schedule in
-  let disk_arg =
-    Arg.(
-      value & opt int 24
-      & info [ "disk-runs" ] ~doc:"Disk-scenario schedules to explore.")
-  in
-  let kv_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "kv-runs" ] ~doc:"Cluster-scenario schedules to explore.")
-  in
-  let projfs_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "projfs-runs" ]
-          ~doc:
-            "Projected-filesystem schedules to explore (provider kills, \
-             fabric faults; placeholder-invariant oracle).")
-  in
-  let lease_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "lease-runs" ]
-          ~doc:
-            "Leased-cluster schedules to explore (batched + leased hot \
-             path under leader kills and partition-ish fabric faults; \
-             the linearizability oracle vetoes stale leased reads).")
-  in
-  let gray_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "gray-runs" ]
-          ~doc:
-            "Gray-failure schedules to explore (per-link delay and \
-             asymmetric partition windows against clients running \
-             circuit breakers and per-op deadline budgets; the \
-             fail-fast liveness oracle joins linearizability).")
+  (* one --<name>-runs flag per registered scenario; the term yields
+     the campaign's (scenario, runs) list in registry order *)
+  let runs_arg =
+    List.fold_right
+      (fun (e : Chaos.entry) rest ->
+        let doc =
+          Printf.sprintf "Schedules to explore in the %s scenario: %s." e.name
+            e.doc
+        in
+        let n =
+          Arg.(
+            value & opt int e.default_runs
+            & info [ e.name ^ "-runs" ] ~docv:"N" ~doc)
+        in
+        Term.(const (fun n rest -> (e.scenario, n) :: rest) $ n $ rest))
+      Chaos.scenarios (Term.const [])
   in
   let selftest_arg =
     Arg.(
@@ -665,44 +621,26 @@ let chaos_cmd =
             "Also plant a history corruption and verify the oracles \
              catch, shrink and replay it.")
   in
-  let go disk_runs kv_runs projfs_runs lease_runs gray_runs selftest seed
-      domains =
+  let go runs selftest seed domains =
     let domains = resolve_domains domains in
     let t0 = Unix.gettimeofday () in
-    let r =
-      Chaos.campaign ~disk_runs ~kv_runs ~projfs_runs ~lease_runs ~gray_runs
-        ~domains ~seed ()
-    in
+    let r = Chaos.campaign ~domains ~seed runs in
     let dt = Unix.gettimeofday () -. t0 in
     let t =
-      Tablefmt.create
+      Chorus_experiments.E22_chaos.campaign_table
         ~title:
           (Printf.sprintf "chaos campaign: %d runs, seed %d" r.Chaos.runs seed)
-        ~columns:[ ("metric", Tablefmt.Left); ("value", Tablefmt.Right) ]
+        r
     in
-    let addi name v = Tablefmt.add_row t [ name; string_of_int v ] in
-    addi "runs" r.Chaos.runs;
-    addi "client ops recorded" r.Chaos.total_ops;
-    addi "faults injected" r.Chaos.faults_injected;
-    List.iter
-      (fun (k, n) -> addi (Printf.sprintf "faults explored: %s" k) n)
-      r.Chaos.kinds;
-    addi "oracle violations" (List.length r.Chaos.violations);
-    Tablefmt.add_row t
-      [ "campaign digest"; r.Chaos.campaign_digest ];
-    addi "domains (host)" domains;
+    Tablefmt.add_row t [ "campaign digest"; r.Chaos.campaign_digest ];
+    Tablefmt.add_row t [ "domains (host)"; string_of_int domains ];
     Tablefmt.add_row t
       [ "runs/sec (host)"; Printf.sprintf "%.1f" (float_of_int r.Chaos.runs /. dt) ];
     Tablefmt.print t;
     List.iter
       (fun v ->
         Printf.printf "VIOLATION (%s): %s\n  schedule: %s\n  minimal:  %s\n  replay-identical: %b\n"
-          (match v.Chaos.vscenario with
-          | Chaos.Disk -> "disk"
-          | Chaos.Kv -> "kv"
-          | Chaos.Kv_lease -> "kv-lease"
-          | Chaos.Projfs -> "projfs"
-          | Chaos.Gray -> "gray")
+          (Chaos.name v.Chaos.vscenario)
           v.Chaos.first
           (Schedule.to_string v.Chaos.schedule)
           (Schedule.to_string v.Chaos.minimal)
@@ -723,8 +661,7 @@ let chaos_cmd =
   in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(
-      const go $ disk_arg $ kv_arg $ projfs_arg $ lease_arg $ gray_arg
-      $ selftest_arg $ seed_arg $ domains_arg)
+      const go $ runs_arg $ selftest_arg $ seed_arg $ domains_arg)
 
 (* --------------------------------------------------------------- *)
 (* replay: time-travel debugging over the chaos scenarios            *)
@@ -744,13 +681,32 @@ let replay_cmd =
   let module Snapshot = Chorus_debug.Snapshot in
   let module Replay = Chorus_debug.Replay in
   let scenario_arg =
+    let names =
+      List.map
+        (fun (e : Chaos.entry) ->
+          String.concat ""
+            (Printf.sprintf "$(b,%s)" e.name
+            :: List.map (Printf.sprintf " (alias $(b,%s))") e.aliases))
+        Chaos.scenarios
+    in
+    let parse s =
+      match Chaos.of_name s with
+      | Some scen -> Ok scen
+      | None ->
+        let known =
+          List.map (fun (e : Chaos.entry) -> e.name) Chaos.scenarios
+        in
+        Error
+          (`Msg
+             (Printf.sprintf "unknown scenario %S (%s)" s
+                (String.concat "|" known)))
+    in
+    let print ppf scen = Format.pp_print_string ppf (Chaos.name scen) in
     Arg.(
-      value & opt string "disk"
+      value
+      & opt (conv (parse, print)) Chaos.Disk
       & info [ "scenario" ] ~docv:"NAME"
-          ~doc:
-            "Chaos scenario: $(b,disk), $(b,cluster) (alias $(b,kv)), \
-             $(b,lease) (alias $(b,kv-lease)), $(b,projfs) or \
-             $(b,gray).")
+          ~doc:("Chaos scenario: " ^ String.concat ", " names ^ "."))
   in
   let index_arg =
     Arg.(
@@ -805,19 +761,7 @@ let replay_cmd =
       Printf.eprintf "bad %s: %s\n" what m;
       exit 2
   in
-  let go scenario seed index schedule at diff against drop json =
-    let scen =
-      match scenario with
-      | "disk" -> Chaos.Disk
-      | "cluster" | "kv" -> Chaos.Kv
-      | "lease" | "kv-lease" -> Chaos.Kv_lease
-      | "projfs" -> Chaos.Projfs
-      | "gray" -> Chaos.Gray
-      | s ->
-        Printf.eprintf
-          "unknown scenario %S (disk|cluster|lease|projfs|gray)\n" s;
-        exit 2
-    in
+  let go scen seed index schedule at diff against drop json =
     let sch =
       match schedule with
       | Some s -> parse_schedule "--schedule" s
@@ -828,13 +772,7 @@ let replay_cmd =
       if json then print_endline (Snapshot.to_json r.Replay.snapshot)
       else begin
         Printf.printf "replay %s  %s\npaused at t=%d  (%d trace records)\n"
-          (match scen with
-          | Chaos.Disk -> "disk"
-          | Chaos.Kv -> "cluster"
-          | Chaos.Kv_lease -> "kv-lease"
-          | Chaos.Projfs -> "projfs"
-          | Chaos.Gray -> "gray")
-          (Schedule.to_string sch) at
+          (Chaos.name scen) (Schedule.to_string sch) at
           (List.length r.Replay.trace);
         print_string (Snapshot.render r.Replay.snapshot)
       end

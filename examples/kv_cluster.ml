@@ -3,12 +3,12 @@
    The paper notes its kernel design "is structurally more similar to
    a client/server network application or to a cluster environment
    than to either traditional kernel design".  This example runs that
-   application on the same primitives: a primary KV node replicating
-   synchronously to a backup, four client nodes hammering it — over a
+   application on the same primitives: a three-node cluster of
+   Raft-replicated shards, four client nodes hammering it — over a
    fabric that drops 10% of frames.  Retransmission is a choice
    timeout arm; duplicate suppression keeps puts exactly-once.
 
-   Run with:  dune exec examples/netkv_cluster.exe *)
+   Run with:  dune exec examples/kv_cluster.exe *)
 
 module Machine = Chorus_machine.Machine
 module Policy = Chorus_sched.Policy
@@ -16,7 +16,8 @@ module Runtime = Chorus.Runtime
 module Fiber = Chorus.Fiber
 module Fabric = Chorus_net.Fabric
 module Stack = Chorus_net.Stack
-module Netkv = Chorus_net.Netkv
+module Cluster = Chorus_cluster.Cluster
+module Client = Chorus_cluster.Client
 
 let () =
   let stats =
@@ -25,47 +26,49 @@ let () =
          (Machine.mesh ~cores:32))
       (fun () ->
         let net = Fabric.create ~latency:8_000 ~loss:0.10 ~seed:2 () in
-        let node () = Stack.create net (Fabric.attach net ()) in
-        let primary = node () and backup = node () in
-        let backup_srv = Netkv.start_server backup ~port:100 in
-        let primary_srv =
-          Netkv.start_server ~backup:(Stack.addr backup) primary ~port:100
+        let c =
+          Cluster.create ~nshards:4 ~replication:3 ~seed:4 ~nnodes:3 net
         in
-        let clients = List.init 4 (fun _ -> node ()) in
+        Cluster.start c;
+        (* let the replica groups elect their leaders *)
+        Fiber.sleep 1_000_000;
+        let stacks =
+          List.init 4 (fun _ -> Stack.create net (Fabric.attach net ()))
+        in
         let ok = ref 0 and failed = ref 0 in
         let workers =
           List.mapi
             (fun id st ->
               Fiber.spawn ~label:(Printf.sprintf "client-%d" id) (fun () ->
                   let kv =
-                    Netkv.client st ~server_addr:(Stack.addr primary)
-                      ~port:100
+                    Client.create ~seed:(100 + id) ~bootstrap:(Cluster.addrs c)
+                      st
                   in
                   for i = 1 to 25 do
                     let k = Printf.sprintf "user:%d:%d" id i in
-                    if Netkv.put kv k (string_of_int (i * i)) then begin
-                      match Netkv.get kv k with
-                      | `Ok (Some v) when v = string_of_int (i * i) ->
-                        incr ok
-                      | `Ok _ | `Net_fail -> incr failed
-                    end
-                    else incr failed
+                    match Client.put kv k (string_of_int (i * i)) with
+                    | `Ok -> (
+                      match Client.get kv k with
+                      | `Found v when v = string_of_int (i * i) -> incr ok
+                      | `Found _ | `Miss | `Net_fail -> incr failed)
+                    | `Net_fail -> incr failed
                   done))
-            clients
+            stacks
         in
         List.iter (fun f -> ignore (Fiber.join f)) workers;
         Printf.printf "cluster results over a 10%%-loss fabric:\n";
         Printf.printf "  put+get round trips ok : %d\n" !ok;
         Printf.printf "  failed                 : %d\n" !failed;
-        Printf.printf "  primary puts served    : %d\n"
-          (Netkv.puts_served primary_srv);
-        Printf.printf "  backup replications    : %d\n"
-          (Netkv.replications backup_srv);
+        Printf.printf "  elections started      : %d\n"
+          (Cluster.elections_started c);
+        Printf.printf "  leadership changes     : %d\n"
+          (Cluster.leader_changes c);
         Printf.printf "  frames sent/dropped    : %d / %d\n"
           (Fabric.frames_sent net) (Fabric.frames_dropped net);
-        let rs = Stack.rel_stats (List.hd clients) in
+        let rs = Stack.rel_stats (List.hd stacks) in
         Printf.printf "  client0 retransmissions: %d (of %d calls)\n"
-          rs.Stack.retransmissions rs.Stack.calls)
+          rs.Stack.retransmissions rs.Stack.calls;
+        Cluster.stop c)
   in
   Printf.printf "\nsimulated time: %d cycles, %d messages\n"
     stats.Chorus.Runstats.makespan stats.Chorus.Runstats.msgs

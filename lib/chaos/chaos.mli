@@ -14,25 +14,21 @@
     subschedules ({!shrink}) — FoundationDB's simulation discipline,
     not spray-and-pray.
 
-    Two scenarios cover the stack's two service planes:
+    A scenario is described once, as an {!entry} of {!scenarios}: its
+    name, its fault palette and its body.  The campaign, the CLI's
+    [--<name>-runs] flags, replay's [--scenario] names and the tests
+    all derive from that list, so adding a scenario is one entry.  Five
+    are registered, in campaign task order:
 
-    - {!Disk}: a supervised KV store over {!Chorus_kernel.Bcache} and
+    - {!Disk} ([disk]): a supervised KV store over {!Chorus_kernel.Bcache} and
       {!Chorus_kernel.Blockdev} on one 8-core node.  Faults: service
       fiber kills at the [chaos.store] crash point (dequeue boundary —
       the in-flight request dies with the fiber) and transient
       block-device read-error windows.
-    - {!Kv}: the full replicated cluster (3 nodes, 2 shards,
+    - {!Kv} ([kv], alias [cluster]): the full replicated cluster (3 nodes, 2 shards,
       replication 3) over the fabric.  Faults: whole-node crashes plus
       fabric loss / duplication / reordering / delay windows.
-    - {!Kv_lease}: the {!Kv} topology and workload, but the raft
-      groups run the batched, leased hot path (group commit plus
-      leader leases serving reads locally).  Fault generation is
-      biased to the lease hazards — leader kills and partition-ish
-      fabric windows (loss, delay) — so the linearizability oracle is
-      pointed straight at the stale-read risk a lease introduces: a
-      deposed leader answering a local read after a newer acked write
-      would violate on the spot.
-    - {!Projfs}: a projected mount ({!Chorus_projfs.Projfs}) hydrating
+    - {!Projfs} ([projfs]): a projected mount ({!Chorus_projfs.Projfs}) hydrating
       a 128-file catalog from a supervised provider node over the
       fabric.  Faults: provider serving-fiber kills at its dequeue
       boundary (mid-hydration death; the supervisor re-serves the
@@ -42,7 +38,15 @@
       file is seeded into the history as written-once with its exact
       catalog contents, so any torn or fabricated hydration is a read
       of a never-written value.
-    - {!Gray}: the {!Kv} topology and workload under {e gray} failure —
+    - {!Kv_lease} ([lease], alias [kv-lease]): the {!Kv} topology and workload, but the raft
+      groups run the batched, leased hot path (group commit plus
+      leader leases serving reads locally).  Fault generation is
+      biased to the lease hazards — leader kills and partition-ish
+      fabric windows (loss, delay) — so the linearizability oracle is
+      pointed straight at the stale-read risk a lease introduces: a
+      deposed leader answering a local read after a newer acked write
+      would violate on the spot.
+    - {!Gray} ([gray]): the {!Kv} topology and workload under {e gray} failure —
       per-link fault windows ({!Schedule.Link_delay},
       {!Schedule.Partition}) that make one node slow-but-alive or
       unreachable in one direction only, while the workload clients
@@ -97,6 +101,29 @@ type prepared = {
           ran to completion under {!Chorus.Runtime.run} *)
 }
 
+type entry = {
+  scenario : scenario;
+  name : string;
+      (** canonical name: the CLI's [--<name>-runs] flag, replay's
+          [--scenario] value and every printed scenario label *)
+  aliases : string list;  (** other names {!of_name} accepts *)
+  doc : string;  (** one line: what runs, under which faults *)
+  default_runs : int;  (** schedules the [chaos] command explores *)
+  prepare : corrupt:bool -> Schedule.t -> prepared;  (** see {!prepare} *)
+  faults : Chorus_util.Rng.t -> Schedule.fault;
+      (** the fault palette: one draw per fault {!gen} places *)
+}
+
+val scenarios : entry list
+(** The registry, one entry per scenario, in campaign task order:
+    disk, kv, projfs, lease, gray. *)
+
+val name : scenario -> string
+(** The registered canonical name. *)
+
+val of_name : string -> scenario option
+(** Look a scenario up by canonical name or alias. *)
+
 val prepare : ?corrupt:bool -> scenario -> Schedule.t -> prepared
 (** The scenario split into its replayable phases.  [run_one] is
     [prepare] composed with a full run; the time-travel debugger
@@ -146,20 +173,15 @@ type report = {
           is how the N-domain determinism gate compares shardings *)
 }
 
-val campaign :
-  ?disk_runs:int -> ?kv_runs:int -> ?projfs_runs:int -> ?lease_runs:int ->
-  ?gray_runs:int -> ?domains:int -> seed:int -> unit -> report
-(** Enumerate and run [disk_runs] {!Disk} schedules (default 24),
-    [kv_runs] {!Kv} schedules (default 8), [projfs_runs] {!Projfs}
-    schedules, [lease_runs] {!Kv_lease} schedules and [gray_runs]
-    {!Gray} schedules (all three default 0 —
-    opt-in, so the standing chaos benchmark's record is unchanged),
-    checking every oracle after every run; violations are
-    replay-verified and shrunk.  [domains] (default 1) shards the runs
-    across a {!Chorus_par.Pool}: every run is an independent engine
-    with its own context, and results merge in task order, so the
-    report — digest included — is byte-identical at any domain
-    count. *)
+val campaign : ?domains:int -> seed:int -> (scenario * int) list -> report
+(** [campaign ~seed runs] explores, for each [(scenario, n)] in list
+    order, that scenario's {!gen} schedules [0 .. n-1], checking every
+    oracle after every run; violations are replay-verified and shrunk.
+    Task order is list order, so the campaign digest depends on it.
+    [domains] (default 1) shards the runs across a {!Chorus_par.Pool}:
+    every run is an independent engine with its own context, and
+    results merge in task order, so the report — digest included — is
+    byte-identical at any domain count. *)
 
 type selftest_result = {
   caught : bool;  (** the planted violation was detected *)

@@ -44,10 +44,9 @@ val create :
 
 val put : t -> string -> string -> [ `Ok | `Net_fail ]
 (** [`Net_fail] means every attempt was exhausted without a response —
-    the same typed verdict (and the same name) as
-    {!Chorus_net.Netkv.get}'s, so callers handle single-node and
-    clustered give-ups with one pattern.  The operation may or may not
-    have taken effect: a lost ack is not a lost write. *)
+    one typed verdict for every give-up, whether the cluster was
+    unreachable or every replica timed out.  The operation may or may
+    not have taken effect: a lost ack is not a lost write. *)
 
 val get : t -> string -> [ `Found of string | `Miss | `Net_fail ]
 

@@ -1,9 +1,8 @@
 (** Length-prefixed wire encoding for cluster messages.
 
     Cluster payloads (raft RPCs, client operations, shard maps) carry
-    arbitrary keys and values, so unlike {!Chorus_net.Netkv}'s
-    separator-based format they need framing that cannot be confused by
-    payload bytes.  Integers are decimal followed by [';']; strings are
+    arbitrary keys and values, so unlike a separator-based format they
+    need framing that cannot be confused by payload bytes.  Integers are decimal followed by [';']; strings are
     [<len>:<bytes>].  Decoding raises {!Malformed} on any violation —
     handlers catch it and answer with a protocol error. *)
 

@@ -22,21 +22,27 @@ open Exp_common
 module Chaos = Chorus_chaos.Chaos
 module Schedule = Chorus_chaos.Schedule
 
+(* A campaign report's simulator-side rows; `chorus_sim chaos` prints
+   the same table with its host rows appended. *)
+let campaign_table ~title (r : Chaos.report) =
+  let t =
+    Tablefmt.create ~title
+      ~columns:[ ("metric", Tablefmt.Left); ("value", Tablefmt.Right) ]
+  in
+  let addi name v = Tablefmt.add_row t [ name; string_of_int v ] in
+  addi "runs" r.runs;
+  addi "client ops recorded" r.total_ops;
+  addi "faults injected" r.faults_injected;
+  List.iter (fun (kind, n) -> addi ("faults explored: " ^ kind) n) r.kinds;
+  addi "oracle violations" (List.length r.violations);
+  t
+
 let run ~quick ~seed =
-  let disk_runs = pick ~quick 24 160 in
-  let kv_runs = pick ~quick 8 48 in
-  let r = Chaos.campaign ~disk_runs ~kv_runs ~seed () in
-  let t = Tablefmt.create ~title:"chaos campaign" ~columns:[ ("metric", Tablefmt.Left); ("value", Tablefmt.Right) ] in
-  Tablefmt.add_row t [ "runs"; string_of_int r.Chaos.runs ];
-  Tablefmt.add_row t [ "client ops recorded"; string_of_int r.Chaos.total_ops ];
-  Tablefmt.add_row t [ "faults injected"; string_of_int r.Chaos.faults_injected ];
-  List.iter
-    (fun (kind, n) ->
-      Tablefmt.add_row t
-        [ Printf.sprintf "faults explored: %s" kind; string_of_int n ])
-    r.Chaos.kinds;
-  Tablefmt.add_row t
-    [ "oracle violations"; string_of_int (List.length r.Chaos.violations) ];
+  let r =
+    Chaos.campaign ~seed
+      [ (Chaos.Disk, pick ~quick 24 160); (Chaos.Kv, pick ~quick 8 48) ]
+  in
+  let t = campaign_table ~title:"chaos campaign" r in
   List.iter
     (fun v ->
       Tablefmt.add_row t

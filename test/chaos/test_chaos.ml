@@ -1,8 +1,9 @@
 (* Tests for the chaos engine: the Wing–Gong linearizability checker
    on hand-built histories (legal and illegal), schedule shrinking
-   neighbourhoods, byte-identical replay of individual runs, a small
-   all-green campaign, and the oracle selftest (a planted violation
-   must be caught, shrunk to zero faults, and replayed). *)
+   neighbourhoods, the scenario registry (names, per-scenario green
+   campaigns, a pinned all-scenario digest), byte-identical replay of
+   individual runs, and the oracle selftest (a planted violation must
+   be caught, shrunk to zero faults, and replayed). *)
 
 module Lin = Chorus_chaos.Lin
 module Schedule = Chorus_chaos.Schedule
@@ -131,13 +132,35 @@ let test_schedule_malformed_partition_rejected () =
 (* Chaos runs                                                          *)
 
 let test_gen_deterministic () =
-  let a = Chaos.gen Chaos.Disk ~seed:5 ~index:3 in
-  let b = Chaos.gen Chaos.Disk ~seed:5 ~index:3 in
-  Alcotest.(check string)
-    "gen is a pure function of (seed, index)"
-    (Schedule.to_string a) (Schedule.to_string b);
-  let zero = Chaos.gen Chaos.Disk ~seed:5 ~index:0 in
-  Alcotest.(check int) "index 0 is fault-free" 0 (Schedule.nfaults zero)
+  List.iter
+    (fun (e : Chaos.entry) ->
+      let a = Chaos.gen e.scenario ~seed:5 ~index:3 in
+      let b = Chaos.gen e.scenario ~seed:5 ~index:3 in
+      Alcotest.(check string)
+        (e.name ^ ": gen is a pure function of (seed, index)")
+        (Schedule.to_string a) (Schedule.to_string b);
+      let zero = Chaos.gen e.scenario ~seed:5 ~index:0 in
+      Alcotest.(check int)
+        (e.name ^ ": index 0 is fault-free")
+        0 (Schedule.nfaults zero))
+    Chaos.scenarios
+
+(* every name and alias resolves to its own scenario; none is shared *)
+let test_registry_names () =
+  let resolve n = Option.map Chaos.name (Chaos.of_name n) in
+  let names =
+    List.concat_map
+      (fun (e : Chaos.entry) ->
+        List.map (fun n -> (n, e.name)) (e.name :: e.aliases))
+      Chaos.scenarios
+  in
+  Alcotest.(check int) "names and aliases unique" (List.length names)
+    (List.length (List.sort_uniq compare (List.map fst names)));
+  List.iter
+    (fun (n, name) ->
+      Alcotest.(check (option string)) n (Some name) (resolve n))
+    names;
+  Alcotest.(check (option string)) "unknown name" None (resolve "nope")
 
 let test_run_replays () =
   let sch = Chaos.gen Chaos.Disk ~seed:5 ~index:2 in
@@ -148,11 +171,37 @@ let test_run_replays () =
   Alcotest.(check (list string)) "no violations" [] a.Chaos.violations;
   Alcotest.(check bool) "history non-trivial" true (a.Chaos.ops >= 20)
 
+(* Every registered scenario, a small campaign each: all oracles
+   green, a non-trivial history, and faults from its palette explored
+   and fired.  The pinned registry digest below fixes which kinds. *)
 let test_campaign_green () =
-  let r = Chaos.campaign ~disk_runs:6 ~kv_runs:2 ~seed:42 () in
-  Alcotest.(check int) "runs" 8 r.Chaos.runs;
+  List.iter
+    (fun (e : Chaos.entry) ->
+      let r = Chaos.campaign ~seed:17 [ (e.scenario, 6) ] in
+      Alcotest.(check int) (e.name ^ ": runs") 6 r.Chaos.runs;
+      Alcotest.(check int)
+        (e.name ^ ": all oracles green")
+        0
+        (List.length r.Chaos.violations);
+      Alcotest.(check bool) (e.name ^ ": ops recorded") true
+        (r.Chaos.total_ops > 30);
+      Alcotest.(check bool) (e.name ^ ": faults explored") true
+        (r.Chaos.kinds <> []);
+      Alcotest.(check bool) (e.name ^ ": faults fired") true
+        (r.Chaos.faults_injected > 0))
+    Chaos.scenarios
+
+(* The whole registry, 2 schedules each in registry order, pinned: any
+   change to a body, a palette, the registry order or the campaign
+   merge moves this digest. *)
+let test_registry_digest () =
+  let r =
+    Chaos.campaign ~seed:42
+      (List.map (fun (e : Chaos.entry) -> (e.scenario, 2)) Chaos.scenarios)
+  in
   Alcotest.(check int) "all oracles green" 0 (List.length r.Chaos.violations);
-  Alcotest.(check bool) "ops recorded" true (r.Chaos.total_ops > 100)
+  Alcotest.(check string) "campaign digest" "f35828a6d98e0c2a39382b5fe3ffc931"
+    r.Chaos.campaign_digest
 
 (* The lease-safety claim (DESIGN.md D13): kill each node in turn
    while the cluster runs the batched, leased hot path — one of the
@@ -180,10 +229,11 @@ let test_lease_kill_no_stale_reads () =
   done;
   Alcotest.(check bool) "lease path exercised" true (!leased_total > 0)
 
+(* Per-scenario campaigns for the two cluster-client scenarios, at the
+   sizes they had before the registry; [campaign-green] covers every
+   scenario at a common size. *)
 let test_lease_campaign_green () =
-  let r =
-    Chaos.campaign ~disk_runs:0 ~kv_runs:0 ~lease_runs:6 ~seed:17 ()
-  in
+  let r = Chaos.campaign ~seed:17 [ (Chaos.Kv_lease, 6) ] in
   Alcotest.(check int) "runs" 6 r.Chaos.runs;
   Alcotest.(check int) "all oracles green" 0 (List.length r.Chaos.violations)
 
@@ -202,9 +252,7 @@ let test_gray_run_replays () =
   Alcotest.(check bool) "history non-trivial" true (a.Chaos.ops >= 10)
 
 let test_gray_campaign_green () =
-  let r =
-    Chaos.campaign ~disk_runs:0 ~kv_runs:0 ~gray_runs:8 ~seed:17 ()
-  in
+  let r = Chaos.campaign ~seed:17 [ (Chaos.Gray, 8) ] in
   Alcotest.(check int) "runs" 8 r.Chaos.runs;
   Alcotest.(check int) "all oracles green" 0 (List.length r.Chaos.violations);
   Alcotest.(check bool) "gray fault kinds explored" true
@@ -236,7 +284,9 @@ let () =
       ( "engine",
         [ Alcotest.test_case "gen-deterministic" `Quick test_gen_deterministic;
           Alcotest.test_case "run-replays" `Quick test_run_replays;
+          Alcotest.test_case "registry-names" `Quick test_registry_names;
           Alcotest.test_case "campaign-green" `Quick test_campaign_green;
+          Alcotest.test_case "registry-digest" `Quick test_registry_digest;
           Alcotest.test_case "lease-kill" `Quick test_lease_kill_no_stale_reads;
           Alcotest.test_case "lease-campaign" `Quick test_lease_campaign_green;
           Alcotest.test_case "gray-replays" `Quick test_gray_run_replays;

@@ -516,8 +516,7 @@ let test_breaker_steers_around_gray_node () =
 
 let test_client_net_fail_no_cluster () =
   (* no cluster ever starts: every attempt times out and the client
-     reports the same typed verdict (and the same name) as
-     Netkv.get's give-up — the unified `Net_fail *)
+     reports the typed give-up verdict, `Net_fail *)
   let (_ : Runstats.t) =
     run (fun () ->
         let net = Fabric.create ~latency:5_000 ~seed:3 () in

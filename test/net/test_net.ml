@@ -1,5 +1,5 @@
 (* Tests for the network substrate: fabric delivery/loss, port demux,
-   reliable calls over loss, and the replicated KV service. *)
+   and reliable calls over loss. *)
 
 module Machine = Chorus_machine.Machine
 module Policy = Chorus_sched.Policy
@@ -9,7 +9,6 @@ module Fiber = Chorus.Fiber
 module Chan = Chorus.Chan
 module Fabric = Chorus_net.Fabric
 module Stack = Chorus_net.Stack
-module Netkv = Chorus_net.Netkv
 
 let run ?(cores = 16) main =
   Runtime.run
@@ -569,67 +568,6 @@ let test_concurrent_calls_not_crossed () =
   in
   ()
 
-(* ------------------------------------------------------------------ *)
-(* Netkv                                                               *)
-
-let get_result : [ `Ok of string option | `Net_fail ] Alcotest.testable =
-  Alcotest.testable
-    (fun ppf -> function
-      | `Net_fail -> Format.fprintf ppf "`Net_fail"
-      | `Ok None -> Format.fprintf ppf "`Ok None"
-      | `Ok (Some v) -> Format.fprintf ppf "`Ok (Some %S)" v)
-    ( = )
-
-let check_get msg expected actual = Alcotest.check get_result msg expected actual
-
-let test_kv_basic () =
-  let (_ : Runstats.t) =
-    run (fun () ->
-        let net = Fabric.create () in
-        let s = Stack.create net (Fabric.attach net ()) in
-        let c = Stack.create net (Fabric.attach net ()) in
-        let server = Netkv.start_server s ~port:100 in
-        let kv = Netkv.client c ~server_addr:(Stack.addr s) ~port:100 in
-        Alcotest.(check bool) "put" true (Netkv.put kv "k1" "v1");
-        check_get "get hit" (`Ok (Some "v1")) (Netkv.get kv "k1");
-        check_get "get miss" (`Ok None) (Netkv.get kv "nope");
-        Alcotest.(check bool) "overwrite" true (Netkv.put kv "k1" "v2");
-        check_get "updated" (`Ok (Some "v2")) (Netkv.get kv "k1");
-        Alcotest.(check int) "server counted" 2 (Netkv.puts_served server))
-  in
-  ()
-
-let test_kv_replication () =
-  let (_ : Runstats.t) =
-    run (fun () ->
-        let net = Fabric.create ~loss:0.15 ~seed:9 () in
-        let primary_stack = Stack.create net (Fabric.attach net ()) in
-        let backup_stack = Stack.create net (Fabric.attach net ()) in
-        let client_stack = Stack.create net (Fabric.attach net ()) in
-        let backup = Netkv.start_server backup_stack ~port:100 in
-        let _primary =
-          Netkv.start_server ~backup:(Stack.addr backup_stack) primary_stack
-            ~port:100
-        in
-        let kv =
-          Netkv.client client_stack ~server_addr:(Stack.addr primary_stack)
-            ~port:100
-        in
-        for i = 1 to 20 do
-          Alcotest.(check bool) "replicated put" true
-            (Netkv.put kv (Printf.sprintf "k%d" i) (string_of_int i))
-        done;
-        Alcotest.(check int) "backup holds every put" 20
-          (Netkv.replications backup);
-        (* reads served by the backup see the replicated data *)
-        let kv_b =
-          Netkv.client client_stack ~server_addr:(Stack.addr backup_stack)
-            ~port:100
-        in
-        check_get "replica read" (`Ok (Some "7")) (Netkv.get kv_b "k7"))
-  in
-  ()
-
 let prop_lossless_fabric_delivers_everything =
   QCheck.Test.make ~name:"loss=0 fabric delivers every frame in order"
     ~count:40
@@ -705,8 +643,4 @@ let () =
           Alcotest.test_case "call gives up" `Quick
             test_reliable_call_gives_up;
           Alcotest.test_case "concurrent calls" `Quick
-            test_concurrent_calls_not_crossed ] );
-      ( "netkv",
-        [ Alcotest.test_case "basic ops" `Quick test_kv_basic;
-          Alcotest.test_case "replication over loss" `Quick
-            test_kv_replication ] ) ]
+            test_concurrent_calls_not_crossed ] ) ]

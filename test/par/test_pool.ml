@@ -66,7 +66,7 @@ let test_campaign_domains_identical () =
      contaminate each other; with per-run contexts the merged report
      must be byte-identical at every width *)
   let rep domains =
-    Chaos.campaign ~disk_runs:6 ~kv_runs:2 ~domains ~seed:5 ()
+    Chaos.campaign ~domains ~seed:5 [ (Chaos.Disk, 6); (Chaos.Kv, 2) ]
   in
   let base = report_sig (rep 1) in
   List.iter
