@@ -373,7 +373,7 @@ let prepare_disk ~corrupt (sch : Schedule.t) =
   let get key =
     one_shot (Get key) (function
       | `Ok (Val vo) -> History.Value vo
-      | `Ok Ack | `Busy | `Expired -> History.Lost)
+      | `Ok Ack | `Busy -> History.Lost)
   in
   let client proc =
     for i = 0 to 9 do
@@ -385,7 +385,7 @@ let prepare_disk ~corrupt (sch : Schedule.t) =
         write r ~proc key v (fun () ->
             one_shot (Put (key, v)) (function
               | `Ok Ack -> History.Acked
-              | `Ok (Val _) | `Busy | `Expired -> History.Lost))
+              | `Ok (Val _) | `Busy -> History.Lost))
     done
   in
   run_clients client;
@@ -398,7 +398,7 @@ let prepare_disk ~corrupt (sch : Schedule.t) =
   if
     call ~timeout:disk_recovery_bound ~late:false (Get "k0") (function
       | `Ok _ -> true
-      | `Busy | `Expired -> false)
+      | `Busy -> false)
   then note r "recovered=%d\n" (Fiber.now () - t0)
   else
     viol r "recovery: store silent %d cycles after faults cleared"

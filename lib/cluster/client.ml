@@ -28,8 +28,6 @@ type t = {
   bootstrap : int list;
   attempts : int;
   call_timeout : int;
-  backoff_base : int;
-  backoff_cap : int;
   breaker : breaker_config option;
   op_budget : int option;
       (* per-operation deadline budget in cycles: an operation that
@@ -58,8 +56,12 @@ type t = {
   get_h : Metrics.histogram;
 }
 
-let create ?(attempts = 10) ?(call_timeout = 60_000) ?(backoff_base = 15_000)
-    ?(backoff_cap = 120_000) ?breaker ?op_budget ~seed ~bootstrap stack =
+let backoff_base = 15_000
+
+let backoff_cap = 120_000
+
+let create ?(attempts = 10) ?(call_timeout = 60_000) ?breaker ?op_budget ~seed
+    ~bootstrap stack =
   if bootstrap = [] then invalid_arg "Client.create: no bootstrap nodes";
   (match breaker with
   | Some { trip_after; cooldown } when trip_after < 1 || cooldown < 1 ->
@@ -73,8 +75,6 @@ let create ?(attempts = 10) ?(call_timeout = 60_000) ?(backoff_base = 15_000)
       bootstrap;
       attempts;
       call_timeout;
-      backoff_base;
-      backoff_cap;
       breaker;
       op_budget;
       breakers = Hashtbl.create 8;
@@ -104,8 +104,8 @@ let create ?(attempts = 10) ?(call_timeout = 60_000) ?(backoff_base = 15_000)
       let open Chorus.Inspect in
       Assoc
         [ ("attempts", Int t.attempts);
-          ("backoff_base", Int t.backoff_base);
-          ("backoff_cap", Int t.backoff_cap);
+          ("backoff_base", Int backoff_base);
+          ("backoff_cap", Int backoff_cap);
           ("retries", Int t.retries);
           ("redirects", Int t.redirects);
           ("failed", Int t.failed);
@@ -229,7 +229,7 @@ let deadline_misses t = t.deadline_misses
    whole election has to pass before a crashed leader's shard answers
    again, so waits stretch toward the cap instead of hammering. *)
 let backoff t n =
-  let w = min t.backoff_cap (t.backoff_base * (1 lsl min n 3)) in
+  let w = min backoff_cap (backoff_base * (1 lsl min n 3)) in
   let j = w / 4 in
   Fiber.sleep ((w - j) + Rng.int t.rng ((2 * j) + 1))
 

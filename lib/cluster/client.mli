@@ -28,9 +28,8 @@ type breaker_config = { trip_after : int; cooldown : int }
 type breaker_state = [ `Closed | `Open | `Half_open ]
 
 val create :
-  ?attempts:int -> ?call_timeout:int -> ?backoff_base:int ->
-  ?backoff_cap:int -> ?breaker:breaker_config -> ?op_budget:int ->
-  seed:int -> bootstrap:int list -> Chorus_net.Stack.t -> t
+  ?attempts:int -> ?call_timeout:int -> ?breaker:breaker_config ->
+  ?op_budget:int -> seed:int -> bootstrap:int list -> Chorus_net.Stack.t -> t
 (** [bootstrap] lists node addresses tried in order for map discovery.
     Defaults: [attempts] 10 per operation, [call_timeout] 60k cycles
     per RPC, backoff base 15k doubling to a 120k cap, +-25%

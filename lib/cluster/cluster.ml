@@ -27,8 +27,6 @@ type t = {
   map_wire : string;  (* "m" ^ encoding, served on 'M' *)
   nodes : node array;
   notify : Notify.t option;
-  overload : Chorus_svc.Svc.config option;
-      (* applied to every node's raft- and client-port endpoints *)
   mutable sup : Supervisor.t option;
   mutable elections : int;
   mutable leader_changes : int;
@@ -47,7 +45,7 @@ let on_raft_event t (ev : Raft.event) =
       (Notify.Custom (Printf.sprintf "cluster:shard%d:leader:%d" shard node))
   | Raft.Stepped_down _ -> ()
 
-let create ?raft ?notify ?overload ~nshards ~replication ~seed ~nnodes fabric =
+let create ?raft ?notify ~nshards ~replication ~seed ~nnodes fabric =
   if nnodes <= 0 then invalid_arg "Cluster.create: nnodes";
   let rcfg =
     match raft with Some c -> c | None -> Raft.default_config ~seed
@@ -98,7 +96,6 @@ let create ?raft ?notify ?overload ~nshards ~replication ~seed ~nnodes fabric =
       map_wire = "m" ^ Shardmap.encode map;
       nodes;
       notify;
-      overload;
       sup = None;
       elections = 0;
       leader_changes = 0;
@@ -281,8 +278,7 @@ let start_node t ni =
             ~label:(Printf.sprintf "raft-srv-%d" node.addr)
             ~daemon:true
             (fun () ->
-              Stack.serve_async ?config:t.overload node.stack
-                ~port:raft_port (handle_raft node))
+              Stack.serve_async node.stack ~port:raft_port (handle_raft node))
         in
         register raft_srv;
         escalate raft_srv;
@@ -291,8 +287,8 @@ let start_node t ni =
             ~label:(Printf.sprintf "kv-srv-%d" node.addr)
             ~daemon:true
             (fun () ->
-              Stack.serve_async ?config:t.overload node.stack
-                ~port:client_port (handle_client t node ~register))
+              Stack.serve_async node.stack ~port:client_port
+                (handle_client t node ~register))
         in
         register kv_srv;
         escalate kv_srv;

@@ -34,16 +34,10 @@ val raft_port : int
 type t
 
 val create :
-  ?raft:Raft.config -> ?notify:Chorus_kernel.Notify.t ->
-  ?overload:Chorus_svc.Svc.config ->
-  nshards:int -> replication:int -> seed:int -> nnodes:int ->
-  Chorus_net.Fabric.t -> t
+  ?raft:Raft.config -> ?notify:Chorus_kernel.Notify.t -> nshards:int ->
+  replication:int -> seed:int -> nnodes:int -> Chorus_net.Fabric.t -> t
 (** Attach the nodes and build their replicas.  Nothing runs until
-    {!start}.  [raft] defaults to {!Raft.default_config} with [seed].
-    [overload] is applied to every node's raft- and client-port
-    endpoints (see {!Chorus_net.Stack.serve_async}): frames refused by
-    [`Reject] or [`Shed_oldest] look like wire loss and are recovered
-    by the caller's retransmission. *)
+    {!start}.  [raft] defaults to {!Raft.default_config} with [seed]. *)
 
 val start : ?max_restarts:int -> ?window:int -> t -> unit
 (** Boot all nodes under a [One_for_one] supervisor (defaults:

@@ -7,29 +7,32 @@ module Span = Chorus_obs.Span
 module Svc = Chorus_svc.Svc
 
 type config = {
-  heartbeat : int;
-  election_lo : int;
-  election_hi : int;
   rpc_timeout : int;
   propose_timeout : int;
   batch_window : int;
   max_append : int;
   lease : bool;
-  lease_margin : int;
   seed : int;
 }
 
 let default_config ~seed =
-  { heartbeat = 25_000;
-    election_lo = 120_000;
-    election_hi = 240_000;
-    rpc_timeout = 30_000;
+  { rpc_timeout = 30_000;
     propose_timeout = 200_000;
     batch_window = 0;
     max_append = 16;
     lease = false;
-    lease_margin = 10_000;
     seed }
+
+(* Timing constants, in cycles: the leader's append/heartbeat interval,
+   the election timeout range [election_lo, election_hi), and the
+   safety slack subtracted from a leader lease. *)
+let heartbeat = 25_000
+
+let election_lo = 120_000
+
+let election_hi = 240_000
+
+let lease_margin = 10_000
 
 type role = Follower | Candidate | Leader
 
@@ -283,7 +286,7 @@ let lease_deadline t =
     Array.sort (fun a b -> compare (b : int) a) sorted;
     let anchor = sorted.(need - 1) in
     if anchor < 0 then min_int
-    else anchor + t.cfg.election_lo - t.cfg.lease_margin
+    else anchor + election_lo - lease_margin
   end
 
 let lease_valid t =
@@ -390,7 +393,7 @@ let handle_vote t r =
      heartbeat clock. *)
   let lease_guard =
     t.cfg.lease && t.role = Follower
-    && Fiber.now () - t.last_heartbeat < t.cfg.election_lo
+    && Fiber.now () - t.last_heartbeat < election_lo
   in
   if cterm > t.term then step_down t cterm;
   let up_to_date =
@@ -523,7 +526,7 @@ let replicator t ~lineage ~my_term ~peer_pos =
         ignore
           (Chan.choose
              [ Svc.recv_case kick (fun _ -> ());
-               Chan.after t.cfg.heartbeat (fun () -> ()) ]);
+               Chan.after heartbeat (fun () -> ()) ]);
       loop ()
     end
   in
@@ -544,8 +547,7 @@ let flush_batch t =
    The doorbell is the same capacity-1 `Reject endpoint the replicator
    kicks use: redundant rings during a window are coalesced (they show
    up in the rejected counter), so a thousand proposals in one window
-   cost one flush.  [take_batch] drains any rings that slipped in
-   between the sleep and the flush. *)
+   cost one flush. *)
 let batcher t ~lineage ~my_term =
   let bell =
     Svc.cast_create
@@ -561,7 +563,7 @@ let batcher t ~lineage ~my_term =
       let rung =
         Chan.choose
           [ Svc.recv_case bell (fun () -> true);
-            Chan.after t.cfg.heartbeat (fun () -> false) ]
+            Chan.after heartbeat (fun () -> false) ]
       in
       if live () && rung then begin
         Fiber.sleep t.cfg.batch_window;
@@ -656,7 +658,6 @@ let run_election t ~register ~lineage =
       t.role = Candidate && t.term = my_term && t.lineage = lineage
     in
     let granted = ref 1 (* own vote *) and heard = ref 0 in
-    let deadline = t.cfg.election_lo in
     let rec collect () =
       if
         still_candidate ()
@@ -666,7 +667,7 @@ let run_election t ~register ~lineage =
         match
           Chan.choose
             [ Chan.recv_case votes (fun v -> Some v);
-              Chan.after deadline (fun () -> None) ]
+              Chan.after election_lo (fun () -> None) ]
         with
         | None -> ()  (* election timed out; the timer loop retries *)
         | Some (rterm, g) ->
@@ -695,8 +696,7 @@ let start_timer t ~register =
       let rec loop () =
         if t.lineage = lineage then begin
           let span =
-            t.cfg.election_lo
-            + Rng.int t.rng (max 1 (t.cfg.election_hi - t.cfg.election_lo))
+            election_lo + Rng.int t.rng (election_hi - election_lo)
           in
           Fiber.sleep span;
           if t.lineage = lineage then begin

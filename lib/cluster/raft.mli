@@ -20,9 +20,6 @@
     while term, vote and log survive as modeled stable storage. *)
 
 type config = {
-  heartbeat : int;  (** leader append/heartbeat interval, cycles *)
-  election_lo : int;  (** election timeout drawn from \[lo, hi) *)
-  election_hi : int;
   rpc_timeout : int;  (** per-attempt timeout of raft RPCs *)
   propose_timeout : int;  (** client-visible wait for commit+apply *)
   batch_window : int;
@@ -34,17 +31,17 @@ type config = {
           flush trigger when [batch_window > 0] *)
   lease : bool;
       (** leader leases: serve reads locally while a majority has
-          acked an append within [election_lo]; also arms the
-          vote-refusal guard that makes the lease sound (followers
-          that heard a leader within [election_lo] do not vote) *)
-  lease_margin : int;  (** safety slack subtracted from the lease *)
+          acked an append within the minimum election timeout; also
+          arms the vote-refusal guard that makes the lease sound
+          (followers that heard a leader within it do not vote) *)
   seed : int;
 }
+(** The timing constants are fixed: heartbeat every 25k cycles,
+    election timeout drawn from \[120k, 240k), lease margin 10k. *)
 
 val default_config : seed:int -> config
-(** heartbeat 25k, election 120k–240k, rpc timeout 30k, propose
-    timeout 200k cycles; batching off ([batch_window = 0],
-    [max_append = 16]), leases off, lease margin 10k. *)
+(** rpc timeout 30k, propose timeout 200k cycles; batching off
+    ([batch_window = 0], [max_append = 16]), leases off. *)
 
 type role = Follower | Candidate | Leader
 
@@ -95,8 +92,8 @@ val lease_denied : t -> int
 val lease_valid : t -> bool
 (** Whether a leased read would be served right now: leases on, this
     replica leads, its term has committed, and the majority-ack order
-    statistic plus [election_lo - lease_margin] is still ahead of
-    virtual now. *)
+    statistic plus the minimum election timeout less the lease margin
+    (120k - 10k cycles) is still ahead of virtual now. *)
 
 (** {1 Node integration} *)
 

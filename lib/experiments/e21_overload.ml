@@ -79,7 +79,7 @@ let measure ~quick ~seed ~policy ~load_pct =
                           | `Ok () ->
                               incr completed;
                               Histogram.record lat (Fiber.now () - t0)
-                          | `Busy | `Expired -> incr busy);
+                          | `Busy -> incr busy);
                           Chan.send finished ()));
                    Fiber.sleep gap
                  done))

@@ -10,7 +10,7 @@ type req =
   | Zero of int
   | Flush
 
-type resp = Data of string | Done
+type resp = Data of string | Done | Io_fail
 
 type shard_state = {
   bufs : (int, buf) Hashtbl.t;
@@ -29,7 +29,7 @@ type t = {
 }
 
 (* Cache refill survives transient device read faults: bounded retries
-   with exponential backoff, then give up and let the fault surface.
+   with exponential backoff, then give up with [Blockdev.Io_error].
    Only the shard that hit the fault stalls — its siblings keep
    serving. *)
 let max_read_attempts = 10
@@ -50,7 +50,7 @@ let read_with_retry t dev block =
    requested bytes for reads, a bare ack otherwise *)
 let words_of_resp = function
   | Data s -> 2 + ((String.length s + 7) / 8)
-  | Done -> 2
+  | Done | Io_fail -> 2
 
 let lookup t st dev block =
   st.tick <- st.tick + 1;
@@ -129,7 +129,12 @@ let start ?(shards = 8) ?(capacity = 1024) ?(spread = true) ?config ~dev () =
           tick = 0 }
       in
       let on = if spread then None else Some (Fiber.core (Fiber.self ())) in
-      ignore (Svc.start ?on ~words_of_resp ep (handle t st dev)))
+      (* a refill that gave up answers [Io_fail] instead of killing the
+         unsupervised shard fiber: the caller gets the error, and the
+         shard keeps serving *)
+      ignore
+        (Svc.start ?on ~words_of_resp ep (fun req ->
+             try handle t st dev req with Blockdev.Io_error -> Io_fail)))
     t.eps;
   t
 
@@ -138,6 +143,7 @@ let shard_for t block = t.eps.(block mod Array.length t.eps)
 let get t block =
   match Svc.call ~words:4 (shard_for t block) (Get block) with
   | Data d -> d
+  | Io_fail -> raise Blockdev.Io_error
   | Done -> assert false
 
 let get_range t block ~off ~len =
@@ -145,6 +151,7 @@ let get_range t block ~off ~len =
     Svc.call ~words:5 (shard_for t block) (Get_range { block; off; len })
   with
   | Data d -> d
+  | Io_fail -> raise Blockdev.Io_error
   | Done -> assert false
 
 let put t block ~off data =
@@ -155,17 +162,18 @@ let put t block ~off data =
       (Put { block; off; data })
   with
   | Done -> ()
+  | Io_fail -> raise Blockdev.Io_error
   | Data _ -> assert false
 
 let zero t block =
   match Svc.call ~words:4 (shard_for t block) (Zero block) with
   | Done -> ()
-  | Data _ -> assert false
+  | Data _ | Io_fail -> assert false
 
 let flush t =
   Array.iter
     (fun ep ->
-      match Svc.call ep Flush with Done -> () | Data _ -> assert false)
+      match Svc.call ep Flush with Done -> () | Data _ | Io_fail -> assert false)
     t.eps
 
 let hits t = t.hits

@@ -19,18 +19,21 @@ val start :
 
 val get : t -> int -> string
 (** [get t block] returns the whole block contents (cache fill from
-    disk on miss). *)
+    disk on miss).  Raises {!Blockdev.Io_error} when the fill gives up
+    (see {!read_retries}). *)
 
 val get_range : t -> int -> off:int -> len:int -> string
 (** [get_range t block ~off ~len] returns just the requested byte
     range — the reply message is sized by [len], not by the block.
     This is what makes fine-grained reads cheap for the vnode fibers:
-    only the bytes asked for cross the interconnect. *)
+    only the bytes asked for cross the interconnect.  Raises
+    {!Blockdev.Io_error} like {!get}. *)
 
 val put : t -> int -> off:int -> string -> unit
 (** [put t block ~off data] writes [data] into the cached block at
     byte offset [off], marking it dirty (read-modify-write of the
-    block on a partial overwrite). *)
+    block on a partial overwrite).  Raises {!Blockdev.Io_error} like
+    {!get} when the block must first be read in. *)
 
 val zero : t -> int -> unit
 (** Reset a freed block's cached contents to zeroes (used on
@@ -46,7 +49,10 @@ val misses : t -> int
 val read_retries : t -> int
 (** Transient {!Blockdev} read faults absorbed by the refill path:
     each fault costs one bounded exponential-backoff retry (up to 10
-    attempts, 2k–32k cycle sleeps) before the cache gives up and lets
-    {!Blockdev.Io_error} surface.  Only the faulted shard stalls. *)
+    attempts, 2k–32k cycle sleeps).  Only the faulted shard stalls
+    while it retries.  After the 10th failed attempt the shard gives
+    up on that request alone: {!get}, {!get_range} or {!put} raises
+    {!Blockdev.Io_error} in the caller's fiber, and the shard keeps
+    serving. *)
 
 val shards : t -> int

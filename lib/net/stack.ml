@@ -11,28 +11,29 @@ type rel_stats = {
   mutable dedup_evictions : int;
 }
 
-(* Bounded (peer, seq) duplicate-suppression cache: FIFO in insertion
-   order, so eviction is deterministic.  A re-[set] of a live key
-   updates in place without renewing its position; an evicted key that
-   returns is a fresh insertion.  The queue mirrors the table exactly:
-   every key appears in it once. *)
+(* Bounded (peer, seq) duplicate-suppression cache: at most
+   [dedup_capacity] entries, FIFO in insertion order, so eviction is
+   deterministic.  A re-[set] of a live key updates in place without
+   renewing its position; an evicted key that returns is a fresh
+   insertion.  The queue mirrors the table exactly: every key appears
+   in it once. *)
+let dedup_capacity = 4096
+
 module Dedup = struct
   type 'v t = {
     tbl : (int * int, 'v) Hashtbl.t;
     order : (int * int) Queue.t;
-    cap : int;
     stats : rel_stats;
   }
 
-  let create ~cap stats =
-    { tbl = Hashtbl.create 32; order = Queue.create (); cap; stats }
+  let create stats = { tbl = Hashtbl.create 32; order = Queue.create (); stats }
 
   let find_opt d k = Hashtbl.find_opt d.tbl k
 
   let set d k v =
     if Hashtbl.mem d.tbl k then Hashtbl.replace d.tbl k v
     else begin
-      if d.cap > 0 && Queue.length d.order >= d.cap then begin
+      if Queue.length d.order >= dedup_capacity then begin
         let victim = Queue.pop d.order in
         Hashtbl.remove d.tbl victim;
         d.stats.dedup_evictions <- d.stats.dedup_evictions + 1
@@ -42,15 +43,13 @@ module Dedup = struct
     end
 end
 
-let default_dedup_capacity = 4096
-
 type t = {
   fabric : Fabric.t;
   nic : Fabric.nic;
   ports : (int, Fabric.frame Chan.t) Hashtbl.t;
   port_svcs : (int, Fabric.frame Svc.cast) Hashtbl.t;
       (** ports whose listener is a service endpoint; the demux offers
-          frames through the endpoint's overload policy *)
+          frames through the endpoint *)
   pending : (int, string Chan.t) Hashtbl.t;
       (** outstanding reliable calls, by seq *)
   reply_demux_on : (int, unit) Hashtbl.t;
@@ -91,10 +90,7 @@ let create fabric nic =
          let rec loop () =
            let f = Chan.recv (Fabric.rx nic) in
            (match Hashtbl.find_opt t.port_svcs f.Fabric.port with
-           | Some svc ->
-             (* a shed/rejected frame is indistinguishable from wire
-                loss; the caller's retransmission recovers it *)
-             ignore (Svc.offer ~words:4 svc f)
+           | Some svc -> Svc.cast ~words:4 svc f
            | None -> (
              match Hashtbl.find_opt t.ports f.Fabric.port with
              | Some ch -> Chan.send ~words:4 ch f
@@ -196,20 +192,7 @@ let call t ~dst ~port ?(timeout = 50_000) ?(attempts = 5) req =
   in
   attempt 0
 
-(* Wrap a port channel in a service endpoint and register it with the
-   demux, which then enqueues through the endpoint's overload policy. *)
-let attach_port_svc t ~port ?config requests =
-  let svc =
-    Svc.cast_attach ?config ~subsystem:"net"
-      ~metric_name:(Printf.sprintf "port%d" port)
-      ~label:(Printf.sprintf "port-%d" port)
-      requests
-  in
-  Hashtbl.replace t.port_svcs port svc;
-  svc
-
-let serve_async ?config ?(dedup_capacity = default_dedup_capacity) t ~port
-    handler =
+let serve_async t ~port handler =
   (* reuse the port channel when a previous server incarnation already
      registered it: a restarted service resumes the same endpoint *)
   let requests =
@@ -217,12 +200,19 @@ let serve_async ?config ?(dedup_capacity = default_dedup_capacity) t ~port
     | Some ch -> ch
     | None -> listen t ~port
   in
-  let svc = attach_port_svc t ~port ?config requests in
+  (* the demux offers this port's frames through the endpoint *)
+  let svc =
+    Svc.cast_attach ~subsystem:"net"
+      ~metric_name:(Printf.sprintf "port%d" port)
+      ~label:(Printf.sprintf "port-%d" port)
+      requests
+  in
+  Hashtbl.replace t.port_svcs port svc;
   let seen =
     match Hashtbl.find_opt t.served port with
     | Some d -> d
     | None ->
-      let d = Dedup.create ~cap:dedup_capacity t.stats in
+      let d = Dedup.create t.stats in
       Hashtbl.replace t.served port d;
       d
   in
@@ -250,22 +240,5 @@ let serve_async ?config ?(dedup_capacity = default_dedup_capacity) t ~port
         in
         handler ~src f.Fabric.payload ~reply)
 
-let serve ?config ?(dedup_capacity = default_dedup_capacity) t ~port handler =
-  let requests = listen t ~port in
-  let svc = attach_port_svc t ~port ?config requests in
-  (* (peer, seq) -> cached reply, for duplicate suppression *)
-  let seen : string Dedup.t = Dedup.create ~cap:dedup_capacity t.stats in
-  Svc.serve_cast svc (fun f ->
-      let key = (f.Fabric.src, f.Fabric.seq) in
-      let reply =
-        match Dedup.find_opt seen key with
-        | Some cached ->
-          t.stats.duplicates_served <- t.stats.duplicates_served + 1;
-          cached
-        | None ->
-          let r = handler ~src:f.Fabric.src f.Fabric.payload in
-          Dedup.set seen key r;
-          r
-      in
-      send t ~dst:f.Fabric.src ~port:(reply_port port) ~seq:f.Fabric.seq
-        reply)
+let serve t ~port handler =
+  serve_async t ~port (fun ~src payload ~reply -> reply (handler ~src payload))

@@ -5,8 +5,8 @@
     fiber that owns the NIC's receive channel and routes frames to
     per-port channels; the reliable layer is ordinary client code built
     from [choose] — a retransmission is literally a timeout arm firing.
-    Duplicate suppression on the server side uses a last-seq cache per
-    peer, so retried requests execute exactly once. *)
+    Duplicate suppression on the server side uses a bounded
+    (peer, seq) cache, so retried requests execute exactly once. *)
 
 type t
 
@@ -48,36 +48,32 @@ val call :
     counted in the run's {!Chorus.Runstats.t.retries}.  [None] when
     every attempt timed out. *)
 
-val serve :
-  ?config:Chorus_svc.Svc.config -> ?dedup_capacity:int -> t -> port:int ->
-  (src:int -> string -> string) -> unit
-(** Serve requests on [port] forever (run in a daemon fiber):
-    deduplicates retransmitted requests by (peer, seq), replaying the
-    cached reply instead of re-executing the handler.  The dedup cache
-    holds at most [dedup_capacity] entries (default 4096), evicting in
-    FIFO insertion order and counting evictions in
-    {!rel_stats.dedup_evictions}.
-
-    The port's frame queue runs through a {!Chorus_svc.Svc} endpoint:
-    [config] sets its overload policy, applied by the demux fiber on
-    enqueue.  A frame dropped by [`Reject] or [`Shed_oldest] looks
-    exactly like wire loss to the remote caller, whose retransmission
-    recovers it.  [`Block] with a capacity cannot bound the port
-    channel (it is attached, not created, by the endpoint) — it
-    behaves like the unbounded default. *)
+val serve : t -> port:int -> (src:int -> string -> string) -> unit
+(** Serve requests on [port] forever (run in a daemon fiber): the
+    handler's return value is the reply.  This is {!serve_async} with
+    the reply sent as soon as the handler returns, so it shares that
+    function's duplicate suppression and restart semantics; the
+    handler runs in the serving fiber, so a slow request holds up the
+    port. *)
 
 val serve_async :
-  ?config:Chorus_svc.Svc.config -> ?dedup_capacity:int -> t -> port:int ->
-  (src:int -> string -> reply:(string -> unit) -> unit) -> unit
-(** Like {!serve} but the handler answers through the [reply] callback
-    instead of a return value, so it may hand slow requests to worker
-    fibers and keep the port loop responsive.  The handler itself runs
-    in the serving fiber and must not block.  Duplicate suppression
-    covers in-flight requests (retransmissions of an unanswered request
-    are swallowed; the eventual reply answers them) and, unlike
-    {!serve}, survives server restarts: the (peer, seq) cache and the
-    port channel live on the stack, so calling [serve_async] again on
-    the same port after the serving fiber died resumes the same
-    endpoint with exactly-once semantics intact.  [config] and
-    [dedup_capacity] as in {!serve}; the cache capacity is fixed by
-    the first server incarnation on the port. *)
+  t -> port:int -> (src:int -> string -> reply:(string -> unit) -> unit) ->
+  unit
+(** Serve requests on [port] forever (run in a daemon fiber), answering
+    through the [reply] callback, so the handler may hand slow requests
+    to worker fibers and keep the port loop responsive.  The handler
+    itself runs in the serving fiber and must not block.
+
+    Retransmitted requests are deduplicated by (peer, seq): a
+    retransmission of an answered request replays the cached reply
+    instead of re-running the handler, and one of a request still in
+    flight is swallowed (the eventual reply answers it).  The cache
+    holds at most 4096 entries per port, evicting in FIFO insertion
+    order and counting evictions in {!rel_stats.dedup_evictions}.  The
+    cache and the port channel live on the stack, so calling
+    [serve_async] again on the same port after the serving fiber died
+    resumes the same endpoint with exactly-once semantics intact.
+
+    The port's frame queue runs through a {!Chorus_svc.Svc} endpoint
+    (uniform queue metrics, serve span and crash point) that the demux
+    fiber offers frames to. *)

@@ -29,52 +29,6 @@ let config ?(capacity = 0) ?(policy = `Block) () = { capacity; policy }
 
 exception Busy
 
-exception Expired
-
-(* The ambient end-to-end deadline, inherited by nested calls: a
-   budget set at the edge bounds the whole downstream tree.  The slot
-   holds a per-run table keyed by fiber id — slots are engine-wide,
-   and a handler that blocks mid-request would otherwise leak its
-   deadline to every other fiber interleaved on the same engine.  The
-   table is created on first use (per run, so domain-safe), entries
-   are save/restored around each [with_deadline] body, and an unarmed
-   run pays one slot lookup returning [None]. *)
-let deadline_slot : (int, int) Hashtbl.t Chorus.Ctx.slot =
-  Chorus.Ctx.slot "svc.deadline"
-
-let current_deadline () =
-  match Chorus.Ctx.get deadline_slot with
-  | None -> None
-  | Some tbl -> Hashtbl.find_opt tbl (Fiber.id (Fiber.self ()))
-
-let with_deadline d f =
-  let tbl =
-    match Chorus.Ctx.get deadline_slot with
-    | Some tbl -> tbl
-    | None ->
-      let tbl = Hashtbl.create 8 in
-      Chorus.Ctx.set deadline_slot tbl;
-      tbl
-  in
-  let fid = Fiber.id (Fiber.self ()) in
-  let prev = Hashtbl.find_opt tbl fid in
-  Hashtbl.replace tbl fid d;
-  Fun.protect
-    ~finally:(fun () ->
-      match prev with
-      | Some p -> Hashtbl.replace tbl fid p
-      | None -> Hashtbl.remove tbl fid)
-    f
-
-(* A caller's effective deadline: the tighter of the explicit argument
-   and the ambient (inherited) one. *)
-let effective_deadline = function
-  | Some d -> (
-    match current_deadline () with
-    | Some a when a < d -> Some a
-    | _ -> Some d)
-  | None -> current_deadline ()
-
 (* The ambient crash-point hook: consulted at every serve/serve_cast
    dequeue boundary.  A Ctx slot, so a chaos worker arming a crash
    point from inside its run binds it in that run's context only —
@@ -102,22 +56,15 @@ type 'msg cast = {
   service_h : Metrics.histogram;
   rejected_c : Metrics.counter;
   shed_c : Metrics.counter;
-  expired_c : Metrics.counter;
-  deadlines : (int, int) Hashtbl.t;
-      (** reply-channel id -> absolute deadline, for in-queue requests *)
   span_sub : string;
   span_name : string;
   mutable hwm : int;
   mutable nrejected : int;
   mutable nshed : int;
-  mutable nexpired : int;
   mutable nserved : int;
-  mutable nbatches : int;
-  mutable nbatched : int;
-  mutable batch_hwm : int;
 }
 
-type 'resp reply = [ `Ok of 'resp | `Busy | `Expired ] Chan.t
+type 'resp reply = [ `Ok of 'resp | `Busy ] Chan.t
 
 type ('req, 'resp) t = ('req * 'resp reply) cast
 
@@ -151,18 +98,12 @@ let wrap ~cfg ~subsystem ~metric_name ~label ~on_shed inbox =
     service_h = Metrics.histogram ~subsystem (mn ^ "service_time");
     rejected_c = Metrics.counter ~subsystem (mn ^ "rejected");
     shed_c = Metrics.counter ~subsystem (mn ^ "shed");
-    expired_c = Metrics.counter ~subsystem (mn ^ "expired");
-    deadlines = Hashtbl.create 8;
     span_sub = subsystem;
     span_name = (match metric_name with None -> "serve" | Some n -> n);
     hwm = 0;
     nrejected = 0;
     nshed = 0;
-    nexpired = 0;
     nserved = 0;
-    nbatches = 0;
-    nbatched = 0;
-    batch_hwm = 0;
   }
   in
   (* Snapshot hook: every endpoint reports its inbox state to the
@@ -179,10 +120,6 @@ let wrap ~cfg ~subsystem ~metric_name ~label ~on_shed inbox =
           ("served", Chorus.Inspect.Int ep.nserved);
           ("rejected", Chorus.Inspect.Int ep.nrejected);
           ("shed", Chorus.Inspect.Int ep.nshed);
-          ("expired", Chorus.Inspect.Int ep.nexpired);
-          ("batches", Chorus.Inspect.Int ep.nbatches);
-          ("batched", Chorus.Inspect.Int ep.nbatched);
-          ("batch_hwm", Chorus.Inspect.Int ep.batch_hwm);
           ("capacity", Chorus.Inspect.Int ep.cfg.capacity);
           ("policy",
            Chorus.Inspect.String
@@ -198,26 +135,13 @@ let cast_create ?(config = default_config) ?metric_name
   wrap ~cfg:config ~subsystem ~metric_name ~label ~on_shed
     (mk_chan config ~label)
 
-let cast_attach ?(config = default_config) ?metric_name
-    ?(on_shed = fun _ -> ()) ~subsystem ~label ch =
-  validate config;
-  wrap ~cfg:config ~subsystem ~metric_name ~label ~on_shed ch
+let cast_attach ?metric_name ~subsystem ~label ch =
+  wrap ~cfg:default_config ~subsystem ~metric_name ~label ~on_shed:ignore ch
 
 let create ?config ?metric_name ~subsystem ~label () =
-  (* the shed hook needs the endpoint it is being created for (to drop
-     a shed request's deadline entry), so tie the knot with a ref *)
-  let epr = ref None in
-  let ep =
-    cast_create ?config ?metric_name
-      ~on_shed:(fun (_req, r) ->
-        (match !epr with
-        | Some ep -> Hashtbl.remove ep.deadlines (Chan.id r)
-        | None -> ());
-        ignore (Chan.try_send r `Busy))
-      ~subsystem ~label ()
-  in
-  epr := Some ep;
-  ep
+  cast_create ?config ?metric_name
+    ~on_shed:(fun (_req, r) -> ignore (Chan.try_send r `Busy))
+    ~subsystem ~label ()
 
 let sample t =
   let d = Chan.length t.inbox in
@@ -281,55 +205,20 @@ let answer ?words r v = Chan.send ?words r (`Ok v)
 
 let await_result r = Chan.recv r
 
-let await r =
-  match Chan.recv r with
-  | `Ok v -> v
-  | `Busy -> raise Busy
-  | `Expired -> raise Expired
+let await r = match Chan.recv r with `Ok v -> v | `Busy -> raise Busy
 
-(* The deadline path is opt-in per call: without an explicit or
-   ambient deadline the call compiles to exactly the pre-deadline
-   sequence (reply chan, offer, recv) — no table writes, no
-   [Chan.choose] (which charges per case and draws from the run's
-   RNG), so seeded runs without deadlines stay byte-identical. *)
-let call_result ?words ?deadline t req =
-  match effective_deadline deadline with
-  | None -> (
-    let r = reply_chan () in
-    match offer ?words t (req, r) with `Ok -> Chan.recv r | `Busy -> `Busy)
-  | Some d ->
-    if Fiber.now () >= d then `Expired
-    else
-      let r = reply_chan () in
-      Hashtbl.replace t.deadlines (Chan.id r) d;
-      (match offer ?words t (req, r) with
-      | `Busy ->
-        Hashtbl.remove t.deadlines (Chan.id r);
-        `Busy
-      | `Ok ->
-        Chan.choose
-          [ Chan.recv_case r Fun.id;
-            Chan.after (d - Fiber.now ()) (fun () -> `Expired) ])
-
-let call ?words ?deadline t req =
-  match call_result ?words ?deadline t req with
-  | `Ok v -> v
-  | `Busy -> raise Busy
-  | `Expired -> raise Expired
-
-let call_async ?words ?deadline t req =
+let call_result ?words t req =
   let r = reply_chan () in
-  (match effective_deadline deadline with
-  | Some d when Fiber.now () >= d -> ignore (Chan.try_send r `Expired)
-  | eff ->
-    (match eff with
-    | Some d -> Hashtbl.replace t.deadlines (Chan.id r) d
-    | None -> ());
-    (match offer ?words t (req, r) with
-    | `Ok -> ()
-    | `Busy ->
-      Hashtbl.remove t.deadlines (Chan.id r);
-      ignore (Chan.try_send r `Busy)));
+  match offer ?words t (req, r) with `Ok -> Chan.recv r | `Busy -> `Busy
+
+let call ?words t req =
+  match call_result ?words t req with `Ok v -> v | `Busy -> raise Busy
+
+let call_async ?words t req =
+  let r = reply_chan () in
+  (match offer ?words t (req, r) with
+  | `Ok -> ()
+  | `Busy -> ignore (Chan.try_send r `Busy));
   r
 
 let take t =
@@ -337,83 +226,25 @@ let take t =
   sample t;
   msg
 
-(* Group commit for inboxes: block for the first message, then drain
-   whatever else is already queued (up to [max]) without blocking or
-   further charges.  One dequeue-side depth sample covers the whole
-   batch, so a server draining N coalesced messages pays one boundary
-   crossing, not N — the amortization the batch stats make visible. *)
-let take_batch ?(max = 16) t =
-  if max < 1 then invalid_arg "Svc.take_batch: max";
-  let first = Chan.recv t.inbox in
-  let rec drain acc k =
-    if k >= max then List.rev acc
-    else
-      match Chan.try_recv t.inbox with
-      | None -> List.rev acc
-      | Some m -> drain (m :: acc) (k + 1)
-  in
-  let batch = drain [ first ] 1 in
-  sample t;
-  let n = List.length batch in
-  t.nbatches <- t.nbatches + 1;
-  t.nbatched <- t.nbatched + n;
-  if n > t.batch_hwm then t.batch_hwm <- n;
-  batch
-
-let serve_cast_batch ?max t handler =
-  let rec loop () =
-    let batch = take_batch ?max t in
-    hit_crashpoint t.cp_name;
-    Span.timed ~subsystem:t.span_sub ~name:t.span_name t.service_h
-      (fun () -> handler batch);
-    t.nserved <- t.nserved + List.length batch;
-    loop ()
-  in
-  loop ()
-
 let recv_case t f = Chan.recv_case t.inbox f
 
 let serve ?(words_of_resp = fun _ -> 2) ?until t handler =
   let rec loop () =
     let req, r = take t in
     hit_crashpoint t.cp_name;
-    (* deadline check at the dequeue boundary: work that already
-       missed its deadline is dead on arrival — serving it would burn
-       server time on a reply nobody is waiting for (the caller's
-       choose arm fired at the deadline).  Dropping here is what keeps
-       an overloaded queue from serving an ever-older backlog. *)
-    let dl =
-      match Hashtbl.find_opt t.deadlines (Chan.id r) with
-      | None -> None
-      | Some d ->
-        Hashtbl.remove t.deadlines (Chan.id r);
-        Some d
+    (* the reply send is part of the serviced work: its send-side
+       charge is time the server spends on this request, so it belongs
+       inside the service_time window *)
+    let resp =
+      Span.timed ~subsystem:t.span_sub ~name:t.span_name t.service_h
+        (fun () ->
+          let resp = handler req in
+          Chan.send ~words:(words_of_resp resp) r (`Ok resp);
+          resp)
     in
-    match dl with
-    | Some d when Fiber.now () >= d ->
-      t.nexpired <- t.nexpired + 1;
-      Metrics.incr t.expired_c;
-      ignore (Chan.try_send r `Expired);
-      loop ()
-    | _ ->
-      (* the reply send is part of the serviced work: its send-side
-         charge is time the server spends on this request, so it
-         belongs inside the service_time window *)
-      let resp =
-        Span.timed ~subsystem:t.span_sub ~name:t.span_name t.service_h
-          (fun () ->
-            let run () =
-              let resp = handler req in
-              Chan.send ~words:(words_of_resp resp) r (`Ok resp);
-              resp
-            in
-            (* nested calls made by the handler inherit the request's
-               remaining budget through the ambient slot *)
-            match dl with Some d -> with_deadline d run | None -> run ())
-      in
-      t.nserved <- t.nserved + 1;
-      let stop = match until with None -> false | Some p -> p req resp in
-      if stop then Chan.close t.inbox else loop ()
+    t.nserved <- t.nserved + 1;
+    let stop = match until with None -> false | Some p -> p req resp in
+    if stop then Chan.close t.inbox else loop ()
   in
   loop ()
 
@@ -451,16 +282,6 @@ let periodic ?on ?priority ?(count = 0) ~label ~period body =
       in
       loop 0)
 
-let retire t = Chan.close t.inbox
-
-let crashpoint_name t = t.cp_name
-
-let label t = t.clabel
-
-let capacity t = t.cfg.capacity
-
-let policy_of t = t.cfg.policy
-
 let depth t = Chan.length t.inbox
 
 let hwm t = t.hwm
@@ -470,11 +291,3 @@ let served t = t.nserved
 let rejected t = t.nrejected
 
 let shed t = t.nshed
-
-let expired t = t.nexpired
-
-let batches t = t.nbatches
-
-let batched t = t.nbatched
-
-let batch_hwm t = t.batch_hwm

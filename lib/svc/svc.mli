@@ -53,44 +53,15 @@ exception Busy
 (** Raised by {!call} and {!await} when the request was rejected or
     shed. *)
 
-exception Expired
-(** Raised by {!call} and {!await} when the request's end-to-end
-    deadline passed before a reply arrived. *)
-
-(** {1 End-to-end deadlines}
-
-    A deadline is an {e absolute virtual time} by which the caller
-    needs the reply.  It travels with the request: the serve loop
-    drops work that is already expired at the {e dequeue boundary}
-    (counted in [expired], answered [`Expired] so a still-listening
-    caller unblocks), and while the handler runs, the request's
-    deadline is the {e ambient} deadline — nested [call]s inherit it,
-    so a budget set at the edge bounds the whole downstream tree.
-    Everything is opt-in per call: a call without an explicit or
-    ambient deadline takes exactly the pre-deadline path (no
-    [Chan.choose], no RNG draw, no table writes), so seeded runs that
-    never set a deadline stay byte-identical. *)
-
-val with_deadline : int -> (unit -> 'a) -> 'a
-(** [with_deadline d f] runs [f] with ambient deadline [d] for the
-    {e current fiber} (saved and restored on exit, even by
-    exception).  {!serve} wraps handlers of deadline-carrying requests
-    in it automatically; call it directly to set a budget at the edge
-    of a request tree. *)
-
-val current_deadline : unit -> int option
-(** The current fiber's ambient deadline, if any. *)
-
 (** {1 Endpoints} *)
 
 type 'msg cast
 (** A one-way service endpoint ([Notify]-style inboxes, raft kicks,
     the net stack's port queues). *)
 
-type 'resp reply = [ `Ok of 'resp | `Busy | `Expired ] Chan.t
+type 'resp reply = [ `Ok of 'resp | `Busy ] Chan.t
 (** The reply half of a request: a one-shot buffered channel.  [`Busy]
-    is delivered by the overload policy, [`Expired] by the deadline
-    machinery — never by a handler. *)
+    is delivered by the overload policy, never by a handler. *)
 
 type ('req, 'resp) t = ('req * 'resp reply) cast
 (** A request/reply service endpoint: exactly the paper's
@@ -106,13 +77,12 @@ val cast_create :
     message dropped by [`Shed_oldest]. *)
 
 val cast_attach :
-  ?config:config -> ?metric_name:string -> ?on_shed:('msg -> unit) ->
-  subsystem:string -> label:string -> 'msg Chan.t -> 'msg cast
+  ?metric_name:string -> subsystem:string -> label:string -> 'msg Chan.t ->
+  'msg cast
 (** Wrap an existing channel (the net stack's per-port frame queues)
-    in a service endpoint.  The channel keeps its own buffering
-    discipline, so [`Block] with a capacity cannot bound an attached
-    unbounded channel — only the admission policies ([`Reject],
-    [`Shed_oldest]) apply. *)
+    in a service endpoint under {!default_config}: the channel keeps
+    its own buffering discipline, and the endpoint adds the uniform
+    metrics, serve span and crash point. *)
 
 val create :
   ?config:config -> ?metric_name:string -> subsystem:string ->
@@ -131,28 +101,20 @@ val cast : ?words:int -> 'msg cast -> 'msg -> unit
 (** [offer] with the verdict dropped (rejections still count in the
     [rejected] metric). *)
 
-val call : ?words:int -> ?deadline:int -> ('req, 'resp) t -> 'req -> 'resp
+val call : ?words:int -> ('req, 'resp) t -> 'req -> 'resp
 (** Send the request with a fresh reply channel, await the reply.
     Charge-for-charge identical to {!Chorus.Rpc.call} under the
-    default config (and no deadline).  Raises {!Busy} when rejected or
-    shed.  [deadline] is an absolute virtual time: if it passes before
-    the reply arrives (or already passed — the effective deadline is
-    the tighter of [deadline] and the ambient one), raises {!Expired}
-    and the endpoint drops the request at its dequeue boundary. *)
+    default config.  Raises {!Busy} when rejected or shed. *)
 
 val call_result :
-  ?words:int -> ?deadline:int -> ('req, 'resp) t -> 'req ->
-  [ `Ok of 'resp | `Busy | `Expired ]
-(** {!call} with the busy/expired outcomes as values instead of
-    exceptions. *)
+  ?words:int -> ('req, 'resp) t -> 'req -> [ `Ok of 'resp | `Busy ]
+(** {!call} with the busy outcome as a value instead of an
+    exception. *)
 
-val call_async :
-  ?words:int -> ?deadline:int -> ('req, 'resp) t -> 'req -> 'resp reply
+val call_async : ?words:int -> ('req, 'resp) t -> 'req -> 'resp reply
 (** Fire the request and return the reply channel without waiting.  A
-    rejected request's reply channel already holds [`Busy] (an
-    already-expired one [`Expired]).  With a [deadline], the endpoint
-    will drop the request if it dequeues after the deadline; the
-    caller is responsible for its own timed wait (e.g. a
+    rejected request's reply channel already holds [`Busy].  A caller
+    that must not wait forever bounds its own wait (e.g. a
     {!Chan.choose} with {!Chan.after}). *)
 
 val reply_chan : unit -> 'resp reply
@@ -163,9 +125,9 @@ val answer : ?words:int -> 'resp reply -> 'resp -> unit
 (** Server half: deliver [`Ok resp] on a hand-plumbed reply channel. *)
 
 val await : 'resp reply -> 'resp
-(** Client half of a hand-plumbed call.  Raises {!Busy} / {!Expired}. *)
+(** Client half of a hand-plumbed call.  Raises {!Busy}. *)
 
-val await_result : 'resp reply -> [ `Ok of 'resp | `Busy | `Expired ]
+val await_result : 'resp reply -> [ `Ok of 'resp | `Busy ]
 
 (** {1 Server side} *)
 
@@ -177,21 +139,6 @@ val recv_case : 'msg cast -> ('msg -> 'r) -> 'r Chan.case
 (** The endpoint as one arm of a {!Chan.choose} (no depth sampling —
     choice commits bypass {!take}). *)
 
-val take_batch : ?max:int -> 'msg cast -> 'msg list
-(** Group commit for inboxes: block for the first message, then drain
-    up to [max - 1] (default 15) more that are already queued, without
-    blocking.  The whole batch costs one dequeue-side depth sample;
-    the batch size feeds the [batches]/[batched]/[batch_hwm] counters
-    so amortization is measurable.  Raises [Invalid_argument] when
-    [max < 1]. *)
-
-val serve_cast_batch : ?max:int -> 'msg cast -> ('msg list -> unit) -> unit
-(** Batched flavour of {!serve_cast}: each iteration takes a
-    {!take_batch} batch, hits the crash point {e once} per batch, runs
-    the handler under a single span / [service_time] sample, and
-    counts every message in [served] — the batched-serve charge model
-    (one boundary per batch, per-message work inside the handler). *)
-
 val serve :
   ?words_of_resp:('resp -> int) -> ?until:('req -> 'resp -> bool) ->
   ('req, 'resp) t -> ('req -> 'resp) -> unit
@@ -199,10 +146,7 @@ val serve :
     handler under a span + the [service_time] histogram, reply with
     [words_of_resp resp] payload words (default 2).  When [until req
     resp] answers [true] the endpoint is closed after the reply and
-    the loop returns — the vnode retirement protocol.  A request whose
-    deadline already passed at dequeue is dropped unserved (counted in
-    [expired], answered [`Expired]); a live deadline becomes the
-    ambient deadline for the handler's own nested calls. *)
+    the loop returns — the vnode retirement protocol. *)
 
 val serve_cast : 'msg cast -> ('msg -> unit) -> unit
 (** One-way flavour of {!serve}. *)
@@ -233,16 +177,13 @@ val periodic :
     sleeps [period] cycles then runs the body with the tick index,
     [count] times ([0] = forever).  Stop it with {!Fiber.kill}. *)
 
-val retire : 'msg cast -> unit
-(** Close the inbox: blocked callers are aborted with
-    [Chan.Closed]. *)
-
 (** {1 Chaos crash points} *)
 
 val set_crashpoint : (string -> unit) option -> unit
 (** Install (or with [None] remove) the ambient crash-point hook.
     {!serve} and {!serve_cast} call it with the endpoint's crash-point
-    name at every {e dequeue boundary} — after a request is taken off
+    name, ["subsystem.label"] (e.g. ["chaos.store"]), at every
+    {e dequeue boundary} — after a request is taken off
     the inbox, before the handler runs, which is exactly where a crash
     loses the dequeued request.  The hook may raise: the serving fiber
     crashes, and a {!starter}-based supervisor restart re-attaches the
@@ -251,16 +192,7 @@ val set_crashpoint : (string -> unit) option -> unit
     installed (the default) the check is a single ref read and the
     plane behaves exactly as before. *)
 
-val crashpoint_name : 'msg cast -> string
-(** The endpoint's crash-point name: ["subsystem.label"]. *)
-
 (** {1 Introspection} *)
-
-val label : 'msg cast -> string
-
-val capacity : 'msg cast -> int
-
-val policy_of : 'msg cast -> policy
 
 val depth : 'msg cast -> int
 (** Requests queued right now. *)
@@ -273,17 +205,3 @@ val served : 'msg cast -> int
 val rejected : 'msg cast -> int
 
 val shed : 'msg cast -> int
-
-val expired : 'msg cast -> int
-(** Requests dropped at the dequeue boundary because their deadline
-    had already passed. *)
-
-val batches : 'msg cast -> int
-(** {!take_batch} calls completed. *)
-
-val batched : 'msg cast -> int
-(** Messages delivered through batches; [batched / batches] is the
-    realized amortization factor. *)
-
-val batch_hwm : 'msg cast -> int
-(** Largest single batch drained. *)

@@ -102,7 +102,7 @@ let mount ?hydration ?(workers = 4) ?prefetch_cfg ?(namecache = 512) ?timeout
   let proj_fetch rel =
     match Svc.call_result t.hyd rel with
     | `Ok r -> r
-    | `Busy | `Expired -> Error Fsspec.Eio
+    | `Busy -> Error Fsspec.Eio
   in
   let proj_entries rel = entries_over_wire stack ~provider ?timeout ?attempts rel in
   let words_of_resp = function

@@ -171,6 +171,14 @@ let test_run_replays () =
   Alcotest.(check (list string)) "no violations" [] a.Chaos.violations;
   Alcotest.(check bool) "history non-trivial" true (a.Chaos.ops >= 20)
 
+(* A bcache refill that gives up under a long disk-error window fails
+   its one request; it must not kill the cache shard, or the store
+   blocks on that shard forever and the recovery oracle fires. *)
+let test_disk_refill_give_up_recovers () =
+  let sch = Schedule.of_string "seed=2668 disk(p=0.70)@46498+258496" in
+  let o = Chaos.run_one Chaos.Disk sch in
+  Alcotest.(check (list string)) "no violations" [] o.Chaos.violations
+
 (* Every registered scenario, a small campaign each: all oracles
    green, a non-trivial history, and faults from its palette explored
    and fired.  The pinned registry digest below fixes which kinds. *)
@@ -284,6 +292,8 @@ let () =
       ( "engine",
         [ Alcotest.test_case "gen-deterministic" `Quick test_gen_deterministic;
           Alcotest.test_case "run-replays" `Quick test_run_replays;
+          Alcotest.test_case "disk refill give-up recovers" `Quick
+            test_disk_refill_give_up_recovers;
           Alcotest.test_case "registry-names" `Quick test_registry_names;
           Alcotest.test_case "campaign-green" `Quick test_campaign_green;
           Alcotest.test_case "registry-digest" `Quick test_registry_digest;

@@ -181,6 +181,27 @@ let test_bcache_get_range () =
   in
   ()
 
+let test_bcache_refill_failure_keeps_shard () =
+  (* a refill that exhausts its retries fails the request, not the
+     shard fiber: the caller gets Io_error, and once the fault clears
+     the same shard serves the same block *)
+  let (_ : Runstats.t) =
+    run (fun () ->
+        let dev = Blockdev.start ~disk:Diskmodel.default () in
+        Blockdev.write dev 3 (Bytes.make Fsspec.block_size 'z');
+        let bc = Bcache.start ~shards:2 ~capacity:4 ~dev () in
+        Blockdev.set_read_fault dev ~p:0.999 ~seed:5 ();
+        (match Bcache.get_range bc 3 ~off:0 ~len:4 with
+        | _ -> Alcotest.fail "refill succeeded under a 0.999 read fault"
+        | exception Blockdev.Io_error -> ());
+        Alcotest.(check int) "retried up to the bound" 9
+          (Bcache.read_retries bc);
+        Blockdev.set_read_fault dev ();
+        Alcotest.(check string) "shard still serving" "zzzz"
+          (Bcache.get_range bc 3 ~off:0 ~len:4))
+  in
+  ()
+
 let test_blockdev_priority_accepted () =
   let (_ : Runstats.t) =
     run (fun () ->
@@ -1005,6 +1026,8 @@ let () =
           Alcotest.test_case "hit/miss counters" `Quick
             test_bcache_hit_miss_counters;
           Alcotest.test_case "get_range" `Quick test_bcache_get_range;
+          Alcotest.test_case "refill failure keeps the shard" `Quick
+            test_bcache_refill_failure_keeps_shard;
           Alcotest.test_case "driver priority" `Quick
             test_blockdev_priority_accepted ] );
       ( "cgalloc",

@@ -54,7 +54,7 @@ let test_reject_busy_without_handler () =
         let r1 = Svc.call_async ep 1 in
         (match Svc.call_result ep 2 with
         | `Busy -> ()
-        | `Ok _ | `Expired -> Alcotest.fail "second request should be rejected");
+        | `Ok _ -> Alcotest.fail "second request should be rejected");
         Alcotest.(check int) "rejection counted" 1 (Svc.rejected ep);
         Alcotest.(check int) "queue still holds one" 1 (Svc.depth ep);
         ignore (Svc.start ep (fun v -> incr ran; v));
@@ -80,8 +80,7 @@ let test_shed_drops_exactly_the_stalest () =
         ignore (Svc.start ep (fun v -> v));
         (match Svc.await_result r1 with
         | `Busy -> ()
-        | `Ok _ | `Expired ->
-          Alcotest.fail "stalest request must be the one shed");
+        | `Ok _ -> Alcotest.fail "stalest request must be the one shed");
         Alcotest.(check int) "second survived" 2 (Svc.await r2);
         Alcotest.(check int) "newest survived" 3 (Svc.await r3))
   in
@@ -200,7 +199,7 @@ let overload_scenario ~policy ~seed =
                      (Fiber.spawn ~daemon:true (fun () ->
                           (match Svc.call_result ep i with
                           | `Ok _ -> incr completed
-                          | `Busy | `Expired -> incr busy);
+                          | `Busy -> incr busy);
                           Chan.send finished ()));
                    Fiber.sleep 4_000
                  done))
@@ -222,156 +221,6 @@ let test_deterministic_per_policy () =
         "same seed, same counts and makespan" (pp a) (pp b))
     [ `Block; `Reject; `Shed_oldest ]
 
-(* ------------------------------------------------------------------ *)
-(* Batched dequeue                                                     *)
-
-let test_take_batch_drains_backlog () =
-  let (_ : Runstats.t) =
-    run (fun () ->
-        let ep = Svc.cast_create ~subsystem:"test" ~label:"batcher" () in
-        for i = 1 to 5 do
-          Svc.cast ep i
-        done;
-        (* first take: blocks for the head, then drains the backlog
-           without yielding, capped at max *)
-        Alcotest.(check (list int)) "drains up to max" [ 1; 2; 3 ]
-          (Svc.take_batch ~max:3 ep);
-        Alcotest.(check (list int)) "rest on the next take" [ 4; 5 ]
-          (Svc.take_batch ~max:16 ep);
-        Alcotest.(check int) "batches counted" 2 (Svc.batches ep);
-        Alcotest.(check int) "messages counted" 5 (Svc.batched ep);
-        Alcotest.(check int) "hwm is the widest batch" 3 (Svc.batch_hwm ep))
-  in
-  ()
-
-let test_serve_cast_batch () =
-  let (_ : Runstats.t) =
-    run (fun () ->
-        let ep = Svc.cast_create ~subsystem:"test" ~label:"bserver" () in
-        let seen = ref [] in
-        let widths = ref [] in
-        ignore
-          (Fiber.spawn ~daemon:true ~label:"bserver" (fun () ->
-               Svc.serve_cast_batch ~max:8 ep (fun batch ->
-                   widths := List.length batch :: !widths;
-                   seen := !seen @ batch)));
-        (* a burst sent while the server is parked arrives as one
-           batch, not eight single-message wakeups *)
-        for i = 1 to 8 do
-          Svc.cast ep i
-        done;
-        Fiber.sleep 10_000;
-        Alcotest.(check (list int))
-          "all served in order" [ 1; 2; 3; 4; 5; 6; 7; 8 ] !seen;
-        Alcotest.(check int) "served counts every message" 8 (Svc.served ep);
-        Alcotest.(check bool) "burst coalesced into few batches" true
-          (List.length !widths <= 2))
-  in
-  ()
-
-(* ------------------------------------------------------------------ *)
-(* End-to-end deadlines                                                *)
-
-let test_deadline_dropped_at_dequeue () =
-  let (_ : Runstats.t) =
-    run (fun () ->
-        let ep = Svc.create ~subsystem:"test" ~label:"slow" () in
-        ignore
-          (Svc.start ep (fun x ->
-               Fiber.sleep 50_000;
-               x));
-        (* occupy the server so the deadlined request waits queued *)
-        let first = Svc.call_async ep 1 in
-        Fiber.sleep 1_000;
-        (match Svc.call_result ep ~deadline:(Fiber.now () + 10_000) 2 with
-        | `Expired -> ()
-        | `Ok _ | `Busy -> Alcotest.fail "queued call outlived its deadline");
-        (match Svc.await_result first with
-        | `Ok 1 -> ()
-        | `Ok _ | `Busy | `Expired -> Alcotest.fail "first call lost");
-        Fiber.sleep 200_000;
-        Alcotest.(check int) "dropped at the dequeue boundary" 1
-          (Svc.expired ep);
-        Alcotest.(check int) "handler never saw the expired request" 1
-          (Svc.served ep))
-  in
-  ()
-
-let test_deadline_pre_expired () =
-  let (_ : Runstats.t) =
-    run (fun () ->
-        let ep = Svc.create ~subsystem:"test" ~label:"echo" () in
-        ignore (Svc.start ep (fun x -> x));
-        Fiber.sleep 5_000;
-        (match Svc.call_result ep ~deadline:(Fiber.now () - 1) 7 with
-        | `Expired -> ()
-        | `Ok _ | `Busy -> Alcotest.fail "already-dead deadline accepted");
-        Alcotest.check_raises "call raises Expired" Svc.Expired (fun () ->
-            ignore (Svc.call ep ~deadline:(Fiber.now ()) 7));
-        Alcotest.(check int) "nothing reached the queue" 0 (Svc.served ep))
-  in
-  ()
-
-let test_deadline_ambient_inheritance () =
-  let (_ : Runstats.t) =
-    run (fun () ->
-        Alcotest.(check (option int)) "no ambient deadline by default"
-          None
-          (Svc.current_deadline ());
-        let ep = Svc.create ~subsystem:"test" ~label:"echo" () in
-        ignore (Svc.start ep (fun x -> x));
-        Fiber.sleep 5_000;
-        let d = Fiber.now () + 10_000 in
-        Svc.with_deadline d (fun () ->
-            Alcotest.(check (option int)) "ambient deadline visible"
-              (Some d)
-              (Svc.current_deadline ());
-            (* a call with no explicit deadline inherits the ambient
-               one: once it passes, the call expires *)
-            Fiber.sleep 20_000;
-            match Svc.call_result ep 1 with
-            | `Expired -> ()
-            | `Ok _ | `Busy ->
-              Alcotest.fail "ambient deadline not inherited");
-        Alcotest.(check (option int)) "restored on exit" None
-          (Svc.current_deadline ());
-        (* without the ambient deadline the same call succeeds *)
-        match Svc.call_result ep 2 with
-        | `Ok 2 -> ()
-        | `Ok _ | `Busy | `Expired -> Alcotest.fail "clean call failed")
-  in
-  ()
-
-let test_deadline_inherited_by_nested_handler () =
-  (* the budget set at the edge bounds the whole downstream tree: an
-     outer handler that dawdles past the caller's deadline sees its
-     own nested call expire *)
-  let (_ : Runstats.t) =
-    run (fun () ->
-        let inner = Svc.create ~subsystem:"test" ~label:"inner" () in
-        ignore (Svc.start inner (fun x -> x * 10));
-        let outer = Svc.create ~subsystem:"test" ~label:"outer" () in
-        let inner_verdict = ref `Unset in
-        ignore
-          (Svc.start outer (fun x ->
-               Fiber.sleep 30_000;  (* blow the caller's budget *)
-               (inner_verdict :=
-                  match Svc.call_result inner x with
-                  | `Expired -> `Expired
-                  | `Ok _ -> `Ok
-                  | `Busy -> `Busy);
-               x));
-        Fiber.sleep 5_000;
-        (match Svc.call_result outer ~deadline:(Fiber.now () + 10_000) 3 with
-        | `Expired -> ()
-        | `Ok _ | `Busy -> Alcotest.fail "outer call outlived its deadline");
-        Fiber.sleep 100_000;
-        Alcotest.(check bool) "nested call inherited the spent budget"
-          true
-          (!inner_verdict = `Expired))
-  in
-  ()
-
 let () =
   Alcotest.run "chorus-svc"
     [ ( "endpoint",
@@ -389,19 +238,6 @@ let () =
             test_hwm_sees_bursts_between_receives;
           Alcotest.test_case "uniform metrics registered" `Quick
             test_metrics_registered ] );
-      ( "batch",
-        [ Alcotest.test_case "take_batch drains backlog" `Quick
-            test_take_batch_drains_backlog;
-          Alcotest.test_case "serve_cast_batch coalesces" `Quick
-            test_serve_cast_batch ] );
-      ( "deadlines",
-        [ Alcotest.test_case "dropped at dequeue" `Quick
-            test_deadline_dropped_at_dequeue;
-          Alcotest.test_case "pre-expired" `Quick test_deadline_pre_expired;
-          Alcotest.test_case "ambient inheritance" `Quick
-            test_deadline_ambient_inheritance;
-          Alcotest.test_case "nested handler inherits" `Quick
-            test_deadline_inherited_by_nested_handler ] );
       ( "determinism",
         [ Alcotest.test_case "same seed, same run, per policy" `Quick
             test_deterministic_per_policy ] ) ]
