@@ -111,11 +111,11 @@ let handle t st dev = function
       st.bufs;
     Done
 
-let start ?(shards = 8) ?(capacity = 1024) ?(spread = true) ?config ~dev () =
+let start ?(shards = 8) ?(capacity = 1024) ~dev () =
   let t =
     { eps =
         Array.init shards (fun i ->
-            Svc.create ?config ~subsystem:"bcache"
+            Svc.create ~subsystem:"bcache"
               ~label:(Printf.sprintf "bcache-%d" i) ());
       hits = 0;
       misses = 0;
@@ -128,12 +128,11 @@ let start ?(shards = 8) ?(capacity = 1024) ?(spread = true) ?config ~dev () =
         { bufs = Hashtbl.create 64; capacity = max 1 (capacity / shards);
           tick = 0 }
       in
-      let on = if spread then None else Some (Fiber.core (Fiber.self ())) in
       (* a refill that gave up answers [Io_fail] instead of killing the
          unsupervised shard fiber: the caller gets the error, and the
          shard keeps serving *)
       ignore
-        (Svc.start ?on ~words_of_resp ep (fun req ->
+        (Svc.start ~words_of_resp ep (fun req ->
              try handle t st dev req with Blockdev.Io_error -> Io_fail)))
     t.eps;
   t

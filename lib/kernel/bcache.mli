@@ -9,13 +9,10 @@
 
 type t
 
-val start :
-  ?shards:int -> ?capacity:int -> ?spread:bool ->
-  ?config:Chorus_svc.Svc.config -> dev:Blockdev.t -> unit -> t
+val start : ?shards:int -> ?capacity:int -> dev:Blockdev.t -> unit -> t
 (** [start ~dev ()] spawns the shard fibers (default 8 shards, 1024
-    blocks total capacity, LRU per shard, write-back on eviction).
-    [spread] places shards on distinct cores via the run's policy when
-    true (default).  [config] bounds each shard's request inbox. *)
+    blocks total capacity, LRU per shard, write-back on eviction),
+    placed on cores by the run's policy. *)
 
 val get : t -> int -> string
 (** [get t block] returns the whole block contents (cache fill from

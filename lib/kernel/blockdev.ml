@@ -63,14 +63,14 @@ let words_of_resp = function
   | Data _ -> 4 + (Fsspec.block_size / 8)
   | Done | Io_fail -> 2
 
-let start ?(label = "blockdev") ?on ?priority ?config ~disk () =
-  let ep = Svc.create ?config ~subsystem:"blockdev" ~label () in
+let start ?priority ~disk () =
+  let ep = Svc.create ~subsystem:"blockdev" ~label:"blockdev" () in
   let t =
     { ep; store = Hashtbl.create 256; head = 0; reads = 0; writes = 0;
       in_body = 0; max_concurrency = 0; disk; fault_p = 0.0;
       fault_rng = Rng.make 97; nread_errors = 0 }
   in
-  let (_ : Fiber.t) = Svc.start ?on ?priority ~words_of_resp ep (service t) in
+  let (_ : Fiber.t) = Svc.start ?priority ~words_of_resp ep (service t) in
   t
 
 let words_of_block = Fsspec.block_size / 8

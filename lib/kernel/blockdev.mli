@@ -24,12 +24,10 @@ exception Io_error
 type t
 
 val start :
-  ?label:string -> ?on:int -> ?priority:Chorus.Fiber.priority ->
-  ?config:Chorus_svc.Svc.config ->
-  disk:Chorus_machine.Diskmodel.t -> unit -> t
-(** Spawn the driver (a daemon fiber), optionally pinned to a core
-    and/or at interrupt-style [High] priority.  [config] bounds the
-    request inbox (default: unbounded backpressure). *)
+  ?priority:Chorus.Fiber.priority -> disk:Chorus_machine.Diskmodel.t ->
+  unit -> t
+(** Spawn the driver (a daemon fiber), optionally at interrupt-style
+    [High] priority.  The request inbox is unbounded (backpressure). *)
 
 val read : t -> int -> bytes
 (** [read t block] round-trips a read request; returns a copy of the

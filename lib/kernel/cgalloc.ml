@@ -25,13 +25,13 @@ let serve_group ep ~first ~count =
         Queue.push b free;
         Done)
 
-let start ?(groups = 8) ?config ~nblocks () =
+let start ?(groups = 8) ~nblocks () =
   if groups < 1 || nblocks < groups then invalid_arg "Cgalloc.start";
   let per = nblocks / groups in
   let eps =
     Array.init groups (fun i ->
         let ep =
-          Svc.create ?config ~subsystem:"cgalloc"
+          Svc.create ~subsystem:"cgalloc"
             ~label:(Printf.sprintf "cg-%d" i) ()
         in
         let first = i * per in

@@ -9,10 +9,8 @@
 
 type t
 
-val start :
-  ?groups:int -> ?config:Chorus_svc.Svc.config -> nblocks:int -> unit -> t
-(** Default 8 groups over [nblocks] blocks; [config] bounds each
-    group's request inbox. *)
+val start : ?groups:int -> nblocks:int -> unit -> t
+(** Default 8 groups over [nblocks] blocks. *)
 
 val alloc : t -> hint:int -> int option
 (** [alloc t ~hint] requests a block, preferring the group [hint mod

@@ -10,14 +10,14 @@ type t = {
   write_h : Metrics.histogram;  (** caller-observed write_line latency *)
 }
 
-let start ?on ?(cycles_per_char = 2000) ?config () =
+let start ?(cycles_per_char = 2000) () =
   let t =
-    { ep = Svc.create ?config ~subsystem:"console" ~label:"console" ();
+    { ep = Svc.create ~subsystem:"console" ~label:"console" ();
       lines = []; count = 0;
       write_h = Metrics.histogram ~subsystem:"console" "write_line" }
   in
   ignore
-    (Svc.start ?on t.ep (fun line ->
+    (Svc.start t.ep (fun line ->
          (* the device shifts characters out at line rate *)
          Fiber.sleep (cycles_per_char * (String.length line + 1));
          t.lines <- line :: t.lines;

@@ -5,15 +5,12 @@
 
 type t
 
-val start :
-  ?on:int -> ?cycles_per_char:int -> ?config:Chorus_svc.Svc.config ->
-  unit -> t
-(** Default 2000 cycles/char (a ~1 MB/s console at 2 GHz).  [config]
-    bounds the request inbox (default: unbounded backpressure). *)
+val start : ?cycles_per_char:int -> unit -> t
+(** Default 2000 cycles/char (a ~1 MB/s console at 2 GHz).  The
+    request inbox is unbounded (backpressure). *)
 
 val write_line : t -> string -> unit
-(** Blocks the caller until the device has emitted the line.  Raises
-    {!Chorus_svc.Svc.Busy} under a rejecting overload policy. *)
+(** Blocks the caller until the device has emitted the line. *)
 
 val output : t -> string list
 (** Everything written so far, oldest first (test oracle). *)

@@ -7,12 +7,11 @@ module Diskmodel = Chorus_machine.Diskmodel
    aggressive design's cost profile. *)
 type t = Shvfs.t
 
-let make ?(ninodes = 1024) ?(nblocks = 16384) ?(cache_blocks = 512)
-    ?(disk = Diskmodel.default) () =
+let make () =
   let sys =
     Shvfs.make
-      { Shvfs.ninodes; nblocks; cache_blocks; shards = 1;
-        trap_per_op = false; disk }
+      { Shvfs.ninodes = 1024; nblocks = 16384; cache_blocks = 512;
+        shards = 1; trap_per_op = false; disk = Diskmodel.default }
   in
   Shvfs.client sys
 

@@ -14,9 +14,8 @@
 
 type t
 
-val make :
-  ?ninodes:int -> ?nblocks:int -> ?cache_blocks:int ->
-  ?disk:Chorus_machine.Diskmodel.t -> unit -> t
-(** A private filesystem for one application. *)
+val make : unit -> t
+(** A private filesystem for one application: 1024 inodes, 16384
+    blocks, a 512-block cache, the default disk model. *)
 
 include Chorus_fsspec.Fsspec.S with type t := t

@@ -39,7 +39,6 @@ and vnode = (vreq, vresp) Svc.t
 
 type sys = {
   cfg : config;
-  svc_cfg : Svc.config option;
   bcache : Bcache.t;
   alloc : Cgalloc.t;
   root : vnode;
@@ -101,6 +100,14 @@ let reply_words = function
   | Names ns -> 2 + List.length ns
   | Child _ | Attr _ | Wrote _ | Done | Err _ -> 4
 
+(* A projected namespace's remote side: directory listings and file
+   contents by projection-relative path. *)
+type projection = {
+  proj_entries :
+    string -> ((string * Fsspec.kind * int) list, Fsspec.err) result;
+  proj_fetch : string -> (string, Fsspec.err) result;
+}
+
 (* ------------------------------------------------------------------ *)
 (* File vnode                                                          *)
 
@@ -147,8 +154,7 @@ let rec ensure_block sys ~hint blocks bidx =
       ensure_block sys ~hint (blocks @ [ b ]) bidx)
 
 (* copy [data] at [off] into the block list, allocating as needed;
-   returns the updated list (shared by plain files and hydrating
-   placeholders) *)
+   returns the updated list (shared by writes and hydration) *)
 let file_write sys ~hint blocks ~off data =
   let len = String.length data in
   let rec copy blocks done_ =
@@ -167,151 +173,22 @@ let file_write sys ~hint blocks ~off data =
   in
   copy blocks 0
 
-let serve_file sys ep ~hint =
+(* A file vnode.  A projected file starts cold: a placeholder with a
+   declared size and no blocks, until the first read or write pulls the
+   contents through proj_fetch and writes them into the cache
+   (attach-on-hydrate), after which it is an ordinary file.  The vnode
+   fiber serializes its requests, so concurrent readers of a cold file
+   queue behind one hydration and nobody ever sees a partial fill; a
+   failed fetch surfaces as Err and leaves the file cold and
+   retryable. *)
+let serve_file sys ep ~hint ~source =
   let blocks = ref [] in
   let size = ref 0 in
-  Svc.serve ~words_of_resp:reply_words
-    ~until:(fun req _ -> match req with Retire -> true | _ -> false)
-    ep
-    (fun req ->
-      match req with
-      | Getattr -> Attr { akind = Fsspec.File; asize = !size;
-                          ablocks = List.length !blocks }
-      | Read { off; len } ->
-        if off < 0 || len < 0 then Err Fsspec.Einval
-        else Data (file_read sys ~blocks:!blocks ~size:!size ~off ~len)
-      | Write { off; data } ->
-        if off < 0 then Err Fsspec.Einval
-        else begin
-          match file_write sys ~hint !blocks ~off data with
-          | Error e -> Err e
-          | Ok blocks' ->
-            blocks := blocks';
-            let len = String.length data in
-            if off + len > !size then size := off + len;
-            Wrote len
-        end
-      | Retire ->
-        List.iter (Cgalloc.free sys.alloc) !blocks;
-        blocks := [];
-        sys.live <- sys.live - 1;
-        Done
-      | Lookup _ | Make _ | Remove _ | Detach _ | Attach _ | Readdir ->
-        Err Fsspec.Enotdir)
-
-(* ------------------------------------------------------------------ *)
-(* Directory vnode                                                     *)
-
-let rec serve_dir sys ep =
-  let entries : (string, vnode * Fsspec.kind) Hashtbl.t = Hashtbl.create 8 in
-  Svc.serve ~words_of_resp:reply_words
-    ~until:(fun req resp ->
-      match (req, resp) with Retire, Done -> true | _ -> false)
-    ep
-    (fun req ->
-      match req with
-      | Getattr ->
-        Attr { akind = Fsspec.Dir; asize = Hashtbl.length entries;
-               ablocks = 0 }
-      | Lookup name -> (
-        match Hashtbl.find_opt entries name with
-        | Some (v, k) -> Child (v, k)
-        | None -> Err Fsspec.Enoent)
-      | Make (name, kind) ->
-        if Hashtbl.mem entries name then Err Fsspec.Eexist
-        else begin
-          let child = spawn_vnode sys kind in
-          Hashtbl.replace entries name (child, kind);
-          Child (child, kind)
-        end
-      | Detach name -> (
-        match Hashtbl.find_opt entries name with
-        | None -> Err Fsspec.Enoent
-        | Some (v, kind) ->
-          Hashtbl.remove entries name;
-          Child (v, kind))
-      | Attach (name, v, kind) ->
-        if Hashtbl.mem entries name then Err Fsspec.Eexist
-        else begin
-          Hashtbl.replace entries name (v, kind);
-          Done
-        end
-      | Remove name -> (
-        match Hashtbl.find_opt entries name with
-        | None -> Err Fsspec.Enoent
-        | Some (v, kind) -> (
-          (* directories must be empty; ask the child *)
-          let empty_ok =
-            match kind with
-            | Fsspec.File -> Ok ()
-            | Fsspec.Dir -> (
-              match Svc.call v Getattr with
-              | Attr a when a.asize = 0 -> Ok ()
-              | Attr _ -> Error Fsspec.Enotempty
-              | _ -> Error Fsspec.Einval)
-          in
-          match empty_ok with
-          | Error e -> Err e
-          | Ok () -> (
-            match Svc.call v Retire with
-            | Done ->
-              Hashtbl.remove entries name;
-              Done
-            | _ -> Err Fsspec.Einval)))
-      | Readdir ->
-        let names = Hashtbl.fold (fun k _ acc -> k :: acc) entries [] in
-        Names (List.sort compare names)
-      | Retire ->
-        if Hashtbl.length entries > 0 then Err Fsspec.Enotempty
-        else begin
-          sys.live <- sys.live - 1;
-          Done
-        end
-      | Read _ | Write _ -> Err Fsspec.Eisdir)
-
-and spawn_vnode sys kind =
-  let ep =
-    Svc.create ?config:sys.svc_cfg ~subsystem:"msgvfs" ~metric_name:"vnode"
-      ~label:"vnode" ()
-  in
-  sys.spawned <- sys.spawned + 1;
-  sys.live <- sys.live + 1;
-  let hint = sys.spawned in
-  let body =
-    match kind with
-    | Fsspec.File -> fun () -> serve_file sys ep ~hint
-    | Fsspec.Dir -> fun () -> serve_dir sys ep
-  in
-  let label =
-    Printf.sprintf "%s-vnode-%d"
-      (match kind with Fsspec.File -> "file" | Fsspec.Dir -> "dir")
-      hint
-  in
-  ignore (Fiber.spawn ~label ~daemon:true body);
-  ep
-
-(* ------------------------------------------------------------------ *)
-(* Projected namespaces: lazy directories and placeholder files        *)
-
-type projection = {
-  proj_entries :
-    string -> ((string * Fsspec.kind * int) list, Fsspec.err) result;
-  proj_fetch : string -> (string, Fsspec.err) result;
-}
-
-(* A placeholder file vnode: declared size, no blocks, until the first
-   read or write pulls the contents through proj_fetch and writes them
-   into the cache (attach-on-hydrate).  The vnode fiber serializes its
-   requests, so concurrent readers of a cold file queue behind one
-   hydration and nobody ever sees a partial fill; a failed fetch
-   surfaces as Err and leaves the placeholder cold and retryable. *)
-let serve_placeholder sys proj ~rel ~declared ep ~hint =
-  let blocks = ref [] in
-  let size = ref 0 in
-  let hydrated = ref false in
+  let cold = ref source in
   let hydrate () =
-    if !hydrated then Ok ()
-    else
+    match !cold with
+    | None -> Ok ()
+    | Some (proj, rel, _) -> (
       match proj.proj_fetch rel with
       | Error e ->
         sys.hydration_failures <- sys.hydration_failures + 1;
@@ -322,21 +199,23 @@ let serve_placeholder sys proj ~rel ~declared ep ~hint =
         | Ok blocks' ->
           blocks := blocks';
           size := String.length content;
-          hydrated := true;
+          cold := None;
           sys.placeholders <- sys.placeholders - 1;
           sys.hydrations <- sys.hydrations + 1;
-          Ok ())
+          Ok ()))
   in
   Svc.serve ~words_of_resp:reply_words
     ~until:(fun req _ -> match req with Retire -> true | _ -> false)
     ep
     (fun req ->
       match req with
-      | Getattr ->
-        if !hydrated then
+      | Getattr -> (
+        match !cold with
+        | Some (_, _, declared) ->
+          Attr { akind = Fsspec.File; asize = declared; ablocks = 0 }
+        | None ->
           Attr { akind = Fsspec.File; asize = !size;
-                 ablocks = List.length !blocks }
-        else Attr { akind = Fsspec.File; asize = declared; ablocks = 0 }
+                 ablocks = List.length !blocks })
       | Read { off; len } ->
         if off < 0 || len < 0 then Err Fsspec.Einval
         else begin
@@ -362,25 +241,31 @@ let serve_placeholder sys proj ~rel ~declared ep ~hint =
       | Retire ->
         List.iter (Cgalloc.free sys.alloc) !blocks;
         blocks := [];
-        if not !hydrated then sys.placeholders <- sys.placeholders - 1;
+        if Option.is_some !cold then sys.placeholders <- sys.placeholders - 1;
         sys.live <- sys.live - 1;
         Done
       | Lookup _ | Make _ | Remove _ | Detach _ | Attach _ | Readdir ->
         Err Fsspec.Enotdir)
 
-(* A projected directory vnode: the entry list comes from
-   proj_entries on first use (errors retry on the next request), child
-   vnodes spawn on first Lookup.  Local Make entries coexist with the
-   projected names; the projected names themselves are immutable from
-   this side. *)
-let rec serve_proj_dir sys proj ~rel ep =
+(* ------------------------------------------------------------------ *)
+(* Directory vnode                                                     *)
+
+(* A directory vnode.  A projected directory lists its entries through
+   proj_entries on first use (errors retry on the next request) and
+   spawns a child vnode on the first Lookup of each projected name.
+   Local entries coexist with the projected names; the projected names
+   themselves are immutable from this side, and the projection is
+   permanent (its namespace is remote), so its fiber never retires. *)
+let rec serve_dir sys ep ~source =
   let local : (string, vnode * Fsspec.kind) Hashtbl.t = Hashtbl.create 8 in
-  let pending : (string, Fsspec.kind * int) Hashtbl.t = Hashtbl.create 8 in
+  (* projected names not yet looked up, with their child's source *)
+  let pending = Hashtbl.create 8 in
   let projected : (string, unit) Hashtbl.t = Hashtbl.create 8 in
-  let enumerated = ref false in
+  let unlisted = ref source in
   let enumerate () =
-    if !enumerated then Ok ()
-    else
+    match !unlisted with
+    | None -> Ok ()
+    | Some (proj, rel) -> (
       match proj.proj_entries rel with
       | Error e -> Error e
       | Ok entries ->
@@ -388,58 +273,69 @@ let rec serve_proj_dir sys proj ~rel ep =
           (fun (name, kind, size) ->
             Hashtbl.replace projected name ();
             if not (Hashtbl.mem local name) then
-              Hashtbl.replace pending name (kind, size))
+              let child_rel = if rel = "" then name else rel ^ "/" ^ name in
+              Hashtbl.replace pending name (kind, (proj, child_rel, size)))
           entries;
-        enumerated := true;
-        Ok ()
+        unlisted := None;
+        Ok ())
   in
-  let child_rel name = if rel = "" then name else rel ^ "/" ^ name in
+  let taken name = Hashtbl.mem local name || Hashtbl.mem pending name in
+  let listed f = match enumerate () with Error e -> Err e | Ok () -> f () in
   Svc.serve ~words_of_resp:reply_words
-    ~until:(fun _ _ -> false)
+    ~until:(fun req resp ->
+      match (req, resp) with Retire, Done -> true | _ -> false)
     ep
     (fun req ->
       match req with
-      | Getattr -> (
-        match enumerate () with
-        | Error e -> Err e
-        | Ok () ->
-          Attr { akind = Fsspec.Dir;
-                 asize = Hashtbl.length local + Hashtbl.length pending;
-                 ablocks = 0 })
+      | Getattr ->
+        listed @@ fun () ->
+        Attr { akind = Fsspec.Dir;
+               asize = Hashtbl.length local + Hashtbl.length pending;
+               ablocks = 0 }
       | Lookup name -> (
-        match enumerate () with
-        | Error e -> Err e
-        | Ok () -> (
-          match Hashtbl.find_opt local name with
-          | Some (v, k) -> Child (v, k)
-          | None -> (
-            match Hashtbl.find_opt pending name with
-            | None -> Err Fsspec.Enoent
-            | Some (kind, size) ->
-              let child =
-                spawn_proj_vnode sys proj kind ~rel:(child_rel name)
-                  ~declared:size
-              in
-              Hashtbl.remove pending name;
-              Hashtbl.replace local name (child, kind);
-              Child (child, kind))))
-      | Make (name, kind) -> (
-        match enumerate () with
-        | Error e -> Err e
-        | Ok () ->
-          if Hashtbl.mem local name || Hashtbl.mem pending name then
-            Err Fsspec.Eexist
-          else begin
-            let child = spawn_vnode sys kind in
-            Hashtbl.replace local name (child, kind);
-            Child (child, kind)
-          end)
-      | Remove name ->
+        listed @@ fun () ->
+        match Hashtbl.find_opt local name with
+        | Some (v, k) -> Child (v, k)
+        | None -> (
+          match Hashtbl.find_opt pending name with
+          | None -> Err Fsspec.Enoent
+          | Some (kind, child) ->
+            let v = spawn_vnode sys kind ~source:(Some child) in
+            Hashtbl.remove pending name;
+            Hashtbl.replace local name (v, kind);
+            Child (v, kind)))
+      | Make (name, kind) ->
+        listed @@ fun () ->
+        if taken name then Err Fsspec.Eexist
+        else begin
+          let child = spawn_vnode sys kind ~source:None in
+          Hashtbl.replace local name (child, kind);
+          Child (child, kind)
+        end
+      | Detach name -> (
+        listed @@ fun () ->
         if Hashtbl.mem projected name then Err Fsspec.Einval
-        else (
+        else
+          match Hashtbl.find_opt local name with
+          | None -> Err Fsspec.Enoent
+          | Some (v, kind) ->
+            Hashtbl.remove local name;
+            Child (v, kind))
+      | Attach (name, v, kind) ->
+        listed @@ fun () ->
+        if taken name then Err Fsspec.Eexist
+        else begin
+          Hashtbl.replace local name (v, kind);
+          Done
+        end
+      | Remove name -> (
+        listed @@ fun () ->
+        if Hashtbl.mem projected name then Err Fsspec.Einval
+        else
           match Hashtbl.find_opt local name with
           | None -> Err Fsspec.Enoent
           | Some (v, kind) -> (
+            (* directories must be empty; ask the child *)
             let empty_ok =
               match kind with
               | Fsspec.File -> Ok ()
@@ -457,42 +353,27 @@ let rec serve_proj_dir sys proj ~rel ep =
                 Hashtbl.remove local name;
                 Done
               | _ -> Err Fsspec.Einval)))
-      | Detach name ->
-        if Hashtbl.mem projected name then Err Fsspec.Einval
-        else (
-          match Hashtbl.find_opt local name with
-          | None -> Err Fsspec.Enoent
-          | Some (v, kind) ->
-            Hashtbl.remove local name;
-            Child (v, kind))
-      | Attach (name, v, kind) -> (
-        match enumerate () with
-        | Error e -> Err e
-        | Ok () ->
-          if Hashtbl.mem local name || Hashtbl.mem pending name then
-            Err Fsspec.Eexist
-          else begin
-            Hashtbl.replace local name (v, kind);
-            Done
-          end)
-      | Readdir -> (
-        match enumerate () with
-        | Error e -> Err e
-        | Ok () ->
-          let names =
-            Hashtbl.fold (fun k _ acc -> k :: acc) local
-              (Hashtbl.fold (fun k _ acc -> k :: acc) pending [])
-          in
-          Names (List.sort compare names))
+      | Readdir ->
+        listed @@ fun () ->
+        let names =
+          Hashtbl.fold (fun k _ acc -> k :: acc) local
+            (Hashtbl.fold (fun k _ acc -> k :: acc) pending [])
+        in
+        Names (List.sort compare names)
       | Retire ->
-        (* the projection is permanent: its namespace is remote *)
-        Err Fsspec.Einval
+        if Option.is_some source then Err Fsspec.Einval
+        else if Hashtbl.length local > 0 then Err Fsspec.Enotempty
+        else begin
+          sys.live <- sys.live - 1;
+          Done
+        end
       | Read _ | Write _ -> Err Fsspec.Eisdir)
 
-and spawn_proj_vnode sys proj kind ~rel ~declared =
+(* [source] is [Some (projection, rel, declared size)] for a projected
+   vnode; a directory ignores the size. *)
+and spawn_vnode sys kind ~source =
   let ep =
-    Svc.create ?config:sys.svc_cfg ~subsystem:"msgvfs" ~metric_name:"vnode"
-      ~label:"vnode" ()
+    Svc.create ~subsystem:"msgvfs" ~metric_name:"vnode" ~label:"vnode" ()
   in
   sys.spawned <- sys.spawned + 1;
   sys.live <- sys.live + 1;
@@ -500,13 +381,16 @@ and spawn_proj_vnode sys proj kind ~rel ~declared =
   let body =
     match kind with
     | Fsspec.File ->
-      sys.placeholders <- sys.placeholders + 1;
-      fun () -> serve_placeholder sys proj ~rel ~declared ep ~hint
-    | Fsspec.Dir -> fun () -> serve_proj_dir sys proj ~rel ep
+      if Option.is_some source then sys.placeholders <- sys.placeholders + 1;
+      fun () -> serve_file sys ep ~hint ~source
+    | Fsspec.Dir ->
+      let source = Option.map (fun (proj, rel, _) -> (proj, rel)) source in
+      fun () -> serve_dir sys ep ~source
   in
   let label =
-    Printf.sprintf "%s-vnode-%d"
-      (match kind with Fsspec.File -> "proj-file" | Fsspec.Dir -> "proj-dir")
+    Printf.sprintf "%s%s-vnode-%d"
+      (if Option.is_some source then "proj-" else "")
+      (match kind with Fsspec.File -> "file" | Fsspec.Dir -> "dir")
       hint
   in
   ignore (Fiber.spawn ~label ~daemon:true body);
@@ -556,7 +440,7 @@ let project sys ~at proj =
   match walk_parent sys at with
   | Error e -> Error e
   | Ok (dir, name) -> (
-    let v = spawn_proj_vnode sys proj Fsspec.Dir ~rel:"" ~declared:0 in
+    let v = spawn_vnode sys Fsspec.Dir ~source:(Some (proj, "", 0)) in
     try
       match Svc.call dir (Attach (name, v, Fsspec.Dir)) with
       | Done -> Ok ()
@@ -703,25 +587,24 @@ let serve_dispatcher sys ep =
 
 (* ------------------------------------------------------------------ *)
 
-let mount ?svc cfg ~bcache ~alloc =
+let mount cfg ~bcache ~alloc =
   let root =
-    Svc.create ?config:svc ~subsystem:"msgvfs" ~metric_name:"vnode"
-      ~label:"root-vnode" ()
+    Svc.create ~subsystem:"msgvfs" ~metric_name:"vnode" ~label:"root-vnode" ()
   in
   let disp =
     Array.init
       (if cfg.plumbing then 0 else max 1 cfg.dispatchers)
       (fun i ->
-        Svc.create ?config:svc ~subsystem:"msgvfs" ~metric_name:"dispatcher"
+        Svc.create ~subsystem:"msgvfs" ~metric_name:"dispatcher"
           ~label:(Printf.sprintf "syscall-%d" i) ())
   in
   let sys =
-    { cfg; svc_cfg = svc; bcache; alloc; root; disp; spawned = 1; live = 1;
+    { cfg; bcache; alloc; root; disp; spawned = 1; live = 1;
       placeholders = 0; hydrations = 0; hydration_failures = 0 }
   in
   ignore
     (Fiber.spawn ~label:"root-vnode" ~daemon:true (fun () ->
-         serve_dir sys root));
+         serve_dir sys root ~source:None));
   Array.iteri
     (fun i ep ->
       ignore

@@ -40,12 +40,9 @@ val default_config : config
 
 type sys
 
-val mount :
-  ?svc:Chorus_svc.Svc.config -> config -> bcache:Bcache.t ->
-  alloc:Cgalloc.t -> sys
-(** Spawn the root directory vnode (and dispatchers).  [svc] bounds
-    the inbox of every vnode and dispatcher spawned under the mount
-    (default: unbounded backpressure, the legacy behaviour). *)
+val mount : config -> bcache:Bcache.t -> alloc:Cgalloc.t -> sys
+(** Spawn the root directory vnode (and dispatchers).  Every vnode and
+    dispatcher inbox is unbounded (backpressure). *)
 
 type t
 
@@ -55,18 +52,23 @@ include Chorus_fsspec.Fsspec.S with type t := t
 
 (** {1 Projected namespaces}
 
-    A projection grafts a {e virtual} directory tree into the mount:
-    directories enumerate lazily through [proj_entries] and files are
-    {e placeholder} vnodes — real fibers, but with no blocks — whose
-    contents arrive through [proj_fetch] on first read or write
-    (attach-on-hydrate: the fetched bytes are written into {!Bcache}
-    blocks and the vnode becomes an ordinary file).  Both closures may
-    fail with [Eio] (the provider is remote); a failed hydration
-    leaves the placeholder intact and retryable, and because the vnode
-    fiber serializes its requests a reader can never observe a
-    half-hydrated file.  Local [Make] entries merge alongside
-    projected names; projected names refuse [Remove]/[Detach]/[Attach]
-    with [Einval] (the remote namespace is authoritative). *)
+    A projection grafts a {e virtual} directory tree into the mount.
+    Its vnodes are the ordinary file and directory vnodes, each with a
+    lazy source.  A projected directory enumerates through
+    [proj_entries] on its first request.  A projected file is a
+    {e placeholder}: a file vnode that starts cold, with its declared
+    size and no blocks.  Its contents arrive through [proj_fetch] on
+    the first read or write (attach-on-hydrate: the fetched bytes are
+    written into {!Bcache} blocks and the file is warm from then on).
+    Both closures may fail with [Eio] (the provider is remote); a
+    failed hydration leaves the placeholder cold and retryable, and
+    because the vnode fiber serializes its requests a reader can never
+    observe a half-hydrated file.  Local [Make] entries merge
+    alongside projected names.  Projected names refuse
+    [Remove]/[Detach] with [Einval] (the remote namespace is
+    authoritative), and [Make]/[Attach] over any existing name,
+    projected or local, fail with [Eexist].  A projected directory
+    never retires. *)
 
 type projection = {
   proj_entries :

@@ -23,9 +23,8 @@ type t = {
   delivered_c : Metrics.counter;
 }
 
-let start ?on ?config () =
-  let t = { inbox = Svc.cast_create ?config ~subsystem:"notify"
-                      ~label:"notify" ();
+let start () =
+  let t = { inbox = Svc.cast_create ~subsystem:"notify" ~label:"notify" ();
             published = 0; delivered = 0;
             published_c = Metrics.counter ~subsystem:"notify" "published";
             delivered_c = Metrics.counter ~subsystem:"notify" "delivered" } in
@@ -33,7 +32,7 @@ let start ?on ?config () =
   (* the hub fiber keeps its historical label, distinct from the
      endpoint's channel label *)
   ignore
-    (Fiber.spawn ?on ~label:"notify-hub" ~daemon:true (fun () ->
+    (Fiber.spawn ~label:"notify-hub" ~daemon:true (fun () ->
          Svc.serve_cast t.inbox (function
            | Subscribe (filter, ch) ->
              subscribers := (filter, ch) :: !subscribers

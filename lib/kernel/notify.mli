@@ -8,8 +8,9 @@
 
     Kernel components publish events; applications subscribe with a
     channel and simply receive — no signal frames, no unwinding, no
-    special-purpose notification syscalls.  E7 measures this against
-    the baseline's {!Chorus_baseline.Signals}. *)
+    special-purpose notification syscalls.  E7 measures the mechanism
+    underneath, delivery over a raw channel, against the baseline's
+    {!Chorus_baseline.Signals}. *)
 
 type event =
   | Thermal of int  (** die temperature report *)
@@ -23,10 +24,8 @@ type msg
 
 type t
 
-val start : ?on:int -> ?config:Chorus_svc.Svc.config -> unit -> t
-(** Spawn the notification hub fiber.  [config] bounds the hub inbox;
-    under [`Shed_oldest] bursty publishers lose the stalest pending
-    event instead of growing the queue. *)
+val start : unit -> t
+(** Spawn the notification hub fiber (unbounded inbox). *)
 
 val subscribe : t -> event Chorus.Chan.t
 (** Returns a fresh unbounded channel on which every subsequent

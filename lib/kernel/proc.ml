@@ -9,9 +9,8 @@ type preq =
 type t = { inbox : preq Svc.cast; notify : Notify.t; mutable spawned : int;
            mutable running : int }
 
-let start ?config ~notify () =
-  let t = { inbox = Svc.cast_create ?config ~subsystem:"proc"
-                      ~label:"proc-table" ();
+let start ~notify () =
+  let t = { inbox = Svc.cast_create ~subsystem:"proc" ~label:"proc-table" ();
             notify; spawned = 0; running = 0 } in
   let next_pid = ref 1 in
   let status : (int, bool) Hashtbl.t = Hashtbl.create 32 in
@@ -45,13 +44,13 @@ let start ?config ~notify () =
            end)));
   t
 
-let spawn_app t ?on ~label body =
+let spawn_app t ~label body =
   let reply = Svc.reply_chan () in
   Svc.cast t.inbox (Register (label, reply));
   let pid = Svc.await reply in
   t.spawned <- t.spawned + 1;
   t.running <- t.running + 1;
-  let f = Fiber.spawn ?on ~label (fun () -> body ~pid) in
+  let f = Fiber.spawn ~label (fun () -> body ~pid) in
   Fiber.monitor f (fun ~time:_ st ->
       t.running <- t.running - 1;
       Svc.cast t.inbox (Exited (pid, st = Fiber.Normal)));

@@ -10,10 +10,9 @@ type preq
 
 type t
 
-val start : ?config:Chorus_svc.Svc.config -> notify:Notify.t -> unit -> t
+val start : notify:Notify.t -> unit -> t
 
-val spawn_app :
-  t -> ?on:int -> label:string -> (pid:int -> unit) -> int
+val spawn_app : t -> label:string -> (pid:int -> unit) -> int
 (** Register a pid, spawn the application fiber (non-daemon), return
     the pid immediately. *)
 

@@ -5,7 +5,8 @@
     transitions, core hot-plug — need an origin.  This service fiber
     samples a synthetic die model on a configurable period and
     publishes onto the {!Notify} hub: a complete in-kernel producer for
-    the notification path measured in E7. *)
+    the notification path.  (E7 uses neither module: it compares raw
+    channels with {!Chorus_baseline.Signals}.) *)
 
 type config = {
   period : int;  (** cycles between samples *)

@@ -57,16 +57,16 @@ let serve_manager t ep =
           Done)
       | Count -> Count_is (Hashtbl.length table))
 
-let start ?(pages_per_manager = 1024) ?config ~pages ~frames () =
+let start ?(pages_per_manager = 1024) ~pages ~frames () =
   if pages_per_manager < 1 then invalid_arg "Vmserv.start";
   let nmanagers = (pages + pages_per_manager - 1) / pages_per_manager in
   let t =
     { frame_ep =
-        Svc.create ?config ~subsystem:"vm" ~metric_name:"frame"
+        Svc.create ~subsystem:"vm" ~metric_name:"frame"
           ~label:"frame-alloc" ();
       managers =
         Array.init nmanagers (fun i ->
-            Svc.create ?config ~subsystem:"vm" ~metric_name:"manager"
+            Svc.create ~subsystem:"vm" ~metric_name:"manager"
               ~label:(Printf.sprintf "vm-%d" i) ());
       pages_per_manager;
       pages;

@@ -19,12 +19,9 @@
 
 type t
 
-val start :
-  ?pages_per_manager:int -> ?config:Chorus_svc.Svc.config ->
-  pages:int -> frames:int -> unit -> t
+val start : ?pages_per_manager:int -> pages:int -> frames:int -> unit -> t
 (** Spawn [pages / pages_per_manager] manager fibers (default
-    granularity 1024) plus the frame allocator.  [config] bounds every
-    service inbox (managers and frame allocator alike). *)
+    granularity 1024) plus the frame allocator. *)
 
 val fault : t -> int -> [ `Mapped | `Already | `Oom ]
 (** Handle a fault on a page: RPC to its manager, which maps a frame

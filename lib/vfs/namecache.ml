@@ -72,11 +72,12 @@ let insert_gen t name value =
   | Some e when e.st <> Dying ->
     e.value <- value;
     touch t e
-  | Some _ ->
-    (* rebinding over a dying entry supersedes it: holders of the old
-       entry release into a no-op, the fresh binding starts clean *)
-    Hashtbl.remove t.tbl name;
-    let e = { value; st = Cached; refs = 0; tick = 0 } in
+  | Some old ->
+    (* rebinding over a dying entry supersedes it; its holders' refs
+       carry over, because their later releases find the fresh binding
+       by name and must not unpin it under its new holders *)
+    let st = if old.refs > 0 then Active else Cached in
+    let e = { value; st; refs = old.refs; tick = 0 } in
     touch t e;
     Hashtbl.replace t.tbl name e
   | None ->

@@ -38,7 +38,10 @@ val find : 'v t -> string -> [ `Hit of 'v | `Negative | `Miss ]
 val insert : 'v t -> string -> 'v -> unit
 (** Bind [name] in state [Cached], evicting the least-recently used
     evictable entry when over capacity.  Rebinding an existing entry
-    refreshes its value in place. *)
+    refreshes its value in place.  Rebinding a [Dying] entry replaces
+    it with a fresh binding that keeps its reference count (so it is
+    [Active] while any are out): releases are by name, and the old
+    holders' releases then land on the new binding. *)
 
 val insert_negative : 'v t -> string -> unit
 (** Bind [name] as known-absent (state [Cached], no value). *)

@@ -20,30 +20,16 @@ type t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Wire adapters: the projection closures Msgvfs calls                 *)
+(* Wire adapter: the projection closures Msgvfs calls                  *)
 
-let fetch_over_wire stack ~provider ?timeout ?attempts rel =
-  match
-    Stack.call stack ~dst:provider ~port:Provider.port ?timeout ?attempts
-      ("R " ^ rel)
-  with
+(* One provider request: the payload of a "D" reply, Enoent for any
+   other reply, Eio when every retransmission timed out. *)
+let ask_provider stack ~provider req =
+  match Stack.call stack ~dst:provider ~port:Provider.port req with
   | None -> Error Fsspec.Eio
   | Some resp ->
     if String.length resp >= 1 && resp.[0] = 'D' then
       Ok (String.sub resp 1 (String.length resp - 1))
-    else Error Fsspec.Enoent
-
-let entries_over_wire stack ~provider ?timeout ?attempts rel =
-  let req = if String.equal rel "" then "L" else "L " ^ rel in
-  match
-    Stack.call stack ~dst:provider ~port:Provider.port ?timeout ?attempts req
-  with
-  | None -> Error Fsspec.Eio
-  | Some resp ->
-    if String.length resp >= 1 && resp.[0] = 'D' then
-      Ok
-        (Provider.decode_entries
-           (String.sub resp 1 (String.length resp - 1)))
     else Error Fsspec.Enoent
 
 (* ------------------------------------------------------------------ *)
@@ -71,20 +57,15 @@ let register_inspect t =
           ("prefetch_done", Inspect.Int t.pf_done);
           ("prefetch_dropped", Inspect.Int t.pf_dropped) ])
 
-let mount ?hydration ?(workers = 4) ?prefetch_cfg ?(namecache = 512) ?timeout
-    ?attempts ~fs ~at ~stack ~provider () =
+let mount ?hydration ?(workers = 4) ?(namecache = 512) ~fs ~at ~stack
+    ~provider () =
   let h_hydrate = Metrics.histogram ~subsystem:"projfs" "hydrate" in
   let hyd : (string, (string, Fsspec.err) result) Svc.t =
     Svc.create ?config:hydration ~subsystem:"projfs" ~label:"hydrate" ()
   in
-  let prefetch_cfg =
-    match prefetch_cfg with
-    | Some c -> c
-    | None -> Svc.config ~capacity:64 ~policy:`Shed_oldest ()
-  in
   let t_ref = ref None in
   let pf : string Svc.cast =
-    Svc.cast_create ~config:prefetch_cfg
+    Svc.cast_create ~config:(Svc.config ~capacity:64 ~policy:`Shed_oldest ())
       ~on_shed:(fun _ ->
         match !t_ref with
         | Some t -> t.pf_dropped <- t.pf_dropped + 1
@@ -104,7 +85,10 @@ let mount ?hydration ?(workers = 4) ?prefetch_cfg ?(namecache = 512) ?timeout
     | `Ok r -> r
     | `Busy -> Error Fsspec.Eio
   in
-  let proj_entries rel = entries_over_wire stack ~provider ?timeout ?attempts rel in
+  let proj_entries rel =
+    let req = if String.equal rel "" then "L" else "L " ^ rel in
+    Result.map Provider.decode_entries (ask_provider stack ~provider req)
+  in
   let words_of_resp = function
     | Ok s -> 2 + ((String.length s + 7) / 8)
     | Error _ -> 2
@@ -114,7 +98,7 @@ let mount ?hydration ?(workers = 4) ?prefetch_cfg ?(namecache = 512) ?timeout
       (Svc.start ~words_of_resp t.hyd (fun rel ->
            Span.timed ~subsystem:"projfs" ~name:"hydrate" t.h_hydrate
              (fun () ->
-               fetch_over_wire stack ~provider ?timeout ?attempts rel)))
+               ask_provider stack ~provider ("R " ^ rel))))
   done;
   match Msgvfs.project fs ~at { Msgvfs.proj_entries; proj_fetch } with
   | Error e -> Error e

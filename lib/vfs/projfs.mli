@@ -15,9 +15,9 @@
       reading clients, [`Reject]/[`Shed_oldest] turn excess fills into
       clean [Eio] results) instead of an unbounded queue;
     - the {e prefetch endpoint} — a one-way bounded cast
-      ([projfs.prefetch], [`Shed_oldest] by default: a prefetch is
-      advice, and stale advice sheds first) whose worker warms paths
-      through an internal client;
+      ([projfs.prefetch], capacity 64 under [`Shed_oldest]: a
+      prefetch is advice, and stale advice sheds first) whose worker
+      warms paths through an internal client;
     - the {e name cache} — a {!Namecache} of absolute path -> resolved
       vnode handle shared by every {!client} of the mount, so a warm
       open skips the message-per-component path walk entirely, with
@@ -39,10 +39,7 @@ type t
 val mount :
   ?hydration:Svc.config ->
   ?workers:int ->
-  ?prefetch_cfg:Svc.config ->
   ?namecache:int ->
-  ?timeout:int ->
-  ?attempts:int ->
   fs:Msgvfs.sys ->
   at:string ->
   stack:Chorus_net.Stack.t ->
@@ -52,11 +49,11 @@ val mount :
 (** Graft the projection at absolute path [at] (parent must exist) and
     spawn the hydration workers (default 4) and the prefetch worker.
     [hydration] bounds the hydration inbox (default unbounded
-    backpressure), [prefetch_cfg] the prefetch inbox (default capacity
-    64, [`Shed_oldest]), [namecache] the cache capacity (default 512).
-    [timeout]/[attempts] tune {!Chorus_net.Stack.call} towards the
-    provider at address [provider]; entries and contents always travel
-    the wire. *)
+    backpressure); the prefetch inbox holds 64 requests under
+    [`Shed_oldest].  [namecache] is the cache capacity (default 512).
+    Entries and contents always travel the wire, as
+    {!Chorus_net.Stack.call}s with its default retransmission towards
+    the provider at address [provider]. *)
 
 (** {1 Clients} *)
 

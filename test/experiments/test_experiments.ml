@@ -5,6 +5,7 @@
    the simulator that flips a conclusion fails loudly here. *)
 
 module Experiments = Chorus_experiments.Experiments
+module E23 = Chorus_experiments.E23_projfs
 module Tablefmt = Chorus_util.Tablefmt
 
 let cell table ~row ~col =
@@ -74,6 +75,53 @@ let test_e3_message_kernel_wins_at_scale () =
       (msg > 2.0 *. lock)
   | _ -> Alcotest.fail "e3 shape"
 
+let test_e4_plumbing_beats_dispatch () =
+  match run_tables "e4" with
+  | [ t ] ->
+    List.iteri
+      (fun row cells ->
+        let plumbed = fcell t ~row ~col:1 and routed = fcell t ~row ~col:2 in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: plumbed (%.0f) < dispatched (%.0f)"
+             (List.hd cells) plumbed routed)
+          true (plumbed < routed))
+      (Tablefmt.rows t)
+  | _ -> Alcotest.fail "e4 shape"
+
+let test_e23a_warm_opens () =
+  let o = E23.measure_open ~quick:true ~seed:7 in
+  Alcotest.(check bool)
+    (Printf.sprintf "cold p50 (%d) >= 5x warm p50 (%d)" o.E23.cold_p50
+       o.E23.warm_p50)
+    true
+    (o.E23.cold_p50 >= 5 * o.E23.warm_p50);
+  Alcotest.(check int) "one hydration per file" o.E23.files o.E23.hydrations;
+  Alcotest.(check int) "one name-cache hit per file" o.E23.files o.E23.nc_hits;
+  Alcotest.(check int) "one name-cache miss per file" o.E23.files
+    o.E23.nc_misses
+
+let test_e23b_storm_policies () =
+  let storm policy = E23.measure_storm ~quick:true ~seed:7 ~policy in
+  let block = storm `Block
+  and reject = storm `Reject
+  and shed = storm `Shed_oldest in
+  Alcotest.(check int) "block completes every reader" block.E23.clients
+    block.E23.completed;
+  Alcotest.(check int) "block fails nothing" 0 block.E23.failed;
+  Alcotest.(check int) "reject fails exactly the rejected reads"
+    reject.E23.rejected reject.E23.failed;
+  Alcotest.(check bool) "reject rejects" true (reject.E23.rejected > 0);
+  Alcotest.(check int) "shed-oldest fails exactly the shed reads"
+    shed.E23.shed shed.E23.failed;
+  Alcotest.(check bool) "shed-oldest sheds" true (shed.E23.shed > 0);
+  List.iter
+    (fun s ->
+      Alcotest.(check int) (s.E23.policy_name ^ " capacity") 8 s.E23.capacity;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s queue hwm %d <= 8" s.E23.policy_name s.E23.hwm)
+        true (s.E23.hwm <= 8))
+    [ block; reject; shed ]
+
 let test_e7_channels_beat_signals () =
   match run_tables "e7" with
   | [ t ] ->
@@ -106,6 +154,11 @@ let () =
             test_e1_message_heavier_than_call;
           Alcotest.test_case "e3 crossover direction" `Quick
             test_e3_message_kernel_wins_at_scale;
+          Alcotest.test_case "e4 plumbing beats dispatch" `Quick
+            test_e4_plumbing_beats_dispatch;
+          Alcotest.test_case "e23a warm opens" `Quick test_e23a_warm_opens;
+          Alcotest.test_case "e23b storm policies" `Quick
+            test_e23b_storm_policies;
           Alcotest.test_case "e7 signals waste" `Quick
             test_e7_channels_beat_signals;
           Alcotest.test_case "e18 weight classes" `Quick

@@ -3,7 +3,8 @@
    on create/rename, provider catalog determinism and wire protocol,
    and the end-to-end mount — placeholder hydration over the net
    stack, warm opens through the cache, copy-up writes, prefetch,
-   failure and recovery of the provider. *)
+   failure and recovery of the provider, and the zero observer effect
+   of tracing and metrics on the VFS path (DESIGN D11). *)
 
 module Machine = Chorus_machine.Machine
 module Policy = Chorus_sched.Policy
@@ -22,9 +23,14 @@ module Svc = Chorus_svc.Svc
 module Namecache = Chorus_projfs.Namecache
 module Provider = Chorus_projfs.Provider
 module Projfs = Chorus_projfs.Projfs
+module Trace = Chorus.Trace
+module Metrics = Chorus_obs.Metrics
 
-let run ?(cores = 8) ?(policy = Policy.round_robin ()) ?(seed = 42) main =
-  Runtime.run (Runtime.config ~policy ~seed (Machine.mesh ~cores)) main
+let run ?(cores = 8) ?(policy = Policy.round_robin ()) ?(seed = 42) ?trace
+    main =
+  Runtime.run
+    (Runtime.config ?trace ~policy ~seed (Machine.mesh ~cores))
+    main
 
 let check_ok what = function
   | Ok v -> v
@@ -477,6 +483,98 @@ let test_e2e_determinism () =
   in
   Alcotest.(check int) "same seed, same makespan" (once ()) (once ())
 
+let test_e2e_cold_unlink_refused () =
+  let cat = Provider.catalog ~seed:3 ~nfiles:96 ~dir_width:32 () in
+  let (_ : Runstats.t) =
+    run ~cores:8 (fun () ->
+        let _fs, pf, _server, _net = boot ~cat () in
+        let c = Projfs.client pf in
+        (* nothing has listed d001 yet: the refusal must not depend on
+           whether the directory was enumerated *)
+        check_err "projected unlink refused on a cold directory"
+          Fsspec.Einval
+          (Projfs.unlink c "/proj/d001/f000033"))
+  in
+  ()
+
+(* An old holder's close must not unpin the binding that replaced its
+   invalidated entry: A opens, unlinks, B recreates and opens the same
+   name, then A closes. *)
+let test_e2e_release_after_rebind () =
+  let cat = Provider.catalog ~seed:3 ~nfiles:96 ~dir_width:32 () in
+  let (_ : Runstats.t) =
+    run ~cores:8 (fun () ->
+        let _fs, pf, _server, _net = boot ~namecache:4 ~cat () in
+        let a = Projfs.client pf and b = Projfs.client pf in
+        let path = "/tmp/x" in
+        let state () =
+          Option.map Namecache.state_name
+            (Namecache.state_of (Projfs.cache pf) path)
+        in
+        check_ok "mkdir" (Projfs.mkdir a "/tmp");
+        check_ok "create" (Projfs.create a path);
+        let fd_a = check_ok "A opens" (Projfs.open_ a path) in
+        check_ok "A unlinks" (Projfs.unlink a path);
+        check_ok "B recreates" (Projfs.create b path);
+        let fd_b = check_ok "B opens" (Projfs.open_ b path) in
+        check_ok "A closes" (Projfs.close a fd_a);
+        Alcotest.(check (option string)) "B's entry stays active"
+          (Some "active") (state ());
+        for i = 1 to 5 do
+          check_err "negative lookup" Fsspec.Enoent
+            (Projfs.open_ b (Printf.sprintf "/tmp/none%d" i))
+        done;
+        Alcotest.(check (option string)) "B's entry survives eviction"
+          (Some "active") (state ());
+        check_ok "B closes" (Projfs.close b fd_b))
+  in
+  ()
+
+(* DESIGN D11: observability never moves virtual time.  The same VFS
+   workload runs bare and with a trace ring plus an installed metrics
+   registry; both runs must agree on every cycle, message and event,
+   and return the same bytes. *)
+let test_observer_effect () =
+  let cat = Provider.catalog ~seed:3 ~nfiles:96 ~dir_width:32 () in
+  let workload got () =
+    let fs, pf, _server, _net = boot ~cat () in
+    let k = Msgvfs.client fs in
+    check_ok "mkdir" (Msgvfs.mkdir k "/tmp");
+    check_ok "create" (Msgvfs.create k "/tmp/hello");
+    let fd = check_ok "open" (Msgvfs.open_ k "/tmp/hello") in
+    ignore (check_ok "write" (Msgvfs.write k fd ~off:0 "observed"));
+    let local = check_ok "read" (Msgvfs.read k fd ~off:0 ~len:8) in
+    let c = Projfs.client pf in
+    let path = "/proj/" ^ Provider.rel_path cat 7 in
+    let projected_read () =
+      let fd = check_ok "open projected" (Projfs.open_ c path) in
+      let data =
+        check_ok "read projected" (Projfs.read c fd ~off:0 ~len:64)
+      in
+      check_ok "close projected" (Projfs.close c fd);
+      data
+    in
+    let cold = projected_read () in
+    let warm = projected_read () in
+    got := [ local; cold; warm ]
+  in
+  let bare_got = ref [] and traced_got = ref [] in
+  let bare = run (workload bare_got) in
+  let sink, records, _dropped = Trace.ring ~capacity:65536 () in
+  Metrics.install (Metrics.create ());
+  let traced =
+    Fun.protect ~finally:Metrics.uninstall (fun () ->
+        run ~trace:sink (workload traced_got))
+  in
+  Alcotest.(check bool) "the traced run was traced" true (records () <> []);
+  Alcotest.(check int) "makespan" bare.Runstats.makespan
+    traced.Runstats.makespan;
+  Alcotest.(check int) "msgs" bare.Runstats.msgs traced.Runstats.msgs;
+  Alcotest.(check int) "events" bare.Runstats.events traced.Runstats.events;
+  Alcotest.(check int) "segments" bare.Runstats.segments
+    traced.Runstats.segments;
+  Alcotest.(check (list string)) "results" !bare_got !traced_got
+
 let () =
   Alcotest.run "vfs"
     [ ( "namecache",
@@ -503,4 +601,10 @@ let () =
             test_e2e_hydration_failure_is_clean_and_retryable;
           Alcotest.test_case "hydration-storm-reject" `Quick
             test_e2e_hydration_storm_reject_policy;
-          Alcotest.test_case "determinism" `Quick test_e2e_determinism ] ) ]
+          Alcotest.test_case "determinism" `Quick test_e2e_determinism;
+          Alcotest.test_case "cold-unlink-refused" `Quick
+            test_e2e_cold_unlink_refused;
+          Alcotest.test_case "release-after-rebind" `Quick
+            test_e2e_release_after_rebind;
+          Alcotest.test_case "observer-effect" `Quick
+            test_observer_effect ] ) ]
