@@ -37,6 +37,8 @@ type core_state = {
   mutable free_at : int;
   mutable busy : int;
   mutable kicked : bool;
+  mutable dispatch : unit -> unit;
+      (** this core's dispatch event, allocated once by [create] *)
 }
 
 type counters = {
@@ -67,9 +69,11 @@ type t = {
   policy : Policy.t;
   rng : Rng.t;
   policy_rng : Rng.t;
-  events : (int * int, unit -> unit) Pqueue.t;
+  view : Policy.view;  (** what placement and stealing see of [cores] *)
+  events : Pqueue.t;
   mutable seq : int;
   cores : core_state array;
+  mutable queued_cores : int;  (** cores whose run queue is non-empty *)
   mutable now : int;  (** time of the event being processed *)
   mutable horizon : int;  (** furthest virtual time reached *)
   mutable seg_start : int;
@@ -91,43 +95,6 @@ let default_config machine =
     seed = 42;
     trace = None;
     max_events = 200_000_000 }
-
-let create (config : config) =
-  let n = Machine.cores config.machine in
-  let rng = Rng.make config.seed in
-  let cmp (t1, s1) (t2, s2) =
-    if t1 <> t2 then compare t1 t2 else compare s1 s2
-  in
-  let ctx = Ctx.create () in
-  Inspect.attach ctx (Inspect.create_registry ());
-  { config;
-    ctx;
-    machine = config.machine;
-    policy = config.policy;
-    rng;
-    policy_rng = Rng.split rng;
-    events = Pqueue.create cmp;
-    seq = 0;
-    cores =
-      Array.init n (fun cid ->
-          { cid; runq = Deque.create (); pending = 0; free_at = 0; busy = 0;
-            kicked = false });
-    now = 0;
-    horizon = 0;
-    seg_start = 0;
-    seg_acc = 0;
-    seg_fiber = None;
-    next_fid = 0;
-    next_oid = 0;
-    live = 0;
-    live_nondaemon = 0;
-    main_crash = None;
-    started = false;
-    fibers = [];
-    cnt =
-      { msgs = 0; remote_msgs = 0; words_copied = 0; hops = 0; spawns = 0;
-        steals = 0; segments = 0; events = 0; wakes = 0; retries = 0 };
-  }
 
 let machine t = t.machine
 
@@ -197,7 +164,7 @@ let emit t ev =
 let push_event t time thunk =
   assert (time >= t.now);
   t.seq <- t.seq + 1;
-  Pqueue.add t.events (time, t.seq) thunk
+  Pqueue.add t.events ~time ~seq:t.seq thunk
 
 let schedule_at t time thunk =
   let time = max time (now t) in
@@ -211,22 +178,23 @@ let core_load t c =
   Deque.length core.runq + core.pending
   + (if core.free_at > t.now then 1 else 0)
 
-let policy_view t =
-  { Policy.cores = Array.length t.cores;
-    load = core_load t;
-    hops = (fun a b -> Machine.hops t.machine a b);
-    rng = t.policy_rng }
+(* [queued_cores] follows every push and pop of a run queue *)
+let pop_runq t core =
+  match Deque.pop_front core.runq with
+  | Some _ as next ->
+    if Deque.is_empty core.runq then t.queued_cores <- t.queued_cores - 1;
+    next
+  | None -> None
 
 let rec kick t core at =
   if not core.kicked then begin
     core.kicked <- true;
-    let when_ = max at core.free_at in
-    push_event t when_ (fun () -> dispatch t core)
+    push_event t (max at core.free_at) core.dispatch
   end
 
 and dispatch t core =
   core.kicked <- false;
-  match Deque.pop_front core.runq with
+  match pop_runq t core with
   | Some (f, thunk) ->
     run_segment t core f thunk ~precharge:0;
     if not (Deque.is_empty core.runq) then kick t core core.free_at
@@ -238,18 +206,13 @@ and dispatch t core =
 
 and steal_retry_interval = 2_000
 
-and any_queued_elsewhere t thief =
-  Array.exists
-    (fun c -> c.cid <> thief && not (Deque.is_empty c.runq))
-    t.cores
-
 and try_steal t core =
   let stolen =
-    match Policy.steal_victim t.policy (policy_view t) ~thief:core.cid with
+    match Policy.steal_victim t.policy t.view ~thief:core.cid with
     | None -> false
     | Some vic -> (
       let victim = t.cores.(vic) in
-      match Deque.pop_front victim.runq with
+      match pop_runq t victim with
       | None -> false
       | Some (f, thunk) ->
         t.cnt.steals <- t.cnt.steals + 1;
@@ -270,8 +233,9 @@ and try_steal t core =
         true)
   in
   if stolen || not (Deque.is_empty core.runq) then kick t core core.free_at
-  else if any_queued_elsewhere t core.cid then
-    (* probes missed, but backlog exists: retry after a beat *)
+  else if t.queued_cores > 0 then
+    (* probes missed, but backlog exists elsewhere (this core's queue
+       is empty): retry after a beat *)
     kick t core (t.now + steal_retry_interval)
 
 and run_segment t core f thunk ~precharge =
@@ -293,6 +257,56 @@ and run_segment t core f thunk ~precharge =
     sink
       { Trace.time = fin; core = core.cid; fiber = f.fid;
         event = Trace.Segment { start; label = f.label } }
+
+(* ------------------------------------------------------------------ *)
+(* Creation                                                            *)
+
+let create (config : config) =
+  let n = Machine.cores config.machine in
+  let rng = Rng.make config.seed in
+  let policy_rng = Rng.split rng in
+  let ctx = Ctx.create () in
+  Inspect.attach ctx (Inspect.create_registry ());
+  let cores =
+    Array.init n (fun cid ->
+        { cid; runq = Deque.create (); pending = 0; free_at = 0; busy = 0;
+          kicked = false; dispatch = ignore })
+  in
+  let rec t =
+    { config;
+      ctx;
+      machine = config.machine;
+      policy = config.policy;
+      rng;
+      policy_rng;
+      view =
+        { Policy.cores = n;
+          load = (fun c -> core_load t c);
+          hops = (fun a b -> Machine.hops config.machine a b);
+          rng = policy_rng };
+      events = Pqueue.create ();
+      seq = 0;
+      cores;
+      queued_cores = 0;
+      now = 0;
+      horizon = 0;
+      seg_start = 0;
+      seg_acc = 0;
+      seg_fiber = None;
+      next_fid = 0;
+      next_oid = 0;
+      live = 0;
+      live_nondaemon = 0;
+      main_crash = None;
+      started = false;
+      fibers = [];
+      cnt =
+        { msgs = 0; remote_msgs = 0; words_copied = 0; hops = 0; spawns = 0;
+          steals = 0; segments = 0; events = 0; wakes = 0; retries = 0 };
+    }
+  in
+  Array.iter (fun core -> core.dispatch <- (fun () -> dispatch t core)) cores;
+  t
 
 (* ------------------------------------------------------------------ *)
 (* Making fibers runnable                                              *)
@@ -324,6 +338,7 @@ let enqueue_runnable t f thunk ~at =
   core.pending <- core.pending + 1;
   push_event t at (fun () ->
       core.pending <- core.pending - 1;
+      if Deque.is_empty core.runq then t.queued_cores <- t.queued_cores + 1;
       (match f.prio with
       | High -> Deque.push_front core.runq (f, thunk)
       | Normal -> Deque.push_back core.runq (f, thunk));
@@ -452,7 +467,7 @@ let spawn t ?on ?affinity ?label ?(priority = Normal) ?(daemon = false) body =
       let parent_core =
         match parent with Some p -> p.core | None -> 0
       in
-      Policy.place t.policy (policy_view t) ~parent:parent_core ~affinity
+      Policy.place t.policy t.view ~parent:parent_core ~affinity
   in
   let label =
     match label with Some l -> l | None -> Printf.sprintf "fiber-%d" fid
@@ -548,24 +563,25 @@ let step_until t limit =
       ignore (Ctx.activate prev_ctx))
   @@ fun () ->
   let rec loop () =
-    match Pqueue.min t.events with
-    | None -> ()
-    | Some ((time, _), _) when time > limit -> ()
-    | Some _ ->
-      let (time, _), thunk = Pqueue.pop_exn t.events in
-      t.now <- time;
-      if time > t.horizon then t.horizon <- time;
-      t.cnt.events <- t.cnt.events + 1;
-      if t.config.max_events > 0 && t.cnt.events > t.config.max_events
-      then begin
-        (* a crashed main plus looping daemons would otherwise hide
-           the real error behind the cap failure *)
-        match t.main_crash with
-        | Some e -> raise e
-        | None -> failwith "Engine.run: event cap exceeded (runaway loop?)"
-      end;
-      thunk ();
-      loop ()
+    if not (Pqueue.is_empty t.events) then begin
+      let time = Pqueue.min_time t.events in
+      if time <= limit then begin
+        let thunk = Pqueue.pop t.events in
+        t.now <- time;
+        if time > t.horizon then t.horizon <- time;
+        t.cnt.events <- t.cnt.events + 1;
+        if t.config.max_events > 0 && t.cnt.events > t.config.max_events
+        then begin
+          (* a crashed main plus looping daemons would otherwise hide
+             the real error behind the cap failure *)
+          match t.main_crash with
+          | Some e -> raise e
+          | None -> failwith "Engine.run: event cap exceeded (runaway loop?)"
+        end;
+        thunk ();
+        loop ()
+      end
+    end
   in
   loop ()
 

@@ -2,8 +2,10 @@
 
     Values (cycle counts) are recorded into buckets whose width grows
     geometrically, giving a bounded relative error on reported
-    percentiles at O(1) memory.  Sub-bucket resolution is fixed at 32
-    sub-buckets per power of two, bounding quantile error to ~3%. *)
+    percentiles.  Sub-bucket resolution is fixed at 32 sub-buckets per
+    power of two, bounding quantile error to ~3%.  Memory is
+    proportional to the octaves (powers of two) the samples touch:
+    each one costs 32 counters, allocated by its first sample. *)
 
 type t
 

@@ -1,87 +1,93 @@
-type ('k, 'v) t = {
-  cmp : 'k -> 'k -> int;
-  mutable keys : 'k array;
-  mutable vals : 'v array;
+(* Binary min-heap in three parallel arrays.  Sifting moves a hole
+   rather than swapping, and every helper takes its operands as
+   arguments, so neither [add] nor [pop] allocates except to grow. *)
+
+type t = {
+  mutable times : int array;
+  mutable seqs : int array;
+  mutable thunks : (unit -> unit) array;
   mutable size : int;
 }
 
-let create ?initial_capacity:_ cmp = { cmp; keys = [||]; vals = [||]; size = 0 }
+(* small: chaos runs thousands of short engines, each with a heap *)
+let initial_capacity = 64
+
+let nothing () = ()
+
+let create () =
+  { times = Array.make initial_capacity 0;
+    seqs = Array.make initial_capacity 0;
+    thunks = Array.make initial_capacity nothing;
+    size = 0 }
 
 let length t = t.size
 
 let is_empty t = t.size = 0
 
-let grow t k v =
-  (* Arrays start empty because we have no dummy 'k/'v; the first
-     insertion seeds them with the inserted binding. *)
-  if Array.length t.keys = 0 then begin
-    t.keys <- Array.make 64 k;
-    t.vals <- Array.make 64 v
-  end else begin
-    let n = Array.length t.keys * 2 in
-    let keys = Array.make n t.keys.(0) and vals = Array.make n t.vals.(0) in
-    Array.blit t.keys 0 keys 0 t.size;
-    Array.blit t.vals 0 vals 0 t.size;
-    t.keys <- keys;
-    t.vals <- vals
+let[@inline] before (t1 : int) (s1 : int) t2 s2 =
+  t1 < t2 || (t1 = t2 && s1 < s2)
+
+let grow t =
+  let n = 2 * Array.length t.times in
+  let extend a fill =
+    let b = Array.make n fill in
+    Array.blit a 0 b 0 t.size;
+    b
+  in
+  t.times <- extend t.times 0;
+  t.seqs <- extend t.seqs 0;
+  t.thunks <- extend t.thunks nothing
+
+let[@inline] place t i time seq thunk =
+  t.times.(i) <- time;
+  t.seqs.(i) <- seq;
+  t.thunks.(i) <- thunk
+
+let[@inline] move t ~src ~dst =
+  place t dst t.times.(src) t.seqs.(src) t.thunks.(src)
+
+let rec sift_up t i time seq thunk =
+  let parent = (i - 1) / 2 in
+  if i > 0 && before time seq t.times.(parent) t.seqs.(parent) then begin
+    move t ~src:parent ~dst:i;
+    sift_up t parent time seq thunk
   end
+  else place t i time seq thunk
 
-let swap t i j =
-  let k = t.keys.(i) and v = t.vals.(i) in
-  t.keys.(i) <- t.keys.(j);
-  t.vals.(i) <- t.vals.(j);
-  t.keys.(j) <- k;
-  t.vals.(j) <- v
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if t.cmp t.keys.(i) t.keys.(parent) < 0 then begin
-      swap t i parent;
-      sift_up t parent
+let rec sift_down t i time seq thunk =
+  let l = (2 * i) + 1 in
+  if l >= t.size then place t i time seq thunk
+  else begin
+    let r = l + 1 in
+    let c =
+      if r < t.size && before t.times.(r) t.seqs.(r) t.times.(l) t.seqs.(l)
+      then r
+      else l
+    in
+    if before t.times.(c) t.seqs.(c) time seq then begin
+      move t ~src:c ~dst:i;
+      sift_down t c time seq thunk
     end
+    else place t i time seq thunk
   end
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && t.cmp t.keys.(l) t.keys.(!smallest) < 0 then smallest := l;
-  if r < t.size && t.cmp t.keys.(r) t.keys.(!smallest) < 0 then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
-  end
-
-let add t k v =
-  if t.size >= Array.length t.keys then grow t k v;
-  t.keys.(t.size) <- k;
-  t.vals.(t.size) <- v;
+let add t ~time ~seq thunk =
+  if t.size = Array.length t.times then grow t;
   t.size <- t.size + 1;
-  sift_up t (t.size - 1)
+  sift_up t (t.size - 1) time seq thunk
 
-let min t = if t.size = 0 then None else Some (t.keys.(0), t.vals.(0))
+let min_time t =
+  if t.size = 0 then invalid_arg "Pqueue.min_time: empty";
+  t.times.(0)
 
 let pop t =
-  if t.size = 0 then None
-  else begin
-    let k = t.keys.(0) and v = t.vals.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.keys.(0) <- t.keys.(t.size);
-      t.vals.(0) <- t.vals.(t.size);
-      sift_down t 0
-    end;
-    Some (k, v)
-  end
-
-let pop_exn t =
-  match pop t with
-  | Some kv -> kv
-  | None -> invalid_arg "Pqueue.pop_exn: empty"
-
-let clear t = t.size <- 0
-
-let iter t f =
-  for i = 0 to t.size - 1 do
-    f t.keys.(i) t.vals.(i)
-  done
+  if t.size = 0 then invalid_arg "Pqueue.pop: empty";
+  let top = t.thunks.(0) in
+  let last = t.size - 1 in
+  let time = t.times.(last) and seq = t.seqs.(last)
+  and thunk = t.thunks.(last) in
+  (* drop the vacated slot's reference so the closure can be freed *)
+  t.thunks.(last) <- nothing;
+  t.size <- last;
+  if last > 0 then sift_down t 0 time seq thunk;
+  top

@@ -1,33 +1,27 @@
-(** Mutable binary min-heap priority queue.
+(** The discrete-event engine's event heap: a binary min-heap of
+    thunks keyed on (virtual time, sequence number).
 
-    The discrete-event engine keeps all pending events here, keyed by
-    (virtual time, sequence number); the sequence number makes ordering
-    of simultaneous events deterministic.  The heap is polymorphic in
-    both key and value; keys are compared with a user-supplied total
-    order supplied at creation time. *)
+    The sequence number makes the order of simultaneous events
+    deterministic.  Keys live unboxed in two [int] arrays beside the
+    thunk array, so [add] and [pop] allocate nothing except when the
+    heap doubles. *)
 
-type ('k, 'v) t
+type t
 
-val create : ?initial_capacity:int -> ('k -> 'k -> int) -> ('k, 'v) t
-(** [create cmp] is an empty queue ordered by [cmp] (smallest first). *)
+val create : unit -> t
+(** An empty heap with room for 64 events. *)
 
-val length : ('k, 'v) t -> int
+val length : t -> int
 
-val is_empty : ('k, 'v) t -> bool
+val is_empty : t -> bool
 
-val add : ('k, 'v) t -> 'k -> 'v -> unit
-(** [add t k v] inserts the binding in O(log n). *)
+val add : t -> time:int -> seq:int -> (unit -> unit) -> unit
+(** [add t ~time ~seq thunk] inserts [thunk] in O(log n). *)
 
-val min : ('k, 'v) t -> ('k * 'v) option
-(** [min t] peeks at the smallest binding without removing it. *)
+val min_time : t -> int
+(** The time of the smallest key.  Raises [Invalid_argument] when
+    empty. *)
 
-val pop : ('k, 'v) t -> ('k * 'v) option
-(** [pop t] removes and returns the smallest binding in O(log n). *)
-
-val pop_exn : ('k, 'v) t -> 'k * 'v
-(** [pop_exn t] is [pop] but raises [Invalid_argument] when empty. *)
-
-val clear : ('k, 'v) t -> unit
-
-val iter : ('k, 'v) t -> ('k -> 'v -> unit) -> unit
-(** [iter t f] visits every binding in unspecified (heap) order. *)
+val pop : t -> (unit -> unit)
+(** [pop t] removes the smallest key in O(log n) and returns its
+    thunk.  Raises [Invalid_argument] when empty. *)

@@ -19,6 +19,37 @@ let test_rng_deterministic () =
     Alcotest.(check int64) "same stream" (Rng.bits64 a) (Rng.bits64 b)
   done
 
+let test_rng_pinned_stream () =
+  (* literal SplitMix64 outputs: a change of representation must not
+     move the stream *)
+  let r = Rng.make 42 in
+  List.iter
+    (fun want -> Alcotest.(check int64) "bits64" want (Rng.bits64 r))
+    [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L;
+      6349198060258255764L; 701532786141963250L; -2430762948046562554L;
+      4028864712777624925L; -3677692746721775708L ];
+  Alcotest.(check int) "int 1000" 501 (Rng.int r 1000);
+  Alcotest.(check int) "int 17 (rejection path)" 5 (Rng.int r 17);
+  Alcotest.(check (float 0.0)) "float" 0x1.a3a39253bad8cp-3 (Rng.float r 1.0);
+  Alcotest.(check (float 0.0)) "exponential" 0x1.0fb06dfdb4551p+6
+    (Rng.exponential r 100.0);
+  let s = Rng.split r in
+  Alcotest.(check int64) "split" (-2214858861424239224L) (Rng.bits64 s);
+  Alcotest.(check int64) "source after split" (-8854191821003330121L)
+    (Rng.bits64 r)
+
+let test_rng_copy_independent () =
+  let r = Rng.make 9 in
+  for _ = 1 to 3 do ignore (Rng.bits64 r) done;
+  let c = Rng.copy r in
+  let draw g = List.init 5 (fun _ -> Rng.bits64 g) in
+  let from_copy = draw c in
+  (* the copy's draws left the source where the copy started *)
+  Alcotest.(check (list int64)) "same stream" from_copy (draw r);
+  ignore (Rng.bits64 r);
+  Alcotest.(check bool) "source draws leave the copy behind" true
+    (Rng.bits64 c <> Rng.bits64 r)
+
 let test_rng_split_independent () =
   let a = Rng.make 7 in
   let b = Rng.split a in
@@ -69,39 +100,66 @@ let test_rng_exponential_mean () =
 (* ------------------------------------------------------------------ *)
 (* Pqueue                                                              *)
 
+(* each thunk logs its own (time, seq) key *)
+let add_key q log ~time ~seq =
+  Pqueue.add q ~time ~seq (fun () -> log := (time, seq) :: !log)
+
+(* pop everything: the keys in pop order *)
+let drain q log =
+  log := [];
+  while not (Pqueue.is_empty q) do
+    let time = Pqueue.min_time q in
+    (Pqueue.pop q) ();
+    Alcotest.(check int) "min_time is the popped time" time (fst (List.hd !log))
+  done;
+  List.rev !log
+
+let drain_times xs =
+  let q = Pqueue.create () and log = ref [] in
+  List.iteri (fun seq time -> add_key q log ~time ~seq) xs;
+  List.map fst (drain q log)
+
 let test_pqueue_orders () =
-  let q = Pqueue.create compare in
-  List.iter (fun k -> Pqueue.add q k k) [ 5; 1; 4; 1; 3; 9; 0 ];
-  let rec drain acc =
-    match Pqueue.pop q with
-    | None -> List.rev acc
-    | Some (k, _) -> drain (k :: acc)
-  in
-  Alcotest.(check (list int)) "sorted" [ 0; 1; 1; 3; 4; 5; 9 ] (drain [])
+  Alcotest.(check (list int)) "sorted" [ 0; 1; 1; 3; 4; 5; 9 ]
+    (drain_times [ 5; 1; 4; 1; 3; 9; 0 ])
 
 let prop_pqueue_sorts =
   QCheck.Test.make ~name:"pqueue drains any input sorted" ~count:200
     QCheck.(list small_int)
-    (fun xs ->
-      let q = Pqueue.create compare in
-      List.iter (fun x -> Pqueue.add q x ()) xs;
-      let rec drain acc =
-        match Pqueue.pop q with
-        | None -> List.rev acc
-        | Some (k, ()) -> drain (k :: acc)
-      in
-      drain [] = List.sort compare xs)
+    (fun xs -> drain_times xs = List.sort compare xs)
 
 let test_pqueue_fifo_ties () =
-  (* (time, seq) keys with equal time keep sequence order *)
-  let q = Pqueue.create compare in
-  List.iteri (fun i v -> Pqueue.add q (42, i) v) [ "a"; "b"; "c"; "d" ];
-  let rec drain acc =
-    match Pqueue.pop q with
-    | None -> List.rev acc
-    | Some (_, v) -> drain (v :: acc)
-  in
-  Alcotest.(check (list string)) "tie order" [ "a"; "b"; "c"; "d" ] (drain [])
+  (* equal times pop in sequence order *)
+  let q = Pqueue.create () and log = ref [] in
+  List.iter (fun seq -> add_key q log ~time:42 ~seq) [ 0; 1; 2; 3 ];
+  Alcotest.(check (list int)) "tie order" [ 0; 1; 2; 3 ]
+    (List.map snd (drain q log))
+
+let test_pqueue_growth_order () =
+  (* 320 keys over eight distinct times, pushed in shuffled order with
+     a pop after every eighth push: the heap doubles from its 64-slot
+     start to 512 and every pop is the (time, seq) minimum *)
+  let keys = Array.init 320 (fun seq -> (seq * 7 mod 8, seq)) in
+  Rng.shuffle (Rng.make 4) keys;
+  let q = Pqueue.create () and log = ref [] in
+  let pending = ref [] in
+  Array.iteri
+    (fun i (time, seq) ->
+      add_key q log ~time ~seq;
+      pending := (time, seq) :: !pending;
+      if i mod 8 = 7 then begin
+        let want = List.fold_left min (List.hd !pending) !pending in
+        (Pqueue.pop q) ();
+        Alcotest.(check (pair int int)) "pop is the minimum" want
+          (List.hd !log);
+        pending := List.filter (( <> ) want) !pending
+      end)
+    keys;
+  Alcotest.(check int) "length" 280 (Pqueue.length q);
+  Alcotest.(check (list (pair int int))) "drains in (time, seq) order"
+    (List.sort compare !pending) (drain q log);
+  Alcotest.check_raises "pop on empty" (Invalid_argument "Pqueue.pop: empty")
+    (fun () -> ignore (Pqueue.pop q : unit -> unit))
 
 (* ------------------------------------------------------------------ *)
 (* Deque                                                               *)
@@ -227,6 +285,136 @@ let test_histogram_merge () =
   Alcotest.(check int) "max" 1000 (Histogram.max_value m);
   Alcotest.(check int) "min" 10 (Histogram.min_value m)
 
+let test_histogram_huge_samples () =
+  (* the log region's index arithmetic must not overflow near max_int *)
+  List.iter
+    (fun v ->
+      let h = Histogram.create () in
+      Histogram.record h v;
+      Alcotest.(check int) (Printf.sprintf "p50 of {%d}" v) v
+        (Histogram.percentile h 50.0);
+      Alcotest.(check int) (Printf.sprintf "p100 of {%d}" v) v
+        (Histogram.percentile h 100.0))
+    [ (1 lsl 57) + (31 lsl 52); (1 lsl 58) - 1; max_int ]
+
+let test_histogram_footprint () =
+  (* ten samples in one octave: one chunk of counters, not the 2,112
+     a dense layout holds *)
+  let h = Histogram.create () in
+  for v = 1000 to 1009 do
+    Histogram.record h v
+  done;
+  let words = Obj.reachable_words (Obj.repr h) in
+  Alcotest.(check bool) (Printf.sprintf "%d words <= 200" words) true
+    (words <= 200)
+
+(* The reference layout written out densely: 64 exact buckets, then
+   32 sub-buckets per power of two, 2,112 counters, indexed by
+   multiply-and-divide (exact for values below 2^57). *)
+module Dense = struct
+  type t = {
+    counts : int array;
+    mutable n : int;
+    mutable total : float;
+    mutable max_v : int;
+    mutable min_v : int;
+  }
+
+  let create () =
+    { counts = Array.make (64 + (64 * 32)) 0; n = 0; total = 0.0; max_v = 0;
+      min_v = max_int }
+
+  let rec log2_floor v = if v <= 1 then 0 else 1 + log2_floor (v lsr 1)
+
+  let bucket_of v =
+    if v < 64 then v
+    else begin
+      let e = log2_floor v in
+      64 + ((e - 6) * 32) + ((v - (1 lsl e)) * 32 / (1 lsl e))
+    end
+
+  let upper_bound b =
+    if b < 64 then b
+    else begin
+      let e = ((b - 64) / 32) + 6 and frac = (b - 64) mod 32 in
+      (1 lsl e) + (((frac + 1) * (1 lsl e) / 32) - 1)
+    end
+
+  let record t v =
+    let v = max v 0 in
+    let b = bucket_of v in
+    t.counts.(b) <- t.counts.(b) + 1;
+    t.n <- t.n + 1;
+    t.total <- t.total +. float_of_int v;
+    t.max_v <- max t.max_v v;
+    t.min_v <- min t.min_v v
+
+  let mean t = if t.n = 0 then nan else t.total /. float_of_int t.n
+
+  let min_value t = if t.n = 0 then 0 else t.min_v
+
+  let percentile t p =
+    if t.n = 0 then 0
+    else begin
+      let rank = max 1 (int_of_float (ceil (p /. 100.0 *. float_of_int t.n))) in
+      let rec go b seen =
+        if b >= Array.length t.counts then t.max_v
+        else begin
+          let seen = seen + t.counts.(b) in
+          if seen >= rank then min (upper_bound b) t.max_v else go (b + 1) seen
+        end
+      in
+      go 0 0
+    end
+
+  let merge a b =
+    { counts = Array.map2 ( + ) a.counts b.counts; n = a.n + b.n;
+      total = a.total +. b.total; max_v = max a.max_v b.max_v;
+      min_v = min a.min_v b.min_v }
+end
+
+let histogram_values =
+  let specials =
+    [ 0; -1; -1000; 63; 64 ]
+    @ List.concat_map
+        (fun k -> [ (1 lsl k) - 1; 1 lsl k; (1 lsl k) + 1 ])
+        (List.init 57 Fun.id)
+  in
+  QCheck.Gen.(
+    oneof
+      [ oneofl specials;
+        int_range (-100) 5000;
+        int_range 0 56 >>= fun k -> int_range 0 ((1 lsl (k + 1)) - 1) ])
+
+let prop_histogram_dense_model =
+  QCheck.Test.make ~name:"histogram agrees with the dense layout" ~count:300
+    QCheck.(
+      make
+        ~print:Print.(pair (list int) (list int))
+        Gen.(pair (list histogram_values) (list histogram_values)))
+    (fun (xs, ys) ->
+      let fill l =
+        let h = Histogram.create () and d = Dense.create () in
+        List.iter (fun v -> Histogram.record h v; Dense.record d v) l;
+        (h, d)
+      in
+      let same (h, d) =
+        let eqf a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+        Histogram.count h = d.Dense.n
+        && eqf (Histogram.total h) d.Dense.total
+        && eqf (Histogram.mean h) (Dense.mean d)
+        && Histogram.min_value h = Dense.min_value d
+        && Histogram.max_value h = d.Dense.max_v
+        && List.for_all
+             (fun p -> Histogram.percentile h p = Dense.percentile d p)
+             [ 0.1; 1.0; 50.0; 90.0; 99.0; 99.9; 100.0 ]
+      in
+      let (hx, dx) as x = fill xs and (hy, dy) as y = fill ys in
+      same x && same y
+      && same (Histogram.merge hx hy, Dense.merge dx dy)
+      (* merging leaves both inputs as they were *)
+      && same x && same y)
+
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
 
@@ -344,6 +532,9 @@ let () =
   Alcotest.run "chorus-util"
     [ ( "rng",
         [ Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
+          Alcotest.test_case "pinned stream" `Quick test_rng_pinned_stream;
+          Alcotest.test_case "copy independent" `Quick
+            test_rng_copy_independent;
           Alcotest.test_case "split independent" `Quick
             test_rng_split_independent;
           Alcotest.test_case "bounds" `Quick test_rng_bounds;
@@ -353,6 +544,8 @@ let () =
       ( "pqueue",
         [ Alcotest.test_case "orders" `Quick test_pqueue_orders;
           Alcotest.test_case "fifo ties" `Quick test_pqueue_fifo_ties;
+          Alcotest.test_case "order past growth" `Quick
+            test_pqueue_growth_order;
           qt prop_pqueue_sorts ] );
       ( "deque",
         [ Alcotest.test_case "basics" `Quick test_deque_basics;
@@ -363,7 +556,11 @@ let () =
           Alcotest.test_case "percentile boundaries" `Quick
             test_histogram_percentile_boundaries;
           Alcotest.test_case "merge" `Quick test_histogram_merge;
-          qt prop_histogram_percentile_bounded ] );
+          Alcotest.test_case "huge samples" `Quick
+            test_histogram_huge_samples;
+          Alcotest.test_case "footprint" `Quick test_histogram_footprint;
+          qt prop_histogram_percentile_bounded;
+          qt prop_histogram_dense_model ] );
       ( "stats",
         [ Alcotest.test_case "welford" `Quick test_stats_welford;
           qt prop_stats_merge_equals_sequential ] );
