@@ -1,5 +1,5 @@
-.PHONY: all build test fmt doc lint-loops lint-globals ci bench chaos-smoke \
-	bench-guard
+.PHONY: all build test fmt doc lint-loops lint-globals lint-dead ci bench \
+	chaos-smoke bench-guard
 
 all: build
 
@@ -72,6 +72,35 @@ lint-globals:
 		echo "lint-globals: OK"; \
 	fi
 
+# Dead-module gate: every lib/*/*.ml module must be named by some
+# other .ml file of the program (lib/, bin/, bench/, examples/,
+# perfbench/); a module only its unit tests use is dead library
+# surface.  A name is a qualified use `M.`, `open M` / `include M`, or
+# a module path ending in M as an alias (`= Lib.M`) or functor
+# argument (`(M)`).  Allowlisted: the pure reference model the test
+# suites compare implementations against.
+LINT_DEAD_SRC := lib bin bench examples perfbench
+LINT_DEAD_ALLOW := lib/fsspec/fsmodel.ml
+
+lint-dead:
+	@bad=""; \
+	for f in lib/*/*.ml; do \
+		case " $(LINT_DEAD_ALLOW) " in *" $$f "*) continue ;; esac; \
+		m=$$(basename $$f .ml | awk '{ print toupper(substr($$0, 1, 1)) substr($$0, 2) }'); \
+		p="([A-Z][A-Za-z0-9_']*\.)*$$m"; \
+		users=$$(grep -rlE --include='*.ml' \
+			"\b$$m\.|(open|include)!? +$$p\b|= *$$p *$$|\( *$$p *\)" \
+			$(LINT_DEAD_SRC) | grep -vx "$$f" || true); \
+		[ -n "$$users" ] || bad="$$bad $$f"; \
+	done; \
+	if [ -n "$$bad" ]; then \
+		echo "lint-dead: lib modules no other program file names:$$bad"; \
+		echo "delete them, or allowlist them in the Makefile"; \
+		exit 1; \
+	else \
+		echo "lint-dead: OK"; \
+	fi
+
 bench:
 	dune exec bench/main.exe
 
@@ -92,4 +121,4 @@ chaos-smoke:
 bench-guard:
 	scripts/bench_guard
 
-ci: build test fmt doc lint-loops lint-globals chaos-smoke bench-guard
+ci: build test fmt doc lint-loops lint-globals lint-dead chaos-smoke bench-guard

@@ -9,7 +9,7 @@ module Machine = Chorus_machine.Machine
 module Runtime = Chorus.Runtime
 module Fiber = Chorus.Fiber
 module Chan = Chorus.Chan
-module Rpc = Chorus.Rpc
+module Svc = Chorus_svc.Svc
 module Supervisor = Chorus_kernel.Supervisor
 
 type req = Put of string * int | Get of string
@@ -23,7 +23,7 @@ let flaky_kv ep =
     Fiber.spawn ~label:"kv" ~daemon:true (fun () ->
         let table = Hashtbl.create 16 in
         let served = ref 0 in
-        Rpc.serve ep (fun req ->
+        Svc.serve ep (fun req ->
             incr served;
             (* every 25th request trips a bug *)
             if !served mod 25 = 0 then failwith "kv: internal assertion";
@@ -38,10 +38,9 @@ let flaky_kv ep =
               | None -> Missing)))
 
 let call_with_timeout ep req =
-  let reply = Chan.buffered 1 in
-  Chan.send ep (req, reply);
+  let reply = Svc.call_async ep req in
   Chan.choose
-    [ Chan.recv_case reply (fun r -> Some r);
+    [ Chan.recv_case reply (function `Ok r -> Some r | `Busy -> None);
       Chan.after 100_000 (fun () -> None) ]
 
 let () =
@@ -49,7 +48,7 @@ let () =
     Runtime.run
       (Runtime.config ~seed:5 (Machine.mesh ~cores:8))
       (fun () ->
-        let ep = Rpc.endpoint ~label:"kv" () in
+        let ep = Svc.create ~subsystem:"demo" ~label:"kv" () in
         let sup =
           Supervisor.start ~max_restarts:50 Supervisor.One_for_one
             [ { Supervisor.cname = "kv"; cstart = flaky_kv ep } ]

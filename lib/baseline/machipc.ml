@@ -15,7 +15,7 @@ let charge_crossing ~words =
 module Port = struct
   type 'a t = 'a Chan.t
 
-  let create ?(label = "port") ?(qlimit = 16) () = Chan.buffered ~label qlimit
+  let create ?(label = "port") () = Chan.buffered ~label 16
 
   let send ?(words = 4) port v =
     charge_crossing ~words;
@@ -26,7 +26,7 @@ module Port = struct
     Chan.recv port
 
   let rpc ?(words = 4) port req =
-    let reply = create ~label:"reply-port" ~qlimit:1 () in
+    let reply = Chan.buffered ~label:"reply-port" 1 in
     send ~words port (req, reply);
     recv reply
 end

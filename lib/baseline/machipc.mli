@@ -23,8 +23,8 @@
 module Port : sig
   type 'a t
 
-  val create : ?label:string -> ?qlimit:int -> unit -> 'a t
-  (** Port with a queue limit (default 16 — Mach's default-ish). *)
+  val create : ?label:string -> unit -> 'a t
+  (** Port with a queue limit of 16 (Mach's default-ish). *)
 
   val send : ?words:int -> 'a t -> 'a -> unit
 

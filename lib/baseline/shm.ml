@@ -3,7 +3,7 @@ module Coherence = Chorus_machine.Coherence
 
 type 'a t = { line : Coherence.line; mutable value : 'a }
 
-let create ?home v = { line = Coherence.line ?home (); value = v }
+let create v = { line = Coherence.line (); value = v }
 
 let my_core eng = Engine.fiber_core (Engine.self eng)
 

@@ -9,9 +9,9 @@
 
 type 'a t
 
-val create : ?home:int -> 'a -> 'a t
+val create : 'a -> 'a t
 (** [create v] allocates a cell holding [v], line initially homed on
-    core [home] (default 0). *)
+    core 0. *)
 
 val read : 'a t -> 'a
 (** Charged as a coherence read from the calling fiber's core. *)

@@ -530,19 +530,3 @@ let readdir t path =
           Lock.with_lock ind.ilock (fun () ->
               let names = Hashtbl.fold (fun k _ acc -> k :: acc) ind.entries [] in
               Ok (List.sort compare names)))
-
-(* ------------------------------------------------------------------ *)
-
-let lock_report sys =
-  let l lk =
-    (Lock.label lk, Lock.acquisitions lk, Lock.contended lk,
-     Lock.wait_cycles lk)
-  in
-  [ l sys.itable_lock; l sys.freemap_lock; l sys.disk_lock ]
-  @ (Array.to_list sys.shards |> List.map (fun s -> l s.slock))
-  @ [ ("namecache", Rwlock.acquisitions sys.nc_lock,
-       Rwlock.contended sys.nc_lock, 0) ]
-
-let disk_reads sys = sys.disk_reads
-
-let disk_writes sys = sys.disk_writes

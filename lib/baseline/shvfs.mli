@@ -38,12 +38,3 @@ type t
 val client : sys -> t
 
 include Chorus_fsspec.Fsspec.S with type t := t
-
-(** {1 Introspection for experiments} *)
-
-val lock_report : sys -> (string * int * int * int) list
-(** [(label, acquisitions, contended, wait_cycles)] per major lock. *)
-
-val disk_reads : sys -> int
-
-val disk_writes : sys -> int

@@ -36,7 +36,10 @@ let run_one_handler eng p =
     Engine.charge eng (Engine.costs eng).Cost.signal_deliver;
     h ()
 
-let interruptible_syscall ?(quantum = 500) p ~work =
+(* cycles of syscall work between preemption points *)
+let quantum = 500
+
+let interruptible_syscall p ~work =
   let eng = Engine.current () in
   Trap.enter ();
   (* attempt the syscall body; restart from zero on interruption *)

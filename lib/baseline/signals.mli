@@ -22,9 +22,9 @@ val deliver : proc -> handler:(unit -> unit) -> unit
     wakes; if it is mid-syscall, the signal takes effect at the next
     preemption point. *)
 
-val interruptible_syscall : ?quantum:int -> proc -> work:int -> unit
-(** Perform [work] cycles of in-kernel work in [quantum]-cycle chunks
-    (default 500), restarting from zero whenever a signal interrupts.
+val interruptible_syscall : proc -> work:int -> unit
+(** Perform [work] cycles of in-kernel work in 500-cycle chunks,
+    restarting from zero whenever a signal interrupts.
     Includes the trap/return crossings. *)
 
 val wait_signal : proc -> unit

@@ -212,8 +212,6 @@ let redirects t = t.redirects
 
 let ops_failed t = t.failed
 
-let map_reads t = Rcu.reads t.map
-
 let map_publishes t = Rcu.publishes t.map
 
 let breaker_trips t = t.trips
@@ -483,5 +481,3 @@ let completions p = p.done_c
 let inflight p = p.client.inflight
 
 let inflight_hwm p = p.client.inflight_hwm
-
-let pipe_depth p = p.depth

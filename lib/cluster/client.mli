@@ -59,10 +59,6 @@ val redirects : t -> int
 val ops_failed : t -> int
 (** Operations that exhausted every attempt ([`Net_fail]). *)
 
-val map_reads : t -> int
-(** Lock-free routing-snapshot reads performed ({!Chorus_util.Rcu}
-    read-side count). *)
-
 val map_publishes : t -> int
 (** Fresh shardmap snapshots published (initial fetch + every
     stale-map refetch). *)
@@ -128,5 +124,3 @@ val inflight : pipe -> int
 
 val inflight_hwm : pipe -> int
 (** Highest concurrent in-flight count reached. *)
-
-val pipe_depth : pipe -> int

@@ -153,8 +153,6 @@ let log_length t = t.log_len
 
 let elections_started t = t.elections
 
-let elections_won t = t.won
-
 let appends_sent t = t.appends
 
 let applied t = t.applied

@@ -74,8 +74,6 @@ val log_length : t -> int
 
 val elections_started : t -> int
 
-val elections_won : t -> int
-
 val appends_sent : t -> int
 
 val applied : t -> int

@@ -33,7 +33,10 @@ let point node vnode = hash64 (Printf.sprintf "node:%d#%d" node vnode)
 
 let shard_point s = hash64 (Printf.sprintf "shard:%d" s)
 
-let build ?(version = 1) ?(vnodes = 64) ~nshards ~replication nodes =
+(* ring points per node *)
+let vnodes = 64
+
+let build ~nshards ~replication nodes =
   if nodes = [] then invalid_arg "Shardmap.build: no nodes";
   if nshards <= 0 then invalid_arg "Shardmap.build: nshards";
   if replication <= 0 then invalid_arg "Shardmap.build: replication";
@@ -68,7 +71,7 @@ let build ?(version = 1) ?(vnodes = 64) ~nshards ~replication nodes =
     done;
     Array.of_list (List.rev !picked)
   in
-  { version; nshards; all_nodes; groups = Array.init nshards group }
+  { version = 1; nshards; all_nodes; groups = Array.init nshards group }
 
 let version t = t.version
 

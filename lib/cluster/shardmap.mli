@@ -13,12 +13,10 @@
 
 type t
 
-val build :
-  ?version:int -> ?vnodes:int -> nshards:int -> replication:int ->
-  int list -> t
+val build : nshards:int -> replication:int -> int list -> t
 (** [build ~nshards ~replication nodes] places [nshards] shards over
-    the node addresses.  [replication] is capped at the node count;
-    [vnodes] (default 64) is the number of ring points per node.
+    the node addresses with 64 ring points per node, at version 1.
+    [replication] is capped at the node count.
     Raises [Invalid_argument] on an empty node list or nonpositive
     shard count. *)
 

@@ -34,5 +34,3 @@ let str_ r =
     let s = String.sub r.s r.pos len in
     r.pos <- r.pos + len;
     s
-
-let at_end r = r.pos >= String.length r.s

@@ -20,5 +20,3 @@ val reader : ?pos:int -> string -> reader
 val int_ : reader -> int
 
 val str_ : reader -> string
-
-val at_end : reader -> bool

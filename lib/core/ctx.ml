@@ -43,8 +43,6 @@ let slot (type a) sname : a slot =
     inj = (fun v -> M.E v);
     proj = (function M.E v -> Some v | _ -> None) }
 
-let slot_name s = s.sname
-
 type t = { mutable bindings : binding list }
 
 let create () = { bindings = [] }

@@ -32,15 +32,11 @@ val slot : string -> 'a slot
 (** [slot name] allocates a fresh slot.  [name] is for diagnostics
     only; identity is the slot value itself. *)
 
-val slot_name : 'a slot -> string
-
 val create : unit -> t
 
 (** {1 Explicit operations} *)
 
 val set_in : t -> 'a slot -> 'a -> unit
-
-val clear_in : t -> 'a slot -> unit
 
 val get_in : t -> 'a slot -> 'a option
 

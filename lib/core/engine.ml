@@ -592,8 +592,6 @@ let run_until t limit =
 
 let drained t = Pqueue.is_empty t.events
 
-let pending_events t = Pqueue.length t.events
-
 let finish t =
   Fun.protect
     ~finally:(fun () -> stop t)

@@ -117,8 +117,6 @@ val stop : t -> unit
 val drained : t -> bool
 (** No events pending. *)
 
-val pending_events : t -> int
-
 val inspect : t -> Inspect.value
 (** The engine's own state as a structured value: time, machine,
     statistics counters, per-core run queues (free_at, busy, queued

@@ -3,12 +3,10 @@ type config = {
   policy : Chorus_sched.Policy.t;
   seed : int;
   trace : Trace.sink option;
-  max_events : int;
 }
 
-let config ?(policy = Chorus_sched.Policy.parent) ?(seed = 42) ?trace
-    ?(max_events = 200_000_000) machine =
-  { machine; policy; seed; trace; max_events }
+let config ?(policy = Chorus_sched.Policy.parent) ?(seed = 42) ?trace machine =
+  { machine; policy; seed; trace }
 
 (* Ambient instrumentation: when set, every [run] whose config carries
    no explicit sink asks the factory for one.  The factory is invoked
@@ -33,11 +31,10 @@ let engine_config (c : config) : Engine.config =
       | None -> None
       | Some factory -> Some (factory ()))
   in
-  { Engine.machine = c.machine;
+  { (Engine.default_config c.machine) with
     policy = c.policy;
     seed = c.seed;
-    trace;
-    max_events = c.max_events }
+    trace }
 
 let run cfg main =
   let eng = Engine.create (engine_config cfg) in

@@ -6,17 +6,16 @@ type config = {
   policy : Chorus_sched.Policy.t;
   seed : int;
   trace : Trace.sink option;
-  max_events : int;
 }
 
 val config :
   ?policy:Chorus_sched.Policy.t ->
   ?seed:int ->
   ?trace:Trace.sink ->
-  ?max_events:int ->
   Chorus_machine.Machine.t ->
   config
-(** Defaults: parent placement, seed 42, no trace, 200M-event cap. *)
+(** Defaults: parent placement, seed 42, no trace.  Runs keep
+    {!Engine.default_config}'s 200M-event cap. *)
 
 val run : config -> (unit -> unit) -> Runstats.t
 (** [run cfg main] executes [main] as the initial fiber on core 0 of a

@@ -45,20 +45,6 @@ let ring ~capacity () =
 
 let filter pred sink r = if pred r then sink r
 
-let subsystem_of = function
-  | Span_begin { subsystem; _ } | Span_end { subsystem; _ } -> Some subsystem
-  | Spawn _ | Exit _ | Block _ | Wake | Send _ | Recv _ | Steal _ | Segment _
-  | Custom _ ->
-    None
-
-let filter_subsystem subsys sink =
-  filter
-    (fun r ->
-      match subsystem_of r.event with
-      | Some s -> s = subsys
-      | None -> true)
-    sink
-
 let pp_event ppf = function
   | Spawn { child; on_core } ->
     Format.fprintf ppf "spawn child=%d core=%d" child on_core

@@ -56,10 +56,4 @@ val ring :
 val filter : (record -> bool) -> sink -> sink
 (** [filter pred sink] forwards only records satisfying [pred]. *)
 
-val filter_subsystem : string -> sink -> sink
-(** Keep span records of one subsystem; records carrying no subsystem
-    (scheduler events) always pass. *)
-
-val subsystem_of : event -> string option
-
 val pp_record : Format.formatter -> record -> unit

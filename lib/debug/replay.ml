@@ -13,17 +13,16 @@ type run = {
   trace : Trace.record list;
 }
 
-let run_to ?(capture_trace = true) scenario sch ~at =
+let run_to scenario sch ~at =
   let records = ref [] in
   let sink r = records := r :: !records in
   let p = Chaos.prepare scenario sch in
   let cfg = p.Chaos.pconfig in
   let ecfg =
-    { Engine.machine = cfg.Chorus.Runtime.machine;
+    { (Engine.default_config cfg.Chorus.Runtime.machine) with
       policy = cfg.Chorus.Runtime.policy;
       seed = cfg.Chorus.Runtime.seed;
-      trace = (if capture_trace then Some sink else None);
-      max_events = cfg.Chorus.Runtime.max_events }
+      trace = Some sink }
   in
   let eng = Engine.create ecfg in
   let reg = Metrics.create () in

@@ -19,13 +19,9 @@ type run = {
 }
 
 val run_to :
-  ?capture_trace:bool ->
-  Chorus_chaos.Chaos.scenario ->
-  Chorus_chaos.Schedule.t ->
-  at:int ->
-  run
-(** Prepare the scenario, install a fresh metrics registry and (by
-    default) a trace collector, step the run to virtual time [at] and
+  Chorus_chaos.Chaos.scenario -> Chorus_chaos.Schedule.t -> at:int -> run
+(** Prepare the scenario, install a fresh metrics registry and a trace
+    collector, step the run to virtual time [at] and
     capture a snapshot.  The run is then abandoned (never drained), so
     the scenario's oracles do not fire; ambient hooks (current engine,
     crash point, metrics registry) are restored on every exit path.

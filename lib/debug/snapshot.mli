@@ -4,7 +4,7 @@
     A snapshot is taken {e between} events (after
     {!Chorus.Engine.run_until}), so it is the complete machine state
     "at end of cycle T": per-core run queues and fiber states from
-    {!Chorus.Engine.inspect}, channel/mailbox occupancy, service inbox
+    {!Chorus.Engine.inspect}, channel occupancy, service inbox
     depths, raft per-shard terms and commit indices from the provider
     registry, and the installed {!Chorus_obs.Metrics} registry if any.
     Capture is host-side only — it charges no virtual cycles — so a

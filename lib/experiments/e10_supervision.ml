@@ -14,7 +14,7 @@
 open Exp_common
 module Fiber = Chorus.Fiber
 module Chan = Chorus.Chan
-module Rpc = Chorus.Rpc
+module Svc = Chorus_svc.Svc
 module Supervisor = Chorus_kernel.Supervisor
 module Faults = Chorus_workload.Faults
 module Rng = Chorus_util.Rng
@@ -32,7 +32,7 @@ let posture_name = function
 
 let service_body ep () =
   Fiber.spawn ~label:"svc" ~daemon:true (fun () ->
-      Rpc.serve ep (fun v ->
+      Svc.serve ep (fun v ->
           (* the handler has an internal scheduling point, so a crash
              can land mid-request and lose the in-flight work *)
           Fiber.work 150;
@@ -46,7 +46,8 @@ let run_posture ~quick ~seed ~crash_interval posture =
     run ~seed ~cores:32 (fun () ->
         let eps =
           Array.init nservices (fun i ->
-              Rpc.endpoint ~label:(Printf.sprintf "svc-%d" i) ())
+              Svc.create ~subsystem:"supervised"
+                ~label:(Printf.sprintf "svc-%d" i) ())
         in
         (* registry of the current incarnation of each service *)
         let current = Array.make nservices None in
@@ -91,11 +92,12 @@ let run_posture ~quick ~seed ~crash_interval posture =
                   for _ = 1 to ops do
                     Fiber.work 2_000;
                     let ep = eps.(Rng.int rng nservices) in
-                    let reply = Chan.buffered 1 in
-                    Chan.send ep (1, reply);
+                    let reply = Svc.call_async ep 1 in
                     let ok =
                       Chan.choose
-                        [ Chan.recv_case reply (fun _ -> true);
+                        [ Chan.recv_case reply (function
+                            | `Ok _ -> true
+                            | `Busy -> false);
                           Chan.after 50_000 (fun () -> false) ]
                     in
                     if ok then incr succeeded else incr failed

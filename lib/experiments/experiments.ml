@@ -153,12 +153,3 @@ let find id =
     else id
   in
   List.find_opt (fun e -> e.id = id) all
-
-let run_and_print ?(quick = true) ?(seed = 42) e =
-  Printf.printf "--- %s: %s ---\nclaim: %s\n%!" (String.uppercase_ascii e.id)
-    e.title e.claim;
-  let t0 = Unix.gettimeofday () in
-  let tables = e.run ~quick ~seed in
-  let dt = Unix.gettimeofday () -. t0 in
-  List.iter Tablefmt.print tables;
-  Printf.printf "(%s ran in %.2fs host time)\n\n%!" e.id dt

@@ -14,5 +14,3 @@ val find : string -> t option
 (** Lookup by id, case-insensitive; zero-padded forms ("e04") are
     accepted for "e4". *)
 
-val run_and_print : ?quick:bool -> ?seed:int -> t -> unit
-(** Run one experiment and print its tables to stdout with timing. *)

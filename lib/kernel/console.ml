@@ -30,6 +30,4 @@ let write_line t line =
 
 let output t = List.rev t.lines
 
-let lines_written t = t.count
-
 let endpoint t = t.ep

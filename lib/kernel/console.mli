@@ -15,7 +15,5 @@ val write_line : t -> string -> unit
 val output : t -> string list
 (** Everything written so far, oldest first (test oracle). *)
 
-val lines_written : t -> int
-
 val endpoint : t -> (string, unit) Chorus_svc.Svc.t
 (** The underlying service endpoint (queue metrics live here). *)

@@ -109,5 +109,3 @@ let mapped t =
     0 t.managers
 
 let managers t = Array.length t.managers
-
-let faults_served t = t.faults

@@ -34,5 +34,3 @@ val mapped : t -> int
 (** Pages currently mapped (sums over managers). *)
 
 val managers : t -> int
-
-val faults_served : t -> int

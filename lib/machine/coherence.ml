@@ -6,7 +6,7 @@ type line = {
   mutable busy_until : int;  (** ownership-transfer queue head *)
 }
 
-let line ?(home = 0) () = { owner = home; sharers = Iset.empty; busy_until = 0 }
+let line () = { owner = 0; sharers = Iset.empty; busy_until = 0 }
 
 let read m l c =
   if l.owner = c || Iset.mem c l.sharers then

@@ -12,9 +12,9 @@
 
 type line
 
-val line : ?home:Topology.core -> unit -> line
-(** [line ()] creates a line initially owned by its home node (core 0
-    by default) with no sharers. *)
+val line : unit -> line
+(** [line ()] creates a line initially owned by core 0 with no
+    sharers. *)
 
 val read : Machine.t -> line -> Topology.core -> int
 (** [read m l c] returns the cycles core [c] pays to load the line and

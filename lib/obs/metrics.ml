@@ -145,14 +145,3 @@ let snapshot r =
       (key, v) :: acc)
     r.tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let sample_every r ~interval f =
-  if interval <= 0 then invalid_arg "Metrics.sample_every: interval";
-  ignore
-    (Chorus.Fiber.spawn ~label:"metrics-sampler" ~daemon:true (fun () ->
-         let rec loop () =
-           Chorus.Fiber.sleep interval;
-           f ~time:(Chorus.Fiber.now ()) (snapshot r);
-           loop ()
-         in
-         loop ()))

@@ -91,8 +91,3 @@ type snapshot = ((string * string) * value) list
 
 val snapshot : t -> snapshot
 
-val sample_every :
-  t -> interval:int -> (time:int -> snapshot -> unit) -> unit
-(** [sample_every r ~interval f] spawns a daemon fiber (call from
-    inside a run) that passes a snapshot to [f] every [interval]
-    virtual cycles — time-series metrics for long runs. *)

@@ -180,14 +180,3 @@ let check ?(max_states = 200_000) sys =
   match !result with
   | Some v -> v
   | None -> Ok_no_deadlock { states_explored = !explored }
-
-let pp_verdict ppf = function
-  | Ok_no_deadlock { states_explored } ->
-    Format.fprintf ppf "no deadlock (%d states)" states_explored
-  | Budget_exhausted { states_explored } ->
-    Format.fprintf ppf "budget exhausted after %d states" states_explored
-  | Deadlock { states_explored; trace; stuck } ->
-    Format.fprintf ppf "DEADLOCK after %d states@.  trace:@." states_explored;
-    List.iter (fun s -> Format.fprintf ppf "    %s@." s) trace;
-    Format.fprintf ppf "  stuck:@.";
-    List.iter (fun s -> Format.fprintf ppf "    %s@." s) stuck

@@ -40,5 +40,3 @@ type verdict =
 val check : ?max_states:int -> system -> verdict
 (** Breadth-first reachability from the initial configuration;
     [max_states] defaults to 200_000. *)
-
-val pp_verdict : Format.formatter -> verdict -> unit

@@ -105,8 +105,8 @@ let work_steal ?(attempts = 4) () =
     steal_victim;
     steals = true }
 
-let affinity_groups ?fallback () =
-  let fallback = match fallback with Some p -> p | None -> round_robin () in
+let affinity_groups () =
+  let fallback = round_robin () in
   let place v ~parent ~affinity =
     match affinity with
     | Some key ->

@@ -61,10 +61,10 @@ val work_steal : ?attempts:int -> unit -> t
     victim, probing up to [attempts] (default 4) victims per idle
     event. *)
 
-val affinity_groups : ?fallback:t -> unit -> t
+val affinity_groups : unit -> t
 (** Fibers with the same [affinity] key land on the same core (keys
-    hash over the cores); fibers without a key fall back to
-    [fallback] (default {!round_robin}).  Models gang placement of
+    hash over the cores); fibers without a key are placed
+    {!round_robin}.  Models gang placement of
     communicating services — paper Section 5: "which groups of threads
     to place together on the same core". *)
 

@@ -2,13 +2,14 @@
    implementation notes below are about determinism.
 
    The default configuration (capacity 0 = unbounded, `Block) must be
-   charge-for-charge identical to the hand-rolled Rpc loops it
-   replaces: offer is a plain Chan.send, take is a plain Chan.recv,
-   call builds the same one-shot [Chan.buffered 1] reply before
-   sending, and nothing here ever uses Chan.choose (choose charges per
-   case and draws from the run's RNG, which would perturb every seeded
-   experiment).  Metrics and spans are host-side: they never advance
-   virtual time and are no-ops without an installed registry/sink.
+   charge-for-charge identical to the bare channel pair, an unbounded
+   inbox plus a one-shot reply per request (test/svc pins this): offer
+   is a plain Chan.send, take is a plain Chan.recv, call builds the
+   same one-shot [Chan.buffered 1] reply before sending, and nothing
+   here ever uses Chan.choose (choose charges per case and draws from
+   the run's RNG, which would perturb every seeded experiment).
+   Metrics and spans are host-side: they never advance virtual time
+   and are no-ops without an installed registry/sink.
 
    Admission for `Reject mirrors Chan.try_send's test exactly:
    a message is deliverable without queuing past capacity iff a live
@@ -269,18 +270,6 @@ let start_cast ?on ?priority t handler =
 
 let starter ?on ?priority ?words_of_resp ?until t handler () =
   start ?on ?priority ?words_of_resp ?until t handler
-
-let periodic ?on ?priority ?(count = 0) ~label ~period body =
-  Fiber.spawn ?on ?priority ~label ~daemon:true (fun () ->
-      let rec loop i =
-        if count > 0 && i >= count then ()
-        else begin
-          Fiber.sleep period;
-          body i;
-          loop (i + 1)
-        end
-      in
-      loop 0)
 
 let depth t = Chan.length t.inbox
 

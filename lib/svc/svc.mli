@@ -13,7 +13,8 @@
     - [`Block] — callers block once the inbox is full (backpressure;
       the CSP answer).  With [capacity = 0] the inbox is unbounded and
       a default-configured endpoint is charge-for-charge identical to
-      the bare {!Chorus.Rpc} pattern it replaces.
+      the bare channel pair: an unbounded inbox carrying each request
+      with a fresh [Chan.buffered 1] reply channel.
     - [`Reject] — the caller immediately gets a typed busy error and
       the handler never sees the request (admission control).
     - [`Shed_oldest] — the stalest queued request is dropped (its
@@ -103,8 +104,9 @@ val cast : ?words:int -> 'msg cast -> 'msg -> unit
 
 val call : ?words:int -> ('req, 'resp) t -> 'req -> 'resp
 (** Send the request with a fresh reply channel, await the reply.
-    Charge-for-charge identical to {!Chorus.Rpc.call} under the
-    default config.  Raises {!Busy} when rejected or shed. *)
+    Under the default config this is charge-for-charge the bare
+    [c <- (a, c1); r <- c1] channel pair.  Raises {!Busy} when
+    rejected or shed. *)
 
 val call_result :
   ?words:int -> ('req, 'resp) t -> 'req -> [ `Ok of 'resp | `Busy ]
@@ -169,13 +171,6 @@ val starter :
 (** Restart hook for {!Chorus_kernel.Supervisor}-style child specs:
     because a service's identity is its endpoint, re-running the
     thunk re-attaches a fresh fiber to the same inbox. *)
-
-val periodic :
-  ?on:int -> ?priority:Fiber.priority -> ?count:int -> label:string ->
-  period:int -> (int -> unit) -> Fiber.t
-(** The timer-driven service shape (sensors): a daemon fiber that
-    sleeps [period] cycles then runs the body with the tick index,
-    [count] times ([0] = forever).  Stop it with {!Fiber.kill}. *)
 
 (** {1 Chaos crash points} *)
 

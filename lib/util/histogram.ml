@@ -51,7 +51,7 @@ let upper_bound_of_bucket b =
     (1 lsl e) - 1 + ((frac + 1) lsl (e - sub_bits))
   end
 
-let record_n t v n =
+let record t v =
   let v = if v < 0 then 0 else v in
   let b = bucket_of v in
   let c = b lsr sub_bits in
@@ -65,13 +65,11 @@ let record_n t v n =
     end
   in
   let i = b land (sub - 1) in
-  chunk.(i) <- chunk.(i) + n;
-  t.n <- t.n + n;
-  t.total <- t.total +. (float_of_int v *. float_of_int n);
+  chunk.(i) <- chunk.(i) + 1;
+  t.n <- t.n + 1;
+  t.total <- t.total +. float_of_int v;
   if v > t.max_v then t.max_v <- v;
   if v < t.min_v then t.min_v <- v
-
-let record t v = record_n t v 1
 
 let count t = t.n
 
@@ -117,7 +115,3 @@ let merge a b =
     total = a.total +. b.total;
     max_v = Stdlib.max a.max_v b.max_v;
     min_v = Stdlib.min a.min_v b.min_v }
-
-let pp_summary ppf t =
-  Format.fprintf ppf "n=%d mean=%.1f p50=%d p95=%d p99=%d max=%d" t.n (mean t)
-    (percentile t 50.0) (percentile t 95.0) (percentile t 99.0) t.max_v

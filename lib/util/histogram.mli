@@ -15,9 +15,6 @@ val record : t -> int -> unit
 (** [record t v] records a non-negative value.  Negative values are
     clamped to 0. *)
 
-val record_n : t -> int -> int -> unit
-(** [record_n t v n] records [v] with multiplicity [n]. *)
-
 val count : t -> int
 
 val total : t -> float
@@ -34,6 +31,3 @@ val percentile : t -> float -> int
     p-th percentile (0 < p <= 100).  Returns 0 when empty. *)
 
 val merge : t -> t -> t
-
-val pp_summary : Format.formatter -> t -> unit
-(** Prints count, mean, p50, p95, p99, max on one line. *)

@@ -16,11 +16,6 @@ let add_row t cells =
          t.title (List.length cells) (Array.length t.columns));
   t.rev_rows <- cells :: t.rev_rows
 
-let add_rowf t fmt =
-  Format.kasprintf
-    (fun s -> add_row t (String.split_on_char '\t' s))
-    fmt
-
 let rows t = List.rev t.rev_rows
 
 let title t = t.title

@@ -14,10 +14,6 @@ val add_row : t -> string list -> unit
 (** [add_row t cells] appends a row; the cell count must match the
     column count. *)
 
-val add_rowf : t -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** [add_rowf t fmt ...] formats one row whose cells are separated by
-    ['\t'] in the format string. *)
-
 val rows : t -> string list list
 
 val title : t -> string

@@ -168,5 +168,3 @@ let serve cat stack =
   t
 
 let requests t = t.requests
-
-let bytes_served t = t.bytes_served

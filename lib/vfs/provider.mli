@@ -54,12 +54,6 @@ val content : catalog -> string -> string option
 
 val size_of : catalog -> string -> int option
 
-val dir_entries :
-  catalog -> string -> (string * Chorus_fsspec.Fsspec.kind * int) list option
-(** [dir_entries cat rel] lists directory [rel] ([""] = projection
-    root) as [(name, kind, size)], sorted by name; [None] when [rel]
-    names no directory. *)
-
 type t
 
 val serve : catalog -> Chorus_net.Stack.t -> t
@@ -80,13 +74,9 @@ val starter : t -> catalog -> Chorus_net.Stack.t -> unit -> Chorus.Fiber.t
 val requests : t -> int
 (** Requests served (lists + reads), across restarts. *)
 
-val bytes_served : t -> int
-
 val handle : catalog -> string -> string
 (** The bare request -> response function ([serve] plugs it into the
     stack) — exposed for unit tests. *)
-
-val encode_entries : (string * Chorus_fsspec.Fsspec.kind * int) list -> string
 
 val decode_entries :
   string -> (string * Chorus_fsspec.Fsspec.kind * int) list

@@ -14,9 +14,6 @@ type mix = {
 }
 (** Relative weights. *)
 
-val default_mix : mix
-(** 60 read / 25 write / 10 stat / 5 create+unlink. *)
-
 type config = {
   clients : int;
   ops_per_client : int;
@@ -31,6 +28,8 @@ type config = {
 }
 
 val default_config : config
+(** Four clients, 200 ops each, 64 files over 8 directories, Zipf 0.9,
+    a 60 read / 25 write / 10 stat / 5 create+unlink mix. *)
 
 type result = {
   total_ops : int;

@@ -13,6 +13,7 @@ module Trap = Chorus_baseline.Trap
 module Signals = Chorus_baseline.Signals
 module Flexsc = Chorus_baseline.Flexsc
 module Machipc = Chorus_baseline.Machipc
+module Svc = Chorus_svc.Svc
 
 let run ?(cores = 8) ?(policy = Policy.round_robin ()) main =
   Runtime.run (Runtime.config ~policy (Machine.mesh ~cores)) main
@@ -345,13 +346,12 @@ let test_ipc_weight_ordering () =
   let n = 200 in
   let chan =
     time (fun () ->
-        let ep = Chorus.Rpc.endpoint () in
+        let ep = Svc.create ~subsystem:"test" ~label:"null-rpc" () in
         let _s =
-          Fiber.spawn ~daemon:true (fun () ->
-              Chorus.Rpc.serve ep (fun x -> x))
+          Fiber.spawn ~daemon:true (fun () -> Svc.serve ep (fun x -> x))
         in
         for i = 1 to n do
-          ignore (Chorus.Rpc.call ep i)
+          ignore (Svc.call ep i)
         done)
   in
   let l4 =

@@ -7,8 +7,6 @@ module Runtime = Chorus.Runtime
 module Runstats = Chorus.Runstats
 module Fiber = Chorus.Fiber
 module Chan = Chorus.Chan
-module Mailbox = Chorus.Mailbox
-module Rpc = Chorus.Rpc
 module Engine = Chorus.Engine
 
 let cfg ?policy ?(cores = 4) ?(seed = 42) () =
@@ -510,33 +508,25 @@ let test_sleep_advances_time () =
   in
   ()
 
-let test_mailbox_selective () =
-  let (_ : Runstats.t) =
-    run (fun () ->
-        let mb = Mailbox.create () in
-        Mailbox.send mb (`A 1);
-        Mailbox.send mb (`B 2);
-        Mailbox.send mb (`A 3);
-        let b = Mailbox.receive mb (function `B x -> Some x | `A _ -> None) in
-        Alcotest.(check int) "selective pulled B" 2 b;
-        (match Mailbox.recv mb with
-        | `A x -> Alcotest.(check int) "stash order kept" 1 x
-        | `B _ -> Alcotest.fail "wrong order");
-        match Mailbox.recv mb with
-        | `A x -> Alcotest.(check int) "stash order kept" 3 x
-        | `B _ -> Alcotest.fail "wrong order")
-  in
-  ()
-
+(* A call as a message pair on bare channels: c <- (a, c1); r <- c1. *)
 let test_rpc_roundtrip () =
   let (_ : Runstats.t) =
     run (fun () ->
-        let ep = Rpc.endpoint () in
+        let inbox = Chan.unbounded () in
         let _server =
-          Fiber.spawn ~daemon:true (fun () -> Rpc.serve ep (fun x -> x * 2))
+          Fiber.spawn ~daemon:true (fun () ->
+              while true do
+                let x, reply = Chan.recv inbox in
+                Chan.send reply (x * 2)
+              done)
         in
-        Alcotest.(check int) "rpc" 42 (Rpc.call ep 21);
-        Alcotest.(check int) "rpc again" 10 (Rpc.call ep 5))
+        let call x =
+          let reply = Chan.buffered 1 in
+          Chan.send inbox (x, reply);
+          Chan.recv reply
+        in
+        Alcotest.(check int) "rpc" 42 (call 21);
+        Alcotest.(check int) "rpc again" 10 (call 5))
   in
   ()
 
@@ -813,8 +803,7 @@ let () =
           Alcotest.test_case "poll timeout boundary" `Quick
             test_choice_poll_timeout_boundary ] );
       ( "mailbox-rpc",
-        [ Alcotest.test_case "selective receive" `Quick test_mailbox_selective;
-          Alcotest.test_case "rpc roundtrip" `Quick test_rpc_roundtrip ] );
+        [ Alcotest.test_case "rpc roundtrip" `Quick test_rpc_roundtrip ] );
       ( "properties",
         [ qt prop_fifo_any_capacity;
           qt prop_rendezvous_conserves;

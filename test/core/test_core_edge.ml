@@ -8,8 +8,6 @@ module Runtime = Chorus.Runtime
 module Runstats = Chorus.Runstats
 module Fiber = Chorus.Fiber
 module Chan = Chorus.Chan
-module Rpc = Chorus.Rpc
-module Mailbox = Chorus.Mailbox
 module Engine = Chorus.Engine
 module Trace = Chorus.Trace
 
@@ -259,33 +257,6 @@ let test_trace_block_then_wake () =
 (* ------------------------------------------------------------------ *)
 (* misc API                                                            *)
 
-let test_rpc_serve_n () =
-  let (_ : Runstats.t) =
-    run (fun () ->
-        let ep = Rpc.endpoint () in
-        let server = Fiber.spawn (fun () -> Rpc.serve_n 3 ep (fun x -> -x)) in
-        Alcotest.(check int) "1" (-1) (Rpc.call ep 1);
-        Alcotest.(check int) "2" (-2) (Rpc.call ep 2);
-        Alcotest.(check int) "3" (-3) (Rpc.call ep 3);
-        (* the server returned after exactly three *)
-        ignore (Fiber.join server))
-  in
-  ()
-
-let test_mailbox_size_counts_stash () =
-  let (_ : Runstats.t) =
-    run (fun () ->
-        let mb = Mailbox.create () in
-        Mailbox.send mb (`A 1);
-        Mailbox.send mb (`B 2);
-        Mailbox.send mb (`A 3);
-        Alcotest.(check int) "size" 3 (Mailbox.size mb);
-        ignore
-          (Mailbox.receive mb (function `B x -> Some x | `A _ -> None));
-        Alcotest.(check int) "stash retained" 2 (Mailbox.size mb))
-  in
-  ()
-
 let test_try_recv_closed_raises () =
   let (_ : Runstats.t) =
     run (fun () ->
@@ -445,10 +416,7 @@ let () =
           Alcotest.test_case "now monotonic" `Quick
             test_engine_now_monotonic_across_ops ] );
       ( "api",
-        [ Alcotest.test_case "serve_n" `Quick test_rpc_serve_n;
-          Alcotest.test_case "mailbox size" `Quick
-            test_mailbox_size_counts_stash;
-          Alcotest.test_case "try_recv closed" `Quick
+        [ Alcotest.test_case "try_recv closed" `Quick
             test_try_recv_closed_raises;
           Alcotest.test_case "waiting counters" `Quick test_waiting_counters;
           Alcotest.test_case "double close" `Quick test_double_close_is_noop ] ) ]

@@ -1,90 +1,15 @@
-(* Tests for Par combinators and fiber priorities. *)
+(* Tests for fiber priorities. *)
 
 module Machine = Chorus_machine.Machine
 module Policy = Chorus_sched.Policy
 module Runtime = Chorus.Runtime
 module Runstats = Chorus.Runstats
 module Fiber = Chorus.Fiber
-module Par = Chorus.Par
 
 let run ?(cores = 8) main =
   Runtime.run
     (Runtime.config ~policy:(Policy.round_robin ()) (Machine.mesh ~cores))
     main
-
-let test_par_runs_all () =
-  let hits = Array.make 5 false in
-  let (_ : Runstats.t) =
-    run (fun () ->
-        Par.par (List.init 5 (fun i () -> hits.(i) <- true)))
-  in
-  Alcotest.(check bool) "all branches ran" true (Array.for_all Fun.id hits)
-
-let test_par_is_parallel () =
-  let serial =
-    run ~cores:8 (fun () ->
-        for _ = 1 to 8 do
-          Fiber.work 10_000
-        done)
-  in
-  let parallel =
-    run ~cores:8 (fun () ->
-        Par.par (List.init 8 (fun _ () -> Fiber.work 10_000)))
-  in
-  Alcotest.(check bool) "parallel is faster" true
-    (parallel.Runstats.makespan * 3 < serial.Runstats.makespan)
-
-let test_par_propagates_crash () =
-  let second_ran = ref false in
-  let (_ : Runstats.t) =
-    run (fun () ->
-        match
-          Par.par
-            [ (fun () -> failwith "branch boom");
-              (fun () ->
-                Fiber.work 100;
-                second_ran := true) ]
-        with
-        | () -> Alcotest.fail "crash swallowed"
-        | exception Par.Branch_failed (label, Failure m) ->
-          Alcotest.(check string) "label" "par-0" label;
-          Alcotest.(check string) "payload" "branch boom" m
-        | exception _ -> Alcotest.fail "wrong exception")
-  in
-  Alcotest.(check bool) "other branches still completed" true !second_ran
-
-let test_par_map_order () =
-  let (_ : Runstats.t) =
-    run (fun () ->
-        let out = Par.par_map (fun x -> x * x) [ 1; 2; 3; 4; 5 ] in
-        Alcotest.(check (list int)) "ordered" [ 1; 4; 9; 16; 25 ] out)
-  in
-  ()
-
-let test_race_first_wins () =
-  let (_ : Runstats.t) =
-    run (fun () ->
-        let v =
-          Par.race
-            [ (fun () ->
-                Fiber.sleep 50_000;
-                "slow");
-              (fun () ->
-                Fiber.sleep 1_000;
-                "fast") ]
-        in
-        Alcotest.(check string) "fastest branch" "fast" v)
-  in
-  ()
-
-let test_race_all_crash () =
-  let (_ : Runstats.t) =
-    run (fun () ->
-        match Par.race [ (fun () -> failwith "a"); (fun () -> failwith "b") ] with
-        | _ -> Alcotest.fail "expected crash"
-        | exception Failure _ -> ())
-  in
-  ()
 
 let test_priority_jumps_queue () =
   let order = ref [] in
@@ -102,14 +27,5 @@ let test_priority_jumps_queue () =
 
 let () =
   Alcotest.run "chorus-par"
-    [ ( "par",
-        [ Alcotest.test_case "runs all" `Quick test_par_runs_all;
-          Alcotest.test_case "is parallel" `Quick test_par_is_parallel;
-          Alcotest.test_case "propagates crash" `Quick
-            test_par_propagates_crash;
-          Alcotest.test_case "par_map order" `Quick test_par_map_order ] );
-      ( "race",
-        [ Alcotest.test_case "first wins" `Quick test_race_first_wins;
-          Alcotest.test_case "all crash" `Quick test_race_all_crash ] );
-      ( "priority",
+    [ ( "priority",
         [ Alcotest.test_case "jumps queue" `Quick test_priority_jumps_queue ] ) ]

@@ -133,6 +133,62 @@ let test_e7_channels_beat_signals () =
     Alcotest.(check bool) "signals waste work" true (signal_waste > 0.0)
   | _ -> Alcotest.fail "e7 shape"
 
+(* the cells of the row whose first column reads [name] *)
+let row_named table name =
+  match List.find_opt (fun r -> List.hd r = name) (Tablefmt.rows table) with
+  | Some r -> r
+  | None -> Alcotest.failf "no row %S in %s" name (Tablefmt.title table)
+
+let test_e2_entry_mechanisms () =
+  match run_tables "e2" with
+  | [ t ] ->
+    let col c name = float_of_string (List.nth (row_named t name) c) in
+    let lat = col 1 and tput = col 2 in
+    let hw = lat "message (hw support)"
+    and sw = lat "message (sw)"
+    and trap = lat "trap per call" in
+    Alcotest.(check bool)
+      (Printf.sprintf "latency: hw msg (%.1f) < sw msg (%.1f) < trap (%.1f)"
+         hw sw trap)
+      true
+      (hw < sw && sw < trap);
+    Alcotest.(check bool) "throughput: trap > sw msg" true
+      (tput "trap per call" > tput "message (sw)");
+    let best = tput "flexsc batch=32" in
+    List.iter
+      (fun r ->
+        Alcotest.(check bool)
+          (Printf.sprintf "flexsc batch=32 (%.1f) >= %s" best (List.hd r))
+          true
+          (best >= float_of_string (List.nth r 2)))
+      (Tablefmt.rows t)
+  | _ -> Alcotest.fail "e2 shape"
+
+let test_e10_supervision_availability () =
+  match run_tables "e10" with
+  | [ t ] ->
+    let avail interval posture =
+      match
+        List.find_opt
+          (fun r -> List.nth r 0 = interval && List.nth r 1 = posture)
+          (Tablefmt.rows t)
+      with
+      | Some r -> float_of_string (List.nth r 4)
+      | None -> Alcotest.failf "e10: no row %s/%s" interval posture
+    in
+    List.iter
+      (fun interval ->
+        let none = avail interval "none (fail-stop)"
+        and one = avail interval "one_for_one"
+        and all = avail interval "one_for_all" in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: one_for_one %.5f > none %.5f, >= %.5f, >= 0.99"
+             interval one none all)
+          true
+          (one > none && one >= all && one >= 0.99))
+      [ "400000"; "100000"; "25000" ]
+  | _ -> Alcotest.fail "e10 shape"
+
 let test_e18_weight_ordering () =
   match run_tables "e18" with
   | [ t ] ->
@@ -162,4 +218,8 @@ let () =
           Alcotest.test_case "e7 signals waste" `Quick
             test_e7_channels_beat_signals;
           Alcotest.test_case "e18 weight classes" `Quick
-            test_e18_weight_ordering ] ) ]
+            test_e18_weight_ordering;
+          Alcotest.test_case "e2 entry mechanisms" `Quick
+            test_e2_entry_mechanisms;
+          Alcotest.test_case "e10 supervision availability" `Quick
+            test_e10_supervision_availability ] ) ]

@@ -9,6 +9,7 @@ module Runtime = Chorus.Runtime
 module Runstats = Chorus.Runstats
 module Fiber = Chorus.Fiber
 module Chan = Chorus.Chan
+module Svc = Chorus_svc.Svc
 module Fsspec = Chorus_fsspec.Fsspec
 module Fsmodel = Chorus_fsspec.Fsmodel
 module Blockdev = Chorus_kernel.Blockdev
@@ -21,7 +22,6 @@ module Supervisor = Chorus_kernel.Supervisor
 module Console = Chorus_kernel.Console
 module Proc = Chorus_kernel.Proc
 module Kernel = Chorus_kernel.Kernel
-module Sensors = Chorus_kernel.Sensors
 module Shvfs = Chorus_baseline.Shvfs
 
 let run ?(cores = 8) ?(policy = Policy.round_robin ()) ?(seed = 42) main =
@@ -681,29 +681,24 @@ let test_vm_thread_per_page () =
 
 let crashing_echo ~crash_on ep () =
   Fiber.spawn ~label:"echo-svc" ~daemon:true (fun () ->
-      let rec loop () =
-        let v, reply = Chan.recv ep in
-        if v = crash_on then failwith "service bug";
-        Chan.send reply (v * 2);
-        loop ()
-      in
-      loop ())
+      Svc.serve ep (fun v ->
+          if v = crash_on then failwith "service bug";
+          v * 2))
 
 let test_supervisor_restart () =
   let (_ : Runstats.t) =
     run (fun () ->
-        let ep = Chorus.Rpc.endpoint ~label:"echo" () in
+        let ep = Svc.create ~subsystem:"test" ~label:"echo" () in
         let sup =
           Supervisor.start Supervisor.One_for_one
             [ { Supervisor.cname = "echo";
                 cstart = crashing_echo ~crash_on:13 ep } ]
         in
         Fiber.sleep 1_000;
-        Alcotest.(check int) "service works" 4 (Chorus.Rpc.call ep 2);
+        Alcotest.(check int) "service works" 4 (Svc.call ep 2);
         (* crash it: the request (and its reply) is lost, so the caller
            needs a timeout arm — which is exactly what choice is for *)
-        let reply = Chan.buffered 1 in
-        Chan.send ep (13, reply);
+        let reply = Svc.call_async ep 13 in
         let timed_out =
           Chan.choose
             [ Chan.recv_case reply (fun _ -> false);
@@ -711,8 +706,7 @@ let test_supervisor_restart () =
         in
         Alcotest.(check bool) "crashed request lost" true timed_out;
         Fiber.sleep 100_000;
-        Alcotest.(check int) "restarted, same endpoint" 10
-          (Chorus.Rpc.call ep 5);
+        Alcotest.(check int) "restarted, same endpoint" 10 (Svc.call ep 5);
         Alcotest.(check int) "one restart" 1 (Supervisor.restarts sup);
         Alcotest.(check bool) "did not give up" false (Supervisor.gave_up sup))
   in
@@ -893,61 +887,6 @@ let test_supervisor_window_prunes_old_crashes () =
   in
   ()
 
-let test_sensors_publish () =
-  let (_ : Runstats.t) =
-    run (fun () ->
-        let hub = Notify.start () in
-        let thermal =
-          Notify.subscribe_filtered hub (function
-            | Notify.Thermal _ -> true
-            | _ -> false)
-        in
-        let power =
-          Notify.subscribe_filtered hub (function
-            | Notify.Power _ -> true
-            | _ -> false)
-        in
-        let s =
-          Sensors.start
-            ~config:
-              { Sensors.default_config with
-                period = 1_000;
-                samples = 14;
-                power_every = 7 }
-            hub
-        in
-        Fiber.sleep 100_000;
-        Alcotest.(check int) "all samples" 14 (Sensors.samples_taken s);
-        Alcotest.(check int) "thermal events" 14 (Chan.length thermal);
-        Alcotest.(check int) "power every 7th" 2 (Chan.length power);
-        (* temperatures stay within the configured swing *)
-        for _ = 1 to 14 do
-          match Chan.recv thermal with
-          | Notify.Thermal v ->
-            Alcotest.(check bool) "bounded" true (v >= 45 && v <= 75)
-          | _ -> Alcotest.fail "wrong event"
-        done)
-  in
-  ()
-
-let test_sensors_stop () =
-  let (_ : Runstats.t) =
-    run (fun () ->
-        let hub = Notify.start () in
-        let s =
-          Sensors.start
-            ~config:{ Sensors.default_config with period = 1_000; samples = 0 }
-            hub
-        in
-        Fiber.sleep 5_500;
-        Sensors.stop s;
-        let at_stop = Sensors.samples_taken s in
-        Fiber.sleep 20_000;
-        Alcotest.(check int) "no samples after stop" at_stop
-          (Sensors.samples_taken s))
-  in
-  ()
-
 (* ------------------------------------------------------------------ *)
 (* Proc, console, kernel boot                                          *)
 
@@ -1062,9 +1001,6 @@ let () =
             test_supervisor_escalation_kills_siblings;
           Alcotest.test_case "window prunes old crashes" `Quick
             test_supervisor_window_prunes_old_crashes ] );
-      ( "sensors",
-        [ Alcotest.test_case "publishes" `Quick test_sensors_publish;
-          Alcotest.test_case "stop" `Quick test_sensors_stop ] );
       ( "proc-console-kernel",
         [ Alcotest.test_case "proc table" `Quick test_proc_spawn_wait;
           Alcotest.test_case "console order" `Quick test_console_order;

@@ -30,6 +30,78 @@ let test_roundtrip () =
   in
   ()
 
+(* The reference for the default endpoint: the paper's
+   "c <- (a, c1); r <- c1" written out by hand, an unbounded inbox and
+   a fresh [Chan.buffered 1] reply per call.  One client on core 0
+   makes [pair_calls] calls to a server on core 1; odd calls wait under
+   a choice with a timeout arm, the shape E10's clients use, and every
+   seventh request blocks the server long enough for that arm to
+   fire. *)
+let pair_calls = 40
+
+let pair_timeout = 20_000
+
+let pair_handler x =
+  if x mod 7 = 3 then Fiber.sleep (3 * pair_timeout);
+  Fiber.work 500;
+  x * 3
+
+(* [setup ()] starts the server and returns the plain and the timed
+   client call. *)
+let run_pair setup =
+  run_result (fun () ->
+      let call, call_timed = setup () in
+      let out = ref [] in
+      for i = 0 to pair_calls - 1 do
+        let v = if i mod 2 = 0 then call i else call_timed i in
+        out := v :: !out
+      done;
+      List.rev !out)
+
+let via_bare_pair () =
+  run_pair (fun () ->
+      let c = Chan.unbounded ~label:"pair" () in
+      ignore
+        (Fiber.spawn ~on:1 ~label:"pair" ~daemon:true (fun () ->
+             let rec loop () =
+               let a, c1 = Chan.recv c in
+               Chan.send c1 (pair_handler a);
+               loop ()
+             in
+             loop ()));
+      let send a =
+        let c1 = Chan.buffered 1 in
+        Chan.send c (a, c1);
+        c1
+      in
+      ( (fun a -> Chan.recv (send a)),
+        fun a ->
+          Chan.choose
+            [ Chan.recv_case (send a) Fun.id;
+              Chan.after pair_timeout (fun () -> -1) ] ))
+
+let via_svc () =
+  run_pair (fun () ->
+      let ep = Svc.create ~subsystem:"test" ~label:"pair" () in
+      ignore (Svc.start ~on:1 ep pair_handler);
+      ( Svc.call ep,
+        fun a ->
+          Chan.choose
+            [ Chan.recv_case (Svc.call_async ep a) (function
+                | `Ok v -> v
+                | `Busy -> -2);
+              Chan.after pair_timeout (fun () -> -1) ] ))
+
+let test_default_matches_bare_pair () =
+  let bare, bare_stats = via_bare_pair () in
+  let svc, svc_stats = via_svc () in
+  Alcotest.(check (list int)) "same replies" bare svc;
+  Alcotest.(check bool) "the timeout arm fired" true (List.mem (-1) svc);
+  Alcotest.(check bool) "replies arrived" true (List.mem 3 svc);
+  Alcotest.check
+    (Alcotest.testable Runstats.pp ( = ))
+    "same run statistics" bare_stats svc_stats
+
 let test_validate () =
   Alcotest.check_raises "reject needs a capacity"
     (Invalid_argument "Svc: `Reject/`Shed_oldest need a capacity >= 1")
@@ -225,7 +297,9 @@ let () =
   Alcotest.run "chorus-svc"
     [ ( "endpoint",
         [ Alcotest.test_case "round-trip" `Quick test_roundtrip;
-          Alcotest.test_case "config validation" `Quick test_validate ] );
+          Alcotest.test_case "config validation" `Quick test_validate;
+          Alcotest.test_case "default endpoint matches bare channel pair"
+            `Quick test_default_matches_bare_pair ] );
       ( "overload",
         [ Alcotest.test_case "reject answers busy without the handler"
             `Quick test_reject_busy_without_handler;

@@ -1,11 +1,10 @@
 (* Tests for the utility substrate: RNG, priority queue, deque,
-   histograms, stats, Zipf, table formatting. *)
+   histograms, Zipf, table formatting. *)
 
 module Rng = Chorus_util.Rng
 module Pqueue = Chorus_util.Pqueue
 module Deque = Chorus_util.Deque
 module Histogram = Chorus_util.Histogram
-module Stats = Chorus_util.Stats
 module Zipf = Chorus_util.Zipf
 module Rcu = Chorus_util.Rcu
 module Tablefmt = Chorus_util.Tablefmt
@@ -416,33 +415,6 @@ let prop_histogram_dense_model =
       && same x && same y)
 
 (* ------------------------------------------------------------------ *)
-(* Stats                                                               *)
-
-let test_stats_welford () =
-  let s = Stats.create () in
-  List.iter (Stats.add s) [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
-  Alcotest.(check int) "count" 8 (Stats.count s);
-  Alcotest.(check (float 1e-9)) "mean" 5.0 (Stats.mean s);
-  Alcotest.(check (float 1e-9)) "variance" (32.0 /. 7.0) (Stats.variance s);
-  Alcotest.(check (float 1e-9)) "min" 2.0 (Stats.min s);
-  Alcotest.(check (float 1e-9)) "max" 9.0 (Stats.max s)
-
-let prop_stats_merge_equals_sequential =
-  QCheck.Test.make ~name:"merge(a,b) == sequential" ~count:100
-    QCheck.(pair (list (float_range (-100.) 100.)) (list (float_range (-100.) 100.)))
-    (fun (xs, ys) ->
-      let a = Stats.create () and b = Stats.create () and s = Stats.create () in
-      List.iter (Stats.add a) xs;
-      List.iter (Stats.add b) ys;
-      List.iter (Stats.add s) (xs @ ys);
-      let m = Stats.merge a b in
-      Stats.count m = Stats.count s
-      && (Stats.count s = 0
-         || Float.abs (Stats.mean m -. Stats.mean s) < 1e-6)
-      && (Stats.count s < 2
-         || Float.abs (Stats.variance m -. Stats.variance s) < 1e-4))
-
-(* ------------------------------------------------------------------ *)
 (* Zipf                                                                *)
 
 let test_zipf_skew () =
@@ -561,9 +533,6 @@ let () =
           Alcotest.test_case "footprint" `Quick test_histogram_footprint;
           qt prop_histogram_percentile_bounded;
           qt prop_histogram_dense_model ] );
-      ( "stats",
-        [ Alcotest.test_case "welford" `Quick test_stats_welford;
-          qt prop_stats_merge_equals_sequential ] );
       ( "zipf",
         [ Alcotest.test_case "skew" `Quick test_zipf_skew;
           Alcotest.test_case "uniform at theta 0" `Quick
