@@ -6,14 +6,6 @@ type t
 
 val create : ?label:string -> unit -> t
 
-val acquire_read : t -> unit
-
-val release_read : t -> unit
-
-val acquire_write : t -> unit
-
-val release_write : t -> unit
-
 val with_read : t -> (unit -> 'a) -> 'a
 
 val with_write : t -> (unit -> 'a) -> 'a

@@ -2,7 +2,6 @@ module Fiber = Chorus.Fiber
 module Chan = Chorus.Chan
 module Stack = Chorus_net.Stack
 module Rng = Chorus_util.Rng
-module Rcu = Chorus_util.Rcu
 module Metrics = Chorus_obs.Metrics
 module Span = Chorus_obs.Span
 
@@ -35,9 +34,11 @@ type t = {
          its remaining attempts *)
   breakers : (int, node_breaker) Hashtbl.t;  (* node addr -> breaker *)
   rng : Rng.t;
-  map : Shardmap.snapshot option Rcu.t;
-      (* RCU-published routing snapshot: the op hot path reads it
-         lock-free; a stale-map verdict publishes a fresh one *)
+  mutable map : Shardmap.snapshot option;
+      (* immutable routing snapshot, replaced whole: a stale-map
+         verdict retracts it and the next lookup publishes a fresh
+         one *)
+  mutable map_publishes : int;
   hints : (int, int) Hashtbl.t;  (* shard -> last known leader *)
   mutable retries : int;
   mutable redirects : int;
@@ -79,7 +80,8 @@ let create ?(attempts = 10) ?(call_timeout = 60_000) ?breaker ?op_budget ~seed
       op_budget;
       breakers = Hashtbl.create 8;
       rng = Rng.make (seed lxor (0x0c11e47 + (977 * Stack.addr stack)));
-      map = Rcu.make None;
+      map = None;
+      map_publishes = 0;
       hints = Hashtbl.create 8;
       retries = 0;
       redirects = 0;
@@ -110,8 +112,8 @@ let create ?(attempts = 10) ?(call_timeout = 60_000) ?breaker ?op_budget ~seed
           ("redirects", Int t.redirects);
           ("failed", Int t.failed);
           ("map_version",
-           Int (match Rcu.peek t.map with None -> 0 | Some m -> Shardmap.version m));
-          ("map_publishes", Int (Rcu.publishes t.map));
+           Int (match t.map with None -> 0 | Some m -> Shardmap.version m));
+          ("map_publishes", Int t.map_publishes);
           ("pipeline_depth", Int t.pipe_depth);
           ("inflight", Int t.inflight);
           ("inflight_hwm", Int t.inflight_hwm);
@@ -212,8 +214,6 @@ let redirects t = t.redirects
 
 let ops_failed t = t.failed
 
-let map_publishes t = Rcu.publishes t.map
-
 let breaker_trips t = t.trips
 
 let breaker_skips t = t.breaker_skips
@@ -248,13 +248,18 @@ let fetch_map t =
   in
   try_nodes t.bootstrap
 
+(* Replace the routing snapshot whole (a retraction counts too). *)
+let publish_map t m =
+  t.map <- m;
+  t.map_publishes <- t.map_publishes + 1
+
 let rec ensure_map t n =
-  match Rcu.read t.map with
+  match t.map with
   | Some m -> Some m
   | None -> (
     match fetch_map t with
     | Some m ->
-      Rcu.publish t.map (Some m);
+      publish_map t (Some m);
       Some m
     | None ->
       if n + 1 >= t.attempts then None
@@ -402,7 +407,7 @@ let operation t ~key ~req =
           | 'X' ->
             (* wrong node: our map is stale — retract the snapshot and
                publish a freshly fetched one *)
-            Rcu.publish t.map None;
+            publish_map t None;
             (match ensure_map t 0 with Some _ -> () | None -> ());
             rotate ();
             retry ()

@@ -59,10 +59,6 @@ val redirects : t -> int
 val ops_failed : t -> int
 (** Operations that exhausted every attempt ([`Net_fail]). *)
 
-val map_publishes : t -> int
-(** Fresh shardmap snapshots published (initial fetch + every
-    stale-map refetch). *)
-
 (** {1 Breaker introspection} *)
 
 val breaker_state : t -> int -> breaker_state

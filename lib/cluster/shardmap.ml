@@ -85,8 +85,8 @@ let replicas t shard = t.groups.(shard)
 
 (* Pure routing over a snapshot: key -> preferred replica.  No state
    is consulted beyond the immutable map value, so this is safe to
-   call against an RCU-published snapshot from any fiber and trivial
-   to exercise in tests without a live cluster. *)
+   call against a held snapshot from any fiber and trivial to
+   exercise in tests without a live cluster. *)
 type snapshot = t
 
 let lookup_in snap key = snap.groups.(hash64 key mod snap.nshards).(0)

@@ -30,15 +30,15 @@ val nodes : t -> int list
 val shard_of_key : t -> string -> int
 
 type snapshot = t
-(** A map value used as an immutable routing snapshot (what
-    {!Chorus_util.Rcu} cells publish).  Every [t] already is one —
-    the alias names the role. *)
+(** A map value used as an immutable routing snapshot (what a
+    cluster client holds and replaces whole).  Every [t] already is
+    one — the alias names the role. *)
 
 val lookup_in : snapshot -> string -> int
 (** [lookup_in snap key] is the preferred replica for [key]'s shard —
     a pure function of the snapshot alone, so routing can be tested
-    without a live cluster and hot paths can call it against an
-    RCU-published snapshot without any lock. *)
+    without a live cluster and hot paths can call it against a held
+    snapshot without any lock. *)
 
 val replicas : t -> int -> int array
 (** [replicas t shard]: the shard's replica group, preferred node

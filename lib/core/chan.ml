@@ -7,31 +7,66 @@ exception Closed
 
 type capacity = Rendezvous | Bounded of int | Unbounded
 
-(* A waiting (blocked or choice-registered) receiver.  [live] is a
-   non-destructive staleness probe; [claim] consumes the offer and
-   returns false when it had gone stale (its choice committed
-   elsewhere, or its fiber was killed).  After a successful [claim],
-   exactly one of [deliver]/[abort] must be invoked. *)
-type 'a rx = {
-  rx_live : unit -> bool;
-  rx_claim : unit -> bool;
-  rx_deliver : time:int -> 'a -> unit;
-  rx_abort : time:int -> exn -> unit;
-  rx_core : int;
-  rx_time : int;
-}
+(* A waiting party: a blocked send or recv, or one arm of a blocked
+   choose.  The arms of one choice share one commit cell: the first
+   partner (or timer) to claim any of them wins and the rest go stale.
+   A plain send or recv has a cell of its own.  The waiting fiber
+   resumes with [resume v], where [v] is the value a receiver takes or
+   the unit a sender gets once its value is taken.  A sender's offer
+   carries its value and payload size; a receiver's carries [()]. *)
+type ('v, 'p) offer =
+  | Offer : {
+      cell : bool ref;
+      waker : 'k Engine.waker;
+      resume : 'v -> 'k;
+      core : int;
+      time : int;
+      value : 'p;
+      words : int;
+    }
+      -> ('v, 'p) offer
 
-(* A waiting sender together with the value it offers. *)
-type 'a tx = {
-  tx_live : unit -> bool;
-  tx_claim : unit -> bool;
-  tx_val : 'a;
-  tx_words : int;
-  tx_core : int;
-  tx_time : int;
-  tx_done : time:int -> unit;
-  tx_abort : time:int -> exn -> unit;
-}
+let offer ?(cell = ref false) ?(words = 0) waker ~resume ~core ~time value =
+  Offer { cell; waker; resume; core; time; value; words }
+
+(* Live: not yet claimed, and its fiber still waits (not woken or
+   killed).  A successful [claim] must be followed by exactly one
+   [wake] or [abort]. *)
+let live (Offer o) = (not !(o.cell)) && Engine.waker_live o.waker
+
+let claim (Offer o as x) =
+  live x
+  && begin
+    o.cell := true;
+    true
+  end
+
+let wake (Offer o) ~time v = Engine.wake_at o.waker time (o.resume v)
+
+let abort (Offer o) ~time e = Engine.wake_err_at o.waker time e
+
+(* Claim the first live offer, discarding stale ones. *)
+let rec pop_live q =
+  match Deque.pop_front q with
+  | None -> None
+  | Some o -> if claim o then Some o else pop_live q
+
+(* Non-destructive probe: prune stale offers at the front, report
+   whether a live one remains. *)
+let rec some_live q =
+  match Deque.peek_front q with
+  | None -> false
+  | Some o ->
+    live o
+    || begin
+      ignore (Deque.pop_front q);
+      some_live q
+    end
+
+let count_live q =
+  let n = ref 0 in
+  Deque.iter (fun o -> if live o then incr n) q;
+  !n
 
 type 'a slot = { sl_val : 'a; sl_words : int; sl_core : int; sl_time : int }
 
@@ -40,10 +75,14 @@ type 'a t = {
   chlabel : string;
   cap : capacity;
   buf : 'a slot Queue.t;
-  txq : 'a tx Deque.t;
-  rxq : 'a rx Deque.t;
+  txq : (unit, 'a) offer Deque.t;
+  rxq : ('a, unit) offer Deque.t;
   mutable closed : bool;
 }
+
+let waiting_senders c = count_live c.txq
+
+let waiting_receivers c = count_live c.rxq
 
 let make_chan cap label =
   let eng = Engine.current () in
@@ -64,9 +103,6 @@ let make_chan cap label =
   | Some _ ->
     Inspect.register ~name:(Printf.sprintf "chan/%s#%d" c.chlabel c.chid)
       (fun () ->
-        let live_tx = ref 0 and live_rx = ref 0 in
-        Deque.iter (fun tx -> if tx.tx_live () then incr live_tx) c.txq;
-        Deque.iter (fun rx -> if rx.rx_live () then incr live_rx) c.rxq;
         Inspect.Assoc
           [ ("queued", Inspect.Int (Queue.length c.buf));
             ("capacity",
@@ -75,8 +111,8 @@ let make_chan cap label =
                | Rendezvous -> 0
                | Bounded n -> n
                | Unbounded -> -1));
-            ("waiting_senders", Inspect.Int !live_tx);
-            ("waiting_receivers", Inspect.Int !live_rx);
+            ("waiting_senders", Inspect.Int (waiting_senders c));
+            ("waiting_receivers", Inspect.Int (waiting_receivers c));
             ("closed", Inspect.Bool c.closed) ]));
   c
 
@@ -96,48 +132,11 @@ let is_closed c = c.closed
 
 let length c = Queue.length c.buf
 
-let waiting_senders c =
-  let n = ref 0 in
-  Deque.iter (fun tx -> if tx.tx_live () then incr n) c.txq;
-  !n
-
-let waiting_receivers c =
-  let n = ref 0 in
-  Deque.iter (fun rx -> if rx.rx_live () then incr n) c.rxq;
-  !n
-
-(* Claim the first live offer, discarding stale ones. *)
-let rec pop_live_rx c =
-  match Deque.pop_front c.rxq with
-  | None -> None
-  | Some rx -> if rx.rx_claim () then Some rx else pop_live_rx c
-
-let rec pop_live_tx c =
-  match Deque.pop_front c.txq with
-  | None -> None
-  | Some tx -> if tx.tx_claim () then Some tx else pop_live_tx c
-
-(* Non-destructive probe: prune stale entries at the front, report
-   whether a live one remains. *)
-let rec some_live_rx c =
-  match Deque.peek_front c.rxq with
-  | None -> false
-  | Some rx ->
-    if rx.rx_live () then true
-    else begin
-      ignore (Deque.pop_front c.rxq);
-      some_live_rx c
-    end
-
-let rec some_live_tx c =
-  match Deque.peek_front c.txq with
-  | None -> false
-  | Some tx ->
-    if tx.tx_live () then true
-    else begin
-      ignore (Deque.pop_front c.txq);
-      some_live_tx c
-    end
+let has_room c =
+  match c.cap with
+  | Unbounded -> true
+  | Bounded n -> Queue.length c.buf < n
+  | Rendezvous -> false
 
 (* ------------------------------------------------------------------ *)
 (* Cost accounting                                                     *)
@@ -164,89 +163,24 @@ let charge_send_side eng ~words =
   let c = Engine.costs eng in
   Engine.charge eng (c.Cost.msg_inject + (words * c.Cost.msg_per_word))
 
-(* When a buffered slot frees, promote the first waiting sender's
-   value into the buffer and unblock that sender. *)
-let refill eng c ~time =
-  match c.cap with
-  | Bounded n when Queue.length c.buf < n -> begin
-    match pop_live_tx c with
-    | None -> ()
-    | Some tx ->
-      Queue.push
-        { sl_val = tx.tx_val; sl_words = tx.tx_words; sl_core = tx.tx_core;
-          sl_time = time }
-        c.buf;
-      ignore eng;
-      tx.tx_done ~time
-  end
-  | Bounded _ | Rendezvous | Unbounded -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Plain-operation offers (a private one-shot cell per offer)          *)
-
-let plain_rx eng w ~core ~time =
-  ignore eng;
-  let claimed = ref false in
-  { rx_live = (fun () -> (not !claimed) && Engine.waker_live w);
-    rx_claim =
-      (fun () ->
-        if (not !claimed) && Engine.waker_live w then begin
-          claimed := true;
-          true
-        end
-        else false);
-    rx_deliver = (fun ~time v -> Engine.wake_at w time v);
-    rx_abort = (fun ~time e -> Engine.wake_err_at w time e);
-    rx_core = core;
-    rx_time = time }
-
-let plain_tx eng w ~v ~words ~core ~time =
-  ignore eng;
-  let claimed = ref false in
-  { tx_live = (fun () -> (not !claimed) && Engine.waker_live w);
-    tx_claim =
-      (fun () ->
-        if (not !claimed) && Engine.waker_live w then begin
-          claimed := true;
-          true
-        end
-        else false);
-    tx_val = v;
-    tx_words = words;
-    tx_core = core;
-    tx_time = time;
-    tx_done = (fun ~time -> Engine.wake_at w time ());
-    tx_abort = (fun ~time e -> Engine.wake_err_at w time e) }
-
 (* ------------------------------------------------------------------ *)
 (* Send                                                                *)
 
-let deliver_to_rx eng rx ~src_core ~send_time v =
-  let lat = transit eng ~src:src_core ~dst:rx.rx_core in
-  let completion = max send_time rx.rx_time + lat in
-  rx.rx_deliver ~time:completion v
+(* A send completes without blocking when a live receiver waits or the
+   buffer has room. *)
+let can_send c = some_live c.rxq || has_room c
 
-let send_fast eng c v ~words ~src ~ts =
-  (* returns true when the send completed without blocking *)
-  match pop_live_rx c with
-  | Some rx ->
-    count_message eng c ~src ~dst:rx.rx_core ~words;
-    deliver_to_rx eng rx ~src_core:src ~send_time:ts v;
-    true
+(* Complete a send [can_send] allows: hand the value to the first live
+   receiver, or else buffer it. *)
+let deliver eng c v ~words ~src ~ts =
+  match pop_live c.rxq with
+  | Some (Offer rx as o) ->
+    count_message eng c ~src ~dst:rx.core ~words;
+    wake o ~time:(max ts rx.time + transit eng ~src ~dst:rx.core) v
   | None ->
-    let room =
-      match c.cap with
-      | Unbounded -> true
-      | Bounded n -> Queue.length c.buf < n
-      | Rendezvous -> false
-    in
-    if room then begin
-      Queue.push { sl_val = v; sl_words = words; sl_core = src; sl_time = ts }
-        c.buf;
-      count_message eng c ~src ~dst:src ~words;
-      true
-    end
-    else false
+    Queue.push { sl_val = v; sl_words = words; sl_core = src; sl_time = ts }
+      c.buf;
+    count_message eng c ~src ~dst:src ~words
 
 let send ?(words = 2) c v =
   let eng = Engine.current () in
@@ -254,30 +188,24 @@ let send ?(words = 2) c v =
   charge_send_side eng ~words;
   let src = Engine.fiber_core (Engine.self eng) in
   let ts = Engine.now eng in
-  if not (send_fast eng c v ~words ~src ~ts) then
+  if can_send c then deliver eng c v ~words ~src ~ts
+  else
     Engine.suspend eng ~tag:("send:" ^ c.chlabel) (fun w ->
-        Deque.push_back c.txq (plain_tx eng w ~v ~words ~core:src ~time:ts))
+        Deque.push_back c.txq
+          (offer w ~resume:Fun.id ~core:src ~time:ts ~words v))
 
+(* Unlike [send], stamps the message before the send-side charge. *)
 let try_send ?(words = 2) c v =
   let eng = Engine.current () in
   if c.closed then raise Closed;
   let src = Engine.fiber_core (Engine.self eng) in
   let ts = Engine.now eng in
-  let can =
-    some_live_rx c
-    ||
-    match c.cap with
-    | Unbounded -> true
-    | Bounded n -> Queue.length c.buf < n
-    | Rendezvous -> false
-  in
-  if can then begin
+  can_send c
+  && begin
     charge_send_side eng ~words;
-    let ok = send_fast eng c v ~words ~src ~ts in
-    assert ok;
+    deliver eng c v ~words ~src ~ts;
     true
   end
-  else false
 
 (* ------------------------------------------------------------------ *)
 (* Receive                                                             *)
@@ -285,74 +213,71 @@ let try_send ?(words = 2) c v =
 (* A value is available if something is buffered, a live sender waits,
    or the channel is closed (in which case consuming raises). *)
 let recv_ready c =
-  (not (Queue.is_empty c.buf)) || some_live_tx c || c.closed
+  (not (Queue.is_empty c.buf)) || some_live c.txq || c.closed
 
-let recv_fast eng c ~me ~tr =
-  (* call only when [recv_ready]; completes the receive and returns the
-     value, raising [Closed] on a drained closed channel *)
+(* Complete a receive [recv_ready] allows, raising [Closed] on a
+   drained closed channel.  A freed buffer slot takes the first live
+   sender's value. *)
+let recv_fast eng c =
+  let me = Engine.fiber_core (Engine.self eng) in
+  let tr = Engine.now eng in
   if not (Queue.is_empty c.buf) then begin
     let sl = Queue.pop c.buf in
     let completion = max tr sl.sl_time + transit eng ~src:sl.sl_core ~dst:me in
     Engine.charge eng (completion - tr);
-    refill eng c ~time:completion;
+    (if has_room c then
+       match pop_live c.txq with
+       | None -> ()
+       | Some (Offer tx as o) ->
+         Queue.push
+           { sl_val = tx.value; sl_words = tx.words; sl_core = tx.core;
+             sl_time = completion }
+           c.buf;
+         wake o ~time:completion ());
     Engine.emit eng (Trace.Recv { chan = c.chid });
     sl.sl_val
   end
   else
-    match pop_live_tx c with
-    | Some tx ->
-      let completion = max tr tx.tx_time + transit eng ~src:tx.tx_core ~dst:me in
+    match pop_live c.txq with
+    | Some (Offer tx as o) ->
+      let completion = max tr tx.time + transit eng ~src:tx.core ~dst:me in
       Engine.charge eng (completion - tr);
-      count_message eng c ~src:tx.tx_core ~dst:me ~words:tx.tx_words;
-      tx.tx_done ~time:completion;
+      count_message eng c ~src:tx.core ~dst:me ~words:tx.words;
+      wake o ~time:completion ();
       Engine.emit eng (Trace.Recv { chan = c.chid });
-      tx.tx_val
+      tx.value
     | None ->
-      if c.closed then raise Closed
-      else failwith "Chan.recv_fast: not ready"
+      if c.closed then raise Closed else failwith "Chan.recv_fast: not ready"
 
 let recv c =
   let eng = Engine.current () in
-  let me = Engine.fiber_core (Engine.self eng) in
-  let tr = Engine.now eng in
-  if recv_ready c then recv_fast eng c ~me ~tr
+  if recv_ready c then recv_fast eng c
   else
+    let me = Engine.fiber_core (Engine.self eng) in
+    let tr = Engine.now eng in
     Engine.suspend eng ~tag:("recv:" ^ c.chlabel) (fun w ->
-        Deque.push_back c.rxq (plain_rx eng w ~core:me ~time:tr))
+        Deque.push_back c.rxq (offer w ~resume:Fun.id ~core:me ~time:tr ()))
 
 let try_recv c =
   let eng = Engine.current () in
-  let me = Engine.fiber_core (Engine.self eng) in
-  let tr = Engine.now eng in
-  if not (Queue.is_empty c.buf) || some_live_tx c then
-    Some (recv_fast eng c ~me ~tr)
-  else if c.closed then raise Closed
-  else None
+  if recv_ready c then Some (recv_fast eng c) else None
 
 (* ------------------------------------------------------------------ *)
 (* Close                                                               *)
 
+let rec abort_all q ~time =
+  match pop_live q with
+  | None -> ()
+  | Some o ->
+    abort o ~time Closed;
+    abort_all q ~time
+
 let close c =
   if not c.closed then begin
-    let eng = Engine.current () in
-    let t = Engine.now eng in
+    let time = Engine.now (Engine.current ()) in
     c.closed <- true;
-    let rec abort_rxs () =
-      match pop_live_rx c with
-      | None -> ()
-      | Some rx ->
-        rx.rx_abort ~time:t Closed;
-        abort_rxs ()
-    in
-    let rec abort_txs () =
-      match pop_live_tx c with
-      | None -> ()
-      | Some tx ->
-        tx.tx_abort ~time:t Closed;
-        abort_txs ()
-    in
-    abort_rxs ();
-    abort_txs ()
+    abort_all c.rxq ~time;
+    abort_all c.txq ~time
   end
 
 (* ------------------------------------------------------------------ *)
@@ -368,87 +293,33 @@ type 'r case =
   | Timeout : int * (unit -> 'r) -> 'r case
   | Default : (unit -> 'r) -> 'r case
 
-(* Offers registered by a blocked choice share one commit cell; the
-   first partner (or timer) to claim it wins and the rest go stale. *)
-let choice_rx c f w cell ~core ~time =
-  let rx =
-    { rx_live = (fun () -> (not !cell) && Engine.waker_live w);
-      rx_claim =
-        (fun () ->
-          if (not !cell) && Engine.waker_live w then begin
-            cell := true;
-            true
-          end
-          else false);
-      rx_deliver = (fun ~time v -> Engine.wake_at w time (fun () -> f v));
-      rx_abort =
-        (fun ~time e -> Engine.wake_at w time (fun () -> raise e));
-      rx_core = core;
-      rx_time = time }
-  in
-  Deque.push_back c.rxq rx
-
-let choice_tx c v h w cell ~words ~core ~time =
-  let tx =
-    { tx_live = (fun () -> (not !cell) && Engine.waker_live w);
-      tx_claim =
-        (fun () ->
-          if (not !cell) && Engine.waker_live w then begin
-            cell := true;
-            true
-          end
-          else false);
-      tx_val = v;
-      tx_words = words;
-      tx_core = core;
-      tx_time = time;
-      tx_done = (fun ~time -> Engine.wake_at w time h);
-      tx_abort =
-        (fun ~time e -> Engine.wake_at w time (fun () -> raise e)) }
-  in
-  Deque.push_back c.txq tx
+let waker_core w = Engine.fiber_core (Engine.waker_fiber w)
 
 let recv_case c f =
   Case
     { ready = (fun () -> recv_ready c);
-      exec =
-        (fun () ->
-          let eng = Engine.current () in
-          let me = Engine.fiber_core (Engine.self eng) in
-          let tr = Engine.now eng in
-          f (recv_fast eng c ~me ~tr));
+      exec = (fun () -> f (recv c));
       register =
         (fun w cell ->
-          let eng = Engine.current () in
-          let me = Engine.waker_fiber w |> Engine.fiber_core in
-          choice_rx c f w cell ~core:me ~time:(Engine.now eng)) }
+          let time = Engine.now (Engine.current ()) in
+          Deque.push_back c.rxq
+            (offer ~cell w ~resume:(fun v () -> f v) ~core:(waker_core w)
+               ~time ())) }
 
 let send_case ?(words = 2) c v h =
   Case
-    { ready =
-        (fun () ->
-          c.closed || some_live_rx c
-          ||
-          match c.cap with
-          | Unbounded -> true
-          | Bounded n -> Queue.length c.buf < n
-          | Rendezvous -> false);
+    { ready = (fun () -> c.closed || can_send c);
       exec =
         (fun () ->
-          let eng = Engine.current () in
-          if c.closed then raise Closed;
-          charge_send_side eng ~words;
-          let src = Engine.fiber_core (Engine.self eng) in
-          let ts = Engine.now eng in
-          let ok = send_fast eng c v ~words ~src ~ts in
-          assert ok;
+          send ~words c v;
           h ());
       register =
         (fun w cell ->
           let eng = Engine.current () in
-          let src = Engine.waker_fiber w |> Engine.fiber_core in
           charge_send_side eng ~words;
-          choice_tx c v h w cell ~words ~core:src ~time:(Engine.now eng)) }
+          Deque.push_back c.txq
+            (offer ~cell w ~resume:(fun () -> h) ~core:(waker_core w)
+               ~time:(Engine.now eng) ~words v)) }
 
 let after n h =
   if n < 0 then invalid_arg "Chan.after: negative delay";
@@ -458,80 +329,66 @@ let default h = Default h
 
 type strategy = Commit | Poll of int
 
-let case_ready = function
-  | Case { ready; _ } -> ready ()
-  | Timeout _ | Default _ -> false
+(* Run one ready arm, picked uniformly with one seeded draw, or else
+   the default arm; [None] when there is neither.  [expired n] says
+   whether an [after n] arm is ready. *)
+let run_ready eng cases ~expired =
+  let ready =
+    List.filter
+      (function
+        | Case { ready; _ } -> ready ()
+        | Timeout (n, _) -> expired n
+        | Default _ -> false)
+      cases
+  in
+  match ready with
+  | [] -> List.find_map (function Default h -> Some (h ()) | _ -> None) cases
+  | _ -> (
+    match List.nth ready (Rng.int (Engine.rng eng) (List.length ready)) with
+    | Case { exec; _ } -> Some (exec ())
+    | Timeout (_, h) -> Some (h ())
+    | Default _ -> assert false)
 
 let choose_commit cases =
   let eng = Engine.current () in
-  let costs = Engine.costs eng in
   (* scanning k options touches k channel headers *)
-  Engine.charge eng (List.length cases * costs.Cost.cache_hit);
-  let ready = List.filter case_ready cases in
-  match ready with
-  | _ :: _ ->
-    let arr = Array.of_list ready in
-    let pick = arr.(Rng.int (Engine.rng eng) (Array.length arr)) in
-    (match pick with
-    | Case { exec; _ } -> exec ()
-    | Timeout _ | Default _ -> assert false)
-  | [] -> (
-    let defaults =
-      List.filter_map (function Default h -> Some h | _ -> None) cases
+  Engine.charge eng (List.length cases * (Engine.costs eng).Cost.cache_hit);
+  match run_ready eng cases ~expired:(fun _ -> false) with
+  | Some r -> r
+  | None ->
+    let thunk =
+      Engine.suspend eng ~tag:"choose" (fun w ->
+          let cell = ref false in
+          List.iter
+            (function
+              | Case { register; _ } -> register w cell
+              | Timeout (n, h) ->
+                (* the timer is this arm's partner *)
+                let time = Engine.now eng in
+                let o =
+                  offer ~cell w ~resume:(fun () -> h) ~core:(waker_core w)
+                    ~time ()
+                in
+                let fire = time + n in
+                Engine.schedule_at eng fire (fun () ->
+                    if claim o then wake o ~time:fire ())
+              | Default _ -> ())
+            cases)
     in
-    match defaults with
-    | h :: _ -> h ()
-    | [] ->
-      let thunk =
-        Engine.suspend eng ~tag:"choose" (fun w ->
-            let cell = ref false in
-            List.iter
-              (function
-                | Case { register; _ } -> register w cell
-                | Timeout (n, h) ->
-                  let fire = Engine.now eng + n in
-                  Engine.schedule_at eng fire (fun () ->
-                      if (not !cell) && Engine.waker_live w then begin
-                        cell := true;
-                        Engine.wake_at w fire h
-                      end)
-                | Default _ -> ())
-              cases)
-      in
-      thunk ())
+    thunk ()
 
 let choose_poll interval cases =
   let eng = Engine.current () in
-  let costs = Engine.costs eng in
   let start = Engine.now eng in
   (* timeout arms become absolute deadlines checked on every poll *)
   let rec poll () =
-    Engine.charge eng (List.length cases * costs.Cost.cache_miss);
+    Engine.charge eng (List.length cases * (Engine.costs eng).Cost.cache_miss);
     let now = Engine.now eng in
-    let ready =
-      List.filter
-        (function
-          | Case { ready; _ } -> ready ()
-          | Timeout (n, _) -> now - start >= n
-          | Default _ -> false)
-        cases
-    in
-    match ready with
-    | _ :: _ -> (
-      let arr = Array.of_list ready in
-      match arr.(Rng.int (Engine.rng eng) (Array.length arr)) with
-      | Case { exec; _ } -> exec ()
-      | Timeout (_, h) -> h ()
-      | Default _ -> assert false)
-    | [] -> (
-      let defaults =
-        List.filter_map (function Default h -> Some h | _ -> None) cases
-      in
-      match defaults with
-      | h :: _ -> h ()
-      | [] ->
-        Engine.sleep eng interval;
-        poll ())
+    match run_ready eng cases ~expired:(fun n -> now - start >= n) with
+    | Some r -> r
+    | None ->
+      Engine.sleep eng interval;
+      poll ()
   in
   poll ()
 

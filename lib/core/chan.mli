@@ -56,7 +56,11 @@ val recv : 'a t -> 'a
     Raises {!Closed} once the channel is closed and drained. *)
 
 val try_send : ?words:int -> 'a t -> 'a -> bool
-(** Non-blocking send: [false] instead of blocking. *)
+(** Non-blocking send: [false], with nothing charged, where {!send}
+    would block; otherwise the send, and [true].  The message is
+    stamped before the send-side charge (where {!send} stamps after
+    it), so it leaves [msg_inject + words * msg_per_word] cycles
+    earlier than an identical blocking send. *)
 
 val try_recv : 'a t -> 'a option
 (** Non-blocking receive: [None] instead of blocking. *)

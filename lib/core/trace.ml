@@ -43,8 +43,6 @@ let ring ~capacity () =
   in
   (sink, get, fun () -> !dropped)
 
-let filter pred sink r = if pred r then sink r
-
 let pp_event ppf = function
   | Spawn { child; on_core } ->
     Format.fprintf ppf "spawn child=%d core=%d" child on_core

@@ -53,7 +53,4 @@ val ring :
     records in emission order, and a function reporting how many
     records were dropped (oldest first). *)
 
-val filter : (record -> bool) -> sink -> sink
-(** [filter pred sink] forwards only records satisfying [pred]. *)
-
 val pp_record : Format.formatter -> record -> unit

@@ -5,9 +5,9 @@
 
 type t
 
-val start : ?cycles_per_char:int -> unit -> t
-(** Default 2000 cycles/char (a ~1 MB/s console at 2 GHz).  The
-    request inbox is unbounded (backpressure). *)
+val start : unit -> t
+(** A console emitting 2000 cycles/char (a ~1 MB/s console at 2 GHz).
+    The request inbox is unbounded (backpressure). *)
 
 val write_line : t -> string -> unit
 (** Blocks the caller until the device has emitted the line. *)

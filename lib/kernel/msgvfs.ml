@@ -42,32 +42,14 @@ type sys = {
   bcache : Bcache.t;
   alloc : Cgalloc.t;
   root : vnode;
-  disp : (sc, scresp) Svc.t array;
+  disp : (unit -> unit, unit) Svc.t array;
+      (* a dispatcher's request is the system call itself *)
   mutable spawned : int;
   mutable live : int;
   mutable placeholders : int;
   mutable hydrations : int;
   mutable hydration_failures : int;
 }
-
-and sc =
-  | Sc_mkdir of string
-  | Sc_create of string
-  | Sc_open of string
-  | Sc_read of vnode * int * int
-  | Sc_write of vnode * int * string
-  | Sc_stat of string
-  | Sc_unlink of string
-  | Sc_rename of string * string
-  | Sc_readdir of string
-
-and scresp =
-  | R_unit of (unit, Fsspec.err) result
-  | R_fd of (vnode, Fsspec.err) result
-  | R_data of (string, Fsspec.err) result
-  | R_wrote of (int, Fsspec.err) result
-  | R_stat of (Fsspec.stat, Fsspec.err) result
-  | R_names of (string list, Fsspec.err) result
 
 (* Per-operation request-latency histograms, shared through the
    metrics registry by every client of the mount. *)
@@ -453,23 +435,12 @@ let stat_of_attr a =
 
 (* The full operations, as performed by whoever walks (client under
    plumbing, dispatcher otherwise). *)
-let do_mkdir sys path =
+let do_make sys path kind =
   match walk_parent sys path with
   | Error e -> Error e
   | Ok (dir, name) -> (
     try
-      match Svc.call dir (Make (name, Fsspec.Dir)) with
-      | Child _ -> Ok ()
-      | Err e -> Error e
-      | _ -> Error Fsspec.Einval
-    with Chan.Closed -> Error Fsspec.Enoent)
-
-let do_create sys path =
-  match walk_parent sys path with
-  | Error e -> Error e
-  | Ok (dir, name) -> (
-    try
-      match Svc.call dir (Make (name, Fsspec.File)) with
+      match Svc.call dir (Make (name, kind)) with
       | Child _ -> Ok ()
       | Err e -> Error e
       | _ -> Error Fsspec.Einval
@@ -570,22 +541,6 @@ let do_readdir sys path =
     with Chan.Closed -> Error Fsspec.Enoent)
 
 (* ------------------------------------------------------------------ *)
-(* Dispatchers (conservative, non-plumbed syscall entry)               *)
-
-let serve_dispatcher sys ep =
-  Svc.serve ep (fun sc ->
-      match sc with
-      | Sc_mkdir p -> R_unit (do_mkdir sys p)
-      | Sc_create p -> R_unit (do_create sys p)
-      | Sc_open p -> R_fd (do_open sys p)
-      | Sc_read (v, off, len) -> R_data (do_read v ~off ~len)
-      | Sc_write (v, off, data) -> R_wrote (do_write v ~off data)
-      | Sc_stat p -> R_stat (do_stat sys p)
-      | Sc_unlink p -> R_unit (do_unlink sys p)
-      | Sc_rename (a, b) -> R_unit (do_rename sys a b)
-      | Sc_readdir p -> R_names (do_readdir sys p))
-
-(* ------------------------------------------------------------------ *)
 
 let mount cfg ~bcache ~alloc =
   let root =
@@ -605,12 +560,9 @@ let mount cfg ~bcache ~alloc =
   ignore
     (Fiber.spawn ~label:"root-vnode" ~daemon:true (fun () ->
          serve_dir sys root ~source:None));
-  Array.iteri
-    (fun i ep ->
-      ignore
-        (Fiber.spawn ~label:(Printf.sprintf "syscall-%d" i) ~daemon:true
-           (fun () -> serve_dispatcher sys ep)))
-    disp;
+  (* the conservative, non-plumbed syscall entry: each dispatcher runs
+     the system calls sent to it *)
+  Array.iter (fun ep -> ignore (Svc.start ep (fun syscall -> syscall ()))) disp;
   sys
 
 let client sys =
@@ -622,33 +574,27 @@ let client sys =
         h_unlink = h "unlink"; h_rename = h "rename";
         h_readdir = h "readdir" } }
 
-let pick_disp t =
-  let d = t.sys.disp in
-  let i = t.next_disp in
-  t.next_disp <- (i + 1) mod Array.length d;
-  d.(i mod Array.length d)
-
-let via_disp t sc = Svc.call (pick_disp t) sc
-
-let plumbed t = t.sys.cfg.plumbing
+(* Run system call [f]: in the client under plumbing, otherwise as the
+   request to the next dispatcher in turn, which runs it. *)
+let syscall t f =
+  if t.sys.cfg.plumbing then f t.sys
+  else begin
+    let d = t.sys.disp.(t.next_disp) in
+    t.next_disp <- (t.next_disp + 1) mod Array.length t.sys.disp;
+    let result = ref None in
+    Svc.call d (fun () -> result := Some (f t.sys));
+    Option.get !result
+  end
 
 let timed name h f = Span.timed ~subsystem:"msgvfs" ~name h f
 
 let mkdir t path =
   timed "mkdir" t.mx.h_mkdir @@ fun () ->
-  if plumbed t then do_mkdir t.sys path
-  else
-    match via_disp t (Sc_mkdir path) with
-    | R_unit r -> r
-    | _ -> Error Fsspec.Einval
+  syscall t (fun sys -> do_make sys path Fsspec.Dir)
 
 let create t path =
   timed "create" t.mx.h_create @@ fun () ->
-  if plumbed t then do_create t.sys path
-  else
-    match via_disp t (Sc_create path) with
-    | R_unit r -> r
-    | _ -> Error Fsspec.Einval
+  syscall t (fun sys -> do_make sys path Fsspec.File)
 
 let install_fd t v =
   let fd = t.next_fd in
@@ -658,14 +604,7 @@ let install_fd t v =
 
 let open_ t path =
   timed "open" t.mx.h_open @@ fun () ->
-  let r =
-    if plumbed t then do_open t.sys path
-    else
-      match via_disp t (Sc_open path) with
-      | R_fd r -> r
-      | _ -> Error Fsspec.Einval
-  in
-  Result.map (install_fd t) r
+  Result.map (install_fd t) (syscall t (fun sys -> do_open sys path))
 
 type handle = vnode
 
@@ -688,57 +627,29 @@ let fd_vnode t fd =
 
 let read t fd ~off ~len =
   timed "read" t.mx.h_read @@ fun () ->
-  match fd_vnode t fd with
-  | Error e -> Error e
-  | Ok v ->
-    if plumbed t then do_read v ~off ~len
-    else (
-      match via_disp t (Sc_read (v, off, len)) with
-      | R_data r -> r
-      | _ -> Error Fsspec.Einval)
+  Result.bind (fd_vnode t fd) (fun v ->
+      syscall t (fun _ -> do_read v ~off ~len))
 
 let write t fd ~off data =
   timed "write" t.mx.h_write @@ fun () ->
-  match fd_vnode t fd with
-  | Error e -> Error e
-  | Ok v ->
-    if plumbed t then do_write v ~off data
-    else (
-      match via_disp t (Sc_write (v, off, data)) with
-      | R_wrote r -> r
-      | _ -> Error Fsspec.Einval)
+  Result.bind (fd_vnode t fd) (fun v ->
+      syscall t (fun _ -> do_write v ~off data))
 
 let stat t path =
   timed "stat" t.mx.h_stat @@ fun () ->
-  if plumbed t then do_stat t.sys path
-  else
-    match via_disp t (Sc_stat path) with
-    | R_stat r -> r
-    | _ -> Error Fsspec.Einval
+  syscall t (fun sys -> do_stat sys path)
 
 let unlink t path =
   timed "unlink" t.mx.h_unlink @@ fun () ->
-  if plumbed t then do_unlink t.sys path
-  else
-    match via_disp t (Sc_unlink path) with
-    | R_unit r -> r
-    | _ -> Error Fsspec.Einval
+  syscall t (fun sys -> do_unlink sys path)
 
 let rename t src dst =
   timed "rename" t.mx.h_rename @@ fun () ->
-  if plumbed t then do_rename t.sys src dst
-  else
-    match via_disp t (Sc_rename (src, dst)) with
-    | R_unit r -> r
-    | _ -> Error Fsspec.Einval
+  syscall t (fun sys -> do_rename sys src dst)
 
 let readdir t path =
   timed "readdir" t.mx.h_readdir @@ fun () ->
-  if plumbed t then do_readdir t.sys path
-  else
-    match via_disp t (Sc_readdir path) with
-    | R_names r -> r
-    | _ -> Error Fsspec.Einval
+  syscall t (fun sys -> do_readdir sys path)
 
 let vnodes_spawned sys = sys.spawned
 

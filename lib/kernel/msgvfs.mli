@@ -17,6 +17,9 @@
       which reads and writes flow {e directly} between client and
       vnode.  With [plumbing = false] every operation is instead
       routed through dispatcher fibers, the ablation measured in E4.
+      The request a dispatcher receives is the system call itself, a
+      closure it runs in its own fiber (path walk, vnode messages and
+      all); the request and its empty reply are two words each.
 
     Dispatch "via a common interface ... conventionally done with
     tables of function pointers, is done in this environment by

@@ -29,10 +29,6 @@ let mesh_shape cores =
   let w = widest (int_of_float (sqrt (float_of_int cores))) in
   Topology.Mesh (w, cores / w)
 
-let smp ~cores =
-  let shape = if cores = 1 then Topology.Single else Topology.Crossbar cores in
-  make (Topology.make shape) Cost.software_messages
-
 let mesh ~cores =
   let shape = if cores = 1 then Topology.Single else mesh_shape cores in
   make (Topology.make shape) Cost.software_messages

@@ -31,11 +31,6 @@ val transfer_latency : t -> owner:Topology.core -> requester:Topology.core ->
 
 (** {1 Presets} *)
 
-val smp : cores:int -> t
-(** Small shared-bus SMP (crossbar, software messages): the
-    four-to-128-core machines the paper says we already know how to
-    handle. *)
-
 val mesh : cores:int -> t
 (** Square-ish 2D mesh with software messages; the "hundreds of cores"
     regime on today's coherence hardware. *)

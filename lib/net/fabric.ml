@@ -96,16 +96,11 @@ let check_knob name p =
   if p < 0.0 || p >= 1.0 then
     invalid_arg (Printf.sprintf "Fabric: %s must be in [0, 1)" name)
 
-let create ?(latency = 5_000) ?(loss = 0.0) ?(dup = 0.0) ?(reorder = 0.0)
-    ?(delay = 0.0) ?delay_cycles ?(seed = 17) () =
+let create ?(latency = 5_000) ?(loss = 0.0) ?(seed = 17) () =
   check_knob "loss" loss;
-  check_knob "dup" dup;
-  check_knob "reorder" reorder;
-  check_knob "delay" delay;
   let t =
-    { latency; loss; dup; reorder; delay;
-      delay_cycles =
-        (match delay_cycles with Some c -> c | None -> 10 * latency);
+    { latency; loss; dup = 0.0; reorder = 0.0; delay = 0.0;
+      delay_cycles = 10 * latency;
       fstats = { duplicated = 0; reordered = 0; delayed = 0 };
       links = Hashtbl.create 8;
       lstats = { partitioned = 0; link_dropped = 0; link_delayed = 0 };

@@ -36,26 +36,24 @@ type t
 
 type nic
 
-val create :
-  ?latency:int -> ?loss:float -> ?dup:float -> ?reorder:float ->
-  ?delay:float -> ?delay_cycles:int -> ?seed:int -> unit -> t
+val create : ?latency:int -> ?loss:float -> ?seed:int -> unit -> t
 (** [create ()] builds a fabric; [latency] is the one-way frame delay
     in cycles (default 5000 — an on-package interconnect between
-    nodes), [loss] a uniform drop probability (default 0).  [dup]
-    delivers an extra copy of the frame half a latency late; [reorder]
-    holds the frame one extra latency so frames sent after it overtake
-    it; [delay] holds the frame [delay_cycles] (default 10x latency).
-    All probabilities default to 0 (off). *)
+    nodes), [loss] a uniform drop probability (default 0).  The other
+    fault knobs start off; {!set_faults} turns them on. *)
 
 val set_faults :
   t -> ?loss:float -> ?dup:float -> ?reorder:float -> ?delay:float ->
   ?delay_cycles:int -> unit -> unit
-(** Adjust the fault knobs mid-run — the chaos engine's fault-window
-    switch.  {b Every omitted knob keeps its current value}: passing
-    only [~loss:0.10] leaves [dup]/[reorder]/[delay]/[delay_cycles]
-    exactly as they were, so closing a window must name each knob it
-    opened ([set_faults t ~loss:0.0 ()] closes only the loss window).
-    [set_faults t ()] is a no-op. *)
+(** Adjust the fault knobs — the chaos engine's fault-window switch.
+    [dup] delivers an extra copy of the frame half a latency late;
+    [reorder] holds the frame one extra latency so frames sent after
+    it overtake it; [delay] holds the frame [delay_cycles] (initially
+    10x latency).  {b Every omitted knob keeps its current value}:
+    passing only [~loss:0.10] leaves [dup]/[reorder]/[delay]/
+    [delay_cycles] exactly as they were, so closing a window must name
+    each knob it opened ([set_faults t ~loss:0.0 ()] closes only the
+    loss window).  [set_faults t ()] is a no-op. *)
 
 val set_link_faults :
   t -> src:int -> dst:int -> ?partition:bool -> ?loss:float ->

@@ -63,10 +63,11 @@ let least_loaded =
   in
   { name = "least-loaded"; place; steal_victim = no_steal; steals = false }
 
-let locality ?(spill = 2) () =
-  (* Stay home while the local queue is short; when spilling, pick the
-     least-loaded core among progressively wider rings around the
-     parent. *)
+let locality () =
+  (* Stay home while the local queue is shorter than [spill]; when
+     spilling, pick the least-loaded core among progressively wider
+     rings around the parent. *)
+  let spill = 2 in
   let place v ~parent ~affinity:_ =
     if v.load parent < spill then parent
     else begin
@@ -88,7 +89,8 @@ let locality ?(spill = 2) () =
   in
   { name = "locality"; place; steal_victim = no_steal; steals = false }
 
-let work_steal ?(attempts = 4) () =
+let work_steal () =
+  let attempts = 4 in
   let steal_victim v ~thief =
     let rec probe n =
       if n = 0 then None

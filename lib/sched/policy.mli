@@ -51,15 +51,14 @@ val least_loaded : t
     models a global run-queue scheduler — itself a scalability risk,
     which E8 exposes as placement cost at high core counts. *)
 
-val locality : ?spill:int -> unit -> t
-(** Prefer the parent's core while its queue is shorter than [spill]
-    (default 2); otherwise pick the least-loaded core within a small
-    neighbourhood, walking outward.  Models hierarchical placement. *)
+val locality : unit -> t
+(** Prefer the parent's core while its queue is shorter than 2;
+    otherwise pick the least-loaded core within a small neighbourhood,
+    walking outward.  Models hierarchical placement. *)
 
-val work_steal : ?attempts:int -> unit -> t
+val work_steal : unit -> t
 (** Children start on the parent core; idle cores steal from a random
-    victim, probing up to [attempts] (default 4) victims per idle
-    event. *)
+    victim, probing up to 4 victims per idle event. *)
 
 val affinity_groups : unit -> t
 (** Fibers with the same [affinity] key land on the same core (keys

@@ -4,16 +4,19 @@
    The default configuration (capacity 0 = unbounded, `Block) must be
    charge-for-charge identical to the bare channel pair, an unbounded
    inbox plus a one-shot reply per request (test/svc pins this): offer
-   is a plain Chan.send, take is a plain Chan.recv, call builds the
-   same one-shot [Chan.buffered 1] reply before sending, and nothing
-   here ever uses Chan.choose (choose charges per case and draws from
-   the run's RNG, which would perturb every seeded experiment).
+   is a plain Chan.send, the serve loop's dequeue is a plain Chan.recv,
+   call builds the same one-shot [Chan.buffered 1] reply before
+   sending, and nothing here ever uses Chan.choose (choose charges per
+   case and draws from the run's RNG, which would perturb every seeded
+   experiment).
    Metrics and spans are host-side: they never advance virtual time
    and are no-ops without an installed registry/sink.
 
-   Admission for `Reject mirrors Chan.try_send's test exactly:
-   a message is deliverable without queuing past capacity iff a live
-   receiver is waiting or the buffer has room. *)
+   A `Reject or `Shed_oldest inbox is a [Chan.buffered capacity], and
+   admission is [Chan.try_send] itself: a message is admitted exactly
+   when a live receiver waits or the buffer has room.  Like every
+   try_send, an admitted message is stamped before the send-side
+   charge, where a `Block send is stamped after it. *)
 
 module Chan = Chorus.Chan
 module Fiber = Chorus.Fiber
@@ -77,14 +80,8 @@ let validate cfg =
   | _ -> ()
 
 let mk_chan cfg ~label =
-  match cfg with
-  | { capacity = 0; _ } -> Chan.unbounded ~label ()
-  | { capacity = n; policy = `Block } -> Chan.buffered ~label n
-  (* admission policies decide before the send, so the channel itself
-     never blocks the caller: offer only sends when a receiver waits or
-     the buffer has room (Shed_oldest frees a slot first) *)
-  | { capacity = n; policy = `Reject | `Shed_oldest } ->
-      Chan.buffered ~label n
+  if cfg.capacity = 0 then Chan.unbounded ~label ()
+  else Chan.buffered ~label cfg.capacity
 
 let wrap ~cfg ~subsystem ~metric_name ~label ~on_shed inbox =
   let mn = match metric_name with None -> "" | Some n -> n ^ "." in
@@ -152,43 +149,27 @@ let sample t =
   end;
   Metrics.observe t.depth_g d
 
-(* Deliverable-now, exactly try_send's test: a live receiver waits, or
-   the queue is below capacity (the inbox is unbounded under these
-   policies, so capacity is enforced here, not by the channel). *)
-let has_room t =
-  Chan.waiting_receivers t.inbox > 0 || Chan.length t.inbox < t.cfg.capacity
-
+(* [validate] leaves `Block the only policy of an unbounded inbox. *)
 let offer ?words t msg =
   let admitted =
-    t.cfg.capacity = 0
-    ||
     match t.cfg.policy with
-    | `Block -> true
-    | `Reject -> has_room t
-    | `Shed_oldest ->
-        if not (has_room t) then
-          (match Chan.try_recv t.inbox with
-          | Some stale ->
-              t.nshed <- t.nshed + 1;
-              Metrics.incr t.shed_c;
-              t.on_shed stale
-          | None -> ());
+    | `Block ->
+        Chan.send ?words t.inbox msg;
         true
+    | `Reject -> Chan.try_send ?words t.inbox msg
+    | `Shed_oldest ->
+        Chan.try_send ?words t.inbox msg
+        || begin
+             Option.iter
+               (fun stale ->
+                 t.nshed <- t.nshed + 1;
+                 Metrics.incr t.shed_c;
+                 t.on_shed stale)
+               (Chan.try_recv t.inbox);
+             Chan.try_send ?words t.inbox msg
+           end
   in
   if admitted then begin
-    (* An admitted message under an admission policy goes through
-       [Chan.try_send], not [Chan.send]: the two stamp the message at
-       different points relative to the send-side charge, and the
-       non-blocking stamp is the one the hand-rolled try_send call
-       sites being replaced had.  Admission guarantees it succeeds
-       (a receiver waits, the buffer has room, or the channel is
-       unbounded), so the boolean is an invariant, not a decision. *)
-    (match t.cfg.policy with
-    | _ when t.cfg.capacity = 0 -> Chan.send ?words t.inbox msg
-    | `Block -> Chan.send ?words t.inbox msg
-    | `Reject | `Shed_oldest ->
-        let sent = Chan.try_send ?words t.inbox msg in
-        assert sent);
     sample t;
     `Ok
   end
@@ -222,43 +203,35 @@ let call_async ?words t req =
   | `Busy -> ignore (Chan.try_send r `Busy));
   r
 
-let take t =
-  let msg = Chan.recv t.inbox in
-  sample t;
-  msg
-
 let recv_case t f = Chan.recv_case t.inbox f
 
-let serve ?(words_of_resp = fun _ -> 2) ?until t handler =
-  let rec loop () =
-    let req, r = take t in
-    hit_crashpoint t.cp_name;
-    (* the reply send is part of the serviced work: its send-side
-       charge is time the server spends on this request, so it belongs
-       inside the service_time window *)
-    let resp =
-      Span.timed ~subsystem:t.span_sub ~name:t.span_name t.service_h
-        (fun () ->
-          let resp = handler req in
-          Chan.send ~words:(words_of_resp resp) r (`Ok resp);
-          resp)
-    in
-    t.nserved <- t.nserved + 1;
-    let stop = match until with None -> false | Some p -> p req resp in
-    if stop then Chan.close t.inbox else loop ()
+(* The one serve loop: dequeue, crash point, then [handle] under the
+   span and the service-time histogram.  Closes the inbox and returns
+   once [stop msg result] holds. *)
+let rec serve_loop t handle ~stop =
+  let msg = Chan.recv t.inbox in
+  sample t;
+  hit_crashpoint t.cp_name;
+  let result =
+    Span.timed ~subsystem:t.span_sub ~name:t.span_name t.service_h (fun () ->
+        handle msg)
   in
-  loop ()
+  t.nserved <- t.nserved + 1;
+  if stop msg result then Chan.close t.inbox else serve_loop t handle ~stop
 
-let serve_cast t handler =
-  let rec loop () =
-    let msg = take t in
-    hit_crashpoint t.cp_name;
-    Span.timed ~subsystem:t.span_sub ~name:t.span_name t.service_h
-      (fun () -> handler msg);
-    t.nserved <- t.nserved + 1;
-    loop ()
-  in
-  loop ()
+let serve ?(words_of_resp = fun _ -> 2) ?(until = fun _ _ -> false) t
+    handler =
+  (* the reply send is part of the serviced work: its send-side charge
+     is time the server spends on this request, so it belongs inside
+     the service_time window *)
+  serve_loop t
+    (fun (req, r) ->
+      let resp = handler req in
+      Chan.send ~words:(words_of_resp resp) r (`Ok resp);
+      resp)
+    ~stop:(fun (req, _) resp -> until req resp)
+
+let serve_cast t handler = serve_loop t handler ~stop:(fun _ () -> false)
 
 let start ?on ?priority ?words_of_resp ?until t handler =
   Fiber.spawn ?on ?priority ~label:t.clabel ~daemon:true (fun () ->

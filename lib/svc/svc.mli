@@ -21,6 +21,10 @@
       caller gets the busy error) and the new one is admitted; fresh
       work wins (the Erlang mailbox-pruning answer).
 
+    A [`Reject] or [`Shed_oldest] inbox is a [Chan.buffered capacity],
+    and admission is {!Chan.try_send}'s test: a message gets in
+    exactly when a receiver waits or the buffer has room.
+
     Every endpoint registers one uniform metric set —
     [queue_depth] (gauge, sampled on both enqueue and dequeue),
     [queue_hwm] (high-watermark gauge), [service_time] (histogram),
@@ -42,11 +46,8 @@ type policy = [ `Block | `Reject | `Shed_oldest ]
 type config = { capacity : int; policy : policy }
 (** [capacity = 0] means unbounded (the policy is then irrelevant and
     must be [`Block]).  [`Reject] and [`Shed_oldest] require
-    [capacity >= 1]. *)
-
-val default_config : config
-(** [{ capacity = 0; policy = `Block }]: the unbounded legacy
-    behaviour; byte-identical to the pre-Svc service loops. *)
+    [capacity >= 1].  The default is [{ capacity = 0; policy = `Block }],
+    the unbounded inbox. *)
 
 val config : ?capacity:int -> ?policy:policy -> unit -> config
 
@@ -81,7 +82,7 @@ val cast_attach :
   ?metric_name:string -> subsystem:string -> label:string -> 'msg Chan.t ->
   'msg cast
 (** Wrap an existing channel (the net stack's per-port frame queues)
-    in a service endpoint under {!default_config}: the channel keeps
+    in a service endpoint under the default config: the channel keeps
     its own buffering discipline, and the endpoint adds the uniform
     metrics, serve span and crash point. *)
 
@@ -94,9 +95,12 @@ val create :
 (** {1 Client side} *)
 
 val offer : ?words:int -> 'msg cast -> 'msg -> [ `Ok | `Busy ]
-(** Submit a message under the endpoint's policy.  Under the default
-    config this is exactly [Chan.send] (same charges, same words,
-    default 2), plus host-side queue-depth sampling. *)
+(** Submit a message under the endpoint's policy.  Under [`Block] this
+    is exactly [Chan.send] (same charges, same words, default 2), plus
+    host-side queue-depth sampling.  Under [`Reject] it is
+    [Chan.try_send]; under [`Shed_oldest], a [Chan.try_send] that on a
+    full inbox sheds the stalest message and tries again.  Raises
+    [Chan.Closed] on a closed inbox. *)
 
 val cast : ?words:int -> 'msg cast -> 'msg -> unit
 (** [offer] with the verdict dropped (rejections still count in the
@@ -133,13 +137,9 @@ val await_result : 'resp reply -> [ `Ok of 'resp | `Busy ]
 
 (** {1 Server side} *)
 
-val take : 'msg cast -> 'msg
-(** Receive the next message (blocking) and sample the queue-depth /
-    high-watermark metrics on the dequeue side. *)
-
 val recv_case : 'msg cast -> ('msg -> 'r) -> 'r Chan.case
-(** The endpoint as one arm of a {!Chan.choose} (no depth sampling —
-    choice commits bypass {!take}). *)
+(** The endpoint as one arm of a {!Chan.choose} (no depth sampling:
+    only {!serve} and {!serve_cast} sample on the dequeue side). *)
 
 val serve :
   ?words_of_resp:('resp -> int) -> ?until:('req -> 'resp -> bool) ->

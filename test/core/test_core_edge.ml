@@ -149,6 +149,38 @@ let test_send_case_fires_when_space_frees () =
   in
   ()
 
+(* A blocked choice leaves one offer per arm.  Once one arm commits,
+   the others are stale: they count as no waiter, and a slot freed on
+   the send arm's channel must not promote the stale send offer's
+   value into the buffer. *)
+let test_committed_choice_leaves_stale_offers () =
+  let got = ref "" in
+  let (_ : Runstats.t) =
+    run (fun () ->
+        let a : int Chan.t = Chan.rendezvous () in
+        let b : int Chan.t = Chan.buffered 1 in
+        Chan.send b 0;
+        let chooser =
+          Fiber.spawn (fun () ->
+              got :=
+                Chan.choose
+                  [ Chan.recv_case a (fun v -> Printf.sprintf "recv %d" v);
+                    Chan.send_case b 1 (fun () -> "sent") ])
+        in
+        Fiber.sleep 1_000;
+        Chan.send a 7;
+        ignore (Fiber.join chooser);
+        Alcotest.(check int) "stale send offer is not waiting" 0
+          (Chan.waiting_senders b);
+        Alcotest.(check int) "committed recv offer is gone" 0
+          (Chan.waiting_receivers a);
+        Alcotest.(check int) "original value drains" 0 (Chan.recv b);
+        Alcotest.(check int) "refill promoted nothing" 0 (Chan.length b);
+        Alcotest.(check (option int)) "nothing else queued" None
+          (Chan.try_recv b))
+  in
+  Alcotest.(check string) "recv arm committed" "recv 7" !got
+
 (* ------------------------------------------------------------------ *)
 (* scheduler behaviour                                                 *)
 
@@ -400,6 +432,8 @@ let () =
             test_choice_only_timers;
           Alcotest.test_case "send case unblocks" `Quick
             test_send_case_fires_when_space_frees;
+          Alcotest.test_case "committed choice leaves stale offers" `Quick
+            test_committed_choice_leaves_stale_offers;
           Alcotest.test_case "choice fairness" `Quick test_choice_fairness;
           Alcotest.test_case "capacity invariant" `Quick
             test_buffered_never_exceeds_capacity ] );

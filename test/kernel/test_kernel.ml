@@ -254,6 +254,31 @@ let boot_fs ?(plumbing = true) () =
   in
   Msgvfs.client sys
 
+(* The dispatcher path's virtual costs, pinned: every operation of the
+   client API once, each routed through one of two dispatchers. *)
+let test_dispatcher_costs_pinned () =
+  let stats =
+    run (fun () ->
+        let fs = boot_fs ~plumbing:false () in
+        check_ok "mkdir" (Msgvfs.mkdir fs "/d");
+        check_ok "create" (Msgvfs.create fs "/d/f");
+        let fd = check_ok "open" (Msgvfs.open_ fs "/d/f") in
+        Alcotest.(check int) "write" 5
+          (check_ok "write" (Msgvfs.write fs fd ~off:0 "hello"));
+        Alcotest.(check string) "read" "hello"
+          (check_ok "read" (Msgvfs.read fs fd ~off:0 ~len:5));
+        Alcotest.(check int) "stat" 5
+          (check_ok "stat" (Msgvfs.stat fs "/d/f")).Fsspec.size;
+        Alcotest.(check (list string)) "readdir" [ "f" ]
+          (check_ok "readdir" (Msgvfs.readdir fs "/d"));
+        check_ok "rename" (Msgvfs.rename fs "/d/f" "/d/g");
+        check_ok "unlink" (Msgvfs.unlink fs "/d/g"))
+  in
+  Alcotest.(check (list int)) "makespan, msgs, words_copied"
+    [ 8060; 68; 192 ]
+    [ stats.Runstats.makespan; stats.Runstats.msgs;
+      stats.Runstats.words_copied ]
+
 let fs_semantics_suite plumbing () =
   let (_ : Runstats.t) =
     run (fun () ->
@@ -912,7 +937,7 @@ let test_proc_spawn_wait () =
 let test_console_order () =
   let (_ : Runstats.t) =
     run (fun () ->
-        let con = Console.start ~cycles_per_char:10 () in
+        let con = Console.start () in
         Console.write_line con "first";
         Console.write_line con "second";
         Alcotest.(check (list string)) "in order" [ "first"; "second" ]
@@ -981,7 +1006,9 @@ let () =
           Alcotest.test_case "concurrent clients" `Quick
             test_fs_concurrent_clients;
           Alcotest.test_case "fiber per vnode" `Quick
-            test_vnode_fibers_spawned ] );
+            test_vnode_fibers_spawned;
+          Alcotest.test_case "dispatcher costs pinned" `Quick
+            test_dispatcher_costs_pinned ] );
       ( "model-based",
         [ qt prop_msgvfs_matches_model;
           qt prop_msgvfs_dispatch_matches_model;

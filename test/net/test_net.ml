@@ -141,10 +141,9 @@ let fault_counts ~seed () =
   let delivered = ref 0 in
   let (_ : Runstats.t) =
     run (fun () ->
-        let net =
-          Fabric.create ~latency:5_000 ~dup:0.25 ~reorder:0.25 ~delay:0.25
-            ~delay_cycles:15_000 ~seed ()
-        in
+        let net = Fabric.create ~latency:5_000 ~seed () in
+        Fabric.set_faults net ~dup:0.25 ~reorder:0.25 ~delay:0.25
+          ~delay_cycles:15_000 ();
         let a = Fabric.attach net () and b = Fabric.attach net () in
         ignore b;
         for i = 1 to 300 do
@@ -435,7 +434,8 @@ let test_reliable_call_under_duplication () =
      re-executing the handler *)
   let (_ : Runstats.t) =
     run (fun () ->
-        let net = Fabric.create ~dup:0.5 ~seed:6 () in
+        let net = Fabric.create ~seed:6 () in
+        Fabric.set_faults net ~dup:0.5 ();
         let client = Stack.create net (Fabric.attach net ()) in
         let server = Stack.create net (Fabric.attach net ()) in
         let executed = ref 0 in

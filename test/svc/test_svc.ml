@@ -183,6 +183,38 @@ let test_block_backpressures () =
   in
   ()
 
+(* A retired endpoint's inbox is closed, possibly with requests still
+   queued.  An offer to it then raises [Chan.Closed] under every
+   policy, as a send to any closed channel does: nothing is shed and
+   nothing is answered busy. *)
+let test_closed_inbox_raises () =
+  List.iter
+    (fun policy ->
+      let (_ : Runstats.t) =
+        run (fun () ->
+            let ep =
+              Svc.create
+                ~config:(Svc.config ~capacity:1 ~policy ())
+                ~subsystem:"test" ~label:"retiring" ()
+            in
+            ignore
+              (Svc.start ep ~until:(fun _ _ -> true) (fun v ->
+                   Fiber.sleep 10_000;
+                   v));
+            let r1 = Svc.call_async ep 1 in
+            Fiber.sleep 1_000;
+            (* the server holds request 1; request 2 fills the inbox *)
+            ignore (Svc.call_async ep 2);
+            Alcotest.(check int) "first answered" 1 (Svc.await r1);
+            Alcotest.(check int) "closed with one queued" 1 (Svc.depth ep);
+            Alcotest.check_raises "offer raises Closed" Chan.Closed (fun () ->
+                ignore (Svc.offer ep (3, Svc.reply_chan ())));
+            Alcotest.(check (pair int int)) "nothing shed or rejected" (0, 0)
+              (Svc.shed ep, Svc.rejected ep))
+      in
+      ())
+    [ `Block; `Reject; `Shed_oldest ]
+
 let test_hwm_sees_bursts_between_receives () =
   (* the high-watermark is sampled on enqueue, so a burst that arrives
      while the server is busy is visible even though the queue is
@@ -306,7 +338,9 @@ let () =
           Alcotest.test_case "shed drops exactly the stalest" `Quick
             test_shed_drops_exactly_the_stalest;
           Alcotest.test_case "block backpressures" `Quick
-            test_block_backpressures ] );
+            test_block_backpressures;
+          Alcotest.test_case "closed inbox raises under every policy" `Quick
+            test_closed_inbox_raises ] );
       ( "accounting",
         [ Alcotest.test_case "hwm sees bursts between receives" `Quick
             test_hwm_sees_bursts_between_receives;

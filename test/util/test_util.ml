@@ -6,7 +6,6 @@ module Pqueue = Chorus_util.Pqueue
 module Deque = Chorus_util.Deque
 module Histogram = Chorus_util.Histogram
 module Zipf = Chorus_util.Zipf
-module Rcu = Chorus_util.Rcu
 module Tablefmt = Chorus_util.Tablefmt
 
 (* ------------------------------------------------------------------ *)
@@ -441,33 +440,6 @@ let test_zipf_uniform_theta0 () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Rcu                                                                 *)
-
-let test_rcu_publish_read () =
-  let t = Rcu.make [ 1; 2; 3 ] in
-  Alcotest.(check (list int)) "initial snapshot" [ 1; 2; 3 ] (Rcu.read t);
-  Alcotest.(check int) "starts at version 1" 1 (Rcu.version t);
-  Rcu.publish t [ 4 ];
-  Alcotest.(check (list int)) "new snapshot visible" [ 4 ] (Rcu.read t);
-  Alcotest.(check int) "version bumped" 2 (Rcu.version t);
-  (* a reader that grabbed the old snapshot keeps a consistent value:
-     published snapshots are never mutated, only replaced *)
-  let old = Rcu.make [ 9 ] in
-  let held = Rcu.read old in
-  Rcu.publish old [];
-  Alcotest.(check (list int)) "held snapshot intact" [ 9 ] held
-
-let test_rcu_update_counters () =
-  let t = Rcu.make 10 in
-  Rcu.update t (fun v -> v + 1);
-  Alcotest.(check int) "update publishes f snapshot" 11 (Rcu.read t);
-  (* only read counts reads; update and peek don't *)
-  ignore (Rcu.peek t);
-  Alcotest.(check int) "reads counted" 1 (Rcu.reads t);
-  Alcotest.(check int) "publishes counted" 1 (Rcu.publishes t);
-  Alcotest.(check int) "peek sees current" 11 (Rcu.peek t)
-
-(* ------------------------------------------------------------------ *)
 (* Tablefmt                                                            *)
 
 let test_table_renders () =
@@ -537,10 +509,6 @@ let () =
         [ Alcotest.test_case "skew" `Quick test_zipf_skew;
           Alcotest.test_case "uniform at theta 0" `Quick
             test_zipf_uniform_theta0 ] );
-      ( "rcu",
-        [ Alcotest.test_case "publish/read" `Quick test_rcu_publish_read;
-          Alcotest.test_case "update + counters" `Quick
-            test_rcu_update_counters ] );
       ( "tablefmt",
         [ Alcotest.test_case "renders" `Quick test_table_renders;
           Alcotest.test_case "bad row rejected" `Quick
