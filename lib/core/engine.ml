@@ -41,6 +41,36 @@ type core_state = {
       (** this core's dispatch event, allocated once by [create] *)
 }
 
+(* A set of core ids, newest first: a doubly linked list threaded
+   through two arrays, so push, remove and membership are O(1) and a
+   scan visits members only.  [prev.(c)] is [absent] when [c] is not a
+   member and -1 at the head. *)
+module Coreset = struct
+  type t = { mutable head : int; next : int array; prev : int array }
+
+  let absent = -2
+
+  let create n =
+    { head = -1; next = Array.make n (-1); prev = Array.make n absent }
+
+  let mem s c = s.prev.(c) <> absent
+
+  let push s c =
+    assert (not (mem s c));
+    s.next.(c) <- s.head;
+    s.prev.(c) <- -1;
+    if s.head >= 0 then s.prev.(s.head) <- c;
+    s.head <- c
+
+  let remove s c =
+    if mem s c then begin
+      let p = s.prev.(c) and n = s.next.(c) in
+      if p >= 0 then s.next.(p) <- n else s.head <- n;
+      if n >= 0 then s.prev.(n) <- p;
+      s.prev.(c) <- absent
+    end
+end
+
 type counters = {
   mutable msgs : int;
   mutable remote_msgs : int;
@@ -68,12 +98,15 @@ type t = {
   machine : Machine.t;
   policy : Policy.t;
   rng : Rng.t;
-  policy_rng : Rng.t;
-  view : Policy.view;  (** what placement and stealing see of [cores] *)
+  view : Policy.view;  (** what placement sees of [cores] *)
   events : Pqueue.t;
   mutable seq : int;
   cores : core_state array;
-  mutable queued_cores : int;  (** cores whose run queue is non-empty *)
+  backlog : Coreset.t;  (** cores whose run queue is non-empty *)
+  parked : Coreset.t;
+      (** under a stealing policy, the cores with no dispatch pending,
+          most recently parked first; every other core is running or
+          kicked *)
   mutable now : int;  (** time of the event being processed *)
   mutable horizon : int;  (** furthest virtual time reached *)
   mutable seg_start : int;
@@ -178,11 +211,11 @@ let core_load t c =
   Deque.length core.runq + core.pending
   + (if core.free_at > t.now then 1 else 0)
 
-(* [queued_cores] follows every push and pop of a run queue *)
+(* [backlog] follows every push and pop of a run queue *)
 let pop_runq t core =
   match Deque.pop_front core.runq with
   | Some _ as next ->
-    if Deque.is_empty core.runq then t.queued_cores <- t.queued_cores - 1;
+    if Deque.is_empty core.runq then Coreset.remove t.backlog core.cid;
     next
   | None -> None
 
@@ -197,46 +230,45 @@ and dispatch t core =
   match pop_runq t core with
   | Some (f, thunk) ->
     run_segment t core f thunk ~precharge:0;
-    if not (Deque.is_empty core.runq) then kick t core core.free_at
-    else if Policy.steals t.policy then
-      (* keep this core draining other cores' backlogs *)
-      kick t core core.free_at
-  | None ->
-    if Policy.steals t.policy then try_steal t core
+    after_segment t core
+  | None -> if Policy.steals t.policy then steal t core
 
-and steal_retry_interval = 2_000
+(* Under a stealing policy a core that runs dry looks at the backlog
+   when it frees up, and parks when there is none: a parked core costs
+   no events until a doorbell ([ring]) or its own work wakes it. *)
+and after_segment t core =
+  if not (Deque.is_empty core.runq) then kick t core core.free_at
+  else if Policy.steals t.policy then
+    if t.backlog.head >= 0 then kick t core core.free_at
+    else Coreset.push t.parked core.cid
 
-and try_steal t core =
-  let stolen =
-    match Policy.steal_victim t.policy t.view ~thief:core.cid with
-    | None -> false
-    | Some vic -> (
-      let victim = t.cores.(vic) in
-      match pop_runq t victim with
-      | None -> false
-      | Some (f, thunk) ->
-        t.cnt.steals <- t.cnt.steals + 1;
-        (match t.config.trace with
-        | Some sink ->
-          sink
-            { Trace.time = t.now; core = core.cid; fiber = f.fid;
-              event = Trace.Steal { victim_core = vic; fiber = f.fid } }
-        | None -> ());
-        f.core <- core.cid;
-        (* migration drags the fiber's working set across the chip *)
-        let c = costs t in
-        let miss =
-          c.Cost.cache_miss
-          + (Machine.hops t.machine vic core.cid * c.Cost.coherence_per_hop)
-        in
-        run_segment t core f thunk ~precharge:miss;
-        true)
+(* take a fiber from the newest backlogged core that has more than one
+   runnable fiber, or park *)
+and steal t core =
+  let rec victim c =
+    if c < 0 || core_load t c > 1 then c else victim t.backlog.next.(c)
   in
-  if stolen || not (Deque.is_empty core.runq) then kick t core core.free_at
-  else if t.queued_cores > 0 then
-    (* probes missed, but backlog exists elsewhere (this core's queue
-       is empty): retry after a beat *)
-    kick t core (t.now + steal_retry_interval)
+  match victim t.backlog.head with
+  | -1 -> Coreset.push t.parked core.cid
+  | vic ->
+    (* a backlogged core's run queue is non-empty *)
+    let f, thunk = Option.get (pop_runq t t.cores.(vic)) in
+    t.cnt.steals <- t.cnt.steals + 1;
+    (match t.config.trace with
+    | Some sink ->
+      sink
+        { Trace.time = t.now; core = core.cid; fiber = f.fid;
+          event = Trace.Steal { victim_core = vic; fiber = f.fid } }
+    | None -> ());
+    f.core <- core.cid;
+    (* migration drags the fiber's working set across the chip *)
+    let c = costs t in
+    let miss =
+      c.Cost.cache_miss
+      + (Machine.hops t.machine vic core.cid * c.Cost.coherence_per_hop)
+    in
+    run_segment t core f thunk ~precharge:miss;
+    after_segment t core
 
 and run_segment t core f thunk ~precharge =
   let start = max t.now core.free_at in
@@ -278,7 +310,6 @@ let create (config : config) =
       machine = config.machine;
       policy = config.policy;
       rng;
-      policy_rng;
       view =
         { Policy.cores = n;
           load = (fun c -> core_load t c);
@@ -287,7 +318,8 @@ let create (config : config) =
       events = Pqueue.create ();
       seq = 0;
       cores;
-      queued_cores = 0;
+      backlog = Coreset.create n;
+      parked = Coreset.create n;
       now = 0;
       horizon = 0;
       seg_start = 0;
@@ -306,29 +338,30 @@ let create (config : config) =
     }
   in
   Array.iter (fun core -> core.dispatch <- (fun () -> dispatch t core)) cores;
+  (* every core starts parked, core 0 on top: the first doorbells go
+     to cores 1, 2, ... *)
+  if Policy.steals config.policy then
+    for c = n - 1 downto 0 do
+      Coreset.push t.parked c
+    done;
   t
 
 (* ------------------------------------------------------------------ *)
 (* Making fibers runnable                                              *)
 
+(* A fiber left waiting behind a busy core rings the doorbell of the
+   most recently parked core: one word, one message latency away. *)
+let ring t src =
+  let p = t.parked.head in
+  if p >= 0 then begin
+    Coreset.remove t.parked p;
+    kick t t.cores.(p)
+      (t.now + Machine.message_latency t.machine ~src ~dst:p ~words:1)
+  end
+
 let enqueue_runnable t f thunk ~at =
   t.cnt.wakes <- t.cnt.wakes + 1;
   f.state <- Runnable;
-  (* push-assisted balancing: under a stealing policy, a wake that
-     targets a busy core is redirected to an idle one when a couple of
-     random probes find it *)
-  if Policy.steals t.policy && core_load t f.core > 1 then begin
-    let n = Array.length t.cores in
-    let rec probe k =
-      if k > 0 then begin
-        let c = Rng.int t.policy_rng n in
-        if c <> f.core && core_load t c = 0 && t.cores.(c).free_at <= at then
-          f.core <- c
-        else probe (k - 1)
-      end
-    in
-    probe 2
-  end;
   (match t.config.trace with
   | None -> ()
   | Some sink ->
@@ -338,11 +371,15 @@ let enqueue_runnable t f thunk ~at =
   core.pending <- core.pending + 1;
   push_event t at (fun () ->
       core.pending <- core.pending - 1;
-      if Deque.is_empty core.runq then t.queued_cores <- t.queued_cores + 1;
+      if Deque.is_empty core.runq then Coreset.push t.backlog core.cid;
       (match f.prio with
       | High -> Deque.push_front core.runq (f, thunk)
       | Normal -> Deque.push_back core.runq (f, thunk));
-      kick t core t.now)
+      (* own work unparks a core *)
+      Coreset.remove t.parked core.cid;
+      kick t core t.now;
+      if Policy.steals t.policy && core_load t core.cid > 1 then
+        ring t core.cid)
 
 (* ------------------------------------------------------------------ *)
 (* Fiber lifecycle                                                     *)

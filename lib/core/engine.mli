@@ -19,7 +19,21 @@
     deterministic in (seed, inputs) while keeping event counts low; its
     one approximation is that a non-blocking poll ([try_recv]) observes
     state in event order rather than at exact intra-segment cycle
-    granularity. *)
+    granularity.
+
+    {2 Work stealing}
+
+    Under a policy that steals ({!Chorus_sched.Policy.steals}), idle
+    cores park instead of polling.  The engine keeps the set of cores
+    whose run queue is non-empty and a stack of parked cores; both are
+    host-side knowledge standing in for a hardware idle bitmap.  A
+    core whose own queue runs dry steals from the newest backlogged
+    core with more than one runnable fiber, or parks if there is none.
+    A wake that leaves a fiber waiting behind a busy core rings the
+    doorbell of the most recently parked core, which arrives one
+    one-word message latency later; a steal charges the fiber's
+    migration (a cache miss plus per-hop coherence) to the thief.
+    Every core starts parked, so an idle chip costs no events. *)
 
 type t
 

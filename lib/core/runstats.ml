@@ -43,8 +43,6 @@ let throughput t ~ops =
   if t.makespan = 0 then 0.0
   else float_of_int ops *. 1_000_000.0 /. float_of_int t.makespan
 
-let us t ~cycles_per_us = float_of_int t.makespan /. float_of_int cycles_per_us
-
 let pp ppf t =
   Format.fprintf ppf
     "makespan=%d util=%.1f%% msgs=%d (%d remote) words=%d spawns=%d steals=%d \

@@ -21,7 +21,4 @@ val of_engine : Engine.t -> t
 val throughput : t -> ops:int -> float
 (** [throughput t ~ops]: operations per million cycles. *)
 
-val us : t -> cycles_per_us:int -> float
-(** Makespan in microseconds under the machine's clock. *)
-
 val pp : Format.formatter -> t -> unit

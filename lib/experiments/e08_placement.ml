@@ -4,8 +4,9 @@
    Two workload shapes on a 64-core mesh under each placement policy:
    a deep pipeline (communication-bound: wants neighbours together) and
    a fork/join fan-out of independent work (CPU-bound: wants
-   spreading).  No policy wins both — the difficulty the paper
-   predicts. *)
+   spreading).  No policy that places a fiber once, at spawn, wins
+   both — the difficulty the paper predicts; work stealing, which
+   moves queued fibers onto idle cores at run time, wins both. *)
 
 open Exp_common
 module Fiber = Chorus.Fiber

@@ -58,7 +58,3 @@ let owner l = l.owner
 
 let sharers l =
   Iset.cardinal (Iset.add l.owner l.sharers)
-
-let reset l c =
-  l.owner <- c;
-  l.sharers <- Iset.empty

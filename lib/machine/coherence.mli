@@ -41,7 +41,3 @@ val owner : line -> Topology.core
 
 val sharers : line -> int
 (** Number of cores currently sharing the line (including the owner). *)
-
-val reset : line -> Topology.core -> unit
-(** Forget all sharers and set a fresh owner (used when a data
-    structure is reinitialised between experiment phases). *)

@@ -53,9 +53,3 @@ let scale_messages c f =
     msg_per_word = s c.msg_per_word;
     msg_receive = s c.msg_receive;
   }
-
-let pp ppf c =
-  Format.fprintf ppf
-    "call=%d switch=%d spawn=%d msg=(%d,+%d/hop,+%d/w,%d) trap=%d miss=%d"
-    c.call c.fiber_switch c.fiber_spawn c.msg_inject c.msg_per_hop
-    c.msg_per_word c.msg_receive c.mode_switch c.cache_miss

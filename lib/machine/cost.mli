@@ -42,5 +42,3 @@ val hardware_messages : t
 val scale_messages : t -> float -> t
 (** [scale_messages c f] multiplies the four message-cost fields by
     [f] (sensitivity sweeps). *)
-
-val pp : Format.formatter -> t -> unit

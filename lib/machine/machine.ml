@@ -2,8 +2,6 @@ type t = { topology : Topology.t; costs : Cost.t }
 
 let make topology costs = { topology; costs }
 
-let topology t = t.topology
-
 let costs t = t.costs
 
 let cores t = Topology.cores t.topology
@@ -36,11 +34,6 @@ let mesh ~cores =
 let mesh_hw ~cores =
   let shape = if cores = 1 then Topology.Single else mesh_shape cores in
   make (Topology.make shape) Cost.hardware_messages
-
-let hierarchy ~dies ~clusters ~cores_per_cluster =
-  make
-    (Topology.make (Topology.Hierarchy (dies, clusters, cores_per_cluster)))
-    Cost.software_messages
 
 let describe t =
   Printf.sprintf "%s (%d cores)" (Topology.to_string t.topology) (cores t)

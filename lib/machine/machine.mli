@@ -8,8 +8,6 @@ type t
 
 val make : Topology.t -> Cost.t -> t
 
-val topology : t -> Topology.t
-
 val costs : t -> Cost.t
 
 val cores : t -> int
@@ -38,9 +36,6 @@ val mesh : cores:int -> t
 val mesh_hw : cores:int -> t
 (** Same mesh with native hardware message support (paper Section 4's
     supposition). *)
-
-val hierarchy : dies:int -> clusters:int -> cores_per_cluster:int -> t
-(** Multi-die package with software messages. *)
 
 val describe : t -> string
 

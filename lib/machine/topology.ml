@@ -26,8 +26,6 @@ let make shape =
   | _ -> ());
   { shape; cores }
 
-let shape t = t.shape
-
 let cores t = t.cores
 
 let check t c =
@@ -94,5 +92,3 @@ let to_string t =
   | Ring n -> Printf.sprintf "ring-%d" n
   | Mesh (w, h) -> Printf.sprintf "mesh-%dx%d" w h
   | Hierarchy (d, cl, pc) -> Printf.sprintf "hier-%dx%dx%d" d cl pc
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -23,8 +23,6 @@ type core = int
 
 val make : shape -> t
 
-val shape : t -> shape
-
 val cores : t -> int
 
 val hops : t -> core -> core -> int
@@ -37,7 +35,5 @@ val diameter : t -> int
 
 val neighbours : t -> core -> core list
 (** Directly linked cores (used by locality-aware placement). *)
-
-val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

@@ -10,7 +10,6 @@ type view = {
 type t = {
   name : string;
   place : view -> parent:int -> affinity:int option -> int;
-  steal_victim : view -> thief:int -> int option;
   steals : bool;
 }
 
@@ -18,16 +17,11 @@ let name t = t.name
 
 let place t = t.place
 
-let steal_victim t = t.steal_victim
-
 let steals t = t.steals
-
-let no_steal _ ~thief:_ = None
 
 let parent =
   { name = "parent";
     place = (fun _ ~parent ~affinity:_ -> parent);
-    steal_victim = no_steal;
     steals = false }
 
 let round_robin () =
@@ -37,12 +31,11 @@ let round_robin () =
     next := (!next + 1) mod v.cores;
     c
   in
-  { name = "round-robin"; place; steal_victim = no_steal; steals = false }
+  { name = "round-robin"; place; steals = false }
 
 let random =
   { name = "random";
     place = (fun v ~parent:_ ~affinity:_ -> Rng.int v.rng v.cores);
-    steal_victim = no_steal;
     steals = false }
 
 let least_loaded_core v among =
@@ -61,7 +54,7 @@ let least_loaded =
   let place v ~parent:_ ~affinity:_ =
     least_loaded_core v (List.init v.cores (fun i -> i))
   in
-  { name = "least-loaded"; place; steal_victim = no_steal; steals = false }
+  { name = "least-loaded"; place; steals = false }
 
 let locality () =
   (* Stay home while the local queue is shorter than [spill]; when
@@ -87,24 +80,11 @@ let locality () =
       widen 1
     end
   in
-  { name = "locality"; place; steal_victim = no_steal; steals = false }
+  { name = "locality"; place; steals = false }
 
 let work_steal () =
-  let attempts = 4 in
-  let steal_victim v ~thief =
-    let rec probe n =
-      if n = 0 then None
-      else begin
-        let victim = Rng.int v.rng v.cores in
-        if victim <> thief && v.load victim > 1 then Some victim
-        else probe (n - 1)
-      end
-    in
-    probe attempts
-  in
   { name = "work-steal";
     place = (fun _ ~parent ~affinity:_ -> parent);
-    steal_victim;
     steals = true }
 
 let affinity_groups () =
@@ -116,7 +96,7 @@ let affinity_groups () =
       (Hashtbl.hash key * 2654435761) land max_int mod v.cores
     | None -> fallback.place v ~parent ~affinity:None
   in
-  { name = "affinity"; place; steal_victim = no_steal; steals = false }
+  { name = "affinity"; place; steals = false }
 
 let all () =
   [ parent; round_robin (); random; least_loaded; locality (); work_steal ();

@@ -4,10 +4,12 @@
     of deciding which threads to place on which cores, and which groups
     of threads to place together on the same core, is likely to present
     a new range of difficulties."  The runtime engine consults a
-    [Policy.t] at every spawn (and, when stealing is enabled, whenever
-    a core idles) through the read-only [view] of current machine
-    state, so policies are pluggable and experiment E8 can compare
-    them. *)
+    [Policy.t] at every spawn through the read-only [view] of current
+    machine state, so policies are pluggable and experiment E8 can
+    compare them.  Stealing is not a policy function: a policy only
+    says whether it steals ({!steals}), and the engine's one stealing
+    mechanism (idle cores park; a backlog rings one doorbell) does the
+    rest. *)
 
 type view = {
   cores : int;
@@ -28,12 +30,8 @@ val place : t -> view -> parent:int -> affinity:int option -> int
     ({!Chorus.Fiber.spawn}'s [?affinity]): fibers sharing a key want
     to land together; every policy may use or ignore it. *)
 
-val steal_victim : t -> view -> thief:int -> int option
-(** [steal_victim p v ~thief] picks a core to steal from when [thief]
-    has run dry, or [None] to stay idle.  Only consulted when the
-    policy enables stealing. *)
-
 val steals : t -> bool
+(** Whether the engine balances load by stealing under this policy. *)
 
 (** {1 Policies} *)
 
@@ -57,8 +55,14 @@ val locality : unit -> t
     walking outward.  Models hierarchical placement. *)
 
 val work_steal : unit -> t
-(** Children start on the parent core; idle cores steal from a random
-    victim, probing up to 4 victims per idle event. *)
+(** Children start on the parent core and idle cores steal.  A core
+    that runs dry takes a fiber from the newest backlogged core whose
+    load is above 1, paying the fiber's migration (a cache miss plus
+    per-hop coherence); with no such core it parks and costs no
+    events.  A push that leaves a fiber waiting behind a busy core
+    rings the doorbell of the most recently parked core, which arrives
+    one one-word message latency later and steals.  Every core starts
+    parked. *)
 
 val affinity_groups : unit -> t
 (** Fibers with the same [affinity] key land on the same core (keys

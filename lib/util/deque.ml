@@ -56,11 +56,6 @@ let pop_back t =
 
 let peek_front t = if t.size = 0 then None else t.buf.(t.head)
 
-let clear t =
-  Array.fill t.buf 0 (capacity t) None;
-  t.head <- 0;
-  t.size <- 0
-
 let iter f t =
   for i = 0 to t.size - 1 do
     match t.buf.(index t i) with

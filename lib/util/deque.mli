@@ -22,8 +22,6 @@ val pop_back : 'a t -> 'a option
 
 val peek_front : 'a t -> 'a option
 
-val clear : 'a t -> unit
-
 val iter : ('a -> unit) -> 'a t -> unit
 (** [iter f t] visits elements front to back. *)
 

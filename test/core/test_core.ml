@@ -637,7 +637,7 @@ let test_trace_collects () =
 
 (* A fixed 1024-core stealing run: 256 fibers spawned on cores 0-3,
    each doing 40 rounds of work and yield, spread over the chip by
-   push-assisted wakes and idle-core steal polling. *)
+   parked cores that a backlog wakes with a doorbell. *)
 let steal_1024_cfg =
   Runtime.config ~policy:(Policy.work_steal ()) (Machine.mesh ~cores:1024)
 
@@ -654,9 +654,9 @@ let steal_1024_main () =
 
 let test_steal_1024_pinned () =
   let s = Runtime.run steal_1024_cfg steal_1024_main in
-  Alcotest.(check int) "makespan" 50642 s.Runstats.makespan;
-  Alcotest.(check int) "events" 21817 s.Runstats.events;
-  Alcotest.(check int) "steals" 2 s.Runstats.steals
+  Alcotest.(check int) "makespan" 43079 s.Runstats.makespan;
+  Alcotest.(check int) "events" 21124 s.Runstats.events;
+  Alcotest.(check int) "steals" 257 s.Runstats.steals
 
 let test_steal_1024_alloc_budget () =
   (* a first run warms whatever is built once per process *)
@@ -666,11 +666,31 @@ let test_steal_1024_alloc_budget () =
   let per_event =
     (Gc.minor_words () -. w0) /. float_of_int s.Runstats.events
   in
-  (* 28.9 minor words per event; 46.5 with a boxed-key event heap, a
+  (* 29.6 minor words per event; 46.5 with a boxed-key event heap, a
      dispatch closure per kick and a policy view per steal attempt *)
   Alcotest.(check bool)
     (Printf.sprintf "%.1f minor words per event <= 36" per_event)
     true (per_event <= 36.0)
+
+(* Eight long fibers forked onto one core of an otherwise idle
+   1024-core chip: the first pushes ring parked cores, which steal, so
+   the fibers run side by side and the idle cores cost no events. *)
+let test_steal_burst_runs_in_parallel () =
+  let s =
+    Runtime.run steal_1024_cfg (fun () ->
+        let fibers =
+          List.init 8 (fun _ -> Fiber.spawn ~on:0 (fun () -> Fiber.work 100_000))
+        in
+        List.iter (fun f -> ignore (Fiber.join f)) fibers)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "makespan %d < 150000" s.Runstats.makespan)
+    true
+    (s.Runstats.makespan < 150_000);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d events <= 4 per fiber" s.Runstats.events)
+    true
+    (s.Runstats.events <= 4 * 8)
 
 (* ------------------------------------------------------------------ *)
 (* Property tests                                                      *)
@@ -767,7 +787,9 @@ let () =
           Alcotest.test_case "steal at 1024 cores pinned" `Quick
             test_steal_1024_pinned;
           Alcotest.test_case "steal at 1024 cores allocation budget" `Quick
-            test_steal_1024_alloc_budget ] );
+            test_steal_1024_alloc_budget;
+          Alcotest.test_case "steal burst runs in parallel" `Quick
+            test_steal_burst_runs_in_parallel ] );
       ( "chan",
         [ Alcotest.test_case "rendezvous order" `Quick test_rendezvous_order;
           Alcotest.test_case "rendezvous blocks sender" `Quick

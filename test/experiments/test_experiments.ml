@@ -198,6 +198,41 @@ let test_e18_weight_ordering () =
     Alcotest.(check bool) "chan < l4 < mach" true (chan < l4 && l4 < mach)
   | _ -> Alcotest.fail "e18 shape"
 
+(* E8: no spawn-time placement is best on both shapes, and work
+   stealing, which rebalances at run time, beats every one of them on
+   both; checked on the quick table and on the full one EXPERIMENTS.md
+   reports *)
+let test_e8_stealing_wins_both_shapes () =
+  let e8 =
+    match Experiments.find "e8" with
+    | Some e -> e
+    | None -> Alcotest.fail "experiment e8 missing"
+  in
+  List.iter
+    (fun (quick, seed) ->
+      match e8.Experiments.run ~quick ~seed with
+      | [ t ] ->
+        let num r c = int_of_string (List.nth r c) in
+        let static =
+          List.filter (fun r -> List.hd r <> "work-steal") (Tablefmt.rows t)
+        in
+        let best c = List.fold_left (fun m r -> min m (num r c)) max_int static in
+        let pipe = best 1 and fj = best 3 in
+        Alcotest.(check bool) "no static policy is best on both shapes" false
+          (List.exists (fun r -> num r 1 = pipe && num r 3 = fj) static);
+        let ws = row_named t "work-steal" in
+        Alcotest.(check bool)
+          (Printf.sprintf "work-steal pipeline %d < best static %d" (num ws 1)
+             pipe)
+          true (num ws 1 < pipe);
+        Alcotest.(check bool)
+          (Printf.sprintf "work-steal fork/join %d < best static %d" (num ws 3)
+             fj)
+          true (num ws 3 < fj);
+        Alcotest.(check bool) "work-steal steals" true (num ws 5 > 0)
+      | _ -> Alcotest.fail "e8 shape")
+    [ (true, 7); (false, 42) ]
+
 let () =
   Alcotest.run "chorus-experiments"
     [ ( "smoke",
@@ -222,4 +257,6 @@ let () =
           Alcotest.test_case "e2 entry mechanisms" `Quick
             test_e2_entry_mechanisms;
           Alcotest.test_case "e10 supervision availability" `Quick
-            test_e10_supervision_availability ] ) ]
+            test_e10_supervision_availability;
+          Alcotest.test_case "e8 stealing wins both shapes" `Quick
+            test_e8_stealing_wins_both_shapes ] ) ]

@@ -56,37 +56,11 @@ let test_locality_spills_nearby () =
     true
     (c = 4 || c = 2 || c = 1 || c = 0)
 
-let test_work_steal_victim_loaded () =
-  let p = Policy.work_steal () in
-  let v = view ~loads:[| 0; 0; 0; 6; 0; 0; 0; 0 |] () in
-  (* each idle event probes a few random victims; over 8 of them the
-     thief must find the only loaded core, and never an idle one *)
-  let found = ref 0 in
-  for _ = 1 to 8 do
-    match Policy.steal_victim p v ~thief:0 with
-    | Some 3 -> incr found
-    | Some c -> Alcotest.failf "stole from idle core %d" c
-    | None -> ()
-  done;
-  if !found = 0 then Alcotest.fail "missed the only victim";
-  Alcotest.(check bool) "steals flag" true (Policy.steals p)
-
-let test_work_steal_no_victim () =
-  let p = Policy.work_steal () in
-  let v = view () in
-  Alcotest.(check bool) "nothing to steal" true
-    (Policy.steal_victim p v ~thief:0 = None)
-
 let test_non_stealing_policies () =
   List.iter
     (fun p ->
-      if Policy.name p <> "work-steal" then begin
-        Alcotest.(check bool) (Policy.name p ^ " no steal flag") false
-          (Policy.steals p);
-        Alcotest.(check bool) (Policy.name p ^ " no victim") true
-          (Policy.steal_victim p (view ~loads:[| 0; 9 |] ~cores:2 ()) ~thief:0
-          = None)
-      end)
+      Alcotest.(check bool) (Policy.name p ^ " steal flag")
+        (Policy.name p = "work-steal") (Policy.steals p))
     (Policy.all ())
 
 (* end-to-end: stealing must beat no-balancing on an imbalanced load *)
@@ -105,6 +79,63 @@ let test_steal_beats_parent_e2e () =
   Alcotest.(check bool) "stealing helps" true
     (stolen.Runstats.makespan * 2 < stuck.Runstats.makespan);
   Alcotest.(check bool) "steals happened" true (stolen.Runstats.steals > 0)
+
+(* a steal takes a fiber queued behind a busy core, never a core's only
+   fiber: [a] is alone on core 1, [c] waits behind [b] on core 2 *)
+let test_steal_only_from_backlog () =
+  let victims = ref [] and ran = Hashtbl.create 4 in
+  let trace r =
+    match r.Chorus.Trace.event with
+    | Chorus.Trace.Steal { victim_core; _ } ->
+      victims := victim_core :: !victims
+    | _ -> ()
+  in
+  let s =
+    Runtime.run
+      (Runtime.config ~policy:(Policy.work_steal ()) ~trace
+         (Machine.mesh ~cores:16))
+      (fun () ->
+        (* main returns rather than joins, so its own wake cannot queue
+           behind a stolen fiber *)
+        List.iter
+          (fun (name, on) ->
+            ignore
+              (Fiber.spawn ~on (fun () ->
+                   Hashtbl.replace ran name (Fiber.core (Fiber.self ()));
+                   Fiber.work 20_000)
+                : Fiber.t))
+          [ ("a", 1); ("b", 2); ("c", 2) ])
+  in
+  Alcotest.(check int) "one steal" 1 s.Runstats.steals;
+  Alcotest.(check (list int)) "from the backlogged core" [ 2 ] !victims;
+  Alcotest.(check int) "a stays on core 1" 1 (Hashtbl.find ran "a");
+  Alcotest.(check int) "b stays on core 2" 2 (Hashtbl.find ran "b");
+  Alcotest.(check bool) "c moved off core 2" true (Hashtbl.find ran "c" <> 2)
+
+(* with no fiber ever queued behind another, a stealing chip runs the
+   same events as one that never steals: idle cores park, they do not
+   poll *)
+let test_idle_steal_chip_adds_no_events () =
+  let go policy =
+    Runtime.run
+      (Runtime.config ~policy (Machine.mesh ~cores:64))
+      (fun () ->
+        let fibers =
+          List.init 8 (fun i ->
+              Fiber.spawn ~on:((8 * i) + 1) (fun () ->
+                  for _ = 1 to 5 do
+                    Fiber.work 1_000;
+                    Fiber.sleep 10_000
+                  done))
+        in
+        List.iter (fun f -> ignore (Fiber.join f)) fibers)
+  in
+  let still = go Policy.parent and steal = go (Policy.work_steal ()) in
+  Alcotest.(check int) "no steals" 0 steal.Runstats.steals;
+  Alcotest.(check int) "same events" still.Runstats.events
+    steal.Runstats.events;
+  Alcotest.(check int) "same makespan" still.Runstats.makespan
+    steal.Runstats.makespan
 
 let test_policies_deterministic () =
   List.iter
@@ -175,10 +206,6 @@ let () =
           Alcotest.test_case "locality home" `Quick test_locality_prefers_home;
           Alcotest.test_case "locality spill" `Quick
             test_locality_spills_nearby;
-          Alcotest.test_case "steal victim" `Quick
-            test_work_steal_victim_loaded;
-          Alcotest.test_case "steal no victim" `Quick
-            test_work_steal_no_victim;
           Alcotest.test_case "non-stealing flags" `Quick
             test_non_stealing_policies;
           Alcotest.test_case "affinity colocates" `Quick
@@ -186,6 +213,10 @@ let () =
       ( "end-to-end",
         [ Alcotest.test_case "steal beats parent" `Quick
             test_steal_beats_parent_e2e;
+          Alcotest.test_case "steal only from a backlog" `Quick
+            test_steal_only_from_backlog;
+          Alcotest.test_case "idle stealing chip adds no events" `Quick
+            test_idle_steal_chip_adds_no_events;
           Alcotest.test_case "all deterministic" `Quick
             test_policies_deterministic;
           Alcotest.test_case "affinity end-to-end" `Quick
