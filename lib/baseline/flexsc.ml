@@ -4,13 +4,12 @@ module Cost = Chorus_machine.Cost
 type t = {
   capacity : int;
   mutable entries : (unit -> unit) list;  (** reversed *)
-  mutable batched : int;
   mutable traps : int;
 }
 
 let create ?(batch = 32) () =
   if batch < 1 then invalid_arg "Flexsc.create: batch must be >= 1";
-  { capacity = batch; entries = []; batched = 0; traps = 0 }
+  { capacity = batch; entries = []; traps = 0 }
 
 let flush t =
   match t.entries with
@@ -24,8 +23,7 @@ let flush t =
       (fun syscall ->
         (* the kernel side reads the entry from the shared page *)
         Engine.charge eng c.Cost.cache_hit;
-        syscall ();
-        t.batched <- t.batched + 1)
+        syscall ())
       (List.rev entries);
     t.entries <- [];
     Engine.charge eng c.Cost.mode_switch
@@ -37,7 +35,5 @@ let submit t syscall =
   Engine.charge eng (c.Cost.cache_miss / 2);
   t.entries <- syscall :: t.entries;
   if List.length t.entries >= t.capacity then flush t
-
-let batched t = t.batched
 
 let traps t = t.traps

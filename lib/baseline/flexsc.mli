@@ -17,8 +17,5 @@ val submit : t -> (unit -> unit) -> unit
 val flush : t -> unit
 (** Trap once and execute every queued syscall. *)
 
-val batched : t -> int
-(** Total syscalls executed through this page so far. *)
-
 val traps : t -> int
 (** Total traps taken (flushes). *)

@@ -105,12 +105,8 @@ let with_lock t f =
   acquire t;
   Fun.protect ~finally:(fun () -> release t) f
 
-let holder t = t.holder
-
 let acquisitions t = t.acquisitions
 
 let contended t = t.contended
 
 let wait_cycles t = t.wait_cycles
-
-let label t = t.lk_label

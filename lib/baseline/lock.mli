@@ -22,9 +22,6 @@ val release : t -> unit
 val with_lock : t -> (unit -> 'a) -> 'a
 (** Exception-safe acquire/release bracket. *)
 
-val holder : t -> int option
-(** Fiber id of the current holder. *)
-
 (** {1 Contention statistics} *)
 
 val acquisitions : t -> int
@@ -34,5 +31,3 @@ val contended : t -> int
 
 val wait_cycles : t -> int
 (** Total cycles fibers spent parked on this lock. *)
-
-val label : t -> string

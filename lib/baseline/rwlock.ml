@@ -16,8 +16,6 @@ type t = {
       (** virtual end of the latest reader section *)
   waiters : waiter Deque.t;
   rw_label : string;
-  mutable acquisitions : int;
-  mutable contended : int;
 }
 
 let create ?(label = "rwlock") () =
@@ -27,9 +25,7 @@ let create ?(label = "rwlock") () =
     writer_until = 0;
     readers_until = 0;
     waiters = Deque.create ();
-    rw_label = label;
-    acquisitions = 0;
-    contended = 0 }
+    rw_label = label }
 
 let charge_rmw t eng =
   let self = Engine.self eng in
@@ -45,40 +41,28 @@ let writer_queued t =
 let acquire_read t =
   let eng = Engine.current () in
   charge_rmw t eng;
-  t.acquisitions <- t.acquisitions + 1;
   if (not t.writer) && not (writer_queued t) then begin
     (* stall past any virtually in-progress writer section *)
     let now = Engine.now eng in
-    if t.writer_until > now then begin
-      t.contended <- t.contended + 1;
-      Engine.charge eng (t.writer_until - now)
-    end;
+    if t.writer_until > now then Engine.charge eng (t.writer_until - now);
     t.active_readers <- t.active_readers + 1
   end
-  else begin
-    t.contended <- t.contended + 1;
+  else
     Engine.suspend eng ~tag:("rdlock:" ^ t.rw_label) (fun w ->
         Deque.push_back t.waiters { waker = w; kind = Reader })
-  end
 
 let acquire_write t =
   let eng = Engine.current () in
   charge_rmw t eng;
-  t.acquisitions <- t.acquisitions + 1;
   if (not t.writer) && t.active_readers = 0 then begin
     let now = Engine.now eng in
     let barrier = max t.writer_until t.readers_until in
-    if barrier > now then begin
-      t.contended <- t.contended + 1;
-      Engine.charge eng (barrier - now)
-    end;
+    if barrier > now then Engine.charge eng (barrier - now);
     t.writer <- true
   end
-  else begin
-    t.contended <- t.contended + 1;
+  else
     Engine.suspend eng ~tag:("wrlock:" ^ t.rw_label) (fun w ->
         Deque.push_back t.waiters { waker = w; kind = Writer })
-  end
 
 (* Wake the next writer, or a batch of leading readers. *)
 let rec wake_next t eng =
@@ -131,9 +115,3 @@ let with_read t f =
 let with_write t f =
   acquire_write t;
   Fun.protect ~finally:(fun () -> release_write t) f
-
-let readers t = t.active_readers
-
-let acquisitions t = t.acquisitions
-
-let contended t = t.contended

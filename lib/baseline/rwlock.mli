@@ -9,9 +9,3 @@ val create : ?label:string -> unit -> t
 val with_read : t -> (unit -> 'a) -> 'a
 
 val with_write : t -> (unit -> 'a) -> 'a
-
-val readers : t -> int
-
-val acquisitions : t -> int
-
-val contended : t -> int

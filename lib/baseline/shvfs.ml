@@ -32,14 +32,11 @@ type inode = {
   mutable allocated : bool;
 }
 
-type buf = {
-  block : int;
-  mutable data : bytes;
-  mutable dirty : bool;
-  mutable last_use : int;
+type shard = {
+  slock : Lock.t;
+  bufs : (int, Fsspec.buf) Hashtbl.t;
+  capacity : int;
 }
-
-type shard = { slock : Lock.t; bufs : (int, buf) Hashtbl.t; capacity : int }
 
 type sys = {
   cfg : config;
@@ -129,21 +126,8 @@ let charge_copy eng bytes_len =
 let shard_of sys block = sys.shards.(block mod Array.length sys.shards)
 
 let evict_if_full sys shard =
-  if Hashtbl.length shard.bufs >= shard.capacity then begin
-    (* evict the least recently used buffer in this shard *)
-    let victim = ref None in
-    Hashtbl.iter
-      (fun _ b ->
-        match !victim with
-        | None -> victim := Some b
-        | Some v -> if b.last_use < v.last_use then victim := Some b)
-      shard.bufs;
-    match !victim with
-    | None -> ()
-    | Some b ->
-      if b.dirty then ignore (disk_io sys ~write:true b.block b.data);
-      Hashtbl.remove shard.bufs b.block
-  end
+  Fsspec.evict_lru shard.bufs ~capacity:shard.capacity
+    ~write_back:(fun block data -> ignore (disk_io sys ~write:true block data))
 
 (* a freshly allocated block must not be read from disk: seed the
    cache with zeroes *)
@@ -153,7 +137,7 @@ let cache_zero sys block =
       sys.tick <- sys.tick + 1;
       evict_if_full sys shard;
       Hashtbl.replace shard.bufs block
-        { block; data = Bytes.make Fsspec.block_size '\000'; dirty = true;
+        { Fsspec.data = Bytes.make Fsspec.block_size '\000'; dirty = true;
           last_use = sys.tick })
 
 let with_block sys block f =
@@ -169,11 +153,11 @@ let with_block sys block f =
         | None ->
           evict_if_full sys shard;
           let data = disk_io sys ~write:false block Bytes.empty in
-          let b = { block; data; dirty = false; last_use = sys.tick } in
+          let b = { Fsspec.data; dirty = false; last_use = sys.tick } in
           Hashtbl.replace shard.bufs block b;
           b
       in
-      buf.last_use <- sys.tick;
+      buf.Fsspec.last_use <- sys.tick;
       f buf)
 
 (* ------------------------------------------------------------------ *)
@@ -269,17 +253,10 @@ let resolve sys path =
   | Ok comps -> walk sys 0 comps
 
 let resolve_parent sys path =
-  match Fsspec.split_path path with
+  match Fsspec.split_parent path with
   | Error e -> Error e
-  | Ok [] -> Error Fsspec.Einval
-  | Ok comps ->
-    let rec split_last acc = function
-      | [] -> assert false
-      | [ last ] -> (List.rev acc, last)
-      | c :: rest -> split_last (c :: acc) rest
-    in
-    let parents, name = split_last [] comps in
-    (match walk sys 0 parents with
+  | Ok (parents, name) -> (
+    match walk sys 0 parents with
     | Error e -> Error e
     | Ok dir ->
       if sys.inodes.(dir).ikind <> Fsspec.Dir then Error Fsspec.Enotdir
@@ -340,28 +317,18 @@ let fd_inode t fd =
   | Some ino -> Ok ino
   | None -> Error Fsspec.Ebadf
 
-(* file-order block number covering byte offset [off]; allocating as
-   needed when [alloc] *)
-let rec nth_block sys ind idx ~alloc =
-  let rec nth l i =
-    match (l, i) with
-    | b :: _, 0 -> Some b
-    | _ :: rest, i -> nth rest (i - 1)
-    | [], _ -> None
-  in
-  match nth ind.iblocks idx with
+(* the block at file index [idx], allocating up to it as needed *)
+let rec nth_block sys ind idx =
+  match List.nth_opt ind.iblocks idx with
   | Some b -> Ok b
-  | None ->
-    if not alloc then Error Fsspec.Einval
-    else begin
-      match alloc_block sys with
-      | None -> Error Fsspec.Enospc
-      | Some b ->
-        cache_zero sys b;
-        ind.iblocks <- ind.iblocks @ [ b ];
-        (* blocks are appended in order; recurse until idx covered *)
-        nth_block sys ind idx ~alloc
-    end
+  | None -> (
+    match alloc_block sys with
+    | None -> Error Fsspec.Enospc
+    | Some b ->
+      cache_zero sys b;
+      ind.iblocks <- ind.iblocks @ [ b ];
+      (* blocks are appended in order; recurse until idx covered *)
+      nth_block sys ind idx)
 
 let read t fd ~off ~len =
   let sys = t.sys in
@@ -375,26 +342,19 @@ let read t fd ~off ~len =
           Lock.with_lock ind.ilock (fun () ->
               let eng = Engine.current () in
               let len = max 0 (min len (ind.size - off)) in
-              let out = Bytes.create len in
-              let bs = Fsspec.block_size in
-              let rec copy done_ =
-                if done_ >= len then ()
-                else begin
-                  let pos = off + done_ in
-                  let bidx = pos / bs in
-                  let boff = pos mod bs in
-                  let chunk = min (bs - boff) (len - done_) in
-                  (match nth_block sys ind bidx ~alloc:false with
-                  | Ok b ->
+              let out = Bytes.make len '\000' in
+              Fsspec.fold_range ~off ~len
+                (fun () ~bidx ~boff ~pos ~chunk ->
+                  (match List.nth_opt ind.iblocks bidx with
+                  | Some b ->
                     with_block sys b (fun buf ->
-                        Bytes.blit buf.data boff out done_ chunk)
-                  | Error _ -> Bytes.fill out done_ chunk '\000');
-                  copy (done_ + chunk)
-                end
-              in
-              copy 0;
-              charge_copy eng len;
-              Ok (Bytes.to_string out)))
+                        Bytes.blit buf.data boff out pos chunk)
+                  | None -> ());
+                  Ok ())
+                ()
+              |> Result.map (fun () ->
+                     charge_copy eng len;
+                     Bytes.to_string out)))
 
 let write t fd ~off data =
   let sys = t.sys in
@@ -408,29 +368,19 @@ let write t fd ~off data =
           Lock.with_lock ind.ilock (fun () ->
               let eng = Engine.current () in
               let len = String.length data in
-              let bs = Fsspec.block_size in
-              let rec copy done_ =
-                if done_ >= len then Ok len
-                else begin
-                  let pos = off + done_ in
-                  let bidx = pos / bs in
-                  let boff = pos mod bs in
-                  let chunk = min (bs - boff) (len - done_) in
-                  match nth_block sys ind bidx ~alloc:true with
-                  | Error e -> Error e
-                  | Ok b ->
-                    with_block sys b (fun buf ->
-                        Bytes.blit_string data done_ buf.data boff chunk;
-                        buf.dirty <- true);
-                    copy (done_ + chunk)
-                end
-              in
-              match copy 0 with
-              | Error e -> Error e
-              | Ok n ->
-                charge_copy eng len;
-                if off + len > ind.size then ind.size <- off + len;
-                Ok n))
+              Fsspec.fold_range ~off ~len
+                (fun () ~bidx ~boff ~pos ~chunk ->
+                  Result.map
+                    (fun b ->
+                      with_block sys b (fun buf ->
+                          Bytes.blit_string data pos buf.data boff chunk;
+                          buf.dirty <- true))
+                    (nth_block sys ind bidx))
+                ()
+              |> Result.map (fun () ->
+                     charge_copy eng len;
+                     if off + len > ind.size then ind.size <- off + len;
+                     len)))
 
 let stat t path =
   let sys = t.sys in

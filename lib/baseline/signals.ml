@@ -19,8 +19,6 @@ let deliver p ~handler =
     Engine.wake_at w (Engine.now eng) ()
   | Some _ | None -> p.waiting <- None
 
-let pending p = List.length p.queue
-
 let wasted_cycles p = p.wasted
 
 let delivered p = p.delivered

@@ -31,8 +31,6 @@ val wait_signal : proc -> unit
 (** Park (sigsuspend) until at least one signal is delivered, then run
     its handler. *)
 
-val pending : proc -> int
-
 val wasted_cycles : proc -> int
 (** Cycles of abandoned in-kernel progress so far (the redo tax). *)
 

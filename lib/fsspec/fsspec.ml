@@ -68,6 +68,14 @@ let split_path p =
     | _ -> Error Einval
   end
 
+let split_parent p =
+  match split_path p with
+  | Error e -> Error e
+  | Ok comps -> (
+    match List.rev comps with
+    | [] -> Error Einval
+    | name :: rev_parents -> Ok (List.rev rev_parents, name))
+
 (* [dst] strictly inside [src]? compares component lists *)
 let path_inside ~src ~dst =
   match (split_path src, split_path dst) with
@@ -81,3 +89,32 @@ let path_inside ~src ~dst =
   | _ -> false
 
 let block_size = 4096
+
+let fold_range ~off ~len f acc =
+  let rec go acc pos =
+    if pos >= len then Ok acc
+    else begin
+      let bidx = (off + pos) / block_size in
+      let boff = (off + pos) mod block_size in
+      let chunk = min (block_size - boff) (len - pos) in
+      match f acc ~bidx ~boff ~pos ~chunk with
+      | Error e -> Error e
+      | Ok acc -> go acc (pos + chunk)
+    end
+  in
+  go acc 0
+
+type buf = { data : bytes; mutable dirty : bool; mutable last_use : int }
+
+let evict_lru bufs ~capacity ~write_back =
+  if Hashtbl.length bufs >= capacity then
+    let older blk b victim =
+      match victim with
+      | Some (_, v) when v.last_use <= b.last_use -> victim
+      | _ -> Some (blk, b)
+    in
+    match Hashtbl.fold older bufs None with
+    | None -> ()
+    | Some (blk, b) ->
+      if b.dirty then write_back blk b.data;
+      Hashtbl.remove bufs blk

@@ -104,5 +104,3 @@ let writes t = t.writes
 let max_queue t = Svc.hwm t.ep
 
 let max_concurrency t = t.max_concurrency
-
-let endpoint t = t.ep

@@ -63,6 +63,3 @@ val max_queue : t -> int
 val max_concurrency : t -> int
 (** Requests being serviced simultaneously inside the driver body —
     invariantly 1 for a single-threaded driver; tests assert it. *)
-
-val endpoint : t -> (req, resp) Chorus_svc.Svc.t
-(** Raw endpoint for callers that pipeline requests themselves. *)

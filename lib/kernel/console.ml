@@ -32,5 +32,3 @@ let write_line t line =
   Svc.call ~words:(2 + ((String.length line + 7) / 8)) t.ep line
 
 let output t = List.rev t.lines
-
-let endpoint t = t.ep

@@ -14,6 +14,3 @@ val write_line : t -> string -> unit
 
 val output : t -> string list
 (** Everything written so far, oldest first (test oracle). *)
-
-val endpoint : t -> (string, unit) Chorus_svc.Svc.t
-(** The underlying service endpoint (queue metrics live here). *)

@@ -10,7 +10,9 @@
     state — no traps (there is no kernel underneath), no messages (no
     one to talk to), and trivially no lock contention (nothing is
     shared).  The trade: no sharing between applications at all.
-    E12 prices this against conservative message syscalls. *)
+    The code is the lock kernel's, {!Chorus_baseline.Shvfs}, included
+    whole and built with one cache shard and no traps.  E12 prices
+    this against conservative message syscalls. *)
 
 type t
 

@@ -73,8 +73,6 @@ type t = {
   mx : op_hists;
 }
 
-let bs = Fsspec.block_size
-
 let words_of_string s = 2 + ((String.length s + 7) / 8)
 
 let reply_words = function
@@ -93,40 +91,24 @@ type projection = {
 (* ------------------------------------------------------------------ *)
 (* File vnode                                                          *)
 
-let rec nth_opt l i =
-  match (l, i) with
-  | x :: _, 0 -> Some x
-  | _ :: rest, i -> nth_opt rest (i - 1)
-  | [], _ -> None
-
 let file_read sys ~blocks ~size ~off ~len =
   let len = max 0 (min len (size - off)) in
-  let out = Bytes.create len in
-  let rec copy done_ =
-    if done_ >= len then ()
-    else begin
-      let pos = off + done_ in
-      let bidx = pos / bs in
-      let boff = pos mod bs in
-      let chunk = min (bs - boff) (len - done_) in
-      (match nth_opt blocks bidx with
+  let out = Bytes.make len '\000' in
+  Fsspec.fold_range ~off ~len
+    (fun () ~bidx ~boff ~pos ~chunk ->
+      (match List.nth_opt blocks bidx with
       | Some b ->
         let data = Bcache.get_range sys.bcache b ~off:boff ~len:chunk in
-        Bytes.blit_string data 0 out done_ (String.length data);
-        if String.length data < chunk then
-          Bytes.fill out (done_ + String.length data)
-            (chunk - String.length data) '\000'
-      | None -> Bytes.fill out done_ chunk '\000');
-      copy (done_ + chunk)
-    end
-  in
-  copy 0;
-  Bytes.to_string out
+        Bytes.blit_string data 0 out pos (String.length data)
+      | None -> ());
+      Ok ())
+    ()
+  |> Result.map (fun () -> Bytes.to_string out)
 
 (* ensure the file covers block index [bidx]; returns updated block
    list or Enospc *)
 let rec ensure_block sys ~hint blocks bidx =
-  match nth_opt blocks bidx with
+  match List.nth_opt blocks bidx with
   | Some b -> Ok (blocks, b)
   | None -> (
     match Cgalloc.alloc sys.alloc ~hint with
@@ -138,22 +120,14 @@ let rec ensure_block sys ~hint blocks bidx =
 (* copy [data] at [off] into the block list, allocating as needed;
    returns the updated list (shared by writes and hydration) *)
 let file_write sys ~hint blocks ~off data =
-  let len = String.length data in
-  let rec copy blocks done_ =
-    if done_ >= len then Ok blocks
-    else begin
-      let pos = off + done_ in
-      let bidx = pos / bs in
-      let boff = pos mod bs in
-      let chunk = min (bs - boff) (len - done_) in
+  Fsspec.fold_range ~off ~len:(String.length data)
+    (fun blocks ~bidx ~boff ~pos ~chunk ->
       match ensure_block sys ~hint blocks bidx with
       | Error e -> Error e
-      | Ok (blocks', b) ->
-        Bcache.put sys.bcache b ~off:boff (String.sub data done_ chunk);
-        copy blocks' (done_ + chunk)
-    end
-  in
-  copy blocks 0
+      | Ok (blocks, b) ->
+        Bcache.put sys.bcache b ~off:boff (String.sub data pos chunk);
+        Ok blocks)
+    blocks
 
 (* A file vnode.  A projected file starts cold: a placeholder with a
    declared size and no blocks, until the first read or write pulls the
@@ -198,28 +172,25 @@ let serve_file sys ep ~hint ~source =
         | None ->
           Attr { akind = Fsspec.File; asize = !size;
                  ablocks = List.length !blocks })
-      | Read { off; len } ->
-        if off < 0 || len < 0 then Err Fsspec.Einval
-        else begin
-          match hydrate () with
-          | Error e -> Err e
-          | Ok () -> Data (file_read sys ~blocks:!blocks ~size:!size ~off ~len)
-        end
-      | Write { off; data } ->
-        if off < 0 then Err Fsspec.Einval
-        else begin
-          (* copy-up before write: the projected bytes are the base *)
-          match hydrate () with
-          | Error e -> Err e
-          | Ok () -> (
-            match file_write sys ~hint !blocks ~off data with
-            | Error e -> Err e
-            | Ok blocks' ->
-              blocks := blocks';
-              let len = String.length data in
-              if off + len > !size then size := off + len;
-              Wrote len)
-        end
+      | Read { off; len } -> (
+        match
+          Result.bind (hydrate ()) (fun () ->
+              file_read sys ~blocks:!blocks ~size:!size ~off ~len)
+        with
+        | Error e -> Err e
+        | Ok d -> Data d)
+      | Write { off; data } -> (
+        (* copy-up before write: the projected bytes are the base *)
+        match
+          Result.bind (hydrate ()) (fun () ->
+              file_write sys ~hint !blocks ~off data)
+        with
+        | Error e -> Err e
+        | Ok blocks' ->
+          blocks := blocks';
+          let len = String.length data in
+          if off + len > !size then size := off + len;
+          Wrote len)
       | Retire ->
         List.iter (Cgalloc.free sys.alloc) !blocks;
         blocks := [];
@@ -379,7 +350,21 @@ and spawn_vnode sys kind ~source =
   ep
 
 (* ------------------------------------------------------------------ *)
-(* Path walking (chain of Lookup messages down the tree)               *)
+(* Vnode calls and path walking (chain of Lookup messages down the
+   tree)                                                               *)
+
+(* Call vnode [v] and keep the reply [take] accepts: an [Err] reply is
+   its error, a reply [take] refuses is [Einval], and a vnode that
+   closed mid-call is [closed]. *)
+let ask ?(closed = Fsspec.Enoent) ?words v req take =
+  match Svc.call ?words v req with
+  | Err e -> Error e
+  | resp -> Option.to_result ~none:Fsspec.Einval (take resp)
+  | exception Chan.Closed -> Error closed
+
+let child = function Child (v, k) -> Some (v, k) | _ -> None
+
+let is_done = function Done -> Some () | _ -> None
 
 let walk sys path =
   match Fsspec.split_path path with
@@ -387,48 +372,31 @@ let walk sys path =
   | Ok comps ->
     let rec go cur kind = function
       | [] -> Ok (cur, kind)
-      | name :: rest -> (
-        match Svc.call cur (Lookup name) with
-        | Child (v, k) -> go v k rest
-        | Err e -> Error e
-        | _ -> Error Fsspec.Einval)
+      | name :: rest ->
+        Result.bind (ask cur (Lookup name) child) (fun (v, k) -> go v k rest)
     in
-    (try go sys.root Fsspec.Dir comps
-     with Chan.Closed -> Error Fsspec.Enoent)
+    go sys.root Fsspec.Dir comps
 
 let walk_parent sys path =
-  match Fsspec.split_path path with
+  match Fsspec.split_parent path with
   | Error e -> Error e
-  | Ok [] -> Error Fsspec.Einval
-  | Ok comps ->
-    let rec split_last acc = function
-      | [] -> assert false
-      | [ last ] -> (List.rev acc, last)
-      | c :: rest -> split_last (c :: acc) rest
-    in
-    let parents, name = split_last [] comps in
+  | Ok (parents, name) ->
     let rec go cur = function
       | [] -> Ok (cur, name)
       | n :: rest -> (
-        match Svc.call cur (Lookup n) with
-        | Child (v, Fsspec.Dir) -> go v rest
-        | Child (_, Fsspec.File) -> Error Fsspec.Enotdir
-        | Err e -> Error e
-        | _ -> Error Fsspec.Einval)
+        match ask cur (Lookup n) child with
+        | Ok (v, Fsspec.Dir) -> go v rest
+        | Ok (_, Fsspec.File) -> Error Fsspec.Enotdir
+        | Error e -> Error e)
     in
-    (try go sys.root parents with Chan.Closed -> Error Fsspec.Enoent)
+    go sys.root parents
 
 let project sys ~at proj =
   match walk_parent sys at with
   | Error e -> Error e
-  | Ok (dir, name) -> (
+  | Ok (dir, name) ->
     let v = spawn_vnode sys Fsspec.Dir ~source:(Some (proj, "", 0)) in
-    try
-      match Svc.call dir (Attach (name, v, Fsspec.Dir)) with
-      | Done -> Ok ()
-      | Err e -> Error e
-      | _ -> Error Fsspec.Einval
-    with Chan.Closed -> Error Fsspec.Enoent)
+    ask dir (Attach (name, v, Fsspec.Dir)) is_done
 
 let stat_of_attr a =
   { Fsspec.kind = a.akind; size = a.asize; blocks = a.ablocks }
@@ -438,13 +406,8 @@ let stat_of_attr a =
 let do_make sys path kind =
   match walk_parent sys path with
   | Error e -> Error e
-  | Ok (dir, name) -> (
-    try
-      match Svc.call dir (Make (name, kind)) with
-      | Child _ -> Ok ()
-      | Err e -> Error e
-      | _ -> Error Fsspec.Einval
-    with Chan.Closed -> Error Fsspec.Enoent)
+  | Ok (dir, name) ->
+    Result.map ignore (ask dir (Make (name, kind)) child)
 
 let do_open sys path =
   match walk sys path with
@@ -453,43 +416,24 @@ let do_open sys path =
   | Ok (v, Fsspec.File) -> Ok v
 
 let do_read v ~off ~len =
-  try
-    match Svc.call ~words:6 v (Read { off; len }) with
-    | Data d -> Ok d
-    | Err e -> Error e
-    | _ -> Error Fsspec.Einval
-  with Chan.Closed -> Error Fsspec.Ebadf
+  ask ~closed:Fsspec.Ebadf ~words:6 v (Read { off; len })
+    (function Data d -> Some d | _ -> None)
 
 let do_write v ~off data =
-  try
-    match Svc.call ~words:(4 + words_of_string data) v (Write { off; data })
-    with
-    | Wrote n -> Ok n
-    | Err e -> Error e
-    | _ -> Error Fsspec.Einval
-  with Chan.Closed -> Error Fsspec.Ebadf
+  ask ~closed:Fsspec.Ebadf ~words:(4 + words_of_string data) v
+    (Write { off; data })
+    (function Wrote n -> Some n | _ -> None)
 
 let do_stat sys path =
   match walk sys path with
   | Error e -> Error e
-  | Ok (v, _) -> (
-    try
-      match Svc.call v Getattr with
-      | Attr a -> Ok (stat_of_attr a)
-      | Err e -> Error e
-      | _ -> Error Fsspec.Einval
-    with Chan.Closed -> Error Fsspec.Enoent)
+  | Ok (v, _) ->
+    ask v Getattr (function Attr a -> Some (stat_of_attr a) | _ -> None)
 
 let do_unlink sys path =
   match walk_parent sys path with
   | Error e -> Error e
-  | Ok (dir, name) -> (
-    try
-      match Svc.call dir (Remove name) with
-      | Done -> Ok ()
-      | Err e -> Error e
-      | _ -> Error Fsspec.Einval
-    with Chan.Closed -> Error Fsspec.Enoent)
+  | Ok (dir, name) -> ask dir (Remove name) is_done
 
 (* Rename is a two-message protocol between autonomous directory
    vnodes: detach from the source, attach at the destination,
@@ -505,18 +449,21 @@ let do_rename sys src dst =
     match walk_parent sys src with
     | Error e -> Error e
     | Ok (sdir, sname) -> (
-      try
-        (* source must exist before we resolve the destination (error
-           precedence matches the reference model) *)
-        match Svc.call sdir (Lookup sname) with
-        | Err e -> Error e
-        | Child _ -> (
-          match walk_parent sys dst with
+      (* source must exist before we resolve the destination (error
+         precedence matches the reference model) *)
+      match ask sdir (Lookup sname) child with
+      | Error e -> Error e
+      | Ok _ -> (
+        match walk_parent sys dst with
+        | Error e -> Error e
+        | Ok (ddir, dname) -> (
+          match ask sdir (Detach sname) child with
           | Error e -> Error e
-          | Ok (ddir, dname) -> (
-            match Svc.call sdir (Detach sname) with
-            | Err e -> Error e
-            | Child (v, kind) -> (
+          | Ok (v, kind) -> (
+            (* not [ask]: an [Err] from the destination must be told
+               apart from a closed or confused vnode, and any failed
+               reattach is [Einval] *)
+            try
               match Svc.call ddir (Attach (dname, v, kind)) with
               | Done -> Ok ()
               | Err e -> (
@@ -524,21 +471,13 @@ let do_rename sys src dst =
                 match Svc.call sdir (Attach (sname, v, kind)) with
                 | Done -> Error e
                 | _ -> Error Fsspec.Einval)
-              | _ -> Error Fsspec.Einval)
-            | _ -> Error Fsspec.Einval))
-        | _ -> Error Fsspec.Einval
-      with Chan.Closed -> Error Fsspec.Enoent)
+              | _ -> Error Fsspec.Einval
+            with Chan.Closed -> Error Fsspec.Enoent))))
 
 let do_readdir sys path =
   match walk sys path with
   | Error e -> Error e
-  | Ok (v, _) -> (
-    try
-      match Svc.call v Readdir with
-      | Names ns -> Ok ns
-      | Err e -> Error e
-      | _ -> Error Fsspec.Einval
-    with Chan.Closed -> Error Fsspec.Enoent)
+  | Ok (v, _) -> ask v Readdir (function Names ns -> Some ns | _ -> None)
 
 (* ------------------------------------------------------------------ *)
 
@@ -625,15 +564,21 @@ let fd_vnode t fd =
   | Some v -> Ok v
   | None -> Error Fsspec.Ebadf
 
+(* A bad offset is Einval whatever the descriptor (Fsspec.S), so it is
+   checked here, before the descriptor and without a vnode call. *)
 let read t fd ~off ~len =
   timed "read" t.mx.h_read @@ fun () ->
-  Result.bind (fd_vnode t fd) (fun v ->
-      syscall t (fun _ -> do_read v ~off ~len))
+  if off < 0 || len < 0 then Error Fsspec.Einval
+  else
+    Result.bind (fd_vnode t fd) (fun v ->
+        syscall t (fun _ -> do_read v ~off ~len))
 
 let write t fd ~off data =
   timed "write" t.mx.h_write @@ fun () ->
-  Result.bind (fd_vnode t fd) (fun v ->
-      syscall t (fun _ -> do_write v ~off data))
+  if off < 0 then Error Fsspec.Einval
+  else
+    Result.bind (fd_vnode t fd) (fun v ->
+        syscall t (fun _ -> do_write v ~off data))
 
 let stat t path =
   timed "stat" t.mx.h_stat @@ fun () ->

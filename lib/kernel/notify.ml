@@ -66,5 +66,3 @@ let publish t ev = Svc.cast ~words:4 t.inbox (Publish ev)
 let published t = t.published
 
 let delivered t = t.delivered
-
-let inbox t = t.inbox

@@ -41,6 +41,3 @@ val published : t -> int
 
 val delivered : t -> int
 (** Total subscriber deliveries (published x matching subscribers). *)
-
-val inbox : t -> msg Chorus_svc.Svc.cast
-(** The hub's service endpoint (uniform queue metrics live here). *)

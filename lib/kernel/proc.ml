@@ -6,12 +6,11 @@ type preq =
   | Exited of int * bool
   | Wait of int * bool Svc.reply
 
-type t = { inbox : preq Svc.cast; notify : Notify.t; mutable spawned : int;
-           mutable running : int }
+type t = { inbox : preq Svc.cast; notify : Notify.t; mutable spawned : int }
 
 let start ~notify () =
   let t = { inbox = Svc.cast_create ~subsystem:"proc" ~label:"proc-table" ();
-            notify; spawned = 0; running = 0 } in
+            notify; spawned = 0 } in
   let next_pid = ref 1 in
   let status : (int, bool) Hashtbl.t = Hashtbl.create 32 in
   let waiters : (int, bool Svc.reply list) Hashtbl.t = Hashtbl.create 8 in
@@ -49,10 +48,8 @@ let spawn_app t ~label body =
   Svc.cast t.inbox (Register (label, reply));
   let pid = Svc.await reply in
   t.spawned <- t.spawned + 1;
-  t.running <- t.running + 1;
   let f = Fiber.spawn ~label (fun () -> body ~pid) in
   Fiber.monitor f (fun ~time:_ st ->
-      t.running <- t.running - 1;
       Svc.cast t.inbox (Exited (pid, st = Fiber.Normal)));
   pid
 
@@ -61,8 +58,4 @@ let wait t pid =
   Svc.cast t.inbox (Wait (pid, reply));
   Svc.await reply
 
-let running t = t.running
-
 let spawned t = t.spawned
-
-let inbox t = t.inbox

@@ -20,9 +20,4 @@ val wait : t -> int -> bool
 (** Block until the pid exits; [true] iff it exited normally.
     Unknown/reaped pids return [false]. *)
 
-val running : t -> int
-
 val spawned : t -> int
-
-val inbox : t -> preq Chorus_svc.Svc.cast
-(** The table's service endpoint (uniform queue metrics live here). *)

@@ -39,6 +39,81 @@ let check_err what expected = function
       (Fsspec.err_to_string e)
 
 (* ------------------------------------------------------------------ *)
+(* Fsspec: the rules both file servers share                           *)
+
+let errs =
+  Alcotest.testable
+    (fun ppf e -> Format.pp_print_string ppf (Fsspec.err_to_string e))
+    ( = )
+
+let test_split_path () =
+  let check p want =
+    Alcotest.(check (result (list string) errs)) p want (Fsspec.split_path p)
+  in
+  check "/" (Ok []);
+  check "/a/b" (Ok [ "a"; "b" ]);
+  check "/a/" (Ok [ "a" ]);
+  check "a/b" (Error Fsspec.Einval);
+  check "" (Error Fsspec.Einval);
+  check "/a//b" (Error Fsspec.Einval)
+
+let test_split_parent () =
+  let check p want =
+    Alcotest.(check (result (pair (list string) string) errs))
+      p want (Fsspec.split_parent p)
+  in
+  check "/" (Error Fsspec.Einval);
+  check "a/b" (Error Fsspec.Einval);
+  check "/a" (Ok ([], "a"));
+  check "/a/b/c" (Ok ([ "a"; "b" ], "c"))
+
+let test_fold_range () =
+  let visits ~off ~len =
+    Fsspec.fold_range ~off ~len
+      (fun acc ~bidx ~boff ~pos ~chunk -> Ok ([ bidx; boff; pos; chunk ] :: acc))
+      []
+    |> Result.get_ok |> List.rev
+  in
+  let check = Alcotest.(check (list (list int))) in
+  check "straddles a block boundary"
+    [ [ 0; 4090; 0; 6 ]; [ 1; 0; 6; 4 ] ]
+    (visits ~off:4090 ~len:10);
+  check "empty range" [] (visits ~off:4090 ~len:0);
+  let calls = ref 0 in
+  let r =
+    Fsspec.fold_range ~off:4090 ~len:10
+      (fun () ~bidx:_ ~boff:_ ~pos:_ ~chunk:_ ->
+        incr calls;
+        Error "stop")
+      ()
+  in
+  Alcotest.(check (result unit string)) "first error returned" (Error "stop") r;
+  Alcotest.(check int) "no chunk after the error" 1 !calls
+
+let test_evict_lru () =
+  let bufs = Hashtbl.create 4 in
+  List.iter
+    (fun (blk, last_use) ->
+      Hashtbl.replace bufs blk
+        { Fsspec.data = Bytes.make 1 (Char.chr (48 + blk)); dirty = true;
+          last_use })
+    [ (1, 30); (2, 10); (3, 20) ];
+  let written = ref [] in
+  let write_back blk data = written := (blk, Bytes.to_string data) :: !written in
+  let cached () = List.sort compare (Hashtbl.fold (fun k _ l -> k :: l) bufs []) in
+  Fsspec.evict_lru bufs ~capacity:4 ~write_back;
+  Alcotest.(check (list int)) "below capacity keeps all" [ 1; 2; 3 ] (cached ());
+  Alcotest.(check (list (pair int string))) "nothing written" [] !written;
+  Fsspec.evict_lru bufs ~capacity:3 ~write_back;
+  Alcotest.(check (list int)) "least recently used gone" [ 1; 3 ] (cached ());
+  Alcotest.(check (list (pair int string))) "victim written back once"
+    [ (2, "2") ] !written;
+  (Hashtbl.find bufs 3).dirty <- false;
+  Fsspec.evict_lru bufs ~capacity:2 ~write_back;
+  Alcotest.(check (list int)) "clean victim gone" [ 1 ] (cached ());
+  Alcotest.(check int) "clean victim not written" 1 (List.length !written)
+
+(* ------------------------------------------------------------------ *)
 (* Blockdev                                                            *)
 
 let test_blockdev_roundtrip () =
@@ -464,9 +539,11 @@ let gen_op =
       (3, map (fun p -> Op_create p) path);
       (3, map (fun p -> Op_open p) path);
       (1, map (fun s -> Op_close s) slot);
-      (4, map (fun (s, (o, l)) -> Op_read (s, o mod 5000, l mod 3000))
+      (* offsets start at -2, so a bad offset meets both good and bad
+         descriptors *)
+      (4, map (fun (s, (o, l)) -> Op_read (s, (o mod 5000) - 2, l mod 3000))
            (pair slot (pair small_nat small_nat)));
-      (4, map (fun (s, (o, d)) -> Op_write (s, o mod 5000, d))
+      (4, map (fun (s, (o, d)) -> Op_write (s, (o mod 5000) - 2, d))
            (pair slot (pair small_nat data)));
       (2, map (fun p -> Op_stat p) path);
       (2, map (fun p -> Op_unlink p) path);
@@ -506,6 +583,10 @@ module Driver (F : Fsspec.S) = struct
     Array.to_list st.handles
     |> List.filter_map (fun h -> Option.map snd h)
 
+  (* reads and writes on an empty slot go through a descriptor no
+     implementation has handed out *)
+  let slot_fd st s = match st.handles.(s) with Some (fd, _) -> fd | None -> 999
+
   let apply st op =
     match op with
     | Op_mkdir p -> (
@@ -536,20 +617,14 @@ module Driver (F : Fsspec.S) = struct
         | Ok () -> "ok"
         | Error e -> Fsspec.err_to_string e))
     | Op_read (s, off, len) -> (
-      match st.handles.(s) with
-      | None -> "no-slot"
-      | Some (fd, _) -> (
-        match F.read st.fs fd ~off ~len with
-        | Ok data -> Printf.sprintf "data:%d:%d" (String.length data)
-                       (Hashtbl.hash data)
-        | Error e -> Fsspec.err_to_string e))
+      match F.read st.fs (slot_fd st s) ~off ~len with
+      | Ok data -> Printf.sprintf "data:%d:%d" (String.length data)
+                     (Hashtbl.hash data)
+      | Error e -> Fsspec.err_to_string e)
     | Op_write (s, off, data) -> (
-      match st.handles.(s) with
-      | None -> "no-slot"
-      | Some (fd, _) -> (
-        match F.write st.fs fd ~off data with
-        | Ok n -> Printf.sprintf "wrote:%d" n
-        | Error e -> Fsspec.err_to_string e))
+      match F.write st.fs (slot_fd st s) ~off data with
+      | Ok n -> Printf.sprintf "wrote:%d" n
+      | Error e -> Fsspec.err_to_string e)
     | Op_stat p -> (
       match F.stat st.fs p with
       | Ok st_ ->
@@ -976,7 +1051,12 @@ let test_kernel_boot () =
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "chorus-kernel"
-    [ ( "blockdev",
+    [ ( "fsspec",
+        [ Alcotest.test_case "split_path" `Quick test_split_path;
+          Alcotest.test_case "split_parent" `Quick test_split_parent;
+          Alcotest.test_case "fold_range" `Quick test_fold_range;
+          Alcotest.test_case "evict_lru" `Quick test_evict_lru ] );
+      ( "blockdev",
         [ Alcotest.test_case "roundtrip" `Quick test_blockdev_roundtrip;
           Alcotest.test_case "single-threaded driver" `Quick
             test_blockdev_single_threaded;
