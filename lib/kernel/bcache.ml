@@ -81,12 +81,9 @@ let handle t st dev = function
     b.dirty <- true;
     Done
   | Zero block ->
-    (* The one exception to Fsspec.evict_lru: zero-fill never evicts,
-       so a shard can hold more than its capacity.  Honouring it here
-       alone collapses E3 at 512 and 1024 cores, where every file
-       block lands in a few shards; ROADMAP "Bcache zero-fill overruns
-       its shard capacity" has the numbers and the fix. *)
     st.tick <- st.tick + 1;
+    Fsspec.evict_lru st.bufs ~capacity:st.capacity
+      ~write_back:(Blockdev.write dev);
     Hashtbl.replace st.bufs block
       { Fsspec.data = Bytes.make Fsspec.block_size '\000'; dirty = true;
         last_use = st.tick };
@@ -127,7 +124,10 @@ let start ?(shards = 8) ?(capacity = 1024) ~dev () =
     t.eps;
   t
 
-let shard_for t block = t.eps.(block mod Array.length t.eps)
+(* Hashed, not [block mod shards]: Cgalloc's group stride is a multiple
+   of the shard count on E3's machines, so every group's first blocks
+   would share one shard. *)
+let shard_for t block = t.eps.(Hashtbl.hash block mod Array.length t.eps)
 
 let get t block =
   match Svc.call ~words:4 (shard_for t block) (Get block) with

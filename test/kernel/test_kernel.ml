@@ -229,6 +229,41 @@ let test_bcache_eviction_writeback () =
   in
   ()
 
+let test_bcache_zero_evicts () =
+  (* zero-fill is a fill like any other: one block past a shard's
+     capacity evicts the least recently used buffer, writing its zeroes
+     back over the stale device copy *)
+  let (_ : Runstats.t) =
+    run (fun () ->
+        let dev = Blockdev.start ~disk:Diskmodel.default () in
+        Blockdev.write dev 0 (Bytes.make Fsspec.block_size 's');
+        let bc = Bcache.start ~shards:1 ~capacity:2 ~dev () in
+        List.iter (Bcache.zero bc) [ 0; 1; 2 ];
+        Alcotest.(check int) "no miss yet" 0 (Bcache.misses bc);
+        Alcotest.(check string) "evicted buffer comes back as zeroes"
+          (String.make 4 '\000')
+          (Bcache.get_range bc 0 ~off:0 ~len:4);
+        Alcotest.(check int) "evicted buffer missed" 1 (Bcache.misses bc))
+  in
+  ()
+
+let test_bcache_spreads_group_blocks () =
+  (* E3's 1024-core file blocks: the first two blocks of each of 64
+     allocation groups, 1,024 blocks apart.  On 128 shards of capacity
+     8 they all stay cached. *)
+  let (_ : Runstats.t) =
+    run (fun () ->
+        let dev = Blockdev.start ~disk:Diskmodel.default () in
+        let bc = Bcache.start ~shards:128 ~capacity:1024 ~dev () in
+        let blocks =
+          List.concat (List.init 64 (fun g -> [ g * 1024; (g * 1024) + 1 ]))
+        in
+        List.iter (Bcache.zero bc) blocks;
+        List.iter (fun b -> ignore (Bcache.get_range bc b ~off:0 ~len:1)) blocks;
+        Alcotest.(check int) "every block still cached" 0 (Bcache.misses bc))
+  in
+  ()
+
 let test_bcache_hit_miss_counters () =
   let (_ : Runstats.t) =
     run (fun () ->
@@ -1070,6 +1105,9 @@ let () =
           Alcotest.test_case "hit/miss counters" `Quick
             test_bcache_hit_miss_counters;
           Alcotest.test_case "get_range" `Quick test_bcache_get_range;
+          Alcotest.test_case "zero-fill evicts" `Quick test_bcache_zero_evicts;
+          Alcotest.test_case "group blocks spread over shards" `Quick
+            test_bcache_spreads_group_blocks;
           Alcotest.test_case "refill failure keeps the shard" `Quick
             test_bcache_refill_failure_keeps_shard;
           Alcotest.test_case "driver priority" `Quick
