@@ -6,7 +6,7 @@
    for byte.  Host speed is measured by perfbench, not here.
 
    Usage: main.exe [--<name>-only], where --<name>-only writes just
-   BENCH_<name>.json; with no flag, all five files are written. *)
+   BENCH_<name>.json; with no flag, all six files are written. *)
 
 (* section header on stdout *)
 let banner title =
@@ -43,6 +43,38 @@ let add_campaign b ~indent (r : Chorus_chaos.Chaos.report) =
   Printf.bprintf b "%s\"oracle_violations\": %d,\n" indent
     (List.length r.violations);
   Printf.bprintf b "%s\"campaign_digest\": \"%s\"" indent r.campaign_digest
+
+(* ------------------------------------------------------------------ *)
+(* E3 file-server scaling                                              *)
+
+(* The headline number: E3's full 1..1024-core sweep, file-server
+   ops/Mcycle on the message kernel and on the lock kernel. *)
+let write_e3_json file =
+  let module E3 = Chorus_experiments.E03_scaling in
+  banner "E3: file-server scaling (virtual)";
+  let seed = 42 in
+  let rows =
+    List.map
+      (fun cores ->
+        let msg, _, _ = E3.msg_throughput ~quick:false ~seed cores in
+        let lock, _, _ = E3.lock_throughput ~quick:false ~seed cores in
+        Printf.printf "cores %4d  msg %9.2f  lock %8.2f ops/Mcycle\n" cores
+          msg lock;
+        (cores, msg, lock))
+      (Chorus_experiments.Exp_common.core_sweep ~quick:false)
+  in
+  let b = json_doc "e3-v1" ~seed in
+  Buffer.add_string b "  \"sweep\": [";
+  List.iteri
+    (fun i (cores, msg, lock) ->
+      if i > 0 then Buffer.add_char b ',';
+      Printf.bprintf b
+        "\n    { \"cores\": %d, \"msg_ops_per_mcycle\": %.2f, \
+         \"lock_ops_per_mcycle\": %.2f }"
+        cores msg lock)
+    rows;
+  Buffer.add_string b "\n  ]\n}\n";
+  save file b
 
 (* ------------------------------------------------------------------ *)
 (* Cluster macro-benchmark                                             *)
@@ -364,7 +396,8 @@ let () =
   let args = Array.to_list Sys.argv in
   (* one writer per BENCH_<name>.json, selected by --<name>-only *)
   let writers =
-    [ ("cluster", write_cluster_json);
+    [ ("e3", write_e3_json);
+      ("cluster", write_cluster_json);
       ("overload", write_overload_json);
       ("chaos", write_chaos_json);
       ("vfs", write_vfs_json);

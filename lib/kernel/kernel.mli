@@ -45,4 +45,4 @@ val sync : t -> unit
 
 val service_fibers : t -> int
 (** How many kernel service fibers are currently alive (drivers +
-    shards + allocators + vnodes + hubs). *)
+    shards + allocators + vnodes + root replicas + hubs). *)

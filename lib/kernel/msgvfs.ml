@@ -1,5 +1,7 @@
 module Fiber = Chorus.Fiber
 module Chan = Chorus.Chan
+module Engine = Chorus.Engine
+module Machine = Chorus_machine.Machine
 module Fsspec = Chorus_fsspec.Fsspec
 module Metrics = Chorus_obs.Metrics
 module Span = Chorus_obs.Span
@@ -25,6 +27,11 @@ type vreq =
   | Read of { off : int; len : int }
   | Write of { off : int; data : string }
   | Retire
+  | Subscribe of vnode
+      (** a replica asks for the whole name table and every later
+          change *)
+  | Push of string * (vnode * Fsspec.kind) option
+      (** a changed entry, [None] when the name is gone *)
 
 and vresp =
   | Child of vnode * Fsspec.kind
@@ -32,6 +39,7 @@ and vresp =
   | Data of string
   | Wrote of int
   | Names of string list
+  | Table of (string * (vnode * Fsspec.kind)) list
   | Done
   | Err of Fsspec.err
 
@@ -42,6 +50,10 @@ type sys = {
   bcache : Bcache.t;
   alloc : Cgalloc.t;
   root : vnode;
+  cores : int;
+  mutable replicas : vnode array;
+      (* one per core group: the group's replica of the root's name
+         table, or the root itself in the root's own group *)
   disp : (unit -> unit, unit) Svc.t array;
       (* a dispatcher's request is the system call itself *)
   mutable spawned : int;
@@ -78,6 +90,7 @@ let words_of_string s = 2 + ((String.length s + 7) / 8)
 let reply_words = function
   | Data s -> words_of_string s
   | Names ns -> 2 + List.length ns
+  | Table es -> 2 + (2 * List.length es)
   | Child _ | Attr _ | Wrote _ | Done | Err _ -> 4
 
 (* A projected namespace's remote side: directory listings and file
@@ -197,8 +210,10 @@ let serve_file sys ep ~hint ~source =
         if Option.is_some !cold then sys.placeholders <- sys.placeholders - 1;
         sys.live <- sys.live - 1;
         Done
-      | Lookup _ | Make _ | Remove _ | Detach _ | Attach _ | Readdir ->
-        Err Fsspec.Enotdir)
+      | Lookup _ | Make _ | Remove _ | Detach _ | Attach _ | Readdir
+      | Subscribe _ ->
+        Err Fsspec.Enotdir
+      | Push _ -> Err Fsspec.Einval)
 
 (* ------------------------------------------------------------------ *)
 (* Directory vnode                                                     *)
@@ -208,9 +223,27 @@ let serve_file sys ep ~hint ~source =
    spawns a child vnode on the first Lookup of each projected name.
    Local entries coexist with the projected names; the projected names
    themselves are immutable from this side, and the projection is
-   permanent (its namespace is remote), so its fiber never retires. *)
+   permanent (its namespace is remote), so its fiber never retires.
+
+   A directory also keeps the replicas subscribed to its local names
+   (only the root has any).  Each change to a local name is pushed to
+   every subscriber, and acked, before the request that made it is
+   answered; a subscriber never calls back, so the pushes cannot
+   deadlock. *)
 let rec serve_dir sys ep ~source =
   let local : (string, vnode * Fsspec.kind) Hashtbl.t = Hashtbl.create 8 in
+  let subscribers = ref [] in
+  let set name entry =
+    (match entry with
+    | Some e -> Hashtbl.replace local name e
+    | None -> Hashtbl.remove local name);
+    List.iter
+      (fun r ->
+        match Svc.call r (Push (name, entry)) with
+        | Done -> ()
+        | _ -> assert false)
+      !subscribers
+  in
   (* projected names not yet looked up, with their child's source *)
   let pending = Hashtbl.create 8 in
   let projected : (string, unit) Hashtbl.t = Hashtbl.create 8 in
@@ -262,7 +295,7 @@ let rec serve_dir sys ep ~source =
         if taken name then Err Fsspec.Eexist
         else begin
           let child = spawn_vnode sys kind ~source:None in
-          Hashtbl.replace local name (child, kind);
+          set name (Some (child, kind));
           Child (child, kind)
         end
       | Detach name -> (
@@ -272,13 +305,13 @@ let rec serve_dir sys ep ~source =
           match Hashtbl.find_opt local name with
           | None -> Err Fsspec.Enoent
           | Some (v, kind) ->
-            Hashtbl.remove local name;
+            set name None;
             Child (v, kind))
       | Attach (name, v, kind) ->
         listed @@ fun () ->
         if taken name then Err Fsspec.Eexist
         else begin
-          Hashtbl.replace local name (v, kind);
+          set name (Some (v, kind));
           Done
         end
       | Remove name -> (
@@ -303,7 +336,7 @@ let rec serve_dir sys ep ~source =
             | Ok () -> (
               match Svc.call v Retire with
               | Done ->
-                Hashtbl.remove local name;
+                set name None;
                 Done
               | _ -> Err Fsspec.Einval)))
       | Readdir ->
@@ -320,7 +353,11 @@ let rec serve_dir sys ep ~source =
           sys.live <- sys.live - 1;
           Done
         end
-      | Read _ | Write _ -> Err Fsspec.Eisdir)
+      | Subscribe r ->
+        subscribers := !subscribers @ [ r ];
+        Table (Hashtbl.fold (fun k e acc -> (k, e) :: acc) local [])
+      | Read _ | Write _ -> Err Fsspec.Eisdir
+      | Push _ -> Err Fsspec.Einval)
 
 (* [source] is [Some (projection, rel, declared size)] for a projected
    vnode; a directory ignores the size. *)
@@ -349,6 +386,32 @@ and spawn_vnode sys kind ~source =
   ignore (Fiber.spawn ~label ~daemon:true body);
   ep
 
+(* A replica of the root's name table, serving [Lookup] for the callers
+   of one core group.  It subscribes to the root on its first request,
+   and from then on only answers: lookups from its table, pushes from
+   the root by changing it. *)
+let serve_replica sys ep =
+  let table = Hashtbl.create 16 in
+  let subscribed = ref false in
+  fun req ->
+    match req with
+    | Lookup name -> (
+      if not !subscribed then begin
+        (match Svc.call sys.root (Subscribe ep) with
+        | Table es -> List.iter (fun (k, e) -> Hashtbl.replace table k e) es
+        | _ -> assert false);
+        subscribed := true
+      end;
+      match Hashtbl.find_opt table name with
+      | Some (v, k) -> Child (v, k)
+      | None -> Err Fsspec.Enoent)
+    | Push (name, entry) ->
+      (match entry with
+      | Some e -> Hashtbl.replace table name e
+      | None -> Hashtbl.remove table name);
+      Done
+    | _ -> Err Fsspec.Einval
+
 (* ------------------------------------------------------------------ *)
 (* Vnode calls and path walking (chain of Lookup messages down the
    tree)                                                               *)
@@ -366,20 +429,28 @@ let child = function Child (v, k) -> Some (v, k) | _ -> None
 
 let is_done = function Done -> Some () | _ -> None
 
+(* Where a walk sends its first [Lookup]: the root's replica in the
+   caller's core group. *)
+let first_hop sys =
+  let groups = Array.length sys.replicas in
+  sys.replicas.(Fiber.core (Fiber.self ()) * groups / sys.cores)
+
 let walk sys path =
   match Fsspec.split_path path with
   | Error e -> Error e
+  | Ok [] -> Ok (sys.root, Fsspec.Dir)
   | Ok comps ->
     let rec go cur kind = function
       | [] -> Ok (cur, kind)
       | name :: rest ->
         Result.bind (ask cur (Lookup name) child) (fun (v, k) -> go v k rest)
     in
-    go sys.root Fsspec.Dir comps
+    go (first_hop sys) Fsspec.Dir comps
 
 let walk_parent sys path =
   match Fsspec.split_parent path with
   | Error e -> Error e
+  | Ok ([], name) -> Ok (sys.root, name)
   | Ok (parents, name) ->
     let rec go cur = function
       | [] -> Ok (cur, name)
@@ -389,7 +460,7 @@ let walk_parent sys path =
         | Ok (_, Fsspec.File) -> Error Fsspec.Enotdir
         | Error e -> Error e)
     in
-    go sys.root parents
+    go (first_hop sys) parents
 
 let project sys ~at proj =
   match walk_parent sys at with
@@ -492,13 +563,33 @@ let mount cfg ~bcache ~alloc =
         Svc.create ~subsystem:"msgvfs" ~metric_name:"dispatcher"
           ~label:(Printf.sprintf "syscall-%d" i) ())
   in
+  let cores = Machine.cores (Engine.machine (Engine.current ())) in
   let sys =
-    { cfg; bcache; alloc; root; disp; spawned = 1; live = 1;
-      placeholders = 0; hydrations = 0; hydration_failures = 0 }
+    { cfg; bcache; alloc; root; cores; replicas = [| root |]; disp;
+      spawned = 1; live = 1; placeholders = 0; hydrations = 0;
+      hydration_failures = 0 }
   in
-  ignore
-    (Fiber.spawn ~label:"root-vnode" ~daemon:true (fun () ->
-         serve_dir sys root ~source:None));
+  let root_fiber =
+    Fiber.spawn ~label:"root-vnode" ~daemon:true (fun () ->
+        serve_dir sys root ~source:None)
+  in
+  (* one core group per 16 cores; the root serves its own group and
+     every other group gets a replica on the group's first core *)
+  let groups = max 1 (cores / 16) in
+  let home = Fiber.core root_fiber * groups / cores in
+  sys.replicas <-
+    Array.init groups (fun g ->
+        if g = home then root
+        else begin
+          let ep =
+            Svc.create ~subsystem:"msgvfs" ~metric_name:"replica"
+              ~label:(Printf.sprintf "root-replica-%d" g) ()
+          in
+          ignore
+            (Svc.start ~on:(((g * cores) + groups - 1) / groups)
+               ~words_of_resp:reply_words ep (serve_replica sys ep));
+          ep
+        end);
   (* the conservative, non-plumbed syscall entry: each dispatcher runs
      the system calls sent to it *)
   Array.iter (fun ep -> ignore (Svc.start ep (fun syscall -> syscall ()))) disp;
@@ -597,6 +688,8 @@ let readdir t path =
   syscall t (fun sys -> do_readdir sys path)
 
 let vnodes_spawned sys = sys.spawned
+
+let replicas sys = Array.length sys.replicas - 1
 
 let live_vnodes sys = sys.live
 

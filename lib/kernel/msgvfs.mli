@@ -9,6 +9,13 @@
     - directory entries hold the {e channel} to the child vnode, so a
       lookup returns an endpoint and path resolution is a chain of
       messages down the tree;
+    - the root directory's names are replicated by message: every
+      16-core group other than the root's own has a replica fiber that
+      answers the first [Lookup] of each walk made in that group.  A
+      replica subscribes to the root on its first lookup; the root
+      pushes each change to its names to every subscribed replica and
+      waits for each ack before it replies, so a lookup made after
+      that reply never sees the old state (DESIGN D16);
     - data blocks live in the {!Bcache} shard services, storage comes
       from the {!Cgalloc} group fibers, and everything bottoms out in
       the single-fiber {!Blockdev} driver;
@@ -44,7 +51,8 @@ val default_config : config
 type sys
 
 val mount : config -> bcache:Bcache.t -> alloc:Cgalloc.t -> sys
-(** Spawn the root directory vnode (and dispatchers).  Every vnode and
+(** Spawn the root directory vnode, the replicas of its names (see
+    {!replicas}) and the dispatchers.  Every vnode, replica and
     dispatcher inbox is unbounded (backpressure). *)
 
 type t
@@ -111,6 +119,10 @@ val vnodes_spawned : sys -> int
 (** Total vnode fibers ever created under this mount. *)
 
 val live_vnodes : sys -> int
+
+val replicas : sys -> int
+(** Replica fibers of the root's name table: one per 16-core group
+    other than the root's own, so none on 16 cores or fewer. *)
 
 val placeholders_live : sys -> int
 (** Projected file vnodes not yet hydrated (and not retired). *)

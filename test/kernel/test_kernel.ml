@@ -355,14 +355,13 @@ let test_cgalloc_unique () =
 (* ------------------------------------------------------------------ *)
 (* Msgvfs semantics                                                    *)
 
-let boot_fs ?(plumbing = true) () =
+let mount_fs ?(plumbing = true) () =
   let dev = Blockdev.start ~disk:Diskmodel.default () in
   let bc = Bcache.start ~dev () in
   let alloc = Cgalloc.start ~nblocks:4096 () in
-  let sys =
-    Msgvfs.mount { Msgvfs.plumbing; dispatchers = 2 } ~bcache:bc ~alloc
-  in
-  Msgvfs.client sys
+  Msgvfs.mount { Msgvfs.plumbing; dispatchers = 2 } ~bcache:bc ~alloc
+
+let boot_fs ?plumbing () = Msgvfs.client (mount_fs ?plumbing ())
 
 (* The dispatcher path's virtual costs, pinned: every operation of the
    client API once, each routed through one of two dispatchers. *)
@@ -519,6 +518,19 @@ let test_fs_concurrent_clients () =
         Alcotest.(check int) "all files present" 8 (List.length names))
   in
   ()
+
+let test_root_replica_counts () =
+  let replicas cores =
+    let n = ref (-1) in
+    let (_ : Runstats.t) =
+      run ~cores (fun () -> n := Msgvfs.replicas (mount_fs ()))
+    in
+    !n
+  in
+  Alcotest.(check int) "16 cores: one group, no replica" 0 (replicas 16);
+  Alcotest.(check int) "64 cores: 4 groups, 3 replicas" 3 (replicas 64);
+  Alcotest.(check int) "1024 cores: 64 groups, 63 replicas" 63
+    (replicas 1024)
 
 let test_vnode_fibers_spawned () =
   let (_ : Runstats.t) =
@@ -702,18 +714,33 @@ module Model_driver = Driver (Fsmodel)
 module Msg_driver = Driver (Msgvfs)
 module Sh_driver = Driver (Shvfs)
 
-let model_check_against name apply_impl =
-  QCheck.Test.make ~name ~count:60 arbitrary_ops (fun ops ->
+(* With [~groups], op k runs in a fiber on the first core of 16-core
+   group k mod groups, joined before op k + 1 starts: a root change made
+   from one group is followed by walks from the others, which the
+   message kernel serves from different replicas of the root. *)
+let model_check_against ?cores ?policy ?groups ?(count = 60) name apply_impl =
+  QCheck.Test.make ~name ~count arbitrary_ops (fun ops ->
       let mismatch = ref None in
       let (_ : Runstats.t) =
-        run (fun () ->
+        run ?cores ?policy (fun () ->
             let model = Model_driver.make (Fsmodel.make ()) in
             let impl = apply_impl () in
-            List.iter
-              (fun op ->
+            let apply k op =
+              match groups with
+              | None -> impl op
+              | Some g ->
+                let got = ref "" in
+                let f =
+                  Fiber.spawn ~on:(16 * (k mod g)) (fun () -> got := impl op)
+                in
+                ignore (Fiber.join f);
+                !got
+            in
+            List.iteri
+              (fun k op ->
                 if !mismatch = None then begin
                   let expect = Model_driver.apply model op in
-                  let got = impl op in
+                  let got = apply k op in
                   if expect <> got then
                     mismatch := Some (show_op op, expect, got)
                 end)
@@ -731,6 +758,26 @@ let prop_msgvfs_matches_model =
 
 let prop_msgvfs_dispatch_matches_model =
   model_check_against "msgvfs (dispatchers) == reference model" (fun () ->
+      let st = Msg_driver.make (boot_fs ~plumbing:false ()) in
+      Msg_driver.apply st)
+
+(* 64 cores: 4 groups, so the root and 3 replicas of its names.  Random
+   placement spreads the root and the two dispatchers over the groups,
+   so the dispatcher path crosses replicas too.  A kernel that skips the
+   push on Detach (rename's first half) fails both within 200 cases. *)
+let replicated_check =
+  model_check_against ~cores:64 ~policy:Policy.random ~groups:4 ~count:200
+
+let prop_msgvfs_replicas_match_model =
+  replicated_check
+    "msgvfs (plumbed, 64 cores, root replicas) == reference model" (fun () ->
+      let st = Msg_driver.make (boot_fs ~plumbing:true ()) in
+      Msg_driver.apply st)
+
+let prop_msgvfs_dispatch_replicas_match_model =
+  replicated_check
+    "msgvfs (dispatchers, 64 cores, root replicas) == reference model"
+    (fun () ->
       let st = Msg_driver.make (boot_fs ~plumbing:false ()) in
       Msg_driver.apply st)
 
@@ -1123,6 +1170,8 @@ let () =
             test_fs_unlink_open_handle;
           Alcotest.test_case "concurrent clients" `Quick
             test_fs_concurrent_clients;
+          Alcotest.test_case "root replica counts" `Quick
+            test_root_replica_counts;
           Alcotest.test_case "fiber per vnode" `Quick
             test_vnode_fibers_spawned;
           Alcotest.test_case "dispatcher costs pinned" `Quick
@@ -1130,6 +1179,8 @@ let () =
       ( "model-based",
         [ qt prop_msgvfs_matches_model;
           qt prop_msgvfs_dispatch_matches_model;
+          qt prop_msgvfs_replicas_match_model;
+          qt prop_msgvfs_dispatch_replicas_match_model;
           qt prop_shvfs_matches_model ] );
       ( "notify",
         [ Alcotest.test_case "pub/sub + filter" `Quick test_notify_pubsub ] );
