@@ -23,13 +23,10 @@
     are routed ops answered ["A"] (put acked), ["F<v>"]/["M"]
     (get found / miss), ["L<addr>"] (not leader, hint; [-1] unknown),
     ["R"] (commit lost or timed out — retry), ["X"] (wrong node or
-    malformed).  Replication RPCs ride {!raft_port}. *)
+    malformed).  Replication RPCs ride a second, internal port. *)
 
 val client_port : int
 (** 7000 *)
-
-val raft_port : int
-(** 7100 *)
 
 type t
 

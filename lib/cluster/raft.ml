@@ -93,7 +93,6 @@ type t = {
   mutable lineage : int;
       (* bumped by reset_volatile; fibers of older lineages exit *)
   (* stats *)
-  mutable elections : int;
   mutable won : int;
   mutable appends : int;
   mutable group_commits : int;
@@ -131,7 +130,6 @@ let create cfg ~stack ~raft_port ~shard ~peers ~on_event =
     term_start = 0;
     waiters = Hashtbl.create 8;
     lineage = 0;
-    elections = 0;
     won = 0;
     appends = 0;
     group_commits = 0;
@@ -151,7 +149,6 @@ let commit_index t = t.commit_idx
 
 let log_length t = t.log_len
 
-let elections_started t = t.elections
 
 let appends_sent t = t.appends
 
@@ -616,7 +613,6 @@ let run_election t ~register ~lineage =
   t.role <- Candidate;
   t.term <- t.term + 1;
   t.voted_for <- Some t.self;
-  t.elections <- t.elections + 1;
   t.last_heartbeat <- Fiber.now ();
   let my_term = t.term in
   t.on_event (Election_started { shard = t.shard; node = t.self; term = my_term });

@@ -72,8 +72,6 @@ val commit_index : t -> int
 
 val log_length : t -> int
 
-val elections_started : t -> int
-
 val appends_sent : t -> int
 
 val applied : t -> int

@@ -124,9 +124,7 @@ let buffered ?label n =
 
 let unbounded ?label () = make_chan Unbounded label
 
-let label c = c.chlabel
 
-let id c = c.chid
 
 let is_closed c = c.closed
 

@@ -39,10 +39,6 @@ val buffered : ?label:string -> int -> 'a t
 
 val unbounded : ?label:string -> unit -> 'a t
 
-val label : 'a t -> string
-
-val id : 'a t -> int
-
 (** {1 Communication} *)
 
 val send : ?words:int -> 'a t -> 'a -> unit

@@ -83,7 +83,6 @@ let activate ctx =
   cell := ctx;
   prev
 
-let active () = !(Domain.DLS.get active_key)
 
 let set s v = set_in (resolve ()) s v
 

@@ -53,12 +53,6 @@ val clear : 'a slot -> unit
 
 val get : 'a slot -> 'a option
 
-val ambient : unit -> t
-(** The calling domain's ambient context. *)
-
-val active : unit -> t option
-(** The engine context active on this domain, if it is stepping. *)
-
 val activate : t option -> t option
 (** [activate ctx] makes [ctx] the active context for the calling
     domain and returns the previous value (restore it when done).

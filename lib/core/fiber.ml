@@ -13,7 +13,6 @@ let self () = Engine.self (Engine.current ())
 
 let id = Engine.fiber_id
 
-let label = Engine.fiber_label
 
 let core = Engine.fiber_core
 

@@ -24,8 +24,6 @@ val self : unit -> t
 
 val id : t -> int
 
-val label : t -> string
-
 val core : t -> int
 
 val yield : unit -> unit

@@ -11,7 +11,6 @@ let recv l k = Recv [ (l, k) ]
 
 let loop x body = Rec (x, body)
 
-let finish = End
 
 let rec well_formed_in env = function
   | End -> Ok ()

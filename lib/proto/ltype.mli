@@ -27,8 +27,6 @@ val recv : string -> t -> t
 val loop : string -> t -> t
 (** [loop x body] is [Rec (x, body)]. *)
 
-val finish : t
-
 (** {1 Analysis} *)
 
 val well_formed : t -> (unit, string) result
@@ -47,7 +45,5 @@ val compatible : t -> t -> bool
     behave as [dual b] up to unfolding, allowing the sender to use a
     subset of the labels the receiver handles (standard session
     subtyping). *)
-
-val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

@@ -50,7 +50,6 @@ let recv t =
   | Ltype.End -> violate t "receiving after protocol end"
   | Ltype.Rec _ | Ltype.Var _ -> assert false
 
-let state t = t.state
 
 let finished t = Ltype.unfold t.state = Ltype.End
 

@@ -29,9 +29,6 @@ val recv : 'a t -> 'a
 (** Checked receive: the received label must be one the protocol
     expects. *)
 
-val state : 'a t -> Ltype.t
-(** Remaining protocol. *)
-
 val finished : 'a t -> bool
 
 val violations : 'a t -> int

@@ -46,7 +46,3 @@ val exponential : t -> float -> float
 
 val shuffle : t -> 'a array -> unit
 (** [shuffle t a] permutes [a] in place (Fisher-Yates). *)
-
-val pick : t -> 'a array -> 'a
-(** [pick t a] returns a uniformly chosen element of the non-empty
-    array [a]. *)
