@@ -31,6 +31,8 @@ type fiber = {
 type core_state = {
   cid : int;
   runq : (fiber * (unit -> unit)) Deque.t;
+  mutable movable : int;
+      (** fibers in [runq] a stealing core may take: the non-daemons *)
   mutable pending : int;
       (** wakes scheduled but not yet enqueued — makes load visible to
           placement policies within the scheduling segment *)
@@ -102,7 +104,7 @@ type t = {
   events : Pqueue.t;
   mutable seq : int;
   cores : core_state array;
-  backlog : Coreset.t;  (** cores whose run queue is non-empty *)
+  backlog : Coreset.t;  (** cores with a movable fiber queued *)
   parked : Coreset.t;
       (** under a stealing policy, the cores with no dispatch pending,
           most recently parked first; every other core is running or
@@ -113,6 +115,9 @@ type t = {
   mutable seg_acc : int;
   mutable seg_fiber : fiber option;
   mutable next_fid : int;
+  mutable next_service : int;
+      (** under a stealing policy, the core of the next daemon spawned
+          without [?on] *)
   mutable next_oid : int;
   mutable live : int;
   mutable live_nondaemon : int;
@@ -211,13 +216,27 @@ let core_load t c =
   Deque.length core.runq + core.pending
   + (if core.free_at > t.now then 1 else 0)
 
-(* [backlog] follows every push and pop of a run queue *)
-let pop_runq t core =
-  match Deque.pop_front core.runq with
-  | Some _ as next ->
-    if Deque.is_empty core.runq then Coreset.remove t.backlog core.cid;
-    next
-  | None -> None
+(* [movable] and [backlog] follow every push and pop of a run queue *)
+let taken t core ((f, _) as entry) =
+  if not f.daemon then begin
+    core.movable <- core.movable - 1;
+    if core.movable = 0 then Coreset.remove t.backlog core.cid
+  end;
+  entry
+
+let pop_runq t core = Option.map (taken t core) (Deque.pop_front core.runq)
+
+(* The first movable fiber of a backlogged core's queue; the daemons
+   queued ahead of it keep their places. *)
+let pop_movable t core =
+  let rec skip ahead =
+    match Deque.pop_front core.runq with
+    | Some ((f, _) as entry) when f.daemon -> skip (entry :: ahead)
+    | next ->
+      List.iter (Deque.push_front core.runq) ahead;
+      taken t core (Option.get next)
+  in
+  skip []
 
 let rec kick t core at =
   if not core.kicked then begin
@@ -242,8 +261,9 @@ and after_segment t core =
     if t.backlog.head >= 0 then kick t core core.free_at
     else Coreset.push t.parked core.cid
 
-(* take a fiber from the newest backlogged core that has more than one
-   runnable fiber, or park *)
+(* take a movable fiber from the newest backlogged core that has more
+   than one runnable fiber, or park.  A daemon is never taken: the
+   services stay where they were placed (see [spawn]). *)
 and steal t core =
   let rec victim c =
     if c < 0 || core_load t c > 1 then c else victim t.backlog.next.(c)
@@ -251,8 +271,7 @@ and steal t core =
   match victim t.backlog.head with
   | -1 -> Coreset.push t.parked core.cid
   | vic ->
-    (* a backlogged core's run queue is non-empty *)
-    let f, thunk = Option.get (pop_runq t t.cores.(vic)) in
+    let f, thunk = pop_movable t t.cores.(vic) in
     t.cnt.steals <- t.cnt.steals + 1;
     (match t.config.trace with
     | Some sink ->
@@ -301,8 +320,8 @@ let create (config : config) =
   Inspect.attach ctx (Inspect.create_registry ());
   let cores =
     Array.init n (fun cid ->
-        { cid; runq = Deque.create (); pending = 0; free_at = 0; busy = 0;
-          kicked = false; dispatch = ignore })
+        { cid; runq = Deque.create (); movable = 0; pending = 0; free_at = 0;
+          busy = 0; kicked = false; dispatch = ignore })
   in
   let rec t =
     { config;
@@ -326,6 +345,7 @@ let create (config : config) =
       seg_acc = 0;
       seg_fiber = None;
       next_fid = 0;
+      next_service = 1 mod n;
       next_oid = 0;
       live = 0;
       live_nondaemon = 0;
@@ -349,8 +369,9 @@ let create (config : config) =
 (* ------------------------------------------------------------------ *)
 (* Making fibers runnable                                              *)
 
-(* A fiber left waiting behind a busy core rings the doorbell of the
-   most recently parked core: one word, one message latency away. *)
+(* A movable fiber left waiting behind a busy core rings the doorbell
+   of the most recently parked core: one word, one message latency
+   away. *)
 let ring t src =
   let p = t.parked.head in
   if p >= 0 then begin
@@ -371,15 +392,19 @@ let enqueue_runnable t f thunk ~at =
   core.pending <- core.pending + 1;
   push_event t at (fun () ->
       core.pending <- core.pending - 1;
-      if Deque.is_empty core.runq then Coreset.push t.backlog core.cid;
+      if not f.daemon then begin
+        if core.movable = 0 then Coreset.push t.backlog core.cid;
+        core.movable <- core.movable + 1
+      end;
       (match f.prio with
       | High -> Deque.push_front core.runq (f, thunk)
       | Normal -> Deque.push_back core.runq (f, thunk));
       (* own work unparks a core *)
       Coreset.remove t.parked core.cid;
       kick t core t.now;
-      if Policy.steals t.policy && core_load t core.cid > 1 then
-        ring t core.cid)
+      if Policy.steals t.policy && core_load t core.cid > 1
+         && core.movable > 0
+      then ring t core.cid)
 
 (* ------------------------------------------------------------------ *)
 (* Fiber lifecycle                                                     *)
@@ -499,6 +524,12 @@ let spawn t ?on ?affinity ?label ?(priority = Normal) ?(daemon = false) body =
     | Some c ->
       if c < 0 || c >= Array.length t.cores then
         invalid_arg "Engine.spawn: core out of range";
+      c
+    | None when daemon && Policy.steals t.policy ->
+      (* stealing never moves a daemon, so the services are spread over
+         the cores here, in turn *)
+      let c = t.next_service in
+      t.next_service <- (c + 1) mod Array.length t.cores;
       c
     | None ->
       let parent_core =

@@ -176,7 +176,10 @@ val spawn :
     opaque gang key, through to it).  The parent (when called from a
     fiber) is charged the spawn cost; a remote placement additionally
     costs one small message.  Daemon fibers do not keep the run alive
-    and are not deadlock suspects. *)
+    and are not deadlock suspects.  Under a stealing policy a daemon is
+    a service that stays where it is placed: it is never stolen, and
+    one spawned without [?on] goes to the next core in turn from core
+    1, not to its parent's core. *)
 
 val charge : t -> int -> unit
 (** [charge t n] accounts [n] cycles of CPU work on the calling

@@ -18,7 +18,8 @@ val spawn :
     an opaque gang key for policies that co-locate groups (see
     {!Chorus_sched.Policy.affinity_groups}).  A [daemon] fiber (device
     driver loops, services) does not keep the run alive and is ignored
-    by deadlock detection. *)
+    by deadlock detection; under {!Chorus_sched.Policy.work_steal} it
+    is never stolen (see there). *)
 
 val self : unit -> t
 

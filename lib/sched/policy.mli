@@ -55,14 +55,17 @@ val locality : unit -> t
     walking outward.  Models hierarchical placement. *)
 
 val work_steal : unit -> t
-(** Children start on the parent core and idle cores steal.  A core
-    that runs dry takes a fiber from the newest backlogged core whose
-    load is above 1, paying the fiber's migration (a cache miss plus
-    per-hop coherence); with no such core it parks and costs no
-    events.  A push that leaves a fiber waiting behind a busy core
-    rings the doorbell of the most recently parked core, which arrives
-    one one-word message latency later and steals.  Every core starts
-    parked. *)
+(** Children start on the parent core and idle cores steal them.  A
+    core that runs dry takes the first non-daemon fiber queued on the
+    newest backlogged core whose load is above 1, paying the fiber's
+    migration (a cache miss plus per-hop coherence); with no such core
+    it parks and costs no events.  A push that leaves a non-daemon
+    fiber waiting behind a busy core rings the doorbell of the most
+    recently parked core, which arrives one one-word message latency
+    later and steals.  Every core starts parked.  Daemons are services
+    and stay where they are placed: the engine never steals one, and
+    places one spawned without [?on] on the next core in turn from
+    core 1 rather than on its parent's core. *)
 
 val affinity_groups : unit -> t
 (** Fibers with the same [affinity] key land on the same core (keys

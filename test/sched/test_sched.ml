@@ -112,6 +112,48 @@ let test_steal_only_from_backlog () =
   Alcotest.(check int) "b stays on core 2" 2 (Hashtbl.find ran "b");
   Alcotest.(check bool) "c moved off core 2" true (Hashtbl.find ran "c" <> 2)
 
+(* a daemon is a service: a stealing policy spreads daemons over the
+   cores in turn from core 1 and never steals one.  [d] lands on core 1
+   behind [a] and waits there; [b], queued behind both, is the fiber
+   taken *)
+let test_steal_leaves_daemons () =
+  let stolen = ref [] and ran = Hashtbl.create 4 in
+  let trace r =
+    match r.Chorus.Trace.event with
+    | Chorus.Trace.Steal { fiber; _ } -> stolen := fiber :: !stolen
+    | _ -> ()
+  in
+  let at name = Hashtbl.replace ran name (Fiber.core (Fiber.self ())) in
+  let ids = Hashtbl.create 4 in
+  let s =
+    Runtime.run
+      (Runtime.config ~policy:(Policy.work_steal ()) ~trace
+         (Machine.mesh ~cores:16))
+      (fun () ->
+        let spawn name f = Hashtbl.replace ids name (Fiber.id (f ())) in
+        spawn "a" (fun () ->
+            Fiber.spawn ~on:1 (fun () ->
+                at "a";
+                Fiber.work 20_000));
+        spawn "d" (fun () ->
+            Fiber.spawn ~daemon:true (fun () ->
+                at "d";
+                Fiber.work 1_000));
+        spawn "e" (fun () ->
+            Fiber.spawn ~daemon:true (fun () ->
+                at "e";
+                Fiber.work 1_000));
+        spawn "b" (fun () ->
+            Fiber.spawn ~on:1 (fun () ->
+                at "b";
+                Fiber.work 40_000)))
+  in
+  Alcotest.(check int) "d spread to core 1" 1 (Hashtbl.find ran "d");
+  Alcotest.(check int) "e spread to core 2" 2 (Hashtbl.find ran "e");
+  Alcotest.(check (list int)) "only b stolen" [ Hashtbl.find ids "b" ] !stolen;
+  Alcotest.(check int) "one steal" 1 s.Runstats.steals;
+  Alcotest.(check bool) "b moved off core 1" true (Hashtbl.find ran "b" <> 1)
+
 (* with no fiber ever queued behind another, a stealing chip runs the
    same events as one that never steals: idle cores park, they do not
    poll *)
@@ -215,6 +257,8 @@ let () =
             test_steal_beats_parent_e2e;
           Alcotest.test_case "steal only from a backlog" `Quick
             test_steal_only_from_backlog;
+          Alcotest.test_case "steal leaves daemons" `Quick
+            test_steal_leaves_daemons;
           Alcotest.test_case "idle stealing chip adds no events" `Quick
             test_idle_steal_chip_adds_no_events;
           Alcotest.test_case "all deterministic" `Quick
