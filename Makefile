@@ -72,13 +72,21 @@ lint-globals:
 		echo "lint-globals: OK"; \
 	fi
 
-# Dead-module gate: every lib/*/*.ml module must be named by some
-# other .ml file of the program (lib/, bin/, bench/, examples/,
-# perfbench/); a module only its unit tests use is dead library
-# surface.  A name is a qualified use `M.`, `open M` / `include M`, or
-# a module path ending in M as an alias (`= Lib.M`) or functor
-# argument (`(M)`).  Allowlisted: the pure reference model the test
-# suites compare implementations against.
+# Dead-surface gate, two checks.
+#
+# Modules: every lib/*/*.ml module must be named by some other .ml
+# file of the program (lib/, bin/, bench/, examples/, perfbench/); a
+# module only its unit tests use is dead library surface.  A name is a
+# qualified use `M.`, `open M` / `include M`, or a module path ending
+# in M as an alias (`= Lib.M`) or functor argument (`(M)`).
+# Allowlisted: the pure reference model the test suites compare
+# implementations against.
+#
+# Exports: every top-level `val v` of a lib/*/*.mli of module M must be
+# named by some other .ml file, tests included (a test-only accessor is
+# an observation hook): a file names it if it contains `M.v`, aliases
+# M as A (`module A = Lib.M`) and contains `A.v`, or opens or includes
+# M (`open M`, `include M`, `M.(`) and mentions `v` at all.
 LINT_DEAD_SRC := lib bin bench examples perfbench
 LINT_DEAD_ALLOW := lib/fsspec/fsmodel.ml
 
@@ -93,9 +101,32 @@ lint-dead:
 			$(LINT_DEAD_SRC) | grep -vx "$$f" || true); \
 		[ -n "$$users" ] || bad="$$bad $$f"; \
 	done; \
+	id="[a-z_][A-Za-z0-9_']*"; names=$$(mktemp); \
+	for f in lib/*/*.mli; do \
+		vals=$$(sed -nE "s/^val ($$id).*/\1/p" $$f); \
+		[ -n "$$vals" ] || continue; \
+		m=$$(basename $$f .mli | awk '{ print toupper(substr($$0, 1, 1)) substr($$0, 2) }'); \
+		p="([A-Z][A-Za-z0-9_']*\.)*$$m"; \
+		users=$$(grep -rlE --include='*.ml' "\b$$m\b" $(LINT_DEAD_SRC) test \
+			| grep -vx "$${f%i}" || true); \
+		if [ -n "$$users" ]; then \
+			grep -ohE "\b$$m\.$$id" $$users | sed "s/^$$m\.//"; \
+			grep -HE "module +[A-Z][A-Za-z0-9_']* *= *$$p *$$" $$users \
+			| sed -E "s/^([^:]*):.*module +([A-Z][A-Za-z0-9_']*) *=.*/\1 \2/" \
+			| while read g a; do \
+				grep -ohE "\b$$a\.$$id" $$g | sed "s/^$$a\.//"; \
+			done; \
+			openers=$$(grep -lE "(open|include)!? +$$p\b|\b$$m\.\(" $$users || true); \
+			[ -z "$$openers" ] || grep -ohE "$$id" $$openers; \
+		fi | sort -u > $$names; \
+		for v in $$(printf '%s\n' $$vals | grep -vxF -f $$names); do \
+			bad="$$bad $$m.$$v"; \
+		done; \
+	done; \
+	rm -f $$names; \
 	if [ -n "$$bad" ]; then \
-		echo "lint-dead: lib modules no other program file names:$$bad"; \
-		echo "delete them, or allowlist them in the Makefile"; \
+		echo "lint-dead: lib modules and exports no other file names:$$bad"; \
+		echo "delete them, make them internal, or allowlist a module in the Makefile"; \
 		exit 1; \
 	else \
 		echo "lint-dead: OK"; \
@@ -107,14 +138,14 @@ bench:
 # A small seeded chaos campaign over every registered scenario plus
 # the oracle selftest (under a second): every fault kind gets
 # explored, every oracle must stay green, and the planted violation
-# must be caught.  Exit 1 on any oracle violation, 2 if the selftest
+# must be caught.  Each scenario's run count is its registry entry's
+# `default_runs` (lib/chaos/chaos.ml).  Exit 1 on any oracle violation, 2 if the selftest
 # fails.  --domains 0 shards the campaign across every available core
 # (auto-detected, so a single-core CI host runs it sequentially at
 # unchanged cost); the merged report is byte-identical at any width.
 # The replay goldens run under `dune runtest` (test/golden/dune).
 chaos-smoke:
-	dune exec bin/chorus_sim.exe -- chaos --disk-runs 30 --kv-runs 6 \
-		--projfs-runs 10 --lease-runs 8 --gray-runs 12 --selftest --domains 0
+	dune exec bin/chorus_sim.exe -- chaos --selftest --domains 0
 
 # Compare the committed BENCH_*.json baselines against a fresh
 # regeneration of their deterministic fields.

@@ -9,7 +9,6 @@ type config = {
   cache_blocks : int;
   shards : int;
   trap_per_op : bool;
-  disk : Diskmodel.t;
 }
 
 let default_config =
@@ -17,8 +16,7 @@ let default_config =
     nblocks = 65536;
     cache_blocks = 1024;
     shards = 8;
-    trap_per_op = true;
-    disk = Diskmodel.default }
+    trap_per_op = true }
 
 (* ------------------------------------------------------------------ *)
 
@@ -98,9 +96,7 @@ let client sys = { sys; fds = Hashtbl.create 16; next_fd = 3 }
 let disk_io sys ~write block data =
   Lock.with_lock sys.disk_lock (fun () ->
       let eng = Engine.current () in
-      let svc =
-        Diskmodel.service_time sys.cfg.disk ~last_block:sys.disk_head ~block
-      in
+      let svc = Diskmodel.service_time ~last_block:sys.disk_head ~block in
       sys.disk_head <- block;
       Engine.sleep eng svc;
       if write then begin
@@ -121,7 +117,7 @@ let disk_io sys ~write block data =
 
 let charge_copy eng bytes_len =
   let c = Engine.costs eng in
-  Engine.charge eng (bytes_len / 8 * c.Cost.msg_per_word)
+  Engine.charge eng (Cost.words_of_bytes bytes_len * c.Cost.msg_per_word)
 
 let shard_of sys block = sys.shards.(block mod Array.length sys.shards)
 

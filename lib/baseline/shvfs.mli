@@ -19,7 +19,6 @@ type config = {
   cache_blocks : int;  (** buffer-cache capacity *)
   shards : int;  (** buffer-cache lock sharding *)
   trap_per_op : bool;  (** charge mode switches around each call *)
-  disk : Chorus_machine.Diskmodel.t;
 }
 
 val default_config : config

@@ -26,8 +26,8 @@ module History = Chorus.History
 module Runtime = Chorus.Runtime
 module Rng = Chorus_util.Rng
 module Machine = Chorus_machine.Machine
+module Cost = Chorus_machine.Cost
 module Policy = Chorus_sched.Policy
-module Diskmodel = Chorus_machine.Diskmodel
 module Svc = Chorus_svc.Svc
 module Blockdev = Chorus_kernel.Blockdev
 module Bcache = Chorus_kernel.Bcache
@@ -325,7 +325,7 @@ let disk_recovery_bound = 800_000
 
 let prepare_disk ~corrupt (sch : Schedule.t) =
   scenario_run ~cores:8 sch @@ fun r ->
-  let dev = Blockdev.start ~disk:Diskmodel.default () in
+  let dev = Blockdev.start () in
   let cache = Bcache.start ~shards:2 ~capacity:64 ~dev () in
   let ep : (store_req, store_resp) Svc.t =
     Svc.create ~subsystem:"chaos" ~label:"store" ()
@@ -342,7 +342,7 @@ let prepare_disk ~corrupt (sch : Schedule.t) =
   in
   let words_of_resp = function
     | Ack | Val None -> 2
-    | Val (Some s) -> 2 + ((String.length s + 7) / 8)
+    | Val (Some s) -> 2 + Cost.words_of_bytes (String.length s)
   in
   let sup =
     Supervisor.start ~max_restarts:100 ~window:1_000_000_000
@@ -722,9 +722,7 @@ let projfs_recovery_bound = 1_500_000
 let prepare_projfs ~corrupt (sch : Schedule.t) =
   scenario_run ~cores:16 sch @@ fun r ->
   let nops = 12 in
-  let cat =
-    Provider.catalog ~seed:sch.Schedule.seed ~nfiles:128 ~dir_width:32 ()
-  in
+  let cat = Provider.catalog ~seed:sch.Schedule.seed ~nfiles:128 in
   let net = Fabric.create ~latency:5_000 ~seed:(sch.Schedule.seed + 1) () in
   let pstack = Stack.create net (Fabric.attach net ~label:"provider" ()) in
   let mstack = Stack.create net (Fabric.attach net ~label:"mount" ()) in
@@ -735,7 +733,7 @@ let prepare_projfs ~corrupt (sch : Schedule.t) =
       [ { Supervisor.cname = "provider";
           cstart = Provider.starter server cat pstack } ]
   in
-  let dev = Blockdev.start ~disk:Diskmodel.default () in
+  let dev = Blockdev.start () in
   let cache = Bcache.start ~shards:2 ~capacity:128 ~dev () in
   let alloc = Cgalloc.start ~nblocks:2048 () in
   let fs = Msgvfs.mount Msgvfs.default_config ~bcache:cache ~alloc in
@@ -899,7 +897,7 @@ let scenarios =
       doc =
         "supervised store over the buffer cache; store-fiber kills and \
          disk read-error windows";
-      default_runs = 24;
+      default_runs = 30;
       prepare = prepare_disk;
       faults = disk_faults };
     { scenario = Kv;
@@ -908,7 +906,7 @@ let scenarios =
       doc =
         "replicated cluster; node crashes and fabric \
          loss/dup/reorder/delay windows";
-      default_runs = 8;
+      default_runs = 6;
       prepare = prepare_kv ~lease:false ~gray:false;
       faults = kv_faults };
     { scenario = Projfs;
@@ -917,7 +915,7 @@ let scenarios =
       doc =
         "projected mount hydrating from a supervised provider; provider \
          kills and fabric loss/delay (placeholder-invariant oracle)";
-      default_runs = 0;
+      default_runs = 10;
       prepare = prepare_projfs;
       faults = projfs_faults };
     { scenario = Kv_lease;
@@ -927,7 +925,7 @@ let scenarios =
         "cluster on the batched, leased hot path; leader kills and \
          partition-ish fabric windows (stale leased reads violate \
          linearizability)";
-      default_runs = 0;
+      default_runs = 8;
       prepare = prepare_kv ~lease:true ~gray:false;
       faults = lease_faults };
     { scenario = Gray;
@@ -936,7 +934,7 @@ let scenarios =
       doc =
         "cluster with breaker and deadline clients; per-link delay and \
          asymmetric partition windows (fail-fast liveness oracle)";
-      default_runs = 0;
+      default_runs = 12;
       prepare = prepare_kv ~lease:false ~gray:true;
       faults = gray_faults } ]
 
@@ -972,6 +970,9 @@ let gen scenario ~seed ~index =
 (* ------------------------------------------------------------------ *)
 (* Shrinking and campaigns                                             *)
 
+(* greedy ddmin-lite: repeatedly drop any single fault whose removal
+   keeps the schedule violating, to a fixpoint; a schedule that does
+   not violate comes back unchanged *)
 let shrink ?(corrupt = false) scenario sch =
   let violating s = (run_one ~corrupt scenario s).violations <> [] in
   if not (violating sch) then sch

@@ -11,7 +11,7 @@
     than Jepsen on real hardware: a fault plan is a {!Schedule.t}
     value, every run replays byte-identically from its schedule, and a
     failing schedule shrinks to a minimal reproducer by re-running
-    subschedules ({!shrink}) — FoundationDB's simulation discipline,
+    subschedules — FoundationDB's simulation discipline,
     not spray-and-pray.
 
     A scenario is described once, as an {!entry} of {!scenarios}: its
@@ -108,7 +108,9 @@ type entry = {
           [--scenario] value and every printed scenario label *)
   aliases : string list;  (** other names {!of_name} accepts *)
   doc : string;  (** one line: what runs, under which faults *)
-  default_runs : int;  (** schedules the [chaos] command explores *)
+  default_runs : int;
+      (** schedules the [chaos] command explores: the CI smoke
+          campaign ([make chaos-smoke]) *)
   prepare : corrupt:bool -> Schedule.t -> prepared;  (** see {!prepare} *)
   faults : Chorus_util.Rng.t -> Schedule.fault;
       (** the fault palette: one draw per fault {!gen} places *)
@@ -145,15 +147,12 @@ val gen : scenario -> seed:int -> index:int -> Schedule.t
     sanity point); higher indices carry 1–3 faults with
     seed-derived kinds, windows and probabilities. *)
 
-val shrink : ?corrupt:bool -> scenario -> Schedule.t -> Schedule.t
-(** Greedy ddmin-lite: repeatedly drop any single fault whose removal
-    keeps the schedule violating, to a fixpoint.  Returns the input
-    unchanged if it does not violate. *)
-
 type violation = {
   vscenario : scenario;
   schedule : Schedule.t;  (** as explored *)
-  minimal : Schedule.t;  (** after {!shrink} *)
+  minimal : Schedule.t;
+      (** after greedy shrinking: every single fault whose removal
+          keeps the schedule violating is dropped, to a fixpoint *)
   first : string;  (** first oracle violation message *)
   replay_identical : bool;
       (** the schedule re-ran to the same digest and the minimal

@@ -3,7 +3,6 @@ module Chan = Chorus.Chan
 module Fabric = Chorus_net.Fabric
 module Stack = Chorus_net.Stack
 module Supervisor = Chorus_kernel.Supervisor
-module Notify = Chorus_kernel.Notify
 module Metrics = Chorus_obs.Metrics
 
 let client_port = 7000
@@ -26,26 +25,19 @@ type t = {
   map : Shardmap.t;
   map_wire : string;  (* "m" ^ encoding, served on 'M' *)
   nodes : node array;
-  notify : Notify.t option;
   mutable sup : Supervisor.t option;
   mutable elections : int;
   mutable leader_changes : int;
   mutable crashes : int;
 }
 
-let publish t ev =
-  match t.notify with None -> () | Some n -> Notify.publish n ev
-
 let on_raft_event t (ev : Raft.event) =
   match ev with
   | Raft.Election_started _ -> t.elections <- t.elections + 1
-  | Raft.Leader_won { shard; node; _ } ->
-    t.leader_changes <- t.leader_changes + 1;
-    publish t
-      (Notify.Custom (Printf.sprintf "cluster:shard%d:leader:%d" shard node))
+  | Raft.Leader_won _ -> t.leader_changes <- t.leader_changes + 1
   | Raft.Stepped_down _ -> ()
 
-let create ?raft ?notify ~nshards ~replication ~seed ~nnodes fabric =
+let create ?raft ~nshards ~replication ~seed ~nnodes fabric =
   if nnodes <= 0 then invalid_arg "Cluster.create: nnodes";
   let rcfg =
     match raft with Some c -> c | None -> Raft.default_config ~seed
@@ -95,7 +87,6 @@ let create ?raft ?notify ~nshards ~replication ~seed ~nnodes fabric =
     { map;
       map_wire = "m" ^ Shardmap.encode map;
       nodes;
-      notify;
       sup = None;
       elections = 0;
       leader_changes = 0;
@@ -272,7 +263,6 @@ let start_node t ni =
       ~daemon:true
       (fun () ->
         node.up <- true;
-        publish t (Notify.Custom (Printf.sprintf "cluster:node%d:up" node.addr));
         let raft_srv =
           Fiber.spawn
             ~label:(Printf.sprintf "raft-srv-%d" node.addr)
@@ -300,14 +290,12 @@ let start_node t ni =
   in
   (* the cluster's own monitor coexists with the supervisor's: it is
      the failure detector's control-plane half, reaping the dead
-     incarnation and announcing the membership change *)
+     incarnation *)
   node.root <- Some root;
   Fiber.monitor root (fun ~time:_ _st ->
       if node.incarnation = inc then begin
         node.up <- false;
         t.crashes <- t.crashes + 1;
-        publish t
-          (Notify.Custom (Printf.sprintf "cluster:node%d:down" node.addr));
         let doomed = node.subs in
         node.subs <- [];
         List.iter (fun (_, r) -> Raft.reset_volatile r) node.rafts;

@@ -13,10 +13,7 @@
     supervisor detects the dead node fiber and restarts the whole node
     (control-plane healing — the restarted replica rejoins as a
     follower with its log intact, modeling recovery from stable
-    storage).  Membership transitions and leadership changes are
-    published to the optional {!Chorus_kernel.Notify} hub as [Custom]
-    events ["cluster:node<a>:up"], ["cluster:node<a>:down"] and
-    ["cluster:shard<s>:leader:<a>"].
+    storage).
 
     Wire protocol on {!client_port} (length-prefixed via {!Wire}):
     ['M'] fetches the encoded shard map; ['P' key value] and ['G' key]
@@ -31,8 +28,8 @@ val client_port : int
 type t
 
 val create :
-  ?raft:Raft.config -> ?notify:Chorus_kernel.Notify.t -> nshards:int ->
-  replication:int -> seed:int -> nnodes:int -> Chorus_net.Fabric.t -> t
+  ?raft:Raft.config -> nshards:int -> replication:int -> seed:int ->
+  nnodes:int -> Chorus_net.Fabric.t -> t
 (** Attach the nodes and build their replicas.  Nothing runs until
     {!start}.  [raft] defaults to {!Raft.default_config} with [seed]. *)
 

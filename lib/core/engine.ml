@@ -91,7 +91,6 @@ type config = {
   policy : Policy.t;
   seed : int;
   trace : Trace.sink option;
-  max_events : int;
 }
 
 type t = {
@@ -126,13 +125,6 @@ type t = {
   mutable fibers : fiber list;  (** registry for deadlock reports *)
   cnt : counters;
 }
-
-let default_config machine =
-  { machine;
-    policy = Policy.parent;
-    seed = 42;
-    trace = None;
-    max_events = 200_000_000 }
 
 let machine t = t.machine
 
@@ -619,6 +611,9 @@ let start t main =
 
 let stop t = t.started <- false
 
+(* runaway-loop backstop *)
+let max_events = 200_000_000
+
 let step_until t limit =
   let stack = Domain.DLS.get stepping_key in
   stack := t :: !stack;
@@ -638,8 +633,7 @@ let step_until t limit =
         t.now <- time;
         if time > t.horizon then t.horizon <- time;
         t.cnt.events <- t.cnt.events + 1;
-        if t.config.max_events > 0 && t.cnt.events > t.config.max_events
-        then begin
+        if t.cnt.events > max_events then begin
           (* a crashed main plus looping daemons would otherwise hide
              the real error behind the cap failure *)
           match t.main_crash with

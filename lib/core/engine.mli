@@ -54,11 +54,9 @@ type config = {
   policy : Chorus_sched.Policy.t;
   seed : int;
   trace : Trace.sink option;
-  max_events : int;  (** runaway-loop backstop; 0 = unlimited *)
 }
-
-val default_config : Chorus_machine.Machine.t -> config
-(** Parent placement, seed 42, no trace, 200M events cap. *)
+(** Build one with {!Runtime.config}.  Every run stops with a failure
+    after 200M events (a runaway-loop backstop). *)
 
 (** {1 Run lifecycle} *)
 

@@ -35,25 +35,13 @@ let register ~name f =
   | None -> ()
   | Some providers -> providers := (name, f) :: !providers
 
-let registered () =
-  match Ctx.get slot with
-  | None -> 0
-  | Some providers -> List.length !providers
-
-let sorted_snapshot providers =
-  List.stable_sort
-    (fun (a, _) (b, _) -> compare a b)
-    (List.rev_map (fun (name, f) -> (name, f ())) !providers)
-
-let snapshot () =
-  match Ctx.get slot with
-  | None -> []
-  | Some providers -> sorted_snapshot providers
-
 let snapshot_in ctx =
   match Ctx.get_in ctx slot with
   | None -> []
-  | Some providers -> sorted_snapshot providers
+  | Some providers ->
+    List.stable_sort
+      (fun (a, _) (b, _) -> compare a b)
+      (List.rev_map (fun (name, f) -> (name, f ())) !providers)
 
 (* ------------------------------------------------------------------ *)
 (* Text rendering                                                      *)

@@ -43,20 +43,15 @@ val attach : Ctx.t -> registry -> unit
 val register : name:string -> (unit -> value) -> unit
 (** [register ~name f] adds a provider to the registry of the engine
     the calling domain is currently stepping.  Use ["/"]-separated
-    names (["svc/chaos.store"], ["cluster/node2"]); {!snapshot} sorts
-    by name.  The thunk is called only when a snapshot is taken and
+    names (["svc/chaos.store"], ["cluster/node2"]); {!snapshot_in}
+    sorts by name.  The thunk is called only when a snapshot is taken and
     must not block, charge or suspend.  A no-op outside any run. *)
 
-val registered : unit -> int
-
-val snapshot : unit -> (string * value) list
-(** Evaluate every provider of the currently-stepping engine, sorted
-    by name (stable for duplicates) — deterministic for a
-    deterministic run paused at a fixed time.  Empty outside a run. *)
-
 val snapshot_in : Ctx.t -> (string * value) list
-(** Like {!snapshot} but against an explicit (engine) context — what
-    the replay debugger uses while a stepped run is paused. *)
+(** Evaluate every provider of an engine's context, sorted by name
+    (stable for duplicates) — deterministic for a deterministic run
+    paused at a fixed time; what the replay debugger uses while a
+    stepped run is paused.  Empty when the context has no registry. *)
 
 (** {1 Rendering} *)
 

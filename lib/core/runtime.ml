@@ -1,4 +1,4 @@
-type config = {
+type config = Engine.config = {
   machine : Chorus_machine.Machine.t;
   policy : Chorus_sched.Policy.t;
   seed : int;
@@ -22,19 +22,10 @@ let set_default_trace = function
   | Some f -> Ctx.set default_trace f
   | None -> Ctx.clear default_trace
 
-let engine_config (c : config) : Engine.config =
-  let trace =
-    match c.trace with
-    | Some _ as s -> s
-    | None -> (
-      match Ctx.get default_trace with
-      | None -> None
-      | Some factory -> Some (factory ()))
-  in
-  { (Engine.default_config c.machine) with
-    policy = c.policy;
-    seed = c.seed;
-    trace }
+let engine_config c =
+  match (c.trace, Ctx.get default_trace) with
+  | None, Some factory -> { c with trace = Some (factory ()) }
+  | _ -> c
 
 let run cfg main =
   let eng = Engine.create (engine_config cfg) in

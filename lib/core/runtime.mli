@@ -1,7 +1,7 @@
 (** Entry point: configure a simulated machine, run a program on it,
     collect statistics. *)
 
-type config = {
+type config = Engine.config = {
   machine : Chorus_machine.Machine.t;
   policy : Chorus_sched.Policy.t;
   seed : int;
@@ -14,8 +14,7 @@ val config :
   ?trace:Trace.sink ->
   Chorus_machine.Machine.t ->
   config
-(** Defaults: parent placement, seed 42, no trace.  Runs keep
-    {!Engine.default_config}'s 200M-event cap. *)
+(** Defaults: parent placement, seed 42, no trace. *)
 
 val run : config -> (unit -> unit) -> Runstats.t
 (** [run cfg main] executes [main] as the initial fiber on core 0 of a

@@ -17,14 +17,7 @@ let run_to scenario sch ~at =
   let records = ref [] in
   let sink r = records := r :: !records in
   let p = Chaos.prepare scenario sch in
-  let cfg = p.Chaos.pconfig in
-  let ecfg =
-    { (Engine.default_config cfg.Chorus.Runtime.machine) with
-      policy = cfg.Chorus.Runtime.policy;
-      seed = cfg.Chorus.Runtime.seed;
-      trace = Some sink }
-  in
-  let eng = Engine.create ecfg in
+  let eng = Engine.create { p.Chaos.pconfig with trace = Some sink } in
   let reg = Metrics.create () in
   Metrics.install reg;
   Fun.protect

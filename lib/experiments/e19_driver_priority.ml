@@ -15,7 +15,6 @@
 open Exp_common
 module Fiber = Chorus.Fiber
 module Histogram = Chorus_util.Histogram
-module Diskmodel = Chorus_machine.Diskmodel
 module Blockdev = Chorus_kernel.Blockdev
 
 let cores = 8
@@ -25,7 +24,7 @@ let run_one ~quick ~seed ~priority =
   let latency = Histogram.create () in
   let (), stats =
     run ~seed ~cores (fun () ->
-        let dev = Blockdev.start ~priority ~disk:Diskmodel.default () in
+        let dev = Blockdev.start ~priority () in
         (* background batch load: several runnable fibers per core, so
            every wake-up finds a queue to stand in (or jump) *)
         let stop = ref false in

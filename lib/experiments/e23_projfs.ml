@@ -37,7 +37,6 @@ module Blockdev = Chorus_kernel.Blockdev
 module Bcache = Chorus_kernel.Bcache
 module Cgalloc = Chorus_kernel.Cgalloc
 module Msgvfs = Chorus_kernel.Msgvfs
-module Diskmodel = Chorus_machine.Diskmodel
 module Namecache = Chorus_projfs.Namecache
 module Provider = Chorus_projfs.Provider
 module Projfs = Chorus_projfs.Projfs
@@ -45,7 +44,7 @@ module Projfs = Chorus_projfs.Projfs
 (* One projected mount over a two-node fabric; everything E23 measures
    runs against this fixture *)
 let boot ?hydration ?workers ~cat () =
-  let dev = Blockdev.start ~disk:Diskmodel.default () in
+  let dev = Blockdev.start () in
   let cache = Bcache.start ~shards:4 ~capacity:512 ~dev () in
   let alloc = Cgalloc.start ~nblocks:8192 () in
   let fs = Msgvfs.mount Msgvfs.default_config ~bcache:cache ~alloc in
@@ -88,7 +87,7 @@ type open_sample = {
 
 let measure_open ~quick ~seed =
   let files = pick ~quick 48 192 in
-  let cat = Provider.catalog ~seed:3 ~nfiles:files ~dir_width:32 () in
+  let cat = Provider.catalog ~seed:3 ~nfiles:files in
   let (cold, warm, hydrations, nc_hits, nc_misses), _stats =
     run ~seed ~cores:16 (fun () ->
         let pf = boot ~cat () in
@@ -147,7 +146,7 @@ let policy_name = function
 let measure_storm ~quick ~seed ~policy =
   let clients = pick ~quick 24 64 in
   let capacity = 8 in
-  let cat = Provider.catalog ~seed:3 ~nfiles:clients ~dir_width:32 () in
+  let cat = Provider.catalog ~seed:3 ~nfiles:clients in
   let (completed, failed, rejected, shed, hwm, p99), stats =
     run ~seed ~cores:16 (fun () ->
         let pf =

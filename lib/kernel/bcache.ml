@@ -2,9 +2,9 @@ module Fiber = Chorus.Fiber
 module Fsspec = Chorus_fsspec.Fsspec
 module Metrics = Chorus_obs.Metrics
 module Svc = Chorus_svc.Svc
+module Cost = Chorus_machine.Cost
 
 type req =
-  | Get of int
   | Get_range of { block : int; off : int; len : int }
   | Put of { block : int; off : int; data : string }
   | Zero of int
@@ -47,7 +47,7 @@ let read_with_retry t dev block =
 (* reply payload sized by what actually crosses the interconnect: the
    requested bytes for reads, a bare ack otherwise *)
 let words_of_resp = function
-  | Data s -> 2 + ((String.length s + 7) / 8)
+  | Data s -> 2 + Cost.words_of_bytes (String.length s)
   | Done | Io_fail -> 2
 
 let lookup t st dev block =
@@ -68,9 +68,6 @@ let lookup t st dev block =
     b
 
 let handle t st dev = function
-  | Get block ->
-    let b = lookup t st dev block in
-    Data (Bytes.to_string b.Fsspec.data)
   | Get_range { block; off; len } ->
     let b = lookup t st dev block in
     let len = max 0 (min len (Bytes.length b.data - off)) in
@@ -129,12 +126,6 @@ let start ?(shards = 8) ?(capacity = 1024) ~dev () =
    would share one shard. *)
 let shard_for t block = t.eps.(Hashtbl.hash block mod Array.length t.eps)
 
-let get t block =
-  match Svc.call ~words:4 (shard_for t block) (Get block) with
-  | Data d -> d
-  | Io_fail -> raise Blockdev.Io_error
-  | Done -> assert false
-
 let get_range t block ~off ~len =
   match
     Svc.call ~words:5 (shard_for t block) (Get_range { block; off; len })
@@ -146,7 +137,7 @@ let get_range t block ~off ~len =
 let put t block ~off data =
   match
     Svc.call
-      ~words:(4 + ((String.length data + 7) / 8))
+      ~words:(4 + Cost.words_of_bytes (String.length data))
       (shard_for t block)
       (Put { block; off; data })
   with

@@ -1,5 +1,6 @@
 module Fiber = Chorus.Fiber
 module Rng = Chorus_util.Rng
+module Cost = Chorus_machine.Cost
 module Diskmodel = Chorus_machine.Diskmodel
 module Fsspec = Chorus_fsspec.Fsspec
 module Svc = Chorus_svc.Svc
@@ -18,7 +19,6 @@ type t = {
   mutable writes : int;
   mutable in_body : int;
   mutable max_concurrency : int;
-  disk : Diskmodel.t;
   (* transient read-fault injection (chaos): own RNG so the fault
      stream is independent of the run's, drawn only while p > 0 *)
   mutable fault_p : float;
@@ -30,7 +30,7 @@ let service t req =
   t.in_body <- t.in_body + 1;
   if t.in_body > t.max_concurrency then t.max_concurrency <- t.in_body;
   let block = match req with Read b -> b | Write (b, _) -> b in
-  let svc = Diskmodel.service_time t.disk ~last_block:t.head ~block in
+  let svc = Diskmodel.service_time ~last_block:t.head ~block in
   t.head <- block;
   (* device busy; the wake-up at the end is the "interrupt" *)
   Fiber.sleep svc;
@@ -60,21 +60,18 @@ let service t req =
   resp
 
 let words_of_resp = function
-  | Data _ -> 4 + (Fsspec.block_size / 8)
+  | Data _ -> 4 + Cost.words_of_bytes Fsspec.block_size
   | Done | Io_fail -> 2
 
-let start ?priority ~disk () =
+let start ?priority () =
   let ep = Svc.create ~subsystem:"blockdev" ~label:"blockdev" () in
   let t =
     { ep; store = Hashtbl.create 256; head = 0; reads = 0; writes = 0;
-      in_body = 0; max_concurrency = 0; disk; fault_p = 0.0;
+      in_body = 0; max_concurrency = 0; fault_p = 0.0;
       fault_rng = Rng.make 97; nread_errors = 0 }
   in
   let (_ : Fiber.t) = Svc.start ?priority ~words_of_resp ep (service t) in
   t
-
-let words_of_block = Fsspec.block_size / 8
-
 
 let read_result t block =
   match Svc.call ~words:4 t.ep (Read block) with
@@ -86,7 +83,10 @@ let read t block =
   match read_result t block with Ok d -> d | Error `Io_error -> raise Io_error
 
 let write t block data =
-  match Svc.call ~words:(4 + words_of_block) t.ep (Write (block, data)) with
+  match
+    Svc.call ~words:(4 + Cost.words_of_bytes Fsspec.block_size) t.ep
+      (Write (block, data))
+  with
   | Done -> ()
   | Data _ | Io_fail -> assert false
 

@@ -23,11 +23,10 @@ exception Io_error
 
 type t
 
-val start :
-  ?priority:Chorus.Fiber.priority -> disk:Chorus_machine.Diskmodel.t ->
-  unit -> t
-(** Spawn the driver (a daemon fiber), optionally at interrupt-style
-    [High] priority.  The request inbox is unbounded (backpressure). *)
+val start : ?priority:Chorus.Fiber.priority -> unit -> t
+(** Spawn the driver (a daemon fiber) for the {!Chorus_machine.Diskmodel}
+    device, optionally at interrupt-style [High] priority.  The
+    request inbox is unbounded (backpressure). *)
 
 val read : t -> int -> bytes
 (** [read t block] round-trips a read request; returns a copy of the

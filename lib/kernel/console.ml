@@ -2,6 +2,7 @@ module Fiber = Chorus.Fiber
 module Metrics = Chorus_obs.Metrics
 module Span = Chorus_obs.Span
 module Svc = Chorus_svc.Svc
+module Cost = Chorus_machine.Cost
 
 type t = {
   ep : (string, unit) Svc.t;
@@ -29,6 +30,6 @@ let start () =
 
 let write_line t line =
   Span.timed ~subsystem:"console" ~name:"write_line" t.write_h @@ fun () ->
-  Svc.call ~words:(2 + ((String.length line + 7) / 8)) t.ep line
+  Svc.call ~words:(2 + Cost.words_of_bytes (String.length line)) t.ep line
 
 let output t = List.rev t.lines

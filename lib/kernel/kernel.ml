@@ -1,21 +1,13 @@
-module Diskmodel = Chorus_machine.Diskmodel
-
 type config = {
   fs : Msgvfs.config;
   bcache_shards : int;
-  cache_blocks : int;
   cgroups : int;
-  nblocks : int;
-  disk : Diskmodel.t;
 }
 
 let default_config =
   { fs = Msgvfs.default_config;
     bcache_shards = 8;
-    cache_blocks = 1024;
-    cgroups = 8;
-    nblocks = 65536;
-    disk = Diskmodel.default }
+    cgroups = 8 }
 
 type t = {
   dev : Blockdev.t;
@@ -28,11 +20,9 @@ type t = {
 }
 
 let boot cfg =
-  let dev = Blockdev.start ~disk:cfg.disk () in
-  let bcache =
-    Bcache.start ~shards:cfg.bcache_shards ~capacity:cfg.cache_blocks ~dev ()
-  in
-  let alloc = Cgalloc.start ~groups:cfg.cgroups ~nblocks:cfg.nblocks () in
+  let dev = Blockdev.start () in
+  let bcache = Bcache.start ~shards:cfg.bcache_shards ~capacity:1024 ~dev () in
+  let alloc = Cgalloc.start ~groups:cfg.cgroups ~nblocks:65536 () in
   let vfs = Msgvfs.mount cfg.fs ~bcache ~alloc in
   let notify = Notify.start () in
   let proc = Proc.start ~notify () in

@@ -15,13 +15,12 @@
 type config = {
   fs : Msgvfs.config;
   bcache_shards : int;
-  cache_blocks : int;
   cgroups : int;
-  nblocks : int;
-  disk : Chorus_machine.Diskmodel.t;
 }
 
 val default_config : config
+(** 8 cache shards, 8 cylinder groups.  Every boot has a 65,536-block
+    disk and a 1,024-block cache. *)
 
 type t = {
   dev : Blockdev.t;

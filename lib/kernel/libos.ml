@@ -8,4 +8,4 @@ let make () =
   client
     (make
        { ninodes = 1024; nblocks = 16384; cache_blocks = 512; shards = 1;
-         trap_per_op = false; disk = Chorus_machine.Diskmodel.default })
+         trap_per_op = false })

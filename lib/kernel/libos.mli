@@ -18,6 +18,6 @@ type t
 
 val make : unit -> t
 (** A private filesystem for one application: 1024 inodes, 16384
-    blocks, a 512-block cache, the default disk model. *)
+    blocks, a 512-block cache. *)
 
 include Chorus_fsspec.Fsspec.S with type t := t

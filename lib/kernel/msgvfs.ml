@@ -2,6 +2,7 @@ module Fiber = Chorus.Fiber
 module Chan = Chorus.Chan
 module Engine = Chorus.Engine
 module Machine = Chorus_machine.Machine
+module Cost = Chorus_machine.Cost
 module Fsspec = Chorus_fsspec.Fsspec
 module Metrics = Chorus_obs.Metrics
 module Span = Chorus_obs.Span
@@ -85,7 +86,7 @@ type t = {
   mx : op_hists;
 }
 
-let words_of_string s = 2 + ((String.length s + 7) / 8)
+let words_of_string s = 2 + Cost.words_of_bytes (String.length s)
 
 let reply_words = function
   | Data s -> words_of_string s

@@ -3,13 +3,7 @@ module Chan = Chorus.Chan
 module Metrics = Chorus_obs.Metrics
 module Svc = Chorus_svc.Svc
 
-type event =
-  | Thermal of int
-  | Power of int
-  | Hotplug of { core : int; online : bool }
-  | Io_complete of int
-  | App_exit of { pid : int; ok : bool }
-  | Custom of string
+type event = App_exit of { pid : int; ok : bool }
 
 type msg =
   | Publish of event

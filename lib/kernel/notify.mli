@@ -8,17 +8,12 @@
 
     Kernel components publish events; applications subscribe with a
     channel and simply receive — no signal frames, no unwinding, no
-    special-purpose notification syscalls.  E7 measures the mechanism
-    underneath, delivery over a raw channel, against the baseline's
-    {!Chorus_baseline.Signals}. *)
+    special-purpose notification syscalls.  The one producer is the
+    process table ({!Proc}), which publishes each application exit.
+    E7 measures the mechanism underneath, delivery over a raw channel,
+    against the baseline's {!Chorus_baseline.Signals}. *)
 
-type event =
-  | Thermal of int  (** die temperature report *)
-  | Power of int  (** power-state change *)
-  | Hotplug of { core : int; online : bool }
-  | Io_complete of int  (** tagged I/O completion *)
-  | App_exit of { pid : int; ok : bool }
-  | Custom of string
+type event = App_exit of { pid : int; ok : bool }
 
 type msg
 

@@ -44,6 +44,8 @@ let hardware_messages =
     msg_receive = 4;
   }
 
+let words_of_bytes n = (n + 7) / 8
+
 let scale_messages c f =
   let s x = max 1 (int_of_float (Float.round (float_of_int x *. f))) in
   {

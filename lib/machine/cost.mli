@@ -39,6 +39,11 @@ val hardware_messages : t
     for sending and receiving messages" — injection and delivery cost a
     few cycles and payload moves at line rate. *)
 
+val words_of_bytes : int -> int
+(** [words_of_bytes n] is the number of 8-byte machine words an
+    [n]-byte payload occupies, rounded up: every payload copy is
+    charged [msg_per_word] for each. *)
+
 val scale_messages : t -> float -> t
 (** [scale_messages c f] multiplies the four message-cost fields by
     [f] (sensitivity sweeps). *)

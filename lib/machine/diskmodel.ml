@@ -1,7 +1,7 @@
-type t = { seek : int; per_block : int; block_size_words : int }
+let seek = 40_000
 
-let default = { seek = 40_000; per_block = 4_000; block_size_words = 512 }
+let per_block = 4_000
 
-let service_time t ~last_block ~block =
-  if block = last_block + 1 || block = last_block then t.per_block
-  else t.seek + t.per_block
+let service_time ~last_block ~block =
+  if block = last_block + 1 || block = last_block then per_block
+  else seek + per_block

@@ -3,18 +3,15 @@
     Both the message-passing kernel's single-fiber disk driver and the
     baseline's lock-based block layer consult the same model, so the
     storage hardware is identical across compared systems and only the
-    software architecture differs. *)
+    software architecture differs.  The device is a fast 2011 SSD-ish
+    one: ~20us discontiguous access, ~2us per-block transfer at 2GHz. *)
 
-type t = {
-  seek : int;  (** cycles for a discontiguous access (head movement) *)
-  per_block : int;  (** transfer cycles per block *)
-  block_size_words : int;
-}
+val seek : int
+(** Cycles for a discontiguous access (head movement). *)
 
-val default : t
-(** A fast 2011 SSD-ish device: ~20us discontiguous access, ~2us
-    per-block transfer at 2GHz. *)
+val per_block : int
+(** Transfer cycles per block. *)
 
-val service_time : t -> last_block:int -> block:int -> int
+val service_time : last_block:int -> block:int -> int
 (** Cycles to service one block access given the previous head
     position: sequential accesses skip the seek. *)

@@ -1,6 +1,7 @@
 module Fiber = Chorus.Fiber
 module Chan = Chorus.Chan
 module Rng = Chorus_util.Rng
+module Cost = Chorus_machine.Cost
 
 type frame = {
   src : int;
@@ -62,7 +63,7 @@ type t = {
   mutable delivered : int;
 }
 
-let frame_words f = 6 + ((String.length f.payload + 7) / 8)
+let frame_words f = 6 + Cost.words_of_bytes (String.length f.payload)
 
 let deliver t dst f =
   t.delivered <- t.delivered + 1;

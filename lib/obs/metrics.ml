@@ -78,7 +78,7 @@ let histogram ~subsystem name =
     (fun key m ->
       match m with M_histogram h -> Some h | _ -> kind_error key)
 
-let incr ?(by = 1) c = match c with None -> () | Some r -> r := !r + by
+let incr c = match c with None -> () | Some r -> r := !r + 1
 
 let observe g v =
   match g with
@@ -92,16 +92,6 @@ let observe g v =
 let record h v = match h with None -> () | Some t -> Histogram.record t v
 
 let live = function None -> false | Some _ -> true
-
-let time h f =
-  match h with
-  | None -> f ()
-  | Some t ->
-    let eng = Chorus.Engine.current () in
-    let t0 = Chorus.Engine.now eng in
-    Fun.protect
-      ~finally:(fun () -> Histogram.record t (Chorus.Engine.now eng - t0))
-      f
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                           *)

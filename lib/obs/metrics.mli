@@ -54,7 +54,7 @@ val gauge : subsystem:string -> string -> gauge
 
 val histogram : subsystem:string -> string -> histogram
 
-val incr : ?by:int -> counter -> unit
+val incr : counter -> unit
 
 val observe : gauge -> int -> unit
 (** Record an instantaneous level (queue depth, live fibers); the
@@ -67,10 +67,6 @@ val live : histogram -> bool
 (** Whether the handle is bound to an installed registry —
     instrumentation that must compute a value before recording it can
     skip the computation when [false]. *)
-
-val time : histogram -> (unit -> 'a) -> 'a
-(** [time h f] runs [f] and records its virtual-time duration.  Call
-    from inside a fiber; no-op timing when the handle is dead. *)
 
 (** {1 Snapshots} *)
 

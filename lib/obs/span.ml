@@ -1,16 +1,6 @@
 module Engine = Chorus.Engine
 module Trace = Chorus.Trace
 
-let enter ~subsystem span =
-  let eng = Engine.current () in
-  if Engine.tracing eng then
-    Engine.emit eng (Trace.Span_begin { subsystem; span })
-
-let exit ~subsystem span =
-  let eng = Engine.current () in
-  if Engine.tracing eng then
-    Engine.emit eng (Trace.Span_end { subsystem; span })
-
 let with_ ~subsystem span f =
   let eng = Engine.current () in
   if not (Engine.tracing eng) then f ()

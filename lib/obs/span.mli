@@ -8,15 +8,9 @@
     entry points are no-ops (beyond one flag test) when the run has no
     trace sink, and must be called from inside a fiber. *)
 
-val enter : subsystem:string -> string -> unit
-
-val exit : subsystem:string -> string -> unit
-(** Close the innermost open span with this name (spans nest; close in
-    LIFO order, which {!with_} guarantees). *)
-
 val with_ : subsystem:string -> string -> (unit -> 'a) -> 'a
 (** [with_ ~subsystem name f] wraps [f] in a span; the span is closed
-    even if [f] raises. *)
+    even if [f] raises.  Spans nest. *)
 
 val timed :
   subsystem:string -> name:string -> Metrics.histogram -> (unit -> 'a) -> 'a

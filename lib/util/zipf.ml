@@ -20,8 +20,6 @@ let make ~n ~theta =
   cdf.(n - 1) <- 1.0;
   { n; theta; total; cdf }
 
-let n t = t.n
-
 (* binary search for the first index with cdf >= u *)
 let rec search (cdf : float array) u lo hi =
   if lo >= hi then lo

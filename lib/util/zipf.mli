@@ -13,8 +13,6 @@ val make : n:int -> theta:float -> t
     exponent [theta] ([theta = 0] is uniform; typical skew is 0.8-1.2).
     Rank 0 is the most popular item. *)
 
-val n : t -> int
-
 val sample : t -> Rng.t -> int
 
 val probability : t -> int -> float

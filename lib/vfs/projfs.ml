@@ -6,6 +6,7 @@ module Svc = Chorus_svc.Svc
 module Stack = Chorus_net.Stack
 module Fsspec = Chorus_fsspec.Fsspec
 module Msgvfs = Chorus_kernel.Msgvfs
+module Cost = Chorus_machine.Cost
 
 type t = {
   sys : Msgvfs.sys;
@@ -90,7 +91,7 @@ let mount ?hydration ?(workers = 4) ?(namecache = 512) ~fs ~at ~stack
     Result.map Provider.decode_entries (ask_provider stack ~provider req)
   in
   let words_of_resp = function
-    | Ok s -> 2 + ((String.length s + 7) / 8)
+    | Ok s -> 2 + Cost.words_of_bytes (String.length s)
     | Error _ -> 2
   in
   for _ = 1 to max 1 workers do

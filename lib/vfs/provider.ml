@@ -3,18 +3,19 @@ module Rng = Chorus_util.Rng
 module Stack = Chorus_net.Stack
 module Fsspec = Chorus_fsspec.Fsspec
 
-type catalog = { seed : int; nfiles : int; dir_width : int }
+type catalog = { seed : int; nfiles : int }
 
-let catalog ?(seed = 1) ?(nfiles = 1_000_000) ?(dir_width = 1024) () =
-  if nfiles < 1 || dir_width < 1 then
-    invalid_arg "Provider.catalog: nfiles and dir_width must be >= 1";
-  { seed; nfiles; dir_width }
+let dir_width = 32
+
+let catalog ~seed ~nfiles =
+  if nfiles < 1 then invalid_arg "Provider.catalog: nfiles must be >= 1";
+  { seed; nfiles }
 
 let port = 7300
 
 let crashpoint = Printf.sprintf "net.port-%d" port
 
-let ndirs cat = (cat.nfiles + cat.dir_width - 1) / cat.dir_width
+let ndirs cat = (cat.nfiles + dir_width - 1) / dir_width
 
 let dir_name d = Printf.sprintf "d%03d" d
 
@@ -22,7 +23,7 @@ let file_name i = Printf.sprintf "f%06d" i
 
 let rel_path cat i =
   if i < 0 || i >= cat.nfiles then invalid_arg "Provider.rel_path"
-  else Printf.sprintf "%s/%s" (dir_name (i / cat.dir_width)) (file_name i)
+  else Printf.sprintf "%s/%s" (dir_name (i / dir_width)) (file_name i)
 
 (* parse a relative path back to the global file index; canonical
    forms only (what rel_path printed), so "d1/f2" names nothing *)
@@ -43,7 +44,7 @@ let index_of cat rel =
     in
     (match (num 'd' d, num 'f' f) with
     | Some dn, Some i
-      when i >= 0 && i < cat.nfiles && i / cat.dir_width = dn
+      when i >= 0 && i < cat.nfiles && i / dir_width = dn
            && String.equal rel (rel_path cat i) ->
       Some i
     | _ -> None)
@@ -84,8 +85,8 @@ let dir_entries cat rel =
     match dir_index_of cat rel with
     | None -> None
     | Some d ->
-      let lo = d * cat.dir_width in
-      let hi = min cat.nfiles ((d + 1) * cat.dir_width) in
+      let lo = d * dir_width in
+      let hi = min cat.nfiles ((d + 1) * dir_width) in
       Some
         (List.init (hi - lo) (fun k ->
              let i = lo + k in

@@ -1,17 +1,17 @@
 (** The remote projection provider: the node that owns the virtual
     namespace a projected mount hydrates from.
 
-    The catalog is a pure function of [(seed, nfiles, dir_width)] — no
+    The catalog is a pure function of [(seed, nfiles)] — no
     state, no storage — so a million-file namespace costs nothing
     until someone reads from it, and the mount side can verify
     hydrated bytes against {!content} exactly (the chaos placeholder
     oracle: torn or fabricated contents are detectable, not just
     implausible).
 
-    Layout: [dir_width] files per directory, directories [d000],
+    Layout: 32 files per directory, directories [d000],
     [d001], ... under the projection root, files [f00000], [f00001],
     ...; the relative path of global file [i] is
-    [dNNN/fIIIII] with [NNN = i / dir_width].  Contents are short
+    [dNNN/fIIIII] with [NNN = i / 32].  Contents are short
     (one block at most), embed the file's own path, and differ per
     seed.
 
@@ -32,10 +32,9 @@
     fiber can be re-served on the same port with its dedup cache
     intact (the supervised-restart path the chaos scenario exercises). *)
 
-type catalog = { seed : int; nfiles : int; dir_width : int }
+type catalog = { seed : int; nfiles : int }
 
-val catalog : ?seed:int -> ?nfiles:int -> ?dir_width:int -> unit -> catalog
-(** Defaults: seed 1, 1_000_000 files, 1024 per directory. *)
+val catalog : seed:int -> nfiles:int -> catalog
 
 val port : int
 (** 7300 — the provider's well-known service port. *)

@@ -21,28 +21,28 @@ module Client = Chorus_cluster.Client
 
 type config = {
   nkeys : int;
-  theta : float;
   nclients : int;
   depth : int;
   offered : int;  (* total ops per 1e6 cycles across all clients *)
   duration : int;  (* issue window, cycles *)
   read_fraction : float;
-  value_bytes : int;
   call_timeout : int;  (* per-RPC client timeout, cycles *)
   op_budget : int option;  (* per-op deadline budget (Client.create) *)
   breaker : Client.breaker_config option;  (* per-node circuit breakers *)
   seed : int;
 }
 
+let theta = 0.99
+
+let value_bytes = 16
+
 let default_config ~seed =
   { nkeys = 1_000_000;
-    theta = 0.99;
     nclients = 64;
     depth = 8;
     offered = 400;
     duration = 2_000_000;
     read_fraction = 0.9;
-    value_bytes = 16;
     call_timeout = 60_000;
     op_budget = None;
     breaker = None;
@@ -91,7 +91,7 @@ let drive cfg ~fabric ~bootstrap ~zipf ~idx ~lat ~lat_get ~lat_put ~failed
   let mean =
     float_of_int (cfg.nclients * 1_000_000) /. float_of_int cfg.offered
   in
-  let value = String.make cfg.value_bytes 'v' in
+  let value = String.make value_bytes 'v' in
   let sched = Hashtbl.create 64 in
   let t0 = Fiber.now () in
   let t_end = t0 + cfg.duration in
@@ -143,7 +143,7 @@ let drive cfg ~fabric ~bootstrap ~zipf ~idx ~lat ~lat_get ~lat_put ~failed
 let run cfg ~fabric ~bootstrap =
   if cfg.nclients < 1 then invalid_arg "Zipf.run: nclients";
   if cfg.offered < 1 then invalid_arg "Zipf.run: offered";
-  let zipf = Chorus_util.Zipf.make ~n:cfg.nkeys ~theta:cfg.theta in
+  let zipf = Chorus_util.Zipf.make ~n:cfg.nkeys ~theta in
   let lat = Histogram.create () in
   let lat_get = Histogram.create () in
   let lat_put = Histogram.create () in

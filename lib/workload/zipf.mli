@@ -9,19 +9,19 @@
     pipelines up to [depth] operations ({!Chorus_cluster.Client}'s
     sliding window); latency is measured from the {e scheduled} issue
     instant to the completion stamp, so window-full queueing counts.
+    Keys are drawn with YCSB-ish Zipf skew 0.99; puts write 16-byte
+    values.
 
     Distinct from {!Chorus_util.Zipf} (the bare rank distribution,
     which this module samples for key popularity). *)
 
 type config = {
   nkeys : int;  (** key-space size (ranks map to keys ["k%07d"]) *)
-  theta : float;  (** Zipf skew (0 = uniform, 0.99 = YCSB-ish) *)
   nclients : int;  (** simulated client connections *)
   depth : int;  (** pipeline window per client *)
   offered : int;  (** total offered load, ops per million cycles *)
   duration : int;  (** issue window in cycles *)
   read_fraction : float;  (** fraction of ops that are gets *)
-  value_bytes : int;
   call_timeout : int;
       (** per-RPC client timeout; raise it past the expected queueing
           delay when measuring capacity at deep saturation, or the
@@ -35,8 +35,8 @@ type config = {
 }
 
 val default_config : seed:int -> config
-(** 10⁶ keys, theta 0.99, 64 clients × depth 8, 400 ops/Mcycle over a
-    2M-cycle window, 90% reads, 16-byte values. *)
+(** 10⁶ keys, 64 clients × depth 8, 400 ops/Mcycle over a
+    2M-cycle window, 90% reads. *)
 
 type result = {
   submitted : int;

@@ -11,7 +11,6 @@ module Fiber = Chorus.Fiber
 module Chan = Chorus.Chan
 module Fabric = Chorus_net.Fabric
 module Stack = Chorus_net.Stack
-module Notify = Chorus_kernel.Notify
 module Shardmap = Chorus_cluster.Shardmap
 module Raft = Chorus_cluster.Raft
 module Cluster = Chorus_cluster.Cluster
@@ -204,47 +203,6 @@ let test_leader_crash_durability () =
           (Cluster.restarts c >= 1);
         Alcotest.(check bool) "victim is back up" true
           (Cluster.node_up c victim);
-        Cluster.stop c)
-  in
-  ()
-
-let test_membership_events_published () =
-  let (_ : Runstats.t) =
-    run (fun () ->
-        let net = Fabric.create ~latency:5_000 () in
-        let hub = Notify.start () in
-        let c =
-          Cluster.create ~notify:hub ~nshards:2 ~replication:3 ~seed:7
-            ~nnodes:3 net
-        in
-        let events = Notify.subscribe hub in
-        Cluster.start c;
-        Fiber.sleep 800_000;
-        Cluster.crash_node c (List.hd (Cluster.addrs c));
-        Fiber.sleep 800_000;
-        let seen = Hashtbl.create 8 in
-        let rec drain () =
-          match Chorus.Chan.try_recv events with
-          | Some (Notify.Custom s) ->
-            Hashtbl.replace seen s ();
-            drain ()
-          | Some _ -> drain ()
-          | None -> ()
-        in
-        drain ();
-        let saw prefix =
-          Hashtbl.fold
-            (fun k () acc ->
-              acc
-              || String.length k >= String.length prefix
-                 && String.sub k 0 (String.length prefix) = prefix)
-            seen false
-        in
-        Alcotest.(check bool) "node up events" true (saw "cluster:node");
-        Alcotest.(check bool) "down event for node 0" true
-          (Hashtbl.mem seen "cluster:node0:down");
-        Alcotest.(check bool) "leader announcements" true
-          (saw "cluster:shard");
         Cluster.stop c)
   in
   ()
@@ -682,8 +640,6 @@ let () =
             test_cold_start_election;
           Alcotest.test_case "leader crash: acked writes survive" `Quick
             test_leader_crash_durability;
-          Alcotest.test_case "membership events published" `Quick
-            test_membership_events_published;
           Alcotest.test_case "availability under loss + crashes" `Slow
             test_availability_under_loss_and_crashes;
           Alcotest.test_case "client Net_fail with no cluster" `Quick

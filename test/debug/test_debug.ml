@@ -190,7 +190,7 @@ let test_schedule_rejects_garbage () =
 (* Engine stepping                                                     *)
 
 let test_engine_stepping () =
-  let cfg = Engine.default_config (Machine.mesh ~cores:4) in
+  let cfg = Chorus.Runtime.config (Machine.mesh ~cores:4) in
   let eng = Engine.create cfg in
   let ticks = ref 0 in
   Engine.start eng (fun () ->
@@ -209,7 +209,7 @@ let test_engine_stepping () =
   Alcotest.(check bool) "drained" true (Engine.drained eng)
 
 let test_engine_stepping_guard () =
-  let cfg = Engine.default_config (Machine.mesh ~cores:4) in
+  let cfg = Chorus.Runtime.config (Machine.mesh ~cores:4) in
   let eng = Engine.create cfg in
   match Engine.run_until eng 1_000 with
   | () -> Alcotest.fail "run_until before start should fail"

@@ -3,7 +3,6 @@
    the lock-based baseline), notification, VM service, supervision. *)
 
 module Machine = Chorus_machine.Machine
-module Diskmodel = Chorus_machine.Diskmodel
 module Policy = Chorus_sched.Policy
 module Runtime = Chorus.Runtime
 module Runstats = Chorus.Runstats
@@ -119,7 +118,7 @@ let test_evict_lru () =
 let test_blockdev_roundtrip () =
   let (_ : Runstats.t) =
     run (fun () ->
-        let dev = Blockdev.start ~disk:Diskmodel.default () in
+        let dev = Blockdev.start () in
         let data = Bytes.make Fsspec.block_size 'x' in
         Blockdev.write dev 7 data;
         let back = Blockdev.read dev 7 in
@@ -135,7 +134,7 @@ let test_blockdev_read_faults_and_retry () =
      comes back, and both sides count what happened *)
   let (_ : Runstats.t) =
     run (fun () ->
-        let dev = Blockdev.start ~disk:Diskmodel.default () in
+        let dev = Blockdev.start () in
         for b = 0 to 9 do
           Blockdev.write dev b
             (Bytes.make Fsspec.block_size (Char.chr (Char.code 'a' + b)))
@@ -166,7 +165,7 @@ let test_blockdev_read_faults_and_retry () =
 let test_blockdev_single_threaded () =
   let (_ : Runstats.t) =
     run (fun () ->
-        let dev = Blockdev.start ~disk:Diskmodel.default () in
+        let dev = Blockdev.start () in
         let fibers =
           List.init 16 (fun i ->
               Fiber.spawn (fun () ->
@@ -185,7 +184,7 @@ let test_blockdev_seek_costs () =
   (* sequential access must be cheaper than scattered access *)
   let go blocks =
     run (fun () ->
-        let dev = Blockdev.start ~disk:Diskmodel.default () in
+        let dev = Blockdev.start () in
         List.iter (fun b -> ignore (Blockdev.read dev b)) blocks)
   in
   let seq = go (List.init 50 (fun i -> i)) in
@@ -199,10 +198,10 @@ let test_blockdev_seek_costs () =
 let test_bcache_roundtrip () =
   let (_ : Runstats.t) =
     run (fun () ->
-        let dev = Blockdev.start ~disk:Diskmodel.default () in
+        let dev = Blockdev.start () in
         let bc = Bcache.start ~shards:4 ~capacity:64 ~dev () in
         Bcache.put bc 3 ~off:100 "hello";
-        let s = Bcache.get bc 3 in
+        let s = Bcache.get_range bc 3 ~off:0 ~len:Fsspec.block_size in
         Alcotest.(check string) "cached write visible" "hello"
           (String.sub s 100 5);
         Alcotest.(check int) "shards running" 4 (Bcache.shards bc))
@@ -212,18 +211,18 @@ let test_bcache_roundtrip () =
 let test_bcache_eviction_writeback () =
   let (_ : Runstats.t) =
     run (fun () ->
-        let dev = Blockdev.start ~disk:Diskmodel.default () in
+        let dev = Blockdev.start () in
         (* tiny cache: 1 block per shard, 2 shards *)
         let bc = Bcache.start ~shards:2 ~capacity:2 ~dev () in
         Bcache.put bc 0 ~off:0 "persist-me";
         (* push enough same-shard blocks through to evict block 0 *)
         for i = 1 to 8 do
-          ignore (Bcache.get bc (i * 2))
+          ignore (Bcache.get_range bc (i * 2) ~off:0 ~len:Fsspec.block_size)
         done;
         Alcotest.(check bool) "dirty block reached the device" true
           (Blockdev.writes dev >= 1);
         (* refetch: must come back from the device intact *)
-        let s = Bcache.get bc 0 in
+        let s = Bcache.get_range bc 0 ~off:0 ~len:Fsspec.block_size in
         Alcotest.(check string) "write-back preserved data" "persist-me"
           (String.sub s 0 10))
   in
@@ -235,7 +234,7 @@ let test_bcache_zero_evicts () =
      back over the stale device copy *)
   let (_ : Runstats.t) =
     run (fun () ->
-        let dev = Blockdev.start ~disk:Diskmodel.default () in
+        let dev = Blockdev.start () in
         Blockdev.write dev 0 (Bytes.make Fsspec.block_size 's');
         let bc = Bcache.start ~shards:1 ~capacity:2 ~dev () in
         List.iter (Bcache.zero bc) [ 0; 1; 2 ];
@@ -253,7 +252,7 @@ let test_bcache_spreads_group_blocks () =
      8 they all stay cached. *)
   let (_ : Runstats.t) =
     run (fun () ->
-        let dev = Blockdev.start ~disk:Diskmodel.default () in
+        let dev = Blockdev.start () in
         let bc = Bcache.start ~shards:128 ~capacity:1024 ~dev () in
         let blocks =
           List.concat (List.init 64 (fun g -> [ g * 1024; (g * 1024) + 1 ]))
@@ -267,11 +266,11 @@ let test_bcache_spreads_group_blocks () =
 let test_bcache_hit_miss_counters () =
   let (_ : Runstats.t) =
     run (fun () ->
-        let dev = Blockdev.start ~disk:Diskmodel.default () in
+        let dev = Blockdev.start () in
         let bc = Bcache.start ~shards:2 ~capacity:32 ~dev () in
-        ignore (Bcache.get bc 5);
-        ignore (Bcache.get bc 5);
-        ignore (Bcache.get bc 5);
+        ignore (Bcache.get_range bc 5 ~off:0 ~len:Fsspec.block_size);
+        ignore (Bcache.get_range bc 5 ~off:0 ~len:Fsspec.block_size);
+        ignore (Bcache.get_range bc 5 ~off:0 ~len:Fsspec.block_size);
         Alcotest.(check int) "one miss" 1 (Bcache.misses bc);
         Alcotest.(check int) "two hits" 2 (Bcache.hits bc))
   in
@@ -280,7 +279,7 @@ let test_bcache_hit_miss_counters () =
 let test_bcache_get_range () =
   let (_ : Runstats.t) =
     run (fun () ->
-        let dev = Blockdev.start ~disk:Diskmodel.default () in
+        let dev = Blockdev.start () in
         let bc = Bcache.start ~shards:2 ~capacity:16 ~dev () in
         Bcache.put bc 9 ~off:50 "0123456789";
         Alcotest.(check string) "inner range" "34567"
@@ -297,7 +296,7 @@ let test_bcache_refill_failure_keeps_shard () =
      the same shard serves the same block *)
   let (_ : Runstats.t) =
     run (fun () ->
-        let dev = Blockdev.start ~disk:Diskmodel.default () in
+        let dev = Blockdev.start () in
         Blockdev.write dev 3 (Bytes.make Fsspec.block_size 'z');
         let bc = Bcache.start ~shards:2 ~capacity:4 ~dev () in
         Blockdev.set_read_fault dev ~p:0.999 ~seed:5 ();
@@ -316,7 +315,7 @@ let test_blockdev_priority_accepted () =
   let (_ : Runstats.t) =
     run (fun () ->
         let dev =
-          Blockdev.start ~priority:Fiber.High ~disk:Diskmodel.default ()
+          Blockdev.start ~priority:Fiber.High ()
         in
         Blockdev.write dev 1 (Bytes.make Fsspec.block_size 'p');
         Alcotest.(check char) "works at high priority" 'p'
@@ -356,7 +355,7 @@ let test_cgalloc_unique () =
 (* Msgvfs semantics                                                    *)
 
 let mount_fs ?(plumbing = true) () =
-  let dev = Blockdev.start ~disk:Diskmodel.default () in
+  let dev = Blockdev.start () in
   let bc = Bcache.start ~dev () in
   let alloc = Cgalloc.start ~nblocks:4096 () in
   Msgvfs.mount { Msgvfs.plumbing; dispatchers = 2 } ~bcache:bc ~alloc
@@ -483,7 +482,7 @@ let test_fs_unlink_open_handle () =
 let test_fs_concurrent_clients () =
   let (_ : Runstats.t) =
     run ~cores:16 (fun () ->
-        let dev = Blockdev.start ~disk:Diskmodel.default () in
+        let dev = Blockdev.start () in
         let bc = Bcache.start ~dev () in
         let alloc = Cgalloc.start ~nblocks:8192 () in
         let sys = Msgvfs.mount Msgvfs.default_config ~bcache:bc ~alloc in
@@ -535,7 +534,7 @@ let test_root_replica_counts () =
 let test_vnode_fibers_spawned () =
   let (_ : Runstats.t) =
     run (fun () ->
-        let dev = Blockdev.start ~disk:Diskmodel.default () in
+        let dev = Blockdev.start () in
         let bc = Bcache.start ~dev () in
         let alloc = Cgalloc.start ~nblocks:4096 () in
         let sys = Msgvfs.mount Msgvfs.default_config ~bcache:bc ~alloc in
@@ -788,6 +787,43 @@ let prop_shvfs_matches_model =
       Sh_driver.apply st)
 
 (* ------------------------------------------------------------------ *)
+(* Payload charges                                                     *)
+
+(* The makespan of a 4-core run that writes [n] bytes to a fresh file. *)
+module Write_cost (F : Fsspec.S) = struct
+  let makespan mount n =
+    let stats =
+      run ~cores:4 (fun () ->
+          let fs = mount () in
+          check_ok "create" (F.create fs "/f");
+          let fd = check_ok "open" (F.open_ fs "/f") in
+          ignore (check_ok "write" (F.write fs fd ~off:0 (String.make n 'x'))))
+    in
+    stats.Runstats.makespan
+end
+
+module Msg_cost = Write_cost (Msgvfs)
+module Sh_cost = Write_cost (Shvfs)
+
+(* Cost.words_of_bytes is the one rule: a write of 1..8 bytes costs one
+   word in either kernel and a ninth byte costs a second. *)
+let test_payload_whole_words () =
+  let check kernel makespan =
+    let one_word = makespan 1 and two_words = makespan 9 in
+    for n = 2 to 16 do
+      let words, want = if n <= 8 then (1, one_word) else (2, two_words) in
+      Alcotest.(check int)
+        (Printf.sprintf "%s: %d bytes cost %d word(s)" kernel n words)
+        want (makespan n)
+    done;
+    Alcotest.(check bool) (kernel ^ ": a second word costs more") true
+      (two_words > one_word)
+  in
+  check "msgvfs" (Msg_cost.makespan (fun () -> boot_fs ()));
+  check "shvfs"
+    (Sh_cost.makespan (fun () -> Shvfs.client (Shvfs.make Shvfs.default_config)))
+
+(* ------------------------------------------------------------------ *)
 (* Notify                                                              *)
 
 let test_notify_pubsub () =
@@ -795,19 +831,17 @@ let test_notify_pubsub () =
     run (fun () ->
         let hub = Notify.start () in
         let all = Notify.subscribe hub in
-        let hot =
-          Notify.subscribe_filtered hub (function
-            | Notify.Thermal _ -> true
-            | _ -> false)
+        let failed =
+          Notify.subscribe_filtered hub (fun (Notify.App_exit { ok; _ }) ->
+              not ok)
         in
-        Notify.publish hub (Notify.Thermal 90);
-        Notify.publish hub (Notify.Power 2);
+        Notify.publish hub (Notify.App_exit { pid = 7; ok = false });
+        Notify.publish hub (Notify.App_exit { pid = 8; ok = true });
         Fiber.sleep 10_000;
         Alcotest.(check int) "all-subscriber got both" 2 (Chan.length all);
-        Alcotest.(check int) "filtered got one" 1 (Chan.length hot);
-        (match Chan.recv hot with
-        | Notify.Thermal v -> Alcotest.(check int) "payload" 90 v
-        | _ -> Alcotest.fail "wrong event");
+        Alcotest.(check int) "filtered got one" 1 (Chan.length failed);
+        (let (Notify.App_exit { pid; _ }) = Chan.recv failed in
+         Alcotest.(check int) "payload" 7 pid);
         Alcotest.(check int) "published" 2 (Notify.published hub);
         Alcotest.(check int) "delivered" 3 (Notify.delivered hub))
   in
@@ -1182,6 +1216,9 @@ let () =
           qt prop_msgvfs_replicas_match_model;
           qt prop_msgvfs_dispatch_replicas_match_model;
           qt prop_shvfs_matches_model ] );
+      ( "payload",
+        [ Alcotest.test_case "both kernels charge a payload by whole words"
+            `Quick test_payload_whole_words ] );
       ( "notify",
         [ Alcotest.test_case "pub/sub + filter" `Quick test_notify_pubsub ] );
       ( "vm",

@@ -98,6 +98,14 @@ let test_scale_messages () =
   Alcotest.(check int) "other fields untouched" c.Cost.mode_switch
     half.Cost.mode_switch
 
+let test_words_of_bytes () =
+  List.iter
+    (fun (bytes, words) ->
+      Alcotest.(check int)
+        (Printf.sprintf "%d bytes" bytes)
+        words (Cost.words_of_bytes bytes))
+    [ (0, 0); (1, 1); (8, 1); (9, 2) ]
+
 (* ------------------------------------------------------------------ *)
 (* Coherence                                                           *)
 
@@ -150,12 +158,11 @@ let test_coherence_owner_writes_cheap () =
 (* Disk model                                                          *)
 
 let test_disk_sequential_cheaper () =
-  let d = Diskmodel.default in
-  let seq = Diskmodel.service_time d ~last_block:9 ~block:10 in
-  let rand = Diskmodel.service_time d ~last_block:9 ~block:5000 in
-  Alcotest.(check int) "sequential skips seek" d.Diskmodel.per_block seq;
+  let seq = Diskmodel.service_time ~last_block:9 ~block:10 in
+  let rand = Diskmodel.service_time ~last_block:9 ~block:5000 in
+  Alcotest.(check int) "sequential skips seek" Diskmodel.per_block seq;
   Alcotest.(check int) "random seeks"
-    (d.Diskmodel.seek + d.Diskmodel.per_block)
+    (Diskmodel.seek + Diskmodel.per_block)
     rand
 
 let () =
@@ -177,7 +184,8 @@ let () =
           Alcotest.test_case "latency vs payload" `Quick
             test_message_latency_scales_with_words;
           Alcotest.test_case "hw preset cheaper" `Quick test_hw_preset_cheaper;
-          Alcotest.test_case "scale_messages" `Quick test_scale_messages ] );
+          Alcotest.test_case "scale_messages" `Quick test_scale_messages;
+          Alcotest.test_case "words_of_bytes" `Quick test_words_of_bytes ] );
       ( "coherence",
         [ Alcotest.test_case "hit after read" `Quick
             test_coherence_hit_after_read;

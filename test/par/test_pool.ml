@@ -82,7 +82,7 @@ let test_two_engines_stepped () =
   (* interleave two started engines from the same driver; each must
      keep its own Inspect provider registry *)
   let mk tag =
-    let eng = Engine.create (Engine.default_config (Machine.mesh ~cores:2)) in
+    let eng = Engine.create (Chorus.Runtime.config (Machine.mesh ~cores:2)) in
     Engine.start eng (fun () ->
         Chorus.Inspect.register ~name:tag (fun () ->
             Chorus.Inspect.String tag);

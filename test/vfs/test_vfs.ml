@@ -16,7 +16,6 @@ module Blockdev = Chorus_kernel.Blockdev
 module Bcache = Chorus_kernel.Bcache
 module Cgalloc = Chorus_kernel.Cgalloc
 module Msgvfs = Chorus_kernel.Msgvfs
-module Diskmodel = Chorus_machine.Diskmodel
 module Fabric = Chorus_net.Fabric
 module Stack = Chorus_net.Stack
 module Svc = Chorus_svc.Svc
@@ -149,10 +148,10 @@ let test_nc_state_counts () =
 (* Provider catalog                                                    *)
 
 let test_provider_catalog () =
-  let cat = Provider.catalog ~seed:5 ~nfiles:2500 ~dir_width:1000 () in
-  Alcotest.(check int) "ndirs" 3 (Provider.ndirs cat);
+  let cat = Provider.catalog ~seed:5 ~nfiles:2500 in
+  Alcotest.(check int) "ndirs" 79 (Provider.ndirs cat);
   let rel = Provider.rel_path cat 1042 in
-  Alcotest.(check string) "rel path shape" "d001/f001042" rel;
+  Alcotest.(check string) "rel path shape" "d032/f001042" rel;
   (match Provider.content cat rel with
   | None -> Alcotest.fail "content of a real file"
   | Some body ->
@@ -162,20 +161,20 @@ let test_provider_catalog () =
     Alcotest.(check (option int))
       "size agrees" (Some (String.length body)) (Provider.size_of cat rel));
   Alcotest.(check (option string)) "no such file" None
-    (Provider.content cat "d001/f000042");
+    (Provider.content cat "d000/f000042");
   Alcotest.(check (option string)) "non-canonical rejected" None
-    (Provider.content cat "d1/f001042");
+    (Provider.content cat "d32/f001042");
   (* determinism: two catalogs with the same coordinates agree *)
-  let cat' = Provider.catalog ~seed:5 ~nfiles:2500 ~dir_width:1000 () in
+  let cat' = Provider.catalog ~seed:5 ~nfiles:2500 in
   Alcotest.(check (option string)) "content deterministic"
     (Provider.content cat rel) (Provider.content cat' rel);
   (* different seed, different bytes *)
-  let cat2 = Provider.catalog ~seed:6 ~nfiles:2500 ~dir_width:1000 () in
+  let cat2 = Provider.catalog ~seed:6 ~nfiles:2500 in
   Alcotest.(check bool) "seed changes contents" false
     (Provider.content cat rel = Provider.content cat2 rel)
 
 let test_provider_protocol () =
-  let cat = Provider.catalog ~seed:5 ~nfiles:64 ~dir_width:32 () in
+  let cat = Provider.catalog ~seed:5 ~nfiles:64 in
   (* root listing *)
   (match Provider.handle cat "L" with
   | "N" -> Alcotest.fail "root list failed"
@@ -211,7 +210,7 @@ let test_provider_protocol () =
 (* End-to-end mount                                                    *)
 
 let boot ?hydration ?workers ?namecache ~cat () =
-  let dev = Blockdev.start ~disk:Diskmodel.default () in
+  let dev = Blockdev.start () in
   let cache = Bcache.start ~shards:2 ~capacity:256 ~dev () in
   let alloc = Cgalloc.start ~nblocks:4096 () in
   let fs = Msgvfs.mount Msgvfs.default_config ~bcache:cache ~alloc in
@@ -227,7 +226,7 @@ let boot ?hydration ?workers ?namecache ~cat () =
   (fs, pf, server, net)
 
 let test_e2e_cold_read_correct () =
-  let cat = Provider.catalog ~seed:3 ~nfiles:96 ~dir_width:32 () in
+  let cat = Provider.catalog ~seed:3 ~nfiles:96 in
   let (_ : Runstats.t) =
     run ~cores:8 (fun () ->
         let _fs, pf, server, _net = boot ~cat () in
@@ -266,7 +265,7 @@ let test_e2e_cold_read_correct () =
   ()
 
 let test_e2e_warm_open_skips_walk () =
-  let cat = Provider.catalog ~seed:3 ~nfiles:96 ~dir_width:32 () in
+  let cat = Provider.catalog ~seed:3 ~nfiles:96 in
   let (_ : Runstats.t) =
     run ~cores:8 (fun () ->
         let _fs, pf, _server, _net = boot ~cat () in
@@ -290,7 +289,7 @@ let test_e2e_warm_open_skips_walk () =
   ()
 
 let test_e2e_negative_and_create_invalidation () =
-  let cat = Provider.catalog ~seed:3 ~nfiles:96 ~dir_width:32 () in
+  let cat = Provider.catalog ~seed:3 ~nfiles:96 in
   let (_ : Runstats.t) =
     run ~cores:8 (fun () ->
         let _fs, pf, _server, _net = boot ~cat () in
@@ -323,7 +322,7 @@ let test_e2e_negative_and_create_invalidation () =
   ()
 
 let test_e2e_copy_up_write () =
-  let cat = Provider.catalog ~seed:3 ~nfiles:96 ~dir_width:32 () in
+  let cat = Provider.catalog ~seed:3 ~nfiles:96 in
   let (_ : Runstats.t) =
     run ~cores:8 (fun () ->
         let _fs, pf, _server, _net = boot ~cat () in
@@ -351,7 +350,7 @@ let test_e2e_copy_up_write () =
   ()
 
 let test_e2e_prefetch () =
-  let cat = Provider.catalog ~seed:3 ~nfiles:96 ~dir_width:32 () in
+  let cat = Provider.catalog ~seed:3 ~nfiles:96 in
   let (_ : Runstats.t) =
     run ~cores:8 (fun () ->
         let _fs, pf, _server, _net = boot ~cat () in
@@ -386,7 +385,7 @@ let test_e2e_prefetch () =
   ()
 
 let test_e2e_hydration_failure_is_clean_and_retryable () =
-  let cat = Provider.catalog ~seed:3 ~nfiles:96 ~dir_width:32 () in
+  let cat = Provider.catalog ~seed:3 ~nfiles:96 in
   let (_ : Runstats.t) =
     run ~cores:8 (fun () ->
         let _fs, pf, _server, net = boot ~cat () in
@@ -415,7 +414,7 @@ let test_e2e_hydration_failure_is_clean_and_retryable () =
   ()
 
 let test_e2e_hydration_storm_reject_policy () =
-  let cat = Provider.catalog ~seed:3 ~nfiles:96 ~dir_width:32 () in
+  let cat = Provider.catalog ~seed:3 ~nfiles:96 in
   let (_ : Runstats.t) =
     run ~cores:16 (fun () ->
         let _fs, pf, _server, _net =
@@ -464,7 +463,7 @@ let test_e2e_hydration_storm_reject_policy () =
   ()
 
 let test_e2e_determinism () =
-  let cat = Provider.catalog ~seed:3 ~nfiles:96 ~dir_width:32 () in
+  let cat = Provider.catalog ~seed:3 ~nfiles:96 in
   let once () =
     let stats =
       run ~cores:8 (fun () ->
@@ -484,7 +483,7 @@ let test_e2e_determinism () =
   Alcotest.(check int) "same seed, same makespan" (once ()) (once ())
 
 let test_e2e_cold_unlink_refused () =
-  let cat = Provider.catalog ~seed:3 ~nfiles:96 ~dir_width:32 () in
+  let cat = Provider.catalog ~seed:3 ~nfiles:96 in
   let (_ : Runstats.t) =
     run ~cores:8 (fun () ->
         let _fs, pf, _server, _net = boot ~cat () in
@@ -501,7 +500,7 @@ let test_e2e_cold_unlink_refused () =
    invalidated entry: A opens, unlinks, B recreates and opens the same
    name, then A closes. *)
 let test_e2e_release_after_rebind () =
-  let cat = Provider.catalog ~seed:3 ~nfiles:96 ~dir_width:32 () in
+  let cat = Provider.catalog ~seed:3 ~nfiles:96 in
   let (_ : Runstats.t) =
     run ~cores:8 (fun () ->
         let _fs, pf, _server, _net = boot ~namecache:4 ~cat () in
@@ -535,7 +534,7 @@ let test_e2e_release_after_rebind () =
    registry; both runs must agree on every cycle, message and event,
    and return the same bytes. *)
 let test_observer_effect () =
-  let cat = Provider.catalog ~seed:3 ~nfiles:96 ~dir_width:32 () in
+  let cat = Provider.catalog ~seed:3 ~nfiles:96 in
   let workload got () =
     let fs, pf, _server, _net = boot ~cat () in
     let k = Msgvfs.client fs in
