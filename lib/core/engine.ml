@@ -149,6 +149,11 @@ let fiber_core f = f.core
 
 let alive f = f.state <> Done
 
+(* A daemon that died of an exception: nobody joins a service loop, so
+   the deadlock report is where its crash shows. *)
+let crashed_daemon f =
+  f.daemon && match f.status with Some (Crashed _) -> true | _ -> false
+
 let status f = f.status
 
 let live_fibers t = t.live
@@ -543,7 +548,7 @@ let spawn t ?on ?affinity ?label ?(priority = Normal) ?(daemon = false) body =
   t.fibers <- f :: t.fibers;
   (* compact the registry when mostly dead, so long runs stay O(live) *)
   if t.cnt.spawns land 0xFFF = 0 && List.length t.fibers > 4 * t.live then
-    t.fibers <- List.filter alive t.fibers;
+    t.fibers <- List.filter (fun f -> alive f || crashed_daemon f) t.fibers;
   let c = costs t in
   charge t c.Cost.fiber_spawn;
   let at =
@@ -594,6 +599,15 @@ let deadlock_report t =
           (Printf.sprintf "\n  fiber %d (%s) on core %d waiting on %s" f.fid
              f.label f.core
              (if f.wait_tag = "" then "<nothing?>" else f.wait_tag)))
+    (List.rev t.fibers);
+  List.iter
+    (fun f ->
+      match f.status with
+      | Some (Crashed e) when f.daemon ->
+        Buffer.add_string buf
+          (Printf.sprintf "\n  daemon fiber %d (%s) crashed: %s" f.fid f.label
+             (Printexc.to_string e))
+      | _ -> ())
     (List.rev t.fibers);
   Buffer.contents buf
 

@@ -44,7 +44,9 @@ type exit_status = Normal | Crashed of exn | Killed
 exception Deadlock of string
 (** Raised by {!run} when no event is pending yet a non-daemon fiber is
     still blocked.  The payload lists every blocked fiber and what it
-    waits on — the runtime analogue of the wait-for-graph check. *)
+    waits on — the runtime analogue of the wait-for-graph check — and
+    then every daemon fiber that crashed, with its exception: a dead
+    service loop is the usual reason a caller waits forever. *)
 
 exception Killed_exn
 (** Raised inside a fiber being killed, so its cleanup handlers run. *)

@@ -18,8 +18,11 @@ type shard_state = {
   mutable tick : int;
 }
 
+(* Each request carries the function that answers it, which the shard
+   calls in its own fiber: a reply send to a waiting caller, or to
+   whoever the caller handed the request on for (DESIGN D18). *)
 type t = {
-  eps : (req, resp) Svc.t array;
+  eps : (req * (resp -> unit)) Svc.cast array;
   mutable hits : int;
   mutable misses : int;
   mutable read_retries : int;
@@ -99,7 +102,7 @@ let start ?(shards = 8) ?(capacity = 1024) ~dev () =
   let t =
     { eps =
         Array.init shards (fun i ->
-            Svc.create ~subsystem:"bcache"
+            Svc.cast_create ~subsystem:"bcache"
               ~label:(Printf.sprintf "bcache-%d" i) ());
       hits = 0;
       misses = 0;
@@ -116,8 +119,9 @@ let start ?(shards = 8) ?(capacity = 1024) ~dev () =
          unsupervised shard fiber: the caller gets the error, and the
          shard keeps serving *)
       ignore
-        (Svc.start ~words_of_resp ep (fun req ->
-             try handle t st dev req with Blockdev.Io_error -> Io_fail)))
+        (Svc.start_cast ep (fun (req, answer) ->
+             answer
+               (try handle t st dev req with Blockdev.Io_error -> Io_fail))))
     t.eps;
   t
 
@@ -126,34 +130,55 @@ let start ?(shards = 8) ?(capacity = 1024) ~dev () =
    would share one shard. *)
 let shard_for t block = t.eps.(Hashtbl.hash block mod Array.length t.eps)
 
-let get_range t block ~off ~len =
-  match
-    Svc.call ~words:5 (shard_for t block) (Get_range { block; off; len })
-  with
-  | Data d -> d
-  | Io_fail -> raise Blockdev.Io_error
+(* Charge for charge [Svc.call]: a one-shot reply channel, the request
+   with the answer that replies on it, and the wait for the reply. *)
+let call ?(words = 2) ep req =
+  let r = Svc.reply_chan () in
+  Svc.cast ~words ep
+    (req, fun resp -> Svc.answer ~words:(words_of_resp resp) r resp);
+  Svc.await r
+
+let data = function
+  | Data d -> Ok d
+  | Io_fail -> Error `Io_error
   | Done -> assert false
 
-let put t block ~off data =
-  match
-    Svc.call
-      ~words:(4 + Cost.words_of_bytes (String.length data))
-      (shard_for t block)
-      (Put { block; off; data })
-  with
-  | Done -> ()
-  | Io_fail -> raise Blockdev.Io_error
+let done_ = function
+  | Done -> Ok ()
+  | Io_fail -> Error `Io_error
   | Data _ -> assert false
 
+let or_raise = function Ok v -> v | Error `Io_error -> raise Blockdev.Io_error
+
+let put_words data = 4 + Cost.words_of_bytes (String.length data)
+
+let get_range_to t block ~off ~len answer =
+  Svc.cast ~words:5 (shard_for t block)
+    (Get_range { block; off; len }, fun resp -> answer (data resp))
+
+let put_to t block ~off d answer =
+  Svc.cast ~words:(put_words d) (shard_for t block)
+    (Put { block; off; data = d }, fun resp -> answer (done_ resp))
+
+let get_range t block ~off ~len =
+  or_raise
+    (data (call ~words:5 (shard_for t block) (Get_range { block; off; len })))
+
+let put t block ~off d =
+  or_raise
+    (done_
+       (call ~words:(put_words d) (shard_for t block)
+          (Put { block; off; data = d })))
+
 let zero t block =
-  match Svc.call ~words:4 (shard_for t block) (Zero block) with
+  match call ~words:4 (shard_for t block) (Zero block) with
   | Done -> ()
   | Data _ | Io_fail -> assert false
 
 let flush t =
   Array.iter
     (fun ep ->
-      match Svc.call ep Flush with Done -> () | Data _ | Io_fail -> assert false)
+      match call ep Flush with Done -> () | Data _ | Io_fail -> assert false)
     t.eps
 
 let hits t = t.hits

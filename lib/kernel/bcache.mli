@@ -5,7 +5,18 @@
     the blocks hashed to it, so there is no lock at all — mutual
     exclusion is the fiber's sequential message loop.  Shards talk to
     the disk driver directly; a missing block blocks only its own
-    shard. *)
+    shard.
+
+    A shard's inbox carries (request, answer) pairs, served in the
+    order they were sent.  The shard calls the answer with its
+    response in its own fiber, so the reply is charged to the shard,
+    from the shard's core.  The waiting entries ({!get_range},
+    {!put}, {!zero}, {!flush}) answer on a one-shot reply channel and
+    wait on it, charge for charge a [Svc.call].  The [_to] entries
+    take the answer from the caller and return at once: a file vnode
+    passes a one-block read or overwrite on with an answer that
+    replies to its own client, and the shard's reply is the op's last
+    message (DESIGN D18). *)
 
 type t
 
@@ -16,17 +27,30 @@ val start : ?shards:int -> ?capacity:int -> dev:Blockdev.t -> unit -> t
 
 val get_range : t -> int -> off:int -> len:int -> string
 (** [get_range t block ~off ~len] returns just the requested byte
-    range (cache fill from disk on miss) — the reply message is sized
-    by [len], not by the block.  This is what makes fine-grained reads
-    cheap for the vnode fibers: only the bytes asked for cross the
-    interconnect.  Raises {!Blockdev.Io_error} when the fill gives up
-    (see {!read_retries}). *)
+    range (cache fill from disk on miss), clamped at the block's end.
+    The reply is sized by the bytes it carries, not by the block, so
+    only the bytes asked for cross the interconnect.  Raises
+    {!Blockdev.Io_error} when the fill gives up (see
+    {!read_retries}). *)
+
+val get_range_to :
+  t -> int -> off:int -> len:int ->
+  ((string, [ `Io_error ]) result -> unit) -> unit
+(** [get_range_to t block ~off ~len answer] sends the same request as
+    {!get_range} and returns without waiting; the shard calls [answer]
+    with the bytes, or [Error `Io_error] when the fill gives up. *)
 
 val put : t -> int -> off:int -> string -> unit
 (** [put t block ~off data] writes [data] into the cached block at
     byte offset [off], marking it dirty (read-modify-write of the
     block on a partial overwrite).  Raises {!Blockdev.Io_error} like
     {!get_range} when the block must first be read in. *)
+
+val put_to :
+  t -> int -> off:int -> string -> ((unit, [ `Io_error ]) result -> unit) ->
+  unit
+(** {!put} without waiting; the shard calls the answer like
+    {!get_range_to}'s. *)
 
 val zero : t -> int -> unit
 (** Reset a freed block's cached contents to zeroes (used on
@@ -45,7 +69,8 @@ val read_retries : t -> int
     attempts, 2k–32k cycle sleeps).  Only the faulted shard stalls
     while it retries.  After the 10th failed attempt the shard gives
     up on that request alone: {!get_range} or {!put} raises
-    {!Blockdev.Io_error} in the caller's fiber, and the shard keeps
+    {!Blockdev.Io_error} in the caller's fiber, {!get_range_to} and
+    {!put_to} answer [Error `Io_error], and the shard keeps
     serving. *)
 
 val shards : t -> int

@@ -94,6 +94,8 @@ let reply_words = function
   | Table es -> 2 + (2 * List.length es)
   | Child _ | Attr _ | Wrote _ | Done | Err _ -> 4
 
+let reply r resp = Svc.answer ~words:(reply_words resp) r resp
+
 (* A projected namespace's remote side: directory listings and file
    contents by projection-relative path. *)
 type projection = {
@@ -110,38 +112,49 @@ let file_read sys ~blocks ~size ~off ~len =
   let out = Bytes.make len '\000' in
   Fsspec.fold_range ~off ~len
     (fun () ~bidx ~boff ~pos ~chunk ->
-      (match List.nth_opt blocks bidx with
-      | Some b ->
-        let data = Bcache.get_range sys.bcache b ~off:boff ~len:chunk in
-        Bytes.blit_string data 0 out pos (String.length data)
-      | None -> ());
-      Ok ())
+      match List.nth_opt blocks bidx with
+      | None -> Ok ()
+      | Some b -> (
+        match Bcache.get_range sys.bcache b ~off:boff ~len:chunk with
+        | data ->
+          Bytes.blit_string data 0 out pos (String.length data);
+          Ok ()
+        | exception Blockdev.Io_error -> Error Fsspec.Eio))
     ()
   |> Result.map (fun () -> Bytes.to_string out)
 
-(* ensure the file covers block index [bidx]; returns updated block
-   list or Enospc *)
+(* ensure the file's [blocks] cover block index [bidx]; returns the
+   block or Enospc *)
 let rec ensure_block sys ~hint blocks bidx =
-  match List.nth_opt blocks bidx with
-  | Some b -> Ok (blocks, b)
+  match List.nth_opt !blocks bidx with
+  | Some b -> Ok b
   | None -> (
     match Cgalloc.alloc sys.alloc ~hint with
     | None -> Error Fsspec.Enospc
     | Some b ->
       Bcache.zero sys.bcache b;
-      ensure_block sys ~hint (blocks @ [ b ]) bidx)
+      blocks := !blocks @ [ b ];
+      ensure_block sys ~hint blocks bidx)
 
-(* copy [data] at [off] into the block list, allocating as needed;
-   returns the updated list (shared by writes and hydration) *)
+(* copy [data] at [off] into the file's [blocks], allocating as needed
+   (shared by writes and hydration).  A block allocated before a failure
+   stays in [blocks], so the file's retirement frees it. *)
 let file_write sys ~hint blocks ~off data =
   Fsspec.fold_range ~off ~len:(String.length data)
-    (fun blocks ~bidx ~boff ~pos ~chunk ->
-      match ensure_block sys ~hint blocks bidx with
-      | Error e -> Error e
-      | Ok (blocks, b) ->
-        Bcache.put sys.bcache b ~off:boff (String.sub data pos chunk);
-        Ok blocks)
-    blocks
+    (fun () ~bidx ~boff ~pos ~chunk ->
+      Result.bind (ensure_block sys ~hint blocks bidx) (fun b ->
+          match Bcache.put sys.bcache b ~off:boff (String.sub data pos chunk) with
+          | () -> Ok ()
+          | exception Blockdev.Io_error -> Error Fsspec.Eio))
+    ()
+
+(* The block of [blocks] that holds all of the byte range
+   [off, off + len), when the range is non-empty and lies in one. *)
+let one_block blocks ~off ~len =
+  let bidx = off / Fsspec.block_size in
+  if len > 0 && (off + len - 1) / Fsspec.block_size = bidx then
+    List.nth_opt blocks bidx
+  else None
 
 (* A file vnode.  A projected file starts cold: a placeholder with a
    declared size and no blocks, until the first read or write pulls the
@@ -150,7 +163,13 @@ let file_write sys ~hint blocks ~off data =
    fiber serializes its requests, so concurrent readers of a cold file
    queue behind one hydration and nobody ever sees a partial fill; a
    failed fetch surfaces as Err and leaves the file cold and
-   retryable. *)
+   retryable.
+
+   A read of a warm file whose bytes lie in one block, and a write
+   that overwrites bytes of one block without extending the file,
+   change nothing here: the vnode hands them to the block's cache
+   shard with the caller's reply channel, and the shard answers the
+   caller (DESIGN D18). *)
 let serve_file sys ep ~hint ~source =
   let blocks = ref [] in
   let size = ref 0 in
@@ -163,58 +182,81 @@ let serve_file sys ep ~hint ~source =
       | Error e ->
         sys.hydration_failures <- sys.hydration_failures + 1;
         Error e
-      | Ok content -> (
-        match file_write sys ~hint [] ~off:0 content with
-        | Error e -> Error e
-        | Ok blocks' ->
-          blocks := blocks';
-          size := String.length content;
-          cold := None;
-          sys.placeholders <- sys.placeholders - 1;
-          sys.hydrations <- sys.hydrations + 1;
-          Ok ()))
+      | Ok content ->
+        Result.map
+          (fun () ->
+            size := String.length content;
+            cold := None;
+            sys.placeholders <- sys.placeholders - 1;
+            sys.hydrations <- sys.hydrations + 1)
+          (file_write sys ~hint blocks ~off:0 content))
   in
-  Svc.serve ~words_of_resp:reply_words
-    ~until:(fun req _ -> match req with Retire -> true | _ -> false)
+  let forward req r =
+    let answer resp_of res =
+      reply r
+        (match res with Ok v -> resp_of v | Error `Io_error -> Err Fsspec.Eio)
+    in
+    match req with
+    | (Read _ | Write _) when Option.is_some !cold -> false
+    | Read { off; len } -> (
+      let len = min len (!size - off) in
+      match one_block !blocks ~off ~len with
+      | None -> false
+      | Some b ->
+        Bcache.get_range_to sys.bcache b ~off:(off mod Fsspec.block_size) ~len
+          (answer (fun d -> Data d));
+        true)
+    | Write { off; data } -> (
+      let len = String.length data in
+      match one_block !blocks ~off ~len with
+      | Some b when off + len <= !size ->
+        Bcache.put_to sys.bcache b ~off:(off mod Fsspec.block_size) data
+          (answer (fun () -> Wrote len));
+        true
+      | _ -> false)
+    | _ -> false
+  in
+  let handle = function
+    | Getattr -> (
+      match !cold with
+      | Some (_, _, declared) ->
+        Attr { akind = Fsspec.File; asize = declared; ablocks = 0 }
+      | None ->
+        Attr { akind = Fsspec.File; asize = !size;
+               ablocks = List.length !blocks })
+    | Read { off; len } -> (
+      match
+        Result.bind (hydrate ()) (fun () ->
+            file_read sys ~blocks:!blocks ~size:!size ~off ~len)
+      with
+      | Error e -> Err e
+      | Ok d -> Data d)
+    | Write { off; data } -> (
+      (* copy-up before write: the projected bytes are the base *)
+      match
+        Result.bind (hydrate ()) (fun () ->
+            file_write sys ~hint blocks ~off data)
+      with
+      | Error e -> Err e
+      | Ok () ->
+        let len = String.length data in
+        if off + len > !size then size := off + len;
+        Wrote len)
+    | Retire ->
+      List.iter (Cgalloc.free sys.alloc) !blocks;
+      blocks := [];
+      if Option.is_some !cold then sys.placeholders <- sys.placeholders - 1;
+      sys.live <- sys.live - 1;
+      Done
+    | Lookup _ | Make _ | Remove _ | Detach _ | Attach _ | Readdir
+    | Subscribe _ ->
+      Err Fsspec.Enotdir
+    | Push _ -> Err Fsspec.Einval
+  in
+  Svc.serve_cast
+    ~until:(function Retire, _ -> true | _ -> false)
     ep
-    (fun req ->
-      match req with
-      | Getattr -> (
-        match !cold with
-        | Some (_, _, declared) ->
-          Attr { akind = Fsspec.File; asize = declared; ablocks = 0 }
-        | None ->
-          Attr { akind = Fsspec.File; asize = !size;
-                 ablocks = List.length !blocks })
-      | Read { off; len } -> (
-        match
-          Result.bind (hydrate ()) (fun () ->
-              file_read sys ~blocks:!blocks ~size:!size ~off ~len)
-        with
-        | Error e -> Err e
-        | Ok d -> Data d)
-      | Write { off; data } -> (
-        (* copy-up before write: the projected bytes are the base *)
-        match
-          Result.bind (hydrate ()) (fun () ->
-              file_write sys ~hint !blocks ~off data)
-        with
-        | Error e -> Err e
-        | Ok blocks' ->
-          blocks := blocks';
-          let len = String.length data in
-          if off + len > !size then size := off + len;
-          Wrote len)
-      | Retire ->
-        List.iter (Cgalloc.free sys.alloc) !blocks;
-        blocks := [];
-        if Option.is_some !cold then sys.placeholders <- sys.placeholders - 1;
-        sys.live <- sys.live - 1;
-        Done
-      | Lookup _ | Make _ | Remove _ | Detach _ | Attach _ | Readdir
-      | Subscribe _ ->
-        Err Fsspec.Enotdir
-      | Push _ -> Err Fsspec.Einval)
+    (fun (req, r) -> if not (forward req r) then reply r (handle req))
 
 (* ------------------------------------------------------------------ *)
 (* Directory vnode                                                     *)

@@ -21,12 +21,22 @@
       the single-fiber {!Blockdev} driver;
     - [open] returns the file vnode's endpoint to the client (a
       channel sent through a channel — the paper's "plumbing"), after
-      which reads and writes flow {e directly} between client and
-      vnode.  With [plumbing = false] every operation is instead
-      routed through dispatcher fibers, the ablation measured in E4.
-      The request a dispatcher receives is the system call itself, a
-      closure it runs in its own fiber (path walk, vnode messages and
-      all); the request and its empty reply are two words each.
+      which reads and writes go {e directly} from client to vnode;
+    - a read of a warm file whose bytes lie in one block, and a write
+      that overwrites bytes of one block without extending the file,
+      go one step further: the vnode hands the request to the block's
+      {!Bcache} shard with the client's reply channel, and the data
+      comes back from the shard (three messages, and the vnode's loop
+      is not held across the cache trip; DESIGN D18).  Reads across
+      blocks, writes that allocate or extend, and the hydration of a
+      projected file are served in the vnode.  A cache fill that gives
+      up is [Eio] on either path.
+
+    With [plumbing = false] every operation is instead routed through
+    dispatcher fibers, the ablation measured in E4.  The request a
+    dispatcher receives is the system call itself, a closure it runs in
+    its own fiber (path walk, vnode messages and all); the request and
+    its empty reply are two words each.
 
     Dispatch "via a common interface ... conventionally done with
     tables of function pointers, is done in this environment by

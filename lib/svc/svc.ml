@@ -231,7 +231,8 @@ let serve ?(words_of_resp = fun _ -> 2) ?(until = fun _ _ -> false) t
       resp)
     ~stop:(fun (req, _) resp -> until req resp)
 
-let serve_cast t handler = serve_loop t handler ~stop:(fun _ () -> false)
+let serve_cast ?(until = fun _ -> false) t handler =
+  serve_loop t handler ~stop:(fun msg () -> until msg)
 
 let start ?on ?priority ?words_of_resp ?until t handler =
   Fiber.spawn ?on ?priority ~label:t.clabel ~daemon:true (fun () ->

@@ -150,8 +150,12 @@ val serve :
     resp] answers [true] the endpoint is closed after the reply and
     the loop returns — the vnode retirement protocol. *)
 
-val serve_cast : 'msg cast -> ('msg -> unit) -> unit
-(** One-way flavour of {!serve}. *)
+val serve_cast : ?until:('msg -> bool) -> 'msg cast -> ('msg -> unit) -> unit
+(** One-way flavour of {!serve}.  When [until msg] answers [true] the
+    endpoint is closed after the handler and the loop returns.  Served
+    on a request/reply endpoint, the handler gets each request with its
+    reply channel and answers it itself, or hands the channel on (a
+    file vnode passes one-block reads to the block's cache shard). *)
 
 val start :
   ?on:int -> ?priority:Fiber.priority -> ?words_of_resp:('resp -> int) ->

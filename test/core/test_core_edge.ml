@@ -242,6 +242,35 @@ let test_deadlock_names_the_culprit () =
      Alcotest.(check bool) "names the fiber" true (contains "the-culprit");
      Alcotest.(check bool) "names the channel" true (contains "stuck-chan"))
 
+(* A service loop that dies before it answers leaves its caller waiting
+   on the reply: the report names the waiter, and the dead daemon with
+   its exception. *)
+let test_deadlock_names_crashed_daemon () =
+  match
+    run (fun () ->
+        let inbox : int Chan.t Chan.t = Chan.unbounded ~label:"inbox" () in
+        ignore
+          (Fiber.spawn ~label:"the-server" ~daemon:true (fun () ->
+               ignore (Chan.recv inbox);
+               failwith "server bug"));
+        let reply = Chan.buffered ~label:"the-reply" 1 in
+        Chan.send inbox reply;
+        ignore (Chan.recv reply))
+  with
+  | (_ : Runstats.t) -> Alcotest.fail "expected deadlock"
+  | exception Engine.Deadlock msg ->
+    let contains needle =
+      let rec go i =
+        i + String.length needle <= String.length msg
+        && (String.sub msg i (String.length needle) = needle || go (i + 1))
+      in
+      go 0
+    in
+    Alcotest.(check bool) "names the waiter's channel" true
+      (contains "main" && contains "the-reply");
+    Alcotest.(check bool) "names the crashed daemon" true
+      (contains "(the-server) crashed: Failure(\"server bug\")")
+
 let test_monitor_order () =
   let order = ref [] in
   let (_ : Runstats.t) =
@@ -443,6 +472,8 @@ let () =
           Alcotest.test_case "timer order" `Quick test_timers_fire_in_order;
           Alcotest.test_case "deadlock diagnostics" `Quick
             test_deadlock_names_the_culprit;
+          Alcotest.test_case "deadlock names crashed daemons" `Quick
+            test_deadlock_names_crashed_daemon;
           Alcotest.test_case "monitor order" `Quick test_monitor_order;
           Alcotest.test_case "trace block/send order" `Quick
             test_trace_block_then_wake;

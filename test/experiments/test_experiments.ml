@@ -78,24 +78,35 @@ let test_e3_message_kernel_wins_at_scale () =
       (msg > 2.0 *. lock)
   | _ -> Alcotest.fail "e3 shape"
 
+(* The message kernel's ops/Mcycle at [cores] in the quick E3 run. *)
+let e3_msg_at cores =
+  match Lazy.force e3_tables with
+  | t :: _ -> (
+    match
+      List.find_opt (fun row -> List.hd row = string_of_int cores)
+        (Tablefmt.rows t)
+    with
+    | Some row -> float_of_string (List.nth row 1)
+    | None -> Alcotest.failf "e3: no %d-core row" cores)
+  | [] -> Alcotest.fail "e3 shape"
+
 (* Past 64 cores the message kernel keeps scaling: each 16-core group
    looks root names up at its own replica, not at one root fiber. *)
 let test_e3_message_kernel_scales_past_64 () =
-  match Lazy.force e3_tables with
-  | t :: _ ->
-    let msg_at cores =
-      match
-        List.find_opt (fun row -> List.hd row = string_of_int cores)
-          (Tablefmt.rows t)
-      with
-      | Some row -> float_of_string (List.nth row 1)
-      | None -> Alcotest.failf "e3: no %d-core row" cores
-    in
-    let m64 = msg_at 64 and m256 = msg_at 256 in
-    Alcotest.(check bool)
-      (Printf.sprintf "msg at 256 cores (%.0f) >= at 64 (%.0f)" m256 m64)
-      true (m256 >= m64)
-  | [] -> Alcotest.fail "e3 shape"
+  let m64 = e3_msg_at 64 and m256 = e3_msg_at 256 in
+  Alcotest.(check bool)
+    (Printf.sprintf "msg at 256 cores (%.0f) >= at 64 (%.0f)" m256 m64)
+    true (m256 >= m64)
+
+(* ... and at least doubles from 64 to 256 cores: a hot file vnode hands
+   one-block reads and overwrites to the cache shard (DESIGN D18), so
+   readers of a hot file no longer queue behind each other's cache
+   round trips. *)
+let test_e3_message_kernel_doubles_to_256 () =
+  let m64 = e3_msg_at 64 and m256 = e3_msg_at 256 in
+  Alcotest.(check bool)
+    (Printf.sprintf "msg at 256 cores (%.0f) >= 2x at 64 (%.0f)" m256 m64)
+    true (m256 >= 2.0 *. m64)
 
 let test_e4_plumbing_beats_dispatch () =
   match run_tables "e4" with
@@ -269,6 +280,8 @@ let () =
             test_e3_message_kernel_wins_at_scale;
           Alcotest.test_case "e3 message kernel scales past 64 cores" `Quick
             test_e3_message_kernel_scales_past_64;
+          Alcotest.test_case "e3 message kernel doubles from 64 to 256 cores"
+            `Quick test_e3_message_kernel_doubles_to_256;
           Alcotest.test_case "e4 plumbing beats dispatch" `Quick
             test_e4_plumbing_beats_dispatch;
           Alcotest.test_case "e23a warm opens" `Quick test_e23a_warm_opens;

@@ -8,6 +8,8 @@ module Runtime = Chorus.Runtime
 module Runstats = Chorus.Runstats
 module Fiber = Chorus.Fiber
 module Chan = Chorus.Chan
+module Engine = Chorus.Engine
+module History = Chorus.History
 module Svc = Chorus_svc.Svc
 module Fsspec = Chorus_fsspec.Fsspec
 module Fsmodel = Chorus_fsspec.Fsmodel
@@ -22,6 +24,7 @@ module Console = Chorus_kernel.Console
 module Proc = Chorus_kernel.Proc
 module Kernel = Chorus_kernel.Kernel
 module Shvfs = Chorus_baseline.Shvfs
+module Lin = Chorus_chaos.Lin
 
 let run ?(cores = 8) ?(policy = Policy.round_robin ()) ?(seed = 42) main =
   Runtime.run (Runtime.config ~policy ~seed (Machine.mesh ~cores)) main
@@ -383,9 +386,80 @@ let test_dispatcher_costs_pinned () =
         check_ok "unlink" (Msgvfs.unlink fs "/d/g"))
   in
   Alcotest.(check (list int)) "makespan, msgs, words_copied"
-    [ 8060; 68; 192 ]
+    [ 7964; 67; 189 ]
     [ stats.Runstats.makespan; stats.Runstats.msgs;
       stats.Runstats.words_copied ]
+
+(* The plumbed data path, pinned in messages (DESIGN D18): a read or an
+   overwrite of bytes in one block goes client -> vnode -> cache shard
+   -> client, three messages; a read of two blocks stays in the vnode,
+   which calls each block's shard in turn, six. *)
+let test_plumbed_data_path_msgs () =
+  let (_ : Runstats.t) =
+    run (fun () ->
+        let fs = boot_fs () in
+        check_ok "create" (Msgvfs.create fs "/f");
+        let fd = check_ok "open" (Msgvfs.open_ fs "/f") in
+        ignore
+          (check_ok "write"
+             (Msgvfs.write fs fd ~off:0 (String.make (Fsspec.block_size + 8) 'a')));
+        let msgs what f =
+          let c = Engine.counters (Engine.current ()) in
+          let before = c.Engine.msgs in
+          ignore (check_ok what (f ()));
+          c.Engine.msgs - before
+        in
+        Alcotest.(check int) "one-block read" 3
+          (msgs "read" (fun () -> Msgvfs.read fs fd ~off:0 ~len:8));
+        Alcotest.(check int) "one-block overwrite" 3
+          (msgs "overwrite" (fun () -> Msgvfs.write fs fd ~off:4 "bb"));
+        Alcotest.(check int) "two-block read" 6
+          (msgs "read" (fun () ->
+               Msgvfs.read fs fd ~off:(Fsspec.block_size - 4) ~len:8)))
+  in
+  ()
+
+(* A block-cache fill that gives up is the op's [Eio], on either path,
+   and the vnode keeps serving: once the fault clears, the same
+   descriptors read the data back.  One shard of one block, so every
+   block but the last one touched is evicted. *)
+let test_fs_cache_fill_failure_is_eio () =
+  let (_ : Runstats.t) =
+    run (fun () ->
+        let dev = Blockdev.start () in
+        let bcache = Bcache.start ~shards:1 ~capacity:1 ~dev () in
+        let alloc = Cgalloc.start ~nblocks:64 () in
+        let fs =
+          Msgvfs.client (Msgvfs.mount Msgvfs.default_config ~bcache ~alloc)
+        in
+        let file path ~off data =
+          check_ok "create" (Msgvfs.create fs path);
+          let fd = check_ok "open" (Msgvfs.open_ fs path) in
+          ignore (check_ok "write" (Msgvfs.write fs fd ~off data));
+          fd
+        in
+        let a = file "/a" ~off:0 "aaaa" in
+        let b = file "/b" ~off:(Fsspec.block_size - 4) "bbbbBBBB" in
+        let two_blocks () =
+          Msgvfs.read fs b ~off:(Fsspec.block_size - 4) ~len:8
+        in
+        Blockdev.set_read_fault dev ~p:0.999 ~seed:5 ();
+        check_err "one-block read" Fsspec.Eio (Msgvfs.read fs a ~off:0 ~len:4);
+        check_err "two-block read" Fsspec.Eio (two_blocks ());
+        check_err "overwrite" Fsspec.Eio (Msgvfs.write fs a ~off:0 "xx");
+        check_err "extending write" Fsspec.Eio (Msgvfs.write fs a ~off:2 "xxxx");
+        Alcotest.(check int) "size unchanged" 4
+          (check_ok "stat" (Msgvfs.stat fs "/a")).Fsspec.size;
+        Blockdev.set_read_fault dev ();
+        Alcotest.(check string) "a back" "aaaa"
+          (check_ok "read a" (Msgvfs.read fs a ~off:0 ~len:4));
+        Alcotest.(check string) "b back" "bbbbBBBB"
+          (check_ok "read b" (two_blocks ()));
+        check_ok "unlink a" (Msgvfs.unlink fs "/a");
+        check_ok "unlink b" (Msgvfs.unlink fs "/b");
+        Alcotest.(check int) "no block leaked" 0 (Cgalloc.allocated alloc))
+  in
+  ()
 
 let fs_semantics_suite plumbing () =
   let (_ : Runstats.t) =
@@ -785,6 +859,189 @@ let prop_shvfs_matches_model =
       let sys = Shvfs.make Shvfs.default_config in
       let st = Sh_driver.make (Shvfs.client sys) in
       Sh_driver.apply st)
+
+(* ------------------------------------------------------------------ *)
+(* Concurrent file data (DESIGN D18)                                   *)
+
+(* Clients that share one file of two blocks.  Each block is a
+   register: its value is the 8-byte tag the last write put at the
+   block's start (a write of block 0 covers all of it, so its last 8
+   bytes hold the same tag).  One-block reads and overwrites go to the
+   cache shard; two-block reads and writes, and writes that extend the
+   file inside block 1, are served in the vnode. *)
+type data_op =
+  | Read_block of int  (** the first 8 bytes of block 0 or 1 *)
+  | Write_block of int  (** all of block 0, or block 1's first 8 bytes *)
+  | Read_both  (** the last 8 bytes of block 0 and the first 8 of block 1 *)
+  | Write_both  (** all of block 0 and block 1's first 8 bytes *)
+  | Extend  (** block 1 from its start, one tag past the longest so far *)
+
+let show_data_op = function
+  | Read_block b -> Printf.sprintf "read b%d" b
+  | Write_block b -> Printf.sprintf "write b%d" b
+  | Read_both -> "read b0+b1"
+  | Write_both -> "write b0+b1"
+  | Extend -> "extend"
+
+(* 8 clients of 6 ops: with the two initial writes, at most 50
+   register ops a block, under Lin's bound of 60 *)
+let arbitrary_data_runs =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [ (3, map (fun b -> Read_block b) (int_range 0 1));
+        (3, map (fun b -> Write_block b) (int_range 0 1));
+        (1, return Read_both);
+        (1, return Write_both);
+        (1, return Extend) ]
+  in
+  QCheck.make
+    ~print:(fun (seed, clients) ->
+      Printf.sprintf "seed %d: %s" seed
+        (String.concat " | "
+           (List.map
+              (fun ops -> String.concat "; " (List.map show_data_op ops))
+              clients)))
+    (pair small_nat (list_repeat 8 (list_repeat 6 op)))
+
+let tags tag n = String.concat "" (List.init n (fun _ -> tag))
+
+(* Wait for a fiber, re-raising the exception that crashed it. *)
+let join f =
+  match Fiber.join f with
+  | Engine.Crashed e -> raise e
+  | Engine.Normal | Engine.Killed -> ()
+
+(* Run [op] through [fd], recording one register op per block it
+   touches. *)
+let apply_data_op hist ~proc fs fd ~fresh ~extent op =
+  let bs = Fsspec.block_size in
+  let write keys ~off ~copies =
+    let tag = fresh () in
+    let ops =
+      List.map
+        (fun key -> History.invoke hist ~proc ~kind:`Write ~key ~value:tag ())
+        keys
+    in
+    ignore (check_ok "write" (Msgvfs.write fs fd ~off (tags tag copies)));
+    List.iter (fun o -> History.return_ hist o History.Acked) ops
+  in
+  let read keys ~off =
+    let ops =
+      List.map (fun key -> History.invoke hist ~proc ~kind:`Read ~key ()) keys
+    in
+    let d =
+      check_ok "read" (Msgvfs.read fs fd ~off ~len:(8 * List.length keys))
+    in
+    List.iteri
+      (fun i o ->
+        History.return_ hist o (History.Value (Some (String.sub d (8 * i) 8))))
+      ops
+  in
+  match op with
+  | Read_block b -> read [ Printf.sprintf "b%d" b ] ~off:(b * bs)
+  | Read_both -> read [ "b0"; "b1" ] ~off:(bs - 8)
+  | Write_block 0 -> write [ "b0" ] ~off:0 ~copies:(bs / 8)
+  | Write_block _ -> write [ "b1" ] ~off:bs ~copies:1
+  | Write_both -> write [ "b0"; "b1" ] ~off:0 ~copies:((bs / 8) + 1)
+  | Extend ->
+    incr extent;
+    write [ "b1" ] ~off:bs ~copies:!extent
+
+(* 64 cores, round-robin: two clients in each 16-core group. *)
+let prop_concurrent_file_data =
+  QCheck.Test.make ~count:25
+    ~name:"msgvfs concurrent one- and two-block data ops are linearizable"
+    arbitrary_data_runs (fun (seed, clients) ->
+      let hist = History.create () in
+      let (_ : Runstats.t) =
+        run ~cores:64 ~seed (fun () ->
+            let sys = mount_fs () in
+            let fs = Msgvfs.client sys in
+            check_ok "create" (Msgvfs.create fs "/f");
+            let fd = check_ok "open" (Msgvfs.open_ fs "/f") in
+            let next = ref 0 in
+            let fresh () =
+              incr next;
+              Printf.sprintf "%08d" !next
+            in
+            (* both blocks, block 1 two tags long *)
+            let extent = ref 1 in
+            List.iter
+              (apply_data_op hist ~proc:0 fs fd ~fresh ~extent)
+              [ Write_both; Extend ];
+            let fibers =
+              List.mapi
+                (fun c ops ->
+                  Fiber.spawn ~on:((16 * (c mod 4)) + (8 * (c / 4))) (fun () ->
+                      let fs = Msgvfs.client sys in
+                      let fd = check_ok "open" (Msgvfs.open_ fs "/f") in
+                      List.iter
+                        (apply_data_op hist ~proc:(c + 1) fs fd ~fresh ~extent)
+                        ops))
+                clients
+            in
+            List.iter join fibers)
+      in
+      match Lin.check_history hist with
+      | `Ok -> true
+      | `Violation msg -> QCheck.Test.fail_reportf "not linearizable: %s" msg)
+
+(* Forwarded reads queued at the shard when their file is unlinked, and
+   the freed block reused by new files: the reads are served before the
+   new files' zero-fills and writes reach the shard (DESIGN D18), so
+   they return the old file's bytes, never a new file's.  One shard of
+   one block: a read of a second file misses and holds the shard for a
+   disk read while the reads queue behind it.  Two blocks in all, so
+   each new file gets the unlinked file's block.  Each reader reads
+   once before the unlink, when its read is forwarded at once, and
+   once after it, when the descriptor is stale. *)
+let test_fs_unlink_under_forwarded_reads () =
+  List.iter
+    (fun seed ->
+      let (_ : Runstats.t) =
+        run ~cores:64 ~seed (fun () ->
+            let dev = Blockdev.start () in
+            let bcache = Bcache.start ~shards:1 ~capacity:1 ~dev () in
+            let alloc = Cgalloc.start ~groups:1 ~nblocks:2 () in
+            let sys = Msgvfs.mount Msgvfs.default_config ~bcache ~alloc in
+            let fs = Msgvfs.client sys in
+            let file path c =
+              check_ok "create" (Msgvfs.create fs path);
+              let fd = check_ok "open" (Msgvfs.open_ fs path) in
+              ignore
+                (check_ok "write" (Msgvfs.write fs fd ~off:0 (String.make 8 c)));
+              fd
+            in
+            let w = file "/w" 'w' in
+            let u = file "/u" 'u' in
+            let read fd = Msgvfs.read fs fd ~off:0 ~len:8 in
+            let stall =
+              Fiber.spawn ~on:1 (fun () -> ignore (check_ok "read /w" (read w)))
+            in
+            let readers =
+              List.init 8 (fun i ->
+                  Fiber.spawn ~on:(8 * i) (fun () ->
+                      Alcotest.(check string) "the unlinked file's bytes"
+                        "uuuuuuuu" (check_ok "read /u" (read u));
+                      check_err "read /u after the unlink" Fsspec.Ebadf
+                        (read u)))
+            in
+            (* long enough for the reads to be forwarded, far shorter than
+               the disk read ahead of them at the shard *)
+            Fiber.sleep 5_000;
+            check_ok "unlink /u" (Msgvfs.unlink fs "/u");
+            for k = 1 to 3 do
+              let path = Printf.sprintf "/v%d" k in
+              let v = file path 'v' in
+              Alcotest.(check string) "the new file's bytes" "vvvvvvvv"
+                (check_ok "read /v" (read v));
+              check_ok "unlink /v" (Msgvfs.unlink fs path)
+            done;
+            List.iter join (stall :: readers))
+      in
+      ())
+    [ 1; 2; 3; 4; 5 ]
 
 (* ------------------------------------------------------------------ *)
 (* Payload charges                                                     *)
@@ -1208,6 +1465,10 @@ let () =
             test_root_replica_counts;
           Alcotest.test_case "fiber per vnode" `Quick
             test_vnode_fibers_spawned;
+          Alcotest.test_case "plumbed data path messages" `Quick
+            test_plumbed_data_path_msgs;
+          Alcotest.test_case "cache fill failure is Eio" `Quick
+            test_fs_cache_fill_failure_is_eio;
           Alcotest.test_case "dispatcher costs pinned" `Quick
             test_dispatcher_costs_pinned ] );
       ( "model-based",
@@ -1215,7 +1476,10 @@ let () =
           qt prop_msgvfs_dispatch_matches_model;
           qt prop_msgvfs_replicas_match_model;
           qt prop_msgvfs_dispatch_replicas_match_model;
-          qt prop_shvfs_matches_model ] );
+          qt prop_shvfs_matches_model;
+          qt prop_concurrent_file_data;
+          Alcotest.test_case "unlink under forwarded reads" `Quick
+            test_fs_unlink_under_forwarded_reads ] );
       ( "payload",
         [ Alcotest.test_case "both kernels charge a payload by whole words"
             `Quick test_payload_whole_words ] );
