@@ -39,5 +39,5 @@ let service_fibers t =
   + Bcache.shards t.bcache
   + Cgalloc.groups t.alloc
   + Msgvfs.live_vnodes t.vfs
-  + Msgvfs.replicas t.vfs
+  + Msgvfs.caches t.vfs
   + (* notify + proc *) 2

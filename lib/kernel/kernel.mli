@@ -44,4 +44,4 @@ val sync : t -> unit
 
 val service_fibers : t -> int
 (** How many kernel service fibers are currently alive (drivers +
-    shards + allocators + vnodes + root replicas + hubs). *)
+    shards + allocators + vnodes + name caches + hubs). *)

@@ -28,23 +28,36 @@ type vreq =
   | Read of { off : int; len : int }
   | Write of { off : int; data : string }
   | Retire
-  | Subscribe of vnode
-      (** a replica asks for the whole name table and every later
-          change *)
-  | Push of string * (vnode * Fsspec.kind) option
-      (** a changed entry, [None] when the name is gone *)
+  | Subscribe of int
+      (** group [g]'s name cache asks for a copy of the directory's
+          names; the copy is cast into the cache's inbox, and the
+          request is never answered *)
 
 and vresp =
   | Child of vnode * Fsspec.kind
+  | Partial of vnode * Fsspec.kind * string list
+      (** a name cache resolved a walk as far as this vnode; the
+          components left are for direct [Lookup]s *)
   | Attr of attr
   | Data of string
   | Wrote of int
   | Names of string list
-  | Table of (string * (vnode * Fsspec.kind)) list
   | Done
   | Err of Fsspec.err
 
-and vnode = (vreq, vresp) Svc.t
+(* [id] names the vnode in name-cache messages; it is unique within a
+   mount *)
+and vnode = { ep : (vreq, vresp) Svc.t; id : int }
+
+(* A name cache's inbox: walks from its group's callers, and from each
+   directory it copies, that directory's names and then every
+   invalidation of one of them *)
+type cmsg =
+  | Walk of string list * vresp Svc.reply
+  | Table of int * (string * (vnode * Fsspec.kind)) list
+      (** directory [id]'s names *)
+  | Invalidate of int * string * unit Svc.reply
+      (** drop a name from directory [id]'s copy, then ack *)
 
 type sys = {
   cfg : config;
@@ -52,9 +65,8 @@ type sys = {
   alloc : Cgalloc.t;
   root : vnode;
   cores : int;
-  mutable replicas : vnode array;
-      (* one per core group: the group's replica of the root's name
-         table, or the root itself in the root's own group *)
+  caches : cmsg Svc.cast array;
+      (* one name cache per 16-core group; none on 16 cores or fewer *)
   disp : (unit -> unit, unit) Svc.t array;
       (* a dispatcher's request is the system call itself *)
   mutable spawned : int;
@@ -91,7 +103,7 @@ let words_of_string s = 2 + Cost.words_of_bytes (String.length s)
 let reply_words = function
   | Data s -> words_of_string s
   | Names ns -> 2 + List.length ns
-  | Table es -> 2 + (2 * List.length es)
+  | Partial (_, _, rest) -> 4 + List.length rest
   | Child _ | Attr _ | Wrote _ | Done | Err _ -> 4
 
 let reply r resp = Svc.answer ~words:(reply_words resp) r resp
@@ -170,7 +182,8 @@ let one_block blocks ~off ~len =
    change nothing here: the vnode hands them to the block's cache
    shard with the caller's reply channel, and the shard answers the
    caller (DESIGN D18). *)
-let serve_file sys ep ~hint ~source =
+let serve_file sys self ~source =
+  let hint = self.id in
   let blocks = ref [] in
   let size = ref 0 in
   let cold = ref source in
@@ -251,12 +264,11 @@ let serve_file sys ep ~hint ~source =
     | Lookup _ | Make _ | Remove _ | Detach _ | Attach _ | Readdir
     | Subscribe _ ->
       Err Fsspec.Enotdir
-    | Push _ -> Err Fsspec.Einval
   in
-  Svc.serve_cast
-    ~until:(function Retire, _ -> true | _ -> false)
-    ep
-    (fun (req, r) -> if not (forward req r) then reply r (handle req))
+  Svc.serve_forwarding
+    ~until:(function Retire -> true | _ -> false)
+    self.ep
+    (fun req r -> if not (forward req r) then reply r (handle req))
 
 (* ------------------------------------------------------------------ *)
 (* Directory vnode                                                     *)
@@ -268,25 +280,32 @@ let serve_file sys ep ~hint ~source =
    themselves are immutable from this side, and the projection is
    permanent (its namespace is remote), so its fiber never retires.
 
-   A directory also keeps the replicas subscribed to its local names
-   (only the root has any).  Each change to a local name is pushed to
-   every subscriber, and acked, before the request that made it is
-   answered; a subscriber never calls back, so the pushes cannot
-   deadlock. *)
-let rec serve_dir sys ep ~source =
+   A directory also knows which groups' name caches hold each local
+   name (DESIGN D19).  [Subscribe g] casts the names to group [g]'s
+   cache, which then holds every one of them.  [Remove] and [Detach]
+   first invalidate the name at every group that holds it: all the
+   invalidations are sent, then every ack is awaited, and only then is
+   the child retired and the name dropped.  A cache never learns a new
+   name, so [Make] and [Attach] send nothing.  A cache never waits, so
+   the acked invalidations cannot deadlock. *)
+let rec serve_dir sys self ~source =
   let local : (string, vnode * Fsspec.kind) Hashtbl.t = Hashtbl.create 8 in
-  let subscribers = ref [] in
-  let set name entry =
-    (match entry with
-    | Some e -> Hashtbl.replace local name e
-    | None -> Hashtbl.remove local name);
-    List.iter
-      (fun r ->
-        match Svc.call r (Push (name, entry)) with
-        | Done -> ()
-        | _ -> assert false)
-      !subscribers
+  (* the groups whose cache holds each local name *)
+  let held : (string, int list) Hashtbl.t = Hashtbl.create 8 in
+  let invalidate name =
+    match Hashtbl.find_opt held name with
+    | None -> ()
+    | Some groups ->
+      Hashtbl.remove held name;
+      List.map
+        (fun g ->
+          let ack = Svc.reply_chan () in
+          Svc.cast sys.caches.(g) (Invalidate (self.id, name, ack));
+          ack)
+        groups
+      |> List.iter Svc.await
   in
+  let retired = ref false in
   (* projected names not yet looked up, with their child's source *)
   let pending = Hashtbl.create 8 in
   let projected : (string, unit) Hashtbl.t = Hashtbl.create 8 in
@@ -310,150 +329,198 @@ let rec serve_dir sys ep ~source =
   in
   let taken name = Hashtbl.mem local name || Hashtbl.mem pending name in
   let listed f = match enumerate () with Error e -> Err e | Ok () -> f () in
-  Svc.serve ~words_of_resp:reply_words
-    ~until:(fun req resp ->
-      match (req, resp) with Retire, Done -> true | _ -> false)
-    ep
-    (fun req ->
-      match req with
-      | Getattr ->
-        listed @@ fun () ->
-        Attr { akind = Fsspec.Dir;
-               asize = Hashtbl.length local + Hashtbl.length pending;
-               ablocks = 0 }
-      | Lookup name -> (
-        listed @@ fun () ->
+  (* group [g]'s cache gets the names in its inbox, and holds them all *)
+  let subscribe g =
+    let names = Hashtbl.fold (fun k e acc -> (k, e) :: acc) local [] in
+    List.iter
+      (fun (k, _) ->
+        Hashtbl.replace held k
+          (g :: Option.value ~default:[] (Hashtbl.find_opt held k)))
+      names;
+    Svc.cast ~words:(2 + (2 * List.length names)) sys.caches.(g)
+      (Table (self.id, names))
+  in
+  let handle = function
+    | Getattr ->
+      listed @@ fun () ->
+      Attr { akind = Fsspec.Dir;
+             asize = Hashtbl.length local + Hashtbl.length pending;
+             ablocks = 0 }
+    | Lookup name -> (
+      listed @@ fun () ->
+      match Hashtbl.find_opt local name with
+      | Some (v, k) -> Child (v, k)
+      | None -> (
+        match Hashtbl.find_opt pending name with
+        | None -> Err Fsspec.Enoent
+        | Some (kind, child) ->
+          let v = spawn_vnode sys kind ~source:(Some child) in
+          Hashtbl.remove pending name;
+          Hashtbl.replace local name (v, kind);
+          Child (v, kind)))
+    | Make (name, kind) ->
+      listed @@ fun () ->
+      if taken name then Err Fsspec.Eexist
+      else begin
+        let child = spawn_vnode sys kind ~source:None in
+        Hashtbl.replace local name (child, kind);
+        Child (child, kind)
+      end
+    | Detach name -> (
+      listed @@ fun () ->
+      if Hashtbl.mem projected name then Err Fsspec.Einval
+      else
         match Hashtbl.find_opt local name with
-        | Some (v, k) -> Child (v, k)
-        | None -> (
-          match Hashtbl.find_opt pending name with
-          | None -> Err Fsspec.Enoent
-          | Some (kind, child) ->
-            let v = spawn_vnode sys kind ~source:(Some child) in
-            Hashtbl.remove pending name;
-            Hashtbl.replace local name (v, kind);
-            Child (v, kind)))
-      | Make (name, kind) ->
-        listed @@ fun () ->
-        if taken name then Err Fsspec.Eexist
-        else begin
-          let child = spawn_vnode sys kind ~source:None in
-          set name (Some (child, kind));
-          Child (child, kind)
-        end
-      | Detach name -> (
-        listed @@ fun () ->
-        if Hashtbl.mem projected name then Err Fsspec.Einval
-        else
-          match Hashtbl.find_opt local name with
-          | None -> Err Fsspec.Enoent
-          | Some (v, kind) ->
-            set name None;
-            Child (v, kind))
-      | Attach (name, v, kind) ->
-        listed @@ fun () ->
-        if taken name then Err Fsspec.Eexist
-        else begin
-          set name (Some (v, kind));
-          Done
-        end
-      | Remove name -> (
-        listed @@ fun () ->
-        if Hashtbl.mem projected name then Err Fsspec.Einval
-        else
-          match Hashtbl.find_opt local name with
-          | None -> Err Fsspec.Enoent
-          | Some (v, kind) -> (
-            (* directories must be empty; ask the child *)
-            let empty_ok =
-              match kind with
-              | Fsspec.File -> Ok ()
-              | Fsspec.Dir -> (
-                match Svc.call v Getattr with
-                | Attr a when a.asize = 0 -> Ok ()
-                | Attr _ -> Error Fsspec.Enotempty
-                | _ -> Error Fsspec.Einval)
-            in
-            match empty_ok with
-            | Error e -> Err e
-            | Ok () -> (
-              match Svc.call v Retire with
-              | Done ->
-                set name None;
-                Done
-              | _ -> Err Fsspec.Einval)))
-      | Readdir ->
-        listed @@ fun () ->
-        let names =
-          Hashtbl.fold (fun k _ acc -> k :: acc) local
-            (Hashtbl.fold (fun k _ acc -> k :: acc) pending [])
-        in
-        Names (List.sort compare names)
-      | Retire ->
-        if Option.is_some source then Err Fsspec.Einval
-        else if Hashtbl.length local > 0 then Err Fsspec.Enotempty
-        else begin
-          sys.live <- sys.live - 1;
-          Done
-        end
-      | Subscribe r ->
-        subscribers := !subscribers @ [ r ];
-        Table (Hashtbl.fold (fun k e acc -> (k, e) :: acc) local [])
-      | Read _ | Write _ -> Err Fsspec.Eisdir
-      | Push _ -> Err Fsspec.Einval)
+        | None -> Err Fsspec.Enoent
+        | Some (v, kind) ->
+          invalidate name;
+          Hashtbl.remove local name;
+          Child (v, kind))
+    | Attach (name, v, kind) ->
+      listed @@ fun () ->
+      if taken name then Err Fsspec.Eexist
+      else begin
+        Hashtbl.replace local name (v, kind);
+        Done
+      end
+    | Remove name -> (
+      listed @@ fun () ->
+      if Hashtbl.mem projected name then Err Fsspec.Einval
+      else
+        match Hashtbl.find_opt local name with
+        | None -> Err Fsspec.Enoent
+        | Some (v, kind) -> (
+          (* directories must be empty; ask the child *)
+          let empty_ok =
+            match kind with
+            | Fsspec.File -> Ok ()
+            | Fsspec.Dir -> (
+              match Svc.call v.ep Getattr with
+              | Attr a when a.asize = 0 -> Ok ()
+              | Attr _ -> Error Fsspec.Enotempty
+              | _ -> Error Fsspec.Einval)
+          in
+          match empty_ok with
+          | Error e -> Err e
+          | Ok () -> (
+            invalidate name;
+            match Svc.call v.ep Retire with
+            | Done ->
+              Hashtbl.remove local name;
+              Done
+            | _ -> Err Fsspec.Einval)))
+    | Readdir ->
+      listed @@ fun () ->
+      let names =
+        Hashtbl.fold (fun k _ acc -> k :: acc) local
+          (Hashtbl.fold (fun k _ acc -> k :: acc) pending [])
+      in
+      Names (List.sort compare names)
+    | Retire ->
+      if Option.is_some source then Err Fsspec.Einval
+      else if Hashtbl.length local > 0 then Err Fsspec.Enotempty
+      else begin
+        sys.live <- sys.live - 1;
+        retired := true;
+        Done
+      end
+    | Read _ | Write _ -> Err Fsspec.Eisdir
+    | Subscribe _ -> assert false
+  in
+  Svc.serve_forwarding ~until:(fun _ -> !retired) self.ep (fun req r ->
+      match req with
+      | Subscribe g -> subscribe g
+      | _ -> reply r (handle req))
 
 (* [source] is [Some (projection, rel, declared size)] for a projected
    vnode; a directory ignores the size. *)
 and spawn_vnode sys kind ~source =
-  let ep =
-    Svc.create ~subsystem:"msgvfs" ~metric_name:"vnode" ~label:"vnode" ()
-  in
   sys.spawned <- sys.spawned + 1;
   sys.live <- sys.live + 1;
-  let hint = sys.spawned in
+  let self =
+    { ep =
+        Svc.create ~subsystem:"msgvfs" ~metric_name:"vnode" ~label:"vnode" ();
+      id = sys.spawned }
+  in
   let body =
     match kind with
     | Fsspec.File ->
       if Option.is_some source then sys.placeholders <- sys.placeholders + 1;
-      fun () -> serve_file sys ep ~hint ~source
+      fun () -> serve_file sys self ~source
     | Fsspec.Dir ->
       let source = Option.map (fun (proj, rel, _) -> (proj, rel)) source in
-      fun () -> serve_dir sys ep ~source
+      fun () -> serve_dir sys self ~source
   in
   let label =
     Printf.sprintf "%s%s-vnode-%d"
       (if Option.is_some source then "proj-" else "")
       (match kind with Fsspec.File -> "file" | Fsspec.Dir -> "dir")
-      hint
+      self.id
   in
   ignore (Fiber.spawn ~label ~daemon:true body);
-  ep
+  self
 
-(* A replica of the root's name table, serving [Lookup] for the callers
-   of one core group.  It subscribes to the root on its first request,
-   and from then on only answers: lookups from its table, pushes from
-   the root by changing it. *)
-let serve_replica sys ep =
-  let table = Hashtbl.create 16 in
-  let subscribed = ref false in
-  fun req ->
-    match req with
-    | Lookup name -> (
-      if not !subscribed then begin
-        (match Svc.call sys.root (Subscribe ep) with
-        | Table es -> List.iter (fun (k, e) -> Hashtbl.replace table k e) es
-        | _ -> assert false);
-        subscribed := true
-      end;
-      match Hashtbl.find_opt table name with
-      | Some (v, k) -> Child (v, k)
-      | None -> Err Fsspec.Enoent)
-    | Push (name, entry) ->
-      (match entry with
-      | Some e -> Hashtbl.replace table name e
-      | None -> Hashtbl.remove table name);
-      Done
-    | _ -> Err Fsspec.Einval
+(* ------------------------------------------------------------------ *)
+(* Name caches (DESIGN D19)                                            *)
+
+(* A cache's copy of one directory's names *)
+type copy =
+  | Filling of (unit -> unit) list
+      (** subscribed: the walks waiting for the names, newest first *)
+  | Held of (string, vnode * Fsspec.kind) Hashtbl.t
+
+(* The name cache of core group [g].  The first walk through a
+   directory subscribes to it and waits here, with every later walk
+   through it, until the directory's names arrive.  From then on the
+   cache answers from its copies: [Child] when it resolves the whole
+   path, or [Partial] where a copy lacks the next name (made since the
+   copy, or never there) or the path goes on through a file.  A copy
+   never learns a new name; it loses one when the directory
+   invalidates it, and acks.  The names and every later invalidation
+   come from the directory's fiber into this one inbox, so they arrive
+   in order; and the cache never waits. *)
+let serve_cache sys g =
+  let copies : (int, copy) Hashtbl.t = Hashtbl.create 16 in
+  let counter name = Metrics.counter ~subsystem:"msgvfs" ("cache." ^ name) in
+  let whole = counter "walks_whole" and partial = counter "walks_partial" in
+  let subscriptions = counter "subscriptions"
+  and invalidations = counter "invalidations" in
+  let answer c r resp =
+    Metrics.incr c;
+    reply r resp
+  in
+  (* resolve [name :: rest] from directory [dir] *)
+  let rec walk dir name rest r =
+    let wait ws = Filling ((fun () -> walk dir name rest r) :: ws) in
+    match Hashtbl.find_opt copies dir.id with
+    | None ->
+      Metrics.incr subscriptions;
+      Hashtbl.replace copies dir.id (wait []);
+      Svc.cast dir.ep (Subscribe g, Svc.reply_chan ())
+    | Some (Filling ws) -> Hashtbl.replace copies dir.id (wait ws)
+    | Some (Held names) -> (
+      match (Hashtbl.find_opt names name, rest) with
+      | None, _ -> answer partial r (Partial (dir, Fsspec.Dir, name :: rest))
+      | Some (v, k), [] -> answer whole r (Child (v, k))
+      | Some (v, Fsspec.Dir), next :: rest -> walk v next rest r
+      | Some (v, Fsspec.File), _ ->
+        answer partial r (Partial (v, Fsspec.File, rest)))
+  in
+  function
+  | Walk ([], r) -> answer whole r (Child (sys.root, Fsspec.Dir))
+  | Walk (name :: rest, r) -> walk sys.root name rest r
+  | Table (id, entries) -> (
+    match Hashtbl.find_opt copies id with
+    | Some (Filling ws) ->
+      Hashtbl.replace copies id (Held (Hashtbl.of_seq (List.to_seq entries)));
+      List.iter (fun resume -> resume ()) (List.rev ws)
+    | _ -> assert false)
+  | Invalidate (id, name, ack) ->
+    Metrics.incr invalidations;
+    (match Hashtbl.find_opt copies id with
+    | Some (Held names) -> Hashtbl.remove names name
+    | _ -> assert false);
+    Svc.answer ack ()
 
 (* ------------------------------------------------------------------ *)
 (* Vnode calls and path walking (chain of Lookup messages down the
@@ -463,7 +530,7 @@ let serve_replica sys ep =
    its error, a reply [take] refuses is [Einval], and a vnode that
    closed mid-call is [closed]. *)
 let ask ?(closed = Fsspec.Enoent) ?words v req take =
-  match Svc.call ?words v req with
+  match Svc.call ?words v.ep req with
   | Err e -> Error e
   | resp -> Option.to_result ~none:Fsspec.Einval (take resp)
   | exception Chan.Closed -> Error closed
@@ -472,38 +539,47 @@ let child = function Child (v, k) -> Some (v, k) | _ -> None
 
 let is_done = function Done -> Some () | _ -> None
 
-(* Where a walk sends its first [Lookup]: the root's replica in the
-   caller's core group. *)
-let first_hop sys =
-  let groups = Array.length sys.replicas in
-  sys.replicas.(Fiber.core (Fiber.self ()) * groups / sys.cores)
+(* Resolve [comps] from the root: in one message to the name cache of
+   the caller's core group, when the machine has caches, then by direct
+   [Lookup]s from wherever the cache stopped.  Under [~parents] every
+   component must be a directory, and a file stops the walk with
+   [Enotdir]; otherwise the walk asks the file, which answers it. *)
+let resolve_from_root ~parents sys comps =
+  let rec lookups cur kind = function
+    | [] -> Ok (cur, kind)
+    | _ :: _ when parents && kind = Fsspec.File -> Error Fsspec.Enotdir
+    | name :: rest ->
+      Result.bind (ask cur (Lookup name) child) (fun (v, k) ->
+          lookups v k rest)
+  in
+  let groups = Array.length sys.caches in
+  if groups = 0 then lookups sys.root Fsspec.Dir comps
+  else begin
+    let r = Svc.reply_chan () in
+    Svc.cast
+      sys.caches.(Fiber.core (Fiber.self ()) * groups / sys.cores)
+      (Walk (comps, r));
+    match Svc.await r with
+    | Child (v, k) -> Ok (v, k)
+    | Partial (v, k, rest) -> lookups v k rest
+    | _ -> Error Fsspec.Einval
+  end
 
 let walk sys path =
   match Fsspec.split_path path with
   | Error e -> Error e
   | Ok [] -> Ok (sys.root, Fsspec.Dir)
-  | Ok comps ->
-    let rec go cur kind = function
-      | [] -> Ok (cur, kind)
-      | name :: rest ->
-        Result.bind (ask cur (Lookup name) child) (fun (v, k) -> go v k rest)
-    in
-    go (first_hop sys) Fsspec.Dir comps
+  | Ok comps -> resolve_from_root ~parents:false sys comps
 
 let walk_parent sys path =
   match Fsspec.split_parent path with
   | Error e -> Error e
   | Ok ([], name) -> Ok (sys.root, name)
-  | Ok (parents, name) ->
-    let rec go cur = function
-      | [] -> Ok (cur, name)
-      | n :: rest -> (
-        match ask cur (Lookup n) child with
-        | Ok (v, Fsspec.Dir) -> go v rest
-        | Ok (_, Fsspec.File) -> Error Fsspec.Enotdir
-        | Error e -> Error e)
-    in
-    go (first_hop sys) parents
+  | Ok (parents, name) -> (
+    match resolve_from_root ~parents:true sys parents with
+    | Ok (v, Fsspec.Dir) -> Ok (v, name)
+    | Ok (_, Fsspec.File) -> Error Fsspec.Enotdir
+    | Error e -> Error e)
 
 let project sys ~at proj =
   match walk_parent sys at with
@@ -578,11 +654,11 @@ let do_rename sys src dst =
                apart from a closed or confused vnode, and any failed
                reattach is [Einval] *)
             try
-              match Svc.call ddir (Attach (dname, v, kind)) with
+              match Svc.call ddir.ep (Attach (dname, v, kind)) with
               | Done -> Ok ()
               | Err e -> (
                 (* put it back where it came from *)
-                match Svc.call sdir (Attach (sname, v, kind)) with
+                match Svc.call sdir.ep (Attach (sname, v, kind)) with
                 | Done -> Error e
                 | _ -> Error Fsspec.Einval)
               | _ -> Error Fsspec.Einval
@@ -597,7 +673,10 @@ let do_readdir sys path =
 
 let mount cfg ~bcache ~alloc =
   let root =
-    Svc.create ~subsystem:"msgvfs" ~metric_name:"vnode" ~label:"root-vnode" ()
+    { ep =
+        Svc.create ~subsystem:"msgvfs" ~metric_name:"vnode"
+          ~label:"root-vnode" ();
+      id = 1 }
   in
   let disp =
     Array.init
@@ -607,32 +686,28 @@ let mount cfg ~bcache ~alloc =
           ~label:(Printf.sprintf "syscall-%d" i) ())
   in
   let cores = Machine.cores (Engine.machine (Engine.current ())) in
-  let sys =
-    { cfg; bcache; alloc; root; cores; replicas = [| root |]; disp;
-      spawned = 1; live = 1; placeholders = 0; hydrations = 0;
-      hydration_failures = 0 }
-  in
-  let root_fiber =
-    Fiber.spawn ~label:"root-vnode" ~daemon:true (fun () ->
-        serve_dir sys root ~source:None)
-  in
-  (* one core group per 16 cores; the root serves its own group and
-     every other group gets a replica on the group's first core *)
-  let groups = max 1 (cores / 16) in
-  let home = Fiber.core root_fiber * groups / cores in
-  sys.replicas <-
+  (* one core group per 16 cores, each with a name cache, on machines
+     of more than 16 *)
+  let groups = if cores > 16 then cores / 16 else 0 in
+  let caches =
     Array.init groups (fun g ->
-        if g = home then root
-        else begin
-          let ep =
-            Svc.create ~subsystem:"msgvfs" ~metric_name:"replica"
-              ~label:(Printf.sprintf "root-replica-%d" g) ()
-          in
-          ignore
-            (Svc.start ~on:(((g * cores) + groups - 1) / groups)
-               ~words_of_resp:reply_words ep (serve_replica sys ep));
-          ep
-        end);
+        Svc.cast_create ~subsystem:"msgvfs" ~metric_name:"cache"
+          ~label:(Printf.sprintf "name-cache-%d" g) ())
+  in
+  let sys =
+    { cfg; bcache; alloc; root; cores; caches; disp; spawned = 1; live = 1;
+      placeholders = 0; hydrations = 0; hydration_failures = 0 }
+  in
+  ignore
+    (Fiber.spawn ~label:"root-vnode" ~daemon:true (fun () ->
+         serve_dir sys root ~source:None));
+  (* each cache on its group's first core *)
+  Array.iteri
+    (fun g ep ->
+      ignore
+        (Svc.start_cast ~on:(((g * cores) + groups - 1) / groups) ep
+           (serve_cache sys g)))
+    caches;
   (* the conservative, non-plumbed syscall entry: each dispatcher runs
      the system calls sent to it *)
   Array.iter (fun ep -> ignore (Svc.start ep (fun syscall -> syscall ()))) disp;
@@ -732,7 +807,7 @@ let readdir t path =
 
 let vnodes_spawned sys = sys.spawned
 
-let replicas sys = Array.length sys.replicas - 1
+let caches sys = Array.length sys.caches
 
 let live_vnodes sys = sys.live
 

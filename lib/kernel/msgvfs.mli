@@ -9,13 +9,16 @@
     - directory entries hold the {e channel} to the child vnode, so a
       lookup returns an endpoint and path resolution is a chain of
       messages down the tree;
-    - the root directory's names are replicated by message: every
-      16-core group other than the root's own has a replica fiber that
-      answers the first [Lookup] of each walk made in that group.  A
-      replica subscribes to the root on its first lookup; the root
-      pushes each change to its names to every subscribed replica and
-      waits for each ack before it replies, so a lookup made after
-      that reply never sees the old state (DESIGN D16);
+    - on a machine of more than 16 cores, each 16-core group has a
+      name-cache fiber, and every walk is one message to the cache of
+      the caller's group.  The cache copies the names of each
+      directory its group walks through, on the first such walk, and
+      answers the whole walk from its copies, or as far as they go,
+      after which the walker sends direct [Lookup]s.  A copy never
+      learns a new name.  Before a directory drops a name, it
+      invalidates the name at every group whose copy holds it and
+      waits for the acks, so a walk made after the removal returns
+      never finds it (DESIGN D19);
     - data blocks live in the {!Bcache} shard services, storage comes
       from the {!Cgalloc} group fibers, and everything bottoms out in
       the single-fiber {!Blockdev} driver;
@@ -61,9 +64,9 @@ val default_config : config
 type sys
 
 val mount : config -> bcache:Bcache.t -> alloc:Cgalloc.t -> sys
-(** Spawn the root directory vnode, the replicas of its names (see
-    {!replicas}) and the dispatchers.  Every vnode, replica and
-    dispatcher inbox is unbounded (backpressure). *)
+(** Spawn the root directory vnode, the name caches (see {!caches})
+    and the dispatchers.  Every vnode, cache and dispatcher inbox is
+    unbounded (backpressure). *)
 
 type t
 
@@ -130,9 +133,9 @@ val vnodes_spawned : sys -> int
 
 val live_vnodes : sys -> int
 
-val replicas : sys -> int
-(** Replica fibers of the root's name table: one per 16-core group
-    other than the root's own, so none on 16 cores or fewer. *)
+val caches : sys -> int
+(** Name-cache fibers: one per 16-core group on a machine of more than
+    16 cores, none on a smaller one. *)
 
 val placeholders_live : sys -> int
 (** Projected file vnodes not yet hydrated (and not retired). *)

@@ -206,44 +206,56 @@ let call_async ?words t req =
 let recv_case t f = Chan.recv_case t.inbox f
 
 (* The one serve loop: dequeue, crash point, then [handle] under the
-   span and the service-time histogram.  Closes the inbox and returns
-   once [stop msg result] holds. *)
-let rec serve_loop t handle ~stop =
+   span and the service-time histogram.  Returns once [handle] answers
+   [true]. *)
+let rec serve_loop t handle =
   let msg = Chan.recv t.inbox in
   sample t;
   hit_crashpoint t.cp_name;
-  let result =
+  let stop =
     Span.timed ~subsystem:t.span_sub ~name:t.span_name t.service_h (fun () ->
         handle msg)
   in
   t.nserved <- t.nserved + 1;
-  if stop msg result then Chan.close t.inbox else serve_loop t handle ~stop
+  if not stop then serve_loop t handle
 
-let serve ?(words_of_resp = fun _ -> 2) ?(until = fun _ _ -> false) t
-    handler =
+let serve ?(words_of_resp = fun _ -> 2) t handler =
   (* the reply send is part of the serviced work: its send-side charge
      is time the server spends on this request, so it belongs inside
      the service_time window *)
-  serve_loop t
-    (fun (req, r) ->
+  serve_loop t (fun (req, r) ->
       let resp = handler req in
       Chan.send ~words:(words_of_resp resp) r (`Ok resp);
-      resp)
-    ~stop:(fun (req, _) resp -> until req resp)
+      false)
 
-let serve_cast ?(until = fun _ -> false) t handler =
-  serve_loop t handler ~stop:(fun msg () -> until msg)
+let serve_forwarding ?(until = fun _ -> false) t handler =
+  serve_loop t (fun (req, r) ->
+      handler req r;
+      until req);
+  (* close the inbox, then the reply channel of each request still
+     queued in it: its caller raises [Chan.Closed], as a call made
+     after the close does *)
+  Chan.close t.inbox;
+  while Chan.length t.inbox > 0 do
+    let _, r = Chan.recv t.inbox in
+    Chan.close r
+  done
 
-let start ?on ?priority ?words_of_resp ?until t handler =
+let serve_cast t handler =
+  serve_loop t (fun msg ->
+      handler msg;
+      false)
+
+let start ?on ?priority ?words_of_resp t handler =
   Fiber.spawn ?on ?priority ~label:t.clabel ~daemon:true (fun () ->
-      serve ?words_of_resp ?until t handler)
+      serve ?words_of_resp t handler)
 
 let start_cast ?on ?priority t handler =
   Fiber.spawn ?on ?priority ~label:t.clabel ~daemon:true (fun () ->
       serve_cast t handler)
 
-let starter ?on ?priority ?words_of_resp ?until t handler () =
-  start ?on ?priority ?words_of_resp ?until t handler
+let starter ?on ?priority ?words_of_resp t handler () =
+  start ?on ?priority ?words_of_resp t handler
 
 let depth t = Chan.length t.inbox
 

@@ -139,28 +139,33 @@ val await_result : 'resp reply -> [ `Ok of 'resp | `Busy ]
 
 val recv_case : 'msg cast -> ('msg -> 'r) -> 'r Chan.case
 (** The endpoint as one arm of a {!Chan.choose} (no depth sampling:
-    only {!serve} and {!serve_cast} sample on the dequeue side). *)
+    only the serve loops sample on the dequeue side). *)
 
 val serve :
-  ?words_of_resp:('resp -> int) -> ?until:('req -> 'resp -> bool) ->
-  ('req, 'resp) t -> ('req -> 'resp) -> unit
+  ?words_of_resp:('resp -> int) -> ('req, 'resp) t -> ('req -> 'resp) ->
+  unit
 (** Serve forever (run inside a daemon fiber): receive, time the
     handler under a span + the [service_time] histogram, reply with
-    [words_of_resp resp] payload words (default 2).  When [until req
-    resp] answers [true] the endpoint is closed after the reply and
-    the loop returns — the vnode retirement protocol. *)
+    [words_of_resp resp] payload words (default 2). *)
 
-val serve_cast : ?until:('msg -> bool) -> 'msg cast -> ('msg -> unit) -> unit
-(** One-way flavour of {!serve}.  When [until msg] answers [true] the
-    endpoint is closed after the handler and the loop returns.  Served
-    on a request/reply endpoint, the handler gets each request with its
-    reply channel and answers it itself, or hands the channel on (a
-    file vnode passes one-block reads to the block's cache shard). *)
+val serve_forwarding :
+  ?until:('req -> bool) -> ('req, 'resp) t ->
+  ('req -> 'resp reply -> unit) -> unit
+(** {!serve} for a handler that gets each request with its reply
+    channel and answers it itself, later, or hands the channel on (a
+    file vnode passes one-block reads to the block's cache shard).
+    [until req] is asked after the handler.  When it answers [true]
+    the endpoint is closed and the loop returns — the vnode retirement
+    protocol — and every request still queued has its reply channel
+    closed, so its caller's {!call} raises [Chan.Closed], like a call
+    made after the close. *)
+
+val serve_cast : 'msg cast -> ('msg -> unit) -> unit
+(** One-way flavour of {!serve}: serve forever. *)
 
 val start :
   ?on:int -> ?priority:Fiber.priority -> ?words_of_resp:('resp -> int) ->
-  ?until:('req -> 'resp -> bool) -> ('req, 'resp) t -> ('req -> 'resp) ->
-  Fiber.t
+  ('req, 'resp) t -> ('req -> 'resp) -> Fiber.t
 (** Spawn a daemon fiber (labelled with the endpoint's label) running
     {!serve}. *)
 
@@ -170,8 +175,7 @@ val start_cast :
 
 val starter :
   ?on:int -> ?priority:Fiber.priority -> ?words_of_resp:('resp -> int) ->
-  ?until:('req -> 'resp -> bool) -> ('req, 'resp) t -> ('req -> 'resp) ->
-  unit -> Fiber.t
+  ('req, 'resp) t -> ('req -> 'resp) -> unit -> Fiber.t
 (** Restart hook for {!Chorus_kernel.Supervisor}-style child specs:
     because a service's identity is its endpoint, re-running the
     thunk re-attaches a fresh fiber to the same inbox. *)
@@ -180,7 +184,7 @@ val starter :
 
 val set_crashpoint : (string -> unit) option -> unit
 (** Install (or with [None] remove) the ambient crash-point hook.
-    {!serve} and {!serve_cast} call it with the endpoint's crash-point
+    The serve loops call it with the endpoint's crash-point
     name, ["subsystem.label"] (e.g. ["chaos.store"]), at every
     {e dequeue boundary} — after a request is taken off
     the inbox, before the handler runs, which is exactly where a crash

@@ -25,6 +25,7 @@ module Proc = Chorus_kernel.Proc
 module Kernel = Chorus_kernel.Kernel
 module Shvfs = Chorus_baseline.Shvfs
 module Lin = Chorus_chaos.Lin
+module Metrics = Chorus_obs.Metrics
 
 let run ?(cores = 8) ?(policy = Policy.round_robin ()) ?(seed = 42) main =
   Runtime.run (Runtime.config ~policy ~seed (Machine.mesh ~cores)) main
@@ -592,18 +593,17 @@ let test_fs_concurrent_clients () =
   in
   ()
 
-let test_root_replica_counts () =
-  let replicas cores =
+let test_name_cache_counts () =
+  let caches cores =
     let n = ref (-1) in
     let (_ : Runstats.t) =
-      run ~cores (fun () -> n := Msgvfs.replicas (mount_fs ()))
+      run ~cores (fun () -> n := Msgvfs.caches (mount_fs ()))
     in
     !n
   in
-  Alcotest.(check int) "16 cores: one group, no replica" 0 (replicas 16);
-  Alcotest.(check int) "64 cores: 4 groups, 3 replicas" 3 (replicas 64);
-  Alcotest.(check int) "1024 cores: 64 groups, 63 replicas" 63
-    (replicas 1024)
+  Alcotest.(check int) "16 cores: no cache" 0 (caches 16);
+  Alcotest.(check int) "64 cores: 4 groups, 4 caches" 4 (caches 64);
+  Alcotest.(check int) "1024 cores: 64 groups, 64 caches" 64 (caches 1024)
 
 let test_vnode_fibers_spawned () =
   let (_ : Runstats.t) =
@@ -788,9 +788,9 @@ module Msg_driver = Driver (Msgvfs)
 module Sh_driver = Driver (Shvfs)
 
 (* With [~groups], op k runs in a fiber on the first core of 16-core
-   group k mod groups, joined before op k + 1 starts: a root change made
+   group k mod groups, joined before op k + 1 starts: a change made
    from one group is followed by walks from the others, which the
-   message kernel serves from different replicas of the root. *)
+   message kernel serves from different name caches. *)
 let model_check_against ?cores ?policy ?groups ?(count = 60) name apply_impl =
   QCheck.Test.make ~name ~count arbitrary_ops (fun ops ->
       let mismatch = ref None in
@@ -834,22 +834,23 @@ let prop_msgvfs_dispatch_matches_model =
       let st = Msg_driver.make (boot_fs ~plumbing:false ()) in
       Msg_driver.apply st)
 
-(* 64 cores: 4 groups, so the root and 3 replicas of its names.  Random
-   placement spreads the root and the two dispatchers over the groups,
-   so the dispatcher path crosses replicas too.  A kernel that skips the
-   push on Detach (rename's first half) fails both within 200 cases. *)
-let replicated_check =
+(* 64 cores: 4 groups, so 4 name caches.  Random placement spreads the
+   root and the two dispatchers over the groups, so the dispatcher path
+   crosses caches too. *)
+let cached_check =
   model_check_against ~cores:64 ~policy:Policy.random ~groups:4 ~count:200
 
-let prop_msgvfs_replicas_match_model =
-  replicated_check
-    "msgvfs (plumbed, 64 cores, root replicas) == reference model" (fun () ->
+let prop_msgvfs_caches_match_model =
+  cached_check
+    "msgvfs (plumbed, 64 cores, read-through name caches) == reference model"
+    (fun () ->
       let st = Msg_driver.make (boot_fs ~plumbing:true ()) in
       Msg_driver.apply st)
 
-let prop_msgvfs_dispatch_replicas_match_model =
-  replicated_check
-    "msgvfs (dispatchers, 64 cores, root replicas) == reference model"
+let prop_msgvfs_dispatch_caches_match_model =
+  cached_check
+    "msgvfs (dispatchers, 64 cores, read-through name caches) == reference \
+     model"
     (fun () ->
       let st = Msg_driver.make (boot_fs ~plumbing:false ()) in
       Msg_driver.apply st)
@@ -1042,6 +1043,345 @@ let test_fs_unlink_under_forwarded_reads () =
       in
       ())
     [ 1; 2; 3; 4; 5 ]
+
+(* Requests queued in a file vnode behind its Retire are answered when
+   its loop stops: a read through an open descriptor is Ebadf, and a
+   walk through the file whose Lookup reached the vnode is Enoent.
+   Before, they waited forever.  One shard of one block: the vnode holds
+   its loop across a disk read while the Retire queues behind it, and
+   the others behind the Retire.  The walker's Lookup of the file was
+   answered before the unlink began; a busy fiber on the walker's core
+   holds back its next Lookup until after the Retire.  Every service
+   runs on main's core, and each client on a core of its own. *)
+let test_fs_requests_queued_behind_retire () =
+  let (_ : Runstats.t) =
+    run ~policy:Policy.parent (fun () ->
+        let dev = Blockdev.start () in
+        let bcache = Bcache.start ~shards:1 ~capacity:1 ~dev () in
+        let alloc = Cgalloc.start ~nblocks:64 () in
+        let fs =
+          Msgvfs.client (Msgvfs.mount Msgvfs.default_config ~bcache ~alloc)
+        in
+        let bs = Fsspec.block_size in
+        check_ok "create" (Msgvfs.create fs "/f");
+        let fd = check_ok "open" (Msgvfs.open_ fs "/f") in
+        ignore
+          (check_ok "write"
+             (Msgvfs.write fs fd ~off:0 (String.make (bs + 8) 'f')));
+        let slow =
+          Fiber.spawn ~on:1 (fun () ->
+              Alcotest.(check string) "the read ahead of the Retire"
+                (String.make 16 'f')
+                (check_ok "two-block read"
+                   (Msgvfs.read fs fd ~off:(bs - 8) ~len:16)))
+        in
+        let walker =
+          Fiber.spawn ~on:2 (fun () ->
+              check_err "a Lookup behind the Retire" Fsspec.Enoent
+                (Msgvfs.stat fs "/f/x"))
+        in
+        let busy = Fiber.spawn ~on:2 (fun () -> Fiber.work 30_000) in
+        Fiber.sleep 2_000;
+        let unlinker =
+          Fiber.spawn ~on:3 (fun () ->
+              check_ok "unlink" (Msgvfs.unlink fs "/f"))
+        in
+        Fiber.sleep 10_000;
+        let readers =
+          List.init 3 (fun i ->
+              Fiber.spawn ~on:(4 + i) (fun () ->
+                  check_err "a read behind the Retire" Fsspec.Ebadf
+                    (Msgvfs.read fs fd ~off:0 ~len:8)))
+        in
+        List.iter join (slow :: walker :: busy :: unlinker :: readers);
+        check_err "gone" Fsspec.Enoent (Msgvfs.stat fs "/f"))
+  in
+  ()
+
+(* ------------------------------------------------------------------ *)
+(* Name caches (DESIGN D19)                                            *)
+
+(* The messages [f] sends and causes, run alone in a fiber on [core]. *)
+let msgs_on core f =
+  let n = ref 0 in
+  join
+    (Fiber.spawn ~on:core (fun () ->
+         let c = Engine.counters (Engine.current ()) in
+         let before = c.Engine.msgs in
+         f ();
+         n := c.Engine.msgs - before));
+  !n
+
+let resolve_in fs group path =
+  msgs_on (16 * group) (fun () ->
+      ignore (check_ok ("resolve " ^ path) (Msgvfs.resolve fs path)))
+
+(* A walk is one message to the cache of the caller's group and its
+   answer.  The first walk through a directory in a group adds a
+   Subscribe and the directory's names; a name made after the copy
+   costs a direct Lookup at each step from its directory on. *)
+let test_name_cache_messages () =
+  let (_ : Runstats.t) =
+    run ~cores:64 (fun () ->
+        let fs = boot_fs () in
+        check_ok "mkdir /d" (Msgvfs.mkdir fs "/d");
+        check_ok "mkdir /e" (Msgvfs.mkdir fs "/e");
+        check_ok "create /d/f" (Msgvfs.create fs "/d/f");
+        check_ok "create /e/g" (Msgvfs.create fs "/e/g");
+        Alcotest.(check int) "first walk in group 1: the root and /d copied"
+          (2 + 2 + 2) (resolve_in fs 1 "/d/f");
+        Alcotest.(check int) "warm walk" 2 (resolve_in fs 1 "/d/f");
+        Alcotest.(check int) "first walk through /e" (2 + 2)
+          (resolve_in fs 1 "/e/g");
+        check_ok "mkdir /n" (Msgvfs.mkdir fs "/n");
+        check_ok "create /n/h" (Msgvfs.create fs "/n/h");
+        Alcotest.(check int) "a name made after the copy" (2 + 2 + 2)
+          (resolve_in fs 1 "/n/h");
+        Alcotest.(check int) "still not copied" (2 + 2 + 2)
+          (resolve_in fs 1 "/n/h"))
+  in
+  ()
+
+(* An unlink from group 0 of a name held by the caches of groups 0 to
+   k - 1 costs an invalidation and its ack per group: 2k messages more
+   than on 16 cores, where there is no cache and the walk of the parent
+   is one Lookup at the root. *)
+let test_unlink_invalidation_messages () =
+  let unlink_msgs ~cores ~holders =
+    let n = ref 0 in
+    let (_ : Runstats.t) =
+      run ~cores (fun () ->
+          let fs = boot_fs () in
+          check_ok "mkdir" (Msgvfs.mkdir fs "/d");
+          check_ok "create" (Msgvfs.create fs "/d/f");
+          for g = 0 to holders - 1 do
+            ignore (resolve_in fs g "/d/f")
+          done;
+          n :=
+            msgs_on 0 (fun () -> check_ok "unlink" (Msgvfs.unlink fs "/d/f")))
+    in
+    !n
+  in
+  let one_group = unlink_msgs ~cores:16 ~holders:1 in
+  for k = 1 to 4 do
+    Alcotest.(check int)
+      (Printf.sprintf "held by %d group(s)" k)
+      (one_group + (2 * k))
+      (unlink_msgs ~cores:64 ~holders:k)
+  done
+
+(* The name-path counters count walks answered whole and in part,
+   subscriptions and invalidations; they are host-side, so a run with
+   a metrics registry is cycle for cycle the run without one. *)
+let test_name_cache_counters () =
+  let scenario () =
+    let fs = boot_fs () in
+    check_ok "mkdir" (Msgvfs.mkdir fs "/d");
+    (* group 0 copies the root *)
+    check_ok "create" (Msgvfs.create fs "/d/f");
+    (* groups 1 and 2 copy the root and /d, both holding f *)
+    List.iter (fun g -> ignore (resolve_in fs g "/d/f")) [ 1; 1; 2 ];
+    check_ok "create" (Msgvfs.create fs "/d/x");
+    (* x was made after group 1's copy of /d *)
+    ignore (resolve_in fs 1 "/d/x");
+    check_ok "unlink" (Msgvfs.unlink fs "/d/f")
+  in
+  let bare = run ~cores:64 scenario in
+  let reg = Metrics.create () in
+  Metrics.install reg;
+  let observed = run ~cores:64 scenario in
+  Metrics.uninstall ();
+  Alcotest.(check (pair int int)) "no observer effect"
+    (bare.Runstats.makespan, bare.Runstats.msgs)
+    (observed.Runstats.makespan, observed.Runstats.msgs);
+  let counter name =
+    match List.assoc_opt ("msgvfs", "cache." ^ name) (Metrics.snapshot reg) with
+    | Some (Metrics.Counter n) -> n
+    | _ -> Alcotest.failf "no counter cache.%s" name
+  in
+  Alcotest.(check (list int))
+    "whole, partial, subscriptions, invalidations" [ 6; 1; 5; 2 ]
+    (List.map counter
+       [ "walks_whole"; "walks_partial"; "subscriptions"; "invalidations" ])
+
+(* Names as registers.  A name's value is its kind or "absent"; stat
+   reads it, and one client, its writer, changes it.  Writer w (of
+   clients 0 to 3, one per group) owns /a<w> and /d/b<w>, which start as
+   a file and a directory.  Its writes apply only where they succeed (a
+   create or mkdir of an absent name, an unlink of a present one, a
+   rename of a present name onto its absent partner); any other op, and
+   every op of clients 4 to 7, is a stat of the op's name. *)
+type name_op = Stat | Create | Mkdir | Unlink | Rename
+
+let show_name_op (op, i) =
+  Printf.sprintf "%s %d"
+    (match op with
+    | Stat -> "stat"
+    | Create -> "create"
+    | Mkdir -> "mkdir"
+    | Unlink -> "unlink"
+    | Rename -> "rename")
+    i
+
+(* 8 clients of 6 ops: with its initial write and the four warm-up
+   reads, at most 53 register ops on one name, under Lin's bound of 60 *)
+let arbitrary_name_runs =
+  let open QCheck.Gen in
+  let op =
+    pair
+      (frequency
+         [ (4, return Stat); (1, return Create); (1, return Mkdir);
+           (2, return Unlink); (2, return Rename) ])
+      (int_range 0 7)
+  in
+  QCheck.make
+    ~print:(fun (seed, clients) ->
+      Printf.sprintf "seed %d: %s" seed
+        (String.concat " | "
+           (List.map
+              (fun ops -> String.concat "; " (List.map show_name_op ops))
+              clients)))
+    (pair small_nat (list_repeat 8 (list_repeat 6 op)))
+
+let name_path i =
+  if i < 4 then Printf.sprintf "/a%d" i else Printf.sprintf "/d/b%d" (i - 4)
+
+let kind_value = function Fsspec.File -> "file" | Fsspec.Dir -> "dir"
+
+(* 64 cores, round-robin, two clients in each 16-core group.  Each run
+   also stats every name from every group first, so every cache holds
+   every name when the writers begin.  A kernel that skips the
+   invalidation on Remove, or the one on Detach (rename's first half),
+   fails this within 50 cases. *)
+let prop_names_linearizable =
+  QCheck.Test.make ~count:50
+    ~name:"msgvfs names are linearizable across name caches"
+    arbitrary_name_runs (fun (seed, clients) ->
+      let hist = History.create () in
+      let (_ : Runstats.t) =
+        run ~cores:64 ~seed (fun () ->
+            let fs = boot_fs () in
+            let state = Array.make 8 "absent" in
+            let write ~proc changes f =
+              let ops =
+                List.map
+                  (fun (i, v) ->
+                    state.(i) <- v;
+                    History.invoke hist ~proc ~kind:`Write ~key:(name_path i)
+                      ~value:v ())
+                  changes
+              in
+              check_ok "write" (f ());
+              List.iter (fun o -> History.return_ hist o History.Acked) ops
+            in
+            let stat ~proc fs i =
+              let o =
+                History.invoke hist ~proc ~kind:`Read ~key:(name_path i) ()
+              in
+              let v =
+                match Msgvfs.stat fs (name_path i) with
+                | Ok st -> kind_value st.Fsspec.kind
+                | Error Fsspec.Enoent -> "absent"
+                | Error e -> Alcotest.failf "stat: %s" (Fsspec.err_to_string e)
+              in
+              History.return_ hist o (History.Value (Some v))
+            in
+            check_ok "mkdir /d" (Msgvfs.mkdir fs "/d");
+            for w = 0 to 3 do
+              write ~proc:0 [ (w, "file") ] (fun () ->
+                  Msgvfs.create fs (name_path w));
+              write ~proc:0 [ (w + 4, "dir") ] (fun () ->
+                  Msgvfs.mkdir fs (name_path (w + 4)))
+            done;
+            for g = 0 to 3 do
+              join
+                (Fiber.spawn ~on:(16 * g) (fun () ->
+                     for i = 0 to 7 do
+                       stat ~proc:0 fs i
+                     done))
+            done;
+            let fibers =
+              List.mapi
+                (fun c ops ->
+                  Fiber.spawn ~on:((16 * (c mod 4)) + (8 * (c / 4))) (fun () ->
+                      let proc = c + 1 in
+                      List.iter
+                        (fun (op, i) ->
+                          let own = if i < 4 then c else c + 4 in
+                          let partner = (own + 4) mod 8 in
+                          let p = name_path own in
+                          let present = c < 4 && state.(own) <> "absent" in
+                          match op with
+                          | _ when c >= 4 -> stat ~proc fs i
+                          | Create when not present ->
+                            write ~proc [ (own, "file") ] (fun () ->
+                                Msgvfs.create fs p)
+                          | Mkdir when not present ->
+                            write ~proc [ (own, "dir") ] (fun () ->
+                                Msgvfs.mkdir fs p)
+                          | Unlink when present ->
+                            write ~proc [ (own, "absent") ] (fun () ->
+                                Msgvfs.unlink fs p)
+                          | Rename when present && state.(partner) = "absent"
+                            ->
+                            write ~proc
+                              [ (own, "absent"); (partner, state.(own)) ]
+                              (fun () ->
+                                Msgvfs.rename fs p (name_path partner))
+                          | _ -> stat ~proc fs i)
+                        ops))
+                clients
+            in
+            List.iter join fibers)
+      in
+      match Lin.check_history hist with
+      | `Ok -> true
+      | `Violation msg -> QCheck.Test.fail_reportf "not linearizable: %s" msg)
+
+(* The inversion the root replicas allowed: while mkdir /x pushed the
+   new name to the replicas one group after another, a reader in group
+   2 saw /x, and a reader in group 15 that started after it returned
+   got Enoent.  A name cache never learns a new name, so both readers
+   ask the root. *)
+let test_new_name_seen_in_order () =
+  let (_ : Runstats.t) =
+    run ~cores:256 (fun () ->
+        let fs = boot_fs () in
+        let in_group g f = join (Fiber.spawn ~on:(16 * g) f) in
+        (* every group walks through the root, group 2 first and group
+           15 last *)
+        List.iter
+          (fun g ->
+            in_group g (fun () ->
+                check_err "warm-up" Fsspec.Enoent (Msgvfs.stat fs "/warm")))
+          ((2 :: List.filter (fun g -> g <> 2 && g <> 15) (List.init 16 Fun.id))
+          @ [ 15 ]);
+        let later = ref None in
+        let reader =
+          Fiber.spawn ~on:(16 * 2) (fun () ->
+              let rec poll tries =
+                if tries = 0 then Alcotest.fail "group 2 never saw /x"
+                else
+                  match Msgvfs.stat fs "/x" with
+                  | Ok _ ->
+                    later :=
+                      Some
+                        (Fiber.spawn ~on:(16 * 15) (fun () ->
+                             ignore
+                               (check_ok "group 15, after group 2 saw /x"
+                                  (Msgvfs.stat fs "/x"))))
+                  | Error _ -> poll (tries - 1)
+              in
+              poll 1_000)
+        in
+        let writer =
+          Fiber.spawn ~on:(16 * 8) (fun () ->
+              check_ok "mkdir /x" (Msgvfs.mkdir fs "/x"))
+        in
+        List.iter join [ reader; writer ];
+        Option.iter join !later)
+  in
+  ()
 
 (* ------------------------------------------------------------------ *)
 (* Payload charges                                                     *)
@@ -1461,8 +1801,7 @@ let () =
             test_fs_unlink_open_handle;
           Alcotest.test_case "concurrent clients" `Quick
             test_fs_concurrent_clients;
-          Alcotest.test_case "root replica counts" `Quick
-            test_root_replica_counts;
+          Alcotest.test_case "name cache counts" `Quick test_name_cache_counts;
           Alcotest.test_case "fiber per vnode" `Quick
             test_vnode_fibers_spawned;
           Alcotest.test_case "plumbed data path messages" `Quick
@@ -1470,16 +1809,27 @@ let () =
           Alcotest.test_case "cache fill failure is Eio" `Quick
             test_fs_cache_fill_failure_is_eio;
           Alcotest.test_case "dispatcher costs pinned" `Quick
-            test_dispatcher_costs_pinned ] );
+            test_dispatcher_costs_pinned;
+          Alcotest.test_case "name cache messages" `Quick
+            test_name_cache_messages;
+          Alcotest.test_case "unlink invalidation messages" `Quick
+            test_unlink_invalidation_messages;
+          Alcotest.test_case "name cache counters" `Quick
+            test_name_cache_counters ] );
       ( "model-based",
         [ qt prop_msgvfs_matches_model;
           qt prop_msgvfs_dispatch_matches_model;
-          qt prop_msgvfs_replicas_match_model;
-          qt prop_msgvfs_dispatch_replicas_match_model;
+          qt prop_msgvfs_caches_match_model;
+          qt prop_msgvfs_dispatch_caches_match_model;
           qt prop_shvfs_matches_model;
           qt prop_concurrent_file_data;
           Alcotest.test_case "unlink under forwarded reads" `Quick
-            test_fs_unlink_under_forwarded_reads ] );
+            test_fs_unlink_under_forwarded_reads;
+          Alcotest.test_case "requests queued behind a Retire return" `Quick
+            test_fs_requests_queued_behind_retire;
+          qt prop_names_linearizable;
+          Alcotest.test_case "a new name is seen in order across groups"
+            `Quick test_new_name_seen_in_order ] );
       ( "payload",
         [ Alcotest.test_case "both kernels charge a payload by whole words"
             `Quick test_payload_whole_words ] );

@@ -183,10 +183,11 @@ let test_block_backpressures () =
   in
   ()
 
-(* A retired endpoint's inbox is closed, possibly with requests still
-   queued.  An offer to it then raises [Chan.Closed] under every
-   policy, as a send to any closed channel does: nothing is shed and
-   nothing is answered busy. *)
+(* A retired endpoint's inbox is closed, and each request still queued
+   in it has its reply channel closed, so its caller raises
+   [Chan.Closed] instead of waiting forever.  An offer to it then
+   raises [Chan.Closed] under every policy, as a send to any closed
+   channel does: nothing is shed and nothing is answered busy. *)
 let test_closed_inbox_raises () =
   List.iter
     (fun policy ->
@@ -198,15 +199,20 @@ let test_closed_inbox_raises () =
                 ~subsystem:"test" ~label:"retiring" ()
             in
             ignore
-              (Svc.start ep ~until:(fun _ _ -> true) (fun v ->
-                   Fiber.sleep 10_000;
-                   v));
+              (Fiber.spawn ~daemon:true (fun () ->
+                   Svc.serve_forwarding ep ~until:(fun _ -> true) (fun v r ->
+                       Fiber.sleep 10_000;
+                       Svc.answer r v)));
             let r1 = Svc.call_async ep 1 in
             Fiber.sleep 1_000;
             (* the server holds request 1; request 2 fills the inbox *)
-            ignore (Svc.call_async ep 2);
+            let r2 = Svc.call_async ep 2 in
             Alcotest.(check int) "first answered" 1 (Svc.await r1);
-            Alcotest.(check int) "closed with one queued" 1 (Svc.depth ep);
+            (* the retiring server answers the queued request by closing
+               its reply channel, as if it had been sent after the close *)
+            Alcotest.check_raises "queued request raises Closed" Chan.Closed
+              (fun () -> ignore (Svc.await r2));
+            Alcotest.(check int) "closed with none queued" 0 (Svc.depth ep);
             Alcotest.check_raises "offer raises Closed" Chan.Closed (fun () ->
                 ignore (Svc.offer ep (3, Svc.reply_chan ())));
             Alcotest.(check (pair int int)) "nothing shed or rejected" (0, 0)
