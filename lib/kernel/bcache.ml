@@ -20,9 +20,12 @@ type shard_state = {
 
 (* Each request carries the function that answers it, which the shard
    calls in its own fiber: a reply send to a waiting caller, or to
-   whoever the caller handed the request on for (DESIGN D18). *)
+   whoever the caller handed the request on for (DESIGN D18).  A
+   message is a list of them, served in order (DESIGN D20). *)
+type entry = req * (resp -> unit)
+
 type t = {
-  eps : (req * (resp -> unit)) Svc.cast array;
+  eps : entry list Svc.cast array;
   mutable hits : int;
   mutable misses : int;
   mutable read_retries : int;
@@ -119,24 +122,53 @@ let start ?(shards = 8) ?(capacity = 1024) ~dev () =
          unsupervised shard fiber: the caller gets the error, and the
          shard keeps serving *)
       ignore
-        (Svc.start_cast ep (fun (req, answer) ->
-             answer
-               (try handle t st dev req with Blockdev.Io_error -> Io_fail))))
+        (Svc.start_cast ep
+           (List.iter (fun (req, answer) ->
+                answer
+                  (try handle t st dev req
+                   with Blockdev.Io_error -> Io_fail)))))
     t.eps;
   t
 
 (* Hashed, not [block mod shards]: Cgalloc's group stride is a multiple
    of the shard count on E3's machines, so every group's first blocks
    would share one shard. *)
-let shard_for t block = t.eps.(Hashtbl.hash block mod Array.length t.eps)
+let shard_of t block = Hashtbl.hash block mod Array.length t.eps
 
-(* Charge for charge [Svc.call]: a one-shot reply channel, the request
-   with the answer that replies on it, and the wait for the reply. *)
+let shard_for t block = t.eps.(shard_of t block)
+
+(* Charge for charge [Svc.call]: a one-shot reply channel, a message of
+   one request with the answer that replies on it, and the wait for the
+   reply. *)
 let call ?(words = 2) ep req =
   let r = Svc.reply_chan () in
   Svc.cast ~words ep
-    (req, fun resp -> Svc.answer ~words:(words_of_resp resp) r resp);
+    [ (req, fun resp -> Svc.answer ~words:(words_of_resp resp) r resp) ];
   Svc.await r
+
+(* Requests held by their sender: per shard, in the order the shards
+   were first used, the summed request words and the requests newest
+   first. *)
+type outbox = { mutable held : (int * int * entry list) list }
+
+let outbox () = { held = [] }
+
+let hold t out block ~words e =
+  let i = shard_of t block in
+  let rec add = function
+    | [] -> [ (i, words, [ e ]) ]
+    | (j, w, es) :: rest when j = i -> (j, w + words, e :: es) :: rest
+    | x :: rest -> x :: add rest
+  in
+  out.held <- add out.held
+
+let send t out =
+  let held = out.held in
+  out.held <- [];
+  List.iter
+    (fun (i, words, es) -> Svc.cast ~words t.eps.(i) (List.rev es))
+    held;
+  List.map (fun (_, _, es) -> List.length es) held
 
 let data = function
   | Data d -> Ok d
@@ -152,12 +184,12 @@ let or_raise = function Ok v -> v | Error `Io_error -> raise Blockdev.Io_error
 
 let put_words data = 4 + Cost.words_of_bytes (String.length data)
 
-let get_range_to t block ~off ~len answer =
-  Svc.cast ~words:5 (shard_for t block)
+let get_range_to t out block ~off ~len answer =
+  hold t out block ~words:5
     (Get_range { block; off; len }, fun resp -> answer (data resp))
 
-let put_to t block ~off d answer =
-  Svc.cast ~words:(put_words d) (shard_for t block)
+let put_to t out block ~off d answer =
+  hold t out block ~words:(put_words d)
     (Put { block; off; data = d }, fun resp -> answer (done_ resp))
 
 let get_range t block ~off ~len =

@@ -7,16 +7,19 @@
     the disk driver directly; a missing block blocks only its own
     shard.
 
-    A shard's inbox carries (request, answer) pairs, served in the
-    order they were sent.  The shard calls the answer with its
-    response in its own fiber, so the reply is charged to the shard,
-    from the shard's core.  The waiting entries ({!get_range},
-    {!put}, {!zero}, {!flush}) answer on a one-shot reply channel and
-    wait on it, charge for charge a [Svc.call].  The [_to] entries
-    take the answer from the caller and return at once: a file vnode
-    passes a one-block read or overwrite on with an answer that
-    replies to its own client, and the shard's reply is the op's last
-    message (DESIGN D18). *)
+    A shard's inbox carries lists of (request, answer) pairs, and the
+    shard serves the pairs in the order they were sent.  The shard
+    calls each answer with its response in its own fiber, so the reply
+    is charged to the shard, from the shard's core.  The waiting
+    entries ({!get_range}, {!put}, {!zero}, {!flush}) send a list of
+    one, answer on a one-shot reply channel and wait on it, charge for
+    charge a [Svc.call].  The [_to] entries take the answer from the
+    caller and send nothing: they add the request to an {!outbox} the
+    caller owns, and {!send} sends what it holds, one message per
+    shard.  A file vnode passes one-block reads and overwrites on with
+    answers that reply to its own clients, and sends its outbox when
+    its inbox runs dry, so a shard gets in one message the requests
+    that queued while the vnode was busy (DESIGN D18, D20). *)
 
 type t
 
@@ -33,12 +36,24 @@ val get_range : t -> int -> off:int -> len:int -> string
     {!Blockdev.Io_error} when the fill gives up (see
     {!read_retries}). *)
 
+type outbox
+(** Requests held by their sender until it calls {!send}. *)
+
+val outbox : unit -> outbox
+
+val send : t -> outbox -> int list
+(** Send the held requests, one message to each shard they are for,
+    in the order those shards were first used, and empty the outbox.
+    A message carries its shard's requests in the order they were
+    held and is charged one injection plus their summed words.
+    Returns how many requests each message carried, in send order. *)
+
 val get_range_to :
-  t -> int -> off:int -> len:int ->
+  t -> outbox -> int -> off:int -> len:int ->
   ((string, [ `Io_error ]) result -> unit) -> unit
-(** [get_range_to t block ~off ~len answer] sends the same request as
-    {!get_range} and returns without waiting; the shard calls [answer]
-    with the bytes, or [Error `Io_error] when the fill gives up. *)
+(** [get_range_to t out block ~off ~len answer] holds the same request
+    as {!get_range} (5 words) in [out]; the shard calls [answer] with
+    the bytes, or [Error `Io_error] when the fill gives up. *)
 
 val put : t -> int -> off:int -> string -> unit
 (** [put t block ~off data] writes [data] into the cached block at
@@ -47,10 +62,10 @@ val put : t -> int -> off:int -> string -> unit
     {!get_range} when the block must first be read in. *)
 
 val put_to :
-  t -> int -> off:int -> string -> ((unit, [ `Io_error ]) result -> unit) ->
-  unit
-(** {!put} without waiting; the shard calls the answer like
-    {!get_range_to}'s. *)
+  t -> outbox -> int -> off:int -> string ->
+  ((unit, [ `Io_error ]) result -> unit) -> unit
+(** {!put}'s request held in the outbox; the shard calls the answer
+    like {!get_range_to}'s. *)
 
 val zero : t -> int -> unit
 (** Reset a freed block's cached contents to zeroes (used on

@@ -69,6 +69,10 @@ type sys = {
       (* one name cache per 16-core group; none on 16 cores or fewer *)
   disp : (unit -> unit, unit) Svc.t array;
       (* a dispatcher's request is the system call itself *)
+  batches : (Metrics.counter * Metrics.counter) Lazy.t;
+      (* cache messages carrying two or more forwards, and the forwards
+         they carry; registered by the first such message, so a run
+         that never batches registers nothing *)
   mutable spawned : int;
   mutable live : int;
   mutable placeholders : int;
@@ -181,9 +185,25 @@ let one_block blocks ~off ~len =
    that overwrites bytes of one block without extending the file,
    change nothing here: the vnode hands them to the block's cache
    shard with the caller's reply channel, and the shard answers the
-   caller (DESIGN D18). *)
+   caller (DESIGN D18).  The vnode holds these forwards and sends them,
+   one message per shard, when its inbox is empty after a request, and
+   before any request it serves itself, so that neither its own cache
+   calls nor Retire's frees overtake them (DESIGN D20). *)
 let serve_file sys self ~source =
   let hint = self.id in
+  let held = Bcache.outbox () in
+  let send_held () =
+    List.iter
+      (fun n ->
+        if n >= 2 then begin
+          let messages, forwards = Lazy.force sys.batches in
+          Metrics.incr messages;
+          for _ = 1 to n do
+            Metrics.incr forwards
+          done
+        end)
+      (Bcache.send sys.bcache held)
+  in
   let blocks = ref [] in
   let size = ref 0 in
   let cold = ref source in
@@ -216,14 +236,15 @@ let serve_file sys self ~source =
       match one_block !blocks ~off ~len with
       | None -> false
       | Some b ->
-        Bcache.get_range_to sys.bcache b ~off:(off mod Fsspec.block_size) ~len
+        Bcache.get_range_to sys.bcache held b
+          ~off:(off mod Fsspec.block_size) ~len
           (answer (fun d -> Data d));
         true)
     | Write { off; data } -> (
       let len = String.length data in
       match one_block !blocks ~off ~len with
       | Some b when off + len <= !size ->
-        Bcache.put_to sys.bcache b ~off:(off mod Fsspec.block_size) data
+        Bcache.put_to sys.bcache held b ~off:(off mod Fsspec.block_size) data
           (answer (fun () -> Wrote len));
         true
       | _ -> false)
@@ -268,7 +289,12 @@ let serve_file sys self ~source =
   Svc.serve_forwarding
     ~until:(function Retire -> true | _ -> false)
     self.ep
-    (fun req r -> if not (forward req r) then reply r (handle req))
+    (fun req r ->
+      if not (forward req r) then begin
+        send_held ();
+        reply r (handle req)
+      end;
+      if Svc.depth self.ep = 0 then send_held ())
 
 (* ------------------------------------------------------------------ *)
 (* Directory vnode                                                     *)
@@ -694,9 +720,16 @@ let mount cfg ~bcache ~alloc =
         Svc.cast_create ~subsystem:"msgvfs" ~metric_name:"cache"
           ~label:(Printf.sprintf "name-cache-%d" g) ())
   in
+  let batches =
+    lazy
+      (let counter name =
+         Metrics.counter ~subsystem:"msgvfs" ("batch." ^ name)
+       in
+       (counter "messages", counter "forwards"))
+  in
   let sys =
-    { cfg; bcache; alloc; root; cores; caches; disp; spawned = 1; live = 1;
-      placeholders = 0; hydrations = 0; hydration_failures = 0 }
+    { cfg; bcache; alloc; root; cores; caches; disp; batches; spawned = 1;
+      live = 1; placeholders = 0; hydrations = 0; hydration_failures = 0 }
   in
   ignore
     (Fiber.spawn ~label:"root-vnode" ~daemon:true (fun () ->

@@ -33,7 +33,16 @@
       is not held across the cache trip; DESIGN D18).  Reads across
       blocks, writes that allocate or extend, and the hydration of a
       projected file are served in the vnode.  A cache fill that gives
-      up is [Eio] on either path.
+      up is [Eio] on either path;
+    - the vnode holds these forwards and sends them, one message per
+      shard, when its inbox is empty after a request and before any
+      request it serves itself.  So the forwards that queued while it
+      was busy reach a shard in one message, an idle vnode sends each
+      one at once, and no cache call or free of the vnode's own
+      overtakes a held forward (DESIGN D20).  The counters
+      [msgvfs/batch.messages] and [msgvfs/batch.forwards] count the
+      messages that carry two or more forwards and the forwards they
+      carry; a run registers them with its first such message.
 
     With [plumbing = false] every operation is instead routed through
     dispatcher fibers, the ablation measured in E4.  The request a

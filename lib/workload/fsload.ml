@@ -92,9 +92,8 @@ module Make (F : Fsspec.S) = struct
     else if r < mix.read_ + mix.write_ + mix.stat_ then Stat
     else Create_unlink
 
-  let client fs cfg ~client_id =
+  let client fs cfg zipf ~client_id =
     let rng = Rng.make (cfg.seed + (client_id * 7919) + 13) in
-    let zipf = Zipf.make ~n:cfg.files ~theta:cfg.theta in
     let latency = Histogram.create () in
     let hist_of = Hashtbl.create 8 in
     let hist name =
@@ -189,11 +188,14 @@ module Make (F : Fsspec.S) = struct
 
   let run_clients view cfg =
     let results = Chorus.Chan.unbounded () in
+    (* the popularity table depends on the config alone: build it once
+       for every client *)
+    let zipf = Zipf.make ~n:cfg.files ~theta:cfg.theta in
     let t0 = Fiber.now () in
     let fibers =
       List.init cfg.clients (fun id ->
           Fiber.spawn ~label:(Printf.sprintf "client-%d" id) (fun () ->
-              let r = client (view id) cfg ~client_id:id in
+              let r = client (view id) cfg zipf ~client_id:id in
               Chorus.Chan.send results r))
     in
     List.iter (fun f -> ignore (Fiber.join f)) fibers;

@@ -49,10 +49,8 @@ module Make (F : Chorus_fsspec.Fsspec.S) : sig
   (** Create the directory tree and preload the file population.
       Call once, from inside the run, before spawning clients. *)
 
-  val client : F.t -> config -> client_id:int -> result
-  (** Run one client's op loop to completion (call in its own fiber). *)
-
   val run_clients : (int -> F.t) -> config -> result
   (** Spawn [config.clients] client fibers (each gets its own view via
-      the argument), wait for all, merge results. *)
+      the argument, and all share one Zipf table), wait for all, merge
+      results. *)
 end

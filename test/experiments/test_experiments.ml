@@ -231,6 +231,63 @@ let test_e18_weight_ordering () =
     Alcotest.(check bool) "chan < l4 < mach" true (chan < l4 && l4 < mach)
   | _ -> Alcotest.fail "e18 shape"
 
+(* E15: the cheaper the messages, the further the message kernel pulls
+   ahead; it leads even at four times the default software cost. *)
+let test_e15_cheaper_messages_widen_the_lead () =
+  match run_tables "e15" with
+  | [ t ] ->
+    let ratios =
+      List.map (fun r -> float_of_string (List.nth r 3)) (Tablefmt.rows t)
+    in
+    Alcotest.(check int) "software x4 to hardware support" 6
+      (List.length ratios);
+    Alcotest.(check bool) "msg/lock > 1 at every cost" true
+      (List.for_all (fun x -> x > 1.0) ratios);
+    ignore
+      (List.fold_left
+         (fun prev x ->
+           Alcotest.(check bool)
+             (Printf.sprintf "msg/lock rises: %.2f > %.2f" x prev)
+             true (x > prev);
+           x)
+         (List.hd ratios) (List.tl ratios))
+  | _ -> Alcotest.fail "e15 shape"
+
+(* E16: the message kernel is fastest on the crossbar and slowest on
+   the ring.  Mesh and hierarchy are close, and their order is not a
+   verdict. *)
+let test_e16_crossbar_best_ring_worst () =
+  match run_tables "e16" with
+  | [ t ] ->
+    let ops =
+      List.map
+        (fun r -> (List.hd r, float_of_string (List.nth r 2)))
+        (Tablefmt.rows t)
+    in
+    let best = List.fold_left (fun m (_, x) -> max m x) neg_infinity ops
+    and worst = List.fold_left (fun m (_, x) -> min m x) infinity ops in
+    Alcotest.(check (float 0.0)) "crossbar highest" best
+      (List.assoc "crossbar-64" ops);
+    Alcotest.(check (float 0.0)) "ring lowest" worst
+      (List.assoc "ring-64" ops)
+  | _ -> Alcotest.fail "e16 shape"
+
+(* E17: one message kernel beats the chip cut into VM islands at every
+   skew. *)
+let test_e17_single_image_beats_vm_cluster () =
+  match run_tables "e17" with
+  | [ t ] ->
+    List.iter
+      (fun r ->
+        let single = float_of_string (List.nth r 1)
+        and cluster = float_of_string (List.nth r 2) in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: single image %.0f > VM cluster %.0f" (List.hd r)
+             single cluster)
+          true (single > cluster))
+      (Tablefmt.rows t)
+  | _ -> Alcotest.fail "e17 shape"
+
 (* E8: no spawn-time placement is best on both shapes, and work
    stealing, which rebalances at run time, beats every one of them on
    both; checked on the quick table and on the full one EXPERIMENTS.md
@@ -296,4 +353,10 @@ let () =
           Alcotest.test_case "e10 supervision availability" `Quick
             test_e10_supervision_availability;
           Alcotest.test_case "e8 stealing wins both shapes" `Quick
-            test_e8_stealing_wins_both_shapes ] ) ]
+            test_e8_stealing_wins_both_shapes;
+          Alcotest.test_case "e15 cheaper messages widen the lead" `Quick
+            test_e15_cheaper_messages_widen_the_lead;
+          Alcotest.test_case "e16 crossbar best, ring worst" `Quick
+            test_e16_crossbar_best_ring_worst;
+          Alcotest.test_case "e17 single image beats the VM cluster" `Quick
+            test_e17_single_image_beats_vm_cluster ] ) ]

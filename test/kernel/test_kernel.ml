@@ -1044,6 +1044,151 @@ let test_fs_unlink_under_forwarded_reads () =
       ())
     [ 1; 2; 3; 4; 5 ]
 
+(* ------------------------------------------------------------------ *)
+(* Held forwards (DESIGN D20)                                          *)
+
+(* [k] one-block reads of one file, from readers spawned on main's
+   core under [Policy.parent], where the file's vnode runs too: every
+   reader sends before the vnode gets the core back, so the vnode
+   finds the [k] reads in its inbox.  Returns the messages they cost. *)
+let queued_reads k =
+  let fs = boot_fs () in
+  check_ok "create" (Msgvfs.create fs "/f");
+  let fd = check_ok "open" (Msgvfs.open_ fs "/f") in
+  ignore (check_ok "write" (Msgvfs.write fs fd ~off:0 "abcdefgh"));
+  let c = Engine.counters (Engine.current ()) in
+  let before = c.Engine.msgs in
+  List.init k (fun _ ->
+      Fiber.spawn (fun () ->
+          Alcotest.(check string) "read" "abcdefgh"
+            (check_ok "read" (Msgvfs.read fs fd ~off:0 ~len:8))))
+  |> List.iter join;
+  c.Engine.msgs - before
+
+(* The vnode forwards the [k] queued reads in one message to the
+   shard: [k] requests, one message, [k] replies from the shard.  One
+   read alone is D18's three messages. *)
+let test_fs_queued_reads_one_message () =
+  List.iter
+    (fun k ->
+      let n = ref 0 in
+      let (_ : Runstats.t) =
+        run ~policy:Policy.parent (fun () -> n := queued_reads k)
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "%d queued reads" k)
+        (k + 1 + k) !n)
+    [ 1; 2; 5 ]
+
+(* The batching counters are host-side: a run with a metrics registry
+   is cycle for cycle the run without one (DESIGN D11).  They count
+   the messages that carry two or more forwards and the forwards those
+   carry, and a run that never batches registers neither. *)
+let test_batch_counters () =
+  let observed k =
+    let bare = run ~policy:Policy.parent (fun () -> ignore (queued_reads k)) in
+    let reg = Metrics.create () in
+    Metrics.install reg;
+    let seen = run ~policy:Policy.parent (fun () -> ignore (queued_reads k)) in
+    Metrics.uninstall ();
+    Alcotest.(check (pair int int)) "no observer effect"
+      (bare.Runstats.makespan, bare.Runstats.msgs)
+      (seen.Runstats.makespan, seen.Runstats.msgs);
+    List.filter_map
+      (fun name ->
+        match
+          List.assoc_opt ("msgvfs", "batch." ^ name) (Metrics.snapshot reg)
+        with
+        | Some (Metrics.Counter n) -> Some n
+        | _ -> None)
+      [ "messages"; "forwards" ]
+  in
+  Alcotest.(check (list int)) "one message of 5 forwards" [ 1; 5 ] (observed 5);
+  Alcotest.(check (list int)) "nothing registered without a batch" []
+    (observed 1)
+
+(* A held overwrite reaches the shard before the vnode's own cache
+   calls.  An overwrite of bytes 4-7 and a write of bytes 6-9, which
+   extends the file, queue behind one vnode (both writers send before
+   it runs, as in [queued_reads]).  The vnode holds the overwrite and
+   must send it before it writes the extension itself: sent after, it
+   would land last, and bytes 6-7 would read "bb". *)
+let test_fs_held_overwrite_before_extension () =
+  let (_ : Runstats.t) =
+    run ~policy:Policy.parent (fun () ->
+        let fs = boot_fs () in
+        check_ok "create" (Msgvfs.create fs "/f");
+        let fd = check_ok "open" (Msgvfs.open_ fs "/f") in
+        ignore (check_ok "write" (Msgvfs.write fs fd ~off:0 "aaaaaaaa"));
+        let write ~off data =
+          Fiber.spawn (fun () ->
+              Alcotest.(check int) "wrote" (String.length data)
+                (check_ok "write" (Msgvfs.write fs fd ~off data)))
+        in
+        let overwrite = write ~off:4 "bbbb" in
+        let extension = write ~off:6 "cccc" in
+        List.iter join [ overwrite; extension ];
+        Alcotest.(check string) "the overwrite, then the extension"
+          "aaaabbcccc"
+          (check_ok "read" (Msgvfs.read fs fd ~off:0 ~len:10)))
+  in
+  ()
+
+(* A held read reaches the shard before its file's blocks are freed.
+   The vnode of a two-block file reads both blocks itself, for a
+   client, while a one-block read and the unlink's Retire queue behind
+   it; so it holds the read when it reaches the Retire.  The disk, the
+   cache (one shard of one block: every read here misses) and the
+   allocator run on core 63, 14 hops from the vnodes on core 0, and a
+   fiber beside them polls the allocator until it gets a freed block
+   and overwrites it.  Sent after the frees, the held read would reach
+   the shard behind that overwrite and return "vvvvvvvv". *)
+let test_fs_held_read_before_frees () =
+  let (_ : Runstats.t) =
+    run ~cores:64 ~policy:Policy.parent (fun () ->
+        let services = ref None in
+        join
+          (Fiber.spawn ~on:63 (fun () ->
+               let dev = Blockdev.start () in
+               services :=
+                 Some
+                   ( Bcache.start ~shards:1 ~capacity:1 ~dev (),
+                     Cgalloc.start ~groups:1 ~nblocks:2 () )));
+        let bcache, alloc = Option.get !services in
+        let fs =
+          Msgvfs.client (Msgvfs.mount Msgvfs.default_config ~bcache ~alloc)
+        in
+        let bs = Fsspec.block_size in
+        check_ok "create" (Msgvfs.create fs "/u");
+        let fd = check_ok "open" (Msgvfs.open_ fs "/u") in
+        ignore
+          (check_ok "write"
+             (Msgvfs.write fs fd ~off:0 (String.make (bs + 8) 'u')));
+        let reuser =
+          Fiber.spawn ~on:62 (fun () ->
+              let rec poll () =
+                match Cgalloc.alloc alloc ~hint:0 with
+                | Some b -> Bcache.put bcache b ~off:0 "vvvvvvvv"
+                | None ->
+                  Fiber.sleep 50;
+                  poll ()
+              in
+              poll ())
+        in
+        let read ~on ~off ~len want =
+          Fiber.spawn ~on (fun () ->
+              Alcotest.(check string) "the unlinked file's bytes" want
+                (check_ok "read" (Msgvfs.read fs fd ~off ~len)))
+        in
+        let two_blocks = read ~on:8 ~off:(bs - 4) ~len:8 "uuuuuuuu" in
+        Fiber.sleep 2_000;
+        let held = read ~on:16 ~off:0 ~len:8 "uuuuuuuu" in
+        Fiber.sleep 2_000;
+        check_ok "unlink" (Msgvfs.unlink fs "/u");
+        List.iter join [ two_blocks; held; reuser ])
+  in
+  ()
+
 (* Requests queued in a file vnode behind its Retire are answered when
    its loop stops: a read through an open descriptor is Ebadf, and a
    walk through the file whose Lookup reached the vnode is Enoent.
@@ -1827,6 +1972,13 @@ let () =
             test_fs_unlink_under_forwarded_reads;
           Alcotest.test_case "requests queued behind a Retire return" `Quick
             test_fs_requests_queued_behind_retire;
+          Alcotest.test_case "queued reads leave in one message" `Quick
+            test_fs_queued_reads_one_message;
+          Alcotest.test_case "batching counters" `Quick test_batch_counters;
+          Alcotest.test_case "a held overwrite precedes an extension" `Quick
+            test_fs_held_overwrite_before_extension;
+          Alcotest.test_case "a held read precedes its file's frees" `Quick
+            test_fs_held_read_before_frees;
           qt prop_names_linearizable;
           Alcotest.test_case "a new name is seen in order across groups"
             `Quick test_new_name_seen_in_order ] );
