@@ -252,8 +252,8 @@ let trace_cmd =
 let profile_cmd =
   let doc =
     "Run one experiment with the observability layer on and print \
-     per-service latency, the busiest fibers, and the core-to-core \
-     message matrix."
+     per-service latency, the busiest fibers, the fibers that waited \
+     longest for their core, and the core-to-core message matrix."
   in
   let module Metrics = Chorus_obs.Metrics in
   let module Profile = Chorus_obs.Profile in
@@ -319,7 +319,9 @@ let profile_cmd =
                   Assoc
                     [ ("fid", Int f.Profile.fid);
                       ("label", String f.Profile.label);
+                      ("core", Int f.Profile.core);
                       ("busy", Int f.Profile.busy);
+                      ("waited", Int f.Profile.waited);
                       ("blocked", Int f.Profile.blocked);
                       ("sent", Int f.Profile.sent);
                       ("recvd", Int f.Profile.received) ])
@@ -389,18 +391,37 @@ let profile_cmd =
           Tablefmt.create ~title:"top fibers by busy time"
             ~columns:
               [ ("fiber", Tablefmt.Right); ("label", Tablefmt.Left);
-                ("busy", Tablefmt.Right); ("share", Tablefmt.Right);
+                ("core", Tablefmt.Right); ("busy", Tablefmt.Right);
+                ("share", Tablefmt.Right); ("waited", Tablefmt.Right);
                 ("sent", Tablefmt.Right); ("recvd", Tablefmt.Right) ]
         in
         List.iter
           (fun f ->
             Tablefmt.add_row busy
               [ string_of_int f.Profile.fid; f.Profile.label;
+                string_of_int f.Profile.core;
                 Tablefmt.cell_int f.Profile.busy; pct f.Profile.busy busy_total;
+                Tablefmt.cell_int f.Profile.waited;
                 Tablefmt.cell_int f.Profile.sent;
                 Tablefmt.cell_int f.Profile.received ])
           (Profile.top_busy p ~n:5);
         Tablefmt.print busy;
+        let waited =
+          Tablefmt.create ~title:"top fibers by wait for their core"
+            ~columns:
+              [ ("fiber", Tablefmt.Right); ("label", Tablefmt.Left);
+                ("core", Tablefmt.Right); ("waited", Tablefmt.Right);
+                ("busy", Tablefmt.Right) ]
+        in
+        List.iter
+          (fun f ->
+            Tablefmt.add_row waited
+              [ string_of_int f.Profile.fid; f.Profile.label;
+                string_of_int f.Profile.core;
+                Tablefmt.cell_int f.Profile.waited;
+                Tablefmt.cell_int f.Profile.busy ])
+          (Profile.top_waited p ~n:5);
+        Tablefmt.print waited;
         let blocked =
           Tablefmt.create ~title:"top fibers by blocked time"
             ~columns:

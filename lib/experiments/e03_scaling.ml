@@ -4,7 +4,10 @@
    scaling.
 
    A file-server op mix runs on both kernels over a 1..1024-core sweep,
-   one client fiber per core (minus a few cores reserved for services).
+   with about one client fiber per core: cores - cores/8 - 1 of them.
+   The cores held back are a client count, not a placement: the policy
+   spreads the clients over every core, and the message kernel places
+   its own services (DESIGN D22).
    Reported as throughput (ops per Mcycle) and speedup over the 1-core
    configuration of the same kernel.  The crossover core count — where
    the message kernel overtakes the lock kernel — is the figure's

@@ -112,8 +112,9 @@ let start ?(shards = 8) ?(capacity = 1024) ~dev () =
       read_retries = 0;
       miss_c = Metrics.counter ~subsystem:"bcache" "misses" }
   in
-  Array.iter
-    (fun ep ->
+  let place = Place.current () in
+  Array.iteri
+    (fun i ep ->
       let st =
         { bufs = Hashtbl.create 64; capacity = max 1 (capacity / shards);
           tick = 0 }
@@ -122,7 +123,7 @@ let start ?(shards = 8) ?(capacity = 1024) ~dev () =
          unsupervised shard fiber: the caller gets the error, and the
          shard keeps serving *)
       ignore
-        (Svc.start_cast ep
+        (Svc.start_cast ~on:(Place.shard place i) ep
            (List.iter (fun (req, answer) ->
                 answer
                   (try handle t st dev req

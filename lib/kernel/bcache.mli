@@ -25,8 +25,10 @@ type t
 
 val start : ?shards:int -> ?capacity:int -> dev:Blockdev.t -> unit -> t
 (** [start ~dev ()] spawns the shard fibers (default 8 shards, 1024
-    blocks total capacity, LRU per shard, write-back on eviction),
-    placed on cores by the run's policy. *)
+    blocks total capacity, LRU per shard, write-back on eviction).
+    The kernel places them, not the run's policy: shard [i] runs at
+    rank [2i] outward from the centre of the chip ({!Place}, DESIGN
+    D22). *)
 
 val get_range : t -> int -> off:int -> len:int -> string
 (** [get_range t block ~off ~len] returns just the requested byte

@@ -1,7 +1,5 @@
 module Fiber = Chorus.Fiber
 module Chan = Chorus.Chan
-module Engine = Chorus.Engine
-module Machine = Chorus_machine.Machine
 module Cost = Chorus_machine.Cost
 module Fsspec = Chorus_fsspec.Fsspec
 module Metrics = Chorus_obs.Metrics
@@ -64,7 +62,7 @@ type sys = {
   bcache : Bcache.t;
   alloc : Cgalloc.t;
   root : vnode;
-  cores : int;
+  place : Place.t;
   caches : cmsg Svc.cast array;
       (* one name cache per 16-core group; none on 16 cores or fewer *)
   disp : (unit -> unit, unit) Svc.t array;
@@ -299,6 +297,10 @@ let serve_file sys self ~source =
 (* ------------------------------------------------------------------ *)
 (* Directory vnode                                                     *)
 
+(* The kernel places vnode [id] itself (DESIGN D22). *)
+let vnode_core sys id =
+  Place.vnode sys.place ~shards:(Bcache.shards sys.bcache) (id - 1)
+
 (* A directory vnode.  A projected directory lists its entries through
    proj_entries on first use (errors retry on the next request) and
    spawns a child vnode on the first Lookup of each projected name.
@@ -483,7 +485,7 @@ and spawn_vnode sys kind ~source =
       (match kind with Fsspec.File -> "file" | Fsspec.Dir -> "dir")
       self.id
   in
-  ignore (Fiber.spawn ~label ~daemon:true body);
+  ignore (Fiber.spawn ~on:(vnode_core sys self.id) ~label ~daemon:true body);
   self
 
 (* ------------------------------------------------------------------ *)
@@ -583,7 +585,7 @@ let resolve_from_root ~parents sys comps =
   else begin
     let r = Svc.reply_chan () in
     Svc.cast
-      sys.caches.(Fiber.core (Fiber.self ()) * groups / sys.cores)
+      sys.caches.(Place.group sys.place (Fiber.core (Fiber.self ())))
       (Walk (comps, r));
     match Svc.await r with
     | Child (v, k) -> Ok (v, k)
@@ -711,12 +713,9 @@ let mount cfg ~bcache ~alloc =
         Svc.create ~subsystem:"msgvfs" ~metric_name:"dispatcher"
           ~label:(Printf.sprintf "syscall-%d" i) ())
   in
-  let cores = Machine.cores (Engine.machine (Engine.current ())) in
-  (* one core group per 16 cores, each with a name cache, on machines
-     of more than 16 *)
-  let groups = if cores > 16 then cores / 16 else 0 in
+  let place = Place.current () in
   let caches =
-    Array.init groups (fun g ->
+    Array.init (Place.groups place) (fun g ->
         Svc.cast_create ~subsystem:"msgvfs" ~metric_name:"cache"
           ~label:(Printf.sprintf "name-cache-%d" g) ())
   in
@@ -728,18 +727,15 @@ let mount cfg ~bcache ~alloc =
        (counter "messages", counter "forwards"))
   in
   let sys =
-    { cfg; bcache; alloc; root; cores; caches; disp; batches; spawned = 1;
+    { cfg; bcache; alloc; root; place; caches; disp; batches; spawned = 1;
       live = 1; placeholders = 0; hydrations = 0; hydration_failures = 0 }
   in
   ignore
-    (Fiber.spawn ~label:"root-vnode" ~daemon:true (fun () ->
-         serve_dir sys root ~source:None));
-  (* each cache on its group's first core *)
+    (Fiber.spawn ~on:(vnode_core sys root.id) ~label:"root-vnode"
+       ~daemon:true (fun () -> serve_dir sys root ~source:None));
   Array.iteri
     (fun g ep ->
-      ignore
-        (Svc.start_cast ~on:(((g * cores) + groups - 1) / groups) ep
-           (serve_cache sys g)))
+      ignore (Svc.start_cast ~on:(Place.cache place g) ep (serve_cache sys g)))
     caches;
   (* the conservative, non-plumbed syscall entry: each dispatcher runs
      the system calls sent to it *)

@@ -42,7 +42,13 @@
       overtakes a held forward (DESIGN D20).  The counters
       [msgvfs/batch.messages] and [msgvfs/batch.forwards] count the
       messages that carry two or more forwards and the forwards they
-      carry; a run registers them with its first such message.
+      carry; a run registers them with its first such message;
+    - the kernel, not the run's policy, decides where the vnodes and the
+      name caches run ({!Place}, DESIGN D22): a name cache on its
+      group's first core, the vnodes outward from the centre of the
+      chip, interleaved with the {!Bcache} shards while there are
+      shards, one per core.  The dispatchers are placed by the run's
+      policy.
 
     With [plumbing = false] every operation is instead routed through
     dispatcher fibers, the ablation measured in E4.  The request a
@@ -73,9 +79,10 @@ val default_config : config
 type sys
 
 val mount : config -> bcache:Bcache.t -> alloc:Cgalloc.t -> sys
-(** Spawn the root directory vnode, the name caches (see {!caches})
-    and the dispatchers.  Every vnode, cache and dispatcher inbox is
-    unbounded (backpressure). *)
+(** Spawn the root directory vnode and the name caches (see {!caches})
+    where {!Place} puts them, and the dispatchers where the run's
+    policy does.  Every vnode, cache and dispatcher inbox is unbounded
+    (backpressure). *)
 
 type t
 

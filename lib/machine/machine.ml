@@ -8,6 +8,24 @@ let cores t = Topology.cores t.topology
 
 let hops t a b = Topology.hops t.topology a b
 
+(* A counting sort on the distance from the centre: one pass to count
+   each distance, one to deal the cores out in id order. *)
+let centre_out t =
+  let n = cores t and c = Topology.centre t.topology in
+  let dist = Array.init n (hops t c) in
+  let start = Array.make (Topology.diameter t.topology + 2) 0 in
+  Array.iter (fun d -> start.(d + 1) <- start.(d + 1) + 1) dist;
+  for d = 1 to Array.length start - 1 do
+    start.(d) <- start.(d) + start.(d - 1)
+  done;
+  let order = Array.make n 0 in
+  Array.iteri
+    (fun core d ->
+      order.(start.(d)) <- core;
+      start.(d) <- start.(d) + 1)
+    dist;
+  order
+
 let message_latency t ~src ~dst ~words =
   let c = t.costs in
   let h = hops t src dst in

@@ -14,6 +14,10 @@ val cores : t -> int
 
 val hops : t -> Topology.core -> Topology.core -> int
 
+val centre_out : t -> Topology.core array
+(** Every core, nearest the topology's centre ({!Topology.centre})
+    first; cores at one distance in id order.  O(cores). *)
+
 (** {1 Derived message costs} *)
 
 val message_latency : t -> src:Topology.core -> dst:Topology.core ->

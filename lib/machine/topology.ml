@@ -54,6 +54,11 @@ let hops t a b =
       else if cluster a <> cluster b then cluster_hop
       else 1
 
+let centre t =
+  match t.shape with
+  | Mesh (w, h) -> ((h - 1) / 2 * w) + ((w - 1) / 2)
+  | Single | Crossbar _ | Ring _ | Hierarchy _ -> 0
+
 let diameter t =
   match t.shape with
   | Single -> 0

@@ -30,6 +30,10 @@ val hops : t -> core -> core -> int
     For [Hierarchy] a hop count is synthesized as: 1 within a cluster,
     [3] crossing clusters on one die, [8] crossing dies. *)
 
+val centre : t -> core
+(** The core nearest the middle of the chip: a mesh's middle core,
+    [((h-1)/2)·w + (w-1)/2]; core 0 for every other shape. *)
+
 val diameter : t -> int
 (** Maximum [hops] over all core pairs. *)
 

@@ -4,7 +4,9 @@ module Histogram = Chorus_util.Histogram
 type fiber_stats = {
   fid : int;
   mutable label : string;
+  mutable core : int;
   mutable busy : int;
+  mutable waited : int;
   mutable blocked : int;
   by_tag : (string, int) Hashtbl.t;
   mutable sent : int;
@@ -21,19 +23,24 @@ type t = {
 
 let of_records records =
   let fibers : (int, fiber_stats) Hashtbl.t = Hashtbl.create 64 in
-  let fiber fid =
+  (* a fiber first met in one of its own records runs on that record's
+     core until a Spawn or a Steal says otherwise *)
+  let fiber ~core fid =
     match Hashtbl.find_opt fibers fid with
     | Some f -> f
     | None ->
       let f =
-        { fid; label = Printf.sprintf "fiber-%d" fid; busy = 0; blocked = 0;
-          by_tag = Hashtbl.create 4; sent = 0; received = 0 }
+        { fid; label = Printf.sprintf "fiber-%d" fid; core; busy = 0;
+          waited = 0; blocked = 0; by_tag = Hashtbl.create 4; sent = 0;
+          received = 0 }
       in
       Hashtbl.replace fibers fid f;
       f
   in
   (* fiber -> (tag, block time) of the still-open block *)
   let pending_block : (int, string * int) Hashtbl.t = Hashtbl.create 64 in
+  (* fiber -> time it became runnable, until its next segment starts *)
+  let runnable_since : (int, int) Hashtbl.t = Hashtbl.create 64 in
   (* fiber -> open span stack *)
   let open_spans : (int, (string * string * int) list ref) Hashtbl.t =
     Hashtbl.create 32
@@ -64,14 +71,23 @@ let of_records records =
   List.iter
     (fun r ->
       let fid = r.Trace.fiber in
+      let fiber = fiber ~core:r.Trace.core in
       match r.Trace.event with
       | Trace.Segment { start; label } ->
         let f = fiber fid in
         f.busy <- f.busy + (r.Trace.time - start);
-        f.label <- label
+        f.label <- label;
+        Option.iter
+          (fun t0 ->
+            Hashtbl.remove runnable_since fid;
+            f.waited <- f.waited + max 0 (start - t0))
+          (Hashtbl.find_opt runnable_since fid)
+      | Trace.Spawn { child; on_core } -> (fiber child).core <- on_core
+      | Trace.Steal { fiber = moved; _ } -> (fiber moved).core <- r.Trace.core
       | Trace.Block { on } ->
         Hashtbl.replace pending_block fid (on, r.Trace.time)
       | Trace.Wake -> (
+        Hashtbl.replace runnable_since fid r.Trace.time;
         match Hashtbl.find_opt pending_block fid with
         | None -> ()
         | Some (tag, t0) ->
@@ -111,7 +127,7 @@ let of_records records =
             | [] -> []
           in
           st := unwind !st)
-      | Trace.Spawn _ | Trace.Exit _ | Trace.Steal _ | Trace.Custom _ -> ())
+      | Trace.Exit _ | Trace.Custom _ -> ())
     records;
   let fibers =
     Hashtbl.fold (fun _ f acc -> f :: acc) fibers []
@@ -135,6 +151,8 @@ let top_by value t n =
 let top_busy t ~n = top_by (fun f -> f.busy) t n
 
 let top_blocked t ~n = top_by (fun f -> f.blocked) t n
+
+let top_waited t ~n = top_by (fun f -> f.waited) t n
 
 let blocked_breakdown f =
   Hashtbl.fold (fun tag d acc -> (tag, d) :: acc) f.by_tag []

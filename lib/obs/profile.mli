@@ -4,6 +4,8 @@
     trace is a complete account of where cycles and messages went;
     this module folds it into: busy cycles per fiber (from [Segment]
     records, so it matches the engine's core-busy accounting exactly),
+    each fiber's core and its wait for that core (runnable, not
+    running: from each [Wake] to its next [Segment]),
     blocked time per fiber broken down by suspend tag (from
     [Block]/[Wake] pairs), a core-by-core message-flow matrix (from
     [Send] records) and a latency histogram per service span.
@@ -14,7 +16,14 @@
 type fiber_stats = {
   fid : int;
   mutable label : string;
+  mutable core : int;
+      (** the core it runs on: from its [Spawn], moved by each [Steal];
+          a fiber whose [Spawn] the records miss starts on the core of
+          its first record *)
   mutable busy : int;  (** cycles the fiber occupied a core *)
+  mutable waited : int;
+      (** cycles it waited for its core: from each [Wake] to the start
+          of its next [Segment] *)
   mutable blocked : int;  (** cycles between each Block and its Wake *)
   by_tag : (string, int) Hashtbl.t;  (** blocked cycles per suspend tag *)
   mutable sent : int;
@@ -37,6 +46,9 @@ val top_busy : t -> n:int -> fiber_stats list
     fibers with zero busy time are omitted. *)
 
 val top_blocked : t -> n:int -> fiber_stats list
+
+val top_waited : t -> n:int -> fiber_stats list
+(** Fibers that waited longest for their core, as {!top_busy}. *)
 
 val blocked_breakdown : fiber_stats -> (string * int) list
 (** Blocked cycles per suspend tag, largest first. *)

@@ -108,6 +108,28 @@ let test_e3_message_kernel_doubles_to_256 () =
     (Printf.sprintf "msg at 256 cores (%.0f) >= 2x at 64 (%.0f)" m256 m64)
     true (m256 >= 2.0 *. m64)
 
+(* EXPERIMENTS §E3 wrinkle (ii): past 256 cores the full-size message
+   kernel bends down, by about 12% at 1024 cores since the kernel
+   places its shards and vnodes at the mesh's centre (DESIGN D22); with
+   them on the cores next to core 0 it bent by 18%. *)
+let test_e3_bend_past_256 () =
+  let msg cores =
+    let ops, _, _ =
+      Chorus_experiments.E03_scaling.msg_throughput ~quick:false ~seed:42
+        cores
+    in
+    ops
+  in
+  let m256 = msg 256 and m1024 = msg 1024 in
+  Alcotest.(check bool)
+    (Printf.sprintf "msg at 1024 cores (%.0f) < at 256 (%.0f)" m1024 m256)
+    true (m1024 < m256);
+  Alcotest.(check bool)
+    (Printf.sprintf "msg at 1024 cores (%.0f) >= 0.85x at 256 (%.0f)" m1024
+       m256)
+    true
+    (m1024 >= 0.85 *. m256)
+
 let test_e4_plumbing_beats_dispatch () =
   match run_tables "e4" with
   | [ t ] ->
@@ -339,6 +361,8 @@ let () =
             test_e3_message_kernel_scales_past_64;
           Alcotest.test_case "e3 message kernel doubles from 64 to 256 cores"
             `Quick test_e3_message_kernel_doubles_to_256;
+          Alcotest.test_case "e3 bends by at most 15% past 256 cores" `Quick
+            test_e3_bend_past_256;
           Alcotest.test_case "e4 plumbing beats dispatch" `Quick
             test_e4_plumbing_beats_dispatch;
           Alcotest.test_case "e23a warm opens" `Quick test_e23a_warm_opens;

@@ -387,7 +387,7 @@ let test_dispatcher_costs_pinned () =
         check_ok "unlink" (Msgvfs.unlink fs "/d/g"))
   in
   Alcotest.(check (list int)) "makespan, msgs, words_copied"
-    [ 7964; 67; 189 ]
+    [ 7870; 67; 189 ]
     [ stats.Runstats.makespan; stats.Runstats.msgs;
       stats.Runstats.words_copied ]
 
@@ -1047,10 +1047,10 @@ let test_fs_unlink_under_forwarded_reads () =
 (* ------------------------------------------------------------------ *)
 (* Held forwards (DESIGN D20)                                          *)
 
-(* [k] one-block reads of one file, from readers spawned on main's
-   core under [Policy.parent], where the file's vnode runs too: every
-   reader sends before the vnode gets the core back, so the vnode
-   finds the [k] reads in its inbox.  Returns the messages they cost. *)
+(* [k] one-block reads of one file, from readers spawned on a 1-core
+   machine, where the file's vnode runs too: every reader sends before
+   the vnode gets the core back, so the vnode finds the [k] reads in
+   its inbox.  Returns the messages they cost. *)
 let queued_reads k =
   let fs = boot_fs () in
   check_ok "create" (Msgvfs.create fs "/f");
@@ -1073,7 +1073,7 @@ let test_fs_queued_reads_one_message () =
     (fun k ->
       let n = ref 0 in
       let (_ : Runstats.t) =
-        run ~policy:Policy.parent (fun () -> n := queued_reads k)
+        run ~cores:1 (fun () -> n := queued_reads k)
       in
       Alcotest.(check int)
         (Printf.sprintf "%d queued reads" k)
@@ -1086,10 +1086,10 @@ let test_fs_queued_reads_one_message () =
    carry, and a run that never batches registers neither. *)
 let test_batch_counters () =
   let observed k =
-    let bare = run ~policy:Policy.parent (fun () -> ignore (queued_reads k)) in
+    let bare = run ~cores:1 (fun () -> ignore (queued_reads k)) in
     let reg = Metrics.create () in
     Metrics.install reg;
-    let seen = run ~policy:Policy.parent (fun () -> ignore (queued_reads k)) in
+    let seen = run ~cores:1 (fun () -> ignore (queued_reads k)) in
     Metrics.uninstall ();
     Alcotest.(check (pair int int)) "no observer effect"
       (bare.Runstats.makespan, bare.Runstats.msgs)
@@ -1109,13 +1109,13 @@ let test_batch_counters () =
 
 (* A held overwrite reaches the shard before the vnode's own cache
    calls.  An overwrite of bytes 4-7 and a write of bytes 6-9, which
-   extends the file, queue behind one vnode (both writers send before
-   it runs, as in [queued_reads]).  The vnode holds the overwrite and
-   must send it before it writes the extension itself: sent after, it
-   would land last, and bytes 6-7 would read "bb". *)
+   extends the file, queue behind one vnode (on one core, both writers
+   send before it runs, as in [queued_reads]).  The vnode holds the
+   overwrite and must send it before it writes the extension itself:
+   sent after, it would land last, and bytes 6-7 would read "bb". *)
 let test_fs_held_overwrite_before_extension () =
   let (_ : Runstats.t) =
-    run ~policy:Policy.parent (fun () ->
+    run ~cores:1 (fun () ->
         let fs = boot_fs () in
         check_ok "create" (Msgvfs.create fs "/f");
         let fd = check_ok "open" (Msgvfs.open_ fs "/f") in
@@ -1137,12 +1137,14 @@ let test_fs_held_overwrite_before_extension () =
 (* A held read reaches the shard before its file's blocks are freed.
    The vnode of a two-block file reads both blocks itself, for a
    client, while a one-block read and the unlink's Retire queue behind
-   it; so it holds the read when it reaches the Retire.  The disk, the
-   cache (one shard of one block: every read here misses) and the
-   allocator run on core 63, 14 hops from the vnodes on core 0, and a
-   fiber beside them polls the allocator until it gets a freed block
-   and overwrites it.  Sent after the frees, the held read would reach
-   the shard behind that overwrite and return "vvvvvvvv". *)
+   it; so it holds the read when it reaches the Retire.  The disk and
+   the allocator run on core 63.  The kernel places the cache (one
+   shard of one block: every read here misses) at the mesh's centre,
+   core 27, and the file's vnode beside it on core 26, 9 hops from the
+   allocator.  A fiber beside the allocator polls it until it gets a
+   freed block and overwrites it.  Sent after the frees, the held read
+   would reach the shard behind that overwrite and return
+   "vvvvvvvv". *)
 let test_fs_held_read_before_frees () =
   let (_ : Runstats.t) =
     run ~cores:64 ~policy:Policy.parent (fun () ->
@@ -1196,8 +1198,12 @@ let test_fs_held_read_before_frees () =
    its loop across a disk read while the Retire queues behind it, and
    the others behind the Retire.  The walker's Lookup of the file was
    answered before the unlink began; a busy fiber on the walker's core
-   holds back its next Lookup until after the Retire.  Every service
-   runs on main's core, and each client on a core of its own. *)
+   holds back its next Lookup until after the Retire.  The disk and
+   the allocator run on main's core, and each client on a core of its
+   own.  The kernel places the shard on the mesh's centre, core 2,
+   beside the walker (so the busy fiber also holds back the disk
+   read), the root's vnode on core 0 and the file's on core 3, beside
+   the unlinker. *)
 let test_fs_requests_queued_behind_retire () =
   let (_ : Runstats.t) =
     run ~policy:Policy.parent (fun () ->
@@ -1242,6 +1248,82 @@ let test_fs_requests_queued_behind_retire () =
         check_err "gone" Fsspec.Enoent (Msgvfs.stat fs "/f"))
   in
   ()
+
+(* ------------------------------------------------------------------ *)
+(* Placement (DESIGN D22)                                              *)
+
+(* On a 32x32 mesh the kernel deals the cores without a name cache,
+   nearest the centre first, as ranks: shard i at rank 2i, vnode v
+   (the root is 0) at 2v+1 while v < shards and at shards+v after.
+   Each fiber's core is read from the trace: its Spawn gives the core
+   and its first Segment the label. *)
+let test_services_at_centre () =
+  let cores = 1024 and shards = 8 in
+  let machine = Machine.mesh ~cores in
+  let sink, records = Chorus.Trace.collector () in
+  let (_ : Runstats.t) =
+    Runtime.run
+      (Runtime.config ~policy:(Policy.round_robin ()) ~seed:42 ~trace:sink
+         machine)
+      (fun () ->
+        let kern =
+          Kernel.boot { Kernel.default_config with bcache_shards = shards }
+        in
+        let fs = Kernel.fs_client kern in
+        check_ok "mkdir" (Msgvfs.mkdir fs "/d");
+        for i = 0 to 9 do
+          check_ok "create" (Msgvfs.create fs (Printf.sprintf "/d/f%d" i))
+        done)
+  in
+  let core_of = Hashtbl.create 64 and label_of = Hashtbl.create 64 in
+  List.iter
+    (fun r ->
+      match r.Chorus.Trace.event with
+      | Chorus.Trace.Spawn { child; on_core } ->
+        Hashtbl.replace core_of child on_core
+      | Chorus.Trace.Segment { label; _ } ->
+        if not (Hashtbl.mem label_of label) then
+          Hashtbl.replace label_of label r.Chorus.Trace.fiber
+      | _ -> ())
+    (records ());
+  let at label =
+    match Hashtbl.find_opt label_of label with
+    | Some fid -> Hashtbl.find core_of fid
+    | None -> Alcotest.failf "no fiber %s" label
+  in
+  let caches = List.init (cores / 16) (fun g -> 16 * g) in
+  let ranked =
+    Array.of_list
+      (List.filter
+         (fun c -> not (List.mem c caches))
+         (Array.to_list (Machine.centre_out machine)))
+  in
+  let rank r = ranked.(r mod Array.length ranked) in
+  let placed =
+    List.init shards (fun i -> (Printf.sprintf "bcache-%d" i, rank (2 * i)))
+    @ [ ("root-vnode", rank 1); ("dir-vnode-2", rank 3) ]
+    @ List.init 10 (fun i ->
+          let v = i + 2 in
+          ( Printf.sprintf "file-vnode-%d" (v + 1),
+            rank (if v < shards then (2 * v) + 1 else shards + v) ))
+  in
+  List.iter
+    (fun (label, want) -> Alcotest.(check int) label want (at label))
+    placed;
+  let used = List.map snd placed in
+  Alcotest.(check int) "all on distinct cores" (List.length used)
+    (List.length (List.sort_uniq compare used));
+  List.iteri
+    (fun g c ->
+      Alcotest.(check int) "a name cache on its group's first core" c
+        (at (Printf.sprintf "name-cache-%d" g)))
+    caches;
+  Alcotest.(check bool) "none on a name cache's core" false
+    (List.exists (fun c -> List.mem c caches) used);
+  let centre = (Machine.centre_out machine).(0) in
+  Alcotest.(check bool) "the first file's vnode within 3 hops of the centre"
+    true
+    (Machine.hops machine centre (at "file-vnode-3") <= 3)
 
 (* ------------------------------------------------------------------ *)
 (* Name caches (DESIGN D19)                                            *)
@@ -1947,6 +2029,8 @@ let () =
           Alcotest.test_case "concurrent clients" `Quick
             test_fs_concurrent_clients;
           Alcotest.test_case "name cache counts" `Quick test_name_cache_counts;
+          Alcotest.test_case "services at the centre" `Quick
+            test_services_at_centre;
           Alcotest.test_case "fiber per vnode" `Quick
             test_vnode_fibers_spawned;
           Alcotest.test_case "plumbed data path messages" `Quick

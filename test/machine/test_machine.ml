@@ -157,6 +157,40 @@ let test_coherence_owner_writes_cheap () =
 (* ------------------------------------------------------------------ *)
 (* Disk model                                                          *)
 
+(* [centre_out] on every shape: a permutation of the cores that starts
+   at the centre, never gets farther from it, and keeps core-id order
+   among cores at one distance. *)
+let test_centre_out () =
+  List.iter
+    (fun (shape, centre) ->
+      let t = Topology.make shape in
+      let name = Topology.to_string t in
+      let order = Machine.centre_out (Machine.make t Cost.software_messages) in
+      let n = Topology.cores t in
+      Alcotest.(check int) (name ^ ": centre") centre (Topology.centre t);
+      Alcotest.(check (list int))
+        (name ^ ": a permutation")
+        (List.init n Fun.id)
+        (List.sort compare (Array.to_list order));
+      Alcotest.(check int) (name ^ ": starts at the centre") centre order.(0);
+      let dist c = Topology.hops t centre c in
+      for i = 1 to n - 1 do
+        let a = order.(i - 1) and b = order.(i) in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %d then %d, nearest first, ids in order" name a
+             b)
+          true
+          (dist a < dist b || (dist a = dist b && a < b))
+      done)
+    [ (Topology.Mesh (4, 4), 5);
+      (Topology.Mesh (2, 4), 2);
+      (Topology.Mesh (32, 32), 495);
+      (Topology.Mesh (5, 3), 7);
+      (Topology.Ring 9, 0);
+      (Topology.Crossbar 6, 0);
+      (Topology.Hierarchy (2, 2, 4), 0);
+      (Topology.Single, 0) ]
+
 let test_disk_sequential_cheaper () =
   let seq = Diskmodel.service_time ~last_block:9 ~block:10 in
   let rand = Diskmodel.service_time ~last_block:9 ~block:5000 in
@@ -185,7 +219,8 @@ let () =
             test_message_latency_scales_with_words;
           Alcotest.test_case "hw preset cheaper" `Quick test_hw_preset_cheaper;
           Alcotest.test_case "scale_messages" `Quick test_scale_messages;
-          Alcotest.test_case "words_of_bytes" `Quick test_words_of_bytes ] );
+          Alcotest.test_case "words_of_bytes" `Quick test_words_of_bytes;
+          Alcotest.test_case "centre out" `Quick test_centre_out ] );
       ( "coherence",
         [ Alcotest.test_case "hit after read" `Quick
             test_coherence_hit_after_read;

@@ -173,6 +173,45 @@ let test_profile_matches_engine () =
         (f.Profile.busy <= stats.Chorus.Runstats.makespan))
     top
 
+(* Each fiber's core comes from its Spawn and moves with each Steal;
+   its core wait sums each Wake to the start of its next Segment. *)
+let test_profile_core_wait () =
+  let seg fiber core ~start stop =
+    mk_record ~fiber ~core stop (Trace.Segment { start; label = "f" })
+  in
+  let records =
+    [ mk_record ~fiber:0 ~core:0 0 (Trace.Spawn { child = 5; on_core = 3 });
+      mk_record ~fiber:0 ~core:0 0 (Trace.Spawn { child = 6; on_core = 3 });
+      mk_record ~fiber:5 ~core:3 10 Trace.Wake;
+      mk_record ~fiber:6 ~core:3 10 Trace.Wake;
+      seg 5 3 ~start:25 40;
+      seg 6 3 ~start:40 90;
+      mk_record ~fiber:5 ~core:3 40 (Trace.Block { on = "recv" });
+      mk_record ~fiber:5 ~core:3 100 Trace.Wake;
+      mk_record ~fiber:5 ~core:7 130
+        (Trace.Steal { victim_core = 3; fiber = 5 });
+      seg 5 7 ~start:130 150;
+      (* a fiber whose Spawn the records miss runs where its records
+         say *)
+      mk_record ~fiber:9 ~core:2 200 Trace.Wake;
+      seg 9 2 ~start:200 210 ]
+  in
+  let p = Profile.of_records records in
+  let get fid = List.find (fun f -> f.Profile.fid = fid) p.Profile.fibers in
+  let check fid ~core ~waited ~busy =
+    let f = get fid in
+    Alcotest.(check (list int))
+      (Printf.sprintf "fiber %d: core, waited, busy" fid)
+      [ core; waited; busy ]
+      [ f.Profile.core; f.Profile.waited; f.Profile.busy ]
+  in
+  check 5 ~core:7 ~waited:(15 + 30) ~busy:(15 + 20);
+  check 6 ~core:3 ~waited:30 ~busy:50;
+  check 9 ~core:2 ~waited:0 ~busy:10;
+  Alcotest.(check int) "fiber 5's blocked time" 60 (get 5).Profile.blocked;
+  Alcotest.(check (list int)) "top by core wait" [ 5; 6 ]
+    (List.map (fun f -> f.Profile.fid) (Profile.top_waited p ~n:5))
+
 let test_metrics_deterministic () =
   let _, _, snap1 = run_traced () in
   let _, _, snap2 = run_traced () in
@@ -369,7 +408,9 @@ let () =
       ( "spans",
         [ Alcotest.test_case "pairing" `Quick test_span_pairing;
           Alcotest.test_case "profile matches engine" `Quick
-            test_profile_matches_engine ] );
+            test_profile_matches_engine;
+          Alcotest.test_case "profile core and core wait" `Quick
+            test_profile_core_wait ] );
       ( "chrome",
         [ Alcotest.test_case "well-formed" `Quick test_chrome_well_formed;
           Alcotest.test_case "deterministic" `Quick test_chrome_deterministic;
