@@ -9,12 +9,14 @@
     - directory entries hold the {e channel} to the child vnode, so a
       lookup returns an endpoint and path resolution is a chain of
       messages down the tree;
-    - on a machine of more than 16 cores, each 16-core group has a
-      name-cache fiber, and every walk is one message to the cache of
-      the caller's group.  The cache copies the names of each
-      directory its group walks through, on the first such walk, and
-      answers the whole walk from its copies, or as far as they go,
-      after which the walker sends direct [Lookup]s.  A copy never
+    - on a machine of more than 16 cores, each 16-core group (a 4×4
+      tile of a mesh whose sides are multiples of 4, else a run of 16
+      core ids; {!Place}) has a name-cache fiber, and every walk is one
+      message to the cache of the caller's group.  The cache copies
+      the names of each directory its group walks through, on the
+      first such walk, and answers the whole walk from its copies, or
+      as far as they go, after which the walker sends direct
+      [Lookup]s.  A copy never
       learns a new name.  Before a directory drops a name, it
       invalidates the name at every group whose copy holds it and
       waits for the acks, so a walk made after the removal returns
@@ -44,11 +46,11 @@
       messages that carry two or more forwards and the forwards they
       carry; a run registers them with its first such message;
     - the kernel, not the run's policy, decides where the vnodes and the
-      name caches run ({!Place}, DESIGN D22): a name cache on its
-      group's first core, the vnodes outward from the centre of the
-      chip, interleaved with the {!Bcache} shards while there are
-      shards, one per core.  The dispatchers are placed by the run's
-      policy.
+      name caches run ({!Place}, DESIGN D22, D23): a name cache in the
+      middle of its tile (on the first core of a run of ids), the
+      vnodes outward from the centre of the chip, interleaved with the
+      {!Bcache} shards while there are shards, one per core.  The
+      dispatchers are placed by the run's policy.
 
     With [plumbing = false] every operation is instead routed through
     dispatcher fibers, the ablation measured in E4.  The request a

@@ -8,6 +8,8 @@ let cores t = Topology.cores t.topology
 
 let hops t a b = Topology.hops t.topology a b
 
+let mesh_sides t = Topology.mesh_sides t.topology
+
 (* A counting sort on the distance from the centre: one pass to count
    each distance, one to deal the cores out in id order. *)
 let centre_out t =

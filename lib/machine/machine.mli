@@ -14,6 +14,10 @@ val cores : t -> int
 
 val hops : t -> Topology.core -> Topology.core -> int
 
+val mesh_sides : t -> (int * int) option
+(** [Some (w, h)] on a [w]-wide, [h]-tall mesh (core [c] at column
+    [c mod w], row [c / w]); [None] on every other topology. *)
+
 val centre_out : t -> Topology.core array
 (** Every core, nearest the topology's centre ({!Topology.centre})
     first; cores at one distance in id order.  O(cores). *)

@@ -59,6 +59,11 @@ let centre t =
   | Mesh (w, h) -> ((h - 1) / 2 * w) + ((w - 1) / 2)
   | Single | Crossbar _ | Ring _ | Hierarchy _ -> 0
 
+let mesh_sides t =
+  match t.shape with
+  | Mesh (w, h) -> Some (w, h)
+  | Single | Crossbar _ | Ring _ | Hierarchy _ -> None
+
 let diameter t =
   match t.shape with
   | Single -> 0

@@ -34,6 +34,9 @@ val centre : t -> core
 (** The core nearest the middle of the chip: a mesh's middle core,
     [((h-1)/2)·w + (w-1)/2]; core 0 for every other shape. *)
 
+val mesh_sides : t -> (int * int) option
+(** [Some (w, h)] for a [Mesh (w, h)]; [None] for every other shape. *)
+
 val diameter : t -> int
 (** Maximum [hops] over all core pairs. *)
 

@@ -8,6 +8,7 @@ module Runstats = Chorus.Runstats
 module Fiber = Chorus.Fiber
 module Chan = Chorus.Chan
 module Engine = Chorus.Engine
+module Cost = Chorus_machine.Cost
 
 let cfg ?policy ?(cores = 4) ?(seed = 42) () =
   Runtime.config ?policy ~seed (Machine.mesh ~cores)
@@ -193,6 +194,45 @@ let test_channels_over_channels () =
         done)
   in
   Alcotest.(check int) "plumbed channel carried data" 55 !sum
+
+(* The receive charge as it stands (ROADMAP item 1, DESIGN D21 may
+   change it on purpose).  A sender's long segment runs first in host
+   order and buffers its message, stamped k cycles after the clock of a
+   receiver h hops away; the receiver then finds it and is charged
+   k + h*msg_per_hop + msg_receive cycles: it busy-waits for a message
+   that, at its clock, does not exist yet.  The receiver's core is as
+   busy as when the receiver computes for that many cycles instead. *)
+let test_recv_charges_gap_to_later_stamp () =
+  let cores = 16 and src = 3 and dst = 12 in
+  let m = Machine.mesh ~cores in
+  let h = Machine.hops m src dst and costs = Machine.costs m in
+  let now () = Engine.now (Engine.current ()) in
+  let stamp = ref 0 and clock = ref 0 and charged = ref 0 in
+  let scenario receive () =
+    let ch = Chan.unbounded () in
+    (* spawned first, so it runs first in host order *)
+    let (_ : Fiber.t) =
+      Fiber.spawn ~on:src (fun () ->
+          Fiber.work 5_000;
+          Chan.send ch ();
+          stamp := now ())
+    in
+    ignore (Fiber.join (Fiber.spawn ~on:dst (fun () -> receive ch)))
+  in
+  let stats =
+    run ~cores
+      (scenario (fun ch ->
+           clock := now ();
+           Chan.recv ch;
+           charged := now () - !clock))
+  in
+  let k = !stamp - !clock in
+  Alcotest.(check bool) "stamped after the receiver's clock" true (k > 0);
+  let want = k + (h * costs.Cost.msg_per_hop) + costs.Cost.msg_receive in
+  Alcotest.(check int) "k + h*msg_per_hop + msg_receive" want !charged;
+  let control = run ~cores (scenario (fun _ -> Fiber.work want)) in
+  Alcotest.(check int) "busy cycles on the receiver's core"
+    control.Runstats.busy.(dst) stats.Runstats.busy.(dst)
 
 let test_choice_picks_ready () =
   let (_ : Runstats.t) =
@@ -801,7 +841,9 @@ let () =
           Alcotest.test_case "close wakes blocked" `Quick
             test_close_wakes_blocked_receiver;
           Alcotest.test_case "channels over channels" `Quick
-            test_channels_over_channels ] );
+            test_channels_over_channels;
+          Alcotest.test_case "a later-stamped message costs its gap" `Quick
+            test_recv_charges_gap_to_later_stamp ] );
       ( "choice",
         [ Alcotest.test_case "picks ready" `Quick test_choice_picks_ready;
           Alcotest.test_case "blocks until ready" `Quick

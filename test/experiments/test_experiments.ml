@@ -108,10 +108,11 @@ let test_e3_message_kernel_doubles_to_256 () =
     (Printf.sprintf "msg at 256 cores (%.0f) >= 2x at 64 (%.0f)" m256 m64)
     true (m256 >= 2.0 *. m64)
 
-(* EXPERIMENTS §E3 wrinkle (ii): past 256 cores the full-size message
-   kernel bends down, by about 12% at 1024 cores since the kernel
-   places its shards and vnodes at the mesh's centre (DESIGN D22); with
-   them on the cores next to core 0 it bent by 18%. *)
+(* EXPERIMENTS §E3 wrinkle (ii): the full-size message kernel at 1024
+   cores is below its 256-core figure, by about 6% since the core
+   groups are 4x4 tiles (DESIGN D23).  With D22's groups of 16
+   consecutive ids it was 12% below, and with the shards and vnodes on
+   the cores next to core 0, before D22, 18%. *)
 let test_e3_bend_past_256 () =
   let msg cores =
     let ops, _, _ =

@@ -3,6 +3,8 @@
    the lock-based baseline), notification, VM service, supervision. *)
 
 module Machine = Chorus_machine.Machine
+module Topology = Chorus_machine.Topology
+module Cost = Chorus_machine.Cost
 module Policy = Chorus_sched.Policy
 module Runtime = Chorus.Runtime
 module Runstats = Chorus.Runstats
@@ -23,6 +25,7 @@ module Supervisor = Chorus_kernel.Supervisor
 module Console = Chorus_kernel.Console
 module Proc = Chorus_kernel.Proc
 module Kernel = Chorus_kernel.Kernel
+module Place = Chorus_kernel.Place
 module Shvfs = Chorus_baseline.Shvfs
 module Lin = Chorus_chaos.Lin
 module Metrics = Chorus_obs.Metrics
@@ -365,6 +368,22 @@ let mount_fs ?(plumbing = true) () =
   Msgvfs.mount { Msgvfs.plumbing; dispatchers = 2 } ~bcache:bc ~alloc
 
 let boot_fs ?plumbing () = Msgvfs.client (mount_fs ?plumbing ())
+
+(* The core of group [g]'s name cache on the running machine. *)
+let cache_core g = Place.cache (Place.current ()) g
+
+(* The [i]-th core of group [g] on the running machine, in id order. *)
+let core_in_group g i =
+  let p = Place.current () in
+  let cores = Machine.cores (Engine.machine (Engine.current ())) in
+  List.nth
+    (List.filter (fun c -> Place.group p c = g) (List.init cores Fun.id))
+    i
+
+(* Check that [cores] lie in the groups [want], in order. *)
+let check_groups what want cores =
+  let p = Place.current () in
+  Alcotest.(check (list int)) what want (List.map (Place.group p) cores)
 
 (* The dispatcher path's virtual costs, pinned: every operation of the
    client API once, each routed through one of two dispatchers. *)
@@ -787,10 +806,12 @@ module Model_driver = Driver (Fsmodel)
 module Msg_driver = Driver (Msgvfs)
 module Sh_driver = Driver (Shvfs)
 
-(* With [~groups], op k runs in a fiber on the first core of 16-core
-   group k mod groups, joined before op k + 1 starts: a change made
-   from one group is followed by walks from the others, which the
-   message kernel serves from different name caches. *)
+(* With [~groups], op k runs in a fiber on the core of group
+   k mod groups's name cache, joined before op k + 1 starts: a change
+   made from one group is followed by walks from the others, which the
+   message kernel serves from different name caches.  A run without a
+   mismatch checks that its ops ran in groups 0 to groups - 1 (or in
+   as many as there are ops). *)
 let model_check_against ?cores ?policy ?groups ?(count = 60) name apply_impl =
   QCheck.Test.make ~name ~count arbitrary_ops (fun ops ->
       let mismatch = ref None in
@@ -798,13 +819,16 @@ let model_check_against ?cores ?policy ?groups ?(count = 60) name apply_impl =
         run ?cores ?policy (fun () ->
             let model = Model_driver.make (Fsmodel.make ()) in
             let impl = apply_impl () in
+            let ran = ref [] in
             let apply k op =
               match groups with
               | None -> impl op
               | Some g ->
                 let got = ref "" in
                 let f =
-                  Fiber.spawn ~on:(16 * (k mod g)) (fun () -> got := impl op)
+                  Fiber.spawn ~on:(cache_core (k mod g)) (fun () ->
+                      ran := Fiber.core (Fiber.self ()) :: !ran;
+                      got := impl op)
                 in
                 ignore (Fiber.join f);
                 !got
@@ -817,7 +841,15 @@ let model_check_against ?cores ?policy ?groups ?(count = 60) name apply_impl =
                   if expect <> got then
                     mismatch := Some (show_op op, expect, got)
                 end)
-              ops)
+              ops;
+            match groups with
+            | Some g when !mismatch = None ->
+              let p = Place.current () in
+              Alcotest.(check (list int))
+                "groups the ops ran in"
+                (List.init (min g (List.length ops)) Fun.id)
+                (List.sort_uniq compare (List.map (Place.group p) !ran))
+            | _ -> ())
       in
       match !mismatch with
       | None -> true
@@ -949,7 +981,15 @@ let apply_data_op hist ~proc fs fd ~fresh ~extent op =
     incr extent;
     write [ "b1" ] ~off:bs ~copies:!extent
 
-(* 64 cores, round-robin: two clients in each 16-core group. *)
+(* The cores of clients 0 to 7 on 64 cores: two in each of the four
+   groups, client c on the first (c < 4) or ninth core of group
+   c mod 4. *)
+let client_cores () =
+  let cores = List.init 8 (fun c -> core_in_group (c mod 4) (8 * (c / 4))) in
+  check_groups "two clients in each group" [ 0; 1; 2; 3; 0; 1; 2; 3 ] cores;
+  Array.of_list cores
+
+(* 64 cores, round-robin: two clients in each group. *)
 let prop_concurrent_file_data =
   QCheck.Test.make ~count:25
     ~name:"msgvfs concurrent one- and two-block data ops are linearizable"
@@ -971,10 +1011,11 @@ let prop_concurrent_file_data =
             List.iter
               (apply_data_op hist ~proc:0 fs fd ~fresh ~extent)
               [ Write_both; Extend ];
+            let on = client_cores () in
             let fibers =
               List.mapi
                 (fun c ops ->
-                  Fiber.spawn ~on:((16 * (c mod 4)) + (8 * (c / 4))) (fun () ->
+                  Fiber.spawn ~on:on.(c) (fun () ->
                       let fs = Msgvfs.client sys in
                       let fd = check_ok "open" (Msgvfs.open_ fs "/f") in
                       List.iter
@@ -1250,7 +1291,112 @@ let test_fs_requests_queued_behind_retire () =
   ()
 
 (* ------------------------------------------------------------------ *)
-(* Placement (DESIGN D22)                                              *)
+(* Placement (DESIGN D22, D23)                                         *)
+
+(* The placement of a run on [machine]. *)
+let place_on machine =
+  let p = ref None in
+  let (_ : Runstats.t) =
+    Runtime.run (Runtime.config ~seed:42 machine) (fun () ->
+        p := Some (Place.current ()))
+  in
+  Option.get !p
+
+(* On a mesh whose sides are multiples of 4, the groups are the 4x4
+   tiles: 16 cores each, spanning 4 columns and 4 rows.  A group's
+   cache is one of its members within 4 hops of every member (the
+   tile's middle four), the one farthest from the chip's centre,
+   lowest id on a tie.  No shard or vnode rank is a cache's core.  At
+   1024 cores the nearest cache is 4 hops from the centre, so the 25
+   cores within 3 hops are left to the services, and 4 caches lie
+   within the radius of the 64 ranks nearest the centre (6 hops). *)
+let test_groups_are_tiles () =
+  List.iter
+    (fun cores ->
+      let m = Machine.mesh ~cores in
+      let p = place_on m in
+      let w = fst (Option.get (Machine.mesh_sides m)) in
+      let order = Machine.centre_out m in
+      let from_centre c = Machine.hops m order.(0) c in
+      let name what = Printf.sprintf "%d cores: %s" cores what in
+      let groups = Place.groups p in
+      Alcotest.(check int) (name "a group per 16 cores") (cores / 16) groups;
+      let caches = List.init groups (Place.cache p) in
+      List.iteri
+        (fun g cache ->
+          let members =
+            List.filter (fun c -> Place.group p c = g) (List.init cores Fun.id)
+          in
+          let span f =
+            let l = List.map f members in
+            List.fold_left max 0 l - List.fold_left min max_int l + 1
+          in
+          Alcotest.(check (list int))
+            (name (Printf.sprintf "group %d: 16 cores, 4 columns, 4 rows" g))
+            [ 16; 4; 4 ]
+            [ List.length members;
+              span (fun c -> c mod w);
+              span (fun c -> c / w) ];
+          let central =
+            List.filter
+              (fun c -> List.for_all (fun d -> Machine.hops m c d <= 4) members)
+              members
+          in
+          let farthest =
+            List.fold_left
+              (fun a b -> if from_centre b > from_centre a then b else a)
+              (List.hd central) central
+          in
+          Alcotest.(check int)
+            (name (Printf.sprintf "group %d's cache" g))
+            farthest cache)
+        caches;
+      let cache_core c = List.mem c caches in
+      let shards = cores / 8 in
+      for r = 0 to cores - 1 do
+        if cache_core (Place.shard p r) || cache_core (Place.vnode p ~shards r)
+        then Alcotest.failf "%s" (name (Printf.sprintf "rank %d on a cache" r))
+      done;
+      if cores = 1024 then begin
+        (* shards 0 to 31 and vnodes 0 to 31 take ranks 0 to 63 *)
+        let radius =
+          List.fold_left max 0
+            (List.init 32 (fun i ->
+                 max
+                   (from_centre (Place.shard p i))
+                   (from_centre (Place.vnode p ~shards i))))
+        in
+        let near d = List.filter (fun c -> from_centre c <= d) caches in
+        Alcotest.(check (list int))
+          (name "64 ranks' radius; caches within 3 hops, within it")
+          [ 6; 0; 4 ]
+          [ radius; List.length (near 3); List.length (near radius) ]
+      end)
+    [ 32; 64; 256; 1024 ]
+
+(* Every other machine keeps its groups as runs of 16 consecutive core
+   ids, each cache on its run's first core, and 16 cores have none. *)
+let test_groups_elsewhere_are_runs () =
+  let topo shape = Machine.make (Topology.make shape) Cost.software_messages in
+  List.iter
+    (fun (what, m) ->
+      let p = place_on m in
+      let cores = Machine.cores m in
+      let groups = if cores > 16 then cores / 16 else 0 in
+      Alcotest.(check int) (what ^ ": groups") groups (Place.groups p);
+      Alcotest.(check (list int))
+        (what ^ ": each core's group")
+        (List.init cores (fun c -> c * groups / cores))
+        (List.init cores (Place.group p));
+      Alcotest.(check (list int))
+        (what ^ ": each group's cache")
+        (List.init groups (fun g -> 16 * g))
+        (List.init groups (Place.cache p)))
+    [ ("64-core crossbar", topo (Topology.Crossbar 64));
+      ("64-core ring", topo (Topology.Ring 64));
+      ("64-core hierarchy", topo (Topology.Hierarchy (2, 4, 8)));
+      ("6x8 mesh", topo (Topology.Mesh (6, 8)));
+      ("16 cores", Machine.mesh ~cores:16) ]
 
 (* On a 32x32 mesh the kernel deals the cores without a name cache,
    nearest the centre first, as ranks: shard i at rank 2i, vnode v
@@ -1261,11 +1407,14 @@ let test_services_at_centre () =
   let cores = 1024 and shards = 8 in
   let machine = Machine.mesh ~cores in
   let sink, records = Chorus.Trace.collector () in
+  let caches = ref [] in
   let (_ : Runstats.t) =
     Runtime.run
       (Runtime.config ~policy:(Policy.round_robin ()) ~seed:42 ~trace:sink
          machine)
       (fun () ->
+        let p = Place.current () in
+        caches := List.init (Place.groups p) (Place.cache p);
         let kern =
           Kernel.boot { Kernel.default_config with bcache_shards = shards }
         in
@@ -1291,7 +1440,9 @@ let test_services_at_centre () =
     | Some fid -> Hashtbl.find core_of fid
     | None -> Alcotest.failf "no fiber %s" label
   in
-  let caches = List.init (cores / 16) (fun g -> 16 * g) in
+  let caches = !caches in
+  Alcotest.(check int) "a name cache per group" (cores / 16)
+    (List.length caches);
   let ranked =
     Array.of_list
       (List.filter
@@ -1315,7 +1466,7 @@ let test_services_at_centre () =
     (List.length (List.sort_uniq compare used));
   List.iteri
     (fun g c ->
-      Alcotest.(check int) "a name cache on its group's first core" c
+      Alcotest.(check int) "a name cache on the core Place gives it" c
         (at (Printf.sprintf "name-cache-%d" g)))
     caches;
   Alcotest.(check bool) "none on a name cache's core" false
@@ -1339,8 +1490,9 @@ let msgs_on core f =
          n := c.Engine.msgs - before));
   !n
 
+(* The messages of a walk of [path] from the first core of [group]. *)
 let resolve_in fs group path =
-  msgs_on (16 * group) (fun () ->
+  msgs_on (core_in_group group 0) (fun () ->
       ignore (check_ok ("resolve " ^ path) (Msgvfs.resolve fs path)))
 
 (* A walk is one message to the cache of the caller's group and its
@@ -1475,7 +1627,7 @@ let name_path i =
 
 let kind_value = function Fsspec.File -> "file" | Fsspec.Dir -> "dir"
 
-(* 64 cores, round-robin, two clients in each 16-core group.  Each run
+(* 64 cores, round-robin, two clients in each group.  Each run
    also stats every name from every group first, so every cache holds
    every name when the writers begin.  A kernel that skips the
    invalidation on Remove, or the one on Detach (rename's first half),
@@ -1522,15 +1674,16 @@ let prop_names_linearizable =
             done;
             for g = 0 to 3 do
               join
-                (Fiber.spawn ~on:(16 * g) (fun () ->
+                (Fiber.spawn ~on:(cache_core g) (fun () ->
                      for i = 0 to 7 do
                        stat ~proc:0 fs i
                      done))
             done;
+            let on = client_cores () in
             let fibers =
               List.mapi
                 (fun c ops ->
-                  Fiber.spawn ~on:((16 * (c mod 4)) + (8 * (c / 4))) (fun () ->
+                  Fiber.spawn ~on:on.(c) (fun () ->
                       let proc = c + 1 in
                       List.iter
                         (fun (op, i) ->
@@ -1574,18 +1727,25 @@ let test_new_name_seen_in_order () =
   let (_ : Runstats.t) =
     run ~cores:256 (fun () ->
         let fs = boot_fs () in
-        let in_group g f = join (Fiber.spawn ~on:(16 * g) f) in
+        let in_group g f = join (Fiber.spawn ~on:(cache_core g) f) in
         (* every group walks through the root, group 2 first and group
            15 last *)
+        let order =
+          (2 :: List.filter (fun g -> g <> 2 && g <> 15) (List.init 16 Fun.id))
+          @ [ 15 ]
+        in
+        check_groups "the warm-up walks' groups" order
+          (List.map cache_core order);
+        check_groups "the readers' and the writer's groups" [ 2; 15; 8 ]
+          (List.map cache_core [ 2; 15; 8 ]);
         List.iter
           (fun g ->
             in_group g (fun () ->
                 check_err "warm-up" Fsspec.Enoent (Msgvfs.stat fs "/warm")))
-          ((2 :: List.filter (fun g -> g <> 2 && g <> 15) (List.init 16 Fun.id))
-          @ [ 15 ]);
+          order;
         let later = ref None in
         let reader =
-          Fiber.spawn ~on:(16 * 2) (fun () ->
+          Fiber.spawn ~on:(cache_core 2) (fun () ->
               let rec poll tries =
                 if tries = 0 then Alcotest.fail "group 2 never saw /x"
                 else
@@ -1593,7 +1753,7 @@ let test_new_name_seen_in_order () =
                   | Ok _ ->
                     later :=
                       Some
-                        (Fiber.spawn ~on:(16 * 15) (fun () ->
+                        (Fiber.spawn ~on:(cache_core 15) (fun () ->
                              ignore
                                (check_ok "group 15, after group 2 saw /x"
                                   (Msgvfs.stat fs "/x"))))
@@ -1602,7 +1762,7 @@ let test_new_name_seen_in_order () =
               poll 1_000)
         in
         let writer =
-          Fiber.spawn ~on:(16 * 8) (fun () ->
+          Fiber.spawn ~on:(cache_core 8) (fun () ->
               check_ok "mkdir /x" (Msgvfs.mkdir fs "/x"))
         in
         List.iter join [ reader; writer ];
@@ -2031,6 +2191,10 @@ let () =
           Alcotest.test_case "name cache counts" `Quick test_name_cache_counts;
           Alcotest.test_case "services at the centre" `Quick
             test_services_at_centre;
+          Alcotest.test_case "groups are 4x4 tiles" `Quick
+            test_groups_are_tiles;
+          Alcotest.test_case "groups elsewhere are runs of ids" `Quick
+            test_groups_elsewhere_are_runs;
           Alcotest.test_case "fiber per vnode" `Quick
             test_vnode_fibers_spawned;
           Alcotest.test_case "plumbed data path messages" `Quick

@@ -191,6 +191,23 @@ let test_centre_out () =
       (Topology.Hierarchy (2, 2, 4), 0);
       (Topology.Single, 0) ]
 
+(* [mesh_sides] gives a mesh's width and height, and nothing for any
+   other shape. *)
+let test_mesh_sides () =
+  let sides m = Machine.mesh_sides m in
+  let of_shape shape =
+    sides (Machine.make (Topology.make shape) Cost.software_messages)
+  in
+  let some = Alcotest.(check (option (pair int int))) in
+  some "32 cores" (Some (4, 8)) (sides (Machine.mesh ~cores:32));
+  some "128 cores" (Some (8, 16)) (sides (Machine.mesh ~cores:128));
+  some "1024 cores" (Some (32, 32)) (sides (Machine.mesh_hw ~cores:1024));
+  some "6x8" (Some (6, 8)) (of_shape (Topology.Mesh (6, 8)));
+  some "1 core" None (sides (Machine.mesh ~cores:1));
+  some "crossbar" None (of_shape (Topology.Crossbar 64));
+  some "ring" None (of_shape (Topology.Ring 64));
+  some "hierarchy" None (of_shape (Topology.Hierarchy (2, 4, 8)))
+
 let test_disk_sequential_cheaper () =
   let seq = Diskmodel.service_time ~last_block:9 ~block:10 in
   let rand = Diskmodel.service_time ~last_block:9 ~block:5000 in
@@ -220,7 +237,8 @@ let () =
           Alcotest.test_case "hw preset cheaper" `Quick test_hw_preset_cheaper;
           Alcotest.test_case "scale_messages" `Quick test_scale_messages;
           Alcotest.test_case "words_of_bytes" `Quick test_words_of_bytes;
-          Alcotest.test_case "centre out" `Quick test_centre_out ] );
+          Alcotest.test_case "centre out" `Quick test_centre_out;
+          Alcotest.test_case "mesh sides" `Quick test_mesh_sides ] );
       ( "coherence",
         [ Alcotest.test_case "hit after read" `Quick
             test_coherence_hit_after_read;
