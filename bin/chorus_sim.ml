@@ -253,7 +253,8 @@ let profile_cmd =
   let doc =
     "Run one experiment with the observability layer on and print \
      per-service latency, the busiest fibers, the fibers that waited \
-     longest for their core, and the core-to-core message matrix."
+     longest for their core, the last fibers to exit, and the \
+     core-to-core message matrix."
   in
   let module Metrics = Chorus_obs.Metrics in
   let module Profile = Chorus_obs.Profile in
@@ -320,6 +321,8 @@ let profile_cmd =
                     [ ("fid", Int f.Profile.fid);
                       ("label", String f.Profile.label);
                       ("core", Int f.Profile.core);
+                      ("spawned", Int f.Profile.spawned);
+                      ("exited", Int f.Profile.exited);
                       ("busy", Int f.Profile.busy);
                       ("waited", Int f.Profile.waited);
                       ("blocked", Int f.Profile.blocked);
@@ -422,6 +425,38 @@ let profile_cmd =
                 Tablefmt.cell_int f.Profile.busy ])
           (Profile.top_waited p ~n:5);
         Tablefmt.print waited;
+        (* who set the makespan, and which services shared its core *)
+        let last =
+          Tablefmt.create ~title:"last fibers to exit"
+            ~columns:
+              [ ("fiber", Tablefmt.Right); ("label", Tablefmt.Left);
+                ("core", Tablefmt.Right); ("spawned", Tablefmt.Right);
+                ("exited", Tablefmt.Right); ("waited", Tablefmt.Right);
+                ("never-exiting fibers on its core", Tablefmt.Left) ]
+        in
+        let time t = if t < 0 then "-" else Tablefmt.cell_int t in
+        List.iter
+          (fun f ->
+            let services =
+              List.filter
+                (fun g ->
+                  g.Profile.exited < 0 && g.Profile.core = f.Profile.core)
+                p.Profile.fibers
+            in
+            let shown =
+              List.filteri (fun i _ -> i < 3) services
+              |> List.map (fun g -> g.Profile.label)
+            in
+            let more = List.length services - List.length shown in
+            Tablefmt.add_row last
+              [ string_of_int f.Profile.fid; f.Profile.label;
+                string_of_int f.Profile.core; time f.Profile.spawned;
+                time f.Profile.exited; Tablefmt.cell_int f.Profile.waited;
+                String.concat " "
+                  (if more > 0 then shown @ [ Printf.sprintf "+%d" more ]
+                   else shown) ])
+          (Profile.last_exited p ~n:5);
+        Tablefmt.print last;
         let blocked =
           Tablefmt.create ~title:"top fibers by blocked time"
             ~columns:

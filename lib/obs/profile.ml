@@ -5,6 +5,8 @@ type fiber_stats = {
   fid : int;
   mutable label : string;
   mutable core : int;
+  mutable spawned : int;
+  mutable exited : int;
   mutable busy : int;
   mutable waited : int;
   mutable blocked : int;
@@ -30,9 +32,9 @@ let of_records records =
     | Some f -> f
     | None ->
       let f =
-        { fid; label = Printf.sprintf "fiber-%d" fid; core; busy = 0;
-          waited = 0; blocked = 0; by_tag = Hashtbl.create 4; sent = 0;
-          received = 0 }
+        { fid; label = Printf.sprintf "fiber-%d" fid; core; spawned = -1;
+          exited = -1; busy = 0; waited = 0; blocked = 0;
+          by_tag = Hashtbl.create 4; sent = 0; received = 0 }
       in
       Hashtbl.replace fibers fid f;
       f
@@ -82,7 +84,11 @@ let of_records records =
             Hashtbl.remove runnable_since fid;
             f.waited <- f.waited + max 0 (start - t0))
           (Hashtbl.find_opt runnable_since fid)
-      | Trace.Spawn { child; on_core } -> (fiber child).core <- on_core
+      | Trace.Spawn { child; on_core } ->
+        let f = fiber child in
+        f.core <- on_core;
+        f.spawned <- r.Trace.time
+      | Trace.Exit _ -> (fiber fid).exited <- r.Trace.time
       | Trace.Steal { fiber = moved; _ } -> (fiber moved).core <- r.Trace.core
       | Trace.Block { on } ->
         Hashtbl.replace pending_block fid (on, r.Trace.time)
@@ -127,7 +133,7 @@ let of_records records =
             | [] -> []
           in
           st := unwind !st)
-      | Trace.Exit _ | Trace.Custom _ -> ())
+      | Trace.Custom _ -> ())
     records;
   let fibers =
     Hashtbl.fold (fun _ f acc -> f :: acc) fibers []
@@ -153,6 +159,11 @@ let top_busy t ~n = top_by (fun f -> f.busy) t n
 let top_blocked t ~n = top_by (fun f -> f.blocked) t n
 
 let top_waited t ~n = top_by (fun f -> f.waited) t n
+
+let last_exited t ~n =
+  List.filter (fun f -> f.exited >= 0) t.fibers
+  |> List.stable_sort (fun a b -> compare b.exited a.exited)
+  |> List.filteri (fun i _ -> i < n)
 
 let blocked_breakdown f =
   Hashtbl.fold (fun tag d acc -> (tag, d) :: acc) f.by_tag []

@@ -4,8 +4,9 @@
     trace is a complete account of where cycles and messages went;
     this module folds it into: busy cycles per fiber (from [Segment]
     records, so it matches the engine's core-busy accounting exactly),
-    each fiber's core and its wait for that core (runnable, not
-    running: from each [Wake] to its next [Segment]),
+    each fiber's core, its spawn and exit times, and its wait for that
+    core (runnable, not running: from each [Wake] to its next
+    [Segment]),
     blocked time per fiber broken down by suspend tag (from
     [Block]/[Wake] pairs), a core-by-core message-flow matrix (from
     [Send] records) and a latency histogram per service span.
@@ -20,6 +21,10 @@ type fiber_stats = {
       (** the core it runs on: from its [Spawn], moved by each [Steal];
           a fiber whose [Spawn] the records miss starts on the core of
           its first record *)
+  mutable spawned : int;
+      (** time of the [Spawn] record naming it, or -1 if the records
+          miss it *)
+  mutable exited : int;  (** time of its [Exit] record, or -1 *)
   mutable busy : int;  (** cycles the fiber occupied a core *)
   mutable waited : int;
       (** cycles it waited for its core: from each [Wake] to the start
@@ -49,6 +54,9 @@ val top_blocked : t -> n:int -> fiber_stats list
 
 val top_waited : t -> n:int -> fiber_stats list
 (** Fibers that waited longest for their core, as {!top_busy}. *)
+
+val last_exited : t -> n:int -> fiber_stats list
+(** The [n] fibers that exited last, latest first (ties by id). *)
 
 val blocked_breakdown : fiber_stats -> (string * int) list
 (** Blocked cycles per suspend tag, largest first. *)

@@ -212,6 +212,45 @@ let test_profile_core_wait () =
   Alcotest.(check (list int)) "top by core wait" [ 5; 6 ]
     (List.map (fun f -> f.Profile.fid) (Profile.top_waited p ~n:5))
 
+(* spawn and exit times come from the Spawn naming the fiber and from
+   its own Exit; either is -1 when the records do not hold it *)
+let test_profile_last_exited () =
+  let exit_at fiber core time =
+    mk_record ~fiber ~core time (Trace.Exit { status = "ok" })
+  in
+  let records =
+    [ (* fiber 4's Spawn fell out of the ring: it is first met here *)
+      mk_record ~fiber:4 ~core:1 5 Trace.Wake;
+      mk_record ~fiber:0 ~core:0 10 (Trace.Spawn { child = 5; on_core = 3 });
+      mk_record ~fiber:0 ~core:0 20 (Trace.Spawn { child = 6; on_core = 3 });
+      (* a daemon on core 7 that never exits *)
+      mk_record ~fiber:0 ~core:0 30 (Trace.Spawn { child = 8; on_core = 7 });
+      mk_record ~fiber:8 ~core:7 40 (Trace.Block { on = "recv" });
+      (* fiber 5 is stolen to core 7 and exits there *)
+      mk_record ~fiber:5 ~core:7 50
+        (Trace.Steal { victim_core = 3; fiber = 5 });
+      exit_at 5 7 90;
+      exit_at 6 3 90;
+      exit_at 4 1 60 ]
+  in
+  let p = Profile.of_records records in
+  let get fid = List.find (fun f -> f.Profile.fid = fid) p.Profile.fibers in
+  let check fid ~core ~spawned ~exited =
+    let f = get fid in
+    Alcotest.(check (list int))
+      (Printf.sprintf "fiber %d: core, spawned, exited" fid)
+      [ core; spawned; exited ]
+      [ f.Profile.core; f.Profile.spawned; f.Profile.exited ]
+  in
+  check 4 ~core:1 ~spawned:(-1) ~exited:60;
+  check 5 ~core:7 ~spawned:10 ~exited:90;
+  check 6 ~core:3 ~spawned:20 ~exited:90;
+  check 8 ~core:7 ~spawned:30 ~exited:(-1);
+  Alcotest.(check (list int)) "latest first, ties by id" [ 5; 6; 4 ]
+    (List.map (fun f -> f.Profile.fid) (Profile.last_exited p ~n:5));
+  Alcotest.(check (list int)) "the first n" [ 5; 6 ]
+    (List.map (fun f -> f.Profile.fid) (Profile.last_exited p ~n:2))
+
 let test_metrics_deterministic () =
   let _, _, snap1 = run_traced () in
   let _, _, snap2 = run_traced () in
@@ -410,7 +449,9 @@ let () =
           Alcotest.test_case "profile matches engine" `Quick
             test_profile_matches_engine;
           Alcotest.test_case "profile core and core wait" `Quick
-            test_profile_core_wait ] );
+            test_profile_core_wait;
+          Alcotest.test_case "profile last fibers to exit" `Quick
+            test_profile_last_exited ] );
       ( "chrome",
         [ Alcotest.test_case "well-formed" `Quick test_chrome_well_formed;
           Alcotest.test_case "deterministic" `Quick test_chrome_deterministic;

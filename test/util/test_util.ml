@@ -439,6 +439,90 @@ let test_zipf_uniform_theta0 () =
     Alcotest.(check (float 1e-9)) "uniform mass" 0.1 (Zipf.probability z i)
   done
 
+(* 200,000 draws against the exact pmf: one chi-square bucket per head
+   rank (the first 50) and one for the tail, judged at p = 0.001 with
+   the Wilson-Hilferty quantile; every draw must lie in [0, n) *)
+let test_zipf_fits_pmf () =
+  List.iter
+    (fun (n, theta) ->
+      let z = Zipf.make ~n ~theta in
+      let r = Rng.make 11 in
+      let head = min n 50 in
+      let buckets = if n > head then head + 1 else head in
+      let counts = Array.make buckets 0 in
+      let draws = 200_000 in
+      for _ = 1 to draws do
+        let i = Zipf.sample z r in
+        if i < 0 || i >= n then
+          Alcotest.failf "n=%d theta=%g: draw %d outside [0, n)" n theta i;
+        let b = min i head in
+        counts.(b) <- counts.(b) + 1
+      done;
+      let p i =
+        if i < head then Zipf.probability z i
+        else
+          1.0
+          -. List.fold_left ( +. ) 0.0
+               (List.init head (fun j -> Zipf.probability z j))
+      in
+      let chi2 = ref 0.0 in
+      Array.iteri
+        (fun i c ->
+          let e = float_of_int draws *. p i in
+          let d = float_of_int c -. e in
+          chi2 := !chi2 +. (d *. d /. e))
+        counts;
+      let df = float_of_int (buckets - 1) in
+      let critical =
+        if buckets = 1 then 0.0
+        else
+          let a = 2.0 /. (9.0 *. df) in
+          df *. ((1.0 -. a +. (3.0902 *. sqrt a)) ** 3.0)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "n=%d theta=%g: chi2 %.1f <= %.1f (%d buckets)" n
+           theta !chi2 critical buckets)
+        true (!chi2 <= critical))
+    [ (1, 0.99); (10, 0.0); (128, 0.7); (1_000, 1.0); (1_000, 1.5);
+      (1_000_000, 0.99) ]
+
+(* the first draws at the E24 scale, so that no edit changes them
+   unnoticed *)
+let test_zipf_pinned_draws () =
+  let z = Zipf.make ~n:1_000_000 ~theta:0.99 in
+  let r = Rng.make 42 in
+  let draws = List.init 8 (fun _ -> Zipf.sample z r) in
+  Alcotest.(check (list int)) "first 8 draws"
+    [ 27; 114236; 22131; 8831; 599475; 3; 51048; 11 ] draws
+
+(* set-up is three constants whatever n is: make allocates a few words,
+   and the sampler holds no table, not even one allocated straight into
+   the major heap *)
+let test_zipf_constant_setup () =
+  let w0 = Gc.minor_words () in
+  let z = Sys.opaque_identity (Zipf.make ~n:1_000_000 ~theta:0.99) in
+  let w = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "make allocated %.0f minor words < 100" w)
+    true (w < 100.0);
+  let size = Obj.reachable_words (Obj.repr z) in
+  Alcotest.(check bool) (Printf.sprintf "sampler is %d words < 100" size)
+    true (size < 100)
+
+let test_zipf_rejects_bad_args () =
+  let raises name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no Invalid_argument" name
+    | exception Invalid_argument _ -> ()
+  in
+  raises "n = 0" (fun () -> Zipf.make ~n:0 ~theta:1.0);
+  raises "n < 0" (fun () -> Zipf.make ~n:(-3) ~theta:1.0);
+  raises "theta < 0" (fun () -> Zipf.make ~n:10 ~theta:(-0.5));
+  raises "theta nan" (fun () -> Zipf.make ~n:10 ~theta:Float.nan);
+  let z = Zipf.make ~n:10 ~theta:1.0 in
+  raises "rank n" (fun () -> Zipf.probability z 10);
+  raises "rank < 0" (fun () -> Zipf.probability z (-1))
+
 (* ------------------------------------------------------------------ *)
 (* Tablefmt                                                            *)
 
@@ -508,7 +592,13 @@ let () =
       ( "zipf",
         [ Alcotest.test_case "skew" `Quick test_zipf_skew;
           Alcotest.test_case "uniform at theta 0" `Quick
-            test_zipf_uniform_theta0 ] );
+            test_zipf_uniform_theta0;
+          Alcotest.test_case "fits the exact pmf" `Quick test_zipf_fits_pmf;
+          Alcotest.test_case "pinned draws" `Quick test_zipf_pinned_draws;
+          Alcotest.test_case "constant set-up" `Quick
+            test_zipf_constant_setup;
+          Alcotest.test_case "rejects bad arguments" `Quick
+            test_zipf_rejects_bad_args ] );
       ( "tablefmt",
         [ Alcotest.test_case "renders" `Quick test_table_renders;
           Alcotest.test_case "bad row rejected" `Quick
