@@ -1,5 +1,5 @@
-.PHONY: all build test fmt doc lint-loops lint-globals lint-dead ci bench \
-	chaos-smoke bench-guard
+.PHONY: all build test fmt doc lint-loops lint-globals lint-dead lint-fsload \
+	ci bench chaos-smoke bench-guard
 
 all: build
 
@@ -132,6 +132,27 @@ lint-dead:
 		echo "lint-dead: OK"; \
 	fi
 
+# One file-server harness: `Exp_common.run_fs` boots the file server
+# and drives the Fsload workload for every experiment that runs one, so
+# it holds the program's only applications of `Fsload.Make` under lib/,
+# bin/ and bench/.  A second application is a second harness, sized and
+# booted its own way.  Tests, examples and perfbench/ are outside the
+# gate.
+LINT_FSLOAD_DIRS := lib bin bench
+LINT_FSLOAD_ALLOW := lib/experiments/exp_common.ml
+
+lint-fsload:
+	@bad=$$(grep -rnE --include='*.ml' 'Fsload\.Make\b' $(LINT_FSLOAD_DIRS) \
+		| grep -v $(foreach f,$(LINT_FSLOAD_ALLOW),-e '^$(f):') || true); \
+	if [ -n "$$bad" ]; then \
+		echo "lint-fsload: Fsload.Make applied outside Exp_common.run_fs:"; \
+		echo "$$bad"; \
+		echo "run the file server through Exp_common.run_fs"; \
+		exit 1; \
+	else \
+		echo "lint-fsload: OK"; \
+	fi
+
 bench:
 	dune exec bench/main.exe
 
@@ -152,4 +173,5 @@ chaos-smoke:
 bench-guard:
 	scripts/bench_guard
 
-ci: build test fmt doc lint-loops lint-globals lint-dead chaos-smoke bench-guard
+ci: build test fmt doc lint-loops lint-globals lint-dead lint-fsload chaos-smoke \
+	bench-guard

@@ -56,8 +56,8 @@ let write_e3_json file =
   let rows =
     List.map
       (fun cores ->
-        let msg, _, _ = E3.msg_throughput ~quick:false ~seed cores in
-        let lock, _, _ = E3.lock_throughput ~quick:false ~seed cores in
+        let msg = E3.msg_throughput ~quick:false ~seed cores in
+        let lock = E3.lock_throughput ~quick:false ~seed cores in
         Printf.printf "cores %4d  msg %9.2f  lock %8.2f ops/Mcycle\n" cores
           msg lock;
         (cores, msg, lock))

@@ -235,29 +235,30 @@ let apply t =
       ignore (Chan.try_send ch answer)
   done
 
+(* the k-th largest of [a], 1 <= k <= length *)
+let kth_largest a k =
+  let sorted = Array.copy a in
+  Array.sort (fun x y -> compare (y : int) x) sorted;
+  sorted.(k - 1)
+
 (* leader: advance commit_idx to the highest current-term index a
    majority holds (Raft's commitment rule: only entries of the current
-   term commit by counting; earlier ones ride along) *)
+   term commit by counting; earlier ones ride along).  A majority holds
+   index n iff majority - 1 peers match at least n, so the highest such
+   n is the (majority-1)-th largest peer match index, capped at the
+   leader's own log.  Log terms never decrease, so if the entry there
+   is not of the current term, no lower one is either. *)
 let maybe_commit t =
   if t.role = Leader then begin
-    let n = ref t.log_len in
-    let committed = ref false in
-    while (not !committed) && !n > t.commit_idx do
-      if (entry t !n).eterm = t.term then begin
-        let acks =
-          1
-          + Array.fold_left
-              (fun acc m -> if m >= !n then acc + 1 else acc)
-              0 t.match_idx
-        in
-        if acks >= majority t then begin
-          t.commit_idx <- !n;
-          committed := true
-        end
-      end;
-      decr n
-    done;
-    if !committed then apply t
+    let need = majority t - 1 in
+    let n =
+      if need = 0 then t.log_len
+      else min t.log_len (kth_largest t.match_idx need)
+    in
+    if n > t.commit_idx && (entry t n).eterm = t.term then begin
+      t.commit_idx <- n;
+      apply t
+    end
   end
 
 (* ------------------------------------------------------------------ *)
@@ -277,9 +278,7 @@ let lease_deadline t =
   let need = majority t - 1 in
   if need = 0 then max_int  (* single-replica group: always leased *)
   else begin
-    let sorted = Array.copy t.lease_acked in
-    Array.sort (fun a b -> compare (b : int) a) sorted;
-    let anchor = sorted.(need - 1) in
+    let anchor = kth_largest t.lease_acked need in
     if anchor < 0 then min_int
     else anchor + election_lo - lease_margin
   end

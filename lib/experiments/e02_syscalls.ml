@@ -89,7 +89,7 @@ let throughput_of mech ~quick =
         in
         List.iter (fun f -> ignore (Fiber.join f)) fibers)
   in
-  ops_per_mcycle stats (clients * ops)
+  Runstats.throughput stats ~ops:(clients * ops)
 
 let run ~quick ~seed =
   ignore seed;

@@ -14,14 +14,8 @@
    takeaway. *)
 
 open Exp_common
-module Fiber = Chorus.Fiber
 module Fsload = Chorus_workload.Fsload
-module Msgvfs = Chorus_kernel.Msgvfs
 module Kernel = Chorus_kernel.Kernel
-module Shvfs = Chorus_baseline.Shvfs
-
-module Msg_load = Fsload.Make (Msgvfs)
-module Sh_load = Fsload.Make (Shvfs)
 
 let load_config ~quick ~cores ~seed =
   { Fsload.default_config with
@@ -35,32 +29,21 @@ let load_config ~quick ~cores ~seed =
     think = 300;
     seed }
 
-let msg_throughput ~quick ~seed cores =
-  let cfg = load_config ~quick ~cores ~seed in
-  let result, stats =
-    run ~seed ~cores (fun () ->
-        let kern =
-          Kernel.boot
-            { Kernel.default_config with
-              bcache_shards = max 2 (cores / 8);
-              cgroups = max 2 (cores / 16) }
-        in
-        let setup_fs = Kernel.fs_client kern in
-        Msg_load.setup setup_fs cfg;
-        Msg_load.run_clients (fun _ -> Kernel.fs_client kern) cfg)
+let throughput ~quick ~seed cores server =
+  let result, _ =
+    run_fs ~seed (machine cores) server (load_config ~quick ~cores ~seed)
   in
-  (Fsload.throughput result, result, stats)
+  Fsload.throughput result
+
+let msg_throughput ~quick ~seed cores =
+  throughput ~quick ~seed cores
+    (Msg_kernel
+       { Kernel.default_config with
+         bcache_shards = max 2 (cores / 8);
+         cgroups = max 2 (cores / 16) })
 
 let lock_throughput ~quick ~seed cores =
-  let cfg = load_config ~quick ~cores ~seed in
-  let result, stats =
-    run ~seed ~cores (fun () ->
-        let sys = Shvfs.make Shvfs.default_config in
-        let setup_fs = Shvfs.client sys in
-        Sh_load.setup setup_fs cfg;
-        Sh_load.run_clients (fun _ -> Shvfs.client sys) cfg)
-  in
-  (Fsload.throughput result, result, stats)
+  throughput ~quick ~seed cores Lock_kernel
 
 let run ~quick ~seed =
   let t =
@@ -79,8 +62,8 @@ let run ~quick ~seed =
   let crossover = ref None in
   List.iter
     (fun cores ->
-      let msg, _, _ = msg_throughput ~quick ~seed cores in
-      let lock, _, _ = lock_throughput ~quick ~seed cores in
+      let msg = msg_throughput ~quick ~seed cores in
+      let lock = lock_throughput ~quick ~seed cores in
       if cores = 1 then begin
         base_msg := msg;
         base_lock := lock

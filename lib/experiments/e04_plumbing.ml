@@ -11,10 +11,6 @@ open Exp_common
 module Fsload = Chorus_workload.Fsload
 module Msgvfs = Chorus_kernel.Msgvfs
 module Kernel = Chorus_kernel.Kernel
-module Shvfs = Chorus_baseline.Shvfs
-
-module Msg_load = Fsload.Make (Msgvfs)
-module Sh_load = Fsload.Make (Shvfs)
 
 let cores = 64
 
@@ -29,41 +25,24 @@ let load_config ~quick ~seed =
     think = 100;
     seed }
 
-let msg_result ~plumbing ~quick ~seed =
-  let cfg = load_config ~quick ~seed in
-  let result, _ =
-    run ~seed ~cores (fun () ->
-        let kern =
-          Kernel.boot
-            { Kernel.default_config with
-              fs = { Msgvfs.plumbing; dispatchers = 8 } }
-        in
-        Msg_load.setup (Kernel.fs_client kern) cfg;
-        Msg_load.run_clients (fun _ -> Kernel.fs_client kern) cfg)
-  in
-  result
+let result ~quick ~seed server =
+  fst (run_fs ~seed (machine cores) server (load_config ~quick ~seed))
 
-let lock_result ~quick ~seed =
-  let cfg = load_config ~quick ~seed in
-  let result, _ =
-    run ~seed ~cores (fun () ->
-        let sys = Shvfs.make Shvfs.default_config in
-        Sh_load.setup (Shvfs.client sys) cfg;
-        Sh_load.run_clients (fun _ -> Shvfs.client sys) cfg)
-  in
-  result
+let msg_kernel ~plumbing =
+  Msg_kernel
+    { Kernel.default_config with fs = { Msgvfs.plumbing; dispatchers = 8 } }
 
 let ops = [ "read"; "write"; "stat"; "create" ]
 
 let mean_for result name =
   match List.assoc_opt name result.Fsload.per_op with
-  | Some h -> mean_cycles h
+  | Some h -> Histogram.mean h
   | None -> nan
 
 let run ~quick ~seed =
-  let plumbed = msg_result ~plumbing:true ~quick ~seed in
-  let routed = msg_result ~plumbing:false ~quick ~seed in
-  let locked = lock_result ~quick ~seed in
+  let plumbed = result ~quick ~seed (msg_kernel ~plumbing:true) in
+  let routed = result ~quick ~seed (msg_kernel ~plumbing:false) in
+  let locked = result ~quick ~seed Lock_kernel in
   let t =
     Tablefmt.create
       ~title:"E4: mean op latency (cycles) at 64 cores, 32 clients"

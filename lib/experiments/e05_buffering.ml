@@ -24,8 +24,8 @@ let run_one ~quick ~seed capacity =
       work_per_stage = 250 }
   in
   let result, stats = run ~seed ~cores:64 (fun () -> Pipeline.run cfg) in
-  let tput = ops_per_mcycle stats cfg.Pipeline.items in
-  (tput, mean_cycles result.Pipeline.item_latency,
+  let tput = Runstats.throughput stats ~ops:cfg.Pipeline.items in
+  (tput, Histogram.mean result.Pipeline.item_latency,
    Histogram.percentile result.Pipeline.item_latency 99.0)
 
 let run ~quick ~seed =

@@ -148,7 +148,7 @@ let run ~quick ~seed =
   let row name (latency, wasted, makespan) =
     Tablefmt.add_row t
       [ name;
-        Tablefmt.cell_float (mean_cycles latency);
+        Tablefmt.cell_float (Histogram.mean latency);
         string_of_int (Histogram.percentile latency 99.0);
         string_of_int wasted;
         string_of_int makespan ]

@@ -33,9 +33,9 @@ let run ~quick ~seed =
   let row name (r : Gui.result) =
     Tablefmt.add_row t
       [ name;
-        Tablefmt.cell_float (mean_cycles r.Gui.update_latency);
+        Tablefmt.cell_float (Histogram.mean r.Gui.update_latency);
         string_of_int (Histogram.percentile r.Gui.update_latency 99.0);
-        Tablefmt.cell_float (mean_cycles r.Gui.input_latency);
+        Tablefmt.cell_float (Histogram.mean r.Gui.input_latency);
         string_of_int r.Gui.control_transfers ]
   in
   row "peer (channels + choice)" peer;

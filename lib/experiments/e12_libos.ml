@@ -11,10 +11,6 @@ open Exp_common
 module Fsload = Chorus_workload.Fsload
 module Msgvfs = Chorus_kernel.Msgvfs
 module Kernel = Chorus_kernel.Kernel
-module Libos = Chorus_kernel.Libos
-
-module Msg_load = Fsload.Make (Msgvfs)
-module Lib_load = Fsload.Make (Libos)
 
 let load ~quick ~seed =
   { Fsload.default_config with
@@ -28,29 +24,9 @@ let load ~quick ~seed =
     think = 0;
     seed }
 
-let msg_run ~plumbing ~quick ~seed =
-  let cfg = load ~quick ~seed in
-  let result, stats =
-    run ~seed ~cores:16 (fun () ->
-        let kern =
-          Kernel.boot
-            { Kernel.default_config with
-              fs = { Msgvfs.plumbing; dispatchers = 2 } }
-        in
-        Msg_load.setup (Kernel.fs_client kern) cfg;
-        Msg_load.run_clients (fun _ -> Kernel.fs_client kern) cfg)
-  in
-  (result, stats)
-
-let libos_run ~quick ~seed =
-  let cfg = load ~quick ~seed in
-  let result, stats =
-    run ~seed ~cores:16 (fun () ->
-        let fs = Libos.make () in
-        Lib_load.setup fs cfg;
-        Lib_load.run_clients (fun _ -> fs) cfg)
-  in
-  (result, stats)
+let msg_kernel ~plumbing =
+  Msg_kernel
+    { Kernel.default_config with fs = { Msgvfs.plumbing; dispatchers = 2 } }
 
 let run ~quick ~seed =
   let t =
@@ -61,13 +37,14 @@ let run ~quick ~seed =
           ("ops/Mcyc", Tablefmt.Right);
           ("mean op latency", Tablefmt.Right) ]
   in
-  let row name ((result : Fsload.result), _stats) =
+  let row name server =
+    let r, _ = run_fs ~seed (machine 16) server (load ~quick ~seed) in
     Tablefmt.add_row t
       [ name;
-        Tablefmt.cell_float (Fsload.throughput result);
-        Tablefmt.cell_float (mean_cycles result.Fsload.latency) ]
+        Tablefmt.cell_float (Fsload.throughput r);
+        Tablefmt.cell_float (Histogram.mean r.Fsload.latency) ]
   in
-  row "libOS (linked, bare core)" (libos_run ~quick ~seed);
-  row "msg kernel, plumbed" (msg_run ~plumbing:true ~quick ~seed);
-  row "msg kernel, dispatched" (msg_run ~plumbing:false ~quick ~seed);
+  row "libOS (linked, bare core)" Libos;
+  row "msg kernel, plumbed" (msg_kernel ~plumbing:true);
+  row "msg kernel, dispatched" (msg_kernel ~plumbing:false);
   [ t ]

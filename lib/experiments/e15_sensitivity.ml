@@ -17,15 +17,9 @@ open Exp_common
 module Cost = Chorus_machine.Cost
 module Topology = Chorus_machine.Topology
 module Fsload = Chorus_workload.Fsload
-module Msgvfs = Chorus_kernel.Msgvfs
 module Kernel = Chorus_kernel.Kernel
-module Shvfs = Chorus_baseline.Shvfs
 
-module Msg_load = Fsload.Make (Msgvfs)
-module Sh_load = Fsload.Make (Shvfs)
-
-let cores = 64
-
+(* E16 runs this load too *)
 let load_config ~quick ~seed =
   { Fsload.default_config with
     clients = 56;
@@ -37,30 +31,9 @@ let load_config ~quick ~seed =
     think = 300;
     seed }
 
-let machine_with costs =
-  let w = 8 in
-  Machine.make (Topology.make (Topology.Mesh (w, cores / w))) costs
-
-let msg_tput ~quick ~seed m =
-  let cfg = load_config ~quick ~seed in
-  let result, _ =
-    run_machine ~seed m (fun () ->
-        let kern =
-          Kernel.boot { Kernel.default_config with bcache_shards = 8 }
-        in
-        Msg_load.setup (Kernel.fs_client kern) cfg;
-        Msg_load.run_clients (fun _ -> Kernel.fs_client kern) cfg)
-  in
-  Fsload.throughput result
-
-let lock_tput ~quick ~seed m =
-  let cfg = load_config ~quick ~seed in
-  let result, _ =
-    run_machine ~seed m (fun () ->
-        let sys = Shvfs.make Shvfs.default_config in
-        Sh_load.setup (Shvfs.client sys) cfg;
-        Sh_load.run_clients (fun _ -> Shvfs.client sys) cfg)
-  in
+let tput ~quick ~seed costs server =
+  let m = Machine.make (Topology.make (Topology.Mesh (8, 8))) costs in
+  let result, _ = run_fs ~seed m server (load_config ~quick ~seed) in
   Fsload.throughput result
 
 let run ~quick ~seed =
@@ -84,9 +57,8 @@ let run ~quick ~seed =
   in
   List.iter
     (fun (name, costs) ->
-      let m = machine_with costs in
-      let msg = msg_tput ~quick ~seed m in
-      let lock = lock_tput ~quick ~seed m in
+      let msg = tput ~quick ~seed costs (Msg_kernel Kernel.default_config) in
+      let lock = tput ~quick ~seed costs Lock_kernel in
       Tablefmt.add_row t
         [ name;
           Tablefmt.cell_float msg;

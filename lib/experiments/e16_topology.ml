@@ -1,8 +1,8 @@
 (* E16 — topology ablation.
 
    The paper is agnostic about what the interconnect of a
-   hundreds-of-cores chip looks like.  The same 64-core file-server
-   load runs on a crossbar (uniform 1 hop), a mesh, a ring (long
+   hundreds-of-cores chip looks like.  E15's 64-core file-server load
+   runs on a crossbar (uniform 1 hop), a mesh, a ring (long
    average paths), and a 2-die hierarchy (cheap clusters, expensive
    die crossings); reported with the observed mean hop count per
    message.  The message kernel's sensitivity to hop distance is the
@@ -12,21 +12,7 @@ open Exp_common
 module Topology = Chorus_machine.Topology
 module Cost = Chorus_machine.Cost
 module Fsload = Chorus_workload.Fsload
-module Msgvfs = Chorus_kernel.Msgvfs
 module Kernel = Chorus_kernel.Kernel
-
-module Msg_load = Fsload.Make (Msgvfs)
-
-let load_config ~quick ~seed =
-  { Fsload.default_config with
-    clients = 56;
-    ops_per_client = pick ~quick 40 200;
-    files = 128;
-    dirs = 16;
-    io_size = 256;
-    theta = 0.7;
-    think = 300;
-    seed }
 
 let run ~quick ~seed =
   let t =
@@ -49,12 +35,9 @@ let run ~quick ~seed =
     (fun (name, shape) ->
       let topo = Topology.make shape in
       let m = Machine.make topo Cost.software_messages in
-      let cfg = load_config ~quick ~seed in
       let result, stats =
-        run_machine ~seed m (fun () ->
-            let kern = Kernel.boot Kernel.default_config in
-            Msg_load.setup (Kernel.fs_client kern) cfg;
-            Msg_load.run_clients (fun _ -> Kernel.fs_client kern) cfg)
+        run_fs ~seed m (Msg_kernel Kernel.default_config)
+          (E15_sensitivity.load_config ~quick ~seed)
       in
       let mean_hops =
         if stats.Runstats.msgs = 0 then 0.0

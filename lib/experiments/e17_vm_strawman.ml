@@ -97,7 +97,7 @@ let single_image ~quick ~seed ~theta =
         in
         List.iter (fun f -> ignore (Fiber.join f)) clients)
   in
-  ops_per_mcycle stats (nclients * ops)
+  Runstats.throughput stats ~ops:(nclients * ops)
 
 (* --------------------------------------------------------------- *)
 (* VM cluster: private lock kernels + a virtual network              *)
@@ -195,7 +195,7 @@ let vm_cluster ~quick ~seed ~theta =
         in
         List.iter (fun f -> ignore (Fiber.join f)) clients)
   in
-  ops_per_mcycle stats (nclients * ops)
+  Runstats.throughput stats ~ops:(nclients * ops)
 
 let run ~quick ~seed =
   let t =

@@ -67,7 +67,7 @@ let run ~quick ~seed =
       let latency, stats = run_one ~quick ~seed ~priority in
       Tablefmt.add_row t
         [ name;
-          Tablefmt.cell_float (mean_cycles latency);
+          Tablefmt.cell_float (Histogram.mean latency);
           string_of_int (Histogram.percentile latency 99.0);
           string_of_int stats.Runstats.makespan ])
     [ ("normal (queue behind batch)", Fiber.Normal);

@@ -106,7 +106,7 @@ let measure ~quick ~seed ~policy ~load_pct =
     hwm;
     p50;
     p99;
-    goodput = ops_per_mcycle stats completed }
+    goodput = Runstats.throughput stats ~ops:completed }
 
 let run ~quick ~seed =
   let table =

@@ -189,7 +189,7 @@ let measure_storm ~quick ~seed ~policy =
     hwm;
     p99;
     makespan = stats.Runstats.makespan;
-    goodput = ops_per_mcycle stats completed }
+    goodput = Runstats.throughput stats ~ops:completed }
 
 (* ------------------------------------------------------------------ *)
 

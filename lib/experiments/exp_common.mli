@@ -16,17 +16,28 @@ val run :
 (** Run a program on a fresh engine (round-robin placement by
     default — experiments want spreading unless stated). *)
 
-val run_machine :
-  ?policy:Policy.t -> ?seed:int -> Machine.t -> (unit -> 'a) ->
-  'a * Runstats.t
-(** As {!run} but on an explicit machine (topology/cost ablations). *)
+(** The file server a {!run_fs} boots. *)
+type fs_server =
+  | Msg_kernel of Chorus_kernel.Kernel.config
+      (** the message kernel; each client gets its own view *)
+  | Lock_kernel
+      (** the trap+locks baseline ({!Chorus_baseline.Shvfs} at its
+          default configuration); each client gets its own view *)
+  | Libos
+      (** one linked library instance ({!Chorus_kernel.Libos}) that
+          every client shares *)
+
+val run_fs :
+  seed:int -> Machine.t -> fs_server -> Chorus_workload.Fsload.config ->
+  Chorus_workload.Fsload.result * Runstats.t
+(** [run_fs ~seed m server cfg] boots [server] on a fresh engine over
+    [m] (round-robin placement, engine seed [seed]), runs
+    [Fsload.setup] and then [Fsload.run_clients] with [cfg], and
+    returns the load's result with the run's statistics.  E3, E4,
+    E12, E15 and E16 run their file server through it. *)
 
 val pick : quick:bool -> int -> int -> int
 (** [pick ~quick q f] is [q] in quick mode, [f] in full mode. *)
-
-val ops_per_mcycle : Runstats.t -> int -> float
-
-val mean_cycles : Chorus_util.Histogram.t -> float
 
 val core_sweep : quick:bool -> int list
 (** 1..1024 powers of two (1..256 in quick mode). *)

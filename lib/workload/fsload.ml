@@ -188,8 +188,8 @@ module Make (F : Fsspec.S) = struct
 
   let run_clients view cfg =
     let results = Chorus.Chan.unbounded () in
-    (* the popularity table depends on the config alone: build it once
-       for every client *)
+    (* the sampler's constants depend on the config alone: compute them
+       once for every client *)
     let zipf = Zipf.make ~n:cfg.files ~theta:cfg.theta in
     let t0 = Fiber.now () in
     let fibers =

@@ -51,6 +51,6 @@ module Make (F : Chorus_fsspec.Fsspec.S) : sig
 
   val run_clients : (int -> F.t) -> config -> result
   (** Spawn [config.clients] client fibers (each gets its own view via
-      the argument, and all share one Zipf table), wait for all, merge
-      results. *)
+      the argument and its own random stream, and all draw files from
+      one Zipf sampler), wait for all, merge results. *)
 end

@@ -207,6 +207,87 @@ let test_leader_crash_durability () =
   in
   ()
 
+(* Raft's commitment rule (Figure 8 of the Raft paper): a leader
+   commits by counting replicas only entries of its own term, because
+   an older entry on a majority can still be overwritten by a later
+   leader whose log ends in a newer term.  Peer 2, the term-1 leader,
+   left one entry on replica 0 and went silent; replica 0 wins term 2.
+   Peer 1, whose log is empty, stores that entry (max_append = 1 sends
+   it alone) and then goes silent too.  The entry is now on a
+   majority, yet it stays uncommitted until peer 1 also holds the
+   term-2 no-op; then both commit. *)
+let test_old_term_entry_commits_only_with_current_term () =
+  let module Wire = Chorus_cluster.Wire in
+  let port = 7 in
+  let msg op fields =
+    let b = Buffer.create 32 in
+    Option.iter (Buffer.add_char b) op;
+    List.iter (Wire.enc_int b) fields;
+    Buffer.contents b
+  in
+  let (_ : Runstats.t) =
+    run (fun () ->
+        let net = Fabric.create ~latency:5_000 () in
+        let stacks =
+          Array.init 3 (fun _ -> Stack.create net (Fabric.attach net ()))
+        in
+        let fibers = ref [] in
+        let register f = fibers := f :: !fibers in
+        let raft =
+          Raft.create
+            { (Raft.default_config ~seed:1) with max_append = 1 }
+            ~stack:stacks.(0) ~raft_port:port ~shard:0
+            ~peers:[| Stack.addr stacks.(1); Stack.addr stacks.(2) |]
+            ~on_event:ignore
+        in
+        (* peer 2's term-1 append of one entry (Put "k" "v"): term,
+           leader, prev, prev_term, leader_commit, one entry *)
+        let append =
+          msg None [ 1; Stack.addr stacks.(2); 0; 0; 0; 1; 1; 1 ]
+          ^ "1:k1:v"
+        in
+        ignore (Raft.handle_rpc raft ~src:1 ~op:'E' (Wire.reader append));
+        let stored = ref false and healed = ref false in
+        let peer1 ~src:_ req ~reply =
+          let r = Wire.reader ~pos:1 req in
+          let _shard = Wire.int_ r and term = Wire.int_ r in
+          if req.[0] = 'V' then reply (msg (Some 'v') [ term; 1 ])
+          else begin
+            let _leader = Wire.int_ r in
+            let prev = Wire.int_ r in
+            let _prev_term = Wire.int_ r and _commit = Wire.int_ r in
+            let n = Wire.int_ r in
+            if !healed || (prev = 0 && not !stored) then begin
+              stored := true;
+              reply (msg (Some 'e') [ term; 1; prev + n ])
+            end
+            else if not !stored then reply (msg (Some 'e') [ term; 0; 0 ])
+            (* stored and not healed: silent *)
+          end
+        in
+        register
+          (Fiber.spawn ~daemon:true (fun () ->
+               Stack.serve_async stacks.(1) ~port peer1));
+        register
+          (Fiber.spawn ~daemon:true (fun () ->
+               Stack.serve_async stacks.(2) ~port
+                 (fun ~src:_ _ ~reply:_ -> ())));
+        register (Raft.start_timer raft ~register);
+        Fiber.sleep 600_000;
+        Alcotest.(check bool) "replica 0 leads term 2" true
+          (Raft.role raft = Raft.Leader && Raft.term raft = 2);
+        Alcotest.(check bool) "peer 1 stored the term-1 entry" true !stored;
+        Alcotest.(check int) "a term-1 entry on a majority is not committed"
+          0 (Raft.commit_index raft);
+        healed := true;
+        Fiber.sleep 200_000;
+        Alcotest.(check int) "it commits under the term-2 no-op" 2
+          (Raft.commit_index raft);
+        Alcotest.(check int) "both applied" 2 (Raft.applied raft);
+        List.iter (fun f -> if Fiber.alive f then Fiber.kill f) !fibers)
+  in
+  ()
+
 let test_availability_under_loss_and_crashes () =
   let (_ : Runstats.t) =
     run (fun () ->
@@ -640,6 +721,8 @@ let () =
             test_cold_start_election;
           Alcotest.test_case "leader crash: acked writes survive" `Quick
             test_leader_crash_durability;
+          Alcotest.test_case "old-term entry commits only with current term"
+            `Quick test_old_term_entry_commits_only_with_current_term;
           Alcotest.test_case "availability under loss + crashes" `Slow
             test_availability_under_loss_and_crashes;
           Alcotest.test_case "client Net_fail with no cluster" `Quick

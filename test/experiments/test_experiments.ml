@@ -114,12 +114,8 @@ let test_e3_message_kernel_doubles_to_256 () =
    consecutive ids it was 12% below, and with the shards and vnodes on
    the cores next to core 0, before D22, 18%. *)
 let test_e3_bend_past_256 () =
-  let msg cores =
-    let ops, _, _ =
-      Chorus_experiments.E03_scaling.msg_throughput ~quick:false ~seed:42
-        cores
-    in
-    ops
+  let msg =
+    Chorus_experiments.E03_scaling.msg_throughput ~quick:false ~seed:42
   in
   let m256 = msg 256 and m1024 = msg 1024 in
   Alcotest.(check bool)
@@ -295,6 +291,39 @@ let test_e16_crossbar_best_ring_worst () =
       (List.assoc "ring-64" ops)
   | _ -> Alcotest.fail "e16 shape"
 
+(* E16's mesh row is E15's default run: the same machine, kernel, load
+   and seed (EXPERIMENTS §E16). *)
+let test_e16_mesh_is_e15_default () =
+  match (run_tables "e15", run_tables "e16") with
+  | [ e15 ], [ e16 ] ->
+    Alcotest.(check string) "mesh-8x8 ops/Mcyc = software x1 msg ops/Mcyc"
+      (List.nth (row_named e15 "software x1 (default)") 1)
+      (List.nth (row_named e16 "mesh-8x8") 2)
+  | _ -> Alcotest.fail "e15/e16 shape"
+
+(* E12: the linked libOS is at least twice as fast as plumbed message
+   syscalls, which beat dispatched ones; mean latency runs the other
+   way. *)
+let test_e12_libos_beats_messages () =
+  match run_tables "e12" with
+  | [ t ] ->
+    let col c name = float_of_string (List.nth (row_named t name) c) in
+    let libos = "libOS (linked, bare core)"
+    and plumbed = "msg kernel, plumbed"
+    and routed = "msg kernel, dispatched" in
+    Alcotest.(check bool)
+      (Printf.sprintf "libOS (%.0f) >= 2x plumbed (%.0f) > dispatched (%.0f)"
+         (col 1 libos) (col 1 plumbed) (col 1 routed))
+      true
+      (col 1 libos >= 2.0 *. col 1 plumbed && col 1 plumbed > col 1 routed);
+    Alcotest.(check bool)
+      (Printf.sprintf
+         "latency: libOS (%.0f) < plumbed (%.0f) < dispatched (%.0f)"
+         (col 2 libos) (col 2 plumbed) (col 2 routed))
+      true
+      (col 2 libos < col 2 plumbed && col 2 plumbed < col 2 routed)
+  | _ -> Alcotest.fail "e12 shape"
+
 (* E17: one message kernel beats the chip cut into VM islands at every
    skew. *)
 let test_e17_single_image_beats_vm_cluster () =
@@ -383,5 +412,9 @@ let () =
             test_e15_cheaper_messages_widen_the_lead;
           Alcotest.test_case "e16 crossbar best, ring worst" `Quick
             test_e16_crossbar_best_ring_worst;
+          Alcotest.test_case "e16 mesh row is e15's default run" `Quick
+            test_e16_mesh_is_e15_default;
+          Alcotest.test_case "e12 libOS beats message syscalls" `Quick
+            test_e12_libos_beats_messages;
           Alcotest.test_case "e17 single image beats the VM cluster" `Quick
             test_e17_single_image_beats_vm_cluster ] ) ]
