@@ -36,9 +36,9 @@ let test_registry_lookup () =
   Alcotest.(check bool) "unknown id" true (Experiments.find "e99" = None);
   Alcotest.(check int) "catalogue size" 25 (List.length Experiments.all)
 
-let run_tables id =
+let run_tables ?(seed = 7) id =
   match Experiments.find id with
-  | Some e -> e.Experiments.run ~quick:true ~seed:7
+  | Some e -> e.Experiments.run ~quick:true ~seed
   | None -> Alcotest.failf "experiment %s missing" id
 
 let test_deterministic_tables () =
@@ -241,6 +241,33 @@ let test_e10_supervision_availability () =
       [ "400000"; "100000"; "25000" ]
   | _ -> Alcotest.fail "e10 shape"
 
+(* E20: supervision heals every node crash without losing an acked
+   write; replication costs more than twice a lone node's put, and a
+   wider group does not widen the failover window *)
+let test_e20_cluster_shape () =
+  match run_tables ~seed:42 "e20" with
+  | [ avail; failover ] ->
+    List.iter
+      (fun r ->
+        let col = List.nth r in
+        let what = Printf.sprintf "loss %s, %s crashes" (col 0) (col 1) in
+        Alcotest.(check string) (what ^ ": availability") "1.00000" (col 4);
+        Alcotest.(check string) (what ^ ": lost acked writes") "0" (col 6);
+        Alcotest.(check string) (what ^ ": restarts = crashes") (col 1) (col 7))
+      (Tablefmt.rows avail);
+    let per_put = fcell failover ~col:2 and window = fcell failover ~col:3 in
+    Alcotest.(check bool)
+      (Printf.sprintf "3-replica put %.0f > 2 x 1-node put %.0f"
+         (per_put ~row:1) (per_put ~row:0))
+      true
+      (per_put ~row:1 > 2.0 *. per_put ~row:0);
+    Alcotest.(check bool)
+      (Printf.sprintf "5-node window %.0f within 10%% of 3-node %.0f"
+         (window ~row:2) (window ~row:1))
+      true
+      (Float.abs (window ~row:2 -. window ~row:1) <= 0.1 *. window ~row:1)
+  | _ -> Alcotest.fail "e20 shape"
+
 let test_e18_weight_ordering () =
   match run_tables "e18" with
   | [ t ] ->
@@ -406,6 +433,8 @@ let () =
             test_e2_entry_mechanisms;
           Alcotest.test_case "e10 supervision availability" `Quick
             test_e10_supervision_availability;
+          Alcotest.test_case "e20 supervision heals node crashes" `Quick
+            test_e20_cluster_shape;
           Alcotest.test_case "e8 stealing wins both shapes" `Quick
             test_e8_stealing_wins_both_shapes;
           Alcotest.test_case "e15 cheaper messages widen the lead" `Quick
