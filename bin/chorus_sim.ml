@@ -514,20 +514,11 @@ let profile_cmd =
 
 let cluster_cmd =
   let doc =
-    "Boot the sharded, replicated KV cluster on a lossy fabric, drive \
-     it with a client workload (optionally crashing nodes mid-run), \
-     and print availability, election and healing statistics."
+    "Run E20's availability driver: boot the sharded, replicated KV \
+     cluster on a lossy fabric, put keys (optionally crashing nodes \
+     mid-run), read the acked ones back, and print availability, \
+     election and healing statistics."
   in
-  let module Machine = Chorus_machine.Machine in
-  let module Policy = Chorus_sched.Policy in
-  let module Runtime = Chorus.Runtime in
-  let module Fiber = Chorus.Fiber in
-  let module Fabric = Chorus_net.Fabric in
-  let module Stack = Chorus_net.Stack in
-  let module Faults = Chorus_workload.Faults in
-  let module Cluster = Chorus_cluster.Cluster in
-  let module Shardmap = Chorus_cluster.Shardmap in
-  let module Client = Chorus_cluster.Client in
   let nodes_arg =
     Arg.(value & opt int 5 & info [ "nodes" ] ~doc:"Cluster size.")
   in
@@ -540,7 +531,7 @@ let cluster_cmd =
       & info [ "replication" ] ~doc:"Replicas per shard (capped at nodes).")
   in
   let ops_arg =
-    Arg.(value & opt int 200 & info [ "ops" ] ~doc:"Client put/get pairs.")
+    Arg.(value & opt int 200 & info [ "ops" ] ~doc:"Client puts.")
   in
   let loss_arg =
     Arg.(
@@ -554,84 +545,34 @@ let cluster_cmd =
           ~doc:"Node crashes to inject at exponential intervals.")
   in
   let go nnodes nshards replication ops loss crashes seed =
-    let stats =
-      Runtime.run
-        (Runtime.config ~policy:(Policy.round_robin ()) ~seed
-           (Machine.mesh ~cores:32))
-        (fun () ->
-          let net = Fabric.create ~latency:5_000 ~loss ~seed:(seed + 1) () in
-          let c = Cluster.create ~nshards ~replication ~seed ~nnodes net in
-          Cluster.start c;
-          let cstack =
-            Stack.create net (Fabric.attach net ~label:"client" ())
-          in
-          let client =
-            Client.create ~seed ~bootstrap:(Cluster.addrs c) cstack
-          in
-          Fiber.sleep 1_000_000;
-          let injector =
-            if crashes > 0 then begin
-              let addrs = Array.of_list (Cluster.addrs c) in
-              Some
-                (Faults.start_actions
-                   { Faults.mean_interval = 500_000;
-                     crashes;
-                     seed = seed + 7 }
-                   ~inject:(fun ~n ->
-                     let a = addrs.(n mod Array.length addrs) in
-                     if Cluster.node_up c a then begin
-                       Cluster.crash_node c a;
-                       true
-                     end
-                     else false))
-            end
-            else None
-          in
-          let acked = ref 0 and unavailable = ref 0 and wrong = ref 0 in
-          for i = 0 to ops - 1 do
-            let k = Printf.sprintf "key-%05d" i in
-            (match Client.put client k (string_of_int i) with
-            | `Ok -> incr acked
-            | `Net_fail -> incr unavailable);
-            match Client.get client k with
-            | `Found v when v = string_of_int i -> ()
-            | `Found _ | `Miss | `Net_fail -> incr wrong
-          done;
-          (match injector with Some inj -> Faults.wait inj | None -> ());
-          let t =
-            Tablefmt.create
-              ~title:
-                (Printf.sprintf
-                   "cluster: %d nodes, %d shards x%d, loss %.1f%%, %d \
-                    crashes"
-                   nnodes nshards
-                   (min replication nnodes)
-                   (100.0 *. loss) crashes)
-              ~columns:
-                [ ("metric", Tablefmt.Left); ("value", Tablefmt.Right) ]
-          in
-          let addi name v = Tablefmt.add_row t [ name; string_of_int v ] in
-          addi "puts acked" !acked;
-          addi "puts unavailable" !unavailable;
-          addi "reads missing an acked write" !wrong;
-          Tablefmt.add_row t
-            [ "availability";
-              Printf.sprintf "%.5f"
-                (float_of_int !acked /. float_of_int (max 1 ops)) ];
-          addi "elections started" (Cluster.elections_started c);
-          addi "leadership changes" (Cluster.leader_changes c);
-          addi "node crashes detected" (Cluster.node_crashes c);
-          addi "supervisor restarts" (Cluster.restarts c);
-          addi "client op retries" (Client.retries client);
-          addi "client leader redirects" (Client.redirects client);
-          Tablefmt.print t;
-          let leaders =
-            List.init nshards (fun s ->
-                Printf.sprintf "%d:%d" s (Cluster.leader_of c s))
-          in
-          Printf.printf "shard leaders  %s\n" (String.concat " " leaders);
-          Cluster.stop c)
+    let module E20 = Chorus_experiments.E20_cluster in
+    let a, stats =
+      E20.availability ~seed ~nnodes ~nshards ~replication ~ops ~loss ~crashes
+        ~crash_gap:500_000
     in
+    let t =
+      Tablefmt.create
+        ~title:
+          (Printf.sprintf
+             "cluster: %d nodes, %d shards x%d, loss %.1f%%, %d crashes" nnodes
+             nshards (min replication nnodes) (100.0 *. loss) crashes)
+        ~columns:[ ("metric", Tablefmt.Left); ("value", Tablefmt.Right) ]
+    in
+    let addi name v = Tablefmt.add_row t [ name; string_of_int v ] in
+    addi "puts acked" a.E20.acked;
+    addi "puts unavailable" a.unavailable;
+    addi "reads missing an acked write" a.lost_acked;
+    let avail = float_of_int a.acked /. float_of_int (max 1 ops) in
+    Tablefmt.add_row t [ "availability"; Printf.sprintf "%.5f" avail ];
+    addi "elections started" a.elections;
+    addi "leadership changes" a.leader_changes;
+    addi "node crashes detected" a.crashes;
+    addi "supervisor restarts" a.restarts;
+    addi "client op retries" a.retries;
+    addi "client leader redirects" a.redirects;
+    Tablefmt.print t;
+    Printf.printf "shard leaders  %s\n"
+      (String.concat " " (List.mapi (Printf.sprintf "%d:%d") a.leaders));
     Printf.printf
       "\n%d virtual cycles, %d messages, %d protocol retransmissions\n"
       stats.Chorus.Runstats.makespan stats.Chorus.Runstats.msgs

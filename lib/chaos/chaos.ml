@@ -37,7 +37,6 @@ module Stack = Chorus_net.Stack
 module Cluster = Chorus_cluster.Cluster
 module Client = Chorus_cluster.Client
 module Raft = Chorus_cluster.Raft
-module Faults = Chorus_workload.Faults
 module Fsspec = Chorus_fsspec.Fsspec
 module Cgalloc = Chorus_kernel.Cgalloc
 module Msgvfs = Chorus_kernel.Msgvfs
@@ -165,112 +164,110 @@ let write r ~proc key v perform =
   let op = History.invoke r.hist ~proc ~kind:`Write ~key ~value:v () in
   History.return_ r.hist op (perform ())
 
-(* Schedule-driven injection: [f ~add ~window] turns each fault into
-   actions.  [add t g] runs [g] at [t]; [window at dur on off] runs
-   [on] at [at], counted as a fired fault, and [off] at [at + dur].
-   One injector runs them all; equal times are nudged apart so the
-   sorted order is unambiguous. *)
-let inject r (sch : Schedule.t) f =
-  let actions = ref [] in
+(* See chaos.mli.  The injector sorts its actions stably and nudges
+   equal times one cycle apart, so their order is unambiguous.  Kill
+   windows are a crash-point hook, and the clear waits them out before
+   it disarms: a window opening after the workload drains would
+   otherwise still be armed and kill the recovery probe itself. *)
+let arm ?(on_fire = ignore) ?net ?dev ?cluster (sch : Schedule.t) =
+  let actions = ref [] and kills = ref [] in
   let add t g = actions := (t, g) :: !actions in
-  let window at dur on off =
-    add at (fun () ->
-        incr r.fired;
-        on ());
-    add (at + dur) off
+  (* skip an empty window: its close would sort before its open *)
+  let window target f at dur on off =
+    if dur > 0 then
+      Option.iter
+        (fun x ->
+          add at (fun () ->
+              on_fire f;
+              on x);
+          add (at + dur) (fun () -> off x))
+        target
   in
-  List.iter (f ~add ~window) sch.Schedule.faults;
-  match List.stable_sort (fun (a, _) (b, _) -> compare a b) !actions with
-  | [] -> None
-  | l ->
-    let rec spread last = function
-      | [] -> []
-      | (t, g) :: rest ->
-        let t = if t <= last then last + 1 else t in
-        (t, g) :: spread t rest
-    in
-    let l = spread (-1) l in
-    let arr = Array.of_list l in
-    Some
-      (Faults.start_schedule
-         ~at:(List.map fst l)
-         ~inject:(fun ~n ->
-           (snd arr.(n - 1)) ();
-           true))
-
-(* The fabric's fault windows, whole-fabric and per-link; every other
-   fault kind belongs to a scenario body. *)
-let fabric_window net window = function
-  | Schedule.Frame_loss { at; dur; p } ->
-    window at dur
-      (fun () -> Fabric.set_faults net ~loss:p ())
-      (fun () -> Fabric.set_faults net ~loss:0.0 ())
-  | Schedule.Frame_dup { at; dur; p } ->
-    window at dur
-      (fun () -> Fabric.set_faults net ~dup:p ())
-      (fun () -> Fabric.set_faults net ~dup:0.0 ())
-  | Schedule.Frame_reorder { at; dur; p } ->
-    window at dur
-      (fun () -> Fabric.set_faults net ~reorder:p ())
-      (fun () -> Fabric.set_faults net ~reorder:0.0 ())
-  | Schedule.Frame_delay { at; dur; p; cycles } ->
-    window at dur
-      (fun () -> Fabric.set_faults net ~delay:p ~delay_cycles:cycles ())
-      (fun () -> Fabric.set_faults net ~delay:0.0 ())
-  | Schedule.Link_delay { src; dst; at; dur; p; cycles } ->
-    window at dur
-      (fun () ->
-        Fabric.set_link_faults net ~src ~dst ~delay:p ~delay_cycles:cycles ())
-      (fun () -> Fabric.clear_link_faults net ~src ~dst)
-  | Schedule.Partition { src; dst; at; dur } ->
-    window at dur
-      (fun () -> Fabric.set_link_faults net ~src ~dst ~partition:true ())
-      (fun () -> Fabric.clear_link_faults net ~src ~dst)
-  | Schedule.Kill_node _ | Schedule.Kill_point _ | Schedule.Disk_errors _
-  | Schedule.Kill_provider _ -> ()
-
-(* Wait out the injector, then zero every whole-fabric knob. *)
-let clear_fabric inj net =
-  Option.iter Faults.wait inj;
-  Fabric.set_faults net ~loss:0.0 ~dup:0.0 ~reorder:0.0 ~delay:0.0 ()
-
-(* Crash points: the first dequeue at a kill window's crash point
-   inside the window kills the serving fiber, with the request it just
-   dequeued (the projfs provider's point for [Kill_provider]).
-   Returns the disarm.  Kill windows are hook-based, not
-   injector-based: a window opening after the workload drains would
-   otherwise still be armed and kill the recovery probe itself, so
-   the disarm waits the windows out before claiming "faults
-   cleared". *)
-let arm_crashpoints r (sch : Schedule.t) =
-  let windows =
-    List.filter_map
-      (function
-        | Schedule.Kill_point { point; at; dur } ->
-          Some (point, at, dur, ref false)
-        | Schedule.Kill_provider { at; dur } ->
-          Some (Provider.crashpoint, at, dur, ref false)
-        | _ -> None)
-      sch.Schedule.faults
+  (* a whole-fabric knob: [p] inside the window, zero after it *)
+  let knob f at dur p set =
+    window net f at dur (fun n -> set n p) (fun n -> set n 0.0)
   in
-  Svc.set_crashpoint
-    (Some
-       (fun name ->
-         let now = Fiber.now () in
-         List.iter
-           (fun (pt, at, dur, spent) ->
-             if
-               (not !spent) && String.equal pt name && now >= at
-               && now < at + dur
-             then begin
-               spent := true;
-               incr r.fired;
-               raise Chaos_kill
-             end)
-           windows));
+  let link f ~src ~dst at dur on =
+    window net f at dur on (fun n -> Fabric.clear_link_faults n ~src ~dst)
+  in
+  List.iter
+    (fun f ->
+      match (f : Schedule.fault) with
+      | Kill_node { node; at } ->
+        Option.iter
+          (fun c ->
+            add at (fun () ->
+                if Cluster.node_up c node then begin
+                  on_fire f;
+                  Cluster.crash_node c node
+                end))
+          cluster
+      | Kill_point { point; at; dur } ->
+        kills := (f, point, at, dur, ref false) :: !kills
+      | Frame_loss { at; dur; p } ->
+        knob f at dur p (fun n loss -> Fabric.set_faults n ~loss ())
+      | Frame_dup { at; dur; p } ->
+        knob f at dur p (fun n dup -> Fabric.set_faults n ~dup ())
+      | Frame_reorder { at; dur; p } ->
+        knob f at dur p (fun n reorder -> Fabric.set_faults n ~reorder ())
+      | Frame_delay { at; dur; p; cycles } ->
+        knob f at dur p (fun n delay ->
+            Fabric.set_faults n ~delay ~delay_cycles:cycles ())
+      | Link_delay { src; dst; at; dur; p; cycles } ->
+        link f ~src ~dst at dur (fun n ->
+            Fabric.set_link_faults n ~src ~dst ~delay:p ~delay_cycles:cycles ())
+      | Partition { src; dst; at; dur } ->
+        link f ~src ~dst at dur (fun n ->
+            Fabric.set_link_faults n ~src ~dst ~partition:true ())
+      | Disk_errors { at; dur; p } ->
+        window dev f at dur
+          (fun d -> Blockdev.set_read_fault d ~p ~seed:(sch.seed + at) ())
+          (fun d -> Blockdev.set_read_fault d ()))
+    sch.faults;
+  let kills = List.rev !kills in
+  if kills <> [] then
+    Svc.set_crashpoint
+      (Some
+         (fun name ->
+           let now = Fiber.now () in
+           List.iter
+             (fun (f, point, at, dur, spent) ->
+               if
+                 (not !spent) && String.equal point name && now >= at
+                 && now < at + dur
+               then begin
+                 spent := true;
+                 on_fire f;
+                 raise Chaos_kill
+               end)
+             kills));
+  let injector =
+    match List.stable_sort (fun (a, _) (b, _) -> compare a b) !actions with
+    | [] -> None
+    | l ->
+      let done_ch = Chan.buffered 1 in
+      let last = ref (-1) in
+      ignore
+        (Fiber.spawn ~label:"fault-injector" ~daemon:true (fun () ->
+             List.iter
+               (fun (t, g) ->
+                 last := max t (!last + 1);
+                 let now = Fiber.now () in
+                 if !last > now then Fiber.sleep (!last - now);
+                 g ())
+               l;
+             Chan.send done_ch ()));
+      Some done_ch
+  in
   fun () ->
+    Option.iter Chan.recv injector;
+    Option.iter
+      (fun n ->
+        Fabric.set_faults n ~loss:0.0 ~dup:0.0 ~reorder:0.0 ~delay:0.0 ())
+      net;
+    Option.iter (fun d -> Blockdev.set_read_fault d ()) dev;
     let faults_end =
-      List.fold_left (fun acc (_, at, dur, _) -> max acc (at + dur)) 0 windows
+      List.fold_left (fun acc (_, _, at, dur, _) -> max acc (at + dur)) 0 kills
     in
     let now = Fiber.now () in
     if faults_end > now then Fiber.sleep (faults_end - now);
@@ -350,17 +347,8 @@ let prepare_disk ~corrupt (sch : Schedule.t) =
       [ { Supervisor.cname = "store";
           cstart = Svc.starter ~words_of_resp ep handler } ]
   in
-  let disarm = arm_crashpoints r sch in
   let baseline = live () in
-  let inj =
-    inject r sch (fun ~add:_ ~window -> function
-      | Schedule.Disk_errors { at; dur; p } ->
-        window at dur
-          (fun () ->
-            Blockdev.set_read_fault dev ~p ~seed:(sch.Schedule.seed + at) ())
-          (fun () -> Blockdev.set_read_fault dev ())
-      | _ -> ())
-  in
+  let clear = arm ~on_fire:(fun _ -> incr r.fired) ~dev sch in
   (* workload: 2 procs x 10 single-attempt ops on 4 shared keys *)
   let keys = [| "k0"; "k1"; "k2"; "k3" |] in
   (* one single-attempt call: [map] the reply, or [late] at [timeout] *)
@@ -389,9 +377,7 @@ let prepare_disk ~corrupt (sch : Schedule.t) =
     done
   in
   run_clients client;
-  Option.iter Faults.wait inj;
-  Blockdev.set_read_fault dev ();
-  disarm ();
+  clear ();
   (* recovery oracle: the (supervised, possibly just restarted) store
      must answer again within the bound *)
   let t0 = Fiber.now () in
@@ -502,16 +488,7 @@ let prepare_kv ~lease ~gray ~corrupt (sch : Schedule.t) =
   let probe = mk 103 "probe" in
   Fiber.sleep kv_settle;
   let baseline = live () in
-  let inj =
-    inject r sch (fun ~add ~window -> function
-      | Schedule.Kill_node { node; at } ->
-        add at (fun () ->
-            if Cluster.node_up c node then begin
-              incr r.fired;
-              Cluster.crash_node c node
-            end)
-      | f -> fabric_window net window f)
-  in
+  let clear = arm ~on_fire:(fun _ -> incr r.fired) ~net ~cluster:c sch in
   let keys = [| "k0"; "k1"; "k2" |] in
   let get client key =
     match Client.get client key with
@@ -564,7 +541,7 @@ let prepare_kv ~lease ~gray ~corrupt (sch : Schedule.t) =
       (sum Client.breaker_probes) (sum Client.deadline_misses)
       ls.Fabric.link_delayed ls.Fabric.link_dropped ls.Fabric.partitioned
   end;
-  clear_fabric inj net;
+  clear ();
   (* recovery oracle 1: supervision heals every crashed node *)
   let deadline = Fiber.now () + kv_node_deadline in
   let rec wait_up () =
@@ -749,8 +726,7 @@ let prepare_projfs ~corrupt (sch : Schedule.t) =
   (* the provider's serving fiber dies at its first dequeue inside each
      kill window; the supervisor re-serves the port (stack-side dedup
      cache intact) *)
-  let disarm = arm_crashpoints r sch in
-  let inj = inject r sch (fun ~add:_ ~window -> fabric_window net window) in
+  let clear = arm ~on_fire:(fun _ -> incr r.fired) ~net sch in
   (* the workload's read set, plus one file it never touches for the
      post-fault cold-hydration probe *)
   let file_idx proc i = ((proc * 13) + (i * 7)) mod cat.Provider.nfiles in
@@ -821,8 +797,7 @@ let prepare_projfs ~corrupt (sch : Schedule.t) =
     done
   in
   run_clients client;
-  clear_fabric inj net;
-  disarm ();
+  clear ();
   (* recovery oracle: a never-touched file cold-hydrates within the
      bound once the (restarted) provider answers again *)
   let probe_client = Projfs.client pf in
@@ -862,8 +837,9 @@ let prepare_projfs ~corrupt (sch : Schedule.t) =
 let projfs_faults rng =
   match Rng.int rng 4 with
   | 0 | 1 ->
-    Schedule.Kill_provider
-      { at = 250_000 + Rng.int rng 950_000;
+    Schedule.Kill_point
+      { point = Provider.crashpoint;
+        at = 250_000 + Rng.int rng 950_000;
         dur = 100_000 + Rng.int rng 200_000 }
   | 2 ->
     Schedule.Frame_loss
@@ -954,7 +930,6 @@ let prepare ?(corrupt = false) scenario sch =
 
 let run_one ?corrupt scenario sch =
   let p = prepare ?corrupt scenario sch in
-  Fun.protect ~finally:(fun () -> Svc.set_crashpoint None) @@ fun () ->
   let (_ : Chorus.Runstats.t) = Runtime.run p.pconfig p.pmain in
   p.pfinish ()
 

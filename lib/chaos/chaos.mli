@@ -131,9 +131,31 @@ val prepare : ?corrupt:bool -> scenario -> Schedule.t -> prepared
     [prepare] composed with a full run; the time-travel debugger
     ({!Chorus_debug.Replay}) instead drives [pmain] through
     {!Chorus.Engine.start} / {!Chorus.Engine.run_until} to pause at an
-    arbitrary virtual time and snapshot live state.  A caller that
-    does not run [pmain] to completion must clear the ambient
-    crash-point hook ({!Chorus_svc.Svc.set_crashpoint}) itself. *)
+    arbitrary virtual time and snapshot live state.  [pmain] arms its
+    crash points in the run's own context ({!Chorus.Ctx}), so a run
+    left unfinished leaves no hook behind. *)
+
+val arm :
+  ?on_fire:(Schedule.fault -> unit) ->
+  ?net:Chorus_net.Fabric.t ->
+  ?dev:Chorus_kernel.Blockdev.t ->
+  ?cluster:Chorus_cluster.Cluster.t ->
+  Schedule.t ->
+  unit ->
+  unit
+(** [arm ~net ~dev ~cluster sch], inside a run, is the one way a fault
+    enters it.  Each fault of [sch] acts on its target, and a fault
+    whose target is not passed is ignored: [Kill_node] crashes the
+    node of [cluster] if it is up; [Kill_point] kills the service
+    fiber at its crash point's first dequeue inside its window; the
+    fabric and link faults (on [net]) and [Disk_errors] (on [dev],
+    seeded by the schedule's seed plus [at]) are windows open from
+    [at] for [dur] cycles.  The timed faults run in time order from one
+    daemon fiber.  [on_fire f] runs when [f] fires: a window as it
+    opens, a kill as it kills (a [Kill_node] on a down node does not
+    fire).  The returned clear waits until every timed fault has run,
+    zeroes [net]'s whole-fabric knobs and [dev]'s read faults, waits
+    out the kill windows and disarms the crash points. *)
 
 val run_one : ?corrupt:bool -> scenario -> Schedule.t -> outcome
 (** Run one schedule and check every oracle.  [corrupt] (default

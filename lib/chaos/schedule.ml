@@ -6,7 +6,6 @@ type fault =
   | Frame_reorder of { at : int; dur : int; p : float }
   | Frame_delay of { at : int; dur : int; p : float; cycles : int }
   | Disk_errors of { at : int; dur : int; p : float }
-  | Kill_provider of { at : int; dur : int }
   | Link_delay of {
       src : int;
       dst : int;
@@ -29,7 +28,6 @@ let kind = function
   | Frame_reorder _ -> "reorder"
   | Frame_delay _ -> "delay"
   | Disk_errors _ -> "disk"
-  | Kill_provider _ -> "kill-provider"
   | Link_delay _ -> "link-delay"
   | Partition _ -> "partition"
 
@@ -46,7 +44,6 @@ let fault_to_string = function
     Printf.sprintf "delay(p=%.2f,%dcy)@%d+%d" p cycles at dur
   | Disk_errors { at; dur; p } ->
     Printf.sprintf "disk(p=%.2f)@%d+%d" p at dur
-  | Kill_provider { at; dur } -> Printf.sprintf "kill-provider@%d+%d" at dur
   | Link_delay { src; dst; at; dur; p; cycles } ->
     Printf.sprintf "link-delay(%d>%d,p=%.2f,%dcy)@%d+%d" src dst p cycles at
       dur
@@ -94,21 +91,11 @@ let fault_of_string s =
           Partition { src; dst; at; dur })
     | _ -> fail ()
   in
-  (* kill-provider is the one paren-less form: which fiber dies is
-     implied by the scenario, so only the window is printed *)
-  if
-    String.length s >= 14 && String.equal (String.sub s 0 14) "kill-provider@"
-  then
-    try
-      Scanf.sscanf s "kill-provider@%d+%d%!" (fun at dur ->
-          Kill_provider { at; dur })
-    with Scanf.Scan_failure _ | End_of_file | Failure _ -> fail ()
-  else
-    match String.index_opt s '(' with
-    | None -> fail ()
-    | Some i -> (
-      try parse (String.sub s 0 i) with
-      | Scanf.Scan_failure _ | End_of_file | Failure _ -> fail ())
+  match String.index_opt s '(' with
+  | None -> fail ()
+  | Some i -> (
+    try parse (String.sub s 0 i) with
+    | Scanf.Scan_failure _ | End_of_file | Failure _ -> fail ())
 
 let of_string str =
   let toks =

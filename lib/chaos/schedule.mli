@@ -26,11 +26,6 @@ type fault =
   | Disk_errors of { at : int; dur : int; p : float }
       (** transient {!Chorus_kernel.Blockdev} read faults with
           probability [p] inside the window *)
-  | Kill_provider of { at : int; dur : int }
-      (** crash the projection provider's serving fiber
-          ({!Chorus_projfs.Provider.crashpoint}) at its first dequeue
-          inside [[at, at+dur)] — in-flight hydrations lose their
-          replies; a supervisor re-serves the port after the window *)
   | Link_delay of {
       src : int;
       dst : int;
@@ -55,7 +50,7 @@ val nfaults : t -> int
 val kind : fault -> string
 (** Short tag for histograms: ["kill-node"], ["kill-point"],
     ["loss"], ["dup"], ["reorder"], ["delay"], ["disk"],
-    ["kill-provider"], ["link-delay"], ["partition"]. *)
+    ["link-delay"], ["partition"]. *)
 
 val to_string : t -> string
 (** Compact one-line form, e.g.

@@ -628,7 +628,9 @@ let stop t = t.started <- false
 (* runaway-loop backstop *)
 let max_events = 200_000_000
 
-let step_until t limit =
+(* [to_crash]: stop once the main fiber has crashed, so a failing run
+   does not keep stepping its daemons' timers *)
+let step_until ~to_crash t limit =
   let stack = Domain.DLS.get stepping_key in
   stack := t :: !stack;
   let prev_ctx = Ctx.activate (Some t.ctx) in
@@ -640,7 +642,8 @@ let step_until t limit =
       ignore (Ctx.activate prev_ctx))
   @@ fun () ->
   let rec loop () =
-    if not (Pqueue.is_empty t.events) then begin
+    let crashed = to_crash && Option.is_some t.main_crash in
+    if not (crashed || Pqueue.is_empty t.events) then begin
       let time = Pqueue.min_time t.events in
       if time <= limit then begin
         let thunk = Pqueue.pop t.events in
@@ -664,7 +667,7 @@ let step_until t limit =
 let run_until t limit =
   if not t.started then
     failwith "Engine.run_until: engine not started (call Engine.start)";
-  step_until t limit
+  step_until ~to_crash:false t limit
 
 let drained t = Pqueue.is_empty t.events
 
@@ -672,7 +675,7 @@ let finish t =
   Fun.protect
     ~finally:(fun () -> stop t)
     (fun () ->
-      step_until t max_int;
+      step_until ~to_crash:true t max_int;
       (match t.main_crash with Some e -> raise e | None -> ());
       if t.live_nondaemon > 0 then raise (Deadlock (deadlock_report t)))
 

@@ -73,11 +73,10 @@ val ctx : t -> Ctx.t
 
 val run : t -> (unit -> unit) -> unit
 (** [run t main] spawns [main] as fiber 0 on core 0 and processes
-    events until none remain.  Raises [Deadlock] as described above,
-    [Failure] if the event cap is hit, and re-raises the first
-    exception that crashed a {e monitored-by-nobody} non-daemon fiber
-    only if it was the main fiber; other crashes are reported through
-    monitors (supervision is a feature, not an accident). *)
+    events until none remain or [main] crashes.  Raises [Deadlock] as
+    described above, [Failure] if the event cap is hit, and [main]'s
+    own exception if it crashed; crashes of other fibers are reported
+    through monitors (supervision is a feature, not an accident). *)
 
 val current : unit -> t
 (** The engine whose events the calling domain is currently stepping
@@ -122,7 +121,9 @@ val run_until : t -> int -> unit
 val finish : t -> unit
 (** Drain every remaining event, then apply {!run}'s end-of-run
     checks (main-fiber crash re-raise, deadlock detection) and mark
-    the run over. *)
+    the run over.  A crash of the main fiber ends the draining at
+    once: the crash is re-raised without stepping the daemons that
+    outlive it. *)
 
 val stop : t -> unit
 (** Abandon a stepped run: mark it over without draining or checking

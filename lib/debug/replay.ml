@@ -23,7 +23,6 @@ let run_to scenario sch ~at =
   Fun.protect
     ~finally:(fun () ->
       Engine.stop eng;
-      Chorus_svc.Svc.set_crashpoint None;
       Metrics.uninstall ())
     (fun () ->
       Engine.start eng p.Chaos.pmain;

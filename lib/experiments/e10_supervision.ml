@@ -3,9 +3,11 @@
 
    A bank of 8 request-processing services is driven by 24 clients
    (every call guarded by a timeout — lost requests count as failures).
-   A fault injector crashes random services at exponentially
-   distributed intervals.  Three recovery postures: none (dead services
-   stay dead), one_for_one supervision, one_for_all supervision.
+   The fault plan kills random services at exponentially distributed
+   times, each at its first dequeue in a window one crash interval
+   long, with the request it dequeued.  Three recovery postures: none
+   (dead services stay dead), one_for_one supervision, one_for_all
+   supervision.
 
    Availability = successful requests / issued; "nines" is
    -log10(1 - availability).  The Erlang claim is that supervision
@@ -16,8 +18,9 @@ module Fiber = Chorus.Fiber
 module Chan = Chorus.Chan
 module Svc = Chorus_svc.Svc
 module Supervisor = Chorus_kernel.Supervisor
-module Faults = Chorus_workload.Faults
 module Rng = Chorus_util.Rng
+module Chaos = Chorus_chaos.Chaos
+module Schedule = Chorus_chaos.Schedule
 
 let nservices = 8
 
@@ -33,8 +36,8 @@ let posture_name = function
 let service_body ep () =
   Fiber.spawn ~label:"svc" ~daemon:true (fun () ->
       Svc.serve ep (fun v ->
-          (* the handler has an internal scheduling point, so a crash
-             can land mid-request and lose the in-flight work *)
+          (* a kill lands as the request is dequeued, before this
+             handler, and loses that request *)
           Fiber.work 150;
           Fiber.yield ();
           Fiber.work 150;
@@ -49,17 +52,10 @@ let run_posture ~quick ~seed ~crash_interval posture =
               Svc.create ~subsystem:"supervised"
                 ~label:(Printf.sprintf "svc-%d" i) ())
         in
-        (* registry of the current incarnation of each service *)
-        let current = Array.make nservices None in
-        let start i =
-          let f = service_body eps.(i) () in
-          current.(i) <- Some f;
-          f
-        in
         let sup =
           match posture with
           | No_recovery ->
-            Array.iteri (fun i _ -> ignore (start i)) eps;
+            Array.iter (fun ep -> ignore (service_body ep ())) eps;
             None
           | One_one | One_all ->
             let strategy =
@@ -70,19 +66,21 @@ let run_posture ~quick ~seed ~crash_interval posture =
               (Supervisor.start ~max_restarts:1_000_000 strategy
                  (List.init nservices (fun i ->
                       { Supervisor.cname = Printf.sprintf "svc-%d" i;
-                        cstart = (fun () -> start i) })))
+                        cstart = service_body eps.(i) })))
         in
-        (* fault injection: kill a random live service *)
+        (* fault plan: kill a random service at its next dequeue *)
         let vic_rng = Rng.make (seed + 99) in
-        let injector =
-          Faults.start
-            { Faults.mean_interval = crash_interval;
-              crashes = pick ~quick 60 300;
-              seed = seed + 7 }
-            ~victims:(fun () ->
-              current.(Rng.int vic_rng nservices))
+        let kill _ at =
+          Schedule.Kill_point
+            { point =
+                Printf.sprintf "supervised.svc-%d" (Rng.int vic_rng nservices);
+              at;
+              dur = crash_interval }
         in
-        ignore injector;
+        let clear =
+          Chaos.arm
+            (crash_plan ~seed ~mean:crash_interval (pick ~quick 60 300) kill)
+        in
         (* clients: calls with timeouts; a timeout is a failed request *)
         let succeeded = ref 0 and failed = ref 0 in
         let clients =
@@ -104,6 +102,7 @@ let run_posture ~quick ~seed ~crash_interval posture =
                   done))
         in
         List.iter (fun f -> ignore (Fiber.join f)) clients;
+        clear ();
         let restarts =
           match sup with Some s -> Supervisor.restarts s | None -> 0
         in

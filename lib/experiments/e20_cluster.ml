@@ -5,9 +5,9 @@
    client/server network application" and that, following Erlang, the
    goal should be "aiming for not failing" rather than never crashing.
    This experiment composes both: a sharded, replicated KV cluster
-   (lib/cluster) runs over a lossy fabric while a fault injector
-   crashes whole nodes; a smart client keeps issuing writes and reads
-   through elections and node restarts.
+   (lib/cluster) runs over a lossy fabric while a fault plan crashes
+   whole nodes; a smart client keeps issuing writes and reads through
+   elections and node restarts.
 
    Table 1 measures end-to-end availability under combined frame loss
    and node crashes, with the supervisor healing crashed nodes.
@@ -19,78 +19,81 @@ open Exp_common
 module Fiber = Chorus.Fiber
 module Fabric = Chorus_net.Fabric
 module Stack = Chorus_net.Stack
-module Faults = Chorus_workload.Faults
 module Shardmap = Chorus_cluster.Shardmap
 module Cluster = Chorus_cluster.Cluster
 module Client = Chorus_cluster.Client
+module Chaos = Chorus_chaos.Chaos
+module Schedule = Chorus_chaos.Schedule
 
-let mk ~loss ~seed ~nnodes ~replication net_seed =
+let mk ~nshards ~loss ~seed ~nnodes ~replication net_seed =
   let net = Fabric.create ~latency:5_000 ~loss ~seed:net_seed () in
-  let c =
-    Cluster.create ~nshards:8 ~replication ~seed ~nnodes net
-  in
+  let c = Cluster.create ~nshards ~replication ~seed ~nnodes net in
   Cluster.start c;
   let cstack = Stack.create net (Fabric.attach net ~label:"client" ()) in
   let client = Client.create ~seed ~bootstrap:(Cluster.addrs c) cstack in
   (c, client)
 
-(* One posture of the availability matrix: [ops] writes with rolling
-   node crashes, then every acked key is read back and checked. *)
-let run_posture ~quick ~seed ~loss ~crash =
-  let ops = pick ~quick 120 400 in
-  let (acked, lost, bad_reads, crashes, restarts, op_retries), _stats =
-    run ~seed ~cores:32 (fun () ->
-        let c, client =
-          mk ~loss ~seed ~nnodes:5 ~replication:3 (seed + 1)
-        in
-        Fiber.sleep 1_000_000;
-        let injector =
-          if crash then begin
-            let addrs = Array.of_list (Cluster.addrs c) in
-            Some
-              (Faults.start_actions
-                 { Faults.mean_interval = pick ~quick 400_000 600_000;
-                   crashes = pick ~quick 4 10;
-                   seed = seed + 7 }
-                 ~inject:(fun ~n ->
-                   let a = addrs.(n mod Array.length addrs) in
-                   if Cluster.node_up c a then begin
-                     Cluster.crash_node c a;
-                     true
-                   end
-                   else false))
-            end
-          else None
-        in
-        let acked = ref [] and lost = ref 0 in
-        for i = 0 to ops - 1 do
-          let k = Printf.sprintf "key-%04d" i in
-          match Client.put client k (string_of_int i) with
-          | `Ok -> acked := i :: !acked
-          | `Net_fail -> incr lost
-        done;
-        (match injector with Some inj -> Faults.wait inj | None -> ());
-        Fiber.sleep 1_000_000;
-        let bad_reads = ref 0 in
-        List.iter
-          (fun i ->
-            let k = Printf.sprintf "key-%04d" i in
-            match Client.get client k with
-            | `Found v when v = string_of_int i -> ()
-            | `Found _ | `Miss | `Net_fail -> incr bad_reads)
-          !acked;
-        let r =
-          ( List.length !acked,
-            !lost,
-            !bad_reads,
-            Cluster.node_crashes c,
-            Cluster.restarts c,
-            Client.retries client )
-        in
-        Cluster.stop c;
-        r)
-  in
-  (acked, lost, bad_reads, crashes, restarts, op_retries)
+(* The availability driver: boot [nnodes] nodes serving [nshards]
+   shards x [replication] over a fabric losing [loss] of its frames,
+   put [ops] keys while [crashes] node kills land at exponentially
+   spaced times (mean [crash_gap] cycles), then read every acked key
+   back, and return what the run saw.  E20's table and [chorus_sim
+   cluster] run it. *)
+type availability = {
+  acked : int;
+  unavailable : int;  (** puts that failed *)
+  lost_acked : int;  (** acked keys the read-back missed *)
+  crashes : int;  (** node-down events the failure detector saw *)
+  restarts : int;
+  retries : int;
+  redirects : int;
+  elections : int;
+  leader_changes : int;
+  leaders : int list;  (** each shard's leader at the end *)
+}
+
+let availability ~seed ~nnodes ~nshards ~replication ~ops ~loss ~crashes
+    ~crash_gap =
+  run ~seed ~cores:32 (fun () ->
+      let c, client = mk ~nshards ~loss ~seed ~nnodes ~replication (seed + 1) in
+      Fiber.sleep 1_000_000;
+      let addrs = Array.of_list (Cluster.addrs c) in
+      let kill n at =
+        Schedule.Kill_node { node = addrs.((n + 1) mod Array.length addrs); at }
+      in
+      let clear =
+        Chaos.arm ~cluster:c (crash_plan ~seed ~mean:crash_gap crashes kill)
+      in
+      let key i = Printf.sprintf "key-%04d" i in
+      let acked = ref [] and unavailable = ref 0 in
+      for i = 0 to ops - 1 do
+        match Client.put client (key i) (string_of_int i) with
+        | `Ok -> acked := i :: !acked
+        | `Net_fail -> incr unavailable
+      done;
+      clear ();
+      Fiber.sleep 1_000_000;
+      let lost_acked = ref 0 in
+      List.iter
+        (fun i ->
+          match Client.get client (key i) with
+          | `Found v when v = string_of_int i -> ()
+          | `Found _ | `Miss | `Net_fail -> incr lost_acked)
+        !acked;
+      let r =
+        { acked = List.length !acked;
+          unavailable = !unavailable;
+          lost_acked = !lost_acked;
+          crashes = Cluster.node_crashes c;
+          restarts = Cluster.restarts c;
+          retries = Client.retries client;
+          redirects = Client.redirects client;
+          elections = Cluster.elections_started c;
+          leader_changes = Cluster.leader_changes c;
+          leaders = List.init nshards (Cluster.leader_of c) }
+      in
+      Cluster.stop c;
+      r)
 
 let nines availability =
   if availability >= 1.0 then 9.9 else -.log10 (1.0 -. availability)
@@ -103,7 +106,9 @@ let run_failover ~quick ~seed ~nnodes =
   let ops = pick ~quick 60 200 in
   let (window, tput_ops, acked), stats =
     run ~seed ~cores:32 (fun () ->
-        let c, client = mk ~loss:0.0 ~seed ~nnodes ~replication (seed + 3) in
+        let c, client =
+          mk ~nshards:8 ~loss:0.0 ~seed ~nnodes ~replication (seed + 3)
+        in
         Fiber.sleep 1_000_000;
         (* steady-state throughput *)
         let t0 = Fiber.now () in
@@ -166,20 +171,25 @@ let run ~quick ~seed =
   in
   List.iter
     (fun (loss, crash) ->
-      let acked, lost, bad, crashes, restarts, retries =
-        run_posture ~quick ~seed ~loss ~crash
+      let a, _ =
+        availability ~seed ~nnodes:5 ~nshards:8 ~replication:3
+          ~ops:(pick ~quick 120 400) ~loss
+          ~crashes:(if crash then pick ~quick 4 10 else 0)
+          ~crash_gap:(pick ~quick 400_000 600_000)
       in
-      let avail_f = float_of_int acked /. float_of_int (acked + lost) in
+      let avail_f =
+        float_of_int a.acked /. float_of_int (a.acked + a.unavailable)
+      in
       Tablefmt.add_row avail
         [ Printf.sprintf "%.0f%%" (100.0 *. loss);
-          string_of_int crashes;
-          string_of_int acked;
-          string_of_int lost;
+          string_of_int a.crashes;
+          string_of_int a.acked;
+          string_of_int a.unavailable;
           Printf.sprintf "%.5f" avail_f;
           Tablefmt.cell_float (nines avail_f);
-          string_of_int bad;
-          string_of_int restarts;
-          string_of_int retries ])
+          string_of_int a.lost_acked;
+          string_of_int a.restarts;
+          string_of_int a.retries ])
     [ (0.0, false); (0.01, false); (0.01, true); (0.03, true) ];
   let failover =
     Tablefmt.create

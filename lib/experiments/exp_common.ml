@@ -2,6 +2,7 @@ module Machine = Chorus_machine.Machine
 module Policy = Chorus_sched.Policy
 module Tablefmt = Chorus_util.Tablefmt
 module Histogram = Chorus_util.Histogram
+module Rng = Chorus_util.Rng
 module Runstats = Chorus.Runstats
 module Runtime = Chorus.Runtime
 module Fsload = Chorus_workload.Fsload
@@ -43,6 +44,17 @@ let run_fs ~seed m server cfg =
         L.run_clients (fun _ -> fs) cfg)
 
 let pick ~quick q f = if quick then q else f
+
+let crash_plan ~seed ~mean n fault =
+  let rng = Rng.make (seed + 7) in
+  let rec go i at =
+    if i = n then []
+    else
+      let at = at + 1 + int_of_float (Rng.exponential rng (float mean)) in
+      let f = fault i at in
+      f :: go (i + 1) at
+  in
+  { Chorus_chaos.Schedule.seed; faults = go 0 (Chorus.Fiber.now ()) }
 
 let core_sweep ~quick =
   let top = if quick then 256 else 1024 in

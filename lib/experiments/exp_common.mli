@@ -39,5 +39,13 @@ val run_fs :
 val pick : quick:bool -> int -> int -> int
 (** [pick ~quick q f] is [q] in quick mode, [f] in full mode. *)
 
+val crash_plan :
+  seed:int -> mean:int -> int -> (int -> int -> Chorus_chaos.Schedule.fault) ->
+  Chorus_chaos.Schedule.t
+(** [crash_plan ~seed ~mean n fault], inside a run: the faults
+    [fault i at] for i = 0..n-1, each [at] 1 plus an exponential draw
+    of mean [mean] cycles ([Rng.make (seed + 7)]) after the one before,
+    the first after now. *)
+
 val core_sweep : quick:bool -> int list
 (** 1..1024 powers of two (1..256 in quick mode). *)

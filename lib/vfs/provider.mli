@@ -41,7 +41,8 @@ val port : int
 
 val crashpoint : string
 (** The provider's {!Chorus_svc.Svc} crash-point name
-    (["net.port-7300"]) — what a [kill-provider] chaos fault targets. *)
+    (["net.port-7300"]) — what the projfs chaos scenario's [kill-point]
+    faults target. *)
 
 val ndirs : catalog -> int
 

@@ -1,13 +1,20 @@
 (* Tests for the chaos engine: the Wing–Gong linearizability checker
-   on hand-built histories (legal and illegal), schedule shrinking
-   neighbourhoods, the scenario registry (names, per-scenario green
-   campaigns, a pinned all-scenario digest), byte-identical replay of
-   individual runs, and the oracle selftest (a planted violation must
-   be caught, shrunk to zero faults, and replayed). *)
+   on hand-built histories (legal and illegal), the one fault injector
+   ({!Chaos.arm}), schedule shrinking neighbourhoods, the scenario
+   registry (names, per-scenario green campaigns, a pinned
+   all-scenario digest), byte-identical replay of individual runs, and
+   the oracle selftest (a planted violation must be caught, shrunk to
+   zero faults, and replayed). *)
 
 module Lin = Chorus_chaos.Lin
 module Schedule = Chorus_chaos.Schedule
 module Chaos = Chorus_chaos.Chaos
+module Fiber = Chorus.Fiber
+module Runtime = Chorus.Runtime
+module Machine = Chorus_machine.Machine
+module Blockdev = Chorus_kernel.Blockdev
+module Fabric = Chorus_net.Fabric
+module Cluster = Chorus_cluster.Cluster
 
 (* ------------------------------------------------------------------ *)
 (* Lin: per-key register checker                                       *)
@@ -71,6 +78,105 @@ let test_lin_lost_read () =
     [ wr "a" 0 10;
       { (rd (Some "ghost") 20 0) with Lin.returned = None };
       rd (Some "a") 40 50 ]
+
+(* ------------------------------------------------------------------ *)
+(* Chaos.arm: the one injector                                         *)
+
+let run_cores cores main =
+  let (_ : Chorus.Runstats.t) =
+    Runtime.run (Runtime.config (Machine.mesh ~cores)) main
+  in
+  ()
+
+let disk ?(p = 0.5) ?(dur = 100) at = Schedule.Disk_errors { at; dur; p }
+
+(* [on_fire] for {!Chaos.arm} that logs each firing with its time *)
+let firings () =
+  let log = ref [] in
+  (log, fun f -> log := (Fiber.now (), f) :: !log)
+
+(* the faults fired, in order, and each within 1,000 cycles after its
+   time (the injector wakes a few cycles after the time it slept to) *)
+let check_fired what expected log =
+  let fired = List.rev !log in
+  let line faults = Schedule.to_string { Schedule.seed = 0; faults } in
+  Alcotest.(check string)
+    (what ^ ": faults in firing order")
+    (line expected)
+    (line (List.map snd fired));
+  List.iter
+    (fun (now, f) ->
+      let at =
+        match f with
+        | Schedule.Disk_errors { at; _ } | Schedule.Kill_node { at; _ } -> at
+        | f -> Alcotest.failf "unexpected %s" (Schedule.kind f)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: fault at %d fired at %d" what at now)
+        true
+        (now >= at && now < at + 1_000))
+    fired
+
+let test_arm_time_order () =
+  (* unsorted, with two faults at one time: each fires at its time, in
+     time order; a tie is nudged one cycle apart in the injector's
+     stable sort of its (prepended) actions, so the later-listed fault
+     of the tie fires first.  The injector wakes 30 cycles after the
+     first of the two, so both fire in the same cycle.  An empty
+     window never opens. *)
+  let log, on_fire = firings () in
+  run_cores 4 (fun () ->
+      let dev = Blockdev.start () in
+      let clear =
+        Chaos.arm ~on_fire ~dev
+          { Schedule.seed = 1;
+            faults =
+              [ disk 9_000; disk ~dur:0 3_000; disk 1_000; disk ~p:0.25 5_000;
+                disk ~p:0.75 5_000 ] }
+      in
+      clear ());
+  check_fired "disk windows"
+    [ disk 1_000; disk ~p:0.75 5_000; disk ~p:0.25 5_000; disk 9_000 ]
+    log
+
+let test_arm_outlives_workload () =
+  (* a fault far past the workload's end still fires at its time, and
+     the run still ends: the injector is a daemon *)
+  let log, on_fire = firings () in
+  run_cores 4 (fun () ->
+      let dev = Blockdev.start () in
+      let (_ : unit -> unit) =
+        Chaos.arm ~on_fire ~dev
+          { Schedule.seed = 1; faults = [ disk 60_000_000_000; disk 1_000 ] }
+      in
+      Fiber.sleep 10_000);
+  check_fired "late window" [ disk 1_000; disk 60_000_000_000 ] log
+
+let test_arm_kill_node_down () =
+  (* node 1 goes down about 90 cycles after a kill and is back about
+     600 cycles later: a second kill 200 cycles after the first finds
+     it down and is not counted; a kill after the restart is *)
+  let log, on_fire = firings () in
+  let crashes = ref 0 and restarts = ref 0 in
+  let kill at = Schedule.Kill_node { node = 1; at } in
+  run_cores 16 (fun () ->
+      let net = Fabric.create ~latency:5_000 ~seed:3 () in
+      let c = Cluster.create ~nshards:2 ~replication:3 ~seed:3 ~nnodes:3 net in
+      Cluster.start c;
+      Fiber.sleep 1_000_000;
+      let clear =
+        Chaos.arm ~on_fire ~cluster:c
+          { Schedule.seed = 3;
+            faults = [ kill 1_200_000; kill 1_200_200; kill 3_000_000 ] }
+      in
+      clear ();
+      Fiber.sleep 100_000;
+      crashes := Cluster.node_crashes c;
+      restarts := Cluster.restarts c;
+      Cluster.stop c);
+  check_fired "node kills" [ kill 1_200_000; kill 3_000_000 ] log;
+  Alcotest.(check int) "node crashes" 2 !crashes;
+  Alcotest.(check int) "restarts" 2 !restarts
 
 (* ------------------------------------------------------------------ *)
 (* Schedule                                                            *)
@@ -284,6 +390,13 @@ let () =
           Alcotest.test_case "stale-read" `Quick test_lin_stale_read;
           Alcotest.test_case "lost-write" `Quick test_lin_lost_write;
           Alcotest.test_case "lost-read" `Quick test_lin_lost_read ] );
+      ( "arm",
+        [ Alcotest.test_case "unsorted faults fire in time order" `Quick
+            test_arm_time_order;
+          Alcotest.test_case "a fault past the workload still fires" `Quick
+            test_arm_outlives_workload;
+          Alcotest.test_case "a kill-node on a down node is not counted"
+            `Quick test_arm_kill_node_down ] );
       ( "schedule",
         [ Alcotest.test_case "subschedules" `Quick test_schedule_subschedules;
           Alcotest.test_case "link-fault round trip" `Quick

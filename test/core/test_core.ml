@@ -52,7 +52,25 @@ let test_join_crashed () =
 
 let test_main_crash_propagates () =
   Alcotest.check_raises "main crash re-raised" (Failure "mainboom")
-    (fun () -> ignore (run (fun () -> failwith "mainboom")))
+    (fun () -> ignore (run (fun () -> failwith "mainboom")));
+  (* a daemon that re-arms its timer forever must not keep the run
+     stepping after main crashed *)
+  let eng = Engine.create (cfg ()) in
+  Alcotest.check_raises "main crash beside a live daemon" (Failure "mainboom")
+    (fun () ->
+      Engine.run eng (fun () ->
+          let (_ : Fiber.t) =
+            Fiber.spawn ~daemon:true (fun () ->
+                while true do
+                  Fiber.sleep 1_000
+                done)
+          in
+          Fiber.sleep 10_000;
+          failwith "mainboom"));
+  let events = (Engine.counters eng).Engine.events in
+  Alcotest.(check bool)
+    (Printf.sprintf "re-raised after %d events" events)
+    true (events < 1_000)
 
 let test_rendezvous_order () =
   let got = ref [] in

@@ -170,10 +170,6 @@ let test_schedule_roundtrip () =
           (Schedule.to_string (Schedule.of_string printed))
       done)
     [ Chaos.Disk; Chaos.Kv; Chaos.Projfs ];
-  Alcotest.(check string) "kill-provider parses without parens"
-    "seed=5 kill-provider@300000+120000"
-    (Schedule.to_string
-       (Schedule.of_string "seed=5 kill-provider@300000+120000"));
   Alcotest.(check string) "fault-free" "seed=3 (no faults)"
     (Schedule.to_string (Schedule.of_string "seed=3 (no faults)"))
 

@@ -1,5 +1,4 @@
-(* Tests for the workload generators: fsload, pipeline, mapred, gui,
-   fault injection. *)
+(* Tests for the workload generators: fsload, pipeline, mapred, gui. *)
 
 module Machine = Chorus_machine.Machine
 module Policy = Chorus_sched.Policy
@@ -11,7 +10,6 @@ module Fsload = Chorus_workload.Fsload
 module Pipeline = Chorus_workload.Pipeline
 module Mapred = Chorus_workload.Mapred
 module Gui = Chorus_workload.Gui
-module Faults = Chorus_workload.Faults
 module Fsmodel = Chorus_fsspec.Fsmodel
 module Libos = Chorus_kernel.Libos
 
@@ -153,108 +151,6 @@ let test_gui_peer_updates_faster () =
     (Printf.sprintf "peer %.0f < hier %.0f" !peer !hier)
     true (!peer < !hier)
 
-(* ------------------------------------------------------------------ *)
-(* Faults                                                              *)
-
-let test_faults_kill_victims () =
-  let (_ : Runstats.t) =
-    run (fun () ->
-        let victims =
-          Array.init 4 (fun i ->
-              Fiber.spawn ~label:(Printf.sprintf "victim-%d" i) ~daemon:true
-                (fun () -> Fiber.sleep 100_000_000))
-        in
-        let next = ref 0 in
-        let injector =
-          Faults.start
-            { Faults.mean_interval = 1_000; crashes = 4; seed = 3 }
-            ~victims:(fun () ->
-              let v = victims.(!next) in
-              incr next;
-              Some v)
-        in
-        Faults.wait injector;
-        Alcotest.(check int) "all injected" 4 (Faults.injected injector);
-        Alcotest.(check int) "log matches" 4 (List.length (Faults.log injector));
-        Array.iter
-          (fun v ->
-            Alcotest.(check bool) "victim dead" false (Fiber.alive v))
-          victims)
-  in
-  ()
-
-let test_faults_skip_none () =
-  let (_ : Runstats.t) =
-    run (fun () ->
-        let injector =
-          Faults.start
-            { Faults.mean_interval = 100; crashes = 5; seed = 1 }
-            ~victims:(fun () -> None)
-        in
-        Faults.wait injector;
-        Alcotest.(check int) "nothing injected" 0 (Faults.injected injector))
-  in
-  ()
-
-let test_faults_schedule_exact_times () =
-  let (_ : Runstats.t) =
-    run (fun () ->
-        let seen = ref [] in
-        let injector =
-          (* deliberately unsorted: the schedule sorts internally *)
-          Faults.start_schedule ~at:[ 9_000; 1_000; 5_000 ]
-            ~inject:(fun ~n ->
-              seen := (n, Fiber.now ()) :: !seen;
-              true)
-        in
-        Faults.wait injector;
-        Alcotest.(check int) "all injected" 3 (Faults.injected injector);
-        (* the injector wakes at the first instant >= the scheduled
-           time; fiber scheduling itself costs a few cycles *)
-        List.iter2
-          (fun scheduled fired ->
-            Alcotest.(check bool)
-              (Printf.sprintf "fired at ~%d (%d)" scheduled fired)
-              true
-              (fired >= scheduled && fired < scheduled + 1_000))
-          [ 1_000; 5_000; 9_000 ] (Faults.log injector);
-        Alcotest.(check (list int)) "inject saw 1-based indices in order"
-          [ 1; 2; 3 ]
-          (List.rev_map fst !seen))
-  in
-  ()
-
-let test_faults_schedule_outlives_workload () =
-  (* a schedule extending far past the workload must not wedge the
-     run: the injector is a daemon fiber, virtual time is free, so the
-     run still terminates and the late injection fires at its
-     scheduled (virtual) instant long after the real work ended *)
-  let injector = ref None in
-  let times = ref [] in
-  let (_ : Runstats.t) =
-    run (fun () ->
-        injector :=
-          Some
-            (Faults.start_schedule
-               ~at:[ 1_000; 60_000_000_000 ]
-               ~inject:(fun ~n:_ ->
-                 times := Fiber.now () :: !times;
-                 true));
-        Fiber.sleep 10_000)
-  in
-  (match !injector with
-  | None -> Alcotest.fail "injector never started"
-  | Some t ->
-    Alcotest.(check int) "both injections fired" 2 (Faults.injected t);
-    match List.rev !times with
-    | [ first; late ] ->
-      Alcotest.(check bool) "first fired during the workload" true
-        (first < 10_000);
-      Alcotest.(check bool) "late one fired past the workload's end" true
-        (late >= 60_000_000_000)
-    | l -> Alcotest.failf "expected 2 injection times, got %d" (List.length l));
-  ()
-
 let () =
   Alcotest.run "chorus-workload"
     [ ( "fsload",
@@ -273,11 +169,4 @@ let () =
         [ Alcotest.test_case "both complete" `Quick
             test_gui_both_structures_complete;
           Alcotest.test_case "peer faster updates" `Quick
-            test_gui_peer_updates_faster ] );
-      ( "faults",
-        [ Alcotest.test_case "kills victims" `Quick test_faults_kill_victims;
-          Alcotest.test_case "skips none" `Quick test_faults_skip_none;
-          Alcotest.test_case "schedule exact times" `Quick
-            test_faults_schedule_exact_times;
-          Alcotest.test_case "schedule outlives workload" `Quick
-            test_faults_schedule_outlives_workload ] ) ]
+            test_gui_peer_updates_faster ] ) ]
