@@ -266,7 +266,7 @@ let write_chaos_json file =
 let write_vfs_json file =
   let module E23 = Chorus_experiments.E23_projfs in
   let module Chaos = Chorus_chaos.Chaos in
-  banner "Projected FS: hydration, name cache, storms (virtual)";
+  banner "Projected FS: hydration, storms (virtual)";
   let o = E23.measure_open ~quick:true ~seed:42 in
   Printf.printf
     "open: %d files  cold p50 %d p99 %d  warm p50 %d p99 %d  hydrations %d\n"
@@ -290,15 +290,14 @@ let write_vfs_json file =
     "chaos: %d provider-kill runs  ops %d  injected %d  violations %d\n"
     r.Chaos.runs r.Chaos.total_ops r.Chaos.faults_injected
     (List.length r.Chaos.violations);
-  let b = json_doc "vfs-v1" ~seed:42 in
+  let b = json_doc "vfs-v2" ~seed:42 in
   Buffer.add_string b
     (Printf.sprintf
        "  \"open\": { \"files\": %d, \"cold_p50_cycles\": %d, \
         \"cold_p99_cycles\": %d, \"warm_p50_cycles\": %d, \
-        \"warm_p99_cycles\": %d, \"hydrations\": %d, \
-        \"namecache_hits\": %d, \"namecache_misses\": %d },\n"
+        \"warm_p99_cycles\": %d, \"hydrations\": %d },\n"
        o.E23.files o.E23.cold_p50 o.E23.cold_p99 o.E23.warm_p50
-       o.E23.warm_p99 o.E23.hydrations o.E23.nc_hits o.E23.nc_misses);
+       o.E23.warm_p99 o.E23.hydrations);
   Buffer.add_string b "  \"storm\": [";
   List.iteri
     (fun i (s : Chorus_experiments.E23_projfs.storm_sample) ->

@@ -468,7 +468,7 @@ let prepare_kv ~lease ~gray ~corrupt (sch : Schedule.t) =
     Cluster.create ?raft ~nshards:2 ~replication:3 ~seed:sch.Schedule.seed
       ~nnodes:3 net
   in
-  Cluster.start ~max_restarts:100 ~window:1_000_000_000 c;
+  Cluster.start c;
   let mk ?attempts ?breaker ?op_budget s label =
     Client.create ?attempts ?breaker ?op_budget ~seed:(sch.Schedule.seed + s)
       ~bootstrap:(Cluster.addrs c)
@@ -725,8 +725,11 @@ let prepare_projfs ~corrupt (sch : Schedule.t) =
   in
   (* the provider's serving fiber dies at its first dequeue inside each
      kill window; the supervisor re-serves the port (stack-side dedup
-     cache intact) *)
+     cache intact).  The fibers [arm] spawns (its injector) have
+     exited by the leak check, so the baseline leaves them out *)
+  let before_arm = live () in
   let clear = arm ~on_fire:(fun _ -> incr r.fired) ~net sch in
+  let armed = live () - before_arm in
   (* the workload's read set, plus one file it never touches for the
      post-fault cold-hydration probe *)
   let file_idx proc i = ((proc * 13) + (i * 7)) mod cat.Provider.nfiles in
@@ -755,19 +758,19 @@ let prepare_projfs ~corrupt (sch : Schedule.t) =
   (* pre-walk: spawn every reachable vnode (a stat walks but does not
      hydrate) so the quiescence baseline includes the namespace itself
      and only transient fibers count as leaks *)
-  let prewalk = Projfs.client pf in
+  let prewalk = Msgvfs.client fs in
   List.iter
     (fun idx ->
       let path = Projfs.mount_path pf ^ "/" ^ Provider.rel_path cat idx in
-      ignore (Projfs.stat prewalk path))
+      ignore (Msgvfs.stat prewalk path))
     seeded;
-  let baseline = live () in
+  let baseline = live () - armed in
   let read_file c path =
-    match Projfs.open_ c path with
+    match Msgvfs.open_ c path with
     | Error _ -> History.Lost
     | Ok fd ->
-      let res = Projfs.read c fd ~off:0 ~len:Fsspec.block_size in
-      ignore (Projfs.close c fd);
+      let res = Msgvfs.read c fd ~off:0 ~len:Fsspec.block_size in
+      ignore (Msgvfs.close c fd);
       (match res with
       | Ok data -> History.Value (Some data)
       | Error _ -> History.Lost)
@@ -783,7 +786,7 @@ let prepare_projfs ~corrupt (sch : Schedule.t) =
     | _ -> false
   in
   let client proc =
-    let c = Projfs.client pf in
+    let c = Msgvfs.client fs in
     for i = 0 to nops - 1 do
       Fiber.sleep (30_000 + ((((proc * 7) + (i * 13)) mod 9) * 15_000));
       let rel = Provider.rel_path cat (file_idx proc i) in
@@ -800,7 +803,7 @@ let prepare_projfs ~corrupt (sch : Schedule.t) =
   clear ();
   (* recovery oracle: a never-touched file cold-hydrates within the
      bound once the (restarted) provider answers again *)
-  let probe_client = Projfs.client pf in
+  let probe_client = Msgvfs.client fs in
   let rel = Provider.rel_path cat cold_idx in
   let path = Projfs.mount_path pf ^ "/" ^ rel in
   let t0 = Fiber.now () in

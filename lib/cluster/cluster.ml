@@ -303,7 +303,7 @@ let start_node t ni =
       end);
   root
 
-let start ?(max_restarts = 100) ?(window = 50_000_000) t =
+let start t =
   match t.sup with
   | Some _ -> invalid_arg "Cluster.start: already started"
   | None ->
@@ -315,7 +315,10 @@ let start ?(max_restarts = 100) ?(window = 50_000_000) t =
                cstart = (fun () -> start_node t i) })
            t.nodes)
     in
-    t.sup <- Some (Supervisor.start ~max_restarts ~window One_for_one specs)
+    t.sup <-
+      Some
+        (Supervisor.start ~max_restarts:100 ~window:50_000_000 One_for_one
+           specs)
 
 let stop t =
   (match t.sup with Some s -> Supervisor.stop s | None -> ());
@@ -348,7 +351,10 @@ let crash_node t addr =
   | None -> invalid_arg "Cluster.crash_node: unknown address"
   | Some node -> (
     match node.root with
-    | Some f when Fiber.alive f -> Fiber.kill f
+    | Some f when Fiber.alive f ->
+      (* down from now, not from when the monitor runs *)
+      node.up <- false;
+      Fiber.kill f
     | Some _ | None -> ())
 
 let leader_of t shard =

@@ -33,10 +33,9 @@ val create :
 (** Attach the nodes and build their replicas.  Nothing runs until
     {!start}.  [raft] defaults to {!Raft.default_config} with [seed]. *)
 
-val start : ?max_restarts:int -> ?window:int -> t -> unit
-(** Boot all nodes under a [One_for_one] supervisor (defaults:
-    [max_restarts] 100 within [window] 50M cycles).  Call from inside
-    a run. *)
+val start : t -> unit
+(** Boot all nodes under a [One_for_one] supervisor that gives up
+    after 100 restarts within 50M cycles.  Call from inside a run. *)
 
 val stop : t -> unit
 
@@ -49,9 +48,9 @@ val node_up : t -> int -> bool
 (** By address. *)
 
 val crash_node : t -> int -> unit
-(** Fault injection: kill the node's root fiber (by address).  The
-    monitor marks it down, reaps its fibers, and the supervisor
-    restarts it. *)
+(** Fault injection: kill the node's root fiber (by address), which
+    marks the node down at once.  The monitor reaps its fibers, and the
+    supervisor restarts it. *)
 
 val leader_of : t -> int -> int
 (** [leader_of t shard]: address of the replica currently acting as

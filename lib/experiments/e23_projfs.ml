@@ -1,4 +1,4 @@
-(* E23 — projected filesystem: lazy hydration and the name cache
+(* E23 — projected filesystem: lazy hydration and storm policies
    (Sections 3 and 5).
 
    The paper's filesystem is a message loop per vnode; lib/vfs pushes
@@ -7,11 +7,10 @@
    hydrate over the net stack on first read (the VFSForGit projection
    on the paper's substrate).  Two questions with measurable answers:
 
-   - What does laziness cost, and what does the name cache buy back?
-     Part A times cold open+read+close (walk + placeholder fill over
-     the wire) against warm re-opens of the same files (name-cache hit
-     skips the message-per-component walk; contents already in block
-     cache).
+   - What does laziness cost?  Part A times cold open+read+close
+     (walk + placeholder fill over the wire) against warm re-opens of
+     the same files (the same walk, through the kernel like any
+     client's; contents already in the block cache).
 
    - What happens when everyone faults at once?  Every placeholder
      fill funnels through one bounded Svc endpoint, so a hydration
@@ -37,7 +36,6 @@ module Blockdev = Chorus_kernel.Blockdev
 module Bcache = Chorus_kernel.Bcache
 module Cgalloc = Chorus_kernel.Cgalloc
 module Msgvfs = Chorus_kernel.Msgvfs
-module Namecache = Chorus_projfs.Namecache
 module Provider = Chorus_projfs.Provider
 module Projfs = Chorus_projfs.Projfs
 
@@ -60,11 +58,11 @@ let boot ?hydration ?workers ~cat () =
   | Error e -> failwith ("e23: mount failed: " ^ Fsspec.err_to_string e)
 
 let full_read c cat path rel =
-  match Projfs.open_ c path with
+  match Msgvfs.open_ c path with
   | Error e -> Error e
   | Ok fd ->
-    let r = Projfs.read c fd ~off:0 ~len:Fsspec.block_size in
-    ignore (Projfs.close c fd);
+    let r = Msgvfs.read c fd ~off:0 ~len:Fsspec.block_size in
+    ignore (Msgvfs.close c fd);
     (match r with
     | Ok data ->
       if String.equal data (Option.get (Provider.content cat rel)) then Ok ()
@@ -81,17 +79,15 @@ type open_sample = {
   warm_p50 : int;
   warm_p99 : int;
   hydrations : int;
-  nc_hits : int;
-  nc_misses : int;
 }
 
 let measure_open ~quick ~seed =
   let files = pick ~quick 48 192 in
   let cat = Provider.catalog ~seed:3 ~nfiles:files in
-  let (cold, warm, hydrations, nc_hits, nc_misses), _stats =
+  let (cold, warm, hydrations), _stats =
     run ~seed ~cores:16 (fun () ->
         let pf = boot ~cat () in
-        let c = Projfs.client pf in
+        let c = Msgvfs.client (Projfs.fs_sys pf) in
         let cold = Histogram.create () and warm = Histogram.create () in
         let sweep hist =
           for i = 0 to files - 1 do
@@ -105,21 +101,14 @@ let measure_open ~quick ~seed =
         in
         sweep cold;
         sweep warm;
-        let nc = Projfs.cache pf in
-        ( cold,
-          warm,
-          Msgvfs.hydrations (Projfs.fs_sys pf),
-          Namecache.hits nc,
-          Namecache.misses nc ))
+        (cold, warm, Msgvfs.hydrations (Projfs.fs_sys pf)))
   in
   { files;
     cold_p50 = Histogram.percentile cold 50.0;
     cold_p99 = Histogram.percentile cold 99.0;
     warm_p50 = Histogram.percentile warm 50.0;
     warm_p99 = Histogram.percentile warm 99.0;
-    hydrations;
-    nc_hits;
-    nc_misses }
+    hydrations }
 
 (* ------------------------------------------------------------------ *)
 (* Part B: hydration storm vs overload policy                          *)
@@ -159,7 +148,7 @@ let measure_storm ~quick ~seed ~policy =
         let readers =
           List.init clients (fun i ->
               Fiber.spawn ~label:(Printf.sprintf "storm-%d" i) (fun () ->
-                  let c = Projfs.client pf in
+                  let c = Msgvfs.client (Projfs.fs_sys pf) in
                   let rel = Provider.rel_path cat i in
                   let t0 = Fiber.now () in
                   match
@@ -198,8 +187,8 @@ let run ~quick ~seed =
   let a =
     Tablefmt.create
       ~title:
-        "E23a: cold (placeholder fill over the wire) vs warm (name-cache \
-         hit) open+read"
+        "E23a: cold (placeholder fill over the wire) vs warm (hydrated) \
+         open+read"
       ~columns:
         [ ("pass", Tablefmt.Left);
           ("files", Tablefmt.Right);
@@ -219,9 +208,6 @@ let run ~quick ~seed =
       "" ];
   Tablefmt.add_row a
     [ "hydrations"; string_of_int o.hydrations; ""; "" ];
-  Tablefmt.add_row a
-    [ "name-cache hits/misses";
-      Printf.sprintf "%d/%d" o.nc_hits o.nc_misses; ""; "" ];
   let b =
     Tablefmt.create
       ~title:

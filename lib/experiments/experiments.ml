@@ -118,8 +118,8 @@ let all =
       title = "Projected filesystem: hydration latency and storm policies";
       claim =
         "a remote namespace can be grafted in lazily: placeholders \
-         hydrate over the wire on first read, the name cache makes \
-         warm opens walk-free, and a hydration storm meets an \
+         hydrate over the wire on first read, a warm open pays only \
+         the kernel's path walk, and a hydration storm meets an \
          explicit overload policy, not an unbounded queue (S3/S5)";
       run = E23_projfs.run };
     { id = "e24";

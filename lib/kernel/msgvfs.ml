@@ -783,13 +783,6 @@ let open_ t path =
   timed "open" t.mx.h_open @@ fun () ->
   Result.map (install_fd t) (syscall t (fun sys -> do_open sys path))
 
-type handle = vnode
-
-let resolve t path =
-  timed "open" t.mx.h_open @@ fun () -> do_open t.sys path
-
-let open_handle t v = install_fd t v
-
 let close t fd =
   if Hashtbl.mem t.fds fd then begin
     Hashtbl.remove t.fds fd;

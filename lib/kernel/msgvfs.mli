@@ -110,7 +110,9 @@ include Chorus_fsspec.Fsspec.S with type t := t
     [Remove]/[Detach] with [Einval] (the remote namespace is
     authoritative), and [Make]/[Attach] over any existing name,
     projected or local, fail with [Eexist].  A projected directory
-    never retires. *)
+    never retires.  A projected path is opened with {!open_} like any
+    other: its walk, the group name caches and their invalidations are
+    those of every path (DESIGN D19). *)
 
 type projection = {
   proj_entries :
@@ -129,20 +131,6 @@ val project :
   sys -> at:string -> projection -> (unit, Chorus_fsspec.Fsspec.err) result
 (** Attach the projection root as directory [at] (its parent must
     exist; the name must be free). *)
-
-(** {1 Handles}
-
-    A resolved vnode endpoint, independent of any client fd table —
-    what a name cache holds so a warm open skips the path walk. *)
-
-type handle
-
-val resolve : t -> string -> (handle, Chorus_fsspec.Fsspec.err) result
-(** Walk [path] to a file vnode (the open path without fd
-    installation). *)
-
-val open_handle : t -> handle -> Chorus_fsspec.Fsspec.fd
-(** Install a resolved handle in this client's fd table. *)
 
 (** {1 Introspection} *)
 

@@ -250,12 +250,11 @@ let start ?on ?priority ?words_of_resp t handler =
   Fiber.spawn ?on ?priority ~label:t.clabel ~daemon:true (fun () ->
       serve ?words_of_resp t handler)
 
-let start_cast ?on ?priority t handler =
-  Fiber.spawn ?on ?priority ~label:t.clabel ~daemon:true (fun () ->
+let start_cast ?on t handler =
+  Fiber.spawn ?on ~label:t.clabel ~daemon:true (fun () ->
       serve_cast t handler)
 
-let starter ?on ?priority ?words_of_resp t handler () =
-  start ?on ?priority ?words_of_resp t handler
+let starter ?words_of_resp t handler () = start ?words_of_resp t handler
 
 let depth t = Chan.length t.inbox
 

@@ -169,13 +169,11 @@ val start :
 (** Spawn a daemon fiber (labelled with the endpoint's label) running
     {!serve}. *)
 
-val start_cast :
-  ?on:int -> ?priority:Fiber.priority -> 'msg cast -> ('msg -> unit) ->
-  Fiber.t
+val start_cast : ?on:int -> 'msg cast -> ('msg -> unit) -> Fiber.t
 
 val starter :
-  ?on:int -> ?priority:Fiber.priority -> ?words_of_resp:('resp -> int) ->
-  ('req, 'resp) t -> ('req -> 'resp) -> unit -> Fiber.t
+  ?words_of_resp:('resp -> int) -> ('req, 'resp) t -> ('req -> 'resp) ->
+  unit -> Fiber.t
 (** Restart hook for {!Chorus_kernel.Supervisor}-style child specs:
     because a service's identity is its endpoint, re-running the
     thunk re-attaches a fresh fiber to the same inbox. *)

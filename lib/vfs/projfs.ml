@@ -1,4 +1,3 @@
-module Fiber = Chorus.Fiber
 module Inspect = Chorus.Inspect
 module Metrics = Chorus_obs.Metrics
 module Span = Chorus_obs.Span
@@ -11,7 +10,6 @@ module Cost = Chorus_machine.Cost
 type t = {
   sys : Msgvfs.sys;
   at : string;
-  cache : Msgvfs.handle Namecache.t;
   hyd : (string, (string, Fsspec.err) result) Svc.t;
   pf : string Svc.cast;
   mutable pf_queued : int;
@@ -36,18 +34,6 @@ let ask_provider stack ~provider req =
 (* ------------------------------------------------------------------ *)
 
 let register_inspect t =
-  Inspect.register ~name:"projfs/namecache" (fun () ->
-      let c = t.cache in
-      Inspect.Assoc
-        ([ ("entries", Inspect.Int (Namecache.length c));
-           ("hits", Inspect.Int (Namecache.hits c));
-           ("misses", Inspect.Int (Namecache.misses c));
-           ("negative_hits", Inspect.Int (Namecache.negative_hits c));
-           ("evictions", Inspect.Int (Namecache.evictions c));
-           ("invalidations", Inspect.Int (Namecache.invalidations c)) ]
-        @ List.map
-            (fun (st, n) -> (Namecache.state_name st, Inspect.Int n))
-            (Namecache.state_counts c)));
   Inspect.register ~name:"projfs/hydration" (fun () ->
       Inspect.Assoc
         [ ("placeholders_live", Inspect.Int (Msgvfs.placeholders_live t.sys));
@@ -58,8 +44,7 @@ let register_inspect t =
           ("prefetch_done", Inspect.Int t.pf_done);
           ("prefetch_dropped", Inspect.Int t.pf_dropped) ])
 
-let mount ?hydration ?(workers = 4) ?(namecache = 512) ~fs ~at ~stack
-    ~provider () =
+let mount ?hydration ?(workers = 4) ~fs ~at ~stack ~provider () =
   let h_hydrate = Metrics.histogram ~subsystem:"projfs" "hydrate" in
   let hyd : (string, (string, Fsspec.err) result) Svc.t =
     Svc.create ?config:hydration ~subsystem:"projfs" ~label:"hydrate" ()
@@ -74,8 +59,8 @@ let mount ?hydration ?(workers = 4) ?(namecache = 512) ~fs ~at ~stack
       ~subsystem:"projfs" ~label:"prefetch" ()
   in
   let t =
-    { sys = fs; at; cache = Namecache.create ~cap:namecache ();
-      hyd; pf; pf_queued = 0; pf_done = 0; pf_dropped = 0; h_hydrate }
+    { sys = fs; at; hyd; pf; pf_queued = 0; pf_done = 0; pf_dropped = 0;
+      h_hydrate }
   in
   t_ref := Some t;
   (* every placeholder fill funnels through the bounded endpoint; a
@@ -104,17 +89,15 @@ let mount ?hydration ?(workers = 4) ?(namecache = 512) ~fs ~at ~stack
   match Msgvfs.project fs ~at { Msgvfs.proj_entries; proj_fetch } with
   | Error e -> Error e
   | Ok () ->
-    (* the prefetch worker warms paths through its own client: resolve
-       (populating the name cache) and read one byte (hydrating) *)
+    (* the prefetch worker warms paths through its own client: open
+       (walking the path) and read one byte (hydrating) *)
     let ic = Msgvfs.client fs in
     ignore
       (Svc.start_cast t.pf (fun path ->
            let warmed =
-             match Msgvfs.resolve ic path with
+             match Msgvfs.open_ ic path with
              | Error _ -> false
-             | Ok h ->
-               Namecache.insert t.cache path h;
-               let fd = Msgvfs.open_handle ic h in
+             | Ok fd ->
                let ok =
                  match Msgvfs.read ic fd ~off:0 ~len:1 with
                  | Ok _ -> true
@@ -129,82 +112,6 @@ let mount ?hydration ?(workers = 4) ?(namecache = 512) ~fs ~at ~stack
     Ok t
 
 (* ------------------------------------------------------------------ *)
-(* Clients: fd table + shared name cache                               *)
-
-type client = {
-  m : t;
-  ic : Msgvfs.t;
-  fd_paths : (int, string) Hashtbl.t;
-  mutable cold_opens : int;
-  mutable warm_opens : int;
-}
-
-let client m =
-  { m; ic = Msgvfs.client m.sys; fd_paths = Hashtbl.create 16;
-    cold_opens = 0; warm_opens = 0 }
-
-let mkdir c path = Msgvfs.mkdir c.ic path
-
-let create c path =
-  let r = Msgvfs.create c.ic path in
-  (* the name may have been cached absent *)
-  if r = Ok () then Namecache.invalidate c.m.cache path;
-  r
-
-let install c path fd =
-  Hashtbl.replace c.fd_paths fd path;
-  Namecache.acquire c.m.cache path;
-  fd
-
-let open_ c path =
-  match Namecache.find c.m.cache path with
-  | `Hit h ->
-    c.warm_opens <- c.warm_opens + 1;
-    Ok (install c path (Msgvfs.open_handle c.ic h))
-  | `Negative -> Error Fsspec.Enoent
-  | `Miss -> (
-    match Msgvfs.resolve c.ic path with
-    | Ok h ->
-      c.cold_opens <- c.cold_opens + 1;
-      Namecache.insert c.m.cache path h;
-      Ok (install c path (Msgvfs.open_handle c.ic h))
-    | Error Fsspec.Enoent ->
-      Namecache.insert_negative c.m.cache path;
-      Error Fsspec.Enoent
-    | Error e -> Error e)
-
-let close c fd =
-  (match Hashtbl.find_opt c.fd_paths fd with
-  | Some path ->
-    Hashtbl.remove c.fd_paths fd;
-    Namecache.release c.m.cache path
-  | None -> ());
-  Msgvfs.close c.ic fd
-
-let read c fd ~off ~len = Msgvfs.read c.ic fd ~off ~len
-
-let write c fd ~off data = Msgvfs.write c.ic fd ~off data
-
-let stat c path = Msgvfs.stat c.ic path
-
-let unlink c path =
-  let r = Msgvfs.unlink c.ic path in
-  if r = Ok () then Namecache.invalidate c.m.cache path;
-  r
-
-let rename c src dst =
-  let r = Msgvfs.rename c.ic src dst in
-  if r = Ok () then begin
-    Namecache.invalidate c.m.cache src;
-    Namecache.invalidate c.m.cache dst
-  end;
-  r
-
-let readdir c path = Msgvfs.readdir c.ic path
-
-let open_stats c = (c.cold_opens, c.warm_opens)
-
-(* ------------------------------------------------------------------ *)
 
 let prefetch t path =
   t.pf_queued <- t.pf_queued + 1;
@@ -215,8 +122,6 @@ let prefetch t path =
 let prefetch_stats t = (t.pf_queued, t.pf_done, t.pf_dropped)
 
 let hydrate_ep t = t.hyd
-
-let cache t = t.cache
 
 let mount_path t = t.at
 

@@ -5,7 +5,7 @@
     projected directory tree whose entries come from a remote
     {!Provider} node (over {!Chorus_net.Stack.call}, so retransmission
     and dedup are the net stack's problem) and whose files are
-    placeholder vnodes that hydrate on first read.  Three service-plane
+    placeholder vnodes that hydrate on first read.  Two service-plane
     pieces sit between the vnodes and the wire:
 
     - the {e hydration endpoint} — a bounded request/reply
@@ -17,18 +17,20 @@
     - the {e prefetch endpoint} — a one-way bounded cast
       ([projfs.prefetch], capacity 64 under [`Shed_oldest]: a
       prefetch is advice, and stale advice sheds first) whose worker
-      warms paths through an internal client;
-    - the {e name cache} — a {!Namecache} of absolute path -> resolved
-      vnode handle shared by every {!client} of the mount, so a warm
-      open skips the message-per-component path walk entirely, with
-      negative entries short-circuiting repeated misses.
+      warms a path by opening it and reading one byte.
 
-    Two {!Chorus.Inspect} providers ([projfs/namecache],
-    [projfs/hydration]) expose cache and hydration state to the
-    time-travel debugger; like every provider they are host-side only
-    — zero observer effect.  E23 measures cold vs warm opens and the
-    hydration-storm sweep; the chaos [Projfs] scenario kills the
-    provider mid-hydration and checks the placeholder invariants. *)
+    The mount adds no client of its own: a projected path is opened,
+    read and written through a {!Msgvfs.client} of the filesystem the
+    mount grafts into, so it is walked, invalidated and, on a machine
+    of more than 16 cores, cached by the kernel's group name caches
+    like any other path (DESIGN D19).
+
+    The {!Chorus.Inspect} provider [projfs/hydration] exposes
+    hydration and prefetch state to the time-travel debugger; like
+    every provider it is host-side only — zero observer effect.  E23
+    measures cold vs warm opens and the hydration-storm sweep; the
+    chaos [Projfs] scenario kills the provider mid-hydration and checks
+    the placeholder invariants. *)
 
 module Svc = Chorus_svc.Svc
 module Fsspec = Chorus_fsspec.Fsspec
@@ -39,7 +41,6 @@ type t
 val mount :
   ?hydration:Svc.config ->
   ?workers:int ->
-  ?namecache:int ->
   fs:Msgvfs.sys ->
   at:string ->
   stack:Chorus_net.Stack.t ->
@@ -50,23 +51,9 @@ val mount :
     spawn the hydration workers (default 4) and the prefetch worker.
     [hydration] bounds the hydration inbox (default unbounded
     backpressure); the prefetch inbox holds 64 requests under
-    [`Shed_oldest].  [namecache] is the cache capacity (default 512).
-    Entries and contents always travel the wire, as
+    [`Shed_oldest].  Entries and contents always travel the wire, as
     {!Chorus_net.Stack.call}s with its default retransmission towards
     the provider at address [provider]. *)
-
-(** {1 Clients} *)
-
-type client
-
-val client : t -> client
-(** A per-fiber view: own fd table, shared name cache. *)
-
-include Fsspec.S with type t := client
-
-val open_stats : client -> int * int
-(** [(cold, warm)] opens completed by this client — warm = served from
-    the name cache without a path walk. *)
 
 (** {1 Prefetch} *)
 
@@ -82,8 +69,6 @@ val prefetch_stats : t -> int * int * int
 
 val hydrate_ep : t -> (string, (string, Fsspec.err) result) Svc.t
 (** The hydration endpoint (queue metrics, overload counters). *)
-
-val cache : t -> Msgvfs.handle Namecache.t
 
 val mount_path : t -> string
 

@@ -63,8 +63,6 @@ let test_determinism_projfs () =
   let sch = Chaos.gen Chaos.Projfs ~seed:7 ~index:2 in
   let r = check_deterministic "projfs" Chaos.Projfs sch ~at:400_000 in
   let text = Snapshot.render r.Replay.snapshot in
-  Alcotest.(check bool) "projfs: name cache provider present" true
-    (contains text "projfs/namecache");
   Alcotest.(check bool) "projfs: hydration provider present" true
     (contains text "projfs/hydration");
   Alcotest.(check bool) "projfs: hydration endpoint inbox present" true
@@ -74,8 +72,8 @@ let test_snapshot_not_observer_effect () =
   (* capturing a snapshot mid-run must not change where the run goes:
      the trace up to T is identical whether we pause at T or run past
      it, so inspection is pure observation.  Covers the projfs Inspect
-     providers too: registering and rendering the name cache and
-     hydration views must not perturb the run *)
+     provider too: registering and rendering the hydration view must
+     not perturb the run *)
   List.iter
     (fun (scenario, early_at, late_at) ->
       let sch = Chaos.gen scenario ~seed:7 ~index:2 in

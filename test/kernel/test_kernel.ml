@@ -558,7 +558,7 @@ let fs_semantics_suite plumbing () =
   in
   ()
 
-let test_fs_unlink_open_handle () =
+let test_fs_unlink_open_fd () =
   (* documented deviation: operations through handles to retired
      vnodes fail Ebadf *)
   let (_ : Runstats.t) =
@@ -1490,10 +1490,12 @@ let msgs_on core f =
          n := c.Engine.msgs - before));
   !n
 
-(* The messages of a walk of [path] from the first core of [group]. *)
-let resolve_in fs group path =
+(* The messages of a walk of [path] from the first core of [group]: an
+   open, whose walk is its only message, and a close, which sends none. *)
+let walk_in fs group path =
   msgs_on (core_in_group group 0) (fun () ->
-      ignore (check_ok ("resolve " ^ path) (Msgvfs.resolve fs path)))
+      let fd = check_ok ("open " ^ path) (Msgvfs.open_ fs path) in
+      check_ok ("close " ^ path) (Msgvfs.close fs fd))
 
 (* A walk is one message to the cache of the caller's group and its
    answer.  The first walk through a directory in a group adds a
@@ -1508,16 +1510,16 @@ let test_name_cache_messages () =
         check_ok "create /d/f" (Msgvfs.create fs "/d/f");
         check_ok "create /e/g" (Msgvfs.create fs "/e/g");
         Alcotest.(check int) "first walk in group 1: the root and /d copied"
-          (2 + 2 + 2) (resolve_in fs 1 "/d/f");
-        Alcotest.(check int) "warm walk" 2 (resolve_in fs 1 "/d/f");
+          (2 + 2 + 2) (walk_in fs 1 "/d/f");
+        Alcotest.(check int) "warm walk" 2 (walk_in fs 1 "/d/f");
         Alcotest.(check int) "first walk through /e" (2 + 2)
-          (resolve_in fs 1 "/e/g");
+          (walk_in fs 1 "/e/g");
         check_ok "mkdir /n" (Msgvfs.mkdir fs "/n");
         check_ok "create /n/h" (Msgvfs.create fs "/n/h");
         Alcotest.(check int) "a name made after the copy" (2 + 2 + 2)
-          (resolve_in fs 1 "/n/h");
+          (walk_in fs 1 "/n/h");
         Alcotest.(check int) "still not copied" (2 + 2 + 2)
-          (resolve_in fs 1 "/n/h"))
+          (walk_in fs 1 "/n/h"))
   in
   ()
 
@@ -1534,7 +1536,7 @@ let test_unlink_invalidation_messages () =
           check_ok "mkdir" (Msgvfs.mkdir fs "/d");
           check_ok "create" (Msgvfs.create fs "/d/f");
           for g = 0 to holders - 1 do
-            ignore (resolve_in fs g "/d/f")
+            ignore (walk_in fs g "/d/f")
           done;
           n :=
             msgs_on 0 (fun () -> check_ok "unlink" (Msgvfs.unlink fs "/d/f")))
@@ -1559,10 +1561,10 @@ let test_name_cache_counters () =
     (* group 0 copies the root *)
     check_ok "create" (Msgvfs.create fs "/d/f");
     (* groups 1 and 2 copy the root and /d, both holding f *)
-    List.iter (fun g -> ignore (resolve_in fs g "/d/f")) [ 1; 1; 2 ];
+    List.iter (fun g -> ignore (walk_in fs g "/d/f")) [ 1; 1; 2 ];
     check_ok "create" (Msgvfs.create fs "/d/x");
     (* x was made after group 1's copy of /d *)
-    ignore (resolve_in fs 1 "/d/x");
+    ignore (walk_in fs 1 "/d/x");
     check_ok "unlink" (Msgvfs.unlink fs "/d/f")
   in
   let bare = run ~cores:64 scenario in
@@ -2185,7 +2187,7 @@ let () =
           Alcotest.test_case "semantics (dispatchers)" `Quick
             (fs_semantics_suite false);
           Alcotest.test_case "unlink vs open handle" `Quick
-            test_fs_unlink_open_handle;
+            test_fs_unlink_open_fd;
           Alcotest.test_case "concurrent clients" `Quick
             test_fs_concurrent_clients;
           Alcotest.test_case "name cache counts" `Quick test_name_cache_counts;

@@ -1,10 +1,9 @@
-(* Tests for the projected filesystem: name-cache LRU order and the
-   cached/active/inactive/dying lifecycle, negative-entry invalidation
-   on create/rename, provider catalog determinism and wire protocol,
-   and the end-to-end mount — placeholder hydration over the net
-   stack, warm opens through the cache, copy-up writes, prefetch,
-   failure and recovery of the provider, and the zero observer effect
-   of tracing and metrics on the VFS path (DESIGN D11). *)
+(* Tests for the projected filesystem: provider catalog determinism
+   and wire protocol, and the end-to-end mount — placeholder hydration
+   over the net stack, warm opens that ask the provider nothing,
+   copy-up writes, prefetch, names under the mount seen alike by every
+   client, failure and recovery of the provider, and the zero observer
+   effect of tracing and metrics on the VFS path (DESIGN D11). *)
 
 module Machine = Chorus_machine.Machine
 module Policy = Chorus_sched.Policy
@@ -16,10 +15,10 @@ module Blockdev = Chorus_kernel.Blockdev
 module Bcache = Chorus_kernel.Bcache
 module Cgalloc = Chorus_kernel.Cgalloc
 module Msgvfs = Chorus_kernel.Msgvfs
+module Place = Chorus_kernel.Place
 module Fabric = Chorus_net.Fabric
 module Stack = Chorus_net.Stack
 module Svc = Chorus_svc.Svc
-module Namecache = Chorus_projfs.Namecache
 module Provider = Chorus_projfs.Provider
 module Projfs = Chorus_projfs.Projfs
 module Trace = Chorus.Trace
@@ -41,108 +40,6 @@ let check_err what expected = function
     Alcotest.(check string) what
       (Fsspec.err_to_string expected)
       (Fsspec.err_to_string e)
-
-(* ------------------------------------------------------------------ *)
-(* Name cache: LRU and lifecycle                                       *)
-
-let test_nc_lru_eviction_order () =
-  let c = Namecache.create ~cap:3 () in
-  Namecache.insert c "a" 1;
-  Namecache.insert c "b" 2;
-  Namecache.insert c "c" 3;
-  (* touch a so b is now the least recently used *)
-  (match Namecache.find c "a" with
-  | `Hit 1 -> ()
-  | _ -> Alcotest.fail "expected hit on a");
-  Namecache.insert c "d" 4;
-  Alcotest.(check int) "capacity held" 3 (Namecache.length c);
-  Alcotest.(check int) "one eviction" 1 (Namecache.evictions c);
-  Alcotest.(check bool) "b evicted" true (Namecache.find c "b" = `Miss);
-  Alcotest.(check bool) "a survived" true (Namecache.find c "a" = `Hit 1);
-  (* now c is coldest (a and d touched since) *)
-  Namecache.insert c "e" 5;
-  Alcotest.(check bool) "c evicted next" true (Namecache.find c "c" = `Miss);
-  Alcotest.(check bool) "d survived" true (Namecache.find c "d" = `Hit 4)
-
-let test_nc_active_entries_never_evict () =
-  let c = Namecache.create ~cap:2 () in
-  Namecache.insert c "a" 1;
-  Namecache.acquire c "a";
-  Namecache.insert c "b" 2;
-  Namecache.insert c "c" 3;
-  Namecache.insert c "d" 4;
-  (* active a is immune; only the evictable pool rotates *)
-  Alcotest.(check bool) "a still present" true (Namecache.find c "a" = `Hit 1);
-  Alcotest.(check (option string))
-    "a active"
-    (Some "active")
-    (Option.map Namecache.state_name (Namecache.state_of c "a"))
-
-let test_nc_lifecycle () =
-  let c = Namecache.create ~cap:8 () in
-  let state name =
-    Option.map Namecache.state_name (Namecache.state_of c name)
-  in
-  Namecache.insert c "x" 10;
-  Alcotest.(check (option string)) "cached on insert" (Some "cached")
-    (state "x");
-  Namecache.acquire c "x";
-  Alcotest.(check (option string)) "active on acquire" (Some "active")
-    (state "x");
-  Namecache.acquire c "x";
-  Namecache.release c "x";
-  Alcotest.(check (option string)) "still active (refs=1)" (Some "active")
-    (state "x");
-  Namecache.release c "x";
-  Alcotest.(check (option string)) "inactive on last release"
-    (Some "inactive") (state "x");
-  Alcotest.(check bool) "inactive entries still hit" true
-    (Namecache.find c "x" = `Hit 10);
-  (* invalidate while referenced -> dying; reaped on release *)
-  Namecache.acquire c "x";
-  Namecache.invalidate c "x";
-  Alcotest.(check (option string)) "dying while held" (Some "dying")
-    (state "x");
-  Alcotest.(check bool) "dying entries miss" true
-    (Namecache.find c "x" = `Miss);
-  Namecache.release c "x";
-  Alcotest.(check (option string)) "reaped after release" None (state "x");
-  (* invalidate with no refs drops immediately *)
-  Namecache.insert c "y" 20;
-  Namecache.invalidate c "y";
-  Alcotest.(check (option string)) "dropped immediately" None (state "y");
-  Alcotest.(check int) "invalidation count" 2 (Namecache.invalidations c)
-
-let test_nc_negative_entries () =
-  let c = Namecache.create ~cap:8 () in
-  Namecache.insert_negative c "ghost";
-  Alcotest.(check bool) "negative hit" true (Namecache.find c "ghost" = `Negative);
-  Alcotest.(check int) "negative counter" 1 (Namecache.negative_hits c);
-  (* create over the name must kill the negative entry *)
-  Namecache.invalidate c "ghost";
-  Alcotest.(check bool) "miss after invalidate" true
-    (Namecache.find c "ghost" = `Miss)
-
-let test_nc_state_counts () =
-  let c = Namecache.create ~cap:8 () in
-  Namecache.insert c "a" 1;
-  Namecache.insert c "b" 2;
-  Namecache.acquire c "b";
-  Namecache.insert c "c" 3;
-  Namecache.acquire c "c";
-  Namecache.release c "c";
-  Namecache.insert c "d" 4;
-  Namecache.acquire c "d";
-  Namecache.invalidate c "d";
-  let counts =
-    List.map
-      (fun (st, n) -> (Namecache.state_name st, n))
-      (Namecache.state_counts c)
-  in
-  Alcotest.(check (list (pair string int)))
-    "one of each state"
-    [ ("cached", 1); ("active", 1); ("inactive", 1); ("dying", 1) ]
-    counts
 
 (* ------------------------------------------------------------------ *)
 (* Provider catalog                                                    *)
@@ -209,7 +106,7 @@ let test_provider_protocol () =
 (* ------------------------------------------------------------------ *)
 (* End-to-end mount                                                    *)
 
-let boot ?hydration ?workers ?namecache ~cat () =
+let boot ?hydration ?workers ~cat () =
   let dev = Blockdev.start () in
   let cache = Bcache.start ~shards:2 ~capacity:256 ~dev () in
   let alloc = Cgalloc.start ~nblocks:4096 () in
@@ -220,7 +117,7 @@ let boot ?hydration ?workers ?namecache ~cat () =
   let server = Provider.serve cat pstack in
   let pf =
     check_ok "mount"
-      (Projfs.mount ?hydration ?workers ?namecache ~fs ~at:"/proj"
+      (Projfs.mount ?hydration ?workers ~fs ~at:"/proj"
          ~stack:mstack ~provider:(Stack.addr pstack) ())
   in
   (fs, pf, server, net)
@@ -229,25 +126,25 @@ let test_e2e_cold_read_correct () =
   let cat = Provider.catalog ~seed:3 ~nfiles:96 in
   let (_ : Runstats.t) =
     run ~cores:8 (fun () ->
-        let _fs, pf, server, _net = boot ~cat () in
-        let c = Projfs.client pf in
+        let fs, pf, server, _net = boot ~cat () in
+        let c = Msgvfs.client fs in
         (* the projected tree is visible *)
-        let dirs = check_ok "readdir root" (Projfs.readdir c "/proj") in
+        let dirs = check_ok "readdir root" (Msgvfs.readdir c "/proj") in
         Alcotest.(check (list string)) "projected dirs"
           [ "d000"; "d001"; "d002" ] dirs;
         let rel = Provider.rel_path cat 33 in
         let path = "/proj/" ^ rel in
         let expected = Option.get (Provider.content cat rel) in
         (* stat before hydration: declared size, no blocks *)
-        let st = check_ok "stat cold" (Projfs.stat c path) in
+        let st = check_ok "stat cold" (Msgvfs.stat c path) in
         Alcotest.(check int) "declared size" (String.length expected) st.Fsspec.size;
         Alcotest.(check int) "no blocks yet" 0 st.Fsspec.blocks;
         Alcotest.(check int) "nothing hydrated" 0
           (Msgvfs.hydrations (Projfs.fs_sys pf));
         (* first read hydrates over the wire *)
-        let fd = check_ok "open" (Projfs.open_ c path) in
+        let fd = check_ok "open" (Msgvfs.open_ c path) in
         let data =
-          check_ok "read" (Projfs.read c fd ~off:0 ~len:(String.length expected))
+          check_ok "read" (Msgvfs.read c fd ~off:0 ~len:(String.length expected))
         in
         Alcotest.(check string) "hydrated bytes match the catalog" expected data;
         Alcotest.(check int) "one hydration" 1
@@ -255,36 +152,32 @@ let test_e2e_cold_read_correct () =
         (* second read comes from cache blocks: no new provider traffic *)
         let reqs = Provider.requests server in
         let again =
-          check_ok "reread" (Projfs.read c fd ~off:0 ~len:(String.length expected))
+          check_ok "reread" (Msgvfs.read c fd ~off:0 ~len:(String.length expected))
         in
         Alcotest.(check string) "stable" expected again;
         Alcotest.(check int) "no extra provider requests" reqs
           (Provider.requests server);
-        check_ok "close" (Projfs.close c fd))
+        check_ok "close" (Msgvfs.close c fd))
   in
   ()
 
-let test_e2e_warm_open_skips_walk () =
+(* A warm open walks the path again, but the names are already listed:
+   it asks the provider nothing. *)
+let test_e2e_warm_open () =
   let cat = Provider.catalog ~seed:3 ~nfiles:96 in
   let (_ : Runstats.t) =
     run ~cores:8 (fun () ->
-        let _fs, pf, _server, _net = boot ~cat () in
-        let c = Projfs.client pf in
+        let fs, _pf, server, _net = boot ~cat () in
+        let c = Msgvfs.client fs in
         let path = "/proj/" ^ Provider.rel_path cat 10 in
-        let fd1 = check_ok "cold open" (Projfs.open_ c path) in
-        check_ok "close1" (Projfs.close c fd1);
-        let fd2 = check_ok "warm open" (Projfs.open_ c path) in
-        check_ok "close2" (Projfs.close c fd2);
-        let cold, warm = Projfs.open_stats c in
-        Alcotest.(check (pair int int)) "one cold, one warm" (1, 1)
-          (cold, warm);
-        let nc = Projfs.cache pf in
-        Alcotest.(check int) "cache hit recorded" 1 (Namecache.hits nc);
-        (* the entry is inactive after the last close *)
-        Alcotest.(check (option string))
-          "inactive after close"
-          (Some "inactive")
-          (Option.map Namecache.state_name (Namecache.state_of nc path)))
+        let fd1 = check_ok "cold open" (Msgvfs.open_ c path) in
+        check_ok "close1" (Msgvfs.close c fd1);
+        let reqs = Provider.requests server in
+        Alcotest.(check bool) "the cold open listed the path" true (reqs > 0);
+        let fd2 = check_ok "warm open" (Msgvfs.open_ c path) in
+        check_ok "close2" (Msgvfs.close c fd2);
+        Alcotest.(check int) "the warm open asks the provider nothing" reqs
+          (Provider.requests server))
   in
   ()
 
@@ -292,32 +185,29 @@ let test_e2e_negative_and_create_invalidation () =
   let cat = Provider.catalog ~seed:3 ~nfiles:96 in
   let (_ : Runstats.t) =
     run ~cores:8 (fun () ->
-        let _fs, pf, _server, _net = boot ~cat () in
-        let c = Projfs.client pf in
+        let fs, _pf, _server, _net = boot ~cat () in
+        let c = Msgvfs.client fs in
         let path = "/proj/d000/notyet" in
-        check_err "missing" Fsspec.Enoent (Projfs.open_ c path);
-        (* second miss is served by the negative entry *)
-        check_err "still missing" Fsspec.Enoent (Projfs.open_ c path);
-        let nc = Projfs.cache pf in
-        Alcotest.(check int) "negative hit" 1 (Namecache.negative_hits nc);
-        (* creating the file shoots the negative entry down *)
-        check_ok "create" (Projfs.create c path);
-        let fd = check_ok "open after create" (Projfs.open_ c path) in
-        ignore (check_ok "write" (Projfs.write c fd ~off:0 "local"));
-        let got = check_ok "read back" (Projfs.read c fd ~off:0 ~len:5) in
+        check_err "missing" Fsspec.Enoent (Msgvfs.open_ c path);
+        check_err "still missing" Fsspec.Enoent (Msgvfs.open_ c path);
+        (* creating the file makes the name openable *)
+        check_ok "create" (Msgvfs.create c path);
+        let fd = check_ok "open after create" (Msgvfs.open_ c path) in
+        ignore (check_ok "write" (Msgvfs.write c fd ~off:0 "local"));
+        let got = check_ok "read back" (Msgvfs.read c fd ~off:0 ~len:5) in
         Alcotest.(check string) "local file readable" "local" got;
-        check_ok "close" (Projfs.close c fd);
-        (* rename invalidates both names *)
+        check_ok "close" (Msgvfs.close c fd);
+        (* rename moves the name *)
         let dst = "/proj/d000/renamed" in
-        check_ok "rename" (Projfs.rename c path dst);
-        check_err "old name gone" Fsspec.Enoent (Projfs.open_ c path);
-        let fd2 = check_ok "open new name" (Projfs.open_ c dst) in
-        check_ok "close2" (Projfs.close c fd2);
+        check_ok "rename" (Msgvfs.rename c path dst);
+        check_err "old name gone" Fsspec.Enoent (Msgvfs.open_ c path);
+        let fd2 = check_ok "open new name" (Msgvfs.open_ c dst) in
+        check_ok "close2" (Msgvfs.close c fd2);
         (* projected names refuse unlink/rename-over *)
         let proj_name = "/proj/d000/" ^ "f000000" in
         check_err "projected unlink refused" Fsspec.Einval
-          (Projfs.unlink c proj_name);
-        check_ok "local unlink ok" (Projfs.unlink c dst))
+          (Msgvfs.unlink c proj_name);
+        check_ok "local unlink ok" (Msgvfs.unlink c dst))
   in
   ()
 
@@ -325,17 +215,17 @@ let test_e2e_copy_up_write () =
   let cat = Provider.catalog ~seed:3 ~nfiles:96 in
   let (_ : Runstats.t) =
     run ~cores:8 (fun () ->
-        let _fs, pf, _server, _net = boot ~cat () in
-        let c = Projfs.client pf in
+        let fs, pf, _server, _net = boot ~cat () in
+        let c = Msgvfs.client fs in
         let rel = Provider.rel_path cat 5 in
         let path = "/proj/" ^ rel in
         let base = Option.get (Provider.content cat rel) in
-        let fd = check_ok "open" (Projfs.open_ c path) in
+        let fd = check_ok "open" (Msgvfs.open_ c path) in
         (* writing a cold placeholder hydrates first (copy-up), then
            overlays *)
-        ignore (check_ok "write" (Projfs.write c fd ~off:3 "XYZ"));
+        ignore (check_ok "write" (Msgvfs.write c fd ~off:3 "XYZ"));
         let got =
-          check_ok "read" (Projfs.read c fd ~off:0 ~len:(String.length base))
+          check_ok "read" (Msgvfs.read c fd ~off:0 ~len:(String.length base))
         in
         let expected =
           String.sub base 0 3 ^ "XYZ"
@@ -345,7 +235,7 @@ let test_e2e_copy_up_write () =
           got;
         Alcotest.(check int) "hydrated exactly once" 1
           (Msgvfs.hydrations (Projfs.fs_sys pf));
-        check_ok "close" (Projfs.close c fd))
+        check_ok "close" (Msgvfs.close c fd))
   in
   ()
 
@@ -353,7 +243,7 @@ let test_e2e_prefetch () =
   let cat = Provider.catalog ~seed:3 ~nfiles:96 in
   let (_ : Runstats.t) =
     run ~cores:8 (fun () ->
-        let _fs, pf, _server, _net = boot ~cat () in
+        let fs, pf, server, _net = boot ~cat () in
         let paths =
           List.map (fun i -> "/proj/" ^ Provider.rel_path cat i) [ 1; 2; 3 ]
         in
@@ -373,14 +263,15 @@ let test_e2e_prefetch () =
         Alcotest.(check int) "none dropped" 0 dropped;
         Alcotest.(check int) "three hydrations" 3
           (Msgvfs.hydrations (Projfs.fs_sys pf));
-        (* a subsequent open is warm: the prefetch worker populated the
-           name cache *)
-        let c = Projfs.client pf in
-        let fd = check_ok "open" (Projfs.open_ c (List.hd paths)) in
-        check_ok "close" (Projfs.close c fd);
-        let cold, warm = Projfs.open_stats c in
-        Alcotest.(check (pair int int)) "warm open after prefetch" (0, 1)
-          (cold, warm))
+        (* a later open and read is warm: the prefetch worker walked the
+           path and hydrated the file *)
+        let reqs = Provider.requests server in
+        let c = Msgvfs.client fs in
+        let fd = check_ok "open" (Msgvfs.open_ c (List.hd paths)) in
+        ignore (check_ok "read" (Msgvfs.read c fd ~off:0 ~len:64));
+        check_ok "close" (Msgvfs.close c fd);
+        Alcotest.(check int) "the open after a prefetch asks the provider \
+           nothing" reqs (Provider.requests server))
   in
   ()
 
@@ -388,16 +279,16 @@ let test_e2e_hydration_failure_is_clean_and_retryable () =
   let cat = Provider.catalog ~seed:3 ~nfiles:96 in
   let (_ : Runstats.t) =
     run ~cores:8 (fun () ->
-        let _fs, pf, _server, net = boot ~cat () in
-        let c = Projfs.client pf in
+        let fs, pf, _server, net = boot ~cat () in
+        let c = Msgvfs.client fs in
         let rel = Provider.rel_path cat 50 in
         let path = "/proj/" ^ rel in
         let expected = Option.get (Provider.content cat rel) in
-        let fd = check_ok "open" (Projfs.open_ c path) in
+        let fd = check_ok "open" (Msgvfs.open_ c path) in
         (* cut the wire: hydration must fail Eio, not hang or tear *)
         Fabric.set_faults net ~loss:0.999 ();
         check_err "clean failure" Fsspec.Eio
-          (Projfs.read c fd ~off:0 ~len:8);
+          (Msgvfs.read c fd ~off:0 ~len:8);
         Alcotest.(check int) "failure counted" 1
           (Msgvfs.hydration_failures (Projfs.fs_sys pf));
         Alcotest.(check int) "placeholder still cold" 0
@@ -406,10 +297,10 @@ let test_e2e_hydration_failure_is_clean_and_retryable () =
         Fabric.set_faults net ~loss:0.0 ();
         let got =
           check_ok "retry read"
-            (Projfs.read c fd ~off:0 ~len:(String.length expected))
+            (Msgvfs.read c fd ~off:0 ~len:(String.length expected))
         in
         Alcotest.(check string) "retried hydration intact" expected got;
-        check_ok "close" (Projfs.close c fd))
+        check_ok "close" (Msgvfs.close c fd))
   in
   ()
 
@@ -417,7 +308,7 @@ let test_e2e_hydration_storm_reject_policy () =
   let cat = Provider.catalog ~seed:3 ~nfiles:96 in
   let (_ : Runstats.t) =
     run ~cores:16 (fun () ->
-        let _fs, pf, _server, _net =
+        let fs, pf, _server, _net =
           boot
             ~hydration:(Svc.config ~capacity:2 ~policy:`Reject ())
             ~workers:1 ~cat ()
@@ -429,13 +320,13 @@ let test_e2e_hydration_storm_reject_policy () =
         let fibers =
           List.init 12 (fun i ->
               Fiber.spawn (fun () ->
-                  let c = Projfs.client pf in
+                  let c = Msgvfs.client fs in
                   let rel = Provider.rel_path cat i in
-                  match Projfs.open_ c ("/proj/" ^ rel) with
+                  match Msgvfs.open_ c ("/proj/" ^ rel) with
                   | Error e -> results.(i) <- Error e
                   | Ok fd ->
-                    results.(i) <- Projfs.read c fd ~off:0 ~len:256;
-                    ignore (Projfs.close c fd)))
+                    results.(i) <- Msgvfs.read c fd ~off:0 ~len:256;
+                    ignore (Msgvfs.close c fd)))
         in
         List.iter (fun f -> ignore (Fiber.join f)) fibers;
         let ok = ref 0 and eio = ref 0 in
@@ -467,15 +358,15 @@ let test_e2e_determinism () =
   let once () =
     let stats =
       run ~cores:8 (fun () ->
-          let _fs, pf, _server, _net = boot ~cat () in
-          let c = Projfs.client pf in
+          let fs, _pf, _server, _net = boot ~cat () in
+          let c = Msgvfs.client fs in
           for i = 0 to 7 do
             let path = "/proj/" ^ Provider.rel_path cat (i * 11) in
-            match Projfs.open_ c path with
+            match Msgvfs.open_ c path with
             | Error _ -> ()
             | Ok fd ->
-              ignore (Projfs.read c fd ~off:0 ~len:64);
-              ignore (Projfs.close c fd)
+              ignore (Msgvfs.read c fd ~off:0 ~len:64);
+              ignore (Msgvfs.close c fd)
           done)
     in
     stats.Runstats.makespan
@@ -486,48 +377,105 @@ let test_e2e_cold_unlink_refused () =
   let cat = Provider.catalog ~seed:3 ~nfiles:96 in
   let (_ : Runstats.t) =
     run ~cores:8 (fun () ->
-        let _fs, pf, _server, _net = boot ~cat () in
-        let c = Projfs.client pf in
+        let fs, _pf, _server, _net = boot ~cat () in
+        let c = Msgvfs.client fs in
         (* nothing has listed d001 yet: the refusal must not depend on
            whether the directory was enumerated *)
         check_err "projected unlink refused on a cold directory"
           Fsspec.Einval
-          (Projfs.unlink c "/proj/d001/f000033"))
+          (Msgvfs.unlink c "/proj/d001/f000033"))
   in
   ()
 
-(* An old holder's close must not unpin the binding that replaced its
-   invalidated entry: A opens, unlinks, B recreates and opens the same
-   name, then A closes. *)
+(* An old holder's close must not disturb the file that took its
+   name: A opens, unlinks, B recreates and opens the same name, then A
+   closes, and B's descriptor still writes and reads. *)
 let test_e2e_release_after_rebind () =
   let cat = Provider.catalog ~seed:3 ~nfiles:96 in
   let (_ : Runstats.t) =
     run ~cores:8 (fun () ->
-        let _fs, pf, _server, _net = boot ~namecache:4 ~cat () in
-        let a = Projfs.client pf and b = Projfs.client pf in
+        let fs, _pf, _server, _net = boot ~cat () in
+        let a = Msgvfs.client fs and b = Msgvfs.client fs in
         let path = "/tmp/x" in
-        let state () =
-          Option.map Namecache.state_name
-            (Namecache.state_of (Projfs.cache pf) path)
-        in
-        check_ok "mkdir" (Projfs.mkdir a "/tmp");
-        check_ok "create" (Projfs.create a path);
-        let fd_a = check_ok "A opens" (Projfs.open_ a path) in
-        check_ok "A unlinks" (Projfs.unlink a path);
-        check_ok "B recreates" (Projfs.create b path);
-        let fd_b = check_ok "B opens" (Projfs.open_ b path) in
-        check_ok "A closes" (Projfs.close a fd_a);
-        Alcotest.(check (option string)) "B's entry stays active"
-          (Some "active") (state ());
+        check_ok "mkdir" (Msgvfs.mkdir a "/tmp");
+        check_ok "create" (Msgvfs.create a path);
+        let fd_a = check_ok "A opens" (Msgvfs.open_ a path) in
+        check_ok "A unlinks" (Msgvfs.unlink a path);
+        check_ok "B recreates" (Msgvfs.create b path);
+        let fd_b = check_ok "B opens" (Msgvfs.open_ b path) in
+        check_ok "A closes" (Msgvfs.close a fd_a);
+        Alcotest.(check int) "B writes" 3
+          (check_ok "B writes" (Msgvfs.write b fd_b ~off:0 "b's"));
         for i = 1 to 5 do
           check_err "negative lookup" Fsspec.Enoent
-            (Projfs.open_ b (Printf.sprintf "/tmp/none%d" i))
+            (Msgvfs.open_ b (Printf.sprintf "/tmp/none%d" i))
         done;
-        Alcotest.(check (option string)) "B's entry survives eviction"
-          (Some "active") (state ());
-        check_ok "B closes" (Projfs.close b fd_b))
+        Alcotest.(check string) "B reads its write" "b's"
+          (check_ok "B reads" (Msgvfs.read b fd_b ~off:0 ~len:3));
+        check_ok "B closes" (Msgvfs.close b fd_b))
   in
   ()
+
+(* Names under the mount are the kernel's: a name one client unlinks
+   is gone for every other client, and a name one client creates is
+   there for every other, whatever they saw of it before.  On 64 cores
+   the three clients run in three core groups, so their walks go
+   through three group name caches (DESIGN D19); on 8 there are none. *)
+let test_e2e_names_across_clients () =
+  let cat = Provider.catalog ~seed:3 ~nfiles:96 in
+  let scenario cores =
+    let (_ : Runstats.t) =
+      run ~cores (fun () ->
+          let fs, _pf, _server, _net = boot ~cat () in
+          let place = Place.current () in
+          (* a core of group [g], or core [g] where there are no groups *)
+          let core g =
+            if Place.groups place = 0 then g
+            else
+              List.find
+                (fun c -> Place.group place c = g)
+                (List.init cores Fun.id)
+          in
+          (* run [f] in a fiber on [core] and return its result *)
+          let on core f =
+            let r = ref None in
+            ignore
+              (Fiber.join (Fiber.spawn ~on:core (fun () -> r := Some (f ()))));
+            Option.get !r
+          in
+          let a = Msgvfs.client fs and b = Msgvfs.client fs
+          and k = Msgvfs.client fs in
+          let opens c core what path =
+            on core (fun () ->
+                Result.map
+                  (fun fd -> check_ok what (Msgvfs.close c fd))
+                  (Msgvfs.open_ c path))
+          in
+          let local = "/proj/d000/local" in
+          check_ok "A creates" (on (core 1) (fun () -> Msgvfs.create a local));
+          check_ok "A opens" (opens a (core 1) "A closes" local);
+          check_ok "B opens" (opens b (core 2) "B closes" local);
+          check_ok "K unlinks" (on (core 3) (fun () -> Msgvfs.unlink k local));
+          check_err "A opens the unlinked name" Fsspec.Enoent
+            (opens a (core 1) "A closes" local);
+          check_err "B opens the unlinked name" Fsspec.Enoent
+            (opens b (core 2) "B closes" local);
+          let missing = "/proj/d000/notyet" in
+          check_err "A opens a missing name" Fsspec.Enoent
+            (opens a (core 1) "A closes" missing);
+          check_err "B opens a missing name" Fsspec.Enoent
+            (opens b (core 2) "B closes" missing);
+          check_ok "K creates"
+            (on (core 3) (fun () -> Msgvfs.create k missing));
+          check_ok "A opens the created name"
+            (opens a (core 1) "A closes" missing);
+          check_ok "B opens the created name"
+            (opens b (core 2) "B closes" missing))
+    in
+    ()
+  in
+  scenario 8;
+  scenario 64
 
 (* DESIGN D11: observability never moves virtual time.  The same VFS
    workload runs bare and with a trace ring plus an installed metrics
@@ -536,21 +484,21 @@ let test_e2e_release_after_rebind () =
 let test_observer_effect () =
   let cat = Provider.catalog ~seed:3 ~nfiles:96 in
   let workload got () =
-    let fs, pf, _server, _net = boot ~cat () in
+    let fs, _pf, _server, _net = boot ~cat () in
     let k = Msgvfs.client fs in
     check_ok "mkdir" (Msgvfs.mkdir k "/tmp");
     check_ok "create" (Msgvfs.create k "/tmp/hello");
     let fd = check_ok "open" (Msgvfs.open_ k "/tmp/hello") in
     ignore (check_ok "write" (Msgvfs.write k fd ~off:0 "observed"));
     let local = check_ok "read" (Msgvfs.read k fd ~off:0 ~len:8) in
-    let c = Projfs.client pf in
+    let c = Msgvfs.client fs in
     let path = "/proj/" ^ Provider.rel_path cat 7 in
     let projected_read () =
-      let fd = check_ok "open projected" (Projfs.open_ c path) in
+      let fd = check_ok "open projected" (Msgvfs.open_ c path) in
       let data =
-        check_ok "read projected" (Projfs.read c fd ~off:0 ~len:64)
+        check_ok "read projected" (Msgvfs.read c fd ~off:0 ~len:64)
       in
-      check_ok "close projected" (Projfs.close c fd);
+      check_ok "close projected" (Msgvfs.close c fd);
       data
     in
     let cold = projected_read () in
@@ -576,22 +524,13 @@ let test_observer_effect () =
 
 let () =
   Alcotest.run "vfs"
-    [ ( "namecache",
-        [ Alcotest.test_case "lru-eviction-order" `Quick
-            test_nc_lru_eviction_order;
-          Alcotest.test_case "active-never-evicts" `Quick
-            test_nc_active_entries_never_evict;
-          Alcotest.test_case "lifecycle" `Quick test_nc_lifecycle;
-          Alcotest.test_case "negative-entries" `Quick
-            test_nc_negative_entries;
-          Alcotest.test_case "state-counts" `Quick test_nc_state_counts ] );
-      ( "provider",
+    [ ( "provider",
         [ Alcotest.test_case "catalog" `Quick test_provider_catalog;
           Alcotest.test_case "protocol" `Quick test_provider_protocol ] );
       ( "projfs",
         [ Alcotest.test_case "cold-read-correct" `Quick
             test_e2e_cold_read_correct;
-          Alcotest.test_case "warm-open" `Quick test_e2e_warm_open_skips_walk;
+          Alcotest.test_case "warm-open" `Quick test_e2e_warm_open;
           Alcotest.test_case "negative-and-invalidation" `Quick
             test_e2e_negative_and_create_invalidation;
           Alcotest.test_case "copy-up-write" `Quick test_e2e_copy_up_write;
@@ -605,5 +544,7 @@ let () =
             test_e2e_cold_unlink_refused;
           Alcotest.test_case "release-after-rebind" `Quick
             test_e2e_release_after_rebind;
+          Alcotest.test_case "names-across-clients" `Quick
+            test_e2e_names_across_clients;
           Alcotest.test_case "observer-effect" `Quick
             test_observer_effect ] ) ]
