@@ -88,12 +88,16 @@ let serialize_history hist b =
            | Some History.Lost -> "lost")))
     (History.ops hist)
 
-(* The planted oracle violation for selftest: a completed read of a
-   value nobody ever wrote.  Must be recorded inside the run (it
-   stamps virtual times). *)
+(* The planted oracle violations for selftest: a completed read of a
+   value nobody ever wrote, and a daemon blocked forever that the
+   quiescence check must count as a leak.  Must be planted inside the
+   run (the read stamps virtual times). *)
 let plant_corruption hist =
   let op = History.invoke hist ~proc:13 ~kind:`Read ~key:"k0" () in
-  History.return_ hist op (History.Value (Some "bogus-never-written"))
+  History.return_ hist op (History.Value (Some "bogus-never-written"));
+  ignore
+    (Fiber.spawn ~label:"planted-leak" ~daemon:true (fun () ->
+         Chan.recv (Chan.rendezvous ())))
 
 (* What one run records: the client history, the faults that fired,
    oracle violations, counter lines folded into the digest after the
@@ -341,13 +345,15 @@ let prepare_disk ~corrupt (sch : Schedule.t) =
     | Ack | Val None -> 2
     | Val (Some s) -> 2 + Cost.words_of_bytes (String.length s)
   in
+  (* [Supervisor.stop] ends the supervisor and its store before the
+     leak check, so the baseline is taken before they start *)
+  let baseline = live () in
   let sup =
     Supervisor.start ~max_restarts:100 ~window:1_000_000_000
       Supervisor.One_for_one
       [ { Supervisor.cname = "store";
           cstart = Svc.starter ~words_of_resp ep handler } ]
   in
-  let baseline = live () in
   let clear = arm ~on_fire:(fun _ -> incr r.fired) ~dev sch in
   (* workload: 2 procs x 10 single-attempt ops on 4 shared keys *)
   let keys = [| "k0"; "k1"; "k2"; "k3" |] in
@@ -725,8 +731,7 @@ let prepare_projfs ~corrupt (sch : Schedule.t) =
   in
   (* the provider's serving fiber dies at its first dequeue inside each
      kill window; the supervisor re-serves the port (stack-side dedup
-     cache intact).  The fibers [arm] spawns (its injector) have
-     exited by the leak check, so the baseline leaves them out *)
+     cache intact) *)
   let before_arm = live () in
   let clear = arm ~on_fire:(fun _ -> incr r.fired) ~net sch in
   let armed = live () - before_arm in
@@ -764,7 +769,10 @@ let prepare_projfs ~corrupt (sch : Schedule.t) =
       let path = Projfs.mount_path pf ^ "/" ^ Provider.rel_path cat idx in
       ignore (Msgvfs.stat prewalk path))
     seeded;
-  let baseline = live () - armed in
+  (* the baseline leaves out what has ended by the leak check: the
+     fibers [arm] spawned (its injector) and the two [Supervisor.stop]
+     ends, the supervisor and its provider child *)
+  let baseline = live () - armed - 2 in
   let read_file c path =
     match Msgvfs.open_ c path with
     | Error _ -> History.Lost
@@ -1053,11 +1061,10 @@ let selftest ~seed =
   let minimal = shrink ~corrupt:true Disk sch in
   let o1 = run_one ~corrupt:true Disk minimal in
   let o2 = run_one ~corrupt:true Disk minimal in
-  { caught =
-      List.exists
-        (fun v ->
-          String.length v >= 15 && String.sub v 0 15 = "linearizability")
-        o.violations;
+  let caught prefix =
+    List.exists (String.starts_with ~prefix) o.violations
+  in
+  { caught = caught "linearizability" && caught "quiesce:";
     minimal_faults = Schedule.nfaults minimal;
     st_replay_identical =
       String.equal o1.digest o2.digest

@@ -72,7 +72,7 @@ type 'a slot = { sl_val : 'a; sl_words : int; sl_core : int; sl_time : int }
 
 type 'a t = {
   chid : int;
-  chlabel : string;
+  mutable chlabel : string;  (** [""] until an anonymous channel is named *)
   cap : capacity;
   buf : 'a slot Queue.t;
   txq : (unit, 'a) offer Deque.t;
@@ -84,15 +84,20 @@ let waiting_senders c = count_live c.txq
 
 let waiting_receivers c = count_live c.rxq
 
+(* An anonymous channel builds its name the first time something reads
+   it (a blocked wait's tag, which the deadlock report and a snapshot
+   show), so a reply channel that is never waited on never builds one. *)
+let label c =
+  if c.chlabel = "" then c.chlabel <- "chan-" ^ string_of_int c.chid;
+  c.chlabel
+
 let make_chan cap label =
   let eng = Engine.current () in
   let chid = Engine.fresh_id eng in
-  let chlabel =
-    match label with Some l -> l | None -> Printf.sprintf "chan-%d" chid
-  in
   let c =
-    { chid; chlabel; cap; buf = Queue.create (); txq = Deque.create ();
-      rxq = Deque.create (); closed = false }
+    { chid; chlabel = Option.value label ~default:""; cap;
+      buf = Queue.create (); txq = Deque.create (); rxq = Deque.create ();
+      closed = false }
   in
   (* Only explicitly labelled channels register with the snapshot
      layer: anonymous one-shots (reply channels) would swamp the
@@ -188,7 +193,7 @@ let send ?(words = 2) c v =
   let ts = Engine.now eng in
   if can_send c then deliver eng c v ~words ~src ~ts
   else
-    Engine.suspend eng ~tag:("send:" ^ c.chlabel) (fun w ->
+    Engine.suspend eng ~tag:("send:" ^ label c) (fun w ->
         Deque.push_back c.txq
           (offer w ~resume:Fun.id ~core:src ~time:ts ~words v))
 
@@ -253,7 +258,7 @@ let recv c =
   else
     let me = Engine.fiber_core (Engine.self eng) in
     let tr = Engine.now eng in
-    Engine.suspend eng ~tag:("recv:" ^ c.chlabel) (fun w ->
+    Engine.suspend eng ~tag:("recv:" ^ label c) (fun w ->
         Deque.push_back c.rxq (offer w ~resume:Fun.id ~core:me ~time:tr ()))
 
 let try_recv c =

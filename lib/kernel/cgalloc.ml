@@ -12,17 +12,20 @@ type t = {
 
 let serve_group ep ~first ~count =
   (* private free list: no locks, the message loop is the mutual
-     exclusion *)
-  let free = Queue.create () in
-  for b = first to first + count - 1 do
-    Queue.push b free
-  done;
+     exclusion.  The blocks never handed out are [next, first + count);
+     freed blocks queue behind them, so a group hands out its fresh
+     blocks in ascending order, then freed ones in the order they were
+     freed, and its list costs O(1) words until blocks are freed *)
+  let next = ref first and freed = Queue.create () in
   Svc.serve ep (fun req ->
       match req with
-      | Alloc ->
-        if Queue.is_empty free then Empty else Block (Queue.pop free)
+      | Alloc when !next < first + count ->
+        incr next;
+        Block (!next - 1)
+      | Alloc -> (
+        match Queue.take_opt freed with Some b -> Block b | None -> Empty)
       | Free b ->
-        Queue.push b free;
+        Queue.push b freed;
         Done)
 
 let start ?(groups = 8) ~nblocks () =

@@ -4,7 +4,7 @@ type 'a t = {
   mutable size : int;
 }
 
-let create () = { buf = Array.make 16 None; head = 0; size = 0 }
+let create () = { buf = [||]; head = 0; size = 0 }
 
 let length t = t.size
 
@@ -14,8 +14,9 @@ let capacity t = Array.length t.buf
 
 let index t i = (t.head + i) mod capacity t
 
+(* the first push allocates two slots; each growth doubles *)
 let grow t =
-  let n = capacity t * 2 in
+  let n = max 2 (capacity t * 2) in
   let buf = Array.make n None in
   for i = 0 to t.size - 1 do
     buf.(i) <- t.buf.(index t i)

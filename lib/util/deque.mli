@@ -2,7 +2,10 @@
 
     Used for per-core run queues: the owning core pushes and pops at the
     back (LIFO for cache warmth is not modelled; FIFO order is used for
-    determinism) while work-stealing removes from the front. *)
+    determinism) while work-stealing removes from the front.
+
+    An empty deque holds no buffer: the first push allocates two slots,
+    and each push into a full buffer doubles it. *)
 
 type 'a t
 

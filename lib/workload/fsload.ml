@@ -92,34 +92,36 @@ module Make (F : Fsspec.S) = struct
     else if r < mix.read_ + mix.write_ + mix.stat_ then Stat
     else Create_unlink
 
-  let client fs cfg zipf ~client_id =
+  (* One run's figures.  Every client records into them directly, which
+     is safe because the engine runs one fiber at a time. *)
+  type acc = {
+    latency : Histogram.t;
+    per_op : (string, Histogram.t) Hashtbl.t;
+    mutable failed : int;
+  }
+
+  let timed acc name f =
+    let t0 = Fiber.now () in
+    let ok = f () in
+    let dt = Fiber.now () - t0 in
+    Histogram.record acc.latency dt;
+    (match Hashtbl.find_opt acc.per_op name with
+    | Some h -> Histogram.record h dt
+    | None ->
+      let h = Histogram.create () in
+      Histogram.record h dt;
+      Hashtbl.replace acc.per_op name h);
+    if not ok then acc.failed <- acc.failed + 1
+
+  let client fs cfg zipf acc ~paths ~payloads ~client_id =
     let rng = Rng.make (cfg.seed + (client_id * 7919) + 13) in
-    let latency = Histogram.create () in
-    let hist_of = Hashtbl.create 8 in
-    let hist name =
-      match Hashtbl.find_opt hist_of name with
-      | Some h -> h
-      | None ->
-        let h = Histogram.create () in
-        Hashtbl.replace hist_of name h;
-        h
-    in
-    let failed = ref 0 in
-    let timed name f =
-      let t0 = Fiber.now () in
-      let ok = f () in
-      let dt = Fiber.now () - t0 in
-      Histogram.record latency dt;
-      Histogram.record (hist name) dt;
-      if not ok then incr failed
-    in
     (* one cached open fd per client per file it has touched *)
     let fds = Hashtbl.create 16 in
     let fd_for i =
       match Hashtbl.find_opt fds i with
       | Some fd -> Ok fd
       | None -> (
-        match F.open_ fs (file_path cfg i) with
+        match F.open_ fs paths.(i) with
         | Ok fd ->
           Hashtbl.replace fds i fd;
           Ok fd
@@ -130,7 +132,7 @@ module Make (F : Fsspec.S) = struct
       let i = Zipf.sample zipf rng in
       match pick_op cfg.mix rng with
       | Read ->
-        timed "read" (fun () ->
+        timed acc "read" (fun () ->
             match fd_for i with
             | Error _ -> false
             | Ok fd ->
@@ -139,76 +141,54 @@ module Make (F : Fsspec.S) = struct
               in
               Result.is_ok (F.read fs fd ~off ~len:cfg.io_size))
       | Write ->
-        timed "write" (fun () ->
+        timed acc "write" (fun () ->
             match fd_for i with
             | Error _ -> false
             | Ok fd ->
               let off =
                 Rng.int rng (max 1 (cfg.file_size - cfg.io_size))
               in
-              Result.is_ok (F.write fs fd ~off (payload cfg op)))
-      | Stat ->
-        timed "stat" (fun () ->
-            Result.is_ok (F.stat fs (file_path cfg i)))
+              Result.is_ok (F.write fs fd ~off payloads.(op)))
+      | Stat -> timed acc "stat" (fun () -> Result.is_ok (F.stat fs paths.(i)))
       | Create_unlink ->
-        timed "create" (fun () ->
+        timed acc "create" (fun () ->
             let p = Printf.sprintf "/dir%d/tmp-%d-%d" (client_id mod cfg.dirs)
                       client_id op in
             match F.create fs p with
             | Error _ -> false
             | Ok () -> Result.is_ok (F.unlink fs p))
     done;
-    Hashtbl.iter (fun i fd -> ignore (F.close fs fd); ignore i) fds;
-    { total_ops = cfg.ops_per_client;
-      failed_ops = !failed;
-      elapsed = 0;
-      latency;
-      per_op =
-        Hashtbl.fold (fun name h acc -> (name, h) :: acc) hist_of []
-        |> List.sort compare }
-
-  let merge a b =
-    let merge_assoc la lb =
-      let names =
-        List.sort_uniq compare (List.map fst la @ List.map fst lb)
-      in
-      List.map
-        (fun n ->
-          let get l =
-            Option.value ~default:(Histogram.create ()) (List.assoc_opt n l)
-          in
-          (n, Histogram.merge (get la) (get lb)))
-        names
-    in
-    { total_ops = a.total_ops + b.total_ops;
-      failed_ops = a.failed_ops + b.failed_ops;
-      elapsed = max a.elapsed b.elapsed;
-      latency = Histogram.merge a.latency b.latency;
-      per_op = merge_assoc a.per_op b.per_op }
+    Hashtbl.iter (fun i fd -> ignore (F.close fs fd); ignore i) fds
 
   let run_clients view cfg =
     let results = Chorus.Chan.unbounded () in
-    (* the sampler's constants depend on the config alone: compute them
-       once for every client *)
+    (* the sampler's constants, the paths and the payloads depend on the
+       config alone: compute them once for every client *)
     let zipf = Zipf.make ~n:cfg.files ~theta:cfg.theta in
+    let paths = Array.init cfg.files (file_path cfg) in
+    let payloads = Array.init cfg.ops_per_client (payload cfg) in
+    let acc =
+      { latency = Histogram.create (); per_op = Hashtbl.create 4; failed = 0 }
+    in
     let t0 = Fiber.now () in
+    (* a client ends by sending main one default-size message, which
+       main takes after the join, outside [elapsed] *)
     let fibers =
       List.init cfg.clients (fun id ->
           Fiber.spawn ~label:(Printf.sprintf "client-%d" id) (fun () ->
-              let r = client (view id) cfg zipf ~client_id:id in
-              Chorus.Chan.send results r))
+              client (view id) cfg zipf acc ~paths ~payloads ~client_id:id;
+              Chorus.Chan.send results ()))
     in
     List.iter (fun f -> ignore (Fiber.join f)) fibers;
     let elapsed = Fiber.now () - t0 in
-    let rec collect acc n =
-      if n = 0 then acc
-      else collect (merge acc (Chorus.Chan.recv results)) (n - 1)
-    in
-    let merged =
-      collect
-        { total_ops = 0; failed_ops = 0; elapsed = 0;
-          latency = Histogram.create (); per_op = [] }
-        cfg.clients
-    in
-    { merged with elapsed }
+    for _ = 1 to cfg.clients do
+      Chorus.Chan.recv results
+    done;
+    { total_ops = cfg.clients * cfg.ops_per_client;
+      failed_ops = acc.failed;
+      elapsed;
+      latency = acc.latency;
+      per_op =
+        Hashtbl.fold (fun name h l -> (name, h) :: l) acc.per_op []
+        |> List.sort compare }
 end

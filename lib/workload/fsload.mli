@@ -3,8 +3,8 @@
     Drives any {!Chorus_fsspec.Fsspec.S} implementation with a
     configurable operation mix over a Zipf-skewed file population —
     the server-style load the paper's scalability argument is about.
-    Deterministic in the seed; per-operation latency histograms are
-    collected per client and merged. *)
+    Deterministic in the seed.  A run keeps one set of latency
+    histograms that every client records into. *)
 
 type mix = {
   read_ : int;
@@ -38,7 +38,9 @@ type result = {
       (** cycles of the measured client phase (setup excluded) *)
   latency : Chorus_util.Histogram.t;  (** all ops *)
   per_op : (string * Chorus_util.Histogram.t) list;
-      (** "read" / "write" / "stat" / "create" / "open" *)
+      (** "create" / "read" / "stat" / "write", in that order, each
+          present once an op of its kind has run; "create" times a
+          create+unlink pair *)
 }
 
 val throughput : result -> float
@@ -52,5 +54,5 @@ module Make (F : Chorus_fsspec.Fsspec.S) : sig
   val run_clients : (int -> F.t) -> config -> result
   (** Spawn [config.clients] client fibers (each gets its own view via
       the argument and its own random stream, and all draw files from
-      one Zipf sampler), wait for all, merge results. *)
+      one Zipf sampler), wait for all, and return the run's figures. *)
 end

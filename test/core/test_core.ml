@@ -213,6 +213,56 @@ let test_channels_over_channels () =
   in
   Alcotest.(check int) "plumbed channel carried data" 55 !sum
 
+(* A one-shot reply channel is cheap on the host: no name until one is
+   read, and no wait-queue buffer until a party waits (96 minor words
+   when each channel built its name and two 16-slot queues up front).
+   A fiber blocked on it still shows the built name in a snapshot. *)
+let test_reply_chan_footprint () =
+  let n = 100 in
+  let per_chan = ref 0.0 and wait = ref None in
+  let wait_of fid =
+    let open Chorus.Inspect in
+    match Engine.inspect (Engine.current ()) with
+    | Assoc top -> (
+      match List.assoc "fibers" top with
+      | List fibers ->
+        List.find_map
+          (function
+            | Assoc f when List.assoc "fid" f = Int fid -> (
+              match List.assoc "wait" f with String w -> Some w | _ -> None)
+            | _ -> None)
+          fibers
+      | _ -> None)
+    | _ -> None
+  in
+  let (_ : Runstats.t) =
+    run (fun () ->
+        let w0 = Gc.minor_words () in
+        for _ = 1 to n do
+          ignore (Sys.opaque_identity (Chan.buffered 1 : int Chan.t))
+        done;
+        per_chan := (Gc.minor_words () -. w0) /. float_of_int n;
+        let c : int Chan.t = Chan.buffered 1 in
+        let f = Fiber.spawn (fun () -> ignore (Chan.recv c)) in
+        Fiber.sleep 10_000;
+        wait := wait_of (Fiber.id f);
+        Chan.send c 1)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per channel < 24" !per_chan)
+    true (!per_chan < 24.0);
+  let named w =
+    let prefix = "recv:chan-" in
+    let k = String.length prefix in
+    String.starts_with ~prefix w
+    && Option.is_some
+         (int_of_string_opt (String.sub w k (String.length w - k)))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "blocked on %s" (Option.value !wait ~default:"nothing"))
+    true
+    (Option.fold ~none:false ~some:named !wait)
+
 (* The receive charge as it stands (ROADMAP item 1, DESIGN D21 may
    change it on purpose).  A sender's long segment runs first in host
    order and buffers its message, stamped k cycles after the clock of a
@@ -861,7 +911,9 @@ let () =
           Alcotest.test_case "channels over channels" `Quick
             test_channels_over_channels;
           Alcotest.test_case "a later-stamped message costs its gap" `Quick
-            test_recv_charges_gap_to_later_stamp ] );
+            test_recv_charges_gap_to_later_stamp;
+          Alcotest.test_case "reply channel footprint" `Quick
+            test_reply_chan_footprint ] );
       ( "choice",
         [ Alcotest.test_case "picks ready" `Quick test_choice_picks_ready;
           Alcotest.test_case "blocks until ready" `Quick

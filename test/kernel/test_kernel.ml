@@ -358,6 +358,44 @@ let test_cgalloc_unique () =
   in
   ()
 
+(* a group hands out its fresh blocks in ascending order, then freed
+   blocks in the order they were freed *)
+let test_cgalloc_order () =
+  let (_ : Runstats.t) =
+    run (fun () ->
+        let a = Cgalloc.start ~groups:1 ~nblocks:8 () in
+        let next () = Cgalloc.alloc a ~hint:0 in
+        let first = List.init 5 (fun _ -> next ()) in
+        Alcotest.(check (list (option int))) "fresh blocks ascending"
+          [ Some 0; Some 1; Some 2; Some 3; Some 4 ] first;
+        Cgalloc.free a 3;
+        Cgalloc.free a 1;
+        let rest = List.init 6 (fun _ -> next ()) in
+        Alcotest.(check (list (option int))) "fresh, then freed in order"
+          [ Some 5; Some 6; Some 7; Some 3; Some 1; None ] rest)
+  in
+  ()
+
+(* a group's free list costs O(1) words until blocks are freed, not a
+   cell per block of its range *)
+let test_cgalloc_footprint () =
+  let (_ : Runstats.t) =
+    run (fun () ->
+        let live () =
+          Gc.full_major ();
+          (Gc.stat ()).Gc.live_words
+        in
+        let w0 = live () in
+        let a = Cgalloc.start ~groups:1 ~nblocks:65536 () in
+        ignore (Cgalloc.alloc a ~hint:0 : int option);
+        let words = live () - w0 in
+        Alcotest.(check bool)
+          (Printf.sprintf "%d live words < 1000" words)
+          true (words < 1000);
+        ignore (Sys.opaque_identity a))
+  in
+  ()
+
 (* ------------------------------------------------------------------ *)
 (* Msgvfs semantics                                                    *)
 
@@ -2180,7 +2218,10 @@ let () =
           Alcotest.test_case "driver priority" `Quick
             test_blockdev_priority_accepted ] );
       ( "cgalloc",
-        [ Alcotest.test_case "unique allocation" `Quick test_cgalloc_unique ] );
+        [ Alcotest.test_case "unique allocation" `Quick test_cgalloc_unique;
+          Alcotest.test_case "order" `Quick test_cgalloc_order;
+          Alcotest.test_case "free list is O(1)" `Quick
+            test_cgalloc_footprint ] );
       ( "msgvfs",
         [ Alcotest.test_case "semantics (plumbed)" `Quick
             (fs_semantics_suite true);

@@ -207,6 +207,46 @@ let prop_deque_model =
         ops
       && Deque.to_list d = !model)
 
+(* A deque that starts with no buffer, checked against a list after
+   every step: growth from empty to 2, 4 and 8 slots, a run of pushes
+   that wraps past the end of the buffer, a growth while wrapped, a
+   push_front that wraps past the start, and pops at both ends. *)
+let test_deque_growth_wrap () =
+  let d = Deque.create () and model = ref [] in
+  let check what =
+    Alcotest.(check (list int)) what !model (Deque.to_list d);
+    Alcotest.(check int) (what ^ ": length") (List.length !model)
+      (Deque.length d)
+  in
+  let push_back v =
+    Deque.push_back d v;
+    model := !model @ [ v ];
+    check (Printf.sprintf "push_back %d" v)
+  in
+  let pop_front () =
+    Alcotest.(check (option int)) "pop_front" (List.nth_opt !model 0)
+      (Deque.pop_front d);
+    model := List.tl !model;
+    check "after pop_front"
+  in
+  check "empty";
+  Alcotest.(check (option int)) "pop_back on empty" None (Deque.pop_back d);
+  for v = 1 to 5 do push_back v done;
+  for _ = 1 to 3 do pop_front () done;
+  (* 4 and 5 sit in the middle of eight slots: these pushes wrap past
+     the end, and the last grows the wrapped buffer *)
+  for v = 6 to 12 do push_back v done;
+  Deque.push_front d 0;
+  model := 0 :: !model;
+  check "push_front";
+  Alcotest.(check (option int)) "pop_back" (Some 12) (Deque.pop_back d);
+  model := List.filter (( <> ) 12) !model;
+  check "after pop_back";
+  Alcotest.(check (option int)) "peek_front" (Some 0) (Deque.peek_front d);
+  for v = 13 to 20 do push_back v done;
+  while !model <> [] do pop_front () done;
+  Alcotest.(check bool) "empty again" true (Deque.is_empty d)
+
 (* ------------------------------------------------------------------ *)
 (* Histogram                                                           *)
 
@@ -577,6 +617,8 @@ let () =
           qt prop_pqueue_sorts ] );
       ( "deque",
         [ Alcotest.test_case "basics" `Quick test_deque_basics;
+          Alcotest.test_case "growth and wrap from empty" `Quick
+            test_deque_growth_wrap;
           qt prop_deque_model ] );
       ( "histogram",
         [ Alcotest.test_case "exact small values" `Quick
