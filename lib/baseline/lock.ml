@@ -13,7 +13,6 @@ type waiter = {
 type t = {
   line : Coherence.line;
   mutable holder : int option;  (** fiber id *)
-  mutable holder_core : int;
   mutable free_from : int;
       (** virtual time at which the previous critical section ends.
           Fibers whose segments overlap in virtual time but run
@@ -29,7 +28,6 @@ type t = {
 let create ?(label = "lock") () =
   { line = Coherence.line ();
     holder = None;
-    holder_core = 0;
     free_from = 0;
     waiters = Deque.create ();
     lk_label = label;
@@ -55,8 +53,7 @@ let acquire t =
       t.wait_cycles <- t.wait_cycles + (t.free_from - now);
       Engine.charge eng (t.free_from - now)
     end;
-    t.holder <- Some me;
-    t.holder_core <- core
+    t.holder <- Some me
   | Some _ ->
     t.contended <- t.contended + 1;
     (* a spinning waiter keeps re-reading the line: register as a
@@ -81,7 +78,6 @@ let rec hand_off t eng ~from_core =
         Machine.transfer_latency m ~owner:from_core ~requester:w.core
       in
       t.holder <- Some w.fid;
-      t.holder_core <- w.core;
       t.wait_cycles <- t.wait_cycles + (now + delay - w.enq_time);
       Engine.wake_at w.waker (now + delay) ()
     end

@@ -49,8 +49,6 @@ type sys = {
   disk_store : (int, bytes) Hashtbl.t;
   disk_lock : Lock.t;
   mutable disk_head : int;
-  mutable disk_reads : int;
-  mutable disk_writes : int;
   mutable tick : int;  (** LRU clock *)
 }
 
@@ -80,8 +78,6 @@ let make cfg =
       disk_store = Hashtbl.create 1024;
       disk_lock = Lock.create ~label:"disk" ();
       disk_head = 0;
-      disk_reads = 0;
-      disk_writes = 0;
       tick = 0 }
   in
   (* inode 0 is the root directory *)
@@ -100,16 +96,13 @@ let disk_io sys ~write block data =
       sys.disk_head <- block;
       Engine.sleep eng svc;
       if write then begin
-        sys.disk_writes <- sys.disk_writes + 1;
         Hashtbl.replace sys.disk_store block (Bytes.copy data);
         data
       end
-      else begin
-        sys.disk_reads <- sys.disk_reads + 1;
+      else
         match Hashtbl.find_opt sys.disk_store block with
         | Some d -> Bytes.copy d
-        | None -> Bytes.make Fsspec.block_size '\000'
-      end)
+        | None -> Bytes.make Fsspec.block_size '\000')
 
 (* ------------------------------------------------------------------ *)
 (* Buffer cache (sharded; shard lock held across miss I/O, as in the

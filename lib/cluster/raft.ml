@@ -93,7 +93,6 @@ type t = {
   mutable lineage : int;
       (* bumped by reset_volatile; fibers of older lineages exit *)
   (* stats *)
-  mutable won : int;
   mutable appends : int;
   mutable group_commits : int;
   mutable leased_reads : int;
@@ -130,7 +129,6 @@ let create cfg ~stack ~raft_port ~shard ~peers ~on_event =
     term_start = 0;
     waiters = Hashtbl.create 8;
     lineage = 0;
-    won = 0;
     appends = 0;
     group_commits = 0;
     leased_reads = 0;
@@ -574,7 +572,6 @@ let batcher t ~lineage ~my_term =
 let become_leader t ~register ~lineage =
   t.role <- Leader;
   t.leader_hint <- t.self;
-  t.won <- t.won + 1;
   t.kicks <- [];
   t.batch_kick <- None;
   t.batch_pending <- 0;

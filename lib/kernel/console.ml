@@ -7,7 +7,6 @@ module Cost = Chorus_machine.Cost
 type t = {
   ep : (string, unit) Svc.t;
   mutable lines : string list;  (** reversed *)
-  mutable count : int;
   write_h : Metrics.histogram;  (** caller-observed write_line latency *)
 }
 
@@ -17,15 +16,14 @@ let cycles_per_char = 2000
 let start () =
   let t =
     { ep = Svc.create ~subsystem:"console" ~label:"console" ();
-      lines = []; count = 0;
+      lines = [];
       write_h = Metrics.histogram ~subsystem:"console" "write_line" }
   in
   ignore
     (Svc.start t.ep (fun line ->
          (* the device shifts characters out at line rate *)
          Fiber.sleep (cycles_per_char * (String.length line + 1));
-         t.lines <- line :: t.lines;
-         t.count <- t.count + 1));
+         t.lines <- line :: t.lines));
   t
 
 let write_line t line =

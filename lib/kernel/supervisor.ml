@@ -19,7 +19,6 @@ type t = {
   mutable restarts : int;
   mutable log : (int * string) list;  (** reversed *)
   mutable gave_up : bool;
-  mutable sup_fiber : Fiber.t option;
   restart_c : Metrics.counter;
   giveup_c : Metrics.counter;
 }
@@ -60,7 +59,6 @@ let start ?(max_restarts = 10) ?(window = 10_000_000) strategy specs =
       restarts = 0;
       log = [];
       gave_up = false;
-      sup_fiber = None;
       restart_c = Metrics.counter ~subsystem:"supervisor" "restarts";
       giveup_c = Metrics.counter ~subsystem:"supervisor" "give_ups" }
   in
@@ -83,8 +81,8 @@ let start ?(max_restarts = 10) ?(window = 10_000_000) strategy specs =
         Array.iteri (fun i _ -> spawn_child t i) t.fibers
     end
   in
-  let sup =
-    Fiber.spawn ~label:"supervisor" ~daemon:true (fun () ->
+  ignore
+    (Fiber.spawn ~label:"supervisor" ~daemon:true (fun () ->
         Array.iteri (fun i _ -> spawn_child t i) t.specs;
         let rec loop () =
           match Chan.recv t.inbox with
@@ -101,9 +99,7 @@ let start ?(max_restarts = 10) ?(window = 10_000_000) strategy specs =
             | Fiber.Normal -> ());
             loop ()
         in
-        try loop () with Chan.Closed -> ())
-  in
-  t.sup_fiber <- Some sup;
+        try loop () with Chan.Closed -> ()));
   t
 
 let restarts t = t.restarts

@@ -1,5 +1,4 @@
 type t = {
-  cycles_per_us : int;
   call : int;
   fiber_switch : int;
   fiber_spawn : int;
@@ -12,13 +11,11 @@ type t = {
   cache_miss : int;
   coherence_per_hop : int;
   atomic : int;
-  interrupt : int;
   signal_deliver : int;
 }
 
 let software_messages =
   {
-    cycles_per_us = 2000;
     call = 5;
     fiber_switch = 30;
     fiber_spawn = 80;
@@ -31,7 +28,6 @@ let software_messages =
     cache_miss = 40;
     coherence_per_hop = 5;
     atomic = 20;
-    interrupt = 400;
     signal_deliver = 800;
   }
 

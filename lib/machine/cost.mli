@@ -9,8 +9,6 @@
     cheaper message cost vector. *)
 
 type t = {
-  cycles_per_us : int;
-      (** clock: cycles per microsecond (for human-readable output) *)
   call : int;  (** procedure call+return (E1 yardstick) *)
   fiber_switch : int;  (** resume one runnable fiber on a core *)
   fiber_spawn : int;  (** create a fiber (stacklet + descriptor) *)
@@ -25,7 +23,6 @@ type t = {
       (** extra latency per hop when a line is fetched from a remote
           owner (directory coherence) *)
   atomic : int;  (** uncontended atomic RMW *)
-  interrupt : int;  (** device interrupt delivery to a core *)
   signal_deliver : int;
       (** Unix signal: frame setup + handler entry + sigreturn *)
 }

@@ -144,7 +144,6 @@ let handle cat req =
 
 type t = {
   mutable requests : int;
-  mutable bytes_served : int;
 }
 
 let serve_in_fiber t cat stack =
@@ -154,10 +153,9 @@ let serve_in_fiber t cat stack =
       let resp = handle cat req in
       Fiber.work (400 + (String.length resp / 4));
       t.requests <- t.requests + 1;
-      t.bytes_served <- t.bytes_served + String.length resp;
       reply resp)
 
-let make () = { requests = 0; bytes_served = 0 }
+let make () = { requests = 0 }
 
 let starter t cat stack () =
   Fiber.spawn ~label:"provider" ~daemon:true (fun () ->
