@@ -72,7 +72,7 @@ lint-globals:
 		echo "lint-globals: OK"; \
 	fi
 
-# Dead-surface gate, two checks.
+# Dead-surface gate, three checks.
 #
 # Modules: every lib/*/*.ml module must be named by some other .ml
 # file of the program (lib/, bin/, bench/, examples/, perfbench/); a
@@ -87,6 +87,13 @@ lint-globals:
 # an observation hook): a file names it if it contains `M.v`, aliases
 # M as A (`module A = Lib.M`) and contains `A.v`, or opens or includes
 # M (`open M`, `include M`, `M.(`) and mentions `v` at all.
+#
+# Fields: a `mutable` field of a lib/ record must be read.  It fails
+# when every line of those files or of test/ that names it is its
+# declaration (`mutable f :`), an initialiser in a record literal
+# (`f = …`, not `x.f = …`) or an assignment to it (`.f <- …`, a
+# self-increment included): state nothing observes.  The check goes
+# by name, so a field that shares its name with a read one passes.
 LINT_DEAD_SRC := lib bin bench examples perfbench
 LINT_DEAD_ALLOW := lib/fsspec/fsmodel.ml
 
@@ -124,8 +131,15 @@ lint-dead:
 		done; \
 	done; \
 	rm -f $$names; \
+	for d in $$(grep -roE --include='*.ml' "\bmutable +$$id *:" lib \
+		| sed -E 's/:mutable +/:/; s/ *:$$//' | sort -u); do \
+		v=$${d#*:}; \
+		grep -rhwE --include='*.ml' --include='*.mli' "$$v" $(LINT_DEAD_SRC) test \
+		| grep -qvE "\bmutable +$$v *:|(^|[^.A-Za-z0-9_'~?])$$v *=([^=]|$$)|\.$$v *<-" \
+		|| bad="$$bad $$d"; \
+	done; \
 	if [ -n "$$bad" ]; then \
-		echo "lint-dead: lib modules and exports no other file names:$$bad"; \
+		echo "lint-dead: lib modules, exports and mutable fields nothing reads:$$bad"; \
 		echo "delete them, make them internal, or allowlist a module in the Makefile"; \
 		exit 1; \
 	else \
