@@ -34,7 +34,6 @@ type point = {
   replicas : int;
   batched : bool;
   leased : bool;
-  submitted : int;
   completed : int;
   failed : int;
   throughput : float;  (* completed ops per Mcycle *)
@@ -43,7 +42,6 @@ type point = {
   p99 : int;
   get_p50 : int;
   get_p99 : int;
-  put_p50 : int;
   put_p99 : int;
   appends : int;  (* AppendEntries RPCs sent, all leaders *)
   group_commits : int;
@@ -132,7 +130,6 @@ let run_point ?nclients ?(depth = 8) ?duration ?(call_timeout = 60_000)
     replicas;
     batched;
     leased;
-    submitted = res.Zipfload.submitted;
     completed = res.Zipfload.completed;
     failed = res.Zipfload.failed;
     throughput = res.Zipfload.throughput;
@@ -143,7 +140,6 @@ let run_point ?nclients ?(depth = 8) ?duration ?(call_timeout = 60_000)
     p99 = res.Zipfload.p99;
     get_p50 = Chorus_util.Histogram.percentile res.Zipfload.lat_get 50.0;
     get_p99 = Chorus_util.Histogram.percentile res.Zipfload.lat_get 99.0;
-    put_p50 = Chorus_util.Histogram.percentile res.Zipfload.lat_put 50.0;
     put_p99 = Chorus_util.Histogram.percentile res.Zipfload.lat_put 99.0;
     appends;
     group_commits = commits;

@@ -37,16 +37,13 @@ type point = {
   gray : bool;
   breakers : bool;
   deadlines : bool;
-  submitted : int;
   completed : int;
   failed : int;
-  throughput : float;  (* completed ops per Mcycle *)
   p50 : int;
   p99 : int;
   pmax : int;  (* worst completion latency seen *)
   trips : int;
   skips : int;
-  probes : int;
   misses : int;  (* deadline misses *)
   link_delayed : int;  (* gray-link deliveries actually delayed *)
 }
@@ -105,16 +102,13 @@ let run_point ~quick ~seed ~gray ~breakers ~deadlines () =
   { gray;
     breakers;
     deadlines;
-    submitted = res.Zipfload.submitted;
     completed = res.Zipfload.completed;
     failed = res.Zipfload.failed;
-    throughput = res.Zipfload.throughput;
     p50 = res.Zipfload.p50;
     p99 = res.Zipfload.p99;
     pmax = Chorus_util.Histogram.percentile res.Zipfload.latency 100.0;
     trips = res.Zipfload.breaker_trips;
     skips = res.Zipfload.breaker_skips;
-    probes = res.Zipfload.breaker_probes;
     misses = res.Zipfload.deadline_misses;
     link_delayed = delayed }
 

@@ -49,23 +49,30 @@ let default_config ~seed =
     seed }
 
 type result = {
-  submitted : int;
   completed : int;
   failed : int;
-  reads : int;
-  writes : int;
   elapsed : int;  (* first scheduled issue -> last completion *)
   throughput : float;  (* completed ops per 1e6 cycles of elapsed *)
   p50 : int;
   p99 : int;
-  mean_latency : float;
   latency : Histogram.t;
   lat_get : Histogram.t;
   lat_put : Histogram.t;
   breaker_trips : int;  (* summed over clients; 0 without [breaker] *)
   breaker_skips : int;
-  breaker_probes : int;
   deadline_misses : int;  (* 0 without [op_budget] *)
+}
+
+(* The run's one accumulator: every client records into it directly. *)
+type acc = {
+  lat : Histogram.t;
+  lat_get : Histogram.t;
+  lat_put : Histogram.t;
+  mutable failed : int;
+  mutable last_done : int;
+  mutable trips : int;
+  mutable skips : int;
+  mutable misses : int;
 }
 
 let key_of_rank rank = Printf.sprintf "k%07d" rank
@@ -73,9 +80,7 @@ let key_of_rank rank = Printf.sprintf "k%07d" rank
 (* One client connection: generator + deferred drain.  Nothing reads
    completions during the issue window, so the pipeline window is the
    only backpressure — exactly the bounded-buffer open-loop model. *)
-let drive cfg ~fabric ~bootstrap ~zipf ~idx ~lat ~lat_get ~lat_put ~failed
-    ~reads ~writes ~submitted ~last_done ~trips ~skips ~probes ~misses
-    ~done_ch =
+let drive cfg ~fabric ~bootstrap ~zipf ~idx acc ~done_ch =
   let nic =
     Fabric.attach fabric ~label:(Printf.sprintf "loadgen%d" idx) ()
   in
@@ -105,19 +110,11 @@ let drive cfg ~fabric ~bootstrap ~zipf ~idx ~lat ~lat_get ~lat_put ~failed
       let key = key_of_rank rank in
       let is_read = Rng.float rng 1.0 < cfg.read_fraction in
       let op =
-        if is_read then begin
-          incr reads;
-          Client.Op_get key
-        end
-        else begin
-          incr writes;
-          Client.Op_put (key, value)
-        end
+        if is_read then Client.Op_get key else Client.Op_put (key, value)
       in
       let seq = Client.submit pipe op in
       Hashtbl.replace sched seq (next_t, is_read);
       incr issued;
-      incr submitted;
       gen (next_t + gap ())
     end
   in
@@ -127,65 +124,54 @@ let drive cfg ~fabric ~bootstrap ~zipf ~idx ~lat ~lat_get ~lat_put ~failed
     let { Client.seq; at; result } = Chan.recv compl_c in
     let t_issue, is_read = Hashtbl.find sched seq in
     let d = at - t_issue in
-    Histogram.record lat d;
-    Histogram.record (if is_read then lat_get else lat_put) d;
-    if at > !last_done then last_done := at;
+    Histogram.record acc.lat d;
+    Histogram.record (if is_read then acc.lat_get else acc.lat_put) d;
+    if at > acc.last_done then acc.last_done <- at;
     match result with
-    | `Net_fail -> incr failed
+    | `Net_fail -> acc.failed <- acc.failed + 1
     | `Ok | `Found _ | `Miss -> ()
   done;
-  trips := !trips + Client.breaker_trips client;
-  skips := !skips + Client.breaker_skips client;
-  probes := !probes + Client.breaker_probes client;
-  misses := !misses + Client.deadline_misses client;
+  acc.trips <- acc.trips + Client.breaker_trips client;
+  acc.skips <- acc.skips + Client.breaker_skips client;
+  acc.misses <- acc.misses + Client.deadline_misses client;
   Chan.send done_ch ()
 
 let run cfg ~fabric ~bootstrap =
   if cfg.nclients < 1 then invalid_arg "Zipf.run: nclients";
   if cfg.offered < 1 then invalid_arg "Zipf.run: offered";
   let zipf = Chorus_util.Zipf.make ~n:cfg.nkeys ~theta in
-  let lat = Histogram.create () in
-  let lat_get = Histogram.create () in
-  let lat_put = Histogram.create () in
-  let failed = ref 0
-  and reads = ref 0
-  and writes = ref 0
-  and submitted = ref 0
-  and last_done = ref 0
-  and trips = ref 0
-  and skips = ref 0
-  and probes = ref 0
-  and misses = ref 0 in
+  let acc =
+    { lat = Histogram.create ();
+      lat_get = Histogram.create ();
+      lat_put = Histogram.create ();
+      failed = 0;
+      last_done = 0;
+      trips = 0;
+      skips = 0;
+      misses = 0 }
+  in
   let done_ch = Chan.buffered cfg.nclients in
   let t0 = Fiber.now () in
   for idx = 0 to cfg.nclients - 1 do
     ignore
       (Fiber.spawn
          ~label:(Printf.sprintf "zipf-client%d" idx)
-         (fun () ->
-           drive cfg ~fabric ~bootstrap ~zipf ~idx ~lat ~lat_get ~lat_put
-             ~failed ~reads ~writes ~submitted ~last_done ~trips ~skips
-             ~probes ~misses ~done_ch))
+         (fun () -> drive cfg ~fabric ~bootstrap ~zipf ~idx acc ~done_ch))
   done;
   for _ = 1 to cfg.nclients do
     Chan.recv done_ch
   done;
-  let completed = Histogram.count lat in
-  let elapsed = max 1 (!last_done - t0) in
-  { submitted = !submitted;
-    completed;
-    failed = !failed;
-    reads = !reads;
-    writes = !writes;
+  let completed = Histogram.count acc.lat in
+  let elapsed = max 1 (acc.last_done - t0) in
+  { completed;
+    failed = acc.failed;
     elapsed;
     throughput = float_of_int completed *. 1_000_000. /. float_of_int elapsed;
-    p50 = Histogram.percentile lat 50.0;
-    p99 = Histogram.percentile lat 99.0;
-    mean_latency = Histogram.mean lat;
-    latency = lat;
-    lat_get;
-    lat_put;
-    breaker_trips = !trips;
-    breaker_skips = !skips;
-    breaker_probes = !probes;
-    deadline_misses = !misses }
+    p50 = Histogram.percentile acc.lat 50.0;
+    p99 = Histogram.percentile acc.lat 99.0;
+    latency = acc.lat;
+    lat_get = acc.lat_get;
+    lat_put = acc.lat_put;
+    breaker_trips = acc.trips;
+    breaker_skips = acc.skips;
+    deadline_misses = acc.misses }

@@ -39,16 +39,12 @@ val default_config : seed:int -> config
     2M-cycle window, 90% reads. *)
 
 type result = {
-  submitted : int;
-  completed : int;
+  completed : int;  (** every submitted op completes before [run] returns *)
   failed : int;  (** [`Net_fail] verdicts (submitted ops that gave up) *)
-  reads : int;
-  writes : int;
   elapsed : int;  (** cycles from generator start to last completion *)
   throughput : float;  (** completed ops per million cycles *)
   p50 : int;  (** completion latency percentiles, cycles *)
   p99 : int;
-  mean_latency : float;
   latency : Chorus_util.Histogram.t;
   lat_get : Chorus_util.Histogram.t;  (** read-path latencies alone *)
   lat_put : Chorus_util.Histogram.t;  (** write-path latencies alone *)
@@ -56,7 +52,6 @@ type result = {
       (** circuit-breaker trips summed over all clients (0 when
           [breaker] is [None]) *)
   breaker_skips : int;  (** routing decisions steered off open nodes *)
-  breaker_probes : int;  (** half-open probes *)
   deadline_misses : int;
       (** ops failed fast on the [op_budget] deadline (0 when off) *)
 }
