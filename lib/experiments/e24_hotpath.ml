@@ -19,8 +19,10 @@
    where each posture's throughput plateaus and its p99 blows up.
    Table 2 isolates the write path (write-only load past the plain
    ceiling) at 1/3/5 replicas: group commit must cut cycles/put >= 2x
-   at 3 replicas.  Table 3 isolates the read path: leased reads vs
-   leader-quorum reads at the same offered load. *)
+   at 3 replicas.  Past the ceiling puts time out and shards re-elect,
+   so the table counts acked and failed puts and the run's elections,
+   and divides by acked puts alone.  Table 3 isolates the read path:
+   leased reads vs leader-quorum reads at the same offered load. *)
 
 open Exp_common
 module Fiber = Chorus.Fiber
@@ -47,6 +49,7 @@ type point = {
   group_commits : int;
   leased_reads : int;
   lease_denied : int;
+  elections : int;  (* elections started over the run, settle included *)
 }
 
 let raft_totals c ~nshards =
@@ -107,7 +110,7 @@ let run_point ?nclients ?(depth = 8) ?duration ?(call_timeout = 60_000)
       read_fraction;
       call_timeout }
   in
-  let (res, appends, commits, leased_n, denied), _stats =
+  let (res, appends, commits, leased_n, denied, elections), _stats =
     run ~seed ~cores:64 (fun () ->
         let net =
           Fabric.create ~latency:fabric_latency ~loss:0.0 ~seed:(seed + 1) ()
@@ -121,10 +124,10 @@ let run_point ?nclients ?(depth = 8) ?duration ?(call_timeout = 60_000)
         let res =
           Zipfload.run wcfg ~fabric:net ~bootstrap:(Cluster.addrs c)
         in
-        let totals = raft_totals c ~nshards in
+        let a, g, l, d = raft_totals c ~nshards in
+        let elections = Cluster.elections_started c in
         Cluster.stop c;
-        let a, g, l, d = totals in
-        (res, a, g, l, d))
+        (res, a, g, l, d, elections))
   in
   { offered;
     replicas;
@@ -144,7 +147,8 @@ let run_point ?nclients ?(depth = 8) ?duration ?(call_timeout = 60_000)
     appends;
     group_commits = commits;
     leased_reads = leased_n;
-    lease_denied = denied }
+    lease_denied = denied;
+    elections }
 
 let posture_name ~batched ~leased =
   match (batched, leased) with
@@ -211,7 +215,9 @@ let run ~quick ~seed =
       ~columns:
         [ ("replicas", Tablefmt.Right);
           ("posture", Tablefmt.Left);
-          ("done", Tablefmt.Right);
+          ("acked", Tablefmt.Right);
+          ("failed", Tablefmt.Right);
+          ("elections", Tablefmt.Right);
           ("cycles/put", Tablefmt.Right);
           ("put p99", Tablefmt.Right);
           ("appends", Tablefmt.Right);
@@ -229,15 +235,20 @@ let run ~quick ~seed =
               ~call_timeout:800_000 ~propose_timeout:600_000
               ~fabric_latency:20_000 ()
           in
+          let acked = p.completed - p.failed in
           Tablefmt.add_row writes
             [ string_of_int replicas;
               posture_name ~batched ~leased:false;
-              string_of_int p.completed;
+              string_of_int acked;
+              string_of_int p.failed;
+              string_of_int p.elections;
               string_of_int p.cycles_per_op;
               string_of_int p.put_p99;
               string_of_int p.appends;
-              Printf.sprintf "%.1f"
-                (float_of_int p.completed /. float_of_int (max 1 p.appends)) ])
+              (if p.appends = 0 then "-"
+               else
+                 Printf.sprintf "%.1f"
+                   (float_of_int acked /. float_of_int p.appends)) ])
         [ false; true ])
     (if quick then [ 3 ] else [ 1; 3; 5 ]);
   let readpath =
