@@ -1,6 +1,7 @@
-(* Fileserver: boot the full message-passing kernel on a 64-core mesh,
-   run a skewed file-server workload against its vnode-per-fiber VFS,
-   and print per-op latency plus kernel internals.
+(* Fileserver: boot the message-passing kernel's file server on a
+   64-core mesh, start a console beside it, run a skewed file-server
+   workload against its vnode-per-fiber VFS, and print per-op latency
+   plus kernel internals.
 
    Run with:  dune exec examples/fileserver.exe *)
 
@@ -23,7 +24,8 @@ let () =
   let stats =
     Runtime.run cfg (fun () ->
         let kern = Kernel.boot Kernel.default_config in
-        Console.write_line kern.Kernel.console "chorus kernel booted";
+        let console = Console.start () in
+        Console.write_line console "chorus kernel booted";
         let load =
           { Fsload.default_config with
             clients = 24;
@@ -58,7 +60,7 @@ let () =
           (Chorus_kernel.Blockdev.reads kern.Kernel.dev)
           (Chorus_kernel.Blockdev.writes kern.Kernel.dev)
           (Chorus_kernel.Blockdev.max_queue kern.Kernel.dev);
-        Console.write_line kern.Kernel.console "workload complete")
+        Console.write_line console "workload complete")
   in
   Printf.printf
     "\nmachine: makespan %d cycles, utilization %.1f%%, %d msgs (%d remote)\n"

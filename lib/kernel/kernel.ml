@@ -14,9 +14,6 @@ type t = {
   bcache : Bcache.t;
   alloc : Cgalloc.t;
   vfs : Msgvfs.sys;
-  notify : Notify.t;
-  proc : Proc.t;
-  console : Console.t;
 }
 
 let boot cfg =
@@ -24,20 +21,16 @@ let boot cfg =
   let bcache = Bcache.start ~shards:cfg.bcache_shards ~capacity:1024 ~dev () in
   let alloc = Cgalloc.start ~groups:cfg.cgroups ~nblocks:65536 () in
   let vfs = Msgvfs.mount cfg.fs ~bcache ~alloc in
-  let notify = Notify.start () in
-  let proc = Proc.start ~notify () in
-  let console = Console.start () in
-  { dev; bcache; alloc; vfs; notify; proc; console }
+  { dev; bcache; alloc; vfs }
 
 let fs_client t = Msgvfs.client t.vfs
 
 let sync t = Bcache.flush t.bcache
 
 let service_fibers t =
-  (* drivers *)
-  2
+  (* the disk driver *)
+  1
   + Bcache.shards t.bcache
   + Cgalloc.groups t.alloc
   + Msgvfs.live_vnodes t.vfs
   + Msgvfs.caches t.vfs
-  + (* notify + proc *) 2

@@ -1,11 +1,13 @@
 (** Boot and wiring for the message-passing OS.
 
-    [boot] assembles the paper's architecture on the current simulated
-    machine: the single-fiber disk and console drivers, the block-cache
-    shard services, the cylinder-group allocators, the vnode-tree VFS,
-    the notification hub, and the process table.  Every component is an
-    autonomous daemon fiber reachable only through channels; there is
-    not a single lock in this kernel.
+    [boot] starts the file server on the current simulated machine and
+    nothing else: the single-fiber disk driver, the block-cache shard
+    services, the cylinder-group allocators and the vnode-tree VFS (its
+    root vnode and, above 16 cores, one name cache per 16-core group).
+    Every component is an autonomous daemon fiber reachable only
+    through channels; there is not a single lock in this kernel.  A
+    program that wants another service, such as {!Console}, starts it
+    itself.
 
     System calls are messages: a client either holds plumbed service
     endpoints directly (aggressive distribution of the "outer
@@ -27,9 +29,6 @@ type t = {
   bcache : Bcache.t;
   alloc : Cgalloc.t;
   vfs : Msgvfs.sys;
-  notify : Notify.t;
-  proc : Proc.t;
-  console : Console.t;
 }
 
 val boot : config -> t
@@ -43,5 +42,5 @@ val sync : t -> unit
     "powering off" a simulation that cares about the disk image). *)
 
 val service_fibers : t -> int
-(** How many kernel service fibers are currently alive (drivers +
-    shards + allocators + vnodes + name caches + hubs). *)
+(** How many kernel service fibers are currently alive (the disk
+    driver + shards + allocators + vnodes + name caches). *)

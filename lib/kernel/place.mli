@@ -2,7 +2,7 @@
 
     This module alone places the message kernel's block-cache shards,
     vnodes and name caches; the run's policy places every other fiber
-    (clients, the disk and console fibers, allocators, hubs,
+    (clients, the disk driver, the cylinder-group allocators and the
     dispatchers).  A machine of more than 16 cores has one name cache
     per 16-core group.  On a mesh whose sides are multiples of 4, group
     [g] is the [g]-th 4×4 tile in row-major order, and its cache runs

@@ -67,8 +67,8 @@ val work_steal : unit -> t
     places one spawned without [?on] on the next core in turn from
     core 1 rather than on its parent's core (DESIGN D17).  The message
     kernel spawns its block-cache shards, vnodes and name caches with
-    [?on] ([Chorus_kernel.Place], DESIGN D22); its disk and console
-    fibers, allocators, hubs and dispatchers take the turn. *)
+    [?on] ([Chorus_kernel.Place], DESIGN D22); its disk driver,
+    allocators and dispatchers take the turn. *)
 
 val affinity_groups : unit -> t
 (** Fibers with the same [affinity] key land on the same core (keys

@@ -58,8 +58,8 @@ exception Busy
 (** {1 Endpoints} *)
 
 type 'msg cast
-(** A one-way service endpoint ([Notify]-style inboxes, raft kicks,
-    the net stack's port queues). *)
+(** A one-way service endpoint (block-cache shards, name caches, raft
+    kicks, the net stack's port queues). *)
 
 type 'resp reply = [ `Ok of 'resp | `Busy ] Chan.t
 (** The reply half of a request: a one-shot buffered channel.  [`Busy]

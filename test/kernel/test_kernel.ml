@@ -1,6 +1,6 @@
 (* Tests for the message-passing kernel: drivers, cache, allocators,
    vnode VFS (unit + model-based against the pure reference model and
-   the lock-based baseline), notification, VM service, supervision. *)
+   the lock-based baseline), VM service, supervision, boot. *)
 
 module Machine = Chorus_machine.Machine
 module Topology = Chorus_machine.Topology
@@ -19,11 +19,9 @@ module Blockdev = Chorus_kernel.Blockdev
 module Bcache = Chorus_kernel.Bcache
 module Cgalloc = Chorus_kernel.Cgalloc
 module Msgvfs = Chorus_kernel.Msgvfs
-module Notify = Chorus_kernel.Notify
 module Vmserv = Chorus_kernel.Vmserv
 module Supervisor = Chorus_kernel.Supervisor
 module Console = Chorus_kernel.Console
-module Proc = Chorus_kernel.Proc
 module Kernel = Chorus_kernel.Kernel
 module Place = Chorus_kernel.Place
 module Shvfs = Chorus_baseline.Shvfs
@@ -1848,30 +1846,6 @@ let test_payload_whole_words () =
     (Sh_cost.makespan (fun () -> Shvfs.client (Shvfs.make Shvfs.default_config)))
 
 (* ------------------------------------------------------------------ *)
-(* Notify                                                              *)
-
-let test_notify_pubsub () =
-  let (_ : Runstats.t) =
-    run (fun () ->
-        let hub = Notify.start () in
-        let all = Notify.subscribe hub in
-        let failed =
-          Notify.subscribe_filtered hub (fun (Notify.App_exit { ok; _ }) ->
-              not ok)
-        in
-        Notify.publish hub (Notify.App_exit { pid = 7; ok = false });
-        Notify.publish hub (Notify.App_exit { pid = 8; ok = true });
-        Fiber.sleep 10_000;
-        Alcotest.(check int) "all-subscriber got both" 2 (Chan.length all);
-        Alcotest.(check int) "filtered got one" 1 (Chan.length failed);
-        (let (Notify.App_exit { pid; _ }) = Chan.recv failed in
-         Alcotest.(check int) "payload" 7 pid);
-        Alcotest.(check int) "published" 2 (Notify.published hub);
-        Alcotest.(check int) "delivered" 3 (Notify.delivered hub))
-  in
-  ()
-
-(* ------------------------------------------------------------------ *)
 (* Vmserv                                                              *)
 
 let test_vm_fault_map () =
@@ -2128,26 +2102,7 @@ let test_supervisor_window_prunes_old_crashes () =
   ()
 
 (* ------------------------------------------------------------------ *)
-(* Proc, console, kernel boot                                          *)
-
-let test_proc_spawn_wait () =
-  let (_ : Runstats.t) =
-    run (fun () ->
-        let notify = Notify.start () in
-        let events = Notify.subscribe notify in
-        let pt = Proc.start ~notify () in
-        let pid_ok = Proc.spawn_app pt ~label:"good" (fun ~pid:_ -> Fiber.work 100) in
-        let pid_bad =
-          Proc.spawn_app pt ~label:"bad" (fun ~pid:_ -> failwith "app crash")
-        in
-        Alcotest.(check bool) "good app ok" true (Proc.wait pt pid_ok);
-        Alcotest.(check bool) "bad app not ok" false (Proc.wait pt pid_bad);
-        Alcotest.(check int) "both spawned" 2 (Proc.spawned pt);
-        Fiber.sleep 10_000;
-        (* exits republished as events *)
-        Alcotest.(check int) "two exit events" 2 (Chan.length events))
-  in
-  ()
+(* Console, kernel boot                                                *)
 
 let test_console_order () =
   let (_ : Runstats.t) =
@@ -2174,15 +2129,48 @@ let test_kernel_boot () =
         Alcotest.(check string) "roundtrip through booted kernel"
           "hello chorus"
           (check_ok "read" (Msgvfs.read fs fd ~off:0 ~len:12));
-        Console.write_line k.Kernel.console "boot ok";
-        let pid = Proc.spawn_app k.Kernel.proc ~label:"init" (fun ~pid:_ -> ()) in
-        Alcotest.(check bool) "init ran" true (Proc.wait k.Kernel.proc pid);
         (* sync pushes the dirty cache to the device *)
         Alcotest.(check int) "nothing written yet" 0
           (Blockdev.writes k.Kernel.dev);
         Kernel.sync k;
         Alcotest.(check bool) "sync wrote dirty blocks" true
           (Blockdev.writes k.Kernel.dev > 0))
+  in
+  ()
+
+(* The kernel boots the file server and nothing else: the live fibers
+   after a boot are main and the file server's services (23 at 64
+   cores; the notification hub, process table and console made 26),
+   and [service_fibers] counts every one of them but main. *)
+let test_boot_only_file_server () =
+  let live_labels () =
+    let open Chorus.Inspect in
+    match Engine.inspect (Engine.current ()) with
+    | Assoc top -> (
+      match List.assoc "fibers" top with
+      | List fibers ->
+        List.filter_map
+          (function
+            | Assoc f -> (
+              match List.assoc "label" f with String l -> Some l | _ -> None)
+            | _ -> None)
+          fibers
+      | _ -> [])
+    | _ -> []
+  in
+  let numbered name n = List.init n (Printf.sprintf "%s-%d" name) in
+  let (_ : Runstats.t) =
+    run ~cores:64 (fun () ->
+        let k = Kernel.boot Kernel.default_config in
+        Alcotest.(check (list string))
+          "live fibers"
+          (List.sort compare
+             ([ "main"; "blockdev"; "root-vnode" ]
+             @ numbered "bcache" 8 @ numbered "cg" 8
+             @ numbered "name-cache" 4))
+          (List.sort compare (live_labels ()));
+        Alcotest.(check int) "service_fibers counts all but main" 22
+          (Kernel.service_fibers k))
   in
   ()
 
@@ -2276,8 +2264,6 @@ let () =
       ( "payload",
         [ Alcotest.test_case "both kernels charge a payload by whole words"
             `Quick test_payload_whole_words ] );
-      ( "notify",
-        [ Alcotest.test_case "pub/sub + filter" `Quick test_notify_pubsub ] );
       ( "vm",
         [ Alcotest.test_case "fault/map/reclaim" `Quick test_vm_fault_map;
           Alcotest.test_case "thread per page" `Quick test_vm_thread_per_page ] );
@@ -2292,6 +2278,7 @@ let () =
           Alcotest.test_case "window prunes old crashes" `Quick
             test_supervisor_window_prunes_old_crashes ] );
       ( "proc-console-kernel",
-        [ Alcotest.test_case "proc table" `Quick test_proc_spawn_wait;
-          Alcotest.test_case "console order" `Quick test_console_order;
-          Alcotest.test_case "full kernel boot" `Quick test_kernel_boot ] ) ]
+        [ Alcotest.test_case "console order" `Quick test_console_order;
+          Alcotest.test_case "full kernel boot" `Quick test_kernel_boot;
+          Alcotest.test_case "boot starts only the file server" `Quick
+            test_boot_only_file_server ] ) ]
