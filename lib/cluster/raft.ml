@@ -383,9 +383,9 @@ let handle_vote t r =
      timeout refuses to vote — this is what makes the leader's lease
      arithmetic sound.  Captured before step_down, which resets the
      heartbeat clock. *)
+  let heard = t.last_heartbeat in
   let lease_guard =
-    t.cfg.lease && t.role = Follower
-    && Fiber.now () - t.last_heartbeat < election_lo
+    t.cfg.lease && t.role = Follower && Fiber.now () - heard < election_lo
   in
   if cterm > t.term then step_down t cterm;
   let up_to_date =
@@ -396,12 +396,16 @@ let handle_vote t r =
     cterm = t.term && up_to_date && (not lease_guard)
     && (match t.voted_for with None -> true | Some c -> c = cand)
   in
+  (* granting a vote is a sign of a live election: restart our own
+     timeout so we do not pile a competing candidacy on top.  A refused
+     vote puts back the timer step_down restarted: a stale candidate,
+     cut off from its leader with a log that cannot win, must not hold
+     off the replicas that could *)
   if granted then begin
     t.voted_for <- Some cand;
-    (* granting a vote is a sign of a live election: restart our own
-       timeout so we do not pile a competing candidacy on top *)
     t.last_heartbeat <- Fiber.now ()
-  end;
+  end
+  else t.last_heartbeat <- heard;
   encode_vote_reply ~term:t.term ~granted
 
 let handle_append t ~src:_ r =

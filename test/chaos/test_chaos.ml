@@ -379,6 +379,18 @@ let test_gray_campaign_green () =
        (fun (k, n) -> (k = "link-delay" || k = "partition") && n > 0)
        r.Chaos.kinds)
 
+(* A stale candidate must not hold off every election.  A one-way cut
+   drops node 2's frames to node 1, so node 1 stops hearing its leader
+   and campaigns for terms its log cannot win.  Each of its vote
+   requests is refused, and a refused vote must leave the voter's
+   election timer alone, or the replicas that could win never time out
+   and the shard stays leaderless after the cut heals (the final read
+   of k0 then gets no answer). *)
+let test_gray_stale_candidate () =
+  let sch = Schedule.of_string "seed=3301 partition(2>1)@1567409+517164" in
+  let o = Chaos.run_one Chaos.Gray sch in
+  Alcotest.(check (list string)) "no violations" [] o.Chaos.violations
+
 (* The quiescence oracle sees a leaked fiber in the projfs scenario:
    its baseline leaves out the supervisor and the provider child that
    [Supervisor.stop] ends before the check, so the daemon [~corrupt]
@@ -437,6 +449,8 @@ let () =
           Alcotest.test_case "lease-campaign" `Quick test_lease_campaign_green;
           Alcotest.test_case "gray-replays" `Quick test_gray_run_replays;
           Alcotest.test_case "gray-campaign" `Quick test_gray_campaign_green;
+          Alcotest.test_case "gray stale candidate" `Quick
+            test_gray_stale_candidate;
           Alcotest.test_case "selftest" `Quick test_selftest;
           Alcotest.test_case "projfs planted leak" `Quick
             test_projfs_planted_leak ] ) ]
