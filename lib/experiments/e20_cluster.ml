@@ -12,8 +12,9 @@
    Table 1 measures end-to-end availability under combined frame loss
    and node crashes, with the supervisor healing crashed nodes.
    Table 2 measures the data-plane failover window: cycles from a
-   leader kill until its shard answers operations again, plus steady
-   throughput, as the replica group widens (N = 1, 3, 5). *)
+   leader kill until its shard answers operations again (the mean over
+   64 kills, one per seed), plus steady throughput, as the replica
+   group widens (N = 1, 3, 5). *)
 
 open Exp_common
 module Fiber = Chorus.Fiber
@@ -98,10 +99,10 @@ let availability ~seed ~nnodes ~nshards ~replication ~ops ~loss ~crashes
 let nines availability =
   if availability >= 1.0 then 9.9 else -.log10 (1.0 -. availability)
 
-(* Failover window: crash the shard-0 leader and poll until the shard
+(* One failover: crash the shard-0 leader and poll until the shard
    answers again; also measure steady put throughput for the group
    size. *)
-let run_failover ~quick ~seed ~nnodes =
+let failover_once ~quick ~seed ~nnodes =
   let replication = min 3 nnodes in
   let ops = pick ~quick 60 200 in
   let (window, tput_ops, acked), stats =
@@ -152,6 +153,25 @@ let run_failover ~quick ~seed ~nnodes =
   ignore stats;
   (window, tput_ops, acked, ops)
 
+(* Leader kills per group width: one kill's window swings with where
+   its election timers happened to stand, so the table reports the
+   mean window over this many kills, one per seed from the run's. *)
+let failover_kills = 64
+
+(* The failover table's row: steady throughput at [seed], and the mean
+   failover window over [failover_kills] kills (0 below quorum 2). *)
+let run_failover ~quick ~seed ~nnodes =
+  let window, tput_ops, acked, ops = failover_once ~quick ~seed ~nnodes in
+  if window = 0 then (window, tput_ops, acked, ops)
+  else begin
+    let total = ref window in
+    for k = 1 to failover_kills - 1 do
+      let w, _, _, _ = failover_once ~quick ~seed:(seed + k) ~nnodes in
+      total := !total + w
+    done;
+    (!total / failover_kills, tput_ops, acked, ops)
+  end
+
 let run ~quick ~seed =
   let avail =
     Tablefmt.create
@@ -198,7 +218,7 @@ let run ~quick ~seed =
         [ ("nodes", Tablefmt.Right);
           ("puts acked", Tablefmt.Right);
           ("cycles/put", Tablefmt.Right);
-          ("failover window (cycles)", Tablefmt.Right) ]
+          ("mean failover window (cycles)", Tablefmt.Right) ]
   in
   List.iter
     (fun nnodes ->

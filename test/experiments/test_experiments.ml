@@ -240,7 +240,10 @@ let test_e10_supervision_availability () =
 
 (* E20: supervision heals every node crash without losing an acked
    write; replication costs more than twice a lone node's put, and a
-   wider group does not widen the failover window *)
+   wider group does not widen the failover window (the mean over 64
+   leader kills per width: one kill's window swings with where the
+   election timers stood, and a single-kill pin held at too few
+   seeds) *)
 let test_e20_cluster_shape () =
   match run_tables ~seed:42 "e20" with
   | [ avail; failover ] ->
@@ -259,7 +262,7 @@ let test_e20_cluster_shape () =
       true
       (per_put ~row:1 > 2.0 *. per_put ~row:0);
     Alcotest.(check bool)
-      (Printf.sprintf "5-node window %.0f within 10%% of 3-node %.0f"
+      (Printf.sprintf "5-node mean window %.0f within 10%% of 3-node %.0f"
          (window ~row:2) (window ~row:1))
       true
       (Float.abs (window ~row:2 -. window ~row:1) <= 0.1 *. window ~row:1)
