@@ -25,7 +25,7 @@ doc:
 # loop in the service layers bypasses the uniform overload policies
 # and queue metrics.  Allowlisted files hold the loops that are not
 # request/reply services: the fabric's wire and NIC delivery loops,
-# the stack's frame demux fibers, the supervisor's restart
+# the stack's frame demux fiber, the supervisor's restart
 # control-plane, the cluster node's park channel, and the client's
 # pipeline window (a bounded-capacity semaphore, not a request loop).
 LINT_LOOP_DIRS := lib/kernel lib/net lib/cluster lib/obs lib/fsspec lib/vfs

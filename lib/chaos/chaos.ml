@@ -427,6 +427,18 @@ let kv_settle = 1_000_000
 
 let kv_node_deadline = 3_000_000
 
+(* Frames the fabric has sent and not yet delivered or dropped.  A
+   delayed, reordered or duplicated one rides its own in-flight fiber
+   until it lands. *)
+let in_flight net =
+  Fabric.frames_sent net - Fabric.frames_dropped net
+  + (Fabric.fault_stats net).Fabric.duplicated
+  - Fabric.frames_delivered net
+
+(* Gray's link delays hold a frame for up to 400k cycles, so the leak
+   check waits, up to this long, for the fabric to drain. *)
+let kv_drain_deadline = 1_000_000
+
 let kv_probe_deadline = 2_000_000
 
 (* Gray scenario: the workload clients run with circuit breakers and a
@@ -474,7 +486,6 @@ let prepare_kv ~lease ~gray ~corrupt (sch : Schedule.t) =
     Cluster.create ?raft ~nshards:2 ~replication:3 ~seed:sch.Schedule.seed
       ~nnodes:3 net
   in
-  Cluster.start c;
   let mk ?attempts ?breaker ?op_budget s label =
     Client.create ?attempts ?breaker ?op_budget ~seed:(sch.Schedule.seed + s)
       ~bootstrap:(Cluster.addrs c)
@@ -492,8 +503,13 @@ let prepare_kv ~lease ~gray ~corrupt (sch : Schedule.t) =
   in
   let wl = [| mk_wl 101 "wl0"; mk_wl 102 "wl1" |] in
   let probe = mk 103 "probe" in
-  Fiber.sleep kv_settle;
+  (* [Cluster.stop] ends every fiber the cluster starts, and the leak
+     check waits for the fabric to drain, so the baseline is taken
+     before the cluster starts: the fabric's, the NICs' and the
+     stacks' own fibers *)
   let baseline = live () in
+  Cluster.start c;
+  Fiber.sleep kv_settle;
   let clear = arm ~on_fire:(fun _ -> incr r.fired) ~net ~cluster:c sch in
   let keys = [| "k0"; "k1"; "k2" |] in
   let get client key =
@@ -598,6 +614,10 @@ let prepare_kv ~lease ~gray ~corrupt (sch : Schedule.t) =
   end;
   Cluster.stop c;
   Fiber.sleep 100_000;
+  let deadline = Fiber.now () + kv_drain_deadline in
+  while in_flight net > 0 && Fiber.now () < deadline do
+    Fiber.sleep 50_000
+  done;
   let end_live = check_leaks r ~baseline in
   note r
     "injected=%d elections=%d leader_changes=%d crashes=%d restarts=%d \

@@ -163,8 +163,10 @@ val run_one : ?corrupt:bool -> scenario -> Schedule.t -> outcome
     history and spawns a daemon blocked forever before the leak check
     — deliberately broken oracle inputs used by {!selftest} to prove
     violations are actually caught.  The quiescence oracle sees the
-    leak in the disk and projfs scenarios; the kv scenarios' baselines
-    still count fibers that [Cluster.stop] ends, so it passes there. *)
+    leak in every scenario: each takes its baseline before it starts
+    what it stops before the check (a supervisor tree, the cluster),
+    and the kv scenarios also wait for the fabric to drain, so no
+    fiber the run ends or a frame in flight holds can hide it. *)
 
 val gen : scenario -> seed:int -> index:int -> Schedule.t
 (** The campaign's schedule enumerator: deterministic in

@@ -43,22 +43,22 @@ module Dedup = struct
     end
 end
 
+(* A served port: its service endpoint, and its duplicate-suppression
+   state, (peer, seq) -> None while in flight, Some reply once sent.
+   Both live on the stack, not in the serve fiber, so a restarted
+   server resumes the same endpoint with exactly-once semantics across
+   the crash. *)
+type port = {
+  svc : Fabric.frame Svc.cast;
+  seen : string option Dedup.t;
+}
+
 type t = {
   fabric : Fabric.t;
   nic : Fabric.nic;
-  ports : (int, Fabric.frame Chan.t) Hashtbl.t;
-  port_svcs : (int, Fabric.frame Svc.cast) Hashtbl.t;
-      (** ports whose listener is a service endpoint; the demux offers
-          frames through the endpoint *)
+  served : (int, port) Hashtbl.t;
   pending : (int, string Chan.t) Hashtbl.t;
-      (** outstanding reliable calls, by seq *)
-  reply_demux_on : (int, unit) Hashtbl.t;
-      (** reply ports whose demux fiber is running *)
-  served : (int, string option Dedup.t) Hashtbl.t;
-      (** per-port duplicate-suppression state for {!serve_async}:
-          (peer, seq) -> None while in flight, Some reply once sent.
-          Lives on the stack, not in the serve fiber, so a restarted
-          server keeps exactly-once semantics across the crash. *)
+      (** outstanding reliable calls' one-shot reply channels, by seq *)
   retry_rng : Rng.t;
       (** jitter for retransmission backoff; seeded from the NIC
           address so streams are deterministic and per-node *)
@@ -66,90 +66,59 @@ type t = {
   mutable next_seq : int;
 }
 
+(* Reply port convention: replies to a request on port p arrive on
+   port p + 10000, tagged with the request's seq. *)
+let reply_offset = 10_000
+
+let reply_port port = port + reply_offset
+
+(* The stack's one receive fiber: it owns the NIC's rx channel, offers
+   a frame for a served port through that port's endpoint, and hands a
+   reply straight to its pending call's one-shot channel, so concurrent
+   calls never steal each other's replies.  Anything else (a request
+   to an unserved port, a duplicate reply to a completed call) is
+   dropped, like a frame to a closed port. *)
+let demux t =
+  let rec loop () =
+    let f = Chan.recv (Fabric.rx t.nic) in
+    (match Hashtbl.find_opt t.served f.Fabric.port with
+    | Some p -> Svc.cast ~words:4 p.svc f
+    | None -> (
+      if f.Fabric.port >= reply_offset then
+        match Hashtbl.find_opt t.pending f.Fabric.seq with
+        | Some one_shot ->
+          Hashtbl.remove t.pending f.Fabric.seq;
+          Chan.send one_shot f.Fabric.payload
+        | None -> ()));
+    loop ()
+  in
+  loop ()
+
 let create fabric nic =
   let t =
     { fabric;
       nic;
-      ports = Hashtbl.create 8;
-      port_svcs = Hashtbl.create 8;
+      served = Hashtbl.create 8;
       pending = Hashtbl.create 8;
-      reply_demux_on = Hashtbl.create 4;
-      served = Hashtbl.create 4;
       retry_rng = Rng.make (0x57ac + (131 * Fabric.addr nic));
       stats =
         { calls = 0; retransmissions = 0; failures = 0;
           duplicates_served = 0; dedup_evictions = 0 };
       next_seq = 1 }
   in
-  (* the demux fiber owns the NIC's rx channel *)
   ignore
     (Fiber.spawn
        ~label:(Printf.sprintf "demux-%d" (Fabric.addr nic))
        ~daemon:true
-       (fun () ->
-         let rec loop () =
-           let f = Chan.recv (Fabric.rx nic) in
-           (match Hashtbl.find_opt t.port_svcs f.Fabric.port with
-           | Some svc -> Svc.cast ~words:4 svc f
-           | None -> (
-             match Hashtbl.find_opt t.ports f.Fabric.port with
-             | Some ch -> Chan.send ~words:4 ch f
-             | None -> (* no listener: drop, like a closed port *) ()));
-           loop ()
-         in
-         loop ()));
+       (fun () -> demux t));
   t
 
 let addr t = Fabric.addr t.nic
 
-let listen t ~port =
-  if Hashtbl.mem t.ports port then
-    invalid_arg (Printf.sprintf "Stack.listen: port %d taken" port);
-  let ch = Chan.unbounded ~label:(Printf.sprintf "port-%d" port) () in
-  Hashtbl.replace t.ports port ch;
-  ch
-
-let send t ~dst ~port ?seq payload =
-  let seq =
-    match seq with
-    | Some s -> s
-    | None ->
-      let s = t.next_seq in
-      t.next_seq <- s + 1;
-      s
-  in
+let send t ~dst ~port ~seq payload =
   Fabric.transmit t.nic { Fabric.src = 0; dst; port; seq; payload }
 
 let rel_stats t = t.stats
-
-(* Reply port convention: replies to a request on port p arrive on
-   port p + 10000, tagged with the request's seq. *)
-let reply_port port = port + 10_000
-
-(* One demux fiber per reply port routes replies to the waiting
-   caller's one-shot channel, so concurrent calls never steal each
-   other's replies. *)
-let ensure_reply_demux t port =
-  let rport = reply_port port in
-  if not (Hashtbl.mem t.reply_demux_on rport) then begin
-    Hashtbl.replace t.reply_demux_on rport ();
-    let replies = listen t ~port:rport in
-    ignore
-      (Fiber.spawn
-         ~label:(Printf.sprintf "reply-demux-%d" rport)
-         ~daemon:true
-         (fun () ->
-           let rec loop () =
-             let f = Chan.recv replies in
-             (match Hashtbl.find_opt t.pending f.Fabric.seq with
-             | Some one_shot ->
-               Hashtbl.remove t.pending f.Fabric.seq;
-               Chan.send one_shot f.Fabric.payload
-             | None -> (* duplicate reply to a completed call *) ());
-             loop ()
-           in
-           loop ()))
-  end
 
 (* Retransmission waits back off exponentially (2x per retry, bounded
    at 8x the base) with a +-12.5% seed-derived jitter, so callers
@@ -167,7 +136,6 @@ let retry_wait t ~base n =
 
 let call t ~dst ~port ?(timeout = 50_000) ?(attempts = 5) req =
   t.stats.calls <- t.stats.calls + 1;
-  ensure_reply_demux t port;
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   let one_shot = Chan.buffered 1 in
@@ -193,30 +161,25 @@ let call t ~dst ~port ?(timeout = 50_000) ?(attempts = 5) req =
   attempt 0
 
 let serve_async t ~port handler =
-  (* reuse the port channel when a previous server incarnation already
-     registered it: a restarted service resumes the same endpoint *)
-  let requests =
-    match Hashtbl.find_opt t.ports port with
-    | Some ch -> ch
-    | None -> listen t ~port
-  in
-  (* the demux offers this port's frames through the endpoint *)
-  let svc =
-    Svc.cast_attach ~subsystem:"net"
-      ~metric_name:(Printf.sprintf "port%d" port)
-      ~label:(Printf.sprintf "port-%d" port)
-      requests
-  in
-  Hashtbl.replace t.port_svcs port svc;
-  let seen =
+  (* a restarted server resumes the endpoint and dedup cache of the
+     incarnation before it *)
+  let p =
     match Hashtbl.find_opt t.served port with
-    | Some d -> d
+    | Some p -> p
     | None ->
-      let d = Dedup.create t.stats in
-      Hashtbl.replace t.served port d;
-      d
+      let p =
+        { svc =
+            Svc.cast_create ~subsystem:"net"
+              ~metric_name:(Printf.sprintf "port%d" port)
+              ~label:(Printf.sprintf "port-%d" port)
+              ();
+          seen = Dedup.create t.stats }
+      in
+      Hashtbl.replace t.served port p;
+      p
   in
-  Svc.serve_cast svc (fun f ->
+  let seen = p.seen in
+  Svc.serve_cast p.svc (fun f ->
       let key = (f.Fabric.src, f.Fabric.seq) in
       match Dedup.find_opt seen key with
       | Some (Some cached) ->

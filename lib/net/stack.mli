@@ -1,26 +1,22 @@
 (** Per-node protocol stack: port demultiplexing plus a reliable
     request/response protocol over the lossy {!Fabric}.
 
-    Structure follows the paper's model: the demux is an autonomous
-    fiber that owns the NIC's receive channel and routes frames to
-    per-port channels; the reliable layer is ordinary client code built
-    from [choose] — a retransmission is literally a timeout arm firing.
+    Structure follows the paper's model: the demux is the stack's one
+    receive fiber, a driver that owns the NIC's receive channel.  It
+    offers each request through its served port's
+    {!Chorus_svc.Svc} endpoint and hands each reply straight to the
+    one-shot channel of the call waiting for it, so a call spawns no
+    fiber.  The reliable layer is ordinary client code built from
+    [choose] — a retransmission is literally a timeout arm firing.
     Duplicate suppression on the server side uses a bounded
     (peer, seq) cache, so retried requests execute exactly once. *)
 
 type t
 
 val create : Fabric.t -> Fabric.nic -> t
-(** Spawn the demux fiber for this NIC. *)
+(** Spawn the demux fiber for this NIC: the stack's only fiber. *)
 
 val addr : t -> int
-
-val listen : t -> port:int -> Fabric.frame Chorus.Chan.t
-(** The channel of frames arriving on [port].  One listener per port;
-    raises [Invalid_argument] on a duplicate. *)
-
-val send : t -> dst:int -> port:int -> ?seq:int -> string -> unit
-(** Fire-and-forget datagram. *)
 
 (** {1 Reliable request/response} *)
 
@@ -70,10 +66,11 @@ val serve_async :
     flight is swallowed (the eventual reply answers it).  The cache
     holds at most 4096 entries per port, evicting in FIFO insertion
     order and counting evictions in {!rel_stats.dedup_evictions}.  The
-    cache and the port channel live on the stack, so calling
+    cache and the port's endpoint live on the stack, so calling
     [serve_async] again on the same port after the serving fiber died
     resumes the same endpoint with exactly-once semantics intact.
 
-    The port's frame queue runs through a {!Chorus_svc.Svc} endpoint
+    The port's endpoint is a {!Chorus_svc.Svc} one-way endpoint
     (uniform queue metrics, serve span and crash point) that the demux
-    fiber offers frames to. *)
+    fiber offers the port's frames to; a frame that reaches a port
+    nobody serves is dropped. *)

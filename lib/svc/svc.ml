@@ -79,15 +79,17 @@ let validate cfg =
       invalid_arg "Svc: `Reject/`Shed_oldest need a capacity >= 1"
   | _ -> ()
 
-let mk_chan cfg ~label =
-  if cfg.capacity = 0 then Chan.unbounded ~label ()
-  else Chan.buffered ~label cfg.capacity
-
-let wrap ~cfg ~subsystem ~metric_name ~label ~on_shed inbox =
+let cast_create ?(config = default_config) ?metric_name
+    ?(on_shed = fun _ -> ()) ~subsystem ~label () =
+  validate config;
+  let inbox =
+    if config.capacity = 0 then Chan.unbounded ~label ()
+    else Chan.buffered ~label config.capacity
+  in
   let mn = match metric_name with None -> "" | Some n -> n ^ "." in
   let ep = {
     inbox;
-    cfg;
+    cfg = config;
     clabel = label;
     cp_name = subsystem ^ "." ^ label;
     on_shed;
@@ -126,15 +128,6 @@ let wrap ~cfg ~subsystem ~metric_name ~label ~on_shed inbox =
              | `Reject -> "reject"
              | `Shed_oldest -> "shed-oldest")) ]);
   ep
-
-let cast_create ?(config = default_config) ?metric_name
-    ?(on_shed = fun _ -> ()) ~subsystem ~label () =
-  validate config;
-  wrap ~cfg:config ~subsystem ~metric_name ~label ~on_shed
-    (mk_chan config ~label)
-
-let cast_attach ?metric_name ~subsystem ~label ch =
-  wrap ~cfg:default_config ~subsystem ~metric_name ~label ~on_shed:ignore ch
 
 let create ?config ?metric_name ~subsystem ~label () =
   cast_create ?config ?metric_name

@@ -59,7 +59,7 @@ exception Busy
 
 type 'msg cast
 (** A one-way service endpoint (block-cache shards, name caches, raft
-    kicks, the net stack's port queues). *)
+    kicks, the net stack's served ports). *)
 
 type 'resp reply = [ `Ok of 'resp | `Busy ] Chan.t
 (** The reply half of a request: a one-shot buffered channel.  [`Busy]
@@ -77,14 +77,6 @@ val cast_create :
     set (["dispatcher.queue_depth"] vs plain ["queue_depth"]) so
     several services can share a subsystem.  [on_shed] observes each
     message dropped by [`Shed_oldest]. *)
-
-val cast_attach :
-  ?metric_name:string -> subsystem:string -> label:string -> 'msg Chan.t ->
-  'msg cast
-(** Wrap an existing channel (the net stack's per-port frame queues)
-    in a service endpoint under the default config: the channel keeps
-    its own buffering discipline, and the endpoint adds the uniform
-    metrics, serve span and crash point. *)
 
 val create :
   ?config:config -> ?metric_name:string -> subsystem:string ->

@@ -319,7 +319,7 @@ let test_registry_digest () =
       (List.map (fun (e : Chaos.entry) -> (e.scenario, 2)) Chaos.scenarios)
   in
   Alcotest.(check int) "all oracles green" 0 (List.length r.Chaos.violations);
-  Alcotest.(check string) "campaign digest" "23194b817f208bac7d42e2ffe32b3fb0"
+  Alcotest.(check string) "campaign digest" "df3778894f6c6132a34ecfe60ed01d1e"
     r.Chaos.campaign_digest
 
 (* The lease-safety claim (DESIGN.md D13): kill each node in turn
@@ -409,6 +409,29 @@ let test_projfs_planted_leak () =
         (quiesce (Chaos.run_one ~corrupt:true Chaos.Projfs sch) <> []))
     [ 0; 2 ]
 
+(* The quiescence oracle can fire in every scenario: for each registry
+   entry, at seed 1, a clean run reports no leak and a run with the
+   daemon [~corrupt] plants reports one, with and without faults.  The
+   kv scenarios take their baseline before [Cluster.start] and drain
+   the fabric before the check, so nothing the cluster or a frame in
+   flight started is left to hide a leak behind. *)
+let test_planted_leak_every_scenario () =
+  List.iter
+    (fun (e : Chaos.entry) ->
+      List.iter
+        (fun index ->
+          let sch = Chaos.gen e.scenario ~seed:1 ~index in
+          let quiesce (o : Chaos.outcome) =
+            List.filter (String.starts_with ~prefix:"quiesce:") o.violations
+          in
+          let what = e.name ^ " " ^ Schedule.to_string sch in
+          Alcotest.(check (list string)) (what ^ ": clean") []
+            (quiesce (Chaos.run_one e.scenario sch));
+          Alcotest.(check bool) (what ^ ": leak seen") true
+            (quiesce (Chaos.run_one ~corrupt:true e.scenario sch) <> []))
+        [ 0; 2 ])
+    Chaos.scenarios
+
 let test_selftest () =
   let st = Chaos.selftest ~seed:11 in
   Alcotest.(check bool) "planted violation caught" true st.Chaos.caught;
@@ -453,4 +476,6 @@ let () =
             test_gray_stale_candidate;
           Alcotest.test_case "selftest" `Quick test_selftest;
           Alcotest.test_case "projfs planted leak" `Quick
-            test_projfs_planted_leak ] ) ]
+            test_projfs_planted_leak;
+          Alcotest.test_case "planted leak in every scenario" `Quick
+            test_planted_leak_every_scenario ] ) ]

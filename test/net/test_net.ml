@@ -348,31 +348,56 @@ let test_link_window_open_close_deterministic () =
 (* ------------------------------------------------------------------ *)
 (* Stack                                                               *)
 
+(* serve [handler] on [port] of [stack] from a daemon fiber *)
+let serve stack ~port handler =
+  ignore (Fiber.spawn ~daemon:true (fun () -> Stack.serve stack ~port handler))
+
 let test_stack_port_demux () =
+  (* two served ports on one stack: each call reaches its own port's
+     handler and no other *)
   let (_ : Runstats.t) =
     run (fun () ->
         let net = Fabric.create () in
         let a = Stack.create net (Fabric.attach net ()) in
         let b = Stack.create net (Fabric.attach net ()) in
-        let p5 = Stack.listen b ~port:5 in
-        let p6 = Stack.listen b ~port:6 in
-        Stack.send a ~dst:(Stack.addr b) ~port:6 "six";
-        Stack.send a ~dst:(Stack.addr b) ~port:5 "five";
-        let f5 = Chan.recv p5 and f6 = Chan.recv p6 in
-        Alcotest.(check string) "port 5" "five" f5.Fabric.payload;
-        Alcotest.(check string) "port 6" "six" f6.Fabric.payload)
+        let seen5 = ref [] and seen6 = ref [] in
+        serve b ~port:5 (fun ~src:_ req ->
+            seen5 := req :: !seen5;
+            "five:" ^ req);
+        serve b ~port:6 (fun ~src:_ req ->
+            seen6 := req :: !seen6;
+            "six:" ^ req);
+        let call port req = Stack.call a ~dst:(Stack.addr b) ~port req in
+        Alcotest.(check (option string)) "port 6 reply" (Some "six:x")
+          (call 6 "x");
+        Alcotest.(check (option string)) "port 5 reply" (Some "five:y")
+          (call 5 "y");
+        Alcotest.(check (list string)) "port 5 handler" [ "y" ] !seen5;
+        Alcotest.(check (list string)) "port 6 handler" [ "x" ] !seen6)
   in
   ()
 
-let test_stack_duplicate_listen_rejected () =
+let test_stack_calls_spawn_no_fibers () =
+  (* a reply goes from the stack's one demux fiber straight to its
+     call: once the servers are up, calls on two ports leave the run's
+     live fiber count where it was *)
   let (_ : Runstats.t) =
     run (fun () ->
+        let live () = Chorus.Engine.live_fibers (Chorus.Engine.current ()) in
         let net = Fabric.create () in
-        let a = Stack.create net (Fabric.attach net ()) in
-        ignore (Stack.listen a ~port:7);
-        match Stack.listen a ~port:7 with
-        | _ -> Alcotest.fail "duplicate listen accepted"
-        | exception Invalid_argument _ -> ())
+        let client = Stack.create net (Fabric.attach net ()) in
+        let server = Stack.create net (Fabric.attach net ()) in
+        serve server ~port:5 (fun ~src:_ req -> req);
+        serve server ~port:6 (fun ~src:_ req -> req);
+        Fiber.sleep 1_000;
+        let before = live () in
+        List.iter
+          (fun port ->
+            match Stack.call client ~dst:(Stack.addr server) ~port "x" with
+            | Some _ -> ()
+            | None -> Alcotest.failf "call to port %d failed" port)
+          [ 5; 6; 5 ];
+        Alcotest.(check int) "live fibers after the calls" before (live ()))
   in
   ()
 
@@ -594,8 +619,8 @@ let () =
             prop_lossless_fabric_delivers_everything ] );
       ( "stack",
         [ Alcotest.test_case "port demux" `Quick test_stack_port_demux;
-          Alcotest.test_case "duplicate listen" `Quick
-            test_stack_duplicate_listen_rejected;
+          Alcotest.test_case "calls spawn no fibers" `Quick
+            test_stack_calls_spawn_no_fibers;
           Alcotest.test_case "call clean" `Quick
             test_reliable_call_clean_network;
           Alcotest.test_case "call over 30% loss" `Quick
