@@ -259,10 +259,11 @@ let write_chaos_json file =
 
 (* Cold vs warm open+read over the projection, the hydration-storm
    sweep across overload policies (reusing the E23 drivers), and a
-   small provider-kill chaos campaign whose headline number —
-   placeholder-invariant violations — must be 0.  Every field is in
-   virtual cycles and a pure function of the seed, so the guard can
-   require this file to reproduce byte-identically. *)
+   small provider-kill chaos campaign whose headline number — oracle
+   violations, the placeholder invariant's among them — must be 0, and
+   whose campaign digest pins every run.  Every field is in virtual
+   cycles and a pure function of the seed, so the guard can require
+   this file to reproduce byte-identically. *)
 let write_vfs_json file =
   let module E23 = Chorus_experiments.E23_projfs in
   let module Chaos = Chorus_chaos.Chaos in
@@ -290,7 +291,7 @@ let write_vfs_json file =
     "chaos: %d provider-kill runs  ops %d  injected %d  violations %d\n"
     r.Chaos.runs r.Chaos.total_ops r.Chaos.faults_injected
     (List.length r.Chaos.violations);
-  let b = json_doc "vfs-v2" ~seed:42 in
+  let b = json_doc "vfs-v3" ~seed:42 in
   Buffer.add_string b
     (Printf.sprintf
        "  \"open\": { \"files\": %d, \"cold_p50_cycles\": %d, \
@@ -313,14 +314,11 @@ let write_vfs_json file =
            s.E23.makespan s.E23.goodput))
     storms;
   Buffer.add_string b "\n  ],\n";
+  Buffer.add_string b "  \"chaos\": {\n";
   Buffer.add_string b
-    (Printf.sprintf
-       "  \"chaos\": { \"projfs_runs\": %d, \"runs\": %d, \
-        \"client_ops\": %d, \"faults_injected\": %d, \
-        \"placeholder_violations\": %d }\n"
-       projfs_runs r.Chaos.runs r.Chaos.total_ops r.Chaos.faults_injected
-       (List.length r.Chaos.violations));
-  Buffer.add_string b "}\n";
+    (Printf.sprintf "    \"projfs_runs\": %d,\n" projfs_runs);
+  add_campaign b ~indent:"    " r;
+  Buffer.add_string b "\n  }\n}\n";
   save file b
 
 (* ------------------------------------------------------------------ *)
