@@ -88,12 +88,15 @@ lint-globals:
 # M as A (`module A = Lib.M`) and contains `A.v`, or opens or includes
 # M (`open M`, `include M`, `M.(`) and mentions `v` at all.
 #
-# Fields: a `mutable` field of a lib/ record must be read.  It fails
-# when every line of those files or of test/ that names it is its
-# declaration (`mutable f :`), an initialiser in a record literal
-# (`f = …`, not `x.f = …`) or an assignment to it (`.f <- …`, a
-# self-increment included): state nothing observes.  The check goes
-# by name, so a field that shares its name with a read one passes.
+# Fields: every field of a lib/ record, mutable or not, must be read.
+# `scripts/record_fields` lists the fields the lib/*/*.ml files
+# declare (comments and strings skipped).  A field fails when every
+# line of those files or of test/ that names it is a declaration
+# (`f :` after `{`, `;` or the start of a line, `mutable` allowed), an
+# initialiser in a record literal (`f = …`, not `x.f = …`) or an
+# assignment to it (`.f <- …`, a self-increment included): state
+# nothing observes.  The check goes by name, so a field that shares
+# its name with a read one passes.
 LINT_DEAD_SRC := lib bin bench examples perfbench
 LINT_DEAD_ALLOW := lib/fsspec/fsmodel.ml
 
@@ -131,15 +134,14 @@ lint-dead:
 		done; \
 	done; \
 	rm -f $$names; \
-	for d in $$(grep -roE --include='*.ml' "\bmutable +$$id *:" lib \
-		| sed -E 's/:mutable +/:/; s/ *:$$//' | sort -u); do \
+	for d in $$(scripts/record_fields lib/*/*.ml | sort -u); do \
 		v=$${d#*:}; \
 		grep -rhwE --include='*.ml' --include='*.mli' "$$v" $(LINT_DEAD_SRC) test \
-		| grep -qvE "\bmutable +$$v *:|(^|[^.A-Za-z0-9_'~?])$$v *=([^=]|$$)|\.$$v *<-" \
+		| grep -qvE "(^|[{;])[[:space:]]*(mutable +)?$$v *:([^:=]|$$)|(^|[^.A-Za-z0-9_'~?])$$v *=([^=]|$$)|\.$$v *<-" \
 		|| bad="$$bad $$d"; \
 	done; \
 	if [ -n "$$bad" ]; then \
-		echo "lint-dead: lib modules, exports and mutable fields nothing reads:$$bad"; \
+		echo "lint-dead: lib modules, exports and record fields nothing reads:$$bad"; \
 		echo "delete them, make them internal, or allowlist a module in the Makefile"; \
 		exit 1; \
 	else \

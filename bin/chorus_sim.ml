@@ -143,33 +143,11 @@ let chrome_arg =
            about://tracing or ui.perfetto.dev).")
 
 let value_of_record (r : Chorus.Trace.record) =
-  let module Trace = Chorus.Trace in
   let open Chorus.Inspect in
-  let ev, fields =
-    match r.Trace.event with
-    | Trace.Spawn { child; on_core } ->
-      ("spawn", [ ("child", Int child); ("on_core", Int on_core) ])
-    | Trace.Exit { status } -> ("exit", [ ("status", String status) ])
-    | Trace.Block { on } -> ("block", [ ("on", String on) ])
-    | Trace.Wake -> ("wake", [])
-    | Trace.Send { chan; words; src; dst } ->
-      ( "send",
-        [ ("chan", Int chan); ("words", Int words); ("src", Int src);
-          ("dst", Int dst) ] )
-    | Trace.Recv { chan } -> ("recv", [ ("chan", Int chan) ])
-    | Trace.Steal { victim_core; fiber } ->
-      ("steal", [ ("victim_core", Int victim_core); ("stolen", Int fiber) ])
-    | Trace.Span_begin { subsystem; span } ->
-      ("span_begin", [ ("subsystem", String subsystem); ("span", String span) ])
-    | Trace.Span_end { subsystem; span } ->
-      ("span_end", [ ("subsystem", String subsystem); ("span", String span) ])
-    | Trace.Segment { start; label } ->
-      ("segment", [ ("start", Int start); ("label", String label) ])
-    | Trace.Custom s -> ("custom", [ ("note", String s) ])
-  in
+  let name, fields = Chorus.Trace.fields r.event in
   Assoc
-    ([ ("time", Int r.Trace.time); ("core", Int r.Trace.core);
-       ("fiber", Int r.Trace.fiber); ("event", String ev) ]
+    ([ ("time", Int r.time); ("core", Int r.core); ("fiber", Int r.fiber);
+       ("event", String name) ]
     @ fields)
 
 (* --------------------------------------------------------------- *)
@@ -766,12 +744,12 @@ let replay_cmd =
     in
     if not diff then begin
       let r = Replay.run_to scen sch ~at in
-      if json then print_endline (Snapshot.to_json r.Replay.snapshot)
+      if json then print_endline (Chorus.Inspect.to_json r.Replay.snapshot)
       else begin
         Printf.printf "replay %s  %s\npaused at t=%d  (%d trace records)\n"
           (Chaos.name scen) (Schedule.to_string sch) at
           (List.length r.Replay.trace);
-        print_string (Snapshot.render r.Replay.snapshot)
+        print_string (Chorus.Inspect.render r.Replay.snapshot)
       end
     end
     else begin

@@ -33,9 +33,8 @@ type t = {
 
 let on_raft_event t (ev : Raft.event) =
   match ev with
-  | Raft.Election_started _ -> t.elections <- t.elections + 1
-  | Raft.Leader_won _ -> t.leader_changes <- t.leader_changes + 1
-  | Raft.Stepped_down _ -> ()
+  | Raft.Election_started -> t.elections <- t.elections + 1
+  | Raft.Leader_won -> t.leader_changes <- t.leader_changes + 1
 
 let create ?raft ~nshards ~replication ~seed ~nnodes fabric =
   if nnodes <= 0 then invalid_arg "Cluster.create: nnodes";

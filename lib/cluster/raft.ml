@@ -38,10 +38,7 @@ type role = Follower | Candidate | Leader
 
 type cmd = Nop | Put of string * string | Get of string
 
-type event =
-  | Election_started of { shard : int; node : int; term : int }
-  | Leader_won of { shard : int; node : int; term : int }
-  | Stepped_down of { shard : int; node : int; term : int }
+type event = Election_started | Leader_won
 
 type entry = { eterm : int; cmd : cmd }
 
@@ -185,8 +182,7 @@ let step_down t new_term =
   if t.role <> Follower then begin
     t.role <- Follower;
     t.kicks <- [];
-    t.batch_kick <- None;
-    t.on_event (Stepped_down { shard = t.shard; node = t.self; term = t.term })
+    t.batch_kick <- None
   end;
   t.last_heartbeat <- Fiber.now ()
 
@@ -586,7 +582,7 @@ let become_leader t ~register ~lineage =
      commit under the current-term counting rule *)
   append_entry t { eterm = t.term; cmd = Nop };
   t.term_start <- t.log_len;
-  t.on_event (Leader_won { shard = t.shard; node = t.self; term = t.term });
+  t.on_event Leader_won;
   let my_term = t.term in
   Array.iteri
     (fun i _ ->
@@ -615,7 +611,7 @@ let run_election t ~register ~lineage =
   t.voted_for <- Some t.self;
   t.last_heartbeat <- Fiber.now ();
   let my_term = t.term in
-  t.on_event (Election_started { shard = t.shard; node = t.self; term = my_term });
+  t.on_event Election_started;
   Span.with_ ~subsystem:"cluster" "election" @@ fun () ->
   let npeers = Array.length t.peers in
   if npeers = 0 then become_leader t ~register ~lineage

@@ -47,10 +47,9 @@ type role = Follower | Candidate | Leader
 
 type cmd = Nop | Put of string * string | Get of string
 
-type event =
-  | Election_started of { shard : int; node : int; term : int }
-  | Leader_won of { shard : int; node : int; term : int }
-  | Stepped_down of { shard : int; node : int; term : int }
+type event = Election_started | Leader_won
+(** What a replica reports through [on_event]: it started an election,
+    or it won one. *)
 
 type t
 

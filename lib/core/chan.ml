@@ -68,7 +68,7 @@ let count_live q =
   Deque.iter (fun o -> if live o then incr n) q;
   !n
 
-type 'a slot = { sl_val : 'a; sl_words : int; sl_core : int; sl_time : int }
+type 'a slot = { sl_val : 'a; sl_core : int; sl_time : int }
 
 type 'a t = {
   chid : int;
@@ -181,8 +181,7 @@ let deliver eng c v ~words ~src ~ts =
     count_message eng c ~src ~dst:rx.core ~words;
     wake o ~time:(max ts rx.time + transit eng ~src ~dst:rx.core) v
   | None ->
-    Queue.push { sl_val = v; sl_words = words; sl_core = src; sl_time = ts }
-      c.buf;
+    Queue.push { sl_val = v; sl_core = src; sl_time = ts } c.buf;
     count_message eng c ~src ~dst:src ~words
 
 let send ?(words = 2) c v =
@@ -233,8 +232,7 @@ let recv_fast eng c =
        | None -> ()
        | Some (Offer tx as o) ->
          Queue.push
-           { sl_val = tx.value; sl_words = tx.words; sl_core = tx.core;
-             sl_time = completion }
+           { sl_val = tx.value; sl_core = tx.core; sl_time = completion }
            c.buf;
          wake o ~time:completion ());
     Engine.emit eng (Trace.Recv { chan = c.chid });

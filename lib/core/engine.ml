@@ -274,7 +274,7 @@ and steal t core =
     | Some sink ->
       sink
         { Trace.time = t.now; core = core.cid; fiber = f.fid;
-          event = Trace.Steal { victim_core = vic; fiber = f.fid } }
+          event = Trace.Steal { victim_core = vic } }
     | None -> ());
     f.core <- core.cid;
     (* migration drags the fiber's working set across the chip *)

@@ -5,11 +5,10 @@ type event =
   | Wake
   | Send of { chan : int; words : int; src : int; dst : int }
   | Recv of { chan : int }
-  | Steal of { victim_core : int; fiber : int }
+  | Steal of { victim_core : int }
   | Span_begin of { subsystem : string; span : string }
   | Span_end of { subsystem : string; span : string }
   | Segment of { start : int; label : string }
-  | Custom of string
 
 type record = { time : int; core : int; fiber : int; event : event }
 
@@ -53,15 +52,34 @@ let pp_event ppf = function
     Format.fprintf ppf "send chan=%d words=%d src=%d dst=%d" chan words src
       dst
   | Recv { chan } -> Format.fprintf ppf "recv chan=%d" chan
-  | Steal { victim_core; fiber } ->
-    Format.fprintf ppf "steal victim=%d fiber=%d" victim_core fiber
+  | Steal { victim_core } -> Format.fprintf ppf "steal victim=%d" victim_core
   | Span_begin { subsystem; span } ->
     Format.fprintf ppf "span-begin %s/%s" subsystem span
   | Span_end { subsystem; span } ->
     Format.fprintf ppf "span-end %s/%s" subsystem span
   | Segment { start; label } ->
     Format.fprintf ppf "segment start=%d label=%s" start label
-  | Custom s -> Format.pp_print_string ppf s
+
+let fields ev =
+  let open Inspect in
+  match ev with
+  | Spawn { child; on_core } ->
+    ("spawn", [ ("child", Int child); ("on_core", Int on_core) ])
+  | Exit { status } -> ("exit", [ ("status", String status) ])
+  | Block { on } -> ("block", [ ("on", String on) ])
+  | Wake -> ("wake", [])
+  | Send { chan; words; src; dst } ->
+    ( "send",
+      [ ("chan", Int chan); ("words", Int words); ("src", Int src);
+        ("dst", Int dst) ] )
+  | Recv { chan } -> ("recv", [ ("chan", Int chan) ])
+  | Steal { victim_core } -> ("steal", [ ("victim_core", Int victim_core) ])
+  | Span_begin { subsystem; span } ->
+    ("span_begin", [ ("subsystem", String subsystem); ("span", String span) ])
+  | Span_end { subsystem; span } ->
+    ("span_end", [ ("subsystem", String subsystem); ("span", String span) ])
+  | Segment { start; label } ->
+    ("segment", [ ("start", Int start); ("label", String label) ])
 
 let pp_record ppf r =
   Format.fprintf ppf "[%8d c%02d f%03d] %a" r.time r.core r.fiber pp_event

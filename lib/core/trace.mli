@@ -7,7 +7,14 @@
     as Chrome trace-event JSON ({!Chorus_obs.Chrome_trace}) or distill
     them into per-fiber profiles ({!Chorus_obs.Profile}).  Because a
     run is exactly deterministic in (seed, inputs), a trace is a
-    faithful, replayable record of the whole execution. *)
+    faithful, replayable record of the whole execution.
+
+    This module is the one description of an event: {!fields} names
+    each one and its fields for every JSON rendering (the Chrome
+    export's instant marks, the CLI's [--json] records), and
+    {!pp_record} is the text form.  A new event kind is one
+    constructor here with its [fields] arm and its text form; every
+    JSON rendering then carries it. *)
 
 type event =
   | Spawn of { child : int; on_core : int }
@@ -22,7 +29,9 @@ type event =
           time), and a receive that claims a blocked sender records
           the sender's core to the receiver's core *)
   | Recv of { chan : int }
-  | Steal of { victim_core : int; fiber : int }
+  | Steal of { victim_core : int }
+      (** the record's core took the record's fiber from the run queue
+          of [victim_core] *)
   | Span_begin of { subsystem : string; span : string }
       (** opened by service instrumentation ({!Chorus_obs.Span}) *)
   | Span_end of { subsystem : string; span : string }
@@ -30,7 +39,6 @@ type event =
       (** emitted when a fiber segment retires: the fiber named
           [label] occupied its core from [start] to the record's
           [time] *)
-  | Custom of string
 
 type record = {
   time : int;  (** virtual cycles *)
@@ -53,4 +61,10 @@ val ring :
     records in emission order, and a function reporting how many
     records were dropped (oldest first). *)
 
+val fields : event -> string * (string * Inspect.value) list
+(** [fields ev] is the event's name (["spawn"], ["span_begin"], ...)
+    and its fields, in declaration order. *)
+
 val pp_record : Format.formatter -> record -> unit
+(** One line: time, core, fiber, then the event's text form (the
+    replay goldens pin it). *)

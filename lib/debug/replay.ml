@@ -14,8 +14,7 @@ type run = {
 }
 
 let run_to scenario sch ~at =
-  let records = ref [] in
-  let sink r = records := r :: !records in
+  let sink, records = Trace.collector () in
   let p = Chaos.prepare scenario sch in
   let eng = Engine.create { p.Chaos.pconfig with trace = Some sink } in
   let reg = Metrics.create () in
@@ -28,7 +27,7 @@ let run_to scenario sch ~at =
       Engine.start eng p.Chaos.pmain;
       Engine.run_until eng at;
       let snapshot = Snapshot.capture ~at eng in
-      { scenario; schedule = sch; at; snapshot; trace = List.rev !records })
+      { scenario; schedule = sch; at; snapshot; trace = records () })
 
 type divergence = {
   index : int;

@@ -45,10 +45,6 @@ let capture ?at eng =
       ("subsystems", Inspect.Assoc (Inspect.snapshot_in ctx));
       ("metrics", metrics) ]
 
-let render = Inspect.render
-
-let to_json = Inspect.to_json
-
 (* ------------------------------------------------------------------ *)
 (* Structural diff                                                     *)
 

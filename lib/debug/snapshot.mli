@@ -8,7 +8,9 @@
     depths, raft per-shard terms and commit indices from the provider
     registry, and the installed {!Chorus_obs.Metrics} registry if any.
     Capture is host-side only — it charges no virtual cycles — so a
-    snapshotted run stays byte-identical to an unsnapshotted one. *)
+    snapshotted run stays byte-identical to an unsnapshotted one.
+    A snapshot is an ordinary {!Chorus.Inspect.value}: print it with
+    {!Chorus.Inspect.render} (stable text) or {!Chorus.Inspect.to_json}. *)
 
 val value_of_metrics : Chorus_obs.Metrics.snapshot -> Chorus.Inspect.value
 (** A metrics snapshot as an assoc keyed ["subsystem/name"], each
@@ -17,13 +19,6 @@ val value_of_metrics : Chorus_obs.Metrics.snapshot -> Chorus.Inspect.value
 val capture : ?at:int -> Chorus.Engine.t -> Chorus.Inspect.value
 (** [capture ~at eng] assembles [{at; engine; subsystems; metrics}].
     [at] defaults to the engine's current time. *)
-
-val render : Chorus.Inspect.value -> string
-(** Stable human-readable text (two-space indentation); equal values
-    render byte-identically. *)
-
-val to_json : Chorus.Inspect.value -> string
-(** Compact single-line JSON. *)
 
 (** {1 Structural diff} *)
 

@@ -54,7 +54,6 @@ type port = {
 }
 
 type t = {
-  fabric : Fabric.t;
   nic : Fabric.nic;
   served : (int, port) Hashtbl.t;
   pending : (int, string Chan.t) Hashtbl.t;
@@ -94,10 +93,9 @@ let demux t =
   in
   loop ()
 
-let create fabric nic =
+let create _fabric nic =
   let t =
-    { fabric;
-      nic;
+    { nic;
       served = Hashtbl.create 8;
       pending = Hashtbl.create 8;
       retry_rng = Rng.make (0x57ac + (131 * Fabric.addr nic));

@@ -14,7 +14,10 @@
 type t
 
 val create : Fabric.t -> Fabric.nic -> t
-(** Spawn the demux fiber for this NIC: the stack's only fiber. *)
+(** Spawn the demux fiber for this NIC: the stack's only fiber.  The
+    stack reaches the wire through the NIC alone; the fabric argument
+    is unused and stays only so that existing callers, the benchmark
+    harness's among them, compile unchanged. *)
 
 val addr : t -> int
 

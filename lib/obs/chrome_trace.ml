@@ -1,4 +1,6 @@
 module Trace = Chorus.Trace
+module Inspect = Chorus.Inspect
+open Inspect
 
 (* Chrome trace-event JSON (the about://tracing / Perfetto "JSON
    object format").  Mapping: the simulated chip is one process; each
@@ -12,95 +14,38 @@ module Trace = Chorus.Trace
    Everything here is a pure function of the record list, so a fixed
    (seed, inputs) run exports byte-identical JSON. *)
 
-let escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
 (* tid layout: 0 = outside-any-fiber events, 1+c = core c's segments,
    1001+c = core c's service spans. *)
 let tid_of_core c = if c < 0 then 0 else c + 1
 
 let span_tid_of_core c = if c < 0 then 0 else c + 1001
 
-type ev = { ts : int; seq : int; body : string }
+let slice ~tid ~ts ~dur name args =
+  Assoc
+    [ ("ph", String "X"); ("pid", Int 1); ("tid", Int tid); ("ts", Int ts);
+      ("dur", Int dur); ("name", String name); ("args", Assoc args) ]
 
-let add_arg b first k v =
-  if not !first then Buffer.add_char b ',';
-  first := false;
-  Buffer.add_char b '"';
-  escape b k;
-  Buffer.add_string b "\":";
-  Buffer.add_string b v
+let instant ~tid ~ts name args =
+  Assoc
+    [ ("ph", String "i"); ("pid", Int 1); ("tid", Int tid); ("ts", Int ts);
+      ("s", String "t"); ("name", String name); ("args", Assoc args) ]
 
-let quoted s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  escape b s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
-let make_ev ~ph ~tid ~ts ?dur ~name args =
-  let b = Buffer.create 96 in
-  Buffer.add_string b "{\"ph\":\"";
-  Buffer.add_string b ph;
-  Buffer.add_string b "\",\"pid\":1,\"tid\":";
-  Buffer.add_string b (string_of_int tid);
-  Buffer.add_string b ",\"ts\":";
-  Buffer.add_string b (string_of_int ts);
-  (match dur with
-  | Some d ->
-    Buffer.add_string b ",\"dur\":";
-    Buffer.add_string b (string_of_int d)
-  | None -> ());
-  if ph = "i" then Buffer.add_string b ",\"s\":\"t\"";
-  Buffer.add_string b ",\"name\":";
-  Buffer.add_string b (quoted name);
-  (match args with
-  | [] -> ()
-  | args ->
-    Buffer.add_string b ",\"args\":{";
-    let first = ref true in
-    List.iter (fun (k, v) -> add_arg b first k v) args;
-    Buffer.add_char b '}');
-  Buffer.add_char b '}';
-  Buffer.contents b
-
-let instant_of_event ev =
-  match ev with
-  | Trace.Spawn { child; on_core } ->
-    Some ("spawn", [ ("child", string_of_int child);
-                     ("on_core", string_of_int on_core) ])
-  | Trace.Exit { status } -> Some ("exit", [ ("status", quoted status) ])
-  | Trace.Block { on } -> Some ("block", [ ("on", quoted on) ])
-  | Trace.Wake -> Some ("wake", [])
-  | Trace.Send { chan; words; src; dst } ->
-    Some ("send", [ ("chan", string_of_int chan);
-                    ("words", string_of_int words);
-                    ("src", string_of_int src);
-                    ("dst", string_of_int dst) ])
-  | Trace.Recv { chan } -> Some ("recv", [ ("chan", string_of_int chan) ])
-  | Trace.Steal { victim_core; fiber } ->
-    Some ("steal", [ ("victim_core", string_of_int victim_core);
-                     ("fiber", string_of_int fiber) ])
-  | Trace.Custom s -> Some (s, [])
-  | Trace.Span_begin _ | Trace.Span_end _ | Trace.Segment _ -> None
+let thread_meta tid name sort_index =
+  let row key args =
+    Assoc
+      [ ("ph", String "M"); ("pid", Int 1); ("tid", Int tid);
+        ("name", String key); ("args", Assoc args) ]
+  in
+  [ row "thread_name" [ ("name", String name) ];
+    row "thread_sort_index" [ ("sort_index", Int sort_index) ] ]
 
 let to_string records =
+  (* (ts, emission seq, event), newest first *)
   let events = ref [] in
   let nseq = ref 0 in
-  let push ts body =
+  let push ts ev =
     incr nseq;
-    events := { ts; seq = !nseq; body } :: !events
+    events := (ts, !nseq, ev) :: !events
   in
   (* per-fiber stacks of open spans: (subsystem, span, begin ts,
      begin core) *)
@@ -116,15 +61,15 @@ let to_string records =
       s
   in
   let max_core = ref (-1) in
-  let fiber_arg r = ("fiber", string_of_int r.Trace.fiber) in
   List.iter
     (fun r ->
+      let fiber = ("fiber", Int r.Trace.fiber) in
       if r.Trace.core > !max_core then max_core := r.Trace.core;
       match r.Trace.event with
       | Trace.Segment { start; label } ->
         push start
-          (make_ev ~ph:"X" ~tid:(tid_of_core r.Trace.core) ~ts:start
-             ~dur:(r.Trace.time - start) ~name:label [ fiber_arg r ])
+          (slice ~tid:(tid_of_core r.Trace.core) ~ts:start
+             ~dur:(r.Trace.time - start) label [ fiber ])
       | Trace.Span_begin { subsystem; span } ->
         let st = stack_of r.Trace.fiber in
         st := (subsystem, span, r.Trace.time, r.Trace.core) :: !st
@@ -133,21 +78,18 @@ let to_string records =
         let rec unwind = function
           | (sub, sp, ts, core) :: rest when sub = subsystem && sp = span ->
             push ts
-              (make_ev ~ph:"X" ~tid:(span_tid_of_core core) ~ts
-                 ~dur:(r.Trace.time - ts) ~name:span
-                 [ fiber_arg r; ("subsystem", quoted sub) ]);
+              (slice ~tid:(span_tid_of_core core) ~ts ~dur:(r.Trace.time - ts)
+                 span [ fiber; ("subsystem", String sub) ]);
             rest
           | _ :: rest -> unwind rest
           | [] -> []
         in
         st := unwind !st
-      | ev -> (
-        match instant_of_event ev with
-        | None -> ()
-        | Some (name, args) ->
-          push r.Trace.time
-            (make_ev ~ph:"i" ~tid:(tid_of_core r.Trace.core) ~ts:r.Trace.time
-               ~name (fiber_arg r :: args))))
+      | ev ->
+        let name, args = Trace.fields ev in
+        push r.Trace.time
+          (instant ~tid:(tid_of_core r.Trace.core) ~ts:r.Trace.time name
+             (fiber :: args)))
     records;
   (* spans left open at end of trace: emit as zero-duration marks so
      they are visible rather than silently dropped *)
@@ -159,49 +101,40 @@ let to_string records =
       List.iter
         (fun (sub, sp, ts, core) ->
           push ts
-            (make_ev ~ph:"i" ~tid:(span_tid_of_core core) ~ts
-               ~name:("unclosed:" ^ sp)
-               [ ("fiber", string_of_int fid); ("subsystem", quoted sub) ]))
+            (instant ~tid:(span_tid_of_core core) ~ts ("unclosed:" ^ sp)
+               [ ("fiber", Int fid); ("subsystem", String sub) ]))
         st)
     (List.sort compare leftovers);
-  (* thread-name metadata rows *)
-  let meta = ref [] in
-  let add_meta tid name sort_index =
-    meta :=
-      Printf.sprintf
-        "{\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":%s}},{\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"name\":\"thread_sort_index\",\"args\":{\"sort_index\":%d}}"
-        tid (quoted name) tid sort_index
-      :: !meta
+  let threads =
+    thread_meta 0 "external" (-1)
+    :: List.init (!max_core + 1) (fun c ->
+           thread_meta (tid_of_core c) (Printf.sprintf "core %d" c) (2 * c)
+           @ thread_meta (span_tid_of_core c)
+               (Printf.sprintf "core %d spans" c)
+               ((2 * c) + 1))
   in
-  add_meta 0 "external" (-1);
-  for c = 0 to !max_core do
-    add_meta (tid_of_core c) (Printf.sprintf "core %d" c) (2 * c);
-    add_meta (span_tid_of_core c)
-      (Printf.sprintf "core %d spans" c)
-      ((2 * c) + 1)
-  done;
   let sorted =
     List.stable_sort
-      (fun a b -> if a.ts <> b.ts then compare a.ts b.ts else compare a.seq b.seq)
+      (fun (ts, seq, _) (ts', seq', _) ->
+        if ts <> ts' then compare ts ts' else compare seq seq')
       (List.rev !events)
   in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"exporter\":\"chorus\",\"timeUnit\":\"1 virtual cycle = 1 us\"},\"traceEvents\":[";
-  Buffer.add_string b
-    "{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\"args\":{\"name\":\"chorus\"}}";
-  List.iter
-    (fun m ->
-      Buffer.add_char b ',';
-      Buffer.add_string b m)
-    (List.rev !meta);
-  List.iter
-    (fun e ->
-      Buffer.add_char b ',';
-      Buffer.add_string b e.body)
-    sorted;
-  Buffer.add_string b "]}\n";
-  Buffer.contents b
+  Inspect.to_json
+    (Assoc
+       [ ("displayTimeUnit", String "ms");
+         ("otherData",
+          Assoc
+            [ ("exporter", String "chorus");
+              ("timeUnit", String "1 virtual cycle = 1 us") ]);
+         ("traceEvents",
+          List
+            ((Assoc
+                [ ("ph", String "M"); ("pid", Int 1);
+                  ("name", String "process_name");
+                  ("args", Assoc [ ("name", String "chorus") ]) ]
+             :: List.concat threads)
+            @ List.map (fun (_, _, ev) -> ev) sorted)) ])
+  ^ "\n"
 
 let write_file path records =
   let oc = open_out path in

@@ -1,5 +1,4 @@
 module Trace = Chorus.Trace
-module Histogram = Chorus_util.Histogram
 
 type fiber_stats = {
   fid : int;
@@ -19,8 +18,6 @@ type t = {
   fibers : fiber_stats list;
   cores : int;
   matrix : int array array;
-  spans : ((string * string) * Histogram.t) list;
-  records : int;
 }
 
 let of_records records =
@@ -43,24 +40,9 @@ let of_records records =
   let pending_block : (int, string * int) Hashtbl.t = Hashtbl.create 64 in
   (* fiber -> time it became runnable, until its next segment starts *)
   let runnable_since : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  (* fiber -> open span stack *)
-  let open_spans : (int, (string * string * int) list ref) Hashtbl.t =
-    Hashtbl.create 32
-  in
-  let spans : (string * string, Histogram.t) Hashtbl.t = Hashtbl.create 16 in
-  let span_hist key =
-    match Hashtbl.find_opt spans key with
-    | Some h -> h
-    | None ->
-      let h = Histogram.create () in
-      Hashtbl.replace spans key h;
-      h
-  in
   let max_core = ref 0 in
-  let nrecords = ref 0 in
   List.iter
     (fun r ->
-      incr nrecords;
       if r.Trace.core > !max_core then max_core := r.Trace.core;
       match r.Trace.event with
       | Trace.Send { src; dst; _ } ->
@@ -89,7 +71,7 @@ let of_records records =
         f.core <- on_core;
         f.spawned <- r.Trace.time
       | Trace.Exit _ -> (fiber fid).exited <- r.Trace.time
-      | Trace.Steal { fiber = moved; _ } -> (fiber moved).core <- r.Trace.core
+      | Trace.Steal _ -> (fiber fid).core <- r.Trace.core
       | Trace.Block { on } ->
         Hashtbl.replace pending_block fid (on, r.Trace.time)
       | Trace.Wake -> (
@@ -110,40 +92,13 @@ let of_records records =
         matrix.(src).(dst) <- matrix.(src).(dst) + 1;
         (fiber fid).sent <- (fiber fid).sent + 1
       | Trace.Recv _ -> (fiber fid).received <- (fiber fid).received + 1
-      | Trace.Span_begin { subsystem; span } ->
-        let st =
-          match Hashtbl.find_opt open_spans fid with
-          | Some s -> s
-          | None ->
-            let s = ref [] in
-            Hashtbl.replace open_spans fid s;
-            s
-        in
-        st := (subsystem, span, r.Trace.time) :: !st
-      | Trace.Span_end { subsystem; span } -> (
-        match Hashtbl.find_opt open_spans fid with
-        | None -> ()
-        | Some st ->
-          let rec unwind = function
-            | (sub, sp, t0) :: rest when sub = subsystem && sp = span ->
-              Histogram.record (span_hist (sub, sp))
-                (max 0 (r.Trace.time - t0));
-              rest
-            | _ :: rest -> unwind rest
-            | [] -> []
-          in
-          st := unwind !st)
-      | Trace.Custom _ -> ())
+      | Trace.Span_begin _ | Trace.Span_end _ -> ())
     records;
   let fibers =
     Hashtbl.fold (fun _ f acc -> f :: acc) fibers []
     |> List.sort (fun a b -> compare a.fid b.fid)
   in
-  let spans =
-    Hashtbl.fold (fun k h acc -> (k, h) :: acc) spans []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  { fibers; cores; matrix; spans; records = !nrecords }
+  { fibers; cores; matrix }
 
 let top_by value t n =
   List.stable_sort

@@ -8,8 +8,10 @@
     core (runnable, not running: from each [Wake] to its next
     [Segment]),
     blocked time per fiber broken down by suspend tag (from
-    [Block]/[Wake] pairs), a core-by-core message-flow matrix (from
-    [Send] records) and a latency histogram per service span.
+    [Block]/[Wake] pairs) and a core-by-core message-flow matrix (from
+    [Send] records).  It keeps no span histograms: a service span's
+    latency is the metrics registry's ({!Span.timed} records it), and
+    that is what [chorus_sim profile] prints.
 
     Feed it the records of one run; merging runs would conflate
     unrelated fibers that share ids. *)
@@ -18,9 +20,9 @@ type fiber_stats = {
   fid : int;
   mutable label : string;
   mutable core : int;
-      (** the core it runs on: from its [Spawn], moved by each [Steal];
-          a fiber whose [Spawn] the records miss starts on the core of
-          its first record *)
+      (** the core it runs on: from its [Spawn], moved by each of its
+          [Steal] records; a fiber whose [Spawn] the records miss
+          starts on the core of its first record *)
   mutable spawned : int;
       (** time of the [Spawn] record naming it, or -1 if the records
           miss it *)
@@ -39,9 +41,6 @@ type t = {
   fibers : fiber_stats list;  (** sorted by fiber id *)
   cores : int;
   matrix : int array array;  (** [matrix.(src).(dst)] = messages *)
-  spans : ((string * string) * Chorus_util.Histogram.t) list;
-      (** per-[(subsystem, span)] latency, sorted by key *)
-  records : int;  (** trace records consumed *)
 }
 
 val of_records : Chorus.Trace.record list -> t

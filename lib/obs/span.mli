@@ -4,7 +4,8 @@
     Spans ride the run's {!Chorus.Trace} sink as
     [Span_begin]/[Span_end] records, attributed to fiber, core and
     virtual time by the engine; {!Chrome_trace} renders them as nested
-    slices and {!Profile} distills per-span latency histograms.  All
+    slices.  A span's latency histogram is the metrics registry's
+    ({!timed}).  All
     entry points are no-ops (beyond one flag test) when the run has no
     trace sink, and must be called from inside a fiber. *)
 

@@ -15,6 +15,8 @@ module Machine = Chorus_machine.Machine
 module Blockdev = Chorus_kernel.Blockdev
 module Fabric = Chorus_net.Fabric
 module Cluster = Chorus_cluster.Cluster
+module Trace = Chorus.Trace
+module Metrics = Chorus_obs.Metrics
 
 (* ------------------------------------------------------------------ *)
 (* Lin: per-key register checker                                       *)
@@ -432,6 +434,45 @@ let test_planted_leak_every_scenario () =
         [ 0; 2 ])
     Chaos.scenarios
 
+(* DESIGN D11 beyond the VFS: tracing and metrics never move a run.
+   Each scenario runs a schedule bare, then again with a metrics
+   registry installed and a trace ring behind the run, so that the
+   instrumentation of Raft, the cluster client, the net stack, the
+   service endpoints and the projected mount all runs; the digests
+   must be equal. *)
+let test_instrumentation_moves_nothing () =
+  List.iter
+    (fun (e : Chaos.entry) ->
+      List.iter
+        (fun index ->
+          let sch = Chaos.gen e.scenario ~seed:1 ~index in
+          let bare = Chaos.run_one e.scenario sch in
+          let reg = Metrics.create () in
+          let traced = ref [] in
+          Metrics.install reg;
+          Runtime.set_default_trace
+            (Some
+               (fun () ->
+                 let sink, get, _ = Trace.ring ~capacity:65_536 () in
+                 traced := get :: !traced;
+                 sink));
+          let observed =
+            Fun.protect
+              ~finally:(fun () ->
+                Runtime.set_default_trace None;
+                Metrics.uninstall ())
+              (fun () -> Chaos.run_one e.scenario sch)
+          in
+          let what = e.name ^ " " ^ Schedule.to_string sch in
+          Alcotest.(check bool) (what ^ ": traced") true
+            (List.exists (fun get -> get () <> []) !traced);
+          Alcotest.(check bool) (what ^ ": metrics registered") true
+            (Metrics.snapshot reg <> []);
+          Alcotest.(check string) (what ^ ": digest") bare.Chaos.digest
+            observed.Chaos.digest)
+        [ 0; 2; 5 ])
+    Chaos.scenarios
+
 let test_selftest () =
   let st = Chaos.selftest ~seed:11 in
   Alcotest.(check bool) "planted violation caught" true st.Chaos.caught;
@@ -477,5 +518,7 @@ let () =
           Alcotest.test_case "selftest" `Quick test_selftest;
           Alcotest.test_case "projfs planted leak" `Quick
             test_projfs_planted_leak;
+          Alcotest.test_case "instrumentation moves no run" `Quick
+            test_instrumentation_moves_nothing;
           Alcotest.test_case "planted leak in every scenario" `Quick
             test_planted_leak_every_scenario ] ) ]

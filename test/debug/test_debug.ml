@@ -26,12 +26,12 @@ let check_deterministic what scenario sch ~at =
   let b = Replay.run_to scenario sch ~at in
   Alcotest.(check string)
     (what ^ ": byte-identical render")
-    (Snapshot.render a.Replay.snapshot)
-    (Snapshot.render b.Replay.snapshot);
+    (Inspect.render a.Replay.snapshot)
+    (Inspect.render b.Replay.snapshot);
   Alcotest.(check string)
     (what ^ ": byte-identical json")
-    (Snapshot.to_json a.Replay.snapshot)
-    (Snapshot.to_json b.Replay.snapshot);
+    (Inspect.to_json a.Replay.snapshot)
+    (Inspect.to_json b.Replay.snapshot);
   Alcotest.(check int)
     (what ^ ": same trace length")
     (List.length a.Replay.trace)
@@ -43,7 +43,7 @@ let check_deterministic what scenario sch ~at =
 let test_determinism_disk () =
   let sch = Chaos.gen Chaos.Disk ~seed:7 ~index:2 in
   let r = check_deterministic "disk" Chaos.Disk sch ~at:300_000 in
-  let text = Snapshot.render r.Replay.snapshot in
+  let text = Inspect.render r.Replay.snapshot in
   Alcotest.(check bool) "disk: engine state present" true
     (contains text "live_fibers:");
   Alcotest.(check bool) "disk: service inboxes present" true
@@ -53,7 +53,7 @@ let test_determinism_disk () =
 let test_determinism_kv () =
   let sch = Chaos.gen Chaos.Kv ~seed:7 ~index:1 in
   let r = check_deterministic "kv" Chaos.Kv sch ~at:1_500_000 in
-  let text = Snapshot.render r.Replay.snapshot in
+  let text = Inspect.render r.Replay.snapshot in
   Alcotest.(check bool) "kv: raft state present" true
     (contains text "cluster/node0:");
   Alcotest.(check bool) "kv: shard roles present" true
@@ -62,7 +62,7 @@ let test_determinism_kv () =
 let test_determinism_projfs () =
   let sch = Chaos.gen Chaos.Projfs ~seed:7 ~index:2 in
   let r = check_deterministic "projfs" Chaos.Projfs sch ~at:400_000 in
-  let text = Snapshot.render r.Replay.snapshot in
+  let text = Inspect.render r.Replay.snapshot in
   Alcotest.(check bool) "projfs: hydration provider present" true
     (contains text "projfs/hydration");
   Alcotest.(check bool) "projfs: hydration endpoint inbox present" true

@@ -21,7 +21,7 @@ let mk_record ?(core = 0) ?(fiber = 1) time event =
 let test_ring_drop_oldest () =
   let sink, get, dropped = Trace.ring ~capacity:4 () in
   for i = 1 to 10 do
-    sink (mk_record i (Trace.Custom (string_of_int i)))
+    sink (mk_record i (Trace.Block { on = string_of_int i }))
   done;
   let times = List.map (fun r -> r.Trace.time) (get ()) in
   Alcotest.(check (list int)) "keeps newest, in order" [ 7; 8; 9; 10 ] times;
@@ -144,16 +144,11 @@ let test_span_pairing () =
   Alcotest.(check int) "10 begins" 10 begins;
   Alcotest.(check int) "10 ends" 10 ends;
   (* the timed wrapper also fed the metrics histogram *)
-  (match List.assoc_opt ("test", "call") snap with
+  match List.assoc_opt ("test", "call") snap with
   | Some (Metrics.Histo { count; p50; _ }) ->
     Alcotest.(check int) "histo count" 10 count;
     Alcotest.(check bool) "latency positive" true (p50 > 0)
-  | _ -> Alcotest.fail "no test/call histogram");
-  (* and the profile distills the same pairs *)
-  let p = Profile.of_records records in
-  match List.assoc_opt ("test", "call") p.Profile.spans with
-  | Some h -> Alcotest.(check int) "profile spans" 10 (Chorus_util.Histogram.count h)
-  | None -> Alcotest.fail "no span histogram in profile"
+  | _ -> Alcotest.fail "no test/call histogram"
 
 let test_profile_matches_engine () =
   let stats, records, _ = run_traced () in
@@ -189,7 +184,7 @@ let test_profile_core_wait () =
       mk_record ~fiber:5 ~core:3 40 (Trace.Block { on = "recv" });
       mk_record ~fiber:5 ~core:3 100 Trace.Wake;
       mk_record ~fiber:5 ~core:7 130
-        (Trace.Steal { victim_core = 3; fiber = 5 });
+        (Trace.Steal { victim_core = 3 });
       seg 5 7 ~start:130 150;
       (* a fiber whose Spawn the records miss runs where its records
          say *)
@@ -228,7 +223,7 @@ let test_profile_last_exited () =
       mk_record ~fiber:8 ~core:7 40 (Trace.Block { on = "recv" });
       (* fiber 5 is stolen to core 7 and exits there *)
       mk_record ~fiber:5 ~core:7 50
-        (Trace.Steal { victim_core = 3; fiber = 5 });
+        (Trace.Steal { victim_core = 3 });
       exit_at 5 7 90;
       exit_at 6 3 90;
       exit_at 4 1 60 ]
@@ -261,7 +256,7 @@ let test_metrics_deterministic () =
 (* Chrome trace export                                                 *)
 
 (* minimal recursive-descent JSON well-formedness check, so the test
-   needs no json library *)
+   needs no json library; an object that repeats a key fails it *)
 let json_valid s =
   let n = String.length s in
   let pos = ref 0 in
@@ -297,7 +292,9 @@ let json_valid s =
     done;
     if !pos = start then fail ()
   in
+  (* the string's raw text, quotes included *)
   let string_ () =
+    let start = !pos in
     if peek () <> '"' then fail ();
     adv ();
     let rec go () =
@@ -311,14 +308,15 @@ let json_valid s =
         adv ();
         go ()
     in
-    go ()
+    go ();
+    String.sub s start (!pos - start)
   in
   let rec value () =
     skip_ws ();
     match peek () with
     | '{' -> obj ()
     | '[' -> arr ()
-    | '"' -> string_ ()
+    | '"' -> ignore (string_ ())
     | 't' -> lit "true"
     | 'f' -> lit "false"
     | 'n' -> lit "null"
@@ -329,9 +327,12 @@ let json_valid s =
     skip_ws ();
     if peek () = '}' then adv ()
     else
+      let keys = Hashtbl.create 8 in
       let rec members () =
         skip_ws ();
-        string_ ();
+        let key = string_ () in
+        if Hashtbl.mem keys key then fail ();
+        Hashtbl.replace keys key ();
         skip_ws ();
         if peek () <> ':' then fail ();
         adv ();
@@ -402,10 +403,65 @@ let test_chrome_unclosed_span () =
 
 let test_chrome_escaping () =
   let records =
-    [ mk_record 1 (Trace.Custom "quote\" slash\\ newline\n tab\t") ]
+    [ mk_record 1 (Trace.Block { on = "quote\" slash\\ newline\n tab\t" }) ]
   in
-  Alcotest.(check bool) "escapes custom payloads" true
+  Alcotest.(check bool) "escapes string fields" true
     (json_valid (Chrome_trace.to_string records))
+
+(* The whole export of a hand-built trace, byte for byte: one record
+   of every event kind, a span pair, a span left open and a string that
+   needs escaping.  Instant marks carry the record's fiber and then the
+   event's own fields, each key once. *)
+let test_chrome_pinned () =
+  let r ~fiber ~core time event = { Trace.time; core; fiber; event } in
+  let records =
+    [ r ~fiber:1 ~core:0 0 (Trace.Spawn { child = 2; on_core = 1 });
+      r ~fiber:2 ~core:1 5 Trace.Wake;
+      r ~fiber:2 ~core:1 20 (Trace.Segment { start = 5; label = "worker" });
+      r ~fiber:2 ~core:1 20
+        (Trace.Send { chan = 3; words = 2; src = 1; dst = 0 });
+      r ~fiber:1 ~core:0 30 (Trace.Recv { chan = 3 });
+      r ~fiber:1 ~core:0 31 (Trace.Block { on = "q \"a\\b\"\n\t" });
+      r ~fiber:2 ~core:0 40 (Trace.Steal { victim_core = 1 });
+      r ~fiber:2 ~core:0 45
+        (Trace.Span_begin { subsystem = "svc"; span = "call" });
+      r ~fiber:2 ~core:0 60
+        (Trace.Span_end { subsystem = "svc"; span = "call" });
+      r ~fiber:2 ~core:0 61
+        (Trace.Span_begin { subsystem = "svc"; span = "open" });
+      r ~fiber:2 ~core:0 70 (Trace.Exit { status = "ok" }) ]
+  in
+  let thread tid name sort =
+    Printf.sprintf
+      {|{"ph":"M","pid":1,"tid":%d,"name":"thread_name","args":{"name":"%s"}},{"ph":"M","pid":1,"tid":%d,"name":"thread_sort_index","args":{"sort_index":%d}}|}
+      tid name tid sort
+  in
+  let expected =
+    {|{"displayTimeUnit":"ms","otherData":{"exporter":"chorus","timeUnit":"1 virtual cycle = 1 us"},"traceEvents":[|}
+    ^ String.concat ","
+        [ {|{"ph":"M","pid":1,"name":"process_name","args":{"name":"chorus"}}|};
+          thread 0 "external" (-1);
+          thread 1 "core 0" 0;
+          thread 1001 "core 0 spans" 1;
+          thread 2 "core 1" 2;
+          thread 1002 "core 1 spans" 3;
+          {|{"ph":"i","pid":1,"tid":1,"ts":0,"s":"t","name":"spawn","args":{"fiber":1,"child":2,"on_core":1}}|};
+          {|{"ph":"i","pid":1,"tid":2,"ts":5,"s":"t","name":"wake","args":{"fiber":2}}|};
+          {|{"ph":"X","pid":1,"tid":2,"ts":5,"dur":15,"name":"worker","args":{"fiber":2}}|};
+          {|{"ph":"i","pid":1,"tid":2,"ts":20,"s":"t","name":"send","args":{"fiber":2,"chan":3,"words":2,"src":1,"dst":0}}|};
+          {|{"ph":"i","pid":1,"tid":1,"ts":30,"s":"t","name":"recv","args":{"fiber":1,"chan":3}}|};
+          {|{"ph":"i","pid":1,"tid":1,"ts":31,"s":"t","name":"block","args":{"fiber":1,"on":"q \"a\\b\"\n\t"}}|};
+          {|{"ph":"i","pid":1,"tid":1,"ts":40,"s":"t","name":"steal","args":{"fiber":2,"victim_core":1}}|};
+          {|{"ph":"X","pid":1,"tid":1001,"ts":45,"dur":15,"name":"call","args":{"fiber":2,"subsystem":"svc"}}|};
+          {|{"ph":"i","pid":1,"tid":1001,"ts":61,"s":"t","name":"unclosed:open","args":{"fiber":2,"subsystem":"svc"}}|};
+          {|{"ph":"i","pid":1,"tid":1,"ts":70,"s":"t","name":"exit","args":{"fiber":2,"status":"ok"}}|}
+        ]
+    ^ "]}\n"
+  in
+  let json = Chrome_trace.to_string records in
+  Alcotest.(check bool) "valid JSON, no object repeats a key" true
+    (json_valid json);
+  Alcotest.(check string) "export" expected json
 
 (* ------------------------------------------------------------------ *)
 (* Default-trace factory                                               *)
@@ -456,7 +512,8 @@ let () =
         [ Alcotest.test_case "well-formed" `Quick test_chrome_well_formed;
           Alcotest.test_case "deterministic" `Quick test_chrome_deterministic;
           Alcotest.test_case "unclosed span" `Quick test_chrome_unclosed_span;
-          Alcotest.test_case "escaping" `Quick test_chrome_escaping ] );
+          Alcotest.test_case "escaping" `Quick test_chrome_escaping;
+          Alcotest.test_case "pinned export" `Quick test_chrome_pinned ] );
       ( "runtime",
         [ Alcotest.test_case "default trace factory" `Quick
             test_default_trace_factory ] ) ]

@@ -120,7 +120,7 @@ let test_steal_leaves_daemons () =
   let stolen = ref [] and ran = Hashtbl.create 4 in
   let trace r =
     match r.Chorus.Trace.event with
-    | Chorus.Trace.Steal { fiber; _ } -> stolen := fiber :: !stolen
+    | Chorus.Trace.Steal _ -> stolen := r.Chorus.Trace.fiber :: !stolen
     | _ -> ()
   in
   let at name = Hashtbl.replace ran name (Fiber.core (Fiber.self ())) in
