@@ -137,7 +137,9 @@ let add_json_string buf s =
     s;
   Buffer.add_char buf '"'
 
-let rec add_json buf = function
+(* [spill buf] runs after each list element and object member, so a
+   streaming writer can hand the buffer to its channel as it fills. *)
+let rec add_json spill buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (string_of_bool b)
   | Int n -> Buffer.add_string buf (string_of_int n)
@@ -151,7 +153,8 @@ let rec add_json buf = function
     List.iteri
       (fun i item ->
         if i > 0 then Buffer.add_char buf ',';
-        add_json buf item)
+        add_json spill buf item;
+        spill buf)
       items;
     Buffer.add_char buf ']'
   | Assoc fields ->
@@ -161,11 +164,24 @@ let rec add_json buf = function
         if i > 0 then Buffer.add_char buf ',';
         add_json_string buf k;
         Buffer.add_char buf ':';
-        add_json buf item)
+        add_json spill buf item;
+        spill buf)
       fields;
     Buffer.add_char buf '}'
 
 let to_json v =
   let buf = Buffer.create 1024 in
-  add_json buf v;
+  add_json ignore buf v;
   Buffer.contents buf
+
+let output_json oc v =
+  let chunk = 65_536 in
+  let buf = Buffer.create chunk in
+  let spill buf =
+    if Buffer.length buf >= chunk then begin
+      Buffer.output_buffer oc buf;
+      Buffer.clear buf
+    end
+  in
+  add_json spill buf v;
+  Buffer.output_buffer oc buf

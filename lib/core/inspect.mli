@@ -61,3 +61,8 @@ val render : value -> string
 
 val to_json : value -> string
 (** Compact single-line JSON ([jq]-composable). *)
+
+val output_json : out_channel -> value -> unit
+(** [output_json oc v] writes [to_json v]'s bytes to [oc], handing its
+    buffer to the channel about every 64 KB, so a large document is
+    never held as one string. *)

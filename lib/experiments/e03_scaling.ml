@@ -42,8 +42,18 @@ let msg_throughput ~quick ~seed cores =
          bcache_shards = max 2 (cores / 8);
          cgroups = max 2 (cores / 16) })
 
-let lock_throughput ~quick ~seed cores =
-  throughput ~quick ~seed cores Lock_kernel
+(* One row of the core sweep: both kernels' ops/Mcycle at [cores]. *)
+type row = { cores : int; msg : float; lock : float }
+
+(* The sweep E3's table and BENCH_e3.json report, one row per core
+   count, 1 core first. *)
+let sweep ~quick ~seed =
+  List.map
+    (fun cores ->
+      let msg = msg_throughput ~quick ~seed cores in
+      let lock = throughput ~quick ~seed cores Lock_kernel in
+      { cores; msg; lock })
+    (core_sweep ~quick)
 
 let run ~quick ~seed =
   let t =
@@ -58,33 +68,26 @@ let run ~quick ~seed =
           ("lock speedup", Tablefmt.Right);
           ("msg/lock", Tablefmt.Right) ]
   in
-  let base_msg = ref 0.0 and base_lock = ref 0.0 in
-  let crossover = ref None in
+  let rows = sweep ~quick ~seed in
+  let base = List.hd rows in
   List.iter
-    (fun cores ->
-      let msg = msg_throughput ~quick ~seed cores in
-      let lock = lock_throughput ~quick ~seed cores in
-      if cores = 1 then begin
-        base_msg := msg;
-        base_lock := lock
-      end;
-      if msg > lock && !crossover = None then crossover := Some cores;
+    (fun r ->
       Tablefmt.add_row t
-        [ string_of_int cores;
-          Tablefmt.cell_float msg;
-          Tablefmt.cell_float lock;
-          Tablefmt.cell_float (msg /. !base_msg);
-          Tablefmt.cell_float (lock /. !base_lock);
-          Tablefmt.cell_float (msg /. lock) ])
-    (core_sweep ~quick);
+        [ string_of_int r.cores;
+          Tablefmt.cell_float r.msg;
+          Tablefmt.cell_float r.lock;
+          Tablefmt.cell_float (r.msg /. base.msg);
+          Tablefmt.cell_float (r.lock /. base.lock);
+          Tablefmt.cell_float (r.msg /. r.lock) ])
+    rows;
   let note =
     Tablefmt.create ~title:"E3: crossover"
       ~columns:[ ("finding", Tablefmt.Left) ]
   in
   Tablefmt.add_row note
-    [ (match !crossover with
-      | Some c ->
+    [ (match List.find_opt (fun r -> r.msg > r.lock) rows with
+      | Some r ->
         Printf.sprintf
-          "message kernel overtakes the lock kernel at %d cores" c
+          "message kernel overtakes the lock kernel at %d cores" r.cores
       | None -> "no crossover observed in this sweep") ];
   [ t; note ]

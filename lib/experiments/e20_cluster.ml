@@ -158,19 +158,52 @@ let failover_once ~quick ~seed ~nnodes =
    mean window over this many kills, one per seed from the run's. *)
 let failover_kills = 64
 
-(* The failover table's row: steady throughput at [seed], and the mean
-   failover window over [failover_kills] kills (0 below quorum 2). *)
-let run_failover ~quick ~seed ~nnodes =
-  let window, tput_ops, acked, ops = failover_once ~quick ~seed ~nnodes in
-  if window = 0 then (window, tput_ops, acked, ops)
-  else begin
-    let total = ref window in
-    for k = 1 to failover_kills - 1 do
-      let w, _, _, _ = failover_once ~quick ~seed:(seed + k) ~nnodes in
-      total := !total + w
-    done;
-    (!total / failover_kills, tput_ops, acked, ops)
-  end
+(* One row of the failover table. *)
+type failover_row = {
+  nodes : int;
+  puts_acked : int;
+  puts_issued : int;
+  cycles_per_put : int;  (* steady-state cycles per issued put *)
+  window : int option;  (* mean failover window; none below quorum 2 *)
+}
+
+(* The failover table's row for [nnodes]: steady throughput at [seed],
+   and the mean failover window over [failover_kills] kills. *)
+let failover_row ~quick ~seed nnodes =
+  let window, tput_cycles, acked, ops = failover_once ~quick ~seed ~nnodes in
+  let window =
+    if window = 0 then None
+    else begin
+      let total = ref window in
+      for k = 1 to failover_kills - 1 do
+        let w, _, _, _ = failover_once ~quick ~seed:(seed + k) ~nnodes in
+        total := !total + w
+      done;
+      Some (!total / failover_kills)
+    end
+  in
+  { nodes = nnodes;
+    puts_acked = acked;
+    puts_issued = ops;
+    cycles_per_put = tput_cycles / max 1 ops;
+    window }
+
+(* The failover table's rows, which BENCH_cluster.json also holds. *)
+let failover_rows ~quick ~seed =
+  List.map (failover_row ~quick ~seed) [ 1; 3; 5 ]
+
+(* The availability table's rows: (frame loss, what the run saw). *)
+let availability_rows ~quick ~seed =
+  List.map
+    (fun (loss, crash) ->
+      let a, _ =
+        availability ~seed ~nnodes:5 ~nshards:8 ~replication:3
+          ~ops:(pick ~quick 120 400) ~loss
+          ~crashes:(if crash then pick ~quick 4 10 else 0)
+          ~crash_gap:(pick ~quick 400_000 600_000)
+      in
+      (loss, a))
+    [ (0.0, false); (0.01, false); (0.01, true); (0.03, true) ]
 
 let run ~quick ~seed =
   let avail =
@@ -190,13 +223,7 @@ let run ~quick ~seed =
           ("client retries", Tablefmt.Right) ]
   in
   List.iter
-    (fun (loss, crash) ->
-      let a, _ =
-        availability ~seed ~nnodes:5 ~nshards:8 ~replication:3
-          ~ops:(pick ~quick 120 400) ~loss
-          ~crashes:(if crash then pick ~quick 4 10 else 0)
-          ~crash_gap:(pick ~quick 400_000 600_000)
-      in
+    (fun (loss, a) ->
       let avail_f =
         float_of_int a.acked /. float_of_int (a.acked + a.unavailable)
       in
@@ -210,7 +237,7 @@ let run ~quick ~seed =
           string_of_int a.lost_acked;
           string_of_int a.restarts;
           string_of_int a.retries ])
-    [ (0.0, false); (0.01, false); (0.01, true); (0.03, true) ];
+    (availability_rows ~quick ~seed);
   let failover =
     Tablefmt.create
       ~title:"E20: failover window and throughput vs replica-group width"
@@ -221,13 +248,13 @@ let run ~quick ~seed =
           ("mean failover window (cycles)", Tablefmt.Right) ]
   in
   List.iter
-    (fun nnodes ->
-      let window, tput_cycles, acked, ops = run_failover ~quick ~seed ~nnodes in
+    (fun r ->
       Tablefmt.add_row failover
-        [ string_of_int nnodes;
-          Printf.sprintf "%d/%d" acked ops;
-          string_of_int (tput_cycles / max 1 ops);
-          (if window = 0 then "n/a (no quorum peer)"
-           else string_of_int window) ])
-    [ 1; 3; 5 ];
+        [ string_of_int r.nodes;
+          Printf.sprintf "%d/%d" r.puts_acked r.puts_issued;
+          string_of_int r.cycles_per_put;
+          (match r.window with
+          | None -> "n/a (no quorum peer)"
+          | Some w -> string_of_int w) ])
+    (failover_rows ~quick ~seed);
   [ avail; failover ]

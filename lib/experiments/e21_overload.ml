@@ -108,6 +108,16 @@ let measure ~quick ~seed ~policy ~load_pct =
     p99;
     goodput = Runstats.throughput stats ~ops:completed }
 
+(* The table's rows, which BENCH_overload.json also holds: each policy
+   at 50, 100 and 200% load. *)
+let samples ~quick ~seed =
+  List.concat_map
+    (fun policy ->
+      List.map
+        (fun load_pct -> measure ~quick ~seed ~policy ~load_pct)
+        [ 50; 100; 200 ])
+    [ `Block; `Reject; `Shed_oldest ]
+
 let run ~quick ~seed =
   let table =
     Tablefmt.create
@@ -128,22 +138,18 @@ let run ~quick ~seed =
           ("goodput/Mcyc", Tablefmt.Right) ]
   in
   List.iter
-    (fun policy ->
-      List.iter
-        (fun load_pct ->
-          let s = measure ~quick ~seed ~policy ~load_pct in
-          Tablefmt.add_row table
-            [ s.policy_name;
-              Printf.sprintf "%d%%" s.load_pct;
-              string_of_int s.sent;
-              string_of_int s.completed;
-              string_of_int s.busy;
-              string_of_int s.rejected;
-              string_of_int s.shed;
-              string_of_int s.hwm;
-              string_of_int s.p50;
-              string_of_int s.p99;
-              Tablefmt.cell_float s.goodput ])
-        [ 50; 100; 200 ])
-    [ `Block; `Reject; `Shed_oldest ];
+    (fun s ->
+      Tablefmt.add_row table
+        [ s.policy_name;
+          Printf.sprintf "%d%%" s.load_pct;
+          string_of_int s.sent;
+          string_of_int s.completed;
+          string_of_int s.busy;
+          string_of_int s.rejected;
+          string_of_int s.shed;
+          string_of_int s.hwm;
+          string_of_int s.p50;
+          string_of_int s.p99;
+          Tablefmt.cell_float s.goodput ])
+    (samples ~quick ~seed);
   [ table ]

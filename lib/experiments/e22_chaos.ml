@@ -37,11 +37,13 @@ let campaign_table ~title (r : Chaos.report) =
   addi "oracle violations" (List.length r.violations);
   t
 
+(* The campaign's runs per scenario; BENCH_chaos.json holds the full
+   size. *)
+let runs ~quick =
+  [ (Chaos.Disk, pick ~quick 24 160); (Chaos.Kv, pick ~quick 8 48) ]
+
 let run ~quick ~seed =
-  let r =
-    Chaos.campaign ~seed
-      [ (Chaos.Disk, pick ~quick 24 160); (Chaos.Kv, pick ~quick 8 48) ]
-  in
+  let r = Chaos.campaign ~seed (runs ~quick) in
   let t = campaign_table ~title:"chaos campaign" r in
   List.iter
     (fun v ->

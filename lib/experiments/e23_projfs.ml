@@ -180,6 +180,12 @@ let measure_storm ~quick ~seed ~policy =
     makespan = stats.Runstats.makespan;
     goodput = Runstats.throughput stats ~ops:completed }
 
+(* The storm table's rows, which BENCH_vfs.json also holds. *)
+let storms ~quick ~seed =
+  List.map
+    (fun policy -> measure_storm ~quick ~seed ~policy)
+    [ `Block; `Reject; `Shed_oldest ]
+
 (* ------------------------------------------------------------------ *)
 
 let run ~quick ~seed =
@@ -226,8 +232,7 @@ let run ~quick ~seed =
           ("goodput/Mcyc", Tablefmt.Right) ]
   in
   List.iter
-    (fun policy ->
-      let s = measure_storm ~quick ~seed ~policy in
+    (fun s ->
       Tablefmt.add_row b
         [ s.policy_name;
           string_of_int s.clients;
@@ -239,5 +244,5 @@ let run ~quick ~seed =
           string_of_int s.p99;
           string_of_int s.makespan;
           Tablefmt.cell_float s.goodput ])
-    [ `Block; `Reject; `Shed_oldest ];
+    (storms ~quick ~seed);
   [ a; b ]

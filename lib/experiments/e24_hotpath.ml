@@ -160,6 +160,18 @@ let posture_name ~batched ~leased =
 let offered_sweep ~quick =
   if quick then [ 300; 1200 ] else [ 200; 600; 1800; 4000 ]
 
+(* The load sweep's rows, which BENCH_cluster.json also holds: the four
+   postures at each offered load, 3 replicas, 90% reads. *)
+let sweep_points ~quick ~seed =
+  List.concat_map
+    (fun offered ->
+      List.map
+        (fun (batched, leased) ->
+          run_point ~quick ~seed ~replicas:3 ~batched ~leased ~offered
+            ~read_fraction:0.9 ())
+        [ (false, false); (true, false); (false, true); (true, true) ])
+    (offered_sweep ~quick)
+
 (* The write table must drive BOTH postures past their replication
    ceilings or cycles/put just reads back the offered load; and it runs
    on a slow fabric (20k-cycle one-way latency — the fsync/WAN regime
@@ -167,8 +179,21 @@ let offered_sweep ~quick =
    cycles/entry but a 128-entry round ~350.  At that depth of queueing
    the client call timeout and the server propose timeout must both
    exceed the queueing delay, or timeout/retry churn — not the
-   replication path — sets the measured ceiling. *)
-let write_loads ~quick = pick ~quick 16_000 16_000
+   replication path — sets the measured ceiling.  Its rows at each of
+   [replica_counts], plain then batched, write-only at 16,000
+   ops/Mcycle. *)
+let write_points ~quick ~seed replica_counts =
+  List.concat_map
+    (fun replicas ->
+      List.map
+        (fun batched ->
+          run_point ~quick ~seed ~replicas ~batched ~leased:false
+            ~offered:16_000 ~read_fraction:0.0 ~nclients:(pick ~quick 24 64)
+            ~depth:16 ~duration:(pick ~quick 600_000 1_500_000)
+            ~call_timeout:800_000 ~propose_timeout:600_000
+            ~fabric_latency:20_000 ())
+        [ false; true ])
+    replica_counts
 
 let run ~quick ~seed =
   let sweep =
@@ -188,25 +213,18 @@ let run ~quick ~seed =
           ("group commits", Tablefmt.Right) ]
   in
   List.iter
-    (fun offered ->
-      List.iter
-        (fun (batched, leased) ->
-          let p =
-            run_point ~quick ~seed ~replicas:3 ~batched ~leased ~offered
-              ~read_fraction:0.9 ()
-          in
-          Tablefmt.add_row sweep
-            [ string_of_int offered;
-              posture_name ~batched ~leased;
-              string_of_int p.completed;
-              string_of_int p.failed;
-              Printf.sprintf "%.0f" p.throughput;
-              string_of_int p.p50;
-              string_of_int p.p99;
-              string_of_int p.leased_reads;
-              string_of_int p.group_commits ])
-        [ (false, false); (true, false); (false, true); (true, true) ])
-    (offered_sweep ~quick);
+    (fun p ->
+      Tablefmt.add_row sweep
+        [ string_of_int p.offered;
+          posture_name ~batched:p.batched ~leased:p.leased;
+          string_of_int p.completed;
+          string_of_int p.failed;
+          Printf.sprintf "%.0f" p.throughput;
+          string_of_int p.p50;
+          string_of_int p.p99;
+          string_of_int p.leased_reads;
+          string_of_int p.group_commits ])
+    (sweep_points ~quick ~seed);
   let writes =
     Tablefmt.create
       ~title:
@@ -224,33 +242,22 @@ let run ~quick ~seed =
           ("entries/append", Tablefmt.Right) ]
   in
   List.iter
-    (fun replicas ->
-      List.iter
-        (fun batched ->
-          let p =
-            run_point ~quick ~seed ~replicas ~batched ~leased:false
-              ~offered:(write_loads ~quick) ~read_fraction:0.0
-              ~nclients:(pick ~quick 24 64) ~depth:16
-              ~duration:(pick ~quick 600_000 1_500_000)
-              ~call_timeout:800_000 ~propose_timeout:600_000
-              ~fabric_latency:20_000 ()
-          in
-          let acked = p.completed - p.failed in
-          Tablefmt.add_row writes
-            [ string_of_int replicas;
-              posture_name ~batched ~leased:false;
-              string_of_int acked;
-              string_of_int p.failed;
-              string_of_int p.elections;
-              string_of_int p.cycles_per_op;
-              string_of_int p.put_p99;
-              string_of_int p.appends;
-              (if p.appends = 0 then "-"
-               else
-                 Printf.sprintf "%.1f"
-                   (float_of_int acked /. float_of_int p.appends)) ])
-        [ false; true ])
-    (if quick then [ 3 ] else [ 1; 3; 5 ]);
+    (fun p ->
+      let acked = p.completed - p.failed in
+      Tablefmt.add_row writes
+        [ string_of_int p.replicas;
+          posture_name ~batched:p.batched ~leased:false;
+          string_of_int acked;
+          string_of_int p.failed;
+          string_of_int p.elections;
+          string_of_int p.cycles_per_op;
+          string_of_int p.put_p99;
+          string_of_int p.appends;
+          (if p.appends = 0 then "-"
+           else
+             Printf.sprintf "%.1f"
+               (float_of_int acked /. float_of_int p.appends)) ])
+    (write_points ~quick ~seed (if quick then [ 3 ] else [ 1; 3; 5 ]));
   let readpath =
     Tablefmt.create
       ~title:

@@ -153,19 +153,17 @@ let table ~title points =
     points;
   t
 
+(* The four postures' points on the healthy fabric or under the gray
+   node; BENCH_gray.json holds both. *)
+let points ~quick ~seed ~gray =
+  List.map
+    (fun (breakers, deadlines) ->
+      run_point ~quick ~seed ~gray ~breakers ~deadlines ())
+    postures
+
 let run ~quick ~seed =
-  let healthy =
-    List.map
-      (fun (breakers, deadlines) ->
-        run_point ~quick ~seed ~gray:false ~breakers ~deadlines ())
-      postures
-  in
-  let grayed =
-    List.map
-      (fun (breakers, deadlines) ->
-        run_point ~quick ~seed ~gray:true ~breakers ~deadlines ())
-      postures
-  in
+  let healthy = points ~quick ~seed ~gray:false in
+  let grayed = points ~quick ~seed ~gray:true in
   [ table
       ~title:
         "E25: healthy fabric — the defenses must cost nothing when \

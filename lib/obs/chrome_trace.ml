@@ -39,7 +39,7 @@ let thread_meta tid name sort_index =
   [ row "thread_name" [ ("name", String name) ];
     row "thread_sort_index" [ ("sort_index", Int sort_index) ] ]
 
-let to_string records =
+let document records =
   (* (ts, emission seq, event), newest first *)
   let events = ref [] in
   let nseq = ref 0 in
@@ -119,25 +119,24 @@ let to_string records =
         if ts <> ts' then compare ts ts' else compare seq seq')
       (List.rev !events)
   in
-  Inspect.to_json
-    (Assoc
-       [ ("displayTimeUnit", String "ms");
-         ("otherData",
-          Assoc
-            [ ("exporter", String "chorus");
-              ("timeUnit", String "1 virtual cycle = 1 us") ]);
-         ("traceEvents",
-          List
-            ((Assoc
-                [ ("ph", String "M"); ("pid", Int 1);
-                  ("name", String "process_name");
-                  ("args", Assoc [ ("name", String "chorus") ]) ]
-             :: List.concat threads)
-            @ List.map (fun (_, _, ev) -> ev) sorted)) ])
-  ^ "\n"
+  Assoc
+    [ ("displayTimeUnit", String "ms");
+      ("otherData",
+       Assoc
+         [ ("exporter", String "chorus");
+           ("timeUnit", String "1 virtual cycle = 1 us") ]);
+      ("traceEvents",
+       List
+         ((Assoc
+             [ ("ph", String "M"); ("pid", Int 1);
+               ("name", String "process_name");
+               ("args", Assoc [ ("name", String "chorus") ]) ]
+          :: List.concat threads)
+         @ List.map (fun (_, _, ev) -> ev) sorted)) ]
+
+let to_string records = Inspect.to_json (document records) ^ "\n"
 
 let write_file path records =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string records))
+  Out_channel.with_open_text path (fun oc ->
+      Inspect.output_json oc (document records);
+      output_char oc '\n')

@@ -9,7 +9,7 @@
     1:1 to the format's microsecond timestamps.  An instant mark is
     named and filled by {!Chorus.Trace.fields}, after the record's
     [fiber]; the document is one {!Chorus.Inspect.value}, written by
-    {!Chorus.Inspect.to_json}.
+    {!Chorus.Inspect.to_json} or, to a file, {!Chorus.Inspect.output_json}.
 
     The output is a pure function of the input records: a run with a
     fixed (seed, inputs) exports byte-identical JSON. *)
@@ -17,3 +17,5 @@
 val to_string : Chorus.Trace.record list -> string
 
 val write_file : string -> Chorus.Trace.record list -> unit
+(** [write_file path records] writes [to_string records]'s bytes to
+    [path], streaming them rather than building the string. *)

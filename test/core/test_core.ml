@@ -469,6 +469,36 @@ let test_choice_send_full_beats_late_timeout () =
   in
   ()
 
+(* Today's rule, pinned so that changing it is a deliberate re-pin
+   (ROADMAP, "a dropped timer stretches the makespan"): a blocked choice
+   whose reply arm wins leaves its timeout's event queued, and the
+   engine runs it, as a no-op, before the run ends.  The makespan is
+   the last event's time, so it reads the dropped deadline (the choice
+   blocked at cycle 230, plus 50,000), not the reply at 1,304. *)
+let test_choice_dropped_timer_sets_makespan () =
+  let taken = ref 0 in
+  let stats =
+    run ~seed:1 (fun () ->
+        let req = Chan.rendezvous () and reply = Chan.rendezvous () in
+        let _server =
+          Fiber.spawn (fun () ->
+              Chan.recv req;
+              Fiber.sleep 1_000;
+              Chan.send reply "pong")
+        in
+        Chan.send req ();
+        let got =
+          Chan.choose
+            [ Chan.recv_case reply (fun v -> v);
+              Chan.after 50_000 (fun () -> "timeout") ]
+        in
+        Alcotest.(check string) "reply arm wins" "pong" got;
+        taken := Fiber.now ())
+  in
+  Alcotest.(check int) "reply taken at" 1_304 !taken;
+  Alcotest.(check int) "makespan reads the dropped timer" 50_230
+    stats.Runstats.makespan
+
 let test_choice_poll_strategy () =
   let (_ : Runstats.t) =
     run (fun () ->
@@ -935,7 +965,9 @@ let () =
           Alcotest.test_case "equal deadlines fire once" `Quick
             test_choice_equal_deadlines_fire_once;
           Alcotest.test_case "poll timeout boundary" `Quick
-            test_choice_poll_timeout_boundary ] );
+            test_choice_poll_timeout_boundary;
+          Alcotest.test_case "a dropped timer sets the makespan" `Quick
+            test_choice_dropped_timer_sets_makespan ] );
       ( "mailbox-rpc",
         [ Alcotest.test_case "rpc roundtrip" `Quick test_rpc_roundtrip ] );
       ( "properties",

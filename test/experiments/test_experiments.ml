@@ -5,7 +5,12 @@
    the simulator that flips a conclusion fails loudly here. *)
 
 module Experiments = Chorus_experiments.Experiments
+module E3 = Chorus_experiments.E03_scaling
+module E20 = Chorus_experiments.E20_cluster
+module E21 = Chorus_experiments.E21_overload
 module E23 = Chorus_experiments.E23_projfs
+module E24 = Chorus_experiments.E24_hotpath
+module E25 = Chorus_experiments.E25_gray
 module Tablefmt = Chorus_util.Tablefmt
 
 let cell table ~row ~col =
@@ -63,32 +68,25 @@ let test_e1_message_heavier_than_call () =
       (msg_local > call)
   | _ -> Alcotest.fail "e1 shape"
 
-(* both E3 pins read one quick run *)
-let e3_tables = lazy (run_tables "e3")
+(* the three quick E3 pins read one quick sweep *)
+let e3_sweep = lazy (E3.sweep ~quick:true ~seed:7)
 
 let test_e3_message_kernel_wins_at_scale () =
-  match Lazy.force e3_tables with
-  | [ t; _note ] ->
-    let rows = Tablefmt.rows t in
-    let last = List.length rows - 1 in
-    let msg = fcell t ~row:last ~col:1 and lock = fcell t ~row:last ~col:2 in
-    Alcotest.(check bool)
-      (Printf.sprintf "msg (%.0f) > 2x lock (%.0f) at max cores" msg lock)
-      true
-      (msg > 2.0 *. lock)
-  | _ -> Alcotest.fail "e3 shape"
+  let rows = Lazy.force e3_sweep in
+  let last = List.nth rows (List.length rows - 1) in
+  Alcotest.(check bool)
+    (Printf.sprintf "msg (%.0f) > 2x lock (%.0f) at %d cores" last.msg
+       last.lock last.cores)
+    true
+    (last.msg > 2.0 *. last.lock)
 
-(* The message kernel's ops/Mcycle at [cores] in the quick E3 run. *)
+(* The message kernel's ops/Mcycle at [cores] in the quick E3 sweep. *)
 let e3_msg_at cores =
-  match Lazy.force e3_tables with
-  | t :: _ -> (
-    match
-      List.find_opt (fun row -> List.hd row = string_of_int cores)
-        (Tablefmt.rows t)
-    with
-    | Some row -> float_of_string (List.nth row 1)
-    | None -> Alcotest.failf "e3: no %d-core row" cores)
-  | [] -> Alcotest.fail "e3 shape"
+  match
+    List.find_opt (fun (r : E3.row) -> r.cores = cores) (Lazy.force e3_sweep)
+  with
+  | Some r -> r.msg
+  | None -> Alcotest.failf "e3: no %d-core row" cores
 
 (* Past 64 cores the message kernel keeps scaling: each 16-core group
    looks root names up at its own replica, not at one root fiber. *)
@@ -114,9 +112,7 @@ let test_e3_message_kernel_doubles_to_256 () =
    consecutive ids it was 12% below, and with the shards and vnodes on
    the cores next to core 0, before D22, 18%. *)
 let test_e3_bend_past_256 () =
-  let msg =
-    Chorus_experiments.E03_scaling.msg_throughput ~quick:false ~seed:42
-  in
+  let msg = E3.msg_throughput ~quick:false ~seed:42 in
   let m256 = msg 256 and m1024 = msg 1024 in
   Alcotest.(check bool)
     (Printf.sprintf "msg at 1024 cores (%.0f) < at 256 (%.0f)" m1024 m256)
@@ -245,28 +241,131 @@ let test_e10_supervision_availability () =
    election timers stood, and a single-kill pin held at too few
    seeds) *)
 let test_e20_cluster_shape () =
-  match run_tables ~seed:42 "e20" with
-  | [ avail; failover ] ->
-    List.iter
-      (fun r ->
-        let col = List.nth r in
-        let what = Printf.sprintf "loss %s, %s crashes" (col 0) (col 1) in
-        Alcotest.(check string) (what ^ ": availability") "1.00000" (col 4);
-        Alcotest.(check string) (what ^ ": lost acked writes") "0" (col 6);
-        Alcotest.(check string) (what ^ ": restarts = crashes") (col 1) (col 7))
-      (Tablefmt.rows avail);
-    let per_put = fcell failover ~col:2 and window = fcell failover ~col:3 in
+  List.iter
+    (fun (loss, (a : E20.availability)) ->
+      let what =
+        Printf.sprintf "loss %.0f%%, %d crashes" (100.0 *. loss) a.crashes
+      in
+      Alcotest.(check int) (what ^ ": unavailable puts") 0 a.unavailable;
+      Alcotest.(check int) (what ^ ": lost acked writes") 0 a.lost_acked;
+      Alcotest.(check int) (what ^ ": restarts = crashes") a.crashes
+        a.restarts)
+    (E20.availability_rows ~quick:true ~seed:42);
+  match E20.failover_rows ~quick:true ~seed:42 with
+  | [ one; three; five ] ->
     Alcotest.(check bool)
-      (Printf.sprintf "3-replica put %.0f > 2 x 1-node put %.0f"
-         (per_put ~row:1) (per_put ~row:0))
+      (Printf.sprintf "3-replica put %d > 2 x 1-node put %d"
+         three.cycles_per_put one.cycles_per_put)
       true
-      (per_put ~row:1 > 2.0 *. per_put ~row:0);
+      (three.cycles_per_put > 2 * one.cycles_per_put);
+    let window (r : E20.failover_row) =
+      match r.window with
+      | Some w -> float_of_int w
+      | None -> Alcotest.failf "e20: no failover window at %d nodes" r.nodes
+    in
     Alcotest.(check bool)
       (Printf.sprintf "5-node mean window %.0f within 10%% of 3-node %.0f"
-         (window ~row:2) (window ~row:1))
+         (window five) (window three))
       true
-      (Float.abs (window ~row:2 -. window ~row:1) <= 0.1 *. window ~row:1)
+      (Float.abs (window five -. window three) <= 0.1 *. window three)
   | _ -> Alcotest.fail "e20 shape"
+
+(* E21: past saturation reject and shed-oldest cut block's tail while
+   goodput holds; below it the policy makes no difference *)
+let test_e21_policies_past_saturation () =
+  let samples = E21.samples ~quick:true ~seed:7 in
+  let at load =
+    List.filter (fun (s : E21.sample) -> s.load_pct = load) samples
+  in
+  (match at 200 with
+  | [ block; reject; shed ] ->
+    List.iter
+      (fun (s : E21.sample) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "200%%: %s p99 (%d) < block's (%d)" s.policy_name
+             s.p99 block.p99)
+          true (s.p99 < block.p99))
+      [ reject; shed ];
+    let goodputs =
+      List.map (fun (s : E21.sample) -> s.goodput) [ block; reject; shed ]
+    in
+    let hi = List.fold_left max 0.0 goodputs
+    and lo = List.fold_left min infinity goodputs in
+    Alcotest.(check bool)
+      (Printf.sprintf "200%%: goodputs %.2f..%.2f within 1%%" lo hi)
+      true
+      (hi -. lo <= 0.01 *. hi)
+  | _ -> Alcotest.fail "e21: three policies at 200%");
+  match at 50 with
+  | block :: others ->
+    List.iter
+      (fun (s : E21.sample) ->
+        Alcotest.(check bool)
+          ("50%: " ^ s.policy_name ^ " row = block's")
+          true
+          ({ s with policy_name = block.policy_name } = block))
+      others
+  | [] -> Alcotest.fail "e21: no 50% rows"
+
+(* E24: a leader lease at least halves every posture's median latency,
+   and each mechanism shows in its counter exactly where it is on *)
+let test_e24_leases_halve_p50 () =
+  let points = E24.sweep_points ~quick:true ~seed:7 in
+  List.iter
+    (fun (p : E24.point) ->
+      let name =
+        Printf.sprintf "%d ops/Mc %s" p.offered
+          (E24.posture_name ~batched:p.batched ~leased:p.leased)
+      in
+      Alcotest.(check bool) (name ^ ": group commits iff batched") p.batched
+        (p.group_commits > 0);
+      Alcotest.(check bool) (name ^ ": leased reads iff leased") p.leased
+        (p.leased_reads > 0);
+      if p.leased then begin
+        let unleased =
+          List.find
+            (fun (u : E24.point) ->
+              u.offered = p.offered && u.batched = p.batched && not u.leased)
+            points
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: p50 %d < half of %d" name p.p50 unleased.p50)
+          true
+          (2 * p.p50 < unleased.p50)
+      end)
+    points
+
+(* E25: the defenses cost nothing on a healthy fabric; under the gray
+   node deadlines cap the worst latency and both defenses the p99 *)
+let test_e25_defenses_cap_the_tail () =
+  let healthy = E25.points ~quick:true ~seed:7 ~gray:false in
+  let anon (p : E25.point) = { p with breakers = false; deadlines = false } in
+  List.iter
+    (fun (p : E25.point) ->
+      Alcotest.(check bool)
+        (E25.posture_name ~breakers:p.breakers ~deadlines:p.deadlines
+        ^ ": healthy row = baseline's")
+        true
+        (anon p = anon (List.hd healthy)))
+    healthy;
+  let grayed = E25.points ~quick:true ~seed:7 ~gray:true in
+  let posture breakers deadlines =
+    List.find
+      (fun (p : E25.point) -> p.breakers = breakers && p.deadlines = deadlines)
+      grayed
+  in
+  let baseline = posture false false in
+  let both = posture true true and deadlines = posture false true in
+  Alcotest.(check bool)
+    (Printf.sprintf "gray: breakers+deadlines p99 (%d) < baseline's (%d)"
+       both.p99 baseline.p99)
+    true
+    (both.p99 < baseline.p99);
+  Alcotest.(check bool)
+    (Printf.sprintf "gray: deadlines max (%d) < baseline's (%d)"
+       deadlines.pmax baseline.pmax)
+    true
+    (deadlines.pmax < baseline.pmax)
 
 let test_e18_weight_ordering () =
   match run_tables "e18" with
@@ -435,6 +534,12 @@ let () =
             test_e10_supervision_availability;
           Alcotest.test_case "e20 supervision heals node crashes" `Quick
             test_e20_cluster_shape;
+          Alcotest.test_case "e21 reject and shed cut the tail" `Quick
+            test_e21_policies_past_saturation;
+          Alcotest.test_case "e24 leases halve the median" `Quick
+            test_e24_leases_halve_p50;
+          Alcotest.test_case "e25 defenses cap the gray tail" `Quick
+            test_e25_defenses_cap_the_tail;
           Alcotest.test_case "e8 stealing wins both shapes" `Quick
             test_e8_stealing_wins_both_shapes;
           Alcotest.test_case "e15 cheaper messages widen the lead" `Quick

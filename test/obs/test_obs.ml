@@ -463,6 +463,28 @@ let test_chrome_pinned () =
     (json_valid json);
   Alcotest.(check string) "export" expected json
 
+(* The file [write_file] streams holds [to_string]'s bytes, over an
+   export several times the 64 KB it writes at a time. *)
+let test_chrome_write_file () =
+  let records =
+    List.concat
+      (List.init 2_000 (fun i ->
+           [ mk_record (2 * i)
+               (Trace.Segment { start = (2 * i) - 1; label = "seg" });
+             mk_record ((2 * i) + 1)
+               (Trace.Block { on = Printf.sprintf "q\"%d\"\n" i }) ]))
+  in
+  let expected = Chrome_trace.to_string records in
+  Alcotest.(check bool) "export spans several chunks" true
+    (String.length expected > 4 * 65_536);
+  let path = Filename.temp_file "chrome" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Chrome_trace.write_file path records;
+      Alcotest.(check string) "file = to_string" expected
+        (In_channel.with_open_bin path In_channel.input_all))
+
 (* ------------------------------------------------------------------ *)
 (* Default-trace factory                                               *)
 
@@ -513,7 +535,9 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_chrome_deterministic;
           Alcotest.test_case "unclosed span" `Quick test_chrome_unclosed_span;
           Alcotest.test_case "escaping" `Quick test_chrome_escaping;
-          Alcotest.test_case "pinned export" `Quick test_chrome_pinned ] );
+          Alcotest.test_case "pinned export" `Quick test_chrome_pinned;
+          Alcotest.test_case "write_file streams to_string's bytes" `Quick
+            test_chrome_write_file ] );
       ( "runtime",
         [ Alcotest.test_case "default trace factory" `Quick
             test_default_trace_factory ] ) ]
